@@ -507,11 +507,19 @@ def enumerate_classes(
                             automorphism_count=n_autos,
                         )
                     )
-    # sanity: for odd m, d the contribution sign is (-1)^(|I| + |s|)
-    if all(p == 1 for p in cfg.m_parities) and cfg.d_parity == 1:
-        for cls in out:
-            assert (cls.degree - (cls.n_internal + s_total)) % 2 == 0
+    _check_odd_signs(cfg, out, s_total)
     return sorted(out, key=lambda c: (c.n_internal, c.key))
+
+
+def _check_odd_signs(cfg: LinkConfig, classes, s_total: int) -> None:
+    """For odd m and d the contribution sign is (-1)^(|I| + |s|); raise otherwise."""
+    if all(p == 1 for p in cfg.m_parities) and cfg.d_parity == 1:
+        for cls in classes:
+            if (cls.degree - (cls.n_internal + s_total)) % 2:
+                raise RuntimeError(
+                    f"class {cls.key}: degree {cls.degree} breaks the odd/odd sign "
+                    f"(-1)^(|I| + |s|) with |I|={cls.n_internal}, |s|={s_total}"
+                )
 
 
 _oracle_cache: dict = {}

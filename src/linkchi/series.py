@@ -200,6 +200,102 @@ def _in_bounds(spec: TruncationSpec, metric) -> bool:
     return True
 
 
+def _trunc_weight(spec: TruncationSpec, metric, use_z=False, use_h=False) -> int:
+    """Degree of a monomial summed over the directions the spec bounds above.
+
+    u, total x and p-weight count whenever bounded; z and hbar only when
+    the caller flags them (their windows may hold negative exponents).
+    The weight is additive under products, which makes it a grading.
+    """
+    xtot, u, zz, hb, pw = metric
+    w = 0
+    if spec.u_max is not None:
+        w += u
+    if spec.x_total_max is not None:
+        w += xtot
+    if spec.p_weight_max is not None:
+        w += pw
+    if use_z:
+        w += zz
+    if use_h:
+        w += hb
+    return w
+
+
+class _PairLoop:
+    """Truncated products of item lists ``[(monomial, metric, coefficient)]``.
+
+    The right operand is bucketed by the dominant bounded direction (u, or
+    p-weight when u is absent) and each bucket is sorted by x-total, so
+    pairs outside the spec are mostly never visited.
+    """
+
+    __slots__ = ("spec", "use_u", "use_w")
+
+    def __init__(self, vars_: VariableSet, spec: TruncationSpec):
+        self.spec = spec
+        self.use_u = vars_.has_u and spec.u_max is not None
+        self.use_w = not self.use_u and spec.p_weight_max is not None and vars_.pcount > 0
+
+    def buckets(self, items) -> list:
+        """[(bucket key, items sorted by x-total)] in increasing key order."""
+        use_u, use_w = self.use_u, self.use_w
+        buckets: dict[int, list] = {}
+        for item in items:
+            met = item[1]
+            kv = met[1] if use_u else (met[4] if use_w else 0)
+            buckets.setdefault(kv, []).append(item)
+        for lst in buckets.values():
+            lst.sort(key=lambda it: it[1][0])
+        return sorted(buckets.items())
+
+    def accumulate(self, out: dict, a_items, b_buckets) -> None:
+        """Add every in-spec product of a term of a and a term of b into ``out``."""
+        spec = self.spec
+        use_u, use_w = self.use_u, self.use_w
+        u_max, u_min = spec.u_max, spec.u_min
+        s_cap = spec.x_total_max
+        zw, hw, w_cap = spec.z_window, spec.hbar_window, spec.p_weight_max
+        add = operator.add
+        for m1, met1, c1 in a_items:
+            xt1, u1, z1, h1, pw1 = met1
+            if use_u:
+                lo, hi = u_min - u1, u_max - u1
+            elif use_w:
+                lo, hi = None, w_cap - pw1
+            else:
+                lo, hi = None, None
+            for kv, bucket in b_buckets:
+                if hi is not None and kv > hi:
+                    break
+                if lo is not None and kv < lo:
+                    continue
+                for m2, met2, c2 in bucket:
+                    if s_cap is not None and xt1 + met2[0] > s_cap:
+                        break  # bucket sorted by x-total
+                    if w_cap is not None and pw1 + met2[4] > w_cap:
+                        continue
+                    if zw is not None:
+                        zz = z1 + met2[2]
+                        if zz < zw[0] or zz > zw[1]:
+                            continue
+                    if hw is not None:
+                        hb = h1 + met2[3]
+                        if hb < hw[0] or hb > hw[1]:
+                            continue
+                    key = tuple(map(add, m1, m2))
+                    c = c1 * c2
+                    acc = out.get(key)
+                    if acc is None:
+                        out[key] = c
+                    else:
+                        acc = acc + c
+                        if acc == 0:
+                            del out[key]
+                        else:
+                            out[key] = acc
+
+
 class TruncatedSeries:
     """Sparse map monomial -> coefficient, with no stored zeros."""
 
@@ -344,62 +440,8 @@ class TruncatedSeries:
         a, b = (
             (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
         )
-        u_max, u_min = spec.u_max, spec.u_min
-        s_cap = spec.x_total_max
-        zw, hw, w_cap = spec.z_window, spec.hbar_window, spec.p_weight_max
-
-        # Bucket the big operand by the dominant bounded direction (u, or
-        # p-weight when u is absent) and sort each bucket by x-total, so
-        # pairs outside the spec are mostly never visited.
-        use_u = vars_.has_u and u_max is not None
-        use_w = not use_u and w_cap is not None and vars_.pcount > 0
-        buckets: dict[int, list] = {}
-        for item in b._items():
-            met = item[1]
-            kv = met[1] if use_u else (met[4] if use_w else 0)
-            buckets.setdefault(kv, []).append(item)
-        for lst in buckets.values():
-            lst.sort(key=lambda it: it[1][0])
-        bucket_keys = sorted(buckets)
-
-        add = operator.add
-        for m1, met1, c1 in a._items():
-            xt1, u1, z1, h1, pw1 = met1
-            if use_u:
-                lo, hi = u_min - u1, u_max - u1
-            elif use_w:
-                lo, hi = None, w_cap - pw1
-            else:
-                lo, hi = None, None
-            for kv in bucket_keys:
-                if hi is not None and kv > hi:
-                    break
-                if lo is not None and kv < lo:
-                    continue
-                for m2, met2, c2 in buckets[kv]:
-                    if s_cap is not None and xt1 + met2[0] > s_cap:
-                        break  # bucket sorted by x-total
-                    if w_cap is not None and pw1 + met2[4] > w_cap:
-                        continue
-                    if zw is not None:
-                        zz = z1 + met2[2]
-                        if zz < zw[0] or zz > zw[1]:
-                            continue
-                    if hw is not None:
-                        hb = h1 + met2[3]
-                        if hb < hw[0] or hb > hw[1]:
-                            continue
-                    key = tuple(map(add, m1, m2))
-                    c = c1 * c2
-                    acc = out.get(key)
-                    if acc is None:
-                        out[key] = c
-                    else:
-                        acc = acc + c
-                        if acc == 0:
-                            del out[key]
-                        else:
-                            out[key] = acc
+        pairs = _PairLoop(vars_, spec)
+        pairs.accumulate(out, a._items(), pairs.buckets(b._items()))
         return TruncatedSeries(vars_, spec, out, _trusted=True)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
@@ -418,86 +460,156 @@ class TruncatedSeries:
 
     # -------------------------------------------------- exp / log / pow
 
-    def _nilpotence_weight_min(self) -> int:
-        """Smallest truncation weight over monomials; must be >= 1 for exp/log.
+    def _grades(self) -> tuple[dict[int, list], int]:
+        """Homogeneous pieces under the nilpotence weight, and the top weight.
 
-        A direction counts toward the weight when the spec bounds it
-        above and no monomial of the series has a negative exponent
-        there (so powers of the series can only climb and eventually
-        leave the spec).  u, total x and p-weight are structurally
-        nonnegative; the z/hbar windows qualify per series.
+        Returns ``({k: [(monomial, metric, coefficient)]}, top)``: the
+        terms of weight k >= 1, and the largest weight an in-spec monomial
+        can have.  A direction counts toward the weight when the spec
+        bounds it above and no monomial of the series has a negative
+        exponent there (so powers of the series can only climb and
+        eventually leave the spec).  u, total x and p-weight are
+        structurally nonnegative; the z/hbar windows qualify per series.
+        A monomial of weight 0 is never nilpotent and raises.
         """
         spec, vars_ = self.spec, self.vars
-        metrics = [_metric(vars_, mono) for mono in self.coeffs]
-        if spec.u_max is not None and any(m[1] < 0 for m in metrics):
+        items = self._items()
+        if spec.u_max is not None and any(met[1] < 0 for _m, met, _c in items):
             raise SeriesError("exp/log need nonnegative u-exponents")
         use_z = (
             vars_.has_z
             and spec.z_window is not None
-            and all(m[2] >= 0 for m in metrics)
+            and all(met[2] >= 0 for _m, met, _c in items)
         )
         use_h = (
             vars_.has_hbar
             and spec.hbar_window is not None
-            and all(m[3] >= 0 for m in metrics)
+            and all(met[3] >= 0 for _m, met, _c in items)
         )
-        wmin = None
-        for mono, met in zip(self.coeffs, metrics):
-            xtot, u, zz, hb, pw = met
-            w = 0
-            if spec.u_max is not None:
-                w += u
-            if spec.x_total_max is not None:
-                w += xtot
-            if spec.p_weight_max is not None:
-                w += pw
-            if use_z:
-                w += zz
-            if use_h:
-                w += hb
+        grades: dict[int, list] = {}
+        for item in items:
+            w = _trunc_weight(spec, item[1], use_z, use_h)
             if w == 0:
                 raise SeriesError(
-                    f"monomial {mono} is not nilpotent under the truncation spec"
+                    f"monomial {item[0]} is not nilpotent under the truncation spec"
                 )
-            wmin = w if wmin is None else min(wmin, w)
-        return 1 if wmin is None else wmin
+            grades.setdefault(w, []).append(item)
+        # the heaviest in-spec monomial sits at every upper bound at once
+        corner = (
+            spec.x_total_max or 0,
+            spec.u_max or 0,
+            spec.z_window[1] if use_z else 0,
+            spec.hbar_window[1] if use_h else 0,
+            spec.p_weight_max or 0,
+        )
+        return grades, _trunc_weight(spec, corner, use_z, use_h)
 
     def exp(self) -> "TruncatedSeries":
-        """exp of a series with zero constant term, truncated.
+        """exp of a series with zero constant term, truncated, grade by grade.
 
-        Terminates because every monomial has positive weight in some
-        bounded direction, so high powers fall outside the spec.
+        Split ``f = self`` into pieces ``f_k`` homogeneous of nilpotence
+        weight k >= 1 (see :meth:`_grades`).  The pieces of ``g = exp(f)``
+        follow from ``g_0 = 1`` and ``n g_n = sum_{k=1..n} k f_k g_{n-k}``,
+        the weight-n part of ``D g = (D f) g`` for the derivation D that
+        multiplies a weight-n monomial by n (Brent & Kung 1978; Knuth,
+        TAOCP vol. 2, 4.7).  Grades are disjoint, so each finished g_n goes
+        straight into the output.  Terminates because every monomial has
+        positive weight and weights above the spec's top cannot occur.
         """
         if self.constant_term() != 0:
             raise SeriesError("exp requires zero constant term")
-        self._nilpotence_weight_min()
-        result = TruncatedSeries.one(self.vars, self.spec)
-        term = result
-        k = 0
-        while True:
-            k += 1
-            term = (term * self).scaled(QQ(1, k))
-            if term.is_zero():
-                break
-            result = result + term
-        return result
+        grades, top = self._grades()
+        vars_, spec = self.vars, self.spec
+        pairs = _PairLoop(vars_, spec)
+        origin = (0,) * vars_.nvars
+        one = QQ(1)
+        out = {origin: one}
+        weighted = sorted(
+            (k, [(m, met, k * c) for m, met, c in items] if k > 1 else items)
+            for k, items in grades.items()
+        )
+        g_buckets = {0: pairs.buckets([(origin, _metric(vars_, origin), one)])}
+        kmax = weighted[-1][0] if weighted else 0
+        empty_run = 0
+        for n in range(1, top + 1):
+            acc: dict[tuple[int, ...], object] = {}
+            for k, kf in weighted:
+                if k > n:
+                    break
+                gb = g_buckets.get(n - k)
+                if gb is not None:
+                    pairs.accumulate(acc, kf, gb)
+            if not acc:
+                empty_run += 1
+                if empty_run >= kmax:
+                    break  # every later grade multiplies only empty grades
+                continue
+            empty_run = 0
+            inv = QQ(1, n)
+            piece = []
+            for m, c in acc.items():
+                c = c * inv
+                out[m] = c
+                piece.append((m, _metric(vars_, m), c))
+            g_buckets[n] = pairs.buckets(piece)
+        return TruncatedSeries(vars_, spec, out, _trusted=True)
 
     def log(self) -> "TruncatedSeries":
-        """log of a series with constant term exactly 1, truncated."""
+        """log of a series with constant term exactly 1, truncated, grade by grade.
+
+        With ``h = self - 1`` split into pieces ``h_k`` of nilpotence weight
+        k >= 1, the pieces of ``f = log(self)`` follow from
+        ``n f_n = n h_n - sum_{k=1..n-1} k f_k h_{n-k}``, the weight-n part
+        of ``(1 + h) D f = D h`` (see :meth:`exp` for D).  Once the
+        operand's grades are used up and the last kmax grades of f are
+        empty, every later grade is empty too.
+        """
         if self.constant_term() != 1:
             raise SeriesError("log requires constant term 1")
-        y = self - TruncatedSeries.one(self.vars, self.spec)
-        y._nilpotence_weight_min()
-        result = TruncatedSeries.zero(self.vars, self.spec)
-        power = TruncatedSeries.one(self.vars, self.spec)
-        p = 0
-        while True:
-            p += 1
-            power = power * y
-            if power.is_zero():
-                break
-            result = result + power.scaled(QQ((-1) ** (p + 1), p))
-        return result
+        vars_, spec = self.vars, self.spec
+        origin = (0,) * vars_.nvars
+        h = TruncatedSeries(
+            vars_, spec, {m: c for m, c in self.coeffs.items() if m != origin}, _trusted=True
+        )
+        grades, top = h._grades()
+        pairs = _PairLoop(vars_, spec)
+        h_buckets = sorted((k, pairs.buckets(items)) for k, items in grades.items())
+        kmax = h_buckets[-1][0] if h_buckets else 0
+        out: dict[tuple[int, ...], object] = {}
+        weighted: dict[int, list] = {}  # n -> terms of n f_n
+        empty_run = 0
+        for n in range(1, top + 1):
+            acc: dict[tuple[int, ...], object] = {}
+            for k, hb in h_buckets:
+                if k >= n:
+                    break
+                kf = weighted.get(n - k)
+                if kf is not None:
+                    pairs.accumulate(acc, kf, hb)
+            piece = []
+            for m, met, c in grades.get(n, ()):
+                a = acc.pop(m, None)
+                if a is None:
+                    out[m] = c
+                    piece.append((m, met, n * c))
+                else:
+                    nf = n * c - a
+                    if nf != 0:
+                        out[m] = nf / n
+                        piece.append((m, met, nf))
+            if acc:
+                inv = QQ(-1, n)
+                for m, a in acc.items():
+                    out[m] = a * inv
+                    piece.append((m, _metric(vars_, m), -a))
+            if not piece:
+                empty_run += 1
+                if empty_run >= kmax and n >= kmax:
+                    break
+                continue
+            empty_run = 0
+            weighted[n] = piece
+        return TruncatedSeries(vars_, spec, out, _trusted=True)
 
     def pow_series(self, exponent: "TruncatedSeries") -> "TruncatedSeries":
         """self**exponent = exp(exponent * log(self)); self must have constant term 1."""
@@ -510,7 +622,7 @@ class TruncatedSeries:
         if self.constant_term() != 1:
             raise SeriesError("inverse requires constant term 1")
         y = TruncatedSeries.one(self.vars, self.spec) - self
-        y._nilpotence_weight_min()
+        y._grades()
         result = TruncatedSeries.one(self.vars, self.spec)
         power = result
         while True:

@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 from .rationals import QQ, binomial, bernoulli, divisors, mobius
-from .series import SeriesError, TruncatedSeries
+from .series import SeriesError, TruncatedSeries, _metric, _trunc_weight
 
 __all__ = [
     "UniPolynomial",
@@ -179,14 +179,28 @@ def _raise_exponents(series: TruncatedSeries, l: int) -> TruncatedSeries:
     return series.map_monomials(lambda m, c: (tuple(e * l for e in m), c))
 
 
+def _plethystic_bound(spec) -> int:
+    """Largest l a plethystic sum over x_i <- x_i^l, u <- u^l needs.
+
+    The maximum of the u, x-total and p-weight bounds.  It is exact, not
+    heuristic: a monomial of positive degree in a bounded direction has
+    degree >= l there after raising, so for l above every bound each such
+    monomial leaves the spec.
+    """
+    bounds = [b for b in (spec.u_max, spec.x_total_max, spec.p_weight_max) if b is not None]
+    if not bounds:
+        raise SeriesError("plethystic transforms need a truncated direction")
+    return max(bounds)
+
+
 def plethystic_log(series: TruncatedSeries, lmax: int | None = None) -> TruncatedSeries:
     """sum_l mu(l)/l * log(series with x_i <- x_i^l, u <- u^l).
 
     Extracts the exponents chi from a product of the form
-    prod (1 - x^s u^t)^(-chi); inverse of :func:`plethystic_exp`.
-
-    The summation bound max(T, S) is exact, not heuristic: any l above
-    both bounds sends every non-constant monomial outside the spec.
+    prod (1 - x^s u^t)^(-chi); inverse of :func:`plethystic_exp`.  The
+    default bound on l is :func:`_plethystic_bound`: ``log`` accepts only
+    series whose non-constant monomials have positive degree in a bounded
+    direction, so every l above it contributes log(1) = 0.
     """
     if series.constant_term() != 1:
         raise SeriesError("plethystic_log requires constant term 1")
@@ -194,10 +208,7 @@ def plethystic_log(series: TruncatedSeries, lmax: int | None = None) -> Truncate
     if vars_.has_z or vars_.has_hbar or vars_.pcount:
         raise SeriesError("plethystic_log is defined on x/u series only")
     if lmax is None:
-        bounds = [b for b in (spec.u_max, spec.x_total_max) if b is not None]
-        if not bounds:
-            raise SeriesError("plethystic_log needs a truncated direction")
-        lmax = max(bounds)
+        lmax = _plethystic_bound(spec)
     out = TruncatedSeries.zero(vars_, spec)
     for l in range(1, lmax + 1):
         ml = mobius(l)
@@ -208,57 +219,28 @@ def plethystic_log(series: TruncatedSeries, lmax: int | None = None) -> Truncate
 
 
 def plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
-    """prod over monomials x^s u^t of series of (1 - x^s u^t)^(-chi).
+    """prod over monomials m of series of (1 - m)^(-chi_m), chi_m its coefficient.
 
-    Requires integer coefficients and zero constant term; every monomial
-    must have positive degree in a truncated direction so each factor
-    expands finitely.
+    Computed as one ``exp(sum_{l=1..L} series(x^l, u^l) / l)``: each
+    factor is ``exp(-chi_m log(1 - m)) = exp(chi_m sum_l m^l / l)``, and
+    summing over m puts the l-th power of every monomial into
+    ``series(x^l, u^l)``.  ``L`` is :func:`_plethystic_bound`, exact
+    because every monomial must have positive degree in a bounded u,
+    x-total or p-weight direction.  Requires integer coefficients and
+    zero constant term.
     """
     vars_, spec = series.vars, series.spec
     if series.constant_term() != 0:
         raise SeriesError("plethystic_exp requires zero constant term")
-    out = TruncatedSeries.one(vars_, spec)
+    if series.is_zero():
+        return TruncatedSeries.one(vars_, spec)
     for mono in series.sorted_monomials():
         c = series.coeffs[mono]
         if c.denominator != 1:
             raise SeriesError(f"plethystic_exp requires integer coefficients, got {c}")
-        chi = int(c)
-        factor = _geometric_power(vars_, spec, mono, chi)
-        out = out * factor
-    return out
-
-
-def _geometric_power(vars_, spec, mono, chi: int) -> TruncatedSeries:
-    """(1 - m)^(-chi) for a single monomial m, truncated."""
-    base = TruncatedSeries(vars_, spec, {mono: 1})
-    if base.is_zero() or not _positive_trunc_weight(vars_, spec, mono):
-        raise SeriesError(f"monomial {mono} cannot be plethystically exponentiated")
-    coeffs = {(0,) * vars_.nvars: QQ(1)}
-    k = 0
-    while True:
-        k += 1
-        m_k = tuple(e * k for e in mono)
-        if chi > 0:
-            c = binomial(chi - 1 + k, k)
-        else:
-            if k > -chi:
-                break
-            c = (-1) ** k * binomial(-chi, k)
-        probe = TruncatedSeries(vars_, spec, {m_k: c})
-        if probe.is_zero():
-            break
-        coeffs[m_k] = QQ(c)
-    return TruncatedSeries(vars_, spec, coeffs)
-
-
-def _positive_trunc_weight(vars_, spec, mono) -> bool:
-    r = vars_.hodge_count
-    w = 0
-    if spec.x_total_max is not None:
-        w += sum(mono[:r])
-    if spec.u_max is not None and vars_.has_u:
-        w += mono[vars_.index("u")]
-    if spec.p_weight_max is not None:
-        base = vars_.p_start()
-        w += sum((l + 1) * mono[base + l] for l in range(vars_.pcount))
-    return w >= 1
+        if _trunc_weight(spec, _metric(vars_, mono)) < 1:
+            raise SeriesError(f"monomial {mono} cannot be plethystically exponentiated")
+    arg = TruncatedSeries.zero(vars_, spec)
+    for l in range(1, _plethystic_bound(spec) + 1):
+        arg = arg + _raise_exponents(series, l).scaled(QQ(1, l))
+    return arg.exp()

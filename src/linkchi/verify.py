@@ -5,6 +5,29 @@ the brute-force graph enumeration.
 Each check returns a :class:`CheckResult`; a failing check carries the
 first differing coefficient with enough provenance to locate it.  The
 CLI ``verify`` subcommand runs these and exits nonzero on any failure.
+
+Route ledger: the code paths each cross-route check compares.
+
+* ``route-equivalence`` (four parities, r <= 3, t = 10):
+
+  - "direct vs plethystic": ``f_homotopy_direct`` (the double sum, built
+    from ``log`` and ``inverse`` with no ``exp``) against
+    ``plethystic_log(f_homology)``.  ``f_homology`` ends in
+    ``TruncatedSeries.exp``, and ``plethystic_log`` takes ``log``.
+  - "plethystic exp back to F^H": ``plethystic_exp(f_homotopy_direct)``
+    against ``f_homology``.  Both sides end in ``TruncatedSeries.exp``, so
+    this comparison alone cannot catch a fault inside ``exp``.
+
+* ``tables-second-route`` (odd/odd, r = 2, the published t = 23):
+  ``plethystic_log(f_homology)`` against ``f_homotopy_direct``, the
+  series behind the published grids that ``tables`` compares with.
+
+``exp`` is still pinned by routes that do not share it: the property
+tests comparing it with the repeated-product reference
+(``tests/naive_series.py``); "direct vs plethystic", whose direct side
+uses ``log`` only; and the ``gamma`` and ``homology-specializations``
+closed forms, which compare ``exp``-built series with products of
+``inverse``.
 """
 
 from __future__ import annotations
@@ -36,8 +59,8 @@ from .graphs import EnumerationBudget, euler_char_oracle
 from .rationals import QQ, qq_str
 from .reference_tables import RECONCILIATION_CELLS, TABLES
 from .reference_tables import T_MAX as TABLE_T_MAX
-from .series import TruncatedSeries, TruncationSpec, VariableSet
-from .special import e_poly, f_poly, gamma_series, plethystic_exp, s_poly
+from .series import SeriesError, TruncatedSeries, TruncationSpec, VariableSet
+from .special import e_poly, f_poly, gamma_series, plethystic_exp, plethystic_log, s_poly
 
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
 
@@ -191,12 +214,20 @@ def check_route_equivalence(t_max: int = 10, r_max: int = 3) -> CheckResult:
             cfg = _cfg(parity_key, r)
             fh = f_homology(cfg, t_max)
             direct = f_homotopy_direct(cfg, t_max)
-            from .special import plethystic_log
-
             pleth = plethystic_log(fh)
             _series_equal(res, f"direct vs plethystic ({parity_key}, r={r})", direct, pleth)
             back = plethystic_exp(direct)
             _series_equal(res, f"plethystic exp back to F^H ({parity_key}, r={r})", back, fh)
+    return res
+
+
+def check_tables_second_route(t_max: int = TABLE_T_MAX) -> CheckResult:
+    """F^pi behind the published grids, by the plethystic route as well."""
+    res = CheckResult("tables-second-route")
+    cfg = LinkConfig.create((1, 1), 3)
+    pleth = plethystic_log(f_homology(cfg, t_max))
+    direct = f_homotopy_direct(cfg, t_max)
+    _series_equal(res, f"plethystic vs direct (odd-odd, r=2, t={t_max})", pleth, direct)
     return res
 
 
@@ -238,7 +269,8 @@ def _drop_hbar(series: TruncatedSeries, cfg: LinkConfig) -> TruncatedSeries:
     ih = series.vars.index("hbar")
     out = {}
     for mono, c in series.coeffs.items():
-        assert mono[ih] == 0
+        if mono[ih] != 0:
+            raise SeriesError(f"cannot drop hbar from monomial {mono}: hbar^{mono[ih]}")
         out[mono[:ih] + mono[ih + 1 :]] = c
     return TruncatedSeries(vars_, spec, out, _trusted=True)
 
@@ -402,6 +434,7 @@ CHECK_NAMES = {
     "cycle-index": check_cycle_index,
     "stability": check_stability,
     "tables": check_tables,
+    "tables-second-route": check_tables_second_route,
     "oracle": check_oracle,
 }
 
@@ -413,6 +446,7 @@ _SCALABLE = {
     "cycle-index": "t_max",
     "stability": "t_max",
     "tables": "t_max",
+    "tables-second-route": "t_max",
     "oracle": "t_max",
 }
 

@@ -1,0 +1,94 @@
+"""Repeated-product references for the graded series algorithms.
+
+``TruncatedSeries.exp`` and ``log`` build their results grade by grade,
+and ``plethystic_exp`` takes a single ``exp``.  These are the textbook
+forms they replaced, kept here as test oracles only:
+
+* exp as the truncated sum of ``f^k / k!``, one full product per term;
+* log as the truncated sum of ``(-1)^(p+1) h^p / p`` with ``h = f - 1``;
+* plethystic_exp as the product of one geometric power ``(1 - m)^(-chi)``
+  per monomial ``m``.
+"""
+
+from __future__ import annotations
+
+from linkchi.rationals import QQ, binomial
+from linkchi.series import SeriesError, TruncatedSeries
+
+
+def naive_exp(series: TruncatedSeries) -> TruncatedSeries:
+    if series.constant_term() != 0:
+        raise SeriesError("exp requires zero constant term")
+    series._grades()  # nilpotence guard: the loop below must terminate
+    result = TruncatedSeries.one(series.vars, series.spec)
+    term = result
+    k = 0
+    while True:
+        k += 1
+        term = (term * series).scaled(QQ(1, k))
+        if term.is_zero():
+            return result
+        result = result + term
+
+
+def naive_log(series: TruncatedSeries) -> TruncatedSeries:
+    if series.constant_term() != 1:
+        raise SeriesError("log requires constant term 1")
+    y = series - TruncatedSeries.one(series.vars, series.spec)
+    y._grades()
+    result = TruncatedSeries.zero(series.vars, series.spec)
+    power = TruncatedSeries.one(series.vars, series.spec)
+    p = 0
+    while True:
+        p += 1
+        power = power * y
+        if power.is_zero():
+            return result
+        result = result + power.scaled(QQ((-1) ** (p + 1), p))
+
+
+def naive_plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
+    vars_, spec = series.vars, series.spec
+    if series.constant_term() != 0:
+        raise SeriesError("plethystic_exp requires zero constant term")
+    out = TruncatedSeries.one(vars_, spec)
+    for mono in series.sorted_monomials():
+        c = series.coeffs[mono]
+        if c.denominator != 1:
+            raise SeriesError(f"plethystic_exp requires integer coefficients, got {c}")
+        out = out * _geometric_power(vars_, spec, mono, int(c))
+    return out
+
+
+def _geometric_power(vars_, spec, mono, chi: int) -> TruncatedSeries:
+    """(1 - m)^(-chi) for a single monomial m, truncated."""
+    if not _positive_trunc_weight(vars_, spec, mono):
+        raise SeriesError(f"monomial {mono} cannot be plethystically exponentiated")
+    coeffs = {(0,) * vars_.nvars: QQ(1)}
+    k = 0
+    while True:
+        k += 1
+        m_k = tuple(e * k for e in mono)
+        if chi > 0:
+            c = binomial(chi - 1 + k, k)
+        else:
+            if k > -chi:
+                break
+            c = (-1) ** k * binomial(-chi, k)
+        if TruncatedSeries(vars_, spec, {m_k: c}).is_zero():
+            break
+        coeffs[m_k] = QQ(c)
+    return TruncatedSeries(vars_, spec, coeffs)
+
+
+def _positive_trunc_weight(vars_, spec, mono) -> bool:
+    r = vars_.hodge_count
+    w = 0
+    if spec.x_total_max is not None:
+        w += sum(mono[:r])
+    if spec.u_max is not None and vars_.has_u:
+        w += mono[vars_.index("u")]
+    if spec.p_weight_max is not None:
+        base = vars_.p_start()
+        w += sum((l + 1) * mono[base + l] for l in range(vars_.pcount))
+    return w >= 1

@@ -173,6 +173,46 @@ def test_verify_fault_injection(capsys, monkeypatch):
     assert "f-poly" in out
 
 
+def test_verify_tables_second_route(capsys):
+    code, out, _ = run_cli(["verify", "--only", "tables-second-route", "--t-max", "5"], capsys)
+    assert code == 0
+    assert "[PASS] tables-second-route" in out
+
+
+def test_verify_tables_second_route_reports_first_difference(capsys, monkeypatch):
+    import linkchi.verify as verify_mod
+    from linkchi.series import TruncatedSeries
+
+    real = verify_mod.plethystic_log
+
+    def shifted(series):
+        out = real(series)
+        return out + TruncatedSeries.term(out.vars, out.spec, {"x1": 2, "u": 3}, 5)
+
+    monkeypatch.setattr(verify_mod, "plethystic_log", shifted)
+    code = cli.main(["verify", "--only", "tables-second-route", "--t-max", "4"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] tables-second-route" in out
+    assert "at {'x1': 2, 'u': 3}" in out
+
+
+def test_drop_hbar_rejects_nonzero_genus():
+    from linkchi.genfun import LinkConfig
+    from linkchi.series import SeriesError, TruncatedSeries, TruncationSpec, VariableSet
+    from linkchi.verify import _drop_hbar
+
+    cfg = LinkConfig.create((1, 1), 3)
+    hv = VariableSet(hodge_count=2, has_u=True, has_hbar=True)
+    spec = TruncationSpec(u_max=3, x_total_max=4, hbar_window=(0, 2))
+    flat = TruncatedSeries.term(hv, spec, {"x1": 1, "u": 1})
+    assert _drop_hbar(flat, cfg) == TruncatedSeries.term(
+        cfg.xu_vars(), TruncationSpec(u_max=3, x_total_max=4), {"x1": 1, "u": 1}
+    )
+    with pytest.raises(SeriesError, match="hbar"):
+        _drop_hbar(TruncatedSeries.term(hv, spec, {"x1": 1, "u": 1, "hbar": 1}), cfg)
+
+
 def test_determinism_across_processes():
     cmd = [
         sys.executable, "-m", "linkchi", "table", "--genus", "2",

@@ -158,3 +158,15 @@ def test_invalid_inputs():
         enumerate_classes(ODD2, (3, 0), 1)  # t < |s| - 1
     with pytest.raises(ValueError):
         enumerate_classes(ODD2, (1,), 1)  # wrong color count
+
+
+def test_odd_sign_invariant_raises():
+    from dataclasses import replace
+
+    from linkchi.graphs import _check_odd_signs
+
+    classes = enumerate_classes(ODD2, (2, 0), 2)
+    _check_odd_signs(ODD2, classes, 2)
+    broken = [replace(classes[0], degree=classes[0].degree + 1)]
+    with pytest.raises(RuntimeError, match="odd/odd sign"):
+        _check_odd_signs(ODD2, broken, 2)

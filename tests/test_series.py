@@ -12,6 +12,8 @@ from linkchi.series import (
     VariableSet,
 )
 
+from naive_series import naive_exp, naive_log
+
 XU = VariableSet(hodge_count=2, has_u=True)
 SPEC = TruncationSpec(u_max=6, x_total_max=7)
 
@@ -258,3 +260,74 @@ def test_log_multiplicative(a, b):
     a = a - TruncatedSeries.constant(XU, SPEC8, a.constant_term()) + TruncatedSeries.one(XU, SPEC8)
     b = b - TruncatedSeries.constant(XU, SPEC8, b.constant_term()) + TruncatedSeries.one(XU, SPEC8)
     assert (a * b).log() == a.log() + b.log()
+
+
+# ------------------------------------- graded exp/log vs repeated products
+
+XZ = VariableSet(hodge_count=1, has_u=True, has_z=True)
+HB = VariableSet(has_u=True, has_hbar=True)
+PV = VariableSet(has_u=True, pcount=3)
+
+# (variables, spec, monomial strategy) per case; every strategy yields
+# monomials of positive weight, so exp and log are defined.
+GRADED_CASES = {
+    "x/u": (XU, SPEC8, st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3))),
+    # z counts toward the weight: every z-exponent is nonnegative
+    "z-window": (
+        XZ,
+        TruncationSpec(u_max=3, x_total_max=3, z_window=(0, 5)),
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    ),
+    # negative z-exponents in a window wide enough that no product reaches
+    # its edge: z stays out of the weight and truncation stays exact
+    "wide z-window, negative exponents": (
+        XZ,
+        TruncationSpec(u_max=3, x_total_max=3, z_window=(-20, 20)),
+        st.tuples(st.integers(0, 2), st.integers(1, 2), st.integers(-2, 2)),
+    ),
+    "hbar window with negative lower bound": (
+        HB,
+        TruncationSpec(u_max=4, hbar_window=(-2, 3)),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    ),
+    "p-weight": (
+        PV,
+        TruncationSpec(u_max=3, p_weight_max=5),
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+    ),
+}
+
+
+@st.composite
+def graded_operand(draw, constant):
+    """(case name, series with the given constant term and random other terms)."""
+    name = draw(st.sampled_from(sorted(GRADED_CASES)))
+    vars_, spec, monos = GRADED_CASES[name]
+    terms = draw(st.dictionaries(monos, st.fractions(-3, 3, max_denominator=4), max_size=5))
+    origin = (0,) * vars_.nvars
+    terms[origin] = constant
+    return name, TruncatedSeries(vars_, spec, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_operand(0))
+def test_graded_exp_matches_repeated_products(case):
+    name, a = case
+    assert a.exp() == naive_exp(a), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_operand(1))
+def test_graded_log_matches_repeated_products(case):
+    name, a = case
+    assert a.log() == naive_log(a), name
+
+
+def test_graded_log_single_grade_laurent():
+    # genus0_dims takes logs of 1 - (one u-grade with negative z); a single
+    # grade follows the same truncated products as the naive form
+    spec = TruncationSpec(u_max=4, x_total_max=4, z_window=(-3, 3))
+    h = TruncatedSeries(XZ, spec, {(1, 1, -1): 2, (1, 1, 1): -1})
+    g = TruncatedSeries.one(XZ, spec) - h
+    assert g.log() == naive_log(g)
+    assert h.exp() == naive_exp(h)

@@ -15,6 +15,8 @@ from linkchi.special import (
     s_poly,
 )
 
+from naive_series import naive_plethystic_exp
+
 UV = VariableSet(has_u=True)
 
 
@@ -171,6 +173,24 @@ def test_plethystic_exp_rejects_fractional():
         plethystic_exp(TruncatedSeries.term(XUV, spec, {"u": 1}, QQ(1, 2)))
 
 
+def test_plethystic_exp_rejects_constant_term():
+    spec = TruncationSpec(u_max=4, x_total_max=4)
+    with pytest.raises(SeriesError, match="constant term"):
+        plethystic_exp(TruncatedSeries.constant(XUV, spec, 2))
+
+
+def test_plethystic_exp_rejects_monomial_without_truncated_weight():
+    # x is unbounded here, so (1 - x1)^(-1) never terminates
+    spec = TruncationSpec(u_max=4)
+    with pytest.raises(SeriesError, match="plethystically"):
+        plethystic_exp(TruncatedSeries.term(XUV, spec, {"x1": 1}))
+    # z-degree alone does not count either, even with every z-exponent >= 0
+    zv = VariableSet(has_u=True, has_z=True)
+    zspec = TruncationSpec(u_max=4, z_window=(0, 4))
+    with pytest.raises(SeriesError, match="plethystically"):
+        plethystic_exp(TruncatedSeries.term(zv, zspec, {"z": 1}))
+
+
 SPEC6 = TruncationSpec(u_max=6, x_total_max=6)
 chi_values = st.integers(-3, 3)
 monos = st.tuples(st.integers(0, 2), st.integers(1, 3))
@@ -189,3 +209,22 @@ def test_plethystic_exp_of_log(d):
     g = TruncatedSeries(XUV, SPEC6, {(x, u): c for (x, u), c in d.items()})
     f = plethystic_exp(g)
     assert plethystic_exp(plethystic_log(f)) == f
+
+
+PV = VariableSet(hodge_count=1, has_u=True, pcount=2)
+PSPEC = TruncationSpec(u_max=4, x_total_max=4, p_weight_max=4)
+p_monos = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)).filter(any)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.dictionaries(monos, chi_values, max_size=5))
+def test_plethystic_exp_matches_product_of_geometric_powers(d):
+    g = TruncatedSeries(XUV, SPEC6, {(x, u): c for (x, u), c in d.items()})
+    assert plethystic_exp(g) == naive_plethystic_exp(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.dictionaries(p_monos, chi_values, max_size=5))
+def test_plethystic_exp_matches_product_with_p_weight(d):
+    g = TruncatedSeries(PV, PSPEC, d)
+    assert plethystic_exp(g) == naive_plethystic_exp(g)
