@@ -44,10 +44,20 @@ def _default_t_max() -> int:
     return 10
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _emit(text: str, output: str | None):
     if output:
-        with open(output, "w") as f:
-            f.write(text)
+        try:
+            with open(output, "w") as f:
+                f.write(text)
+        except OSError as exc:
+            raise SystemExit2(f"cannot write {output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -244,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the cross-verification suite")
     p.add_argument("--only", default=None,
                    help=f"comma-separated subset of checks ({', '.join(CHECK_NAMES)})")
-    p.add_argument("--t-max", type=int, default=None,
-                   help="scale scalable checks down to this truncation order")
+    p.add_argument("--t-max", type=_positive_int, default=None,
+                   help="scale the checks down to this truncation order (>= 1)")
     add_output(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -8,25 +8,25 @@ representation as a series in power-sum variables p_1, p_2, ...:
 with ``j_l`` the number of l-cycles.  Weight(p_l) = l grades by arity.
 Specializing ``p_1 <- x, p_(l>=2) <- 0`` yields the exponential
 generating function of (graded) dimensions; substituting the colored
-power sums of :func:`color_power_sum` computes hom spaces out of a
-colored tensor sequence.  Supercharacters are characters of the
+power sums of :func:`linkchi.genfun.color_power_sum` computes hom spaces
+out of a colored tensor sequence.  Supercharacters are characters of the
 alternating sum over homological degree, i.e. the z = -1 specialization.
 """
 
 from __future__ import annotations
 
-from .genfun import LinkConfig
-from .rationals import QQ, divisors, mobius, totient
+from .genfun import LinkConfig, color_power_sum
+from .graphs import _cycles, _perm_parity
+from .rationals import QQ, mobius, totient
 from .series import (
     SeriesError,
     TruncatedSeries,
     TruncationSpec,
     VariableSet,
 )
-from .special import f_poly, s_poly
+from .special import _mobius_double_sum
 
 __all__ = [
-    "CycleIndexSum",
     "z_com",
     "z_lie_cyclic",
     "z_colors",
@@ -42,8 +42,6 @@ __all__ = [
     "induced_cycle_index",
 ]
 
-CycleIndexSum = TruncatedSeries
-
 
 def _p_vars(weight_max: int, *, has_u=False, has_z=False, has_hbar=False, hodge=0):
     return VariableSet(
@@ -56,12 +54,15 @@ def _p_vars(weight_max: int, *, has_u=False, has_z=False, has_hbar=False, hodge=
 
 
 def _p_term(vars_, spec, l: int, coeff=1, **extra) -> TruncatedSeries:
+    """coeff * p_l * extra; 0 past the weight bound, where p_l is absent."""
+    if l > vars_.pcount:
+        return TruncatedSeries.zero(vars_, spec)
     expo = {f"p{l}": 1}
     expo.update(extra)
     return TruncatedSeries.term(vars_, spec, expo, coeff)
 
 
-def z_com(weight_max: int) -> CycleIndexSum:
+def z_com(weight_max: int) -> TruncatedSeries:
     """Cycle index sum of the one-dimensional trivial representations:
     exp(sum_l p_l / l), truncated at weight W."""
     if weight_max < 0:
@@ -86,7 +87,7 @@ def _log_one_minus_p(vars_, spec, l: int, weight_max: int, sign: int = 1):
     return TruncatedSeries(vars_, spec, out)
 
 
-def z_lie_cyclic(weight_max: int) -> CycleIndexSum:
+def z_lie_cyclic(weight_max: int) -> TruncatedSeries:
     """Cycle index sum of the cyclic Lie sequence Lie((n)), n >= 1:
     (1 - p_1) sum_l mu(l)/l log(1 - p_l) + p_1.
 
@@ -107,7 +108,7 @@ def z_lie_cyclic(weight_max: int) -> CycleIndexSum:
     return (one - p1) * logs + p1
 
 
-def z_colors(cfg: LinkConfig, weight_max: int) -> CycleIndexSum:
+def z_colors(cfg: LinkConfig, weight_max: int) -> TruncatedSeries:
     """Cycle index sum of the colored tensor sequence V^(tensor bullet):
     exp(sum_l alpha_l(z, x) p_l / l) with
     alpha_l = sum_i (-1)^(m_i (l-1)) x_i^l z^(m_i l).
@@ -135,7 +136,7 @@ def z_colors(cfg: LinkConfig, weight_max: int) -> CycleIndexSum:
     return arg.exp()
 
 
-def _specialization_targets(z: CycleIndexSum, cfg: LinkConfig, mode: str):
+def _specialization_targets(z: TruncatedSeries, cfg: LinkConfig, mode: str):
     carries_u = z.vars.has_u
     weight_max = z.spec.p_weight_max
     if weight_max is None:
@@ -162,33 +163,8 @@ def _specialization_targets(z: CycleIndexSum, cfg: LinkConfig, mode: str):
     return vars_, spec
 
 
-def color_power_sum(
-    cfg: LinkConfig, vars_: VariableSet, spec: TruncationSpec, l: int, mode: str
-) -> TruncatedSeries:
-    """The value substituted for p_l: alpha_l(1/z, x) in dimension mode,
-    alpha_l(-1) = sum_i (-1)^(m_i) x_i^l in Euler mode."""
-    coeffs: dict[tuple[int, ...], object] = {}
-    if mode == "euler":
-        for i in range(cfg.r):
-            mono = [0] * vars_.nvars
-            mono[i] = l
-            key = tuple(mono)
-            coeffs[key] = coeffs.get(key, 0) + (-cfg.eps(i))
-    else:
-        m_values, _ = cfg.require_values()
-        iz = vars_.index("z")
-        for i, m in enumerate(m_values):
-            mono = [0] * vars_.nvars
-            mono[i] = l
-            mono[iz] = -m * l
-            sign = -1 if (m * (l - 1)) % 2 else 1
-            key = tuple(mono)
-            coeffs[key] = coeffs.get(key, 0) + sign
-    return TruncatedSeries(vars_, spec, coeffs)
-
-
 def specialize_colors(
-    z: CycleIndexSum, cfg: LinkConfig, mode: str = "euler"
+    z: TruncatedSeries, cfg: LinkConfig, mode: str = "euler"
 ) -> TruncatedSeries:
     """Substitute the colored power sums for every p_l.
 
@@ -210,7 +186,7 @@ def specialize_colors(
     return z.substitute(assignments)
 
 
-def z_tree_homology(d: int, weight_max: int) -> CycleIndexSum:
+def z_tree_homology(d: int, weight_max: int) -> TruncatedSeries:
     """Cycle index sum of the homology of the genus-zero labeled hairy
     graph complexes (complexes of trees) in ambient dimension d.
 
@@ -268,7 +244,7 @@ def _z_dihedral_induced(weight_max: int, vars_, spec, *, d_parity: int | None):
             QQ(-totient(l), 2 * l)
         )
     p1 = _p_term(vars_, spec, 1)
-    p2 = _p_term(vars_, spec, 2) if weight_max >= 2 else TruncatedSeries.zero(vars_, spec)
+    p2 = _p_term(vars_, spec, 2)
     one = TruncatedSeries.one(vars_, spec)
     if d_parity is None:
         numer = p1 * p1 + p2 + p1.scaled(2)
@@ -282,7 +258,7 @@ def _z_dihedral_induced(weight_max: int, vars_, spec, *, d_parity: int | None):
     return out + (numer * denom.inverse()).scaled(pref)
 
 
-def z_hedgehog_homology(d: int, weight_max: int) -> CycleIndexSum:
+def z_hedgehog_homology(d: int, weight_max: int) -> TruncatedSeries:
     """Cycle index sum of the homology of the genus-one labeled hairy
     graph complexes (spanned by hedgehogs) in ambient dimension d.
 
@@ -306,103 +282,16 @@ def z_hedgehog_homology(d: int, weight_max: int) -> CycleIndexSum:
     return base.substitute(assignments)
 
 
-def _mu_divisor_p_sum(vars_, spec, l: int, k: int, weight_max: int, hbar_shift=False):
-    """(1/l) sum_{a | l} mu(l/a) p_{ak}, dropping indices beyond the weight
-    bound; with ``hbar_shift`` each p_{ak} carries hbar^(-ak)."""
-    coeffs = {}
-    nv = vars_.nvars
-    ih = vars_.index("hbar") if hbar_shift else None
-    for a in divisors(l):
-        m = mobius(l // a)
-        if m == 0 or a * k > weight_max:
-            continue
-        mono = [0] * nv
-        mono[vars_.index(f"p{a * k}")] = 1
-        if hbar_shift:
-            mono[ih] = -(a * k)
-        coeffs[tuple(mono)] = QQ(m, l)
-    return TruncatedSeries(vars_, spec, coeffs)
-
-
-def _f_poly_in(vars_, spec, l: int, k: int, var: str) -> TruncatedSeries:
-    coeffs = {}
-    iu = vars_.index(var)
-    nv = vars_.nvars
-    for power, c in enumerate(f_poly(l).coeffs):
-        if c == 0:
-            continue
-        mono = [0] * nv
-        mono[iu] = power * k
-        coeffs[tuple(mono)] = c
-    return TruncatedSeries(vars_, spec, coeffs)
-
-
-def _supercharacter_sums(
-    vars_,
-    spec,
-    weight_max: int,
-    t_max: int,
-    sigma_d: int,
-    var: str,
-    *,
-    arg_sign: int,
-    first_sign: int,
-    second_sign: int,
-    hbar_shift: bool,
-) -> TruncatedSeries:
-    """Shared double/triple sum engine for the graph supercharacters.
-
-    first sum:  first_sign * sum_{kl j} mu(k)/(kj) S_j(arg_sign * A_{l,k})
-                * (sigma_d l var^{kl} / F_l(var^k))^j
-    second sum: second_sign * sum_{kl} mu(k)/(kl) (l A_{l,k}) log F_l(var^k)
-    with A_{l,k} = (1/l) sum_{a|l} mu(l/a) p_{ak} (optionally / hbar^{ak}).
-    """
-    total = TruncatedSeries.zero(vars_, spec)
-    base = TruncatedSeries.term(vars_, spec, {var: 1})
-    for k in range(1, t_max + 1):
-        mk = mobius(k)
-        if mk == 0:
-            continue
-        for l in range(1, t_max // k + 1):
-            arg = _mu_divisor_p_sum(vars_, spec, l, k, weight_max, hbar_shift)
-            if arg.is_zero():
-                continue
-            arg = arg.scaled(arg_sign)
-            fl = _f_poly_in(vars_, spec, l, k, var)
-            u_arg = (base ** (k * l)).scaled(sigma_d * l) * fl.inverse()
-            u_pow = TruncatedSeries.one(vars_, spec)
-            arg_pows: list = [u_pow]
-            for j in range(1, t_max // (k * l) + 1):
-                u_pow = u_pow * u_arg
-                if u_pow.is_zero():
-                    break
-                sj = s_poly(j).at_series(arg, arg_pows)
-                if sj.is_zero():
-                    continue
-                total = total + (sj * u_pow).scaled(QQ(first_sign * mk, k * j))
-    for k in range(1, 2 * t_max + 1):
-        mk = mobius(k)
-        if mk == 0:
-            continue
-        for l in range(2, 2 * t_max // k + 1):
-            log_fl = _f_poly_in(vars_, spec, l, k, var).log()
-            if log_fl.is_zero():
-                continue
-            arg = _mu_divisor_p_sum(vars_, spec, l, k, weight_max, hbar_shift)
-            if arg.is_zero():
-                continue
-            total = total + (arg * log_fl).scaled(QQ(second_sign * mk, k))
-    return total
-
-
-def z_graph_supercharacter(d_parity, weight_max: int, t_max: int) -> CycleIndexSum:
+def z_graph_supercharacter(d_parity, weight_max: int, t_max: int) -> TruncatedSeries:
     """Supercharacter cycle index of the symmetric group action on the
     labeled hairy graph complexes, graded by complexity u.
 
     ``sum_{k,l,j} mu(k)/(kj) S_j(-A_{l,k}) (sigma_d l u^{kl}/F_l(u^k))^j
     + sum_{k,l} mu(k)/(kl) (l A_{l,k}) log F_l(u^k)`` with
-    ``A_{l,k} = (1/l) sum_{a|l} mu(l/a) p_{ak}``.  Substituting the Euler
-    power sums recovers the homotopy generating function F^pi.
+    ``A_{l,k} = (1/l) sum_{a|l} mu(l/a) p_{ak}``: the Moebius double sum
+    of :mod:`linkchi.special` at the power sums ``P_n = -p_n``.
+    Substituting the Euler power sums recovers the homotopy generating
+    function F^pi.
     """
     d_parity = 1 if str(d_parity) in ("1", "odd") else 0
     if weight_max < 1 or t_max < 1:
@@ -410,21 +299,12 @@ def z_graph_supercharacter(d_parity, weight_max: int, t_max: int) -> CycleIndexS
     sigma_d = 1 if d_parity else -1
     vars_ = _p_vars(weight_max, has_u=True)
     spec = TruncationSpec(p_weight_max=weight_max, u_max=t_max)
-    return _supercharacter_sums(
-        vars_,
-        spec,
-        weight_max,
-        t_max,
-        sigma_d,
-        "u",
-        arg_sign=-1,
-        first_sign=1,
-        second_sign=1,
-        hbar_shift=False,
+    return _mobius_double_sum(
+        vars_, spec, "u", sigma_d, t_max, lambda n: _p_term(vars_, spec, n, -1)
     )
 
 
-def _genus_regrade(z: CycleIndexSum, genus_max: int, p_sign: int, overall: int):
+def _genus_regrade(z: TruncatedSeries, genus_max: int, p_sign: int, overall: int):
     """u <- hbar, p_l <- p_sign * p_l / hbar^l, times overall * hbar.
 
     Monomial u^t with p-weight w maps to hbar^(t - w + 1); any negative
@@ -465,7 +345,7 @@ def _genus_regrade(z: CycleIndexSum, genus_max: int, p_sign: int, overall: int):
 
 def mod_envelope_supercharacter(
     twist: str, weight_max: int, genus_max: int
-) -> CycleIndexSum:
+) -> TruncatedSeries:
     """Positive-arity supercharacter of the modular envelope of the
     homotopy Lie cyclic operad ('plain'), or of its Det-twist ('det'),
     graded by genus hbar and arity weight.
@@ -491,7 +371,7 @@ def mod_envelope_supercharacter(
 
 def mod_envelope_supercharacter_direct(
     twist: str, weight_max: int, genus_max: int
-) -> CycleIndexSum:
+) -> TruncatedSeries:
     """Second route to :func:`mod_envelope_supercharacter`: evaluate the
     hbar-Laurent sums directly (S_j at p_{ak}/hbar^{ak} arguments) and
     multiply by hbar at the end.  Used as a cross-check oracle."""
@@ -507,16 +387,15 @@ def mod_envelope_supercharacter_direct(
         p_weight_max=weight_max,
         hbar_window=(-weight_max, genus_max + weight_max - 1),
     )
-    if twist == "plain":
-        body = _supercharacter_sums(
-            vars_, spec, weight_max, max(t_max, 1), 1, "hbar",
-            arg_sign=1, first_sign=1, second_sign=-1, hbar_shift=True,
-        )
-    else:
-        body = _supercharacter_sums(
-            vars_, spec, weight_max, max(t_max, 1), -1, "hbar",
-            arg_sign=-1, first_sign=-1, second_sign=-1, hbar_shift=True,
-        )
+    # plain: P_n = p_n / hbar^n, sigma = +1; det: P_n = -p_n / hbar^n,
+    # sigma = -1 and the sum negated.
+    sign = 1 if twist == "plain" else -1
+    body = _mobius_double_sum(
+        vars_, spec, "hbar", sign, max(t_max, 1),
+        lambda n: _p_term(vars_, spec, n, sign, hbar=-n),
+    )
+    if sign < 0:
+        body = -body
     shifted = body.map_monomials(
         lambda m, c: (
             tuple(e + 1 if i == vars_.index("hbar") else e for i, e in enumerate(m)),
@@ -531,7 +410,7 @@ def mod_envelope_supercharacter_direct(
     )
 
 
-def feynman_regrade(z: CycleIndexSum) -> CycleIndexSum:
+def feynman_regrade(z: TruncatedSeries) -> TruncatedSeries:
     """-Z with every p_l <- -p_l: passes between the modular envelope
     supercharacters and those of the Feynman transforms of the
     commutative modular operad.  An involution."""
@@ -561,36 +440,6 @@ def dihedral_permutation(n: int, element: tuple[str, int]) -> tuple[int, ...]:
     raise ValueError(f"unknown dihedral element {element!r}")
 
 
-def _perm_parity(perm) -> int:
-    seen = [False] * len(perm)
-    parity = 0
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        parity ^= (length - 1) % 2
-    return parity
-
-
-def _cycle_type(perm) -> dict[int, int]:
-    seen = [False] * len(perm)
-    out: dict[int, int] = {}
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        out[length] = out.get(length, 0) + 1
-    return out
-
-
 def hedgehog_symmetry_sign(n: int, d: int, element: tuple[str, int]) -> int:
     """Sign by which a dihedral symmetry acts on the standard n-hedgehog
     orientation: sign(perm)^d * or(element)^(n + d + 1), where 'or' is -1
@@ -602,7 +451,7 @@ def hedgehog_symmetry_sign(n: int, d: int, element: tuple[str, int]) -> int:
     return sign
 
 
-def induced_cycle_index(pairs, weight_max: int) -> CycleIndexSum:
+def induced_cycle_index(pairs, weight_max: int) -> TruncatedSeries:
     """Cycle index of a representation induced along a homomorphism
     H -> Sigma_n: (1/|H|) sum_h chi(h) prod_l p_l^(j_l(image of h)).
 
@@ -617,8 +466,8 @@ def induced_cycle_index(pairs, weight_max: int) -> CycleIndexSum:
         raise ValueError("need at least one (permutation, trace) pair")
     total = TruncatedSeries.zero(vars_, spec)
     for perm, trace in pairs:
-        expo = {}
-        for l, count in _cycle_type(perm).items():
-            expo[f"p{l}"] = count
+        expo: dict[str, int] = {}
+        for _start, l in _cycles(perm):
+            expo[f"p{l}"] = expo.get(f"p{l}", 0) + 1
         total = total + TruncatedSeries.term(vars_, spec, expo, trace)
     return total.scaled(QQ(1, len(pairs)))

@@ -22,7 +22,14 @@ from .series import (
     TruncationSpec,
     VariableSet,
 )
-from .special import e_poly, f_poly, log_gamma_series, plethystic_log, s_poly
+from .special import (
+    _f_series,
+    _mobius_double_sum,
+    _mobius_x,
+    e_poly,
+    log_gamma_series,
+    plethystic_log,
+)
 
 __all__ = [
     "LinkConfig",
@@ -126,57 +133,36 @@ def _xu_spec(t_max: int, x_total_max: int | None, u_min: int = 0) -> TruncationS
     return TruncationSpec(u_max=t_max, x_total_max=s, u_min=u_min)
 
 
-def _e_sum_series(
-    cfg: LinkConfig,
-    vars_: VariableSet,
-    spec: TruncationSpec,
-    l: int,
-    k: int = 1,
-    signs: str = "homotopy",
+def color_power_sum(
+    cfg: LinkConfig, vars_: VariableSet, spec: TruncationSpec, l: int, mode: str
 ) -> TruncatedSeries:
-    """sum_i s_i * E_l(x_i^k) with s_i = (-1)^(m_i - 1) or (-1)^(m_i)."""
+    """The colored power sum substituted for p_l: A_l = alpha_l(-1) =
+    sum_i (-1)^(m_i) x_i^l in ``"euler"`` mode, alpha_l(1/z) =
+    sum_i (-1)^(m_i (l-1)) x_i^l z^(-m_i l) in ``"dims"`` mode (integer
+    m_i needed)."""
     coeffs: dict[tuple[int, ...], object] = {}
-    nv = vars_.nvars
-    for i in range(cfg.r):
-        sign = cfg.eps(i) if signs == "homotopy" else -cfg.eps(i)
-        for power, c in enumerate(e_poly(l).coeffs):
-            if c == 0:
-                continue
-            mono = [0] * nv
-            mono[i] = power * k
+    if mode == "euler":
+        for i in range(cfg.r):
+            mono = [0] * vars_.nvars
+            mono[i] = l
             key = tuple(mono)
-            coeffs[key] = coeffs.get(key, QQ(0)) + sign * c
+            coeffs[key] = coeffs.get(key, 0) + (-cfg.eps(i))
+    else:
+        m_values, _ = cfg.require_values()
+        iz = vars_.index("z")
+        for i, m in enumerate(m_values):
+            mono = [0] * vars_.nvars
+            mono[i] = l
+            mono[iz] = -m * l
+            sign = -1 if (m * (l - 1)) % 2 else 1
+            key = tuple(mono)
+            coeffs[key] = coeffs.get(key, 0) + sign
     return TruncatedSeries(vars_, spec, coeffs)
 
 
-def _power_sum_series(
-    cfg: LinkConfig, vars_: VariableSet, spec: TruncationSpec, l: int
-) -> TruncatedSeries:
-    """A_l = sum_i (-1)^(m_i) x_i^l."""
-    coeffs: dict[tuple[int, ...], object] = {}
-    nv = vars_.nvars
-    for i in range(cfg.r):
-        mono = [0] * nv
-        mono[i] = l
-        key = tuple(mono)
-        coeffs[key] = coeffs.get(key, 0) + (-cfg.eps(i))
-    return TruncatedSeries(vars_, spec, coeffs)
-
-
-def _f_poly_series(
-    vars_: VariableSet, spec: TruncationSpec, l: int, k: int = 1
-) -> TruncatedSeries:
-    """F_l(u^k) as a series."""
-    coeffs = {}
-    iu = vars_.index("u")
-    nv = vars_.nvars
-    for power, c in enumerate(f_poly(l).coeffs):
-        if c == 0:
-            continue
-        mono = [0] * nv
-        mono[iu] = power * k
-        coeffs[tuple(mono)] = c
-    return TruncatedSeries(vars_, spec, coeffs)
+def _eps_power_sum(cfg: LinkConfig, vars_: VariableSet, spec: TruncationSpec):
+    """n -> sum_i (-1)^(m_i - 1) x_i^n = -A_n, the power sums behind X_{l,k}."""
+    return lambda n: -color_power_sum(cfg, vars_, spec, n, "euler")
 
 
 def f_homology(
@@ -212,6 +198,7 @@ def f_homology(
     else:
         vars_ = cfg.xu_vars()
         spec = _xu_spec(t_max, x_total_max)
+        power_sum = _eps_power_sum(cfg, vars_, spec)
 
     log_total = TruncatedSeries.zero(vars_, spec)
     u = TruncatedSeries.term(vars_, spec, {"u": 1})
@@ -225,10 +212,10 @@ def f_homology(
                 continue
             x_arg = TruncatedSeries.constant(vars_, spec, xl_const)
         else:
-            x_arg = _e_sum_series(cfg, vars_, spec, l)
+            x_arg = _mobius_x(vars_, spec, l, 1, power_sum)
             if x_arg.is_zero():
                 continue
-        fl = _f_poly_series(vars_, spec, l)
+        fl = _f_series(vars_, spec, "u", l, 1)
         u_arg = (u ** l).scaled(cfg.sigma_d * l) * fl.inverse()
         log_total = log_total + log_gamma_series(x_arg, u_arg)
         if l > 1:  # F_1 = 1 contributes nothing
@@ -244,51 +231,17 @@ def f_homotopy_direct(
     Double sum over k, l, j of
     ``mu(k)/(k j) * S_j(X_{l,k}) * (sigma_d l u^{kl} / F_l(u^k))^j``
     minus the sum over k, l of ``mu(k)/k * X_{l,k} * log F_l(u^k)``,
-    where ``X_{l,k} = sum_i (-1)^(m_i-1) E_l(x_i^k)``.  The first sum
-    needs klj <= t_max (u-order of the j-th power) and the second
-    kl <= 2 t_max (log F_l(u^k) has u-order k(l - l/p1) >= kl/2).
+    where ``X_{l,k} = sum_i (-1)^(m_i-1) E_l(x_i^k)``: the Moebius double
+    sum of :mod:`linkchi.special` at the power sums
+    ``P_n = sum_i (-1)^(m_i-1) x_i^n``.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     vars_ = cfg.xu_vars()
     spec = _xu_spec(t_max, x_total_max)
-    total = TruncatedSeries.zero(vars_, spec)
-    u = TruncatedSeries.term(vars_, spec, {"u": 1})
-
-    for k in range(1, t_max + 1):
-        mk = mobius(k)
-        if mk == 0:
-            continue
-        for l in range(1, t_max // k + 1):
-            x_arg = _e_sum_series(cfg, vars_, spec, l, k)
-            if x_arg.is_zero():
-                continue
-            fl = _f_poly_series(vars_, spec, l, k)
-            u_arg = (u ** (k * l)).scaled(cfg.sigma_d * l) * fl.inverse()
-            u_pow = TruncatedSeries.one(vars_, spec)
-            x_pows: list = [u_pow]
-            for j in range(1, t_max // (k * l) + 1):
-                u_pow = u_pow * u_arg
-                if u_pow.is_zero():
-                    break
-                sj = s_poly(j).at_series(x_arg, x_pows)
-                if sj.is_zero():
-                    continue
-                total = total + (sj * u_pow).scaled(QQ(mk, k * j))
-
-    for k in range(1, 2 * t_max + 1):
-        mk = mobius(k)
-        if mk == 0:
-            continue
-        for l in range(2, 2 * t_max // k + 1):
-            log_fl = _f_poly_series(vars_, spec, l, k).log()
-            if log_fl.is_zero():
-                continue
-            x_arg = _e_sum_series(cfg, vars_, spec, l, k)
-            if x_arg.is_zero():
-                continue
-            total = total - (x_arg * log_fl).scaled(QQ(mk, k))
-    return total
+    return _mobius_double_sum(
+        vars_, spec, "u", cfg.sigma_d, t_max, _eps_power_sum(cfg, vars_, spec)
+    )
 
 
 def f_homotopy_via_pleth(
@@ -356,7 +309,7 @@ def _mu_log_sum(
         w = weight(l)
         if w == 0:
             continue
-        a_l = _power_sum_series(cfg, vars_, spec, l)
+        a_l = color_power_sum(cfg, vars_, spec, l, "euler")
         arg = one - ((u ** l) * a_l).scaled(cfg.sd)
         out = out + arg.log().scaled(QQ(w, l))
     return out
@@ -376,7 +329,7 @@ def genus0_closed(
     vars_ = cfg.xu_vars()
     wspec = _xu_spec(t_max + 1, x_total_max, u_min=-1)
     bracket = _mu_log_sum(cfg, vars_, wspec, t_max + 1, mobius)
-    a1 = _power_sum_series(cfg, vars_, wspec, 1)
+    a1 = color_power_sum(cfg, vars_, wspec, 1, "euler")
     u_inv = TruncatedSeries.term(vars_, wspec, {"u": -1}, cfg.sd)
     result = -a1 + (a1 - u_inv) * bracket
     if not result.grade_extract("u", -1).is_zero():
@@ -398,29 +351,12 @@ def genus1_closed(
     out = _mu_log_sum(cfg, vars_, spec, t_max, totient).scaled(QQ(-1, 2))
     one = TruncatedSeries.one(vars_, spec)
     u = TruncatedSeries.term(vars_, spec, {"u": 1})
-    a1 = _power_sum_series(cfg, vars_, spec, 1)
-    a2 = _power_sum_series(cfg, vars_, spec, 2)
+    a1 = color_power_sum(cfg, vars_, spec, 1, "euler")
+    a2 = color_power_sum(cfg, vars_, spec, 2, "euler")
     sd = cfg.sd
     numer = (u * a1) ** 2 + ((u ** 2) * a2).scaled(sd) - (u * a1).scaled(2 * sd)
     denom = one - ((u ** 2) * a2).scaled(sd)
     return out + (numer * denom.inverse()).scaled(QQ(-sd, 4))
-
-
-def _alpha_series(
-    cfg: LinkConfig, vars_: VariableSet, spec: TruncationSpec, l: int
-) -> TruncatedSeries:
-    """alpha_l(1/z) = sum_i (-1)^(m_i (l-1)) x_i^l z^(-m_i l) (integer m_i needed)."""
-    m_values, _d = cfg.require_values()
-    iz = vars_.index("z")
-    coeffs: dict[tuple[int, ...], object] = {}
-    for i, m in enumerate(m_values):
-        mono = [0] * vars_.nvars
-        mono[i] = l
-        mono[iz] = -m * l
-        sign = -1 if (m * (l - 1)) % 2 else 1
-        key = tuple(mono)
-        coeffs[key] = coeffs.get(key, 0) + sign
-    return TruncatedSeries(vars_, spec, coeffs)
 
 
 def _dims_spec(cfg: LinkConfig, t_max: int, x_total_max: int | None, u_min: int = 0):
@@ -455,9 +391,9 @@ def genus0_dims(
             continue
         sign = -1 if ((l - 1) * d) % 2 else 1
         zu_l = TruncatedSeries.term(vars_, wspec, {"z": (d - 2) * l, "u": l}, sign)
-        arg = one - zu_l * _alpha_series(cfg, vars_, wspec, l)
+        arg = one - zu_l * color_power_sum(cfg, vars_, wspec, l, "dims")
         bracket = bracket + arg.log().scaled(QQ(ml, l))
-    a1 = _alpha_series(cfg, vars_, wspec, 1)
+    a1 = color_power_sum(cfg, vars_, wspec, 1, "dims")
     z_a1 = TruncatedSeries.term(vars_, wspec, {"z": 1}) * a1
     pref = TruncatedSeries.term(vars_, wspec, {"z": -(d - 3), "u": -1}) * (
         one - TruncatedSeries.term(vars_, wspec, {"z": d - 2, "u": 1}) * a1
@@ -484,11 +420,11 @@ def genus1_dims(
     for l in range(1, t_max + 1):
         sign = -1 if (d * (l - 1)) % 2 else 1
         zu_l = TruncatedSeries.term(vars_, spec, {"z": (d - 2) * l, "u": l}, sign)
-        arg = one - zu_l * _alpha_series(cfg, vars_, spec, l)
+        arg = one - zu_l * color_power_sum(cfg, vars_, spec, l, "dims")
         out = out + arg.log().scaled(QQ(-totient(l), 2 * l))
     sd = -1 if d % 2 else 1
-    a1 = _alpha_series(cfg, vars_, spec, 1)
-    a2 = _alpha_series(cfg, vars_, spec, 2)
+    a1 = color_power_sum(cfg, vars_, spec, 1, "dims")
+    a2 = color_power_sum(cfg, vars_, spec, 2, "dims")
     zu = TruncatedSeries.term(vars_, spec, {"z": d - 2, "u": 1})
     zu2 = TruncatedSeries.term(vars_, spec, {"z": 2 * d - 4, "u": 2})
     numer = zu2 * a1 * a1 + (zu2 * a2).scaled(sd) - (zu * a1).scaled(2)

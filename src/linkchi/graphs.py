@@ -296,9 +296,9 @@ def _is_connected(n, adj):
     return len(seen) == n
 
 
-def _perm_parity(perm) -> int:
+def _cycles(perm):
+    """(first point, length) of each cycle of the image tuple ``perm``."""
     seen = [False] * len(perm)
-    parity = 0
     for i in range(len(perm)):
         if seen[i]:
             continue
@@ -307,8 +307,11 @@ def _perm_parity(perm) -> int:
             seen[j] = True
             j = perm[j]
             length += 1
-        parity ^= (length - 1) % 2
-    return parity
+        yield i, length
+
+
+def _perm_parity(perm) -> int:
+    return sum(length - 1 for _start, length in _cycles(perm)) % 2
 
 
 def _vertex_automorphism_sign_parity(adj, hairs, sigma, m, d) -> int:
@@ -344,15 +347,7 @@ def _vertex_automorphism_sign_parity(adj, hairs, sigma, m, d) -> int:
     # parity of the instance permutation: slots move as blocks of equal
     # multiplicity; a block of size mult contributes mult * (slot cycle sign)
     edge_parity = 0
-    seen = [False] * len(slots)
-    for k in range(len(slots)):
-        if seen[k]:
-            continue
-        j, length = k, 0
-        while not seen[j]:
-            seen[j] = True
-            j = slot_perm[j]
-            length += 1
+    for k, length in _cycles(slot_perm):
         mult = adj[slots[k][0]][slots[k][1]]
         edge_parity ^= ((length - 1) * mult) % 2
 
@@ -361,22 +356,19 @@ def _vertex_automorphism_sign_parity(adj, hairs, sigma, m, d) -> int:
     hair_parities = []
     for c in range(r):
         sizes = [hairs[v][c] for v in range(n)]
-        perm_on_items = []
         offsets = [0]
         for v in range(n):
             offsets.append(offsets[-1] + sizes[v])
-        image_offsets = offsets
         item_perm = [0] * offsets[-1]
         for v in range(n):
             tv = sigma[v]
             # block v (size sizes[v]) lands at block tv; sizes match
             src = offsets[v]
-            dst = image_offsets[tv]
+            dst = offsets[tv]
             for k in range(sizes[v]):
                 item_perm[src + k] = dst + k
         hair_parities.append(_perm_parity(item_perm))
 
-    edge_parity ^= 0
     total_edge_parity = edge_parity
     for hp in hair_parities:
         total_edge_parity ^= hp  # hair edges permute with the hairs

@@ -15,6 +15,18 @@ because silent truncation bugs are the dominant failure mode of series
 engines.  Every operation returns a series whose spec is the meet
 (componentwise shrink) of its operands' specs.
 
+Exactness inside the bounds holds when every truncated direction only
+grows under multiplication: bounded u, x-total and p-weight, and z/hbar
+windows whose operands carry nonnegative exponents there.  A z/hbar
+window that admits negative exponents can lose terms in products, ``exp``
+and ``log``: a term that leaves the window is dropped, although a later
+factor with a negative exponent would have brought it back.  With the
+hbar window (-1, 1), ``(u/hbar * u/hbar) * u*hbar`` is 0 while
+``u/hbar * (u/hbar * u*hbar)`` is ``u^3/hbar``.  Callers with negative
+Laurent exponents must pick windows from which no term they read back can
+be lost this way (``cycleindex.mod_envelope_supercharacter_direct`` states
+its argument).
+
 Series are immutable after construction; all operations are pure.
 """
 

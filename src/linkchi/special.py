@@ -135,6 +135,69 @@ def s_poly(j: int) -> UniPolynomial:
     return got
 
 
+def _f_series(vars_, spec, var: str, l: int, k: int) -> TruncatedSeries:
+    """F_l(v^k) as a series in the variable ``var``."""
+    iv = vars_.index(var)
+    coeffs = {}
+    for power, c in enumerate(f_poly(l).coeffs):
+        if c != 0:
+            mono = [0] * vars_.nvars
+            mono[iv] = power * k
+            coeffs[tuple(mono)] = c
+    return TruncatedSeries(vars_, spec, coeffs)
+
+
+def _mobius_x(vars_, spec, l: int, k: int, power_sum) -> TruncatedSeries:
+    """X_{l,k} = (1/l) sum_{a | l} mu(l/a) P_{ak}, with P_n = ``power_sum(n)``.
+
+    For P_n = sum_i eps_i x_i^n this is sum_i eps_i E_l(x_i^k).
+    """
+    coeffs: dict = {}
+    for a in divisors(l):
+        m = mobius(l // a)
+        if m:
+            for mono, c in power_sum(a * k).coeffs.items():
+                coeffs[mono] = coeffs.get(mono, 0) + QQ(m, l) * c
+    return TruncatedSeries(vars_, spec, coeffs)
+
+
+def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_sum):
+    """The double sum behind F^pi and the graph supercharacters.
+
+    ``sum_{k,l,j} mu(k)/(k j) S_j(X_{l,k}) (sigma_d l v^{kl} / F_l(v^k))^j
+    - sum_{k,l} mu(k)/k X_{l,k} log F_l(v^k)`` with v = ``var`` and
+    X_{l,k} from :func:`_mobius_x`.  The first sum needs klj <= t_max
+    (v-order of the j-th power) and the second kl <= 2 t_max
+    (log F_l(v^k) has v-order k(l - l/p1) >= kl/2).
+    """
+    first = second = TruncatedSeries.zero(vars_, spec)
+    v = TruncatedSeries.term(vars_, spec, {var: 1})
+    for k in range(1, 2 * t_max + 1):
+        mk = mobius(k)
+        if mk == 0:
+            continue
+        for l in range(1, 2 * t_max // k + 1):
+            x = _mobius_x(vars_, spec, l, k, power_sum)
+            if x.is_zero():
+                continue
+            fl = _f_series(vars_, spec, var, l, k)
+            if k * l <= t_max:
+                v_arg = (v ** (k * l)).scaled(sigma_d * l) * fl.inverse()
+                v_pow = TruncatedSeries.one(vars_, spec)
+                x_pows: list = [v_pow]
+                for j in range(1, t_max // (k * l) + 1):
+                    v_pow = v_pow * v_arg
+                    if v_pow.is_zero():
+                        break
+                    sj = s_poly(j).at_series(x, x_pows)
+                    if sj.is_zero():
+                        continue
+                    first = first + (sj * v_pow).scaled(QQ(mk, k * j))
+            if l > 1:  # F_1 = 1 contributes nothing
+                second = second + (x * fl.log()).scaled(QQ(mk, k))
+    return first - second
+
+
 def log_gamma_series(x_arg: TruncatedSeries, u_arg: TruncatedSeries) -> TruncatedSeries:
     """sum_{j >= 1} S_j(x_arg) u_arg^j / j, truncated.
 

@@ -8,6 +8,7 @@ import pytest
 
 from linkchi import cli
 from linkchi.reference_tables import TABLES
+from linkchi.verify import CHECK_NAMES
 
 
 def run_cli(argv, capsys):
@@ -152,6 +153,19 @@ def test_verify_unknown_check(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_t_max_below_one_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--t-max", "0"])
+    assert exc.value.code == 2
+    assert "--t-max: must be >= 1" in capsys.readouterr().err
+
+
+def test_verify_t_max_one_runs_every_check(capsys):
+    code, out, _ = run_cli(["verify", "--t-max", "1"], capsys)
+    assert code == 0
+    assert out.count("[PASS]") == len(CHECK_NAMES)
+
+
 def test_verify_fault_injection(capsys, monkeypatch):
     # flip a sign in the complexity polynomial: the named check must fail
     import linkchi.verify as verify_mod
@@ -171,6 +185,27 @@ def test_verify_fault_injection(capsys, monkeypatch):
     assert code == 1
     assert "[FAIL] special-polynomials" in out
     assert "f-poly" in out
+
+
+def test_verify_check_that_raises_is_a_failure(capsys, monkeypatch):
+    # a fault that makes a check raise is a verification failure (exit 1)
+    import linkchi.verify as verify_mod
+    from linkchi.rationals import QQ
+    from linkchi.series import TruncatedSeries
+
+    real = verify_mod.f_homotopy_direct
+
+    def off_by_half(cfg, t_max, x_total_max=None):
+        out = real(cfg, t_max, x_total_max)
+        return out + TruncatedSeries.term(out.vars, out.spec, {"x1": 3, "u": 2}, QQ(1, 2))
+
+    monkeypatch.setattr(verify_mod, "f_homotopy_direct", off_by_half)
+    code = cli.main(["verify", "--only", "tables,gamma", "--t-max", "3"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert "[PASS] gamma" in out
+    assert "[FAIL] tables" in out
+    assert "raised SeriesError: non-integer Euler characteristic" in out
 
 
 def test_verify_tables_second_route(capsys):
@@ -241,3 +276,14 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("t,0,1,2,3")
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "grid.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--genus", "0", "--m", "odd,odd", "--d", "odd",
+                  "--t-max", "3", "--format", "csv", "--output", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}")
+    assert "Traceback" not in err

@@ -1,0 +1,61 @@
+"""Byte-for-byte CLI outputs, recorded before the double-sum engine merge.
+
+Each case runs ``linkchi`` in-process with ``--output`` and compares the
+written bytes with ``tests/golden/<name>``.  To record the files again
+(only after a deliberate change of output), run
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from linkchi import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_PARITIES = {
+    "odd-odd": ("1,1", "3"),
+    "odd-even": ("1,1", "4"),
+    "even-odd": ("2,2", "5"),
+    "even-even": ("2,2", "4"),
+}
+
+CASES = {
+    f"table-{parity}-g{genus}.{fmt}": [
+        "table", "--genus", str(genus), "--m", m, "--d", d,
+        "--t-max", "8", "--format", fmt,
+    ]
+    for parity, (m, d) in _PARITIES.items()
+    for genus in range(3)
+    for fmt in ("text", "csv", "json")
+}
+CASES.update({
+    f"supercharacter-{twist}-w6-g4.txt": [
+        "supercharacter", "--twist", twist, "--weight", "6", "--genus", "4",
+    ]
+    for twist in ("plain", "det")
+})
+CASES["homology-m1,1-d3-t5.csv"] = [
+    "homology", "--m", "1,1", "--d", "3", "--t-max", "5", "--format", "csv",
+]
+
+
+def _render(argv, target: Path) -> bytes:
+    code = cli.main(argv + ["--output", str(target)])
+    if code != 0:
+        raise RuntimeError(f"linkchi {' '.join(argv)} exited {code}")
+    return target.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    assert _render(CASES[name], tmp_path / name) == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        _render(argv, GOLDEN / name)
