@@ -215,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
         if need_genus:
             p.add_argument("--genus", type=int, required=True, help="genus of the grid")
 
-    def add_output(p):
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    def add_output(p, formats=("text", "csv", "json")):
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", default=None, help="write to file instead of stdout")
 
     p = sub.add_parser("homology", help="dump the homology generating function F^H")
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="complexity")
     p.add_argument("--budget-t", type=int, default=5)
     p.add_argument("--budget-hairs", type=int, default=6)
-    add_output(p)
+    add_output(p, formats=("json",))
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("verify", help="run the cross-verification suite")

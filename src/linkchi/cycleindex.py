@@ -396,14 +396,12 @@ def mod_envelope_supercharacter_direct(
     )
     if sign < 0:
         body = -body
+    ih = vars_.index("hbar")
     shifted = body.map_monomials(
-        lambda m, c: (
-            tuple(e + 1 if i == vars_.index("hbar") else e for i, e in enumerate(m)),
-            c,
-        )
+        lambda m, c: (m[:ih] + (m[ih] + 1,) + m[ih + 1 :], c)
     )
     for mono in shifted.coeffs:
-        if mono[vars_.index("hbar")] < 0:
+        if mono[ih] < 0:
             raise SeriesError("negative genus survived in the direct route")
     return shifted.truncate(
         TruncationSpec(p_weight_max=weight_max, hbar_window=(0, genus_max))

@@ -22,6 +22,21 @@ that set times (-1)^d for every edge whose direction it flips.  Summing
 (-1)^degree over the surviving classes gives the Euler characteristic of
 the (s, t) summand — computed here with no generating functions at all,
 which is exactly what makes it an independent oracle for them.
+
+Each class is generated only from vertex-ordered labellings, the
+symmetry breaking of orderly generation (McKay 1998, "Isomorph-free
+exhaustive generation"): hair rows ascend across the vertices, internal
+degrees ascend within each run of equal hair rows, and the labels of
+the neighbour refinement (McKay & Piperno 2014) ascend too.  This loses
+no class.  Refinement labels are isomorphism-invariant ranks whose order
+refines the order of (hair row, internal degree), so listing any
+representative's vertices by ascending label gives a labelling that
+passes all three tests; the hair and degree generators yield every
+labelling with that shape, and ``_multigraphs_with_degrees`` every
+multigraph on it.  The canonical key stays the only merge of the copies
+that survive, so the classes, their keys and their order are those of
+the unfiltered enumeration; only the labelling stored as a class's
+``adjacency`` and ``hair_counts`` may be a different one.
 """
 
 from __future__ import annotations
@@ -104,27 +119,47 @@ def _rep_dimensions(cfg: LinkConfig) -> tuple[tuple[int, ...], int]:
 # ------------------------------------------------------------ canonical form
 
 
-def _refine_partition(n, adj, invariants):
-    """Iterated neighbor refinement of the vertex partition."""
-    classes = {}
-    for v in range(n):
-        classes.setdefault(invariants[v], []).append(v)
-    labels = {v: i for i, (_k, vs) in enumerate(sorted(classes.items())) for v in vs}
+def _neighbour_lists(adjacency):
+    """Symmetric multiplicity matrix and, per vertex, its (neighbour,
+    multiplicity) list without tadpoles, from an upper-triangular one."""
+    cols = list(zip(*adjacency))
+    mat = [cols[v][:v] + tuple(row[v:]) for v, row in enumerate(adjacency)]
+    nbrs = [[(w, k) for w, k in enumerate(row) if k and w != v] for v, row in enumerate(mat)]
+    return mat, nbrs
+
+
+def _refine_partition(mat, nbrs, hair_counts, ascending_only=False):
+    """Iterated neighbour refinement of the vertex partition.
+
+    Labels are ranks in ascending order: first of the invariant (hair
+    row, internal degree, tadpoles), then of (own label, sorted neighbour
+    (label, multiplicity) pairs), until stable.  Each new ranking refines
+    the previous one in the same order, and relabelling the vertices
+    permutes the labels with them.  With ``ascending_only``, return None
+    as soon as the labels do not ascend with the vertex numbers: no later
+    round can sort them again.
+    """
+    invariants = [
+        (hair_counts[v], sum(k for _w, k in nv) + 2 * mat[v][v], mat[v][v])
+        for v, nv in enumerate(nbrs)
+    ]
+    rank = {inv: i for i, inv in enumerate(sorted(set(invariants)))}
+    labels = [rank[inv] for inv in invariants]
     while True:
-        sigs = {}
-        for v in range(n):
-            neigh = tuple(
-                sorted((labels[w], adj[min(v, w)][max(v, w)]) for w in range(n) if w != v and adj[min(v, w)][max(v, w)])
-            )
-            sigs[v] = (labels[v], neigh)
-        order = sorted(set(sigs.values()))
-        new_labels = {v: order.index(sigs[v]) for v in range(n)}
+        if ascending_only and any(a > b for a, b in zip(labels, labels[1:])):
+            return None
+        sigs = [
+            (labels[v], tuple(sorted((labels[w], k) for w, k in nv)))
+            for v, nv in enumerate(nbrs)
+        ]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new_labels = [rank[sig] for sig in sigs]
         if new_labels == labels:
             return labels
         labels = new_labels
 
 
-def canonical_form(adjacency, hair_counts):
+def canonical_form(adjacency, hair_counts, refined=None):
     """Canonical key and full automorphism list of an internal multigraph
     with per-vertex hair-count colors.
 
@@ -134,109 +169,108 @@ def canonical_form(adjacency, hair_counts):
     returned automorphisms are all such self-maps (as permutation
     tuples); for the graph sizes the oracle handles, refinement keeps
     the candidate set tiny.
+
+    The key is the least upper-triangular matrix over the vertex orders
+    that respect the refined cells, followed by the hair rows in that
+    order.  Hair counts are part of the refinement invariant, so every
+    candidate order has the same hair rows and only matrices are compared.
+    ``refined`` is ``(mat, labels)`` from ``_neighbour_lists`` and
+    ``_refine_partition`` when the caller has them already; the
+    enumeration computes them first to drop labellings whose labels do
+    not ascend (see the module docstring), and the key does not depend on
+    which labelling of a class it is given.
     """
     n = len(adjacency)
     if n == 0:
         return "()", [()]
-    degrees = [
-        sum(adjacency[min(v, w)][max(v, w)] for w in range(n) if w != v)
-        + 2 * adjacency[v][v]
-        for v in range(n)
-    ]
-    invariants = [
-        (hair_counts[v], degrees[v], adjacency[v][v]) for v in range(n)
-    ]
-    labels = _refine_partition(n, adjacency, invariants)
+    if refined is None:
+        mat, nbrs = _neighbour_lists(adjacency)
+        refined = mat, _refine_partition(mat, nbrs, hair_counts)
+    mat, labels = refined
     cells: dict[int, list[int]] = {}
     for v in range(n):
         cells.setdefault(labels[v], []).append(v)
     cell_list = [cells[k] for k in sorted(cells)]
-
-    def encode(perm):
-        # perm[v] = new position of vertex v
-        inv = [0] * n
-        for v, pos in enumerate(perm):
-            inv[pos] = v
-        mat = tuple(
-            adjacency[min(inv[i], inv[j])][max(inv[i], inv[j])]
-            for i in range(n)
-            for j in range(i, n)
-        )
-        hairs = tuple(hair_counts[inv[i]] for i in range(n))
-        return (mat, hairs)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
 
     best = None
-    best_perms = []
-    positions = list(range(n))
-    offsets = []
-    start = 0
-    for cell in cell_list:
-        offsets.append(positions[start : start + len(cell)])
-        start += len(cell)
+    best_orders = []  # order[pos] = vertex placed at pos
     for arrangement in product(*(permutations(cell) for cell in cell_list)):
-        perm = [0] * n
-        for cell_positions, cell_vertices in zip(offsets, arrangement):
-            for pos, v in zip(cell_positions, cell_vertices):
-                perm[v] = pos
-        enc = encode(perm)
+        order = [v for part in arrangement for v in part]
+        enc = tuple(mat[order[i]][order[j]] for i, j in upper)
         if best is None or enc < best:
             best = enc
-            best_perms = [tuple(perm)]
+            best_orders = [order]
         elif enc == best:
-            best_perms.append(tuple(perm))
-    # automorphisms: sigma = q^{-1} o p for canonical labelings p, q
-    p0 = best_perms[0]
-    p0_inv = [0] * n
-    for v, pos in enumerate(p0):
-        p0_inv[pos] = v
+            best_orders.append(order)
+    # automorphisms: sigma = p^{-1} o q for canonical labelings p, q, where
+    # q maps each vertex to its position
+    first = best_orders[0]
     autos = []
-    for q in best_perms:
-        autos.append(tuple(p0_inv[q[v]] for v in range(n)))
-    key = repr(best)
-    return key, autos
+    for order in best_orders:
+        q = [0] * n
+        for pos, v in enumerate(order):
+            q[v] = pos
+        autos.append(tuple(first[q[v]] for v in range(n)))
+    hairs = tuple(hair_counts[v] for v in first)
+    return repr((best, hairs)), autos
 
 
 # -------------------------------------------------------------- enumeration
 
 
 def _hair_distributions(n, s_vec):
-    """All ways to place s_c hairs of each color on n vertices."""
+    """Ways to place s_c hairs of each color on n vertices, with the
+    vertices' hair rows in ascending (lexicographic) order."""
+    rows = sorted(product(*(range(s + 1) for s in s_vec)))
 
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
+    def rec(v, first, left):
+        if v == n - 1:  # the last row takes what is left
+            if left >= rows[first]:
+                yield (left,)
             return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
+        for k in range(first, len(rows)):
+            row = rows[k]
+            if row[0] > left[0]:
+                break
+            tail = tuple(rest - h for h, rest in zip(row, left))
+            if min(tail) >= 0:
+                for more in rec(v + 1, k, tail):
+                    yield (row,) + more
 
-    per_color = [list(compositions(s, n)) for s in s_vec]
-    for combo in product(*per_color):
-        yield tuple(tuple(combo[c][v] for c in range(len(s_vec))) for v in range(n))
+    yield from rec(0, 0, tuple(s_vec))
 
 
-def _degree_sequences(n, total, minima):
-    """All ordered internal degree sequences with the given total and
-    per-vertex minima; labeled duplicates collapse at the canonical key."""
+def _degree_sequences(n, total, minima, tied):
+    """Internal degree sequences with the given total and per-vertex
+    minima, ascending within each run of tied vertices (``tied[i]``:
+    vertex i has the same hair row as vertex i - 1).
 
-    def rec(i, remaining):
+    Only the order inside a run is fixed: vertices with different hair
+    rows are told apart by the refinement invariant before degree is,
+    so ordering degrees across runs would lose classes.
+    """
+
+    def rec(i, remaining, prev):
+        low = max(minima[i], prev) if tied[i] else minima[i]
         if i == n - 1:
-            if remaining >= minima[i]:
+            if remaining >= low:
                 yield (remaining,)
             return
-        for d in range(minima[i], remaining + 1):
-            for rest in rec(i + 1, remaining - d):
+        for d in range(low, remaining + 1):
+            for rest in rec(i + 1, remaining - d, d):
                 yield (d,) + rest
 
-    yield from rec(0, total)
+    yield from rec(0, total, 0)
 
 
 def _multigraphs_with_degrees(degrees):
-    """All multigraphs (with tadpoles) realizing the degree sequence.
+    """All multigraphs (with tadpoles) realizing the labelled degree sequence.
 
     Backtracks over the upper-triangular multiplicity matrix; tadpoles
-    consume two degree units.  Labeled duplicates are later collapsed by
-    canonical keys, so only completeness matters here.
+    consume two degree units.  Every multigraph on these labelled degrees
+    is yielded, which the soundness of the orderly filters rests on;
+    labelled duplicates are later collapsed by canonical keys.
     """
     n = len(degrees)
     adj = [[0] * n for _ in range(n)]
@@ -282,18 +316,15 @@ def _multigraphs_with_degrees(degrees):
     return out
 
 
-def _is_connected(n, adj):
-    if n <= 1:
-        return True
+def _is_connected(nbrs):
     seen = {0}
     stack = [0]
     while stack:
-        v = stack.pop()
-        for w in range(n):
-            if w not in seen and adj[min(v, w)][max(v, w)] > 0 and w != v:
+        for w, _k in nbrs[stack.pop()]:
+            if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == n
+    return len(seen) == len(nbrs)
 
 
 def _cycles(perm):
@@ -467,11 +498,16 @@ def enumerate_classes(
             ]
             if sum(minima) > 2 * m_int:
                 continue
-            for degs in _degree_sequences(n_int, 2 * m_int, minima):
+            tied = [v > 0 and hair_mat[v] == hair_mat[v - 1] for v in range(n_int)]
+            for degs in _degree_sequences(n_int, 2 * m_int, minima, tied):
                 for adj in _multigraphs_with_degrees(degs):
-                    if not _is_connected(n_int, adj):
+                    mat, nbrs = _neighbour_lists(adj)
+                    if not _is_connected(nbrs):
                         continue
-                    key, autos = canonical_form(adj, hair_mat)
+                    labels = _refine_partition(mat, nbrs, hair_mat, ascending_only=True)
+                    if labels is None:
+                        continue  # a label-ordered copy of it is generated too
+                    key, autos = canonical_form(adj, hair_mat, (mat, labels))
                     if key in seen:
                         continue
                     seen.add(key)
@@ -514,6 +550,8 @@ def _check_odd_signs(cfg: LinkConfig, classes, s_total: int) -> None:
                 )
 
 
+# Euler characteristics by cell, oldest dropped first past the limit.
+_ORACLE_CACHE_MAX = 4096
 _oracle_cache: dict = {}
 
 
@@ -538,5 +576,7 @@ def euler_char_oracle(
         got = sum(
             cls.contribution for cls in enumerate_classes(cfg, use_vec, t, budget)
         )
+        if len(_oracle_cache) >= _ORACLE_CACHE_MAX:
+            del _oracle_cache[next(iter(_oracle_cache))]
         _oracle_cache[cache_key] = got
     return got

@@ -2,8 +2,9 @@
 itself, against closed forms, against the published grids, and against
 the brute-force graph enumeration.
 
-Each check returns a :class:`CheckResult`; a failing check carries the
-first differing coefficient with enough provenance to locate it.  The
+Each check fills in the :class:`CheckResult` it is given; a failing check
+carries the first differing coefficient with enough provenance to locate
+it, and a check that raises keeps what it recorded before.  The
 CLI ``verify`` subcommand runs these and exits nonzero on any failure.
 
 Route ledger: the code paths each cross-route check compares.
@@ -35,6 +36,10 @@ Route ledger: the code paths each cross-route check compares.
     sides run the double sum, so this pins the genus regrading and the
     hbar windows only.  Sharing the engine with F^pi lost nothing here:
     the two routes already shared one copy of the double sum before.
+
+* ``oracle`` (four parities, r = 2; genus 0-3 at t <= 4, genus 0-2 at
+  t = 5): ``euler_char_oracle``, a signed count of hairy-graph classes
+  that runs no series code, against ``f_homotopy_direct``.
 
 The double sum itself is pinned against routes that do not run it: the
 plethystic route in "direct vs plethystic" (``route-equivalence``) and
@@ -134,8 +139,7 @@ def _cfg(parity_key: str, r: int) -> LinkConfig:
     return LinkConfig.create((m0,) * r, d)
 
 
-def check_special_polynomials() -> CheckResult:
-    res = CheckResult("special-polynomials")
+def check_special_polynomials(res: CheckResult) -> None:
     if e_poly(1)(1) != 1:
         res.fail("e-poly: E_1(1) != 1")
     for l in range(2, 51):
@@ -159,11 +163,9 @@ def check_special_polynomials() -> CheckResult:
         for n in range(21):
             if s_poly(j)(n) != sum(i**j for i in range(1, n + 1)):
                 res.fail(f"s-poly: S_{j}({n}) is not the power sum")
-    return res
 
 
-def check_gamma(t_max: int = 12) -> CheckResult:
-    res = CheckResult("gamma")
+def check_gamma(res: CheckResult, t_max: int = 12) -> None:
     uv = VariableSet(has_u=True)
     spec = TruncationSpec(u_max=t_max)
     one = TruncatedSeries.one(uv, spec)
@@ -186,11 +188,9 @@ def check_gamma(t_max: int = 12) -> CheckResult:
         got = gamma_series(TruncatedSeries.constant(uv, spec, -n), u)
         if got != closed:
             res.fail(f"Gamma({-n}, u): {_first_difference(got, closed)}")
-    return res
 
 
-def check_homology_specializations(t_max: int = 12, r_max: int = 5) -> CheckResult:
-    res = CheckResult("homology-specializations")
+def check_homology_specializations(res: CheckResult, t_max: int = 12, r_max: int = 5) -> None:
     uv = VariableSet(has_u=True)
     spec = TruncationSpec(u_max=t_max)
     one = TruncatedSeries.one(uv, spec)
@@ -226,11 +226,9 @@ def check_homology_specializations(t_max: int = 12, r_max: int = 5) -> CheckResu
             closed = closed * (one - u + (u * u).scaled(2 * k)).inverse()
         if got != closed:
             res.fail(f"x=-1 r={r} d=even: {_first_difference(got, closed)}")
-    return res
 
 
-def check_route_equivalence(t_max: int = 10, r_max: int = 3) -> CheckResult:
-    res = CheckResult("route-equivalence")
+def check_route_equivalence(res: CheckResult, t_max: int = 10, r_max: int = 3) -> None:
     for parity_key in _PARITY_CONFIGS:
         for r in range(1, r_max + 1):
             cfg = _cfg(parity_key, r)
@@ -240,21 +238,17 @@ def check_route_equivalence(t_max: int = 10, r_max: int = 3) -> CheckResult:
             _series_equal(res, f"direct vs plethystic ({parity_key}, r={r})", direct, pleth)
             back = plethystic_exp(direct)
             _series_equal(res, f"plethystic exp back to F^H ({parity_key}, r={r})", back, fh)
-    return res
 
 
-def check_tables_second_route(t_max: int = TABLE_T_MAX) -> CheckResult:
+def check_tables_second_route(res: CheckResult, t_max: int = TABLE_T_MAX) -> None:
     """F^pi behind the published grids, by the plethystic route as well."""
-    res = CheckResult("tables-second-route")
     cfg = LinkConfig.create((1, 1), 3)
     pleth = plethystic_log(f_homology(cfg, t_max))
     direct = f_homotopy_direct(cfg, t_max)
     _series_equal(res, f"plethystic vs direct (odd-odd, r=2, t={t_max})", pleth, direct)
-    return res
 
 
-def check_genus_split(t_max: int = 12) -> CheckResult:
-    res = CheckResult("genus-split")
+def check_genus_split(res: CheckResult, t_max: int = 12) -> None:
     for parity_key in _PARITY_CONFIGS:
         cfg = _cfg(parity_key, 2)
         f_pi = f_homotopy_direct(cfg, t_max)
@@ -282,7 +276,6 @@ def check_genus_split(t_max: int = 12) -> CheckResult:
             closed = closed_fn(cfg, 6)
             at_m1 = _z_to_minus_one(dims, cfg)
             _series_equal(res, f"{label} dims at z=-1 (m={m}, d={d})", at_m1, closed)
-    return res
 
 
 def _drop_hbar(series: TruncatedSeries, cfg: LinkConfig) -> TruncatedSeries:
@@ -306,8 +299,7 @@ def _z_to_minus_one(series: TruncatedSeries, cfg: LinkConfig) -> TruncatedSeries
     return series.substitute(assignments)
 
 
-def check_cycle_index(t_max: int = 8, r_max: int = 3, w_max: int = 6, g_max: int = 4) -> CheckResult:
-    res = CheckResult("cycle-index")
+def check_cycle_index(res: CheckResult, t_max: int = 8, r_max: int = 3, w_max: int = 6, g_max: int = 4) -> None:
     for parity_key in ("odd-odd", "odd-even", "even-odd", "even-even"):
         for r in range(1, r_max + 1):
             cfg = _cfg(parity_key, r)
@@ -357,11 +349,9 @@ def check_cycle_index(t_max: int = 8, r_max: int = 3, w_max: int = 6, g_max: int
         left1 = specialize_colors(z_hedgehog_homology(d, w), cfg, "dims")
         right1 = genus1_dims(cfg, w - 1, x_total_max=w)
         _series_equal(res, f"hedgehog dims vs genus-1 dims (m={m}, d={d})", left1, right1)
-    return res
 
 
-def check_tables(t_max: int = TABLE_T_MAX) -> CheckResult:
-    res = CheckResult("tables")
+def check_tables(res: CheckResult, t_max: int = TABLE_T_MAX) -> None:
     cfg = LinkConfig.create((1, 1), 3)
     f_pi = f_homotopy_direct(cfg, t_max)
     recon = set(RECONCILIATION_CELLS)
@@ -392,7 +382,7 @@ def check_tables(t_max: int = TABLE_T_MAX) -> CheckResult:
                     f"published {want}"
                 )
                 if len(res.details) > 5:
-                    return res
+                    return
         # palindromy of computed rows (equal parities)
         for t in range(1, t_max + 1):
             s_total = t + 1 - g
@@ -401,17 +391,21 @@ def check_tables(t_max: int = TABLE_T_MAX) -> CheckResult:
                 if 0 <= mirror <= min(t_max, 23) and s2 <= min(t_max, 23):
                     if table.rows[t][s2] != table.rows[t][mirror]:
                         res.fail(f"genus {g} t={t}: row not palindromic at s2={s2}")
-    return res
 
 
-def check_oracle(t_max: int = 4, genus0_t_max: int = 5) -> CheckResult:
-    res = CheckResult("oracle")
-    cfg = LinkConfig.create((1, 1), 3)
-    budget = EnumerationBudget(t_max=max(t_max, genus0_t_max), hairs_max=genus0_t_max + 1)
-    top = max(t_max, genus0_t_max)
-    f_pi = f_homotopy_direct(cfg, top)
-    for g in range(4):
-        for t in range(1, t_max + 1):
+def check_oracle(res: CheckResult, t_max: int = 4, t_top: int = 5) -> None:
+    """Graph enumeration against F^pi in all four parity classes (r = 2):
+    genus 0-3 at every t <= t_max, and genus 0-2 at t = t_top."""
+    cells = sorted(
+        {(t, g) for t in range(1, t_max + 1) for g in range(4)}
+        | {(t_top, g) for g in range(3)}
+    )
+    top = max(t_max, t_top)
+    budget = EnumerationBudget(t_max=top, hairs_max=top + 1)
+    for parity_key in _PARITY_CONFIGS:
+        cfg = _cfg(parity_key, 2)
+        f_pi = f_homotopy_direct(cfg, top)
+        for t, g in cells:
             s_total = t + 1 - g
             if s_total < 1:
                 continue
@@ -421,30 +415,16 @@ def check_oracle(t_max: int = 4, genus0_t_max: int = 5) -> CheckResult:
                 want = int(f_pi.coefficient({"x1": s1, "x2": s2, "u": t}))
                 if got != want:
                     res.fail(
-                        f"oracle genus {g} t={t} s=({s1},{s2}): "
+                        f"oracle ({parity_key}) genus {g} t={t} s=({s1},{s2}): "
                         f"enumeration {got}, series {want}"
                     )
-    for t in (genus0_t_max,):
-        s_total = t + 1
-        for s2 in range(s_total + 1):
-            s1 = s_total - s2
-            got = euler_char_oracle(cfg, (s1, s2), t, budget)
-            want = int(f_pi.coefficient({"x1": s1, "x2": s2, "u": t}))
-            if got != want:
-                res.fail(
-                    f"oracle genus 0 t={t} s=({s1},{s2}): "
-                    f"enumeration {got}, series {want}"
-                )
-    return res
 
 
-def check_stability(t_max: int = 8) -> CheckResult:
-    res = CheckResult("stability")
+def check_stability(res: CheckResult, t_max: int = 8) -> None:
     cfg = LinkConfig.create((1, 1), 3)
     base = f_homology(cfg, t_max)
     more = f_homology(cfg, t_max, l_max=2 * t_max + 4)
     _series_equal(res, "factor bound l <= 2T is stable under l_max + 4", base, more)
-    return res
 
 
 CHECK_NAMES = {
@@ -476,17 +456,17 @@ def run_checks(only=None, t_max: int | None = None) -> list[CheckResult]:
         if t_max is None or name == "special-polynomials":
             kwargs = {}
         elif name == "oracle":
-            kwargs = {"t_max": min(t_max, 4), "genus0_t_max": min(t_max, 5)}
+            kwargs = {"t_max": min(t_max, 4), "t_top": min(t_max, 5)}
         else:
             kwargs = {"t_max": t_max}
+        res = CheckResult(name)
         try:
-            results.append(fn(**kwargs))
-        except Exception as exc:  # a check that raises has failed; keep the report
+            fn(res, **kwargs)
+        except Exception as exc:  # a check that raises has failed; keep its report
             frame = traceback.extract_tb(exc.__traceback__)[-1]
-            res = CheckResult(name)
             res.fail(
                 f"raised {type(exc).__name__}: {exc} "
                 f"(at {os.path.basename(frame.filename)}:{frame.lineno})"
             )
-            results.append(res)
+        results.append(res)
     return results

@@ -137,6 +137,18 @@ def test_oracle_json(capsys):
     assert sum(c["contribution"] for c in payload["classes"]) == 1
 
 
+def test_oracle_format_is_json_only(capsys, tmp_path):
+    argv = ["oracle", "--m", "1,1", "--d", "3", "--s", "2,0", "--t", "2"]
+    _, default, _ = run_cli(argv, capsys)
+    code, explicit, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0 and explicit == default
+    for fmt in ("text", "csv"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--format", fmt])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
 def test_verify_subset(capsys):
     code, out, _ = run_cli(
         ["verify", "--only", "special-polynomials,gamma", "--t-max", "6"], capsys
@@ -206,6 +218,45 @@ def test_verify_check_that_raises_is_a_failure(capsys, monkeypatch):
     assert "[PASS] gamma" in out
     assert "[FAIL] tables" in out
     assert "raised SeriesError: non-integer Euler characteristic" in out
+
+
+def test_verify_keeps_differences_recorded_before_a_raise(capsys, monkeypatch):
+    # the half makes "direct vs plethystic" differ, then plethystic_exp
+    # raises on the non-integer coefficient: the report keeps both
+    import linkchi.verify as verify_mod
+    from linkchi.rationals import QQ
+    from linkchi.series import TruncatedSeries
+
+    real = verify_mod.f_homotopy_direct
+
+    def off_by_half(cfg, t_max, x_total_max=None):
+        out = real(cfg, t_max, x_total_max)
+        return out + TruncatedSeries.term(out.vars, out.spec, {"x1": 3, "u": 2}, QQ(1, 2))
+
+    monkeypatch.setattr(verify_mod, "f_homotopy_direct", off_by_half)
+    code = cli.main(["verify", "--only", "route-equivalence", "--t-max", "3"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] route-equivalence" in out
+    assert "direct vs plethystic (odd-odd, r=1): at {'x1': 3, 'u': 2}" in out
+    assert "raised SeriesError" in out
+
+
+def test_verify_oracle_covers_every_parity(capsys, monkeypatch):
+    import linkchi.verify as verify_mod
+
+    real = verify_mod.euler_char_oracle
+
+    def off_for_even_even(cfg, s_vec, t, budget=None):
+        bump = cfg.m_parities == (0, 0) and cfg.d_parity == 0 and tuple(s_vec) == (2, 0)
+        return real(cfg, s_vec, t, budget) + bump
+
+    monkeypatch.setattr(verify_mod, "euler_char_oracle", off_for_even_even)
+    code = cli.main(["verify", "--only", "oracle", "--t-max", "2"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert "oracle (even-even) genus 0 t=1 s=(2,0)" in out
+    assert "(odd-odd)" not in out
 
 
 def test_verify_tables_second_route(capsys):

@@ -1,4 +1,6 @@
-"""Byte-for-byte CLI outputs, recorded before the double-sum engine merge.
+"""Byte-for-byte CLI outputs, recorded before the double-sum engine merge
+(table, supercharacter, homology) and before orderly generation in the
+graph oracle (oracle).
 
 Each case runs ``linkchi`` in-process with ``--output`` and compares the
 written bytes with ``tests/golden/<name>``.  To record the files again
@@ -41,6 +43,13 @@ CASES.update({
 CASES["homology-m1,1-d3-t5.csv"] = [
     "homology", "--m", "1,1", "--d", "3", "--t-max", "5", "--format", "csv",
 ]
+CASES.update({
+    f"oracle-{parity}-s{s}-t{t}.json": [
+        "oracle", "--m", _PARITIES[parity][0], "--d", _PARITIES[parity][1],
+        "--s", s, "--t", t,
+    ]
+    for parity, s, t in (("odd-odd", "2,1", "4"), ("even-even", "1,0", "3"), ("odd-even", "1,1", "3"))
+})
 
 
 def _render(argv, target: Path) -> bytes:

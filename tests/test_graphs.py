@@ -1,7 +1,12 @@
 from __future__ import annotations
 
-import pytest
+import json
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from linkchi import graphs
 from linkchi.genfun import LinkConfig
 from linkchi.graphs import (
     BudgetExceeded,
@@ -11,6 +16,7 @@ from linkchi.graphs import (
     euler_char_oracle,
 )
 from linkchi.reference_tables import TABLES
+from linkchi.verify import _cfg
 
 ODD2 = LinkConfig.create((1, 1), 3)
 
@@ -170,3 +176,73 @@ def test_odd_sign_invariant_raises():
     broken = [replace(classes[0], degree=classes[0].degree + 1)]
     with pytest.raises(RuntimeError, match="odd/odd sign"):
         _check_odd_signs(ODD2, broken, 2)
+
+
+@st.composite
+def _hairy_graphs(draw):
+    n = draw(st.integers(1, 5))
+    adjacency = tuple(
+        tuple(draw(st.integers(0, 2)) if j >= i else 0 for j in range(n))
+        for i in range(n)
+    )
+    hairs = tuple(
+        (draw(st.integers(0, 2)), draw(st.integers(0, 1))) for _ in range(n)
+    )
+    return adjacency, hairs, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hairy_graphs())
+def test_canonical_form_is_invariant_under_relabelling(graph):
+    adjacency, hairs, perm = graph  # vertex v becomes perm[v]
+    n = len(adjacency)
+
+    def mult(adj, i, j):
+        return adj[min(i, j)][max(i, j)]
+
+    moved = tuple(
+        tuple(
+            mult(adjacency, perm.index(i), perm.index(j)) if j >= i else 0
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    moved_hairs = tuple(hairs[perm.index(i)] for i in range(n))
+    key, autos = canonical_form(adjacency, hairs)
+    moved_key, moved_autos = canonical_form(moved, moved_hairs)
+    assert moved_key == key
+    assert len(moved_autos) == len(autos)
+    assert len(set(autos)) == len(autos) and tuple(range(n)) in autos
+    for sigma in autos:
+        assert sorted(sigma) == list(range(n))
+        assert all(hairs[sigma[v]] == hairs[v] for v in range(n))
+        assert all(
+            mult(adjacency, sigma[i], sigma[j]) == mult(adjacency, i, j)
+            for i in range(n)
+            for j in range(i, n)
+        )
+
+
+def test_oracle_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(graphs, "_ORACLE_CACHE_MAX", 3)
+    monkeypatch.setattr(graphs, "_oracle_cache", {})
+    cells = [((1, 1), 1), ((1, 0), 1), ((2, 0), 1), ((1, 0), 2), ((2, 1), 2)]
+    first = [euler_char_oracle(ODD2, s, t) for s, t in cells]
+    assert len(graphs._oracle_cache) == 3
+    assert [euler_char_oracle(ODD2, s, t) for s, t in cells] == first
+    assert len(graphs._oracle_cache) == 3
+
+
+# Class, killed and Euler-characteristic counts per cell, recorded from the
+# enumeration before it was restricted to vertex-ordered labellings.
+_FROZEN = json.loads((Path(__file__).parent / "golden" / "oracle-cells.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "cell", _FROZEN, ids=[f"{c['parity']}-s{c['s'][0]},{c['s'][1]}-t{c['t']}" for c in _FROZEN]
+)
+def test_frozen_class_counts(cell):
+    classes = enumerate_classes(_cfg(cell["parity"], 2), cell["s"], cell["t"])
+    assert len(classes) == cell["classes"]
+    assert sum(c.killed for c in classes) == cell["killed"]
+    assert sum(c.contribution for c in classes) == cell["chi"]
