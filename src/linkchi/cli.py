@@ -81,18 +81,18 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
-def _series_json(series) -> str:
-    terms = [
-        {"monomial": series.monomial_str(m), "coefficient": qq_str(series.coeffs[m])}
+def _series_output(series, fmt: str) -> str:
+    """A series as text (canonical form), csv or json, one row per term."""
+    if fmt == "text":
+        return series.to_text() + "\n"
+    rows = [
+        (series.monomial_str(m), qq_str(series.coeffs[m]))
         for m in series.sorted_monomials()
     ]
-    return json.dumps({"terms": terms}, indent=2) + "\n"
-
-
-def _series_csv(series) -> str:
-    lines = ["monomial,coefficient"]
-    for m in series.sorted_monomials():
-        lines.append(f"{series.monomial_str(m)},{qq_str(series.coeffs[m])}")
+    if fmt == "json":
+        terms = [{"monomial": m, "coefficient": c} for m, c in rows]
+        return json.dumps({"terms": terms}, indent=2) + "\n"
+    lines = ["monomial,coefficient"] + [f"{m},{c}" for m, c in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -100,13 +100,7 @@ def cmd_homology(args) -> int:
     cfg = _config_from_args(args)
     x_max = args.x_max if args.x_max is not None else 2 * args.t_max
     series = f_homology(cfg, args.t_max, x_total_max=x_max)
-    if args.dump_series or args.format == "text":
-        text = series.to_text() + "\n"
-    elif args.format == "json":
-        text = _series_json(series)
-    else:
-        text = _series_csv(series)
-    _emit(text, args.output)
+    _emit(_series_output(series, args.format), args.output)
     return 0
 
 
@@ -132,13 +126,7 @@ def cmd_supercharacter(args) -> int:
     series = mod_envelope_supercharacter(args.twist, args.weight, args.genus)
     if args.feynman_regrade:
         series = feynman_regrade(series)
-    if args.format == "json":
-        text = _series_json(series)
-    elif args.format == "csv":
-        text = _series_csv(series)
-    else:
-        text = series.to_text() + "\n"
-    _emit(text, args.output)
+    _emit(_series_output(series, args.format), args.output)
     return 0
 
 
@@ -223,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p)
     p.add_argument("--x-max", type=int, default=None,
                    help="total x-degree cap (default 2*t_max, the full support)")
-    p.add_argument("--dump-series", action="store_true",
-                   help="canonical text dump regardless of --format")
     add_output(p)
     p.set_defaults(fn=cmd_homology)
 
@@ -256,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated subset of checks ({', '.join(CHECK_NAMES)})")
     p.add_argument("--t-max", type=_positive_int, default=None,
                    help="scale the checks down to this truncation order (>= 1)")
-    add_output(p)
+    add_output(p, formats=("text",))
     p.set_defaults(fn=cmd_verify)
 
     return parser

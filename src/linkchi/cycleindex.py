@@ -15,7 +15,7 @@ alternating sum over homological degree, i.e. the z = -1 specialization.
 
 from __future__ import annotations
 
-from .genfun import LinkConfig, color_power_sum
+from .genfun import LinkConfig, _homological_degree, _z_span, color_power_sum
 from .graphs import _cycles, _perm_parity
 from .rationals import QQ, mobius, totient
 from .series import (
@@ -141,25 +141,20 @@ def _specialization_targets(z: TruncatedSeries, cfg: LinkConfig, mode: str):
     weight_max = z.spec.p_weight_max
     if weight_max is None:
         raise SeriesError("cycle index sum needs a p-weight bound")
-    if mode == "euler":
-        vars_ = VariableSet(hodge_count=cfg.r, has_u=carries_u)
-        spec = TruncationSpec(
-            u_max=z.spec.u_max if carries_u else None,
-            x_total_max=weight_max,
-            u_min=z.spec.u_min if carries_u else 0,
-        )
-    elif mode == "dims":
-        m_values, d = cfg.require_values()
-        span = (abs(d) + 2 + max(m_values)) * (weight_max + 3)
-        vars_ = VariableSet(hodge_count=cfg.r, has_u=carries_u, has_z=True)
-        spec = TruncationSpec(
-            u_max=z.spec.u_max if carries_u else None,
-            x_total_max=weight_max,
-            z_window=(-span, span),
-            u_min=z.spec.u_min if carries_u else 0,
-        )
-    else:
+    if mode not in ("euler", "dims"):
         raise ValueError(f"mode must be 'euler' or 'dims', got {mode!r}")
+    z_window = None
+    if mode == "dims":
+        m_values, d = cfg.require_values()
+        span = _z_span(d, max(m_values), weight_max)
+        z_window = (-span, span)
+    vars_ = VariableSet(hodge_count=cfg.r, has_u=carries_u, has_z=mode == "dims")
+    spec = TruncationSpec(
+        u_max=z.spec.u_max if carries_u else None,
+        x_total_max=weight_max,
+        z_window=z_window,
+        u_min=z.spec.u_min if carries_u else 0,
+    )
     return vars_, spec
 
 
@@ -186,100 +181,83 @@ def specialize_colors(
     return z.substitute(assignments)
 
 
+def _p_weight(p_part) -> int:
+    """Arity weight sum_l l * j_l of the p-exponents (j_1, j_2, ...)."""
+    return sum((l + 1) * e for l, e in enumerate(p_part))
+
+
+def _graded_p_spec(d: int, weight_max: int):
+    """Variables p, u, z and the spec of the tree and hedgehog cycle indices."""
+    span = _z_span(d, 0, weight_max)
+    spec = TruncationSpec(
+        p_weight_max=weight_max, u_max=weight_max, z_window=(-span, span)
+    )
+    return _p_vars(weight_max, has_u=True, has_z=True), spec
+
+
 def z_tree_homology(d: int, weight_max: int) -> TruncatedSeries:
     """Cycle index sum of the homology of the genus-zero labeled hairy
     graph complexes (complexes of trees) in ambient dimension d.
 
-    Tree-level homology is the cyclic Lie sequence placed in degree
-    k(d-2) - d + 3 and complexity k - 1, realized here as
-    ``z^-(d-3) u^-1 * Z_cyclic_lie(p_l <- (-1)^((l-1)d) (z^(d-2) u)^l p_l)``.
+    Tree-level homology is the cyclic Lie sequence twisted by sgn^d, placed
+    in complexity k - 1 and degree k(d-2) - d + 3 (the genus-0 case of
+    :func:`linkchi.genfun._homological_degree`): an arity-w monomial with
+    n p-factors gets u^(w-1) z^((d-2)(w-1)+1) and the sign (-1)^(d(w-n)).
     """
     if weight_max < 1:
         raise ValueError("weight_max must be >= 1")
-    vars_ = _p_vars(weight_max, has_u=True, has_z=True)
-    span = (abs(d) + 2) * (weight_max + 3)
-    wspec = TruncationSpec(
-        p_weight_max=weight_max,
-        u_max=weight_max,
-        z_window=(-span, span),
-        u_min=-1,
-    )
-    lie = z_lie_cyclic(weight_max)
-    assignments = {
-        f"p{l}": TruncatedSeries.term(
-            vars_,
-            wspec,
-            {f"p{l}": 1, "z": (d - 2) * l, "u": l},
-            -1 if ((l - 1) * d) % 2 else 1,
-        )
-        for l in range(1, weight_max + 1)
-    }
-    shifted = lie.substitute(assignments)
-    pref = TruncatedSeries.term(vars_, wspec, {"z": -(d - 3), "u": -1})
-    out = pref * shifted
-    if not out.grade_extract("u", -1).is_zero():
-        raise SeriesError("tree-level cycle index left a u^(-1) term")
-    return out.truncate(
-        TruncationSpec(
-            p_weight_max=weight_max, u_max=weight_max, z_window=(-span, span)
-        )
-    )
+    vars_, spec = _graded_p_spec(d, weight_max)
+
+    def place(mono):
+        w = _p_weight(mono)
+        sign = -1 if (d * (w - sum(mono))) % 2 else 1
+        return (w - 1, _homological_degree(d, w - 1, 0)) + mono, sign
+
+    return z_lie_cyclic(weight_max).regrade(vars_, spec, place)
 
 
-def _z_dihedral_induced(weight_max: int, vars_, spec, *, d_parity: int | None):
-    """Induced dihedral cycle index, summed over all n >= 1.
-
-    With ``d_parity=None`` this is the trivial character:
-    ``-1/2 sum_l phi(l)/l log(1 - p_l) + (p_1^2 + p_2 + 2 p_1)/(4 (1 - p_2))``.
-    Otherwise the hedgehog orientation character for ambient parity d:
+def _z_dihedral_induced(weight_max: int, d_parity: int) -> TruncatedSeries:
+    """Induced dihedral cycle index of the hedgehog orientation character
+    for ambient parity d, summed over all n >= 1:
     ``-1/2 sum_l phi(l)/l log(1 - (-1)^(d(l-1)) p_l)
     + (-1)^(d+1) (p_1^2 + (-1)^d p_2 - 2 p_1) / (4 (1 - (-1)^d p_2))``.
     """
+    vars_ = _p_vars(weight_max)
+    spec = TruncationSpec(p_weight_max=weight_max)
     out = TruncatedSeries.zero(vars_, spec)
     for l in range(1, weight_max + 1):
-        sign = 1
-        if d_parity is not None and (d_parity * (l - 1)) % 2:
-            sign = -1
+        sign = -1 if (d_parity * (l - 1)) % 2 else 1
         out = out + _log_one_minus_p(vars_, spec, l, weight_max, sign).scaled(
             QQ(-totient(l), 2 * l)
         )
     p1 = _p_term(vars_, spec, 1)
     p2 = _p_term(vars_, spec, 2)
     one = TruncatedSeries.one(vars_, spec)
-    if d_parity is None:
-        numer = p1 * p1 + p2 + p1.scaled(2)
-        denom = one - p2
-        pref = QQ(1, 4)
-    else:
-        sd = -1 if d_parity % 2 else 1
-        numer = p1 * p1 + p2.scaled(sd) - p1.scaled(2)
-        denom = one - p2.scaled(sd)
-        pref = QQ(-sd, 4)
-    return out + (numer * denom.inverse()).scaled(pref)
+    sd = -1 if d_parity % 2 else 1
+    numer = p1 * p1 + p2.scaled(sd) - p1.scaled(2)
+    denom = one - p2.scaled(sd)
+    return out + (numer * denom.inverse()).scaled(QQ(-sd, 4))
 
 
 def z_hedgehog_homology(d: int, weight_max: int) -> TruncatedSeries:
     """Cycle index sum of the homology of the genus-one labeled hairy
     graph complexes (spanned by hedgehogs) in ambient dimension d.
 
-    The n-hair hedgehog sits in degree n(d-2) and complexity n; the
-    symmetric group action is induced from the dihedral orientation
-    character, so this is the induced dihedral cycle index with
-    ``p_l <- z^((d-2)l) u^l p_l``.
+    The n-hair hedgehog sits in complexity n and degree n(d-2) (the genus-1
+    case of :func:`linkchi.genfun._homological_degree`); the symmetric
+    group action is induced from the dihedral orientation character, so
+    this is the induced dihedral cycle index with every arity-n monomial
+    placed at u^n z^((d-2)n).
     """
     if weight_max < 1:
         raise ValueError("weight_max must be >= 1")
-    vars_ = _p_vars(weight_max, has_u=True, has_z=True)
-    span = (abs(d) + 2) * (weight_max + 3)
-    spec = TruncationSpec(
-        p_weight_max=weight_max, u_max=weight_max, z_window=(-span, span)
-    )
-    base = _z_dihedral_induced(weight_max, vars_, spec, d_parity=d % 2)
-    assignments = {
-        f"p{l}": TruncatedSeries.term(vars_, spec, {f"p{l}": 1, "z": (d - 2) * l, "u": l})
-        for l in range(1, weight_max + 1)
-    }
-    return base.substitute(assignments)
+    vars_, spec = _graded_p_spec(d, weight_max)
+
+    def place(mono):
+        w = _p_weight(mono)
+        return (w, _homological_degree(d, w, 1)) + mono, 1
+
+    return _z_dihedral_induced(weight_max, d % 2).regrade(vars_, spec, place)
 
 
 def z_graph_supercharacter(d_parity, weight_max: int, t_max: int) -> TruncatedSeries:
@@ -304,43 +282,14 @@ def z_graph_supercharacter(d_parity, weight_max: int, t_max: int) -> TruncatedSe
     )
 
 
-def _genus_regrade(z: TruncatedSeries, genus_max: int, p_sign: int, overall: int):
-    """u <- hbar, p_l <- p_sign * p_l / hbar^l, times overall * hbar.
-
-    Monomial u^t with p-weight w maps to hbar^(t - w + 1); any negative
-    final exponent is a hard error (the cancellation this encodes is the
-    point of the construction, not a truncation artifact).
-    """
-    vars_ = _p_vars(z.vars.pcount, has_hbar=True)
-    spec = TruncationSpec(p_weight_max=z.spec.p_weight_max, hbar_window=(0, genus_max))
-    p_start_src = z.vars.p_start()
-    iu = z.vars.index("u")
-    ih = vars_.index("hbar")
-    out: dict[tuple[int, ...], object] = {}
-    for mono, c in z.coeffs.items():
-        t = mono[iu]
-        p_part = mono[p_start_src:]
-        w = sum((l + 1) * e for l, e in enumerate(p_part))
-        n_p = sum(p_part)
-        g = t - w + 1
-        sign = overall * (p_sign ** n_p)
-        m2 = [0] * vars_.nvars
-        m2[ih] = g
-        m2[ih + 1 :] = list(p_part)
-        key = tuple(m2)
-        prev = out.get(key, QQ(0))
-        now = prev + sign * c
-        if now == 0:
-            out.pop(key, None)
-        else:
-            out[key] = now
-    for mono, c in out.items():
-        if mono[ih] < 0:
-            raise SeriesError(
-                f"negative genus hbar^{mono[ih]} survived in the modular "
-                f"envelope supercharacter at {mono}"
-            )
-    return TruncatedSeries(vars_, spec, out)
+def _twist_sign(twist: str, weight_max: int, genus_max: int) -> int:
+    """+1 for the 'plain' twist, -1 for 'det'; rejects other twists and bounds."""
+    twist = twist.lower()
+    if twist not in ("plain", "det"):
+        raise ValueError(f"twist must be 'plain' or 'det', got {twist!r}")
+    if weight_max < 1 or genus_max < 0:
+        raise ValueError("weight_max >= 1 and genus_max >= 0 required")
+    return 1 if twist == "plain" else -1
 
 
 def mod_envelope_supercharacter(
@@ -353,20 +302,22 @@ def mod_envelope_supercharacter(
     plain: ``hbar * Z_odd(u <- hbar, p_l <- -p_l / hbar^l)``;
     det:  ``-hbar * Z_even(u <- hbar, p_l <- +p_l / hbar^l)``,
     where Z_odd/Z_even are the labeled graph supercharacters for odd and
-    even ambient parity.  Arity zero is excluded by construction; the
-    hbar-Laurent intermediates must cancel to nonnegative genus.
+    even ambient parity.  A monomial u^t of p-weight w goes to
+    hbar^(t - w + 1).  Arity zero is excluded by construction; a negative
+    genus raises :class:`SeriesError` (the cancellation this encodes is the
+    point of the construction, not a truncation artifact).
     """
-    twist = twist.lower()
-    if twist not in ("plain", "det"):
-        raise ValueError(f"twist must be 'plain' or 'det', got {twist!r}")
-    if weight_max < 1 or genus_max < 0:
-        raise ValueError("weight_max >= 1 and genus_max >= 0 required")
-    t_max = genus_max + weight_max - 1
-    if twist == "plain":
-        z = z_graph_supercharacter("odd", weight_max, max(t_max, 1))
-        return _genus_regrade(z, genus_max, p_sign=-1, overall=1)
-    z = z_graph_supercharacter("even", weight_max, max(t_max, 1))
-    return _genus_regrade(z, genus_max, p_sign=1, overall=-1)
+    sign = _twist_sign(twist, weight_max, genus_max)
+    t_max = max(genus_max + weight_max - 1, 1)
+    z = z_graph_supercharacter("odd" if sign > 0 else "even", weight_max, t_max)
+    vars_ = _p_vars(weight_max, has_hbar=True)
+    spec = TruncationSpec(p_weight_max=weight_max, hbar_window=(0, genus_max))
+
+    def place(mono):  # z has variables u, p1..pW
+        p_part = mono[1:]
+        return (mono[0] - _p_weight(p_part) + 1,) + p_part, sign * (-sign) ** sum(p_part)
+
+    return z.regrade(vars_, spec, place)
 
 
 def mod_envelope_supercharacter_direct(
@@ -375,10 +326,8 @@ def mod_envelope_supercharacter_direct(
     """Second route to :func:`mod_envelope_supercharacter`: evaluate the
     hbar-Laurent sums directly (S_j at p_{ak}/hbar^{ak} arguments) and
     multiply by hbar at the end.  Used as a cross-check oracle."""
-    twist = twist.lower()
-    if twist not in ("plain", "det"):
-        raise ValueError(f"twist must be 'plain' or 'det', got {twist!r}")
-    t_max = genus_max + weight_max - 1
+    sign = _twist_sign(twist, weight_max, genus_max)
+    t_max = max(genus_max + weight_max - 1, 1)
     vars_ = _p_vars(weight_max, has_hbar=True)
     # Every monomial here satisfies hbar-exp >= -(p-weight) >= -W, and a
     # monomial with hbar-exp e and p-weight w can still reach final genus
@@ -388,23 +337,17 @@ def mod_envelope_supercharacter_direct(
         hbar_window=(-weight_max, genus_max + weight_max - 1),
     )
     # plain: P_n = p_n / hbar^n, sigma = +1; det: P_n = -p_n / hbar^n,
-    # sigma = -1 and the sum negated.
-    sign = 1 if twist == "plain" else -1
+    # sigma = -1 and the sum negated.  Times hbar, then a negative genus
+    # raises and genus above G drops.
     body = _mobius_double_sum(
-        vars_, spec, "hbar", sign, max(t_max, 1),
+        vars_, spec, "hbar", sign, t_max,
         lambda n: _p_term(vars_, spec, n, sign, hbar=-n),
     )
-    if sign < 0:
-        body = -body
     ih = vars_.index("hbar")
-    shifted = body.map_monomials(
-        lambda m, c: (m[:ih] + (m[ih] + 1,) + m[ih + 1 :], c)
-    )
-    for mono in shifted.coeffs:
-        if mono[ih] < 0:
-            raise SeriesError("negative genus survived in the direct route")
-    return shifted.truncate(
-        TruncationSpec(p_weight_max=weight_max, hbar_window=(0, genus_max))
+    return body.regrade(
+        vars_,
+        TruncationSpec(p_weight_max=weight_max, hbar_window=(0, genus_max)),
+        lambda m: (m[:ih] + (m[ih] + 1,) + m[ih + 1 :], sign),
     )
 
 
@@ -413,11 +356,7 @@ def feynman_regrade(z: TruncatedSeries) -> TruncatedSeries:
     supercharacters and those of the Feynman transforms of the
     commutative modular operad.  An involution."""
     p_start = z.vars.p_start()
-    out = {}
-    for mono, c in z.coeffs.items():
-        n_p = sum(mono[p_start:])
-        out[mono] = -c if n_p % 2 == 0 else c
-    return TruncatedSeries(z.vars, z.spec, out, _trusted=True)
+    return z.regrade(z.vars, z.spec, lambda m: (m, 1 if sum(m[p_start:]) % 2 else -1))
 
 
 # ------------------------------------------------------------------ dihedral

@@ -260,9 +260,9 @@ def f_homotopy_graded(
     """hbar-graded refinement: hbar * F^pi(x_i/hbar, u hbar), re-expanded.
 
     Each monomial x^s u^t acquires hbar^(t - |s| + 1), its genus.  A
-    negative exponent surviving here would mean F^pi carries a monomial
-    with |s| > t + 1 — an internal inconsistency, raised as such rather
-    than truncated away.
+    negative genus would mean F^pi carries a monomial with |s| > t + 1 —
+    an internal inconsistency, so it raises :class:`SeriesError` (it lies
+    below the hbar window) rather than being truncated away.
     """
     if genus_max is None:
         genus_max = t_max
@@ -275,23 +275,7 @@ def f_homotopy_graded(
         hbar_window=(0, genus_max),
     )
     r = cfg.r
-    ih = vars_.index("hbar")
-    out: dict[tuple[int, ...], object] = {}
-    for mono, c in f_pi.coeffs.items():
-        s_total = sum(mono[:r])
-        t = mono[r]
-        g = t - s_total + 1
-        if g < 0:
-            raise SeriesError(
-                f"negative genus hbar^{g} at monomial {mono}: "
-                "the homotopy series violates |s| <= t + 1"
-            )
-        if g > genus_max:
-            continue
-        m2 = list(mono[:r]) + [t, 0]
-        m2[ih] = g
-        out[tuple(m2)] = c
-    return TruncatedSeries(vars_, spec, out, _trusted=True)
+    return f_pi.regrade(vars_, spec, lambda m: (m + (m[r] - sum(m[:r]) + 1,), 1))
 
 
 def _mu_log_sum(
@@ -359,77 +343,63 @@ def genus1_closed(
     return out + (numer * denom.inverse()).scaled(QQ(-sd, 4))
 
 
-def _dims_spec(cfg: LinkConfig, t_max: int, x_total_max: int | None, u_min: int = 0):
+def _z_span(d: int, m_max: int, weight: int) -> int:
+    """Half-width of a symmetric z window holding every homological degree
+    up to complexity or arity ``weight``: ``(|d| + 2 + max m)(weight + 3)``."""
+    return (abs(d) + 2 + m_max) * (weight + 3)
+
+
+def _homological_degree(d: int, t: int, genus: int, m_dot_s: int = 0) -> int:
+    """Homological degree (z exponent) of a trivalent hairy graph.
+
+    Edges (hairs included) have degree d - 1, internal vertices -d and
+    hairs of colour i -m_i.  Complexity t = E - V and genus g = t - |s| + 1
+    with trivalence 2E = 3V + |s| give E - 2V = 1 - g, so the degree is
+    ``(d - 2) t + 1 - g - sum_i m_i s_i``.  Genus-0/1 homology lives on
+    trivalent graphs (trees, hedgehogs): one degree per Hodge summand.
+    """
+    return (d - 2) * t + 1 - genus - m_dot_s
+
+
+def _dims_from_euler(cfg: LinkConfig, closed: TruncatedSeries, genus: int) -> TruncatedSeries:
+    """z-graded dimension series of one genus layer from its Euler form.
+
+    Each summand x^s u^t sits in the single degree e of
+    :func:`_homological_degree`, so its dimension is (-1)^e times its Euler
+    characteristic, placed at z^e.
+    """
     m_values, d = cfg.require_values()
-    vars_ = VariableSet(hodge_count=cfg.r, has_u=True, has_z=True)
-    span = (abs(d) + 2 + max(m_values)) * (t_max + 3)
+    r = cfg.r
+    vars_ = VariableSet(hodge_count=r, has_u=True, has_z=True)
+    span = _z_span(d, max(m_values), closed.spec.u_max)
     spec = TruncationSpec(
-        u_max=t_max,
-        x_total_max=(t_max + 1) if x_total_max is None else x_total_max,
+        u_max=closed.spec.u_max,
+        x_total_max=closed.spec.x_total_max,
         z_window=(-span, span),
-        u_min=u_min,
     )
-    return vars_, spec
+
+    def place(mono):
+        m_dot_s = sum(m * s for m, s in zip(m_values, mono[:r]))
+        e = _homological_degree(d, mono[r], genus, m_dot_s)
+        return mono + (e,), -1 if e % 2 else 1
+
+    return closed.regrade(vars_, spec, place)
 
 
 def genus0_dims(
     cfg: LinkConfig, t_max: int, x_total_max: int | None = None
 ) -> TruncatedSeries:
-    """z-graded dimension series of the genus-zero Hodge summands.
-
-    ``z alpha_1(1/z) + (1 - z^(d-2) u alpha_1(1/z)) / (z^(d-3) u) *
-    sum_l mu(l)/l log(1 - (-1)^((l-1)d) (z^(d-2) u)^l alpha_l(1/z))``.
-    Specializing z = -1 recovers :func:`genus0_closed`.
-    """
-    m_values, d = cfg.require_values()
-    vars_, wspec = _dims_spec(cfg, t_max + 1, x_total_max, u_min=-1)
-    one = TruncatedSeries.one(vars_, wspec)
-    bracket = TruncatedSeries.zero(vars_, wspec)
-    for l in range(1, t_max + 2):
-        ml = mobius(l)
-        if ml == 0:
-            continue
-        sign = -1 if ((l - 1) * d) % 2 else 1
-        zu_l = TruncatedSeries.term(vars_, wspec, {"z": (d - 2) * l, "u": l}, sign)
-        arg = one - zu_l * color_power_sum(cfg, vars_, wspec, l, "dims")
-        bracket = bracket + arg.log().scaled(QQ(ml, l))
-    a1 = color_power_sum(cfg, vars_, wspec, 1, "dims")
-    z_a1 = TruncatedSeries.term(vars_, wspec, {"z": 1}) * a1
-    pref = TruncatedSeries.term(vars_, wspec, {"z": -(d - 3), "u": -1}) * (
-        one - TruncatedSeries.term(vars_, wspec, {"z": d - 2, "u": 1}) * a1
-    )
-    result = z_a1 + pref * bracket
-    if not result.grade_extract("u", -1).is_zero():
-        raise SeriesError("genus-0 dimension series left a u^(-1) term")
-    vars2, spec2 = _dims_spec(cfg, t_max, x_total_max)
-    return result.truncate(spec2)
+    """z-graded dimension series of the genus-zero Hodge summands:
+    :func:`genus0_closed` regraded by :func:`_dims_from_euler`."""
+    return _dims_from_euler(cfg, genus0_closed(cfg, t_max, x_total_max), 0)
 
 
 def genus1_dims(
     cfg: LinkConfig, t_max: int, x_total_max: int | None = None
 ) -> TruncatedSeries:
-    """z-graded dimension series of the genus-one Hodge summands.
-
-    Totient-weighted logarithm plus the dihedral correction term;
-    specializing z = -1 recovers :func:`genus1_closed`.
-    """
-    m_values, d = cfg.require_values()
-    vars_, spec = _dims_spec(cfg, t_max, x_total_max)
-    one = TruncatedSeries.one(vars_, spec)
-    out = TruncatedSeries.zero(vars_, spec)
-    for l in range(1, t_max + 1):
-        sign = -1 if (d * (l - 1)) % 2 else 1
-        zu_l = TruncatedSeries.term(vars_, spec, {"z": (d - 2) * l, "u": l}, sign)
-        arg = one - zu_l * color_power_sum(cfg, vars_, spec, l, "dims")
-        out = out + arg.log().scaled(QQ(-totient(l), 2 * l))
-    sd = -1 if d % 2 else 1
-    a1 = color_power_sum(cfg, vars_, spec, 1, "dims")
-    a2 = color_power_sum(cfg, vars_, spec, 2, "dims")
-    zu = TruncatedSeries.term(vars_, spec, {"z": d - 2, "u": 1})
-    zu2 = TruncatedSeries.term(vars_, spec, {"z": 2 * d - 4, "u": 2})
-    numer = zu2 * a1 * a1 + (zu2 * a2).scaled(sd) - (zu * a1).scaled(2)
-    denom = one - (zu2 * a2).scaled(sd)
-    return out + (numer * denom.inverse()).scaled(QQ(-sd, 4))
+    """z-graded dimension series of the genus-one Hodge summands:
+    :func:`genus1_closed` regraded by :func:`_dims_from_euler`."""
+    return _dims_from_euler(cfg, genus1_closed(cfg, t_max, x_total_max), 1)
 
 
 @dataclass

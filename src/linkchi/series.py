@@ -25,7 +25,8 @@ hbar window (-1, 1), ``(u/hbar * u/hbar) * u*hbar`` is 0 while
 ``u/hbar * (u/hbar * u*hbar)`` is ``u^3/hbar``.  Callers with negative
 Laurent exponents must pick windows from which no term they read back can
 be lost this way (``cycleindex.mod_envelope_supercharacter_direct`` states
-its argument).
+its argument).  A change of grading (:meth:`TruncatedSeries.regrade`)
+raises instead of dropping a term below a lower bound.
 
 Series are immutable after construction; all operations are pure.
 """
@@ -195,21 +196,25 @@ def _metric(vars_: VariableSet, mono: tuple[int, ...]):
     return xtot, u, zz, hb, pw
 
 
-def _in_bounds(spec: TruncationSpec, metric) -> bool:
+def _outside(spec: TruncationSpec, metric) -> int:
+    """0 inside the spec, 1 past an upper bound (ordinary truncation), -1
+    below a lower bound (u_min, the low end of a z/hbar window) only."""
     xtot, u, zz, hb, pw = metric
-    if spec.u_max is not None and not (spec.u_min <= u <= spec.u_max):
-        return False
-    if spec.x_total_max is not None and xtot > spec.x_total_max:
-        return False
-    if spec.z_window is not None and not (spec.z_window[0] <= zz <= spec.z_window[1]):
-        return False
-    if spec.hbar_window is not None and not (
-        spec.hbar_window[0] <= hb <= spec.hbar_window[1]
+    if (
+        (spec.u_max is not None and u > spec.u_max)
+        or (spec.x_total_max is not None and xtot > spec.x_total_max)
+        or (spec.z_window is not None and zz > spec.z_window[1])
+        or (spec.hbar_window is not None and hb > spec.hbar_window[1])
+        or (spec.p_weight_max is not None and pw > spec.p_weight_max)
     ):
-        return False
-    if spec.p_weight_max is not None and pw > spec.p_weight_max:
-        return False
-    return True
+        return 1
+    if (
+        (spec.u_max is not None and u < spec.u_min)
+        or (spec.z_window is not None and zz < spec.z_window[0])
+        or (spec.hbar_window is not None and hb < spec.hbar_window[0])
+    ):
+        return -1
+    return 0
 
 
 def _trunc_weight(spec: TruncationSpec, metric, use_z=False, use_h=False) -> int:
@@ -335,7 +340,7 @@ class TruncatedSeries:
                     raise SeriesError(
                         f"monomial {mono} has wrong arity for {vars_.names}"
                     )
-                if not _in_bounds(spec, _metric(vars_, mono)):
+                if _outside(spec, _metric(vars_, mono)):
                     continue
                 q = QQ(c)
                 if q != 0:
@@ -407,7 +412,7 @@ class TruncatedSeries:
                     out[mono] = acc
         if spec != self.spec or spec != other.spec:
             vars_ = self.vars
-            out = {m: c for m, c in out.items() if _in_bounds(spec, _metric(vars_, m))}
+            out = {m: c for m, c in out.items() if not _outside(spec, _metric(vars_, m))}
         return TruncatedSeries(self.vars, spec, out, _trusted=True)
 
     def __neg__(self) -> "TruncatedSeries":
@@ -725,7 +730,7 @@ class TruncatedSeries:
         for name, e in exponents.items():
             mono[self.vars.index(name)] = e
         mono = tuple(mono)
-        if not _in_bounds(self.spec, _metric(self.vars, mono)):
+        if _outside(self.spec, _metric(self.vars, mono)):
             raise OutOfBoundsError(
                 f"monomial {dict(exponents)} lies outside the truncation spec {self.spec}"
             )
@@ -751,22 +756,35 @@ class TruncatedSeries:
         spec = self.spec.meet(spec)
         vars_ = self.vars
         out = {
-            m: c for m, c in self.coeffs.items() if _in_bounds(spec, _metric(vars_, m))
+            m: c for m, c in self.coeffs.items() if not _outside(spec, _metric(vars_, m))
         }
         return TruncatedSeries(vars_, spec, out, _trusted=True)
 
-    def map_monomials(self, fn) -> "TruncatedSeries":
-        """Apply fn(mono, coeff) -> (mono', coeff') and re-truncate; internal helper."""
+    def regrade(self, vars_: VariableSet, spec: TruncationSpec, fn) -> "TruncatedSeries":
+        """Map every monomial to another grading: ``fn(mono) -> (mono', sign)``.
+
+        The result lives over ``(vars_, spec)`` and holds ``sign * c`` at
+        ``mono'`` for each term ``c * mono``.  A monomial past an upper
+        bound of ``spec`` is dropped (ordinary truncation); one below a
+        lower bound raises :class:`SeriesError`, because the spec promised
+        to keep it.  ``fn`` must be injective (two monomials sent to one
+        raise) and may raise itself for a monomial it has no image for.
+        """
         out: dict[tuple[int, ...], object] = {}
         for mono, c in self.coeffs.items():
-            m2, c2 = fn(mono, c)
-            if c2 == 0 or not _in_bounds(self.spec, _metric(self.vars, m2)):
+            m2, sign = fn(mono)
+            side = _outside(spec, _metric(vars_, m2))
+            if side > 0:
                 continue
-            acc = out.get(m2)
-            out[m2] = c2 if acc is None else acc + c2
-        return TruncatedSeries(
-            self.vars, self.spec, {m: c for m, c in out.items() if c != 0}, _trusted=True
-        )
+            if side < 0:
+                names = dict(zip(vars_.names, m2))
+                raise SeriesError(
+                    f"monomial {names} (from {mono}) lies below the lower bounds of {spec}"
+                )
+            if m2 in out:
+                raise SeriesError(f"regrading sends two monomials to {m2}")
+            out[m2] = c if sign == 1 else sign * c
+        return TruncatedSeries(vars_, spec, out, _trusted=True)
 
     # ------------------------------------------------------ presentation
 
@@ -847,6 +865,6 @@ def _invert_term(series: TruncatedSeries) -> TruncatedSeries:
         )
     (mono, c), = series.coeffs.items()
     inv = tuple(-e for e in mono)
-    if not _in_bounds(series.spec, _metric(series.vars, inv)):
+    if _outside(series.spec, _metric(series.vars, inv)):
         raise OutOfBoundsError(f"inverse monomial {inv} falls outside the spec")
     return TruncatedSeries(series.vars, series.spec, {inv: QQ(1) / QQ(c)}, _trusted=True)

@@ -238,8 +238,9 @@ def gamma_series(x_arg: TruncatedSeries, u_arg: TruncatedSeries) -> TruncatedSer
 
 
 def _raise_exponents(series: TruncatedSeries, l: int) -> TruncatedSeries:
-    """x_i <- x_i^l, u <- u^l (all variables raised); out-of-spec monomials drop."""
-    return series.map_monomials(lambda m, c: (tuple(e * l for e in m), c))
+    """x_i <- x_i^l, u <- u^l (all variables raised); past an upper bound
+    a monomial drops, below a z/hbar window it raises :class:`SeriesError`."""
+    return series.regrade(series.vars, series.spec, lambda m: (tuple(e * l for e in m), 1))
 
 
 def _plethystic_bound(spec) -> int:

@@ -23,6 +23,12 @@ Route ledger: the code paths each cross-route check compares.
   ``plethystic_log(f_homology)`` against ``f_homotopy_direct``, the
   series behind the published grids that ``tables`` compares with.
 
+* ``genus-split`` (four parities, r = 2, t = 12): "hbar^0/hbar^1 vs
+  genus-0/1 closed form", the genus layers of the double sum against
+  ``genus0_closed`` and ``genus1_closed`` (direct log sums); "genus-0/1
+  dims at z=-1", which pins only the sign (-1)^e of ``genus{0,1}_dims``,
+  the closed forms regraded to degree e.
+
 * ``cycle-index``:
 
   - "Euler specialization vs F^pi": ``specialize_colors`` of
@@ -36,6 +42,10 @@ Route ledger: the code paths each cross-route check compares.
     sides run the double sum, so this pins the genus regrading and the
     hbar windows only.  Sharing the engine with F^pi lost nothing here:
     the two routes already shared one copy of the double sum before.
+  - "tree-level Euler specialization vs genus-0 closed form", and "tree
+    (hedgehog) dims vs genus-0 (genus-1) dims": ``z_lie_cyclic`` (the
+    dihedral ``_z_dihedral_induced``) regraded and specialized, against
+    the closed forms.  Both sides place terms by the same degree map.
 
 * ``oracle`` (four parities, r = 2; genus 0-3 at t <= 4, genus 0-2 at
   t = 5): ``euler_char_oracle``, a signed count of hairy-graph classes
@@ -46,6 +56,16 @@ plethystic route in "direct vs plethystic" (``route-equivalence``) and
 in ``tables-second-route``, which shares with it only the builders of
 X_{l,1} and F_l(u); the published grids in ``tables``; and the graph
 enumeration in ``oracle``.
+
+Two routes that share no formula pin each genus-0/1 quantity:
+``genus0_closed`` by hbar^0 of the double sum and by the tree
+specialization; ``genus1_closed`` by hbar^1 and by "hedgehog dims vs
+genus-1 dims"; the p-content of the tree and hedgehog cycle indices by
+the cyclic-Lie test and the brute-force dihedral ``induced_cycle_index``
+(``tests/test_cycleindex.py``).  The degree map
+(``genfun._homological_degree``) is pinned only by the hand-derived
+degree tests in ``tests/test_genfun.py`` and the dimension EGA checks in
+``cycle-index``, until graph-homology ranks give it a second route.
 
 ``exp`` is still pinned by routes that do not share it: the property
 tests comparing it with the repeated-product reference
@@ -279,24 +299,21 @@ def check_genus_split(res: CheckResult, t_max: int = 12) -> None:
 
 
 def _drop_hbar(series: TruncatedSeries, cfg: LinkConfig) -> TruncatedSeries:
-    vars_ = cfg.xu_vars()
     spec = TruncationSpec(u_max=series.spec.u_max, x_total_max=series.spec.x_total_max)
     ih = series.vars.index("hbar")
-    out = {}
-    for mono, c in series.coeffs.items():
+
+    def drop(mono):
         if mono[ih] != 0:
             raise SeriesError(f"cannot drop hbar from monomial {mono}: hbar^{mono[ih]}")
-        out[mono[:ih] + mono[ih + 1 :]] = c
-    return TruncatedSeries(vars_, spec, out, _trusted=True)
+        return mono[:ih] + mono[ih + 1 :], 1
+
+    return series.regrade(cfg.xu_vars(), spec, drop)
 
 
 def _z_to_minus_one(series: TruncatedSeries, cfg: LinkConfig) -> TruncatedSeries:
     vars_ = cfg.xu_vars()
     spec = TruncationSpec(u_max=series.spec.u_max, x_total_max=series.spec.x_total_max)
-    assignments = {
-        "z": TruncatedSeries.constant(vars_, spec, -1),
-    }
-    return series.substitute(assignments)
+    return series.substitute({"z": TruncatedSeries.constant(vars_, spec, -1)})
 
 
 def check_cycle_index(res: CheckResult, t_max: int = 8, r_max: int = 3, w_max: int = 6, g_max: int = 4) -> None:

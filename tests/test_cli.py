@@ -149,6 +149,18 @@ def test_oracle_format_is_json_only(capsys, tmp_path):
         assert "invalid choice" in capsys.readouterr().err
 
 
+def test_verify_format_is_text_only(capsys):
+    argv = ["verify", "--only", "gamma", "--t-max", "4"]
+    _, default, _ = run_cli(argv, capsys)
+    code, explicit, _ = run_cli(argv + ["--format", "text"], capsys)
+    assert code == 0 and explicit == default
+    for fmt in ("csv", "json"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--format", fmt])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
 def test_verify_subset(capsys):
     code, out, _ = run_cli(
         ["verify", "--only", "special-polynomials,gamma", "--t-max", "6"], capsys

@@ -196,6 +196,39 @@ def test_genus0_dims_degree_bookkeeping():
     assert dims2.coefficient({"x1": 1, "x2": 1, "u": 1, "z": deg}) == 1
     assert dims2.coefficient({"x1": 2, "u": 1, "z": deg}) == 1
 
+    # mixed dimensions m = (1, 2), d = 6: a trivalent tree with k hairs has
+    # k - 2 vertices (degree -d each) and 2k - 3 edges (d - 1 each), so
+    # degree (d - 2) k - d + 3 - sum m_i s_i at complexity k - 1
+    mixed = LinkConfig.create((1, 2), 6)
+    dims3 = genus0_dims(mixed, 2, x_total_max=3)
+    assert dims3.coeffs == {
+        (1, 1, 1, 4 * 2 - 3 - 3): QQ(1),
+        (0, 2, 1, 4 * 2 - 3 - 4): QQ(1),
+        (3, 0, 2, 4 * 3 - 3 - 3): QQ(1),
+        (2, 1, 2, 4 * 3 - 3 - 4): QQ(1),
+    }
+
+
+def test_genus1_dims_degree_bookkeeping():
+    # an n-hair hedgehog has n vertices and 2n edges (n in the cycle, n
+    # hairs), so degree 2n(d - 1) - n d - sum m_i s_i = n(d - 2) - sum m_i s_i
+    # at complexity n
+    single = genus1_dims(LinkConfig.create((2,), 5), 6)
+    assert single.coeffs == {(3, 3, 3 * 3 - 2 * 3): QQ(1)}
+
+    two = genus1_dims(LinkConfig.create((1, 1), 5), 4)
+    assert two.coefficient({"x1": 1, "x2": 1, "u": 2, "z": 2 * 3 - 2}) == 1
+    assert two.coefficient({"x1": 2, "x2": 2, "u": 4, "z": 4 * 3 - 4}) == 2
+    assert set(two.exponents_of("z")) == {2 * 3 - 2, 4 * 3 - 4}
+
+    mixed = genus1_dims(LinkConfig.create((1, 2), 6), 3)
+    assert mixed.coeffs == {
+        (1, 0, 1, 4 - 1): QQ(1),
+        (0, 1, 1, 4 - 2): QQ(1),
+        (0, 3, 3, 3 * 4 - 6): QQ(1),
+        (1, 2, 3, 3 * 4 - 1 - 4): QQ(1),
+    }
+
 
 def test_euler_table_anchors_and_layout():
     f_pi = f_homotopy_direct(ODD2, 9)

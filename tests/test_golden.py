@@ -1,20 +1,25 @@
 """Byte-for-byte CLI outputs, recorded before the double-sum engine merge
 (table, supercharacter, homology) and before orderly generation in the
-graph oracle (oracle).
+graph oracle (oracle), and library series recorded before the z-graded
+genus-0/1 series became regradings of their Euler forms (series-*).
 
-Each case runs ``linkchi`` in-process with ``--output`` and compares the
-written bytes with ``tests/golden/<name>``.  To record the files again
-(only after a deliberate change of output), run
+Each CLI case runs ``linkchi`` in-process with ``--output`` and compares
+the written bytes with ``tests/golden/<name>``; each series case compares
+the variables, the truncation spec and the canonical text of one series.
+To record the files again (only after a deliberate change of output), run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from linkchi import cli
+from linkchi.cycleindex import z_hedgehog_homology, z_tree_homology
+from linkchi.genfun import LinkConfig, f_homotopy_graded, genus0_dims, genus1_dims
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,6 +56,31 @@ CASES.update({
     for parity, s, t in (("odd-odd", "2,1", "4"), ("even-even", "1,0", "3"), ("odd-even", "1,1", "3"))
 })
 
+SERIES_CASES = {
+    f"series-genus{g}-dims-m{m[0]},{m[1]}-d{d}-t6.txt": partial(fn, LinkConfig.create(m, d), 6)
+    for g, fn in ((0, genus0_dims), (1, genus1_dims))
+    for m in ((1, 1), (2, 2), (1, 2))
+    for d in (4, 5, 6, 7)
+}
+SERIES_CASES.update({
+    f"series-{name}-homology-d{d}-w8.txt": partial(fn, d, 8)
+    for name, fn in (("tree", z_tree_homology), ("hedgehog", z_hedgehog_homology))
+    for d in range(2, 8)
+})
+SERIES_CASES.update({
+    f"series-graded-{parity}-t8.txt": partial(
+        f_homotopy_graded, LinkConfig.create((int(m[0]),) * 2, int(d)), 8
+    )
+    for parity, (m, d) in _PARITIES.items()
+})
+
+
+def _series_text(series) -> bytes:
+    return (
+        f"# vars: {','.join(series.vars.names)}\n# spec: {series.spec}\n"
+        f"{series.to_text()}\n"
+    ).encode()
+
 
 def _render(argv, target: Path) -> bytes:
     code = cli.main(argv + ["--output", str(target)])
@@ -64,7 +94,14 @@ def test_golden_output(name, tmp_path):
     assert _render(CASES[name], tmp_path / name) == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(SERIES_CASES))
+def test_golden_series(name):
+    assert _series_text(SERIES_CASES[name]()) == (GOLDEN / name).read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         _render(argv, GOLDEN / name)
+    for name, build in SERIES_CASES.items():
+        (GOLDEN / name).write_bytes(_series_text(build()))

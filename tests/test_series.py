@@ -223,6 +223,35 @@ def test_laurent_window_storage():
     assert TruncatedSeries.term(hv, spec, {"hbar": -3}).is_zero()
 
 
+def test_regrade_drops_above_and_raises_below():
+    hv = VariableSet(has_u=True, has_hbar=True)
+    spec = TruncationSpec(u_max=3, hbar_window=(0, 2))
+    a = TruncatedSeries(hv, spec, {(1, 0): 2, (2, 1): QQ(1, 3), (3, 2): -1})
+
+    def shift(k):
+        return lambda m: ((m[0], m[1] + k), -1)
+
+    # hbar -> hbar + 1: u^3 hbar^3 is past the window's top and drops
+    assert a.regrade(hv, spec, shift(1)) == TruncatedSeries(
+        hv, spec, {(1, 1): -2, (2, 2): QQ(-1, 3)}
+    )
+    # hbar -> hbar - 1: u hbar^(-1) is below the window's bottom and raises
+    with pytest.raises(SeriesError, match="below"):
+        a.regrade(hv, spec, shift(-1))
+    # past an upper bound wins over below a lower bound: plain truncation
+    high = TruncatedSeries.term(hv, spec, {"u": 3})
+    assert high.regrade(hv, spec, lambda m: ((m[0] + 1, -1), 1)).is_zero()
+    # below u_min raises too
+    with pytest.raises(SeriesError, match="below"):
+        high.regrade(hv, spec, lambda m: ((m[0] - 4, 0), 1))
+
+
+def test_regrade_rejects_two_monomials_on_one():
+    a = s({"x1": 1}) + s({"x2": 1})
+    with pytest.raises(SeriesError, match="two monomials"):
+        a.regrade(XU, SPEC, lambda m: ((m[0] + m[1], 0, m[2]), 1))
+
+
 # ---------------------------------------------------------------- properties
 
 characters = st.integers(-4, 4)
@@ -324,8 +353,8 @@ def test_graded_log_matches_repeated_products(case):
 
 
 def test_graded_log_single_grade_laurent():
-    # genus0_dims takes logs of 1 - (one u-grade with negative z); a single
-    # grade follows the same truncated products as the naive form
+    # the log of 1 - (one u-grade with negative z) follows the same
+    # truncated products as the naive form
     spec = TruncationSpec(u_max=4, x_total_max=4, z_window=(-3, 3))
     h = TruncatedSeries(XZ, spec, {(1, 1, -1): 2, (1, 1, 1): -1})
     g = TruncatedSeries.one(XZ, spec) - h

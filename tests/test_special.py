@@ -191,6 +191,15 @@ def test_plethystic_exp_rejects_monomial_without_truncated_weight():
         plethystic_exp(TruncatedSeries.term(zv, zspec, {"z": 1}))
 
 
+def test_plethystic_exp_raises_on_exponents_raised_below_the_window():
+    # u/z raised to l = 3 is u^3/z^3, below the z window; dropping it would
+    # lose the u^3/z^3 term of the product 1/(1 - u/z)
+    zv = VariableSet(has_u=True, has_z=True)
+    zspec = TruncationSpec(u_max=4, z_window=(-2, 2))
+    with pytest.raises(SeriesError, match="below"):
+        plethystic_exp(TruncatedSeries.term(zv, zspec, {"u": 1, "z": -1}))
+
+
 SPEC6 = TruncationSpec(u_max=6, x_total_max=6)
 chi_values = st.integers(-3, 3)
 monos = st.tuples(st.integers(0, 2), st.integers(1, 3))
