@@ -17,7 +17,7 @@ import sys
 from .cycleindex import feynman_regrade, mod_envelope_supercharacter
 from .genfun import LinkConfig, euler_table, f_homology
 from .graphs import EnumerationBudget, enumerate_classes
-from .rationals import qq_str
+from .rationals import QQ, qq_str
 from .verify import CHECK_NAMES, run_checks
 
 __all__ = ["main", "build_parser"]
@@ -165,7 +165,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         raise SystemExit2(str(exc))
     failed = False
-    lines = []
+    lines = [f"backend: {QQ.__module__}"]
     for res in results:
         status = "PASS" if res.ok else "FAIL"
         lines.append(f"[{status}] {res.name}")

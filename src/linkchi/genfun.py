@@ -140,23 +140,20 @@ def color_power_sum(
     sum_i (-1)^(m_i) x_i^l in ``"euler"`` mode, alpha_l(1/z) =
     sum_i (-1)^(m_i (l-1)) x_i^l z^(-m_i l) in ``"dims"`` mode (integer
     m_i needed)."""
-    coeffs: dict[tuple[int, ...], object] = {}
+    iz = None
     if mode == "euler":
-        for i in range(cfg.r):
-            mono = [0] * vars_.nvars
-            mono[i] = l
-            key = tuple(mono)
-            coeffs[key] = coeffs.get(key, 0) + (-cfg.eps(i))
+        signs = [-cfg.eps(i) for i in range(cfg.r)]
     else:
         m_values, _ = cfg.require_values()
         iz = vars_.index("z")
-        for i, m in enumerate(m_values):
-            mono = [0] * vars_.nvars
-            mono[i] = l
-            mono[iz] = -m * l
-            sign = -1 if (m * (l - 1)) % 2 else 1
-            key = tuple(mono)
-            coeffs[key] = coeffs.get(key, 0) + sign
+        signs = [-1 if (m * (l - 1)) % 2 else 1 for m in m_values]
+    coeffs = {}
+    for i, sign in enumerate(signs):  # strand i owns the monomial x_i^l
+        mono = [0] * vars_.nvars
+        mono[i] = l
+        if iz is not None:
+            mono[iz] = -m_values[i] * l
+        coeffs[tuple(mono)] = sign
     return TruncatedSeries(vars_, spec, coeffs)
 
 

@@ -28,6 +28,15 @@ be lost this way (``cycleindex.mod_envelope_supercharacter_direct`` states
 its argument).  A change of grading (:meth:`TruncatedSeries.regrade`)
 raises instead of dropping a term below a lower bound.
 
+Coefficients are stored as ``QQ``, but products, ``exp`` and ``log`` run
+on integer numerators (:class:`_PairLoop`).  Each operand is scaled once by
+the lcm of its denominators, cached per series; the pair loop multiplies
+and adds plain ``int``.  ``exp`` and ``log`` sum every product of one grade
+over a single denominator and fold the grade back once, as one
+``QQ(numerator, denominator)`` per output monomial.  Only ``numerator``
+and ``denominator`` of a ``QQ`` are read, so this holds for ``Fraction``
+and for gmpy2's ``mpq`` alike.
+
 Series are immutable after construction; all operations are pure.
 """
 
@@ -35,6 +44,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Mapping
 
 from .rationals import QQ, qq_str
@@ -239,12 +249,27 @@ def _trunc_weight(spec: TruncationSpec, metric, use_z=False, use_h=False) -> int
     return w
 
 
-class _PairLoop:
-    """Truncated products of item lists ``[(monomial, metric, coefficient)]``.
+def _reduced(den: int, items: list) -> tuple[int, list]:
+    """The nonzero integer items ``n / den`` over the lcm of their reduced
+    denominators: den divided by the gcd of den and every numerator."""
+    g = gcd(den, *(n for _m, _met, n in items))
+    if g == 1:
+        return den, items
+    return den // g, [(m, met, n // g) for m, met, n in items]
 
-    The right operand is bucketed by the dominant bounded direction (u, or
-    p-weight when u is absent) and each bucket is sorted by x-total, so
-    pairs outside the spec are mostly never visited.
+
+class _PairLoop:
+    """Truncated products of item lists ``[(monomial, metric, numerator)]``.
+
+    Coefficients are integer numerators over one denominator per operand
+    (:meth:`TruncatedSeries._int_items`): ``accumulate`` multiplies and
+    adds plain ``int`` and leaves the sum over the product of the two
+    denominators.  The caller rebuilds a ``QQ`` once per output monomial:
+    ``*`` per product, ``exp`` and ``log`` per grade, whose products
+    ``grade_sum`` brings to one common denominator.  The right operand is
+    bucketed by the dominant bounded direction (u, or p-weight when u is
+    absent) and each bucket is sorted by x-total, so pairs outside the spec
+    are mostly never visited.
     """
 
     __slots__ = ("spec", "use_u", "use_w")
@@ -266,14 +291,31 @@ class _PairLoop:
             lst.sort(key=lambda it: it[1][0])
         return sorted(buckets.items())
 
+    def grade_sum(self, calls) -> tuple[int, dict]:
+        """``(den, {monomial: numerator})``: the sum of the products of
+        ``calls = [(d, a_items, b_buckets)]``, each over its own denominator
+        d, as integer numerators over ``den = lcm(d)``.  The left items of
+        each call are scaled once, by den / d."""
+        den = lcm(*(d for d, _a, _b in calls))
+        acc: dict[tuple[int, ...], int] = {}
+        for d, a_items, b_buckets in calls:
+            scale = den // d
+            if scale != 1:
+                a_items = [(m, met, c * scale) for m, met, c in a_items]
+            self.accumulate(acc, a_items, b_buckets)
+        return den, acc
+
     def accumulate(self, out: dict, a_items, b_buckets) -> None:
-        """Add every in-spec product of a term of a and a term of b into ``out``."""
+        """Add every in-spec product of a term of a and a term of b into ``out``.
+
+        Sums may cancel to 0; the caller skips zero numerators."""
         spec = self.spec
         use_u, use_w = self.use_u, self.use_w
         u_max, u_min = spec.u_max, spec.u_min
         s_cap = spec.x_total_max
         zw, hw, w_cap = spec.z_window, spec.hbar_window, spec.p_weight_max
         add = operator.add
+        get = out.get
         for m1, met1, c1 in a_items:
             xt1, u1, z1, h1, pw1 = met1
             if use_u:
@@ -301,22 +343,13 @@ class _PairLoop:
                         if hb < hw[0] or hb > hw[1]:
                             continue
                     key = tuple(map(add, m1, m2))
-                    c = c1 * c2
-                    acc = out.get(key)
-                    if acc is None:
-                        out[key] = c
-                    else:
-                        acc = acc + c
-                        if acc == 0:
-                            del out[key]
-                        else:
-                            out[key] = acc
+                    out[key] = get(key, 0) + c1 * c2
 
 
 class TruncatedSeries:
     """Sparse map monomial -> coefficient, with no stored zeros."""
 
-    __slots__ = ("vars", "spec", "coeffs", "_items_cache")
+    __slots__ = ("vars", "spec", "coeffs", "_int_cache")
 
     def __init__(
         self,
@@ -328,7 +361,7 @@ class TruncatedSeries:
     ):
         self.vars = vars_
         self.spec = spec
-        self._items_cache = None
+        self._int_cache = None
         if coeffs is None:
             self.coeffs = {}
         elif _trusted:
@@ -438,27 +471,40 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def _items(self):
-        """[(monomial, metric, coefficient)] with metrics cached per series."""
-        cached = self._items_cache
+    def _int_items(self) -> tuple[int, list]:
+        """``(D, [(monomial, metric, D * coefficient)])`` with D the lcm of
+        the denominators, so that every numerator is an ``int``; cached per
+        series."""
+        cached = self._int_cache
         if cached is None:
             vars_ = self.vars
-            cached = [(m, _metric(vars_, m), c) for m, c in self.coeffs.items()]
-            self._items_cache = cached
+            den = 1
+            for c in self.coeffs.values():
+                if den % c.denominator:
+                    den = lcm(den, c.denominator)
+            cached = den, [
+                (m, _metric(vars_, m), c.numerator * (den // c.denominator))
+                for m, c in self.coeffs.items()
+            ]
+            self._int_cache = cached
         return cached
 
     def _mul_series(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_vars(other)
         vars_ = self.vars
         spec = self.spec.meet(other.spec)
-        out: dict[tuple[int, ...], object] = {}
         if not self.coeffs or not other.coeffs:
-            return TruncatedSeries(vars_, spec, out, _trusted=True)
+            return TruncatedSeries(vars_, spec, {}, _trusted=True)
         a, b = (
             (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
         )
         pairs = _PairLoop(vars_, spec)
-        pairs.accumulate(out, a._items(), pairs.buckets(b._items()))
+        da, a_items = a._int_items()
+        db, b_items = b._int_items()
+        acc: dict[tuple[int, ...], int] = {}
+        pairs.accumulate(acc, a_items, pairs.buckets(b_items))
+        den = da * db
+        out = {m: QQ(n, den) for m, n in acc.items() if n}
         return TruncatedSeries(vars_, spec, out, _trusted=True)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
@@ -480,9 +526,10 @@ class TruncatedSeries:
     def _grades(self) -> tuple[dict[int, list], int]:
         """Homogeneous pieces under the nilpotence weight, and the top weight.
 
-        Returns ``({k: [(monomial, metric, coefficient)]}, top)``: the
-        terms of weight k >= 1, and the largest weight an in-spec monomial
-        can have.  A direction counts toward the weight when the spec
+        Returns ``({k: [(monomial, metric, numerator)]}, top)``: the terms
+        of weight k >= 1 as integer numerators over the series' common
+        denominator (:meth:`_int_items`), and the largest weight an in-spec
+        monomial can have.  A direction counts toward the weight when the spec
         bounds it above and no monomial of the series has a negative
         exponent there (so powers of the series can only climb and
         eventually leave the spec).  u, total x and p-weight are
@@ -490,7 +537,7 @@ class TruncatedSeries:
         A monomial of weight 0 is never nilpotent and raises.
         """
         spec, vars_ = self.spec, self.vars
-        items = self._items()
+        _den, items = self._int_items()
         if spec.u_max is not None and any(met[1] < 0 for _m, met, _c in items):
             raise SeriesError("exp/log need nonnegative u-exponents")
         use_z = (
@@ -532,43 +579,48 @@ class TruncatedSeries:
         TAOCP vol. 2, 4.7).  Grades are disjoint, so each finished g_n goes
         straight into the output.  Terminates because every monomial has
         positive weight and weights above the spec's top cannot occur.
+
+        Each ``k f_k`` holds integer numerators over the denominator D_f of
+        f, and each ``g_n`` over its own D_n.  Grade n sums its products
+        over ``den = D_f * lcm(D_{n-k})``, scaling each left operand once
+        by ``den / (D_f D_{n-k})``; g_n is then ``sum / (n den)``.
         """
         if self.constant_term() != 0:
             raise SeriesError("exp requires zero constant term")
         grades, top = self._grades()
+        d_f = self._int_items()[0]
         vars_, spec = self.vars, self.spec
         pairs = _PairLoop(vars_, spec)
         origin = (0,) * vars_.nvars
-        one = QQ(1)
-        out = {origin: one}
+        out = {origin: QQ(1)}
         weighted = sorted(
             (k, [(m, met, k * c) for m, met, c in items] if k > 1 else items)
             for k, items in grades.items()
         )
-        g_buckets = {0: pairs.buckets([(origin, _metric(vars_, origin), one)])}
+        g_buckets = {0: (1, pairs.buckets([(origin, _metric(vars_, origin), 1)]))}
         kmax = weighted[-1][0] if weighted else 0
         empty_run = 0
         for n in range(1, top + 1):
-            acc: dict[tuple[int, ...], object] = {}
+            calls = []
             for k, kf in weighted:
                 if k > n:
                     break
-                gb = g_buckets.get(n - k)
-                if gb is not None:
-                    pairs.accumulate(acc, kf, gb)
-            if not acc:
+                if n - k in g_buckets:
+                    d_g, gb = g_buckets[n - k]
+                    calls.append((d_g, kf, gb))
+            den, acc = pairs.grade_sum(calls)
+            den *= d_f * n
+            piece = [(m, _metric(vars_, m), c) for m, c in acc.items() if c]
+            if not piece:
                 empty_run += 1
                 if empty_run >= kmax:
                     break  # every later grade multiplies only empty grades
                 continue
             empty_run = 0
-            inv = QQ(1, n)
-            piece = []
-            for m, c in acc.items():
-                c = c * inv
-                out[m] = c
-                piece.append((m, _metric(vars_, m), c))
-            g_buckets[n] = pairs.buckets(piece)
+            for m, _met, c in piece:
+                out[m] = QQ(c, den)
+            d_n, piece = _reduced(den, piece)
+            g_buckets[n] = (d_n, pairs.buckets(piece))
         return TruncatedSeries(vars_, spec, out, _trusted=True)
 
     def log(self) -> "TruncatedSeries":
@@ -580,6 +632,11 @@ class TruncatedSeries:
         of ``(1 + h) D f = D h`` (see :meth:`exp` for D).  Once the
         operand's grades are used up and the last kmax grades of f are
         empty, every later grade is empty too.
+
+        The pieces h_k hold integer numerators over the denominator D_h of
+        h, and each ``n f_n`` over its own D_n.  Grade n sums its products
+        over ``den = D_h * lcm(D_{n-k})``, scaling each left operand once by
+        ``den / (D_h D_{n-k})``; ``n f_n`` is then an integer over den.
         """
         if self.constant_term() != 1:
             raise SeriesError("log requires constant term 1")
@@ -589,43 +646,39 @@ class TruncatedSeries:
             vars_, spec, {m: c for m, c in self.coeffs.items() if m != origin}, _trusted=True
         )
         grades, top = h._grades()
+        d_h = h._int_items()[0]
         pairs = _PairLoop(vars_, spec)
         h_buckets = sorted((k, pairs.buckets(items)) for k, items in grades.items())
         kmax = h_buckets[-1][0] if h_buckets else 0
         out: dict[tuple[int, ...], object] = {}
-        weighted: dict[int, list] = {}  # n -> terms of n f_n
+        weighted: dict[int, tuple[int, list]] = {}  # n -> terms of n f_n
         empty_run = 0
         for n in range(1, top + 1):
-            acc: dict[tuple[int, ...], object] = {}
+            calls = []
             for k, hb in h_buckets:
                 if k >= n:
                     break
-                kf = weighted.get(n - k)
-                if kf is not None:
-                    pairs.accumulate(acc, kf, hb)
+                if n - k in weighted:
+                    d_w, kf = weighted[n - k]
+                    calls.append((d_w, kf, hb))
+            den, acc = pairs.grade_sum(calls)
             piece = []
             for m, met, c in grades.get(n, ()):
-                a = acc.pop(m, None)
-                if a is None:
-                    out[m] = c
-                    piece.append((m, met, n * c))
-                else:
-                    nf = n * c - a
-                    if nf != 0:
-                        out[m] = nf / n
-                        piece.append((m, met, nf))
-            if acc:
-                inv = QQ(-1, n)
-                for m, a in acc.items():
-                    out[m] = a * inv
-                    piece.append((m, _metric(vars_, m), -a))
+                c = n * den * c - acc.pop(m, 0)
+                if c:
+                    piece.append((m, met, c))
+            piece.extend((m, _metric(vars_, m), -a) for m, a in acc.items() if a)
             if not piece:
                 empty_run += 1
                 if empty_run >= kmax and n >= kmax:
                     break
                 continue
             empty_run = 0
-            weighted[n] = piece
+            den *= d_h
+            out_den = den * n
+            for m, _met, c in piece:
+                out[m] = QQ(c, out_den)
+            weighted[n] = _reduced(den, piece)
         return TruncatedSeries(vars_, spec, out, _trusted=True)
 
     def pow_series(self, exponent: "TruncatedSeries") -> "TruncatedSeries":

@@ -22,6 +22,8 @@ Route ledger: the code paths each cross-route check compares.
 * ``tables-second-route`` (odd/odd, r = 2, the published t = 23):
   ``plethystic_log(f_homology)`` against ``f_homotopy_direct``, the
   series behind the published grids that ``tables`` compares with.
+  With ``--t-max 30`` both run past the published rows, where ``tables``
+  checks palindromy alone.
 
 * ``genus-split`` (four parities, r = 2, t = 12): "hbar^0/hbar^1 vs
   genus-0/1 closed form", the genus layers of the double sum against
@@ -272,13 +274,8 @@ def check_genus_split(res: CheckResult, t_max: int = 12) -> None:
     for parity_key in _PARITY_CONFIGS:
         cfg = _cfg(parity_key, 2)
         f_pi = f_homotopy_direct(cfg, t_max)
-        try:
-            graded = f_homotopy_graded(cfg, t_max, f_pi=f_pi)
-        except Exception as exc:  # negative genus is a hard failure
-            res.fail(f"graded split ({parity_key}): {exc}")
-            continue
-        if not graded.grade_extract("hbar", -1).is_zero():
-            res.fail(f"graded split ({parity_key}): negative-genus part nonzero")
+        # a negative genus (|s| > t + 1) raises SeriesError inside the regrade
+        graded = f_homotopy_graded(cfg, t_max, f_pi=f_pi)
         h0 = _drop_hbar(graded.grade_extract("hbar", 0), cfg)
         h1 = _drop_hbar(graded.grade_extract("hbar", 1), cfg)
         g0 = genus0_closed(cfg, t_max)
@@ -325,11 +322,10 @@ def check_cycle_index(res: CheckResult, t_max: int = 8, r_max: int = 3, w_max: i
             direct = f_homotopy_direct(cfg, t_max, x_total_max=t_max + 1)
             _series_equal(res, f"Euler specialization vs F^pi ({parity_key}, r={r})", spec, direct)
     for twist in ("plain", "det"):
+        # both routes raise SeriesError on a negative genus (their regrade)
         a = mod_envelope_supercharacter(twist, w_max, g_max)
         b = mod_envelope_supercharacter_direct(twist, w_max, g_max)
         _series_equal(res, f"modular envelope two routes ({twist})", a, b)
-        if any(e < 0 for e in a.exponents_of("hbar")):
-            res.fail(f"modular envelope ({twist}): negative genus exponent")
         p_start = a.vars.p_start()
         if any(sum(m[p_start:]) == 0 for m in a.coeffs):
             res.fail(f"modular envelope ({twist}): arity-zero part is not empty")
@@ -369,15 +365,16 @@ def check_cycle_index(res: CheckResult, t_max: int = 8, r_max: int = 3, w_max: i
 
 
 def check_tables(res: CheckResult, t_max: int = TABLE_T_MAX) -> None:
+    """The direct route against the published grids (rows t <= 23), and
+    palindromy of every computed row, past the published ones too."""
     cfg = LinkConfig.create((1, 1), 3)
     f_pi = f_homotopy_direct(cfg, t_max)
     recon = set(RECONCILIATION_CELLS)
     for g in range(4):
-        table = euler_table(cfg, g, t_max, f_pi=f_pi, s2_max=min(t_max, 23))
-        for t in range(1, t_max + 1):
+        table = euler_table(cfg, g, t_max, f_pi=f_pi)
+        for t in range(1, min(t_max, TABLE_T_MAX) + 1):
             row = table.rows[t]
-            for s2, got in enumerate(row):
-                want = TABLES[g][t][s2]
+            for s2, (got, want) in enumerate(zip(row, TABLES[g][t])):
                 if got == want:
                     continue
                 if (g, t, s2) in recon:
@@ -405,7 +402,7 @@ def check_tables(res: CheckResult, t_max: int = TABLE_T_MAX) -> None:
             s_total = t + 1 - g
             for s2 in range(max(s_total + 1, 0)):
                 mirror = s_total - s2
-                if 0 <= mirror <= min(t_max, 23) and s2 <= min(t_max, 23):
+                if 0 <= mirror <= t_max and s2 <= t_max:
                     if table.rows[t][s2] != table.rows[t][mirror]:
                         res.fail(f"genus {g} t={t}: row not palindromic at s2={s2}")
 

@@ -1,9 +1,12 @@
 """Repeated-product references for the graded series algorithms.
 
-``TruncatedSeries.exp`` and ``log`` build their results grade by grade,
-and ``plethystic_exp`` takes a single ``exp``.  These are the textbook
-forms they replaced, kept here as test oracles only:
+``TruncatedSeries`` multiplies on integer numerators over one denominator
+per operand (per grade in ``exp`` and ``log``), builds ``exp`` and ``log``
+grade by grade, and ``plethystic_exp`` takes a single ``exp``.  These are
+the textbook forms they replaced, kept here as test oracles only:
 
+* the product as a sum over every pair of terms in ``QQ`` arithmetic, each
+  pair kept when its monomial lies inside the meet of the two specs;
 * exp as the truncated sum of ``f^k / k!``, one full product per term;
 * log as the truncated sum of ``(-1)^(p+1) h^p / p`` with ``h = f - 1``;
 * plethystic_exp as the product of one geometric power ``(1 - m)^(-chi)``
@@ -12,8 +15,22 @@ forms they replaced, kept here as test oracles only:
 
 from __future__ import annotations
 
+import operator
+
 from linkchi.rationals import QQ, binomial
 from linkchi.series import SeriesError, TruncatedSeries
+
+
+def naive_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    if a.vars != b.vars:
+        raise SeriesError("variable sets differ")
+    out: dict[tuple[int, ...], QQ] = {}
+    for m1, c1 in a.coeffs.items():
+        for m2, c2 in b.coeffs.items():
+            m = tuple(map(operator.add, m1, m2))
+            out[m] = out.get(m, QQ(0)) + QQ(c1) * QQ(c2)
+    # the constructor drops the monomials outside the spec and the zeros
+    return TruncatedSeries(a.vars, a.spec.meet(b.spec), out)
 
 
 def naive_exp(series: TruncatedSeries) -> TruncatedSeries:
@@ -25,7 +42,7 @@ def naive_exp(series: TruncatedSeries) -> TruncatedSeries:
     k = 0
     while True:
         k += 1
-        term = (term * series).scaled(QQ(1, k))
+        term = naive_mul(term, series).scaled(QQ(1, k))
         if term.is_zero():
             return result
         result = result + term
@@ -41,7 +58,7 @@ def naive_log(series: TruncatedSeries) -> TruncatedSeries:
     p = 0
     while True:
         p += 1
-        power = power * y
+        power = naive_mul(power, y)
         if power.is_zero():
             return result
         result = result + power.scaled(QQ((-1) ** (p + 1), p))
@@ -56,7 +73,7 @@ def naive_plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
         c = series.coeffs[mono]
         if c.denominator != 1:
             raise SeriesError(f"plethystic_exp requires integer coefficients, got {c}")
-        out = out * _geometric_power(vars_, spec, mono, int(c))
+        out = naive_mul(out, _geometric_power(vars_, spec, mono, int(c)))
     return out
 
 

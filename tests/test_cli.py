@@ -295,6 +295,72 @@ def test_verify_tables_second_route_reports_first_difference(capsys, monkeypatch
     assert "at {'x1': 2, 'u': 3}" in out
 
 
+def test_verify_names_the_rational_backend(capsys):
+    from linkchi.rationals import QQ
+
+    code, out, _ = run_cli(["verify", "--only", "gamma", "--t-max", "3"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == f"backend: {QQ.__module__}"
+
+
+def test_verify_tables_checks_palindromy_past_the_published_rows(capsys, monkeypatch):
+    import linkchi.verify as verify_mod
+    from linkchi.series import TruncatedSeries
+
+    code, out, _ = run_cli(["verify", "--only", "tables", "--t-max", "25"], capsys)
+    assert code == 0
+    assert "[PASS] tables" in out
+    # genus 0, t=25: s = (25, 1) gains 1, its mirror s = (1, 25) does not
+    real = verify_mod.f_homotopy_direct
+
+    def lopsided(cfg, t_max, x_total_max=None):
+        out = real(cfg, t_max, x_total_max)
+        return out + TruncatedSeries.term(out.vars, out.spec, {"x1": 25, "x2": 1, "u": 25})
+
+    monkeypatch.setattr(verify_mod, "f_homotopy_direct", lopsided)
+    code, out, _ = run_cli(["verify", "--only", "tables", "--t-max", "25"], capsys)
+    assert code == 1
+    assert "genus 0 t=25: row not palindromic at s2=1" in out
+
+
+def test_verify_genus_split_fails_on_a_negative_genus(capsys, monkeypatch):
+    # x1^3 u has |s| = 3 > t + 1: genus -1, below the hbar window of the split
+    import linkchi.verify as verify_mod
+    from linkchi.series import TruncatedSeries
+
+    real = verify_mod.f_homotopy_direct
+
+    def with_negative_genus(cfg, t_max, x_total_max=None):
+        out = real(cfg, t_max, x_total_max)
+        return out + TruncatedSeries.term(out.vars, out.spec, {"x1": 3, "u": 1})
+
+    monkeypatch.setattr(verify_mod, "f_homotopy_direct", with_negative_genus)
+    code = cli.main(["verify", "--only", "genus-split", "--t-max", "3"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] genus-split" in out
+    assert "raised SeriesError: monomial" in out and "lies below the lower bounds" in out
+
+
+def test_verify_cycle_index_fails_on_a_negative_envelope_genus(capsys, monkeypatch):
+    # u p1^3 goes to hbar^(1 - 3 + 1): genus -1 in the modular envelope
+    import linkchi.cycleindex as cycleindex_mod
+    from linkchi.series import TruncatedSeries
+
+    real = cycleindex_mod.z_graph_supercharacter
+
+    def with_negative_genus(d_parity, weight_max, t_max):
+        out = real(d_parity, weight_max, t_max)
+        return out + TruncatedSeries.term(out.vars, out.spec, {"u": 1, "p1": 3})
+
+    monkeypatch.setattr(cycleindex_mod, "z_graph_supercharacter", with_negative_genus)
+    code = cli.main(["verify", "--only", "cycle-index", "--t-max", "3"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] cycle-index" in out
+    assert "raised SeriesError: monomial" in out and "lies below the lower bounds" in out
+
+
 def test_drop_hbar_rejects_nonzero_genus():
     from linkchi.genfun import LinkConfig
     from linkchi.series import SeriesError, TruncatedSeries, TruncationSpec, VariableSet

@@ -1,7 +1,8 @@
 """Byte-for-byte CLI outputs, recorded before the double-sum engine merge
-(table, supercharacter, homology) and before orderly generation in the
-graph oracle (oracle), and library series recorded before the z-graded
-genus-0/1 series became regradings of their Euler forms (series-*).
+(table, supercharacter, homology), before orderly generation in the
+graph oracle (oracle) and before the fraction-free series kernel (the t=30
+tables), and library series recorded before the z-graded genus-0/1 series
+became regradings of their Euler forms (series-*).
 
 Each CLI case runs ``linkchi`` in-process with ``--output`` and compares
 the written bytes with ``tests/golden/<name>``; each series case compares
@@ -39,6 +40,15 @@ CASES = {
     for genus in range(3)
     for fmt in ("text", "csv", "json")
 }
+# rows 24-30 go past the published grids; `verify --only tables,tables-second-route
+# --t-max 30` confirms them by both routes
+CASES.update({
+    f"table-odd-odd-g{genus}-t30.csv": [
+        "table", "--genus", str(genus), "--m", "1,1", "--d", "odd",
+        "--t-max", "30", "--format", "csv",
+    ]
+    for genus in range(4)
+})
 CASES.update({
     f"supercharacter-{twist}-w6-g4.txt": [
         "supercharacter", "--twist", twist, "--weight", "6", "--genus", "4",

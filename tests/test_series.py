@@ -12,7 +12,7 @@ from linkchi.series import (
     VariableSet,
 )
 
-from naive_series import naive_exp, naive_log
+from naive_series import naive_exp, naive_log, naive_mul
 
 XU = VariableSet(hodge_count=2, has_u=True)
 SPEC = TruncationSpec(u_max=6, x_total_max=7)
@@ -328,11 +328,11 @@ GRADED_CASES = {
 
 
 @st.composite
-def graded_operand(draw, constant):
+def graded_operand(draw, constant, coeffs=st.fractions(-3, 3, max_denominator=4)):
     """(case name, series with the given constant term and random other terms)."""
     name = draw(st.sampled_from(sorted(GRADED_CASES)))
     vars_, spec, monos = GRADED_CASES[name]
-    terms = draw(st.dictionaries(monos, st.fractions(-3, 3, max_denominator=4), max_size=5))
+    terms = draw(st.dictionaries(monos, coeffs, max_size=5))
     origin = (0,) * vars_.nvars
     terms[origin] = constant
     return name, TruncatedSeries(vars_, spec, terms)
@@ -360,3 +360,76 @@ def test_graded_log_single_grade_laurent():
     g = TruncatedSeries.one(XZ, spec) - h
     assert g.log() == naive_log(g)
     assert h.exp() == naive_exp(h)
+
+
+# ------------------------- integer-numerator kernel vs pair-by-pair QQ
+
+# mixed, coprime and large denominators, with negative numerators
+mixed_rationals = st.builds(
+    QQ, st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 9, 11, 97, 10**9 + 7])
+)
+
+
+def assert_canonical(series):
+    """No stored zeros, and every coefficient a QQ (never a bare int)."""
+    for mono, c in series.coeffs.items():
+        assert isinstance(c, QQ), (mono, c)
+        assert c != 0, mono
+
+
+@st.composite
+def graded_pair(draw):
+    """(case name, two series of one case) with mixed-denominator coefficients."""
+    name = draw(st.sampled_from(sorted(GRADED_CASES)))
+    vars_, spec, monos = GRADED_CASES[name]
+    a, b = (
+        TruncatedSeries(vars_, spec, draw(st.dictionaries(monos, mixed_rationals, max_size=6)))
+        for _ in range(2)
+    )
+    return name, a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(graded_pair())
+def test_mul_mixed_denominators_matches_pairwise(case):
+    name, a, b = case
+    product = a * b
+    assert product == naive_mul(a, b), name
+    assert_canonical(product)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_operand(0, mixed_rationals))
+def test_exp_mixed_denominators_matches_repeated_products(case):
+    name, a = case
+    e = a.exp()
+    assert e == naive_exp(a), name
+    assert_canonical(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_operand(1, mixed_rationals))
+def test_log_mixed_denominators_matches_repeated_products(case):
+    name, a = case
+    lg = a.log()
+    assert lg == naive_log(a), name
+    assert_canonical(lg)
+
+
+def test_kernel_stores_no_cancelled_terms():
+    third, seventh = QQ(1, 3), QQ(1, 7)
+    # one product: (1 + u/3)(1 - u/3) = 1 - u^2/9
+    sq = (one() + s({"u": 1}, third)) * (one() - s({"u": 1}, third))
+    assert sq == one() - s({"u": 2}, QQ(1, 9))
+    # exp: g_2 = f_1 g_1 / 2 + f_2 (two products, over different
+    # denominators) cancels for f = u/3 - u^2/18
+    e = (s({"u": 1}, third) - s({"u": 2}, QQ(1, 18))).exp()
+    assert (0, 0, 2) not in e.coeffs
+    assert e == naive_exp(s({"u": 1}, third) - s({"u": 2}, QQ(1, 18)))
+    # log of (1 + u/3)(1 + x1/7): every mixed monomial cancels across the
+    # products of its grade
+    lg = ((one() + s({"u": 1}, third)) * (one() + s({"x1": 1}, seventh))).log()
+    assert all(m[0] == 0 or m[2] == 0 for m in lg.coeffs)
+    assert lg == (one() + s({"u": 1}, third)).log() + (one() + s({"x1": 1}, seventh)).log()
+    for series in (sq, e, lg):
+        assert_canonical(series)
