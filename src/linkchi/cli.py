@@ -18,6 +18,7 @@ from .cycleindex import feynman_regrade, mod_envelope_supercharacter
 from .genfun import LinkConfig, euler_table, f_homology
 from .graphs import EnumerationBudget, enumerate_classes
 from .rationals import QQ, qq_str
+from .series import TruncatedSeries, TruncationSpec, VariableSet
 from .verify import CHECK_NAMES, run_checks
 
 __all__ = ["main", "build_parser"]
@@ -120,12 +121,16 @@ def cmd_table(args) -> int:
 
 
 def cmd_supercharacter(args) -> int:
-    if args.weight < 1:
-        _emit("0\n", args.output)
-        return 0
-    series = mod_envelope_supercharacter(args.twist, args.weight, args.genus)
-    if args.feynman_regrade:
-        series = feynman_regrade(series)
+    if args.genus < 0:
+        raise SystemExit2("--genus must be >= 0")
+    if args.weight < 1:  # no positive arity: the empty series
+        series = TruncatedSeries.zero(
+            VariableSet(has_hbar=True), TruncationSpec(hbar_window=(0, args.genus))
+        )
+    else:
+        series = mod_envelope_supercharacter(args.twist, args.weight, args.genus)
+        if args.feynman_regrade:
+            series = feynman_regrade(series)
     _emit(_series_output(series, args.format), args.output)
     return 0
 

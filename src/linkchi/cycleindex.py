@@ -23,6 +23,7 @@ from .series import (
     TruncatedSeries,
     TruncationSpec,
     VariableSet,
+    _LinearSum,
 )
 from .special import _mobius_double_sum
 
@@ -98,14 +99,14 @@ def z_lie_cyclic(weight_max: int) -> TruncatedSeries:
         raise ValueError("weight_max must be >= 1")
     vars_ = _p_vars(weight_max)
     spec = TruncationSpec(p_weight_max=weight_max)
-    logs = TruncatedSeries.zero(vars_, spec)
+    logs = _LinearSum(vars_, spec)
     for l in range(1, weight_max + 1):
         ml = mobius(l)
         if ml:
-            logs = logs + _log_one_minus_p(vars_, spec, l, weight_max).scaled(QQ(ml, l))
+            logs.add(QQ(ml, l), _log_one_minus_p(vars_, spec, l, weight_max))
     p1 = _p_term(vars_, spec, 1)
     one = TruncatedSeries.one(vars_, spec)
-    return (one - p1) * logs + p1
+    return (one - p1) * logs.series() + p1
 
 
 def z_colors(cfg: LinkConfig, weight_max: int) -> TruncatedSeries:
@@ -224,19 +225,18 @@ def _z_dihedral_induced(weight_max: int, d_parity: int) -> TruncatedSeries:
     """
     vars_ = _p_vars(weight_max)
     spec = TruncationSpec(p_weight_max=weight_max)
-    out = TruncatedSeries.zero(vars_, spec)
+    out = _LinearSum(vars_, spec)
     for l in range(1, weight_max + 1):
         sign = -1 if (d_parity * (l - 1)) % 2 else 1
-        out = out + _log_one_minus_p(vars_, spec, l, weight_max, sign).scaled(
-            QQ(-totient(l), 2 * l)
-        )
+        out.add(QQ(-totient(l), 2 * l), _log_one_minus_p(vars_, spec, l, weight_max, sign))
     p1 = _p_term(vars_, spec, 1)
     p2 = _p_term(vars_, spec, 2)
     one = TruncatedSeries.one(vars_, spec)
     sd = -1 if d_parity % 2 else 1
     numer = p1 * p1 + p2.scaled(sd) - p1.scaled(2)
     denom = one - p2.scaled(sd)
-    return out + (numer * denom.inverse()).scaled(QQ(-sd, 4))
+    out.add_product(QQ(-sd, 4), numer, denom.inverse())
+    return out.series()
 
 
 def z_hedgehog_homology(d: int, weight_max: int) -> TruncatedSeries:

@@ -21,6 +21,7 @@ from .series import (
     TruncatedSeries,
     TruncationSpec,
     VariableSet,
+    _LinearSum,
 )
 from .special import (
     _f_series,
@@ -197,7 +198,7 @@ def f_homology(
         spec = _xu_spec(t_max, x_total_max)
         power_sum = _eps_power_sum(cfg, vars_, spec)
 
-    log_total = TruncatedSeries.zero(vars_, spec)
+    log_total = _LinearSum(vars_, spec)
     u = TruncatedSeries.term(vars_, spec, {"u": 1})
     for l in range(1, max(l_max, 1) + 1):
         if x_values is not None:
@@ -214,10 +215,10 @@ def f_homology(
                 continue
         fl = _f_series(vars_, spec, "u", l, 1)
         u_arg = (u ** l).scaled(cfg.sigma_d * l) * fl.inverse()
-        log_total = log_total + log_gamma_series(x_arg, u_arg)
+        log_total.add(1, log_gamma_series(x_arg, u_arg))
         if l > 1:  # F_1 = 1 contributes nothing
-            log_total = log_total - x_arg * fl.log()
-    return log_total.exp()
+            log_total.add_product(-1, x_arg, fl.log())
+    return log_total.series().exp()
 
 
 def f_homotopy_direct(
@@ -285,15 +286,15 @@ def _mu_log_sum(
     """sum_l weight(l)/l * log(1 - (-1)^d u^l A_l) with A_l = sum_i (-1)^(m_i) x_i^l."""
     one = TruncatedSeries.one(vars_, spec)
     u = TruncatedSeries.term(vars_, spec, {"u": 1})
-    out = TruncatedSeries.zero(vars_, spec)
+    out = _LinearSum(vars_, spec)
     for l in range(1, t_max + 1):
         w = weight(l)
         if w == 0:
             continue
         a_l = color_power_sum(cfg, vars_, spec, l, "euler")
         arg = one - ((u ** l) * a_l).scaled(cfg.sd)
-        out = out + arg.log().scaled(QQ(w, l))
-    return out
+        out.add(QQ(w, l), arg.log())
+    return out.series()
 
 
 def genus0_closed(

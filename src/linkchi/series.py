@@ -28,14 +28,16 @@ be lost this way (``cycleindex.mod_envelope_supercharacter_direct`` states
 its argument).  A change of grading (:meth:`TruncatedSeries.regrade`)
 raises instead of dropping a term below a lower bound.
 
-Coefficients are stored as ``QQ``, but products, ``exp`` and ``log`` run
-on integer numerators (:class:`_PairLoop`).  Each operand is scaled once by
-the lcm of its denominators, cached per series; the pair loop multiplies
-and adds plain ``int``.  ``exp`` and ``log`` sum every product of one grade
-over a single denominator and fold the grade back once, as one
-``QQ(numerator, denominator)`` per output monomial.  Only ``numerator``
-and ``denominator`` of a ``QQ`` are read, so this holds for ``Fraction``
-and for gmpy2's ``mpq`` alike.
+Coefficients are stored as ``QQ``, but products, ``exp``, ``log`` and
+linear sums run on integer numerators.  Each operand is scaled once by the
+lcm of its denominators, cached per series; the pair loop (:class:`_PairLoop`)
+multiplies and adds plain ``int``.  A :class:`_LinearSum` adds scaled
+series and scaled products over one running denominator and rebuilds one
+``QQ(numerator, denominator)`` per output monomial, once, when the sum is
+read back: per product in ``*``, per grade in ``exp`` and ``log``, per sum
+in ``inverse``, ``substitute`` and the sums of :mod:`linkchi.special`.
+Only ``numerator`` and ``denominator`` of a ``QQ`` are read, so this holds
+for ``Fraction`` and for gmpy2's ``mpq`` alike.
 
 Series are immutable after construction; all operations are pure.
 """
@@ -263,13 +265,13 @@ class _PairLoop:
 
     Coefficients are integer numerators over one denominator per operand
     (:meth:`TruncatedSeries._int_items`): ``accumulate`` multiplies and
-    adds plain ``int`` and leaves the sum over the product of the two
-    denominators.  The caller rebuilds a ``QQ`` once per output monomial:
-    ``*`` per product, ``exp`` and ``log`` per grade, whose products
-    ``grade_sum`` brings to one common denominator.  The right operand is
-    bucketed by the dominant bounded direction (u, or p-weight when u is
-    absent) and each bucket is sorted by x-total, so pairs outside the spec
-    are mostly never visited.
+    adds plain ``int`` into a caller's dict and leaves the sum over the
+    product of the two denominators.  Its only caller is :class:`_LinearSum`,
+    which scales the left items to its running denominator first and
+    rebuilds ``QQ`` when the sum is read.  The right operand is bucketed by
+    the dominant bounded direction (u, or p-weight when u is absent) and
+    each bucket is sorted by x-total, so pairs outside the spec are mostly
+    never visited.
     """
 
     __slots__ = ("spec", "use_u", "use_w")
@@ -290,20 +292,6 @@ class _PairLoop:
         for lst in buckets.values():
             lst.sort(key=lambda it: it[1][0])
         return sorted(buckets.items())
-
-    def grade_sum(self, calls) -> tuple[int, dict]:
-        """``(den, {monomial: numerator})``: the sum of the products of
-        ``calls = [(d, a_items, b_buckets)]``, each over its own denominator
-        d, as integer numerators over ``den = lcm(d)``.  The left items of
-        each call are scaled once, by den / d."""
-        den = lcm(*(d for d, _a, _b in calls))
-        acc: dict[tuple[int, ...], int] = {}
-        for d, a_items, b_buckets in calls:
-            scale = den // d
-            if scale != 1:
-                a_items = [(m, met, c * scale) for m, met, c in a_items]
-            self.accumulate(acc, a_items, b_buckets)
-        return den, acc
 
     def accumulate(self, out: dict, a_items, b_buckets) -> None:
         """Add every in-spec product of a term of a and a term of b into ``out``.
@@ -344,6 +332,104 @@ class _PairLoop:
                             continue
                     key = tuple(map(add, m1, m2))
                     out[key] = get(key, 0) + c1 * c2
+
+
+class _LinearSum:
+    """A sum of scaled series and scaled truncated products, kept as integer
+    numerators ``{monomial: int}`` over one running denominator.
+
+    ``add(c, a)`` adds ``c * a`` and ``add_product(c, a, b)`` adds
+    ``c * a * b`` straight from the operands' integer items
+    (:meth:`TruncatedSeries._int_items`), truncated pair by pair as ``*``
+    truncates; the product series is never built.  When a term's
+    denominator does not divide the running one, the numerators are
+    rescaled once to the lcm.  ``series()`` folds one ``QQ`` per nonzero
+    monomial.  As with ``+``, the result's spec is the meet of every
+    operand's spec, and terms outside it are dropped.
+    """
+
+    __slots__ = ("vars", "spec", "den", "nums", "_pairs", "_mixed")
+
+    def __init__(self, vars_: VariableSet, spec: TruncationSpec):
+        self.vars = vars_
+        self.spec = spec
+        self.den = 1
+        self.nums: dict[tuple[int, ...], int] = {}
+        self._pairs = None
+        self._mixed = False  # an operand's spec differed from the running one
+
+    def _meet(self, *operands) -> None:
+        for s in operands:
+            if s.vars != self.vars:
+                raise SeriesError(
+                    f"variable sets differ: {self.vars.names} vs {s.vars.names}"
+                )
+            if s.spec != self.spec:
+                self._mixed = True
+                spec = self.spec.meet(s.spec)
+                if spec != self.spec:
+                    self.spec = spec
+                    self._pairs = None
+
+    def _scale(self, num: int, den: int) -> int:
+        """The factor that puts ``num / den`` over the running denominator,
+        rescaling the numerators once when den does not divide it."""
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        if self.den % den:
+            new = lcm(self.den, den)
+            f = new // self.den
+            if self.nums:
+                self.nums = {m: n * f for m, n in self.nums.items()}
+            self.den = new
+        return num * (self.den // den)
+
+    def pairs(self) -> _PairLoop:
+        """The pair loop over the running spec (its buckets key the right operands)."""
+        if self._pairs is None:
+            self._pairs = _PairLoop(self.vars, self.spec)
+        return self._pairs
+
+    def add(self, c, a: "TruncatedSeries") -> None:
+        self._meet(a)
+        c = QQ(c)
+        if not c or not a.coeffs:
+            return
+        da, items = a._int_items()
+        scale = self._scale(c.numerator, c.denominator * da)
+        nums = self.nums
+        get = nums.get
+        for m, _met, n in items:
+            nums[m] = get(m, 0) + scale * n
+
+    def add_pairs(self, num: int, den: int, a_items, b_buckets) -> None:
+        """Add ``num / den`` times the truncated product of integer items
+        ``a_items`` and ``b_buckets`` (from :meth:`pairs`); the left items
+        are scaled once."""
+        scale = self._scale(num, den)
+        if scale != 1:
+            a_items = [(m, met, n * scale) for m, met, n in a_items]
+        self.pairs().accumulate(self.nums, a_items, b_buckets)
+
+    def add_product(self, c, a: "TruncatedSeries", b: "TruncatedSeries") -> None:
+        self._meet(a, b)
+        c = QQ(c)
+        if not c or not a.coeffs or not b.coeffs:
+            return
+        if len(a.coeffs) > len(b.coeffs):
+            a, b = b, a
+        da, a_items = a._int_items()
+        db, b_items = b._int_items()
+        self.add_pairs(
+            c.numerator, c.denominator * da * db, a_items, self.pairs().buckets(b_items)
+        )
+
+    def series(self) -> "TruncatedSeries":
+        den, vars_, spec = self.den, self.vars, self.spec
+        out = {m: QQ(n, den) for m, n in self.nums.items() if n}
+        if self._mixed:
+            out = {m: c for m, c in out.items() if not _outside(spec, _metric(vars_, m))}
+        return TruncatedSeries(vars_, spec, out, _trusted=True)
 
 
 class TruncatedSeries:
@@ -490,22 +576,9 @@ class TruncatedSeries:
         return cached
 
     def _mul_series(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_same_vars(other)
-        vars_ = self.vars
-        spec = self.spec.meet(other.spec)
-        if not self.coeffs or not other.coeffs:
-            return TruncatedSeries(vars_, spec, {}, _trusted=True)
-        a, b = (
-            (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
-        )
-        pairs = _PairLoop(vars_, spec)
-        da, a_items = a._int_items()
-        db, b_items = b._int_items()
-        acc: dict[tuple[int, ...], int] = {}
-        pairs.accumulate(acc, a_items, pairs.buckets(b_items))
-        den = da * db
-        out = {m: QQ(n, den) for m, n in acc.items() if n}
-        return TruncatedSeries(vars_, spec, out, _trusted=True)
+        acc = _LinearSum(self.vars, self.spec)
+        acc.add_product(1, self, other)
+        return acc.series()
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if not isinstance(n, int) or n < 0:
@@ -582,8 +655,8 @@ class TruncatedSeries:
 
         Each ``k f_k`` holds integer numerators over the denominator D_f of
         f, and each ``g_n`` over its own D_n.  Grade n sums its products
-        over ``den = D_f * lcm(D_{n-k})``, scaling each left operand once
-        by ``den / (D_f D_{n-k})``; g_n is then ``sum / (n den)``.
+        in one :class:`_LinearSum`, over ``den = D_f * lcm(D_{n-k})``;
+        g_n is then ``sum / (n den)``.
         """
         if self.constant_term() != 0:
             raise SeriesError("exp requires zero constant term")
@@ -601,15 +674,15 @@ class TruncatedSeries:
         kmax = weighted[-1][0] if weighted else 0
         empty_run = 0
         for n in range(1, top + 1):
-            calls = []
+            grade = _LinearSum(vars_, spec)
             for k, kf in weighted:
                 if k > n:
                     break
                 if n - k in g_buckets:
                     d_g, gb = g_buckets[n - k]
-                    calls.append((d_g, kf, gb))
-            den, acc = pairs.grade_sum(calls)
-            den *= d_f * n
+                    grade.add_pairs(1, d_g, kf, gb)
+            acc = grade.nums
+            den = grade.den * d_f * n
             piece = [(m, _metric(vars_, m), c) for m, c in acc.items() if c]
             if not piece:
                 empty_run += 1
@@ -635,8 +708,8 @@ class TruncatedSeries:
 
         The pieces h_k hold integer numerators over the denominator D_h of
         h, and each ``n f_n`` over its own D_n.  Grade n sums its products
-        over ``den = D_h * lcm(D_{n-k})``, scaling each left operand once by
-        ``den / (D_h D_{n-k})``; ``n f_n`` is then an integer over den.
+        in one :class:`_LinearSum`, over ``den = D_h * lcm(D_{n-k})``;
+        ``n f_n`` is then an integer over den.
         """
         if self.constant_term() != 1:
             raise SeriesError("log requires constant term 1")
@@ -654,14 +727,14 @@ class TruncatedSeries:
         weighted: dict[int, tuple[int, list]] = {}  # n -> terms of n f_n
         empty_run = 0
         for n in range(1, top + 1):
-            calls = []
+            grade = _LinearSum(vars_, spec)
             for k, hb in h_buckets:
                 if k >= n:
                     break
                 if n - k in weighted:
                     d_w, kf = weighted[n - k]
-                    calls.append((d_w, kf, hb))
-            den, acc = pairs.grade_sum(calls)
+                    grade.add_pairs(1, d_w, kf, hb)
+            den, acc = grade.den, grade.nums
             piece = []
             for m, met, c in grades.get(n, ()):
                 c = n * den * c - acc.pop(m, 0)
@@ -693,14 +766,12 @@ class TruncatedSeries:
             raise SeriesError("inverse requires constant term 1")
         y = TruncatedSeries.one(self.vars, self.spec) - self
         y._grades()
-        result = TruncatedSeries.one(self.vars, self.spec)
-        power = result
-        while True:
+        power = TruncatedSeries.one(self.vars, self.spec)
+        result = _LinearSum(self.vars, self.spec)
+        while not power.is_zero():
+            result.add(1, power)
             power = power * y
-            if power.is_zero():
-                break
-            result = result + power
-        return result
+        return result.series()
 
     # ------------------------------------------------------ substitution
 
@@ -760,20 +831,20 @@ class TruncatedSeries:
             return got
 
         nt = tvars.nvars
-        out = TruncatedSeries.zero(tvars, tspec)
+        out = _LinearSum(tvars, tspec)
         for mono, c in self.coeffs.items():
             base = [0] * nt
             for i_src, i_tgt in carried:
                 base[i_tgt] = mono[i_src]
-            term = TruncatedSeries(tvars, tspec, {tuple(base): c})
+            term = TruncatedSeries(tvars, tspec, {tuple(base): 1})
             for i in subst_pos:
                 e = mono[i]
                 if e:
                     term = term * repl_power(i, e)
                 if term.is_zero():
                     break
-            out = out + term
-        return out
+            out.add(c, term)
+        return out.series()
 
     # ------------------------------------------------------- extraction
 

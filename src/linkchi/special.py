@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 from .rationals import QQ, binomial, bernoulli, divisors, mobius
-from .series import SeriesError, TruncatedSeries, _metric, _trunc_weight
+from .series import SeriesError, TruncatedSeries, _LinearSum, _metric, _trunc_weight
 
 __all__ = [
     "UniPolynomial",
@@ -69,11 +69,10 @@ class UniPolynomial:
             powers = [one]
         while len(powers) <= self.degree:
             powers.append(powers[-1] * x)
-        out = TruncatedSeries.zero(x.vars, x.spec)
+        out = _LinearSum(x.vars, x.spec)
         for k, c in enumerate(self.coeffs):
-            if c != 0:
-                out = out + powers[k].scaled(c)
-        return out
+            out.add(c, powers[k])
+        return out.series()
 
     def __repr__(self):
         return f"UniPolynomial({list(self.coeffs)})"
@@ -168,9 +167,11 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
     - sum_{k,l} mu(k)/k X_{l,k} log F_l(v^k)`` with v = ``var`` and
     X_{l,k} from :func:`_mobius_x`.  The first sum needs klj <= t_max
     (v-order of the j-th power) and the second kl <= 2 t_max
-    (log F_l(v^k) has v-order k(l - l/p1) >= kl/2).
+    (log F_l(v^k) has v-order k(l - l/p1) >= kl/2).  Both sums go into one
+    :class:`~linkchi.series._LinearSum`: each term's product is added
+    straight from its factors' integer numerators, never built as a series.
     """
-    first = second = TruncatedSeries.zero(vars_, spec)
+    out = _LinearSum(vars_, spec)
     v = TruncatedSeries.term(vars_, spec, {var: 1})
     for k in range(1, 2 * t_max + 1):
         mk = mobius(k)
@@ -190,12 +191,10 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
                     if v_pow.is_zero():
                         break
                     sj = s_poly(j).at_series(x, x_pows)
-                    if sj.is_zero():
-                        continue
-                    first = first + (sj * v_pow).scaled(QQ(mk, k * j))
+                    out.add_product(QQ(mk, k * j), sj, v_pow)
             if l > 1:  # F_1 = 1 contributes nothing
-                second = second + (x * fl.log()).scaled(QQ(mk, k))
-    return first - second
+                out.add_product(QQ(-mk, k), x, fl.log())
+    return out.series()
 
 
 def log_gamma_series(x_arg: TruncatedSeries, u_arg: TruncatedSeries) -> TruncatedSeries:
@@ -212,7 +211,7 @@ def log_gamma_series(x_arg: TruncatedSeries, u_arg: TruncatedSeries) -> Truncate
             raise SeriesError("u-argument must have u-order >= 1")
         if any(m[iu] != 0 for m in x_arg.coeffs):
             raise SeriesError("x-argument must not depend on u")
-    out = TruncatedSeries.zero(x_arg.vars, x_arg.spec)
+    out = _LinearSum(x_arg.vars, x_arg.spec)
     x_pows: list = [TruncatedSeries.one(x_arg.vars, x_arg.spec)]
     u_pow = x_pows[0]
     j = 0
@@ -221,10 +220,8 @@ def log_gamma_series(x_arg: TruncatedSeries, u_arg: TruncatedSeries) -> Truncate
         u_pow = u_pow * u_arg
         if u_pow.is_zero():
             break
-        sj = s_poly(j).at_series(x_arg, x_pows)
-        if not sj.is_zero():
-            out = out + (sj * u_pow).scaled(QQ(1, j))
-    return out
+        out.add_product(QQ(1, j), s_poly(j).at_series(x_arg, x_pows), u_pow)
+    return out.series()
 
 
 def gamma_series(x_arg: TruncatedSeries, u_arg: TruncatedSeries) -> TruncatedSeries:
@@ -273,13 +270,13 @@ def plethystic_log(series: TruncatedSeries, lmax: int | None = None) -> Truncate
         raise SeriesError("plethystic_log is defined on x/u series only")
     if lmax is None:
         lmax = _plethystic_bound(spec)
-    out = TruncatedSeries.zero(vars_, spec)
+    out = _LinearSum(vars_, spec)
     for l in range(1, lmax + 1):
         ml = mobius(l)
         if ml == 0:
             continue
-        out = out + _raise_exponents(series, l).log().scaled(QQ(ml, l))
-    return out
+        out.add(QQ(ml, l), _raise_exponents(series, l).log())
+    return out.series()
 
 
 def plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
@@ -304,7 +301,7 @@ def plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
             raise SeriesError(f"plethystic_exp requires integer coefficients, got {c}")
         if _trunc_weight(spec, _metric(vars_, mono)) < 1:
             raise SeriesError(f"monomial {mono} cannot be plethystically exponentiated")
-    arg = TruncatedSeries.zero(vars_, spec)
+    arg = _LinearSum(vars_, spec)
     for l in range(1, _plethystic_bound(spec) + 1):
-        arg = arg + _raise_exponents(series, l).scaled(QQ(1, l))
-    return arg.exp()
+        arg.add(QQ(1, l), _raise_exponents(series, l))
+    return arg.series().exp()

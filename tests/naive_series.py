@@ -10,7 +10,9 @@ the textbook forms they replaced, kept here as test oracles only:
 * exp as the truncated sum of ``f^k / k!``, one full product per term;
 * log as the truncated sum of ``(-1)^(p+1) h^p / p`` with ``h = f - 1``;
 * plethystic_exp as the product of one geometric power ``(1 - m)^(-chi)``
-  per monomial ``m``.
+  per monomial ``m``;
+* a linear sum of scaled series and scaled products as one ``scaled`` and
+  one ``+`` per term.
 """
 
 from __future__ import annotations
@@ -31,6 +33,16 @@ def naive_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             out[m] = out.get(m, QQ(0)) + QQ(c1) * QQ(c2)
     # the constructor drops the monomials outside the spec and the zeros
     return TruncatedSeries(a.vars, a.spec.meet(b.spec), out)
+
+
+def naive_linear_sum(vars_, spec, terms) -> TruncatedSeries:
+    """Sum of ``c * a`` or ``c * naive_mul(a, b)`` over the terms ``(c, a)``
+    and ``(c, a, b)``, starting from zero over ``(vars_, spec)``."""
+    out = TruncatedSeries.zero(vars_, spec)
+    for c, *operands in terms:
+        term = operands[0] if len(operands) == 1 else naive_mul(*operands)
+        out = out + term.scaled(c)
+    return out
 
 
 def naive_exp(series: TruncatedSeries) -> TruncatedSeries:

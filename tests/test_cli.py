@@ -112,6 +112,26 @@ def test_supercharacter_weight_zero(capsys):
     assert out.strip() == "0"
 
 
+def test_supercharacter_weight_zero_csv_and_json(capsys):
+    argv = ["supercharacter", "--twist", "plain", "--weight", "0"]
+    code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out == "monomial,coefficient\n"
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"terms": []}
+
+
+@pytest.mark.parametrize("weight", ["0", "3"])
+def test_supercharacter_negative_genus_rejected(capsys, weight):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["supercharacter", "--twist", "det", "--weight", weight, "--genus", "-1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "--genus must be >= 0" in err
+
+
 def test_supercharacter_feynman_flag(capsys):
     code, plain, _ = run_cli(
         ["supercharacter", "--twist", "plain", "--weight", "4", "--genus", "2"],

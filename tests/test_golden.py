@@ -1,7 +1,8 @@
 """Byte-for-byte CLI outputs, recorded before the double-sum engine merge
 (table, supercharacter, homology), before orderly generation in the
-graph oracle (oracle) and before the fraction-free series kernel (the t=30
-tables), and library series recorded before the z-graded genus-0/1 series
+graph oracle (oracle), before the fraction-free series kernel (the t=30
+tables) and before the fraction-free linear sums (the t=24 tables), and
+library series recorded before the z-graded genus-0/1 series
 became regradings of their Euler forms (series-*).
 
 Each CLI case runs ``linkchi`` in-process with ``--output`` and compares
@@ -47,6 +48,20 @@ CASES.update({
         "table", "--genus", str(genus), "--m", "1,1", "--d", "odd",
         "--t-max", "30", "--format", "csv",
     ]
+    for genus in range(4)
+})
+# the other three parities past t=8, recorded before integer numerators were
+# summed over one denominator in the double sum
+CASES.update({
+    f"table-{parity}-g{genus}-t24.csv": [
+        "table", "--genus", str(genus), "--m", m, "--d", d,
+        "--t-max", "24", "--format", "csv",
+    ]
+    for parity, (m, d) in {
+        "odd-even": ("1,1", "even"),
+        "even-odd": ("2,2", "odd"),
+        "even-even": ("2,2", "even"),
+    }.items()
     for genus in range(4)
 })
 CASES.update({

@@ -10,9 +10,10 @@ from linkchi.series import (
     TruncatedSeries,
     TruncationSpec,
     VariableSet,
+    _LinearSum,
 )
 
-from naive_series import naive_exp, naive_log, naive_mul
+from naive_series import naive_exp, naive_linear_sum, naive_log, naive_mul
 
 XU = VariableSet(hodge_count=2, has_u=True)
 SPEC = TruncationSpec(u_max=6, x_total_max=7)
@@ -433,3 +434,114 @@ def test_kernel_stores_no_cancelled_terms():
     assert lg == (one() + s({"u": 1}, third)).log() + (one() + s({"x1": 1}, seventh)).log()
     for series in (sq, e, lg):
         assert_canonical(series)
+
+
+# ----------------------------- fraction-free linear sums vs scaled and +
+
+
+def respec(spec, delta):
+    """``spec`` with every bound moved outward by delta (inward when negative)."""
+    def bound(b):
+        return None if b is None else b + delta
+
+    def window(w):
+        return None if w is None else (w[0] - delta, w[1] + delta)
+
+    return TruncationSpec(
+        u_max=bound(spec.u_max),
+        x_total_max=bound(spec.x_total_max),
+        z_window=window(spec.z_window),
+        hbar_window=window(spec.hbar_window),
+        p_weight_max=bound(spec.p_weight_max),
+    )
+
+
+@st.composite
+def linear_terms(draw):
+    """(case name, variables, start spec, terms ``(c, a)`` or ``(c, a, b)``):
+    mixed-denominator coefficients and operands over narrower, equal and
+    wider specs than the start."""
+    name = draw(st.sampled_from(sorted(GRADED_CASES)))
+    vars_, spec, monos = GRADED_CASES[name]
+    specs = [respec(spec, delta) for delta in (-1, 0, 1)]
+
+    def operand():
+        return TruncatedSeries(
+            vars_,
+            draw(st.sampled_from(specs)),
+            draw(st.dictionaries(monos, mixed_rationals, max_size=5)),
+        )
+
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        c = draw(mixed_rationals)
+        terms.append((c, operand()) if draw(st.booleans()) else (c, operand(), operand()))
+    return name, vars_, spec, terms
+
+
+def linear_sum(vars_, spec, terms):
+    acc = _LinearSum(vars_, spec)
+    for c, *operands in terms:
+        if len(operands) == 1:
+            acc.add(c, *operands)
+        else:
+            acc.add_product(c, *operands)
+    return acc.series()
+
+
+def meet_of(spec, terms):
+    for _c, *operands in terms:
+        for a in operands:
+            spec = spec.meet(a.spec)
+    return spec
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_terms())
+def test_linear_sum_matches_scaled_and_add(case):
+    name, vars_, spec, terms = case
+    total = linear_sum(vars_, spec, terms)
+    assert total == naive_linear_sum(vars_, spec, terms), name
+    assert total.spec == meet_of(spec, terms), name
+    assert_canonical(total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_terms(), st.randoms(use_true_random=False))
+def test_linear_sum_any_term_order(case, rng):
+    # a later term over a denominator that does not divide the running one
+    # rescales every numerator already summed
+    name, vars_, spec, terms = case
+    shuffled = list(terms)
+    rng.shuffle(shuffled)
+    assert linear_sum(vars_, spec, shuffled) == naive_linear_sum(vars_, spec, terms), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_terms(), st.lists(mixed_rationals, min_size=5, max_size=5))
+def test_linear_sum_cancels_to_zero(case, splits):
+    # each term is taken back in two pieces over other denominators, the
+    # products with their operands swapped
+    name, vars_, spec, terms = case
+    back = []
+    for (c, *operands), r in zip(terms, splits):
+        operands = operands[::-1]
+        back += [(-c * r, *operands), (c * r - c, *operands)]
+    total = linear_sum(vars_, spec, terms + back)
+    assert total.coeffs == {}, name
+    assert total.spec == meet_of(spec, terms), name
+
+
+def test_linear_sum_rescales_to_the_lcm():
+    a = s({"u": 1}) + s({"x1": 1, "u": 1}, QQ(2, 9))
+    b = s({"u": 1}, QQ(5, 11)) + s({"u": 2})
+    terms = [
+        (QQ(1, 2), a),
+        (QQ(-4, 3), a, b),  # 3 does not divide 2 * 9 ...
+        (QQ(7, 10**9 + 7), b),  # ... nor 10^9 + 7 the lcm so far
+        (QQ(-1, 97), b, b),
+    ]
+    total = linear_sum(XU, SPEC, terms)
+    assert total == naive_linear_sum(XU, SPEC, terms)
+    assert total.coefficient({"u": 1}) == QQ(1, 2) + QQ(7 * 5, (10**9 + 7) * 11)
+    assert_canonical(total)
