@@ -45,11 +45,15 @@ def _default_t_max() -> int:
     return 10
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _emit(text: str, output: str | None):
@@ -226,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("supercharacter", help="modular envelope supercharacter Z^{>0}")
     p.add_argument("--twist", choices=("plain", "det"), required=True)
-    p.add_argument("--weight", type=int, required=True, help="arity weight bound")
+    p.add_argument("--weight", type=_int_at_least(0), required=True,
+                   help="arity weight bound (>= 0; 0 gives the empty series)")
     p.add_argument("--genus", type=int, default=4, help="genus bound")
     p.add_argument("--feynman-regrade", action="store_true",
                    help="emit the Feynman-transform regrading (-Z with p -> -p)")
@@ -237,15 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p)
     p.add_argument("--s", required=True, help="comma-separated hair counts per color")
     p.add_argument("--t", type=int, required=True, help="complexity")
-    p.add_argument("--budget-t", type=int, default=5)
-    p.add_argument("--budget-hairs", type=int, default=6)
+    p.add_argument("--budget-t", type=_int_at_least(0), default=5)
+    p.add_argument("--budget-hairs", type=_int_at_least(0), default=6)
     add_output(p, formats=("json",))
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("verify", help="run the cross-verification suite")
     p.add_argument("--only", default=None,
                    help=f"comma-separated subset of checks ({', '.join(CHECK_NAMES)})")
-    p.add_argument("--t-max", type=_positive_int, default=None,
+    p.add_argument("--t-max", type=_int_at_least(1), default=None,
                    help="scale the checks down to this truncation order (>= 1)")
     add_output(p, formats=("text",))
     p.set_defaults(fn=cmd_verify)

@@ -30,9 +30,9 @@ raises instead of dropping a term below a lower bound.
 
 Coefficients are stored as ``QQ``, but products, ``exp``, ``log`` and
 linear sums run on integer numerators.  Each operand is scaled once by the
-lcm of its denominators, cached per series; the pair loop (:class:`_PairLoop`)
-multiplies and adds plain ``int``.  A :class:`_LinearSum` adds scaled
-series and scaled products over one running denominator and rebuilds one
+lcm of its denominators, cached per series.  A :class:`_LinearSum` adds
+scaled series and scaled products over one running denominator, its pair
+loop multiplying and adding plain ``int``, and rebuilds one
 ``QQ(numerator, denominator)`` per output monomial, once, when the sum is
 read back: per product in ``*``, per grade in ``exp`` and ``log``, per sum
 in ``inverse``, ``substitute`` and the sums of :mod:`linkchi.special`.
@@ -251,39 +251,64 @@ def _trunc_weight(spec: TruncationSpec, metric, use_z=False, use_h=False) -> int
     return w
 
 
-def _reduced(den: int, items: list) -> tuple[int, list]:
-    """The nonzero integer items ``n / den`` over the lcm of their reduced
-    denominators: den divided by the gcd of den and every numerator."""
-    g = gcd(den, *(n for _m, _met, n in items))
-    if g == 1:
-        return den, items
-    return den // g, [(m, met, n // g) for m, met, n in items]
+class _LinearSum:
+    """A sum of scaled series and scaled truncated products, kept as integer
+    numerators ``{monomial: int}`` over one running denominator.
 
-
-class _PairLoop:
-    """Truncated products of item lists ``[(monomial, metric, numerator)]``.
-
-    Coefficients are integer numerators over one denominator per operand
-    (:meth:`TruncatedSeries._int_items`): ``accumulate`` multiplies and
-    adds plain ``int`` into a caller's dict and leaves the sum over the
-    product of the two denominators.  Its only caller is :class:`_LinearSum`,
-    which scales the left items to its running denominator first and
-    rebuilds ``QQ`` when the sum is read.  The right operand is bucketed by
+    ``add(c, a)`` adds ``c * a`` and ``add_product(c, a, b)`` adds
+    ``c * a * b`` straight from the operands' integer items
+    ``[(monomial, metric, numerator)]`` (:meth:`TruncatedSeries._int_items`),
+    truncated pair by pair as ``*`` truncates; the product series is never
+    built.  The right operand of a product is bucketed (:meth:`buckets`) by
     the dominant bounded direction (u, or p-weight when u is absent) and
     each bucket is sorted by x-total, so pairs outside the spec are mostly
-    never visited.
+    never visited.  When a term's denominator does not divide the running
+    one, the numerators are rescaled once to the lcm.  ``series()`` folds
+    one ``QQ`` per nonzero monomial.  As with ``+``, the result's spec is
+    the meet of every operand's spec, and terms outside it are dropped.
     """
 
-    __slots__ = ("spec", "use_u", "use_w")
+    __slots__ = ("vars", "spec", "den", "nums", "_mixed")
 
     def __init__(self, vars_: VariableSet, spec: TruncationSpec):
+        self.vars = vars_
         self.spec = spec
-        self.use_u = vars_.has_u and spec.u_max is not None
-        self.use_w = not self.use_u and spec.p_weight_max is not None and vars_.pcount > 0
+        self.den = 1
+        self.nums: dict[tuple[int, ...], int] = {}
+        self._mixed = False  # an operand's spec differed from the running one
+
+    def _meet(self, *operands) -> None:
+        for s in operands:
+            if s.vars != self.vars:
+                raise SeriesError(
+                    f"variable sets differ: {self.vars.names} vs {s.vars.names}"
+                )
+            if s.spec != self.spec:
+                self._mixed = True
+                self.spec = self.spec.meet(s.spec)
+
+    def _scale(self, num: int, den: int) -> int:
+        """The factor that puts ``num / den`` over the running denominator,
+        rescaling the numerators once when den does not divide it."""
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        if self.den % den:
+            new = lcm(self.den, den)
+            f = new // self.den
+            if self.nums:
+                self.nums = {m: n * f for m, n in self.nums.items()}
+            self.den = new
+        return num * (self.den // den)
+
+    def _keys(self) -> tuple[bool, bool]:
+        """Whether buckets are keyed by u, else by p-weight (else one bucket)."""
+        vars_, spec = self.vars, self.spec
+        use_u = vars_.has_u and spec.u_max is not None
+        return use_u, not use_u and spec.p_weight_max is not None and vars_.pcount > 0
 
     def buckets(self, items) -> list:
         """[(bucket key, items sorted by x-total)] in increasing key order."""
-        use_u, use_w = self.use_u, self.use_w
+        use_u, use_w = self._keys()
         buckets: dict[int, list] = {}
         for item in items:
             met = item[1]
@@ -293,16 +318,37 @@ class _PairLoop:
             lst.sort(key=lambda it: it[1][0])
         return sorted(buckets.items())
 
-    def accumulate(self, out: dict, a_items, b_buckets) -> None:
-        """Add every in-spec product of a term of a and a term of b into ``out``.
+    def add_items(self, num: int, den: int, items) -> None:
+        """Add ``num / den`` times the integer items."""
+        scale = self._scale(num, den)
+        nums = self.nums
+        get = nums.get
+        for m, _met, n in items:
+            nums[m] = get(m, 0) + scale * n
 
-        Sums may cancel to 0; the caller skips zero numerators."""
+    def add(self, c, a: "TruncatedSeries") -> None:
+        self._meet(a)
+        c = QQ(c)
+        if not c or not a.coeffs:
+            return
+        da, items = a._int_items()
+        self.add_items(c.numerator, c.denominator * da, items)
+
+    def add_pairs(self, num: int, den: int, a_items, b_buckets) -> None:
+        """Add ``num / den`` times every in-spec product of a term of
+        ``a_items`` and a term of ``b_buckets`` (from :meth:`buckets`); the
+        left items are scaled once.  Sums may cancel to 0, and ``series()``
+        skips zero numerators."""
+        scale = self._scale(num, den)
+        if scale != 1:
+            a_items = [(m, met, n * scale) for m, met, n in a_items]
         spec = self.spec
-        use_u, use_w = self.use_u, self.use_w
+        use_u, use_w = self._keys()
         u_max, u_min = spec.u_max, spec.u_min
         s_cap = spec.x_total_max
         zw, hw, w_cap = spec.z_window, spec.hbar_window, spec.p_weight_max
         add = operator.add
+        out = self.nums
         get = out.get
         for m1, met1, c1 in a_items:
             xt1, u1, z1, h1, pw1 = met1
@@ -333,84 +379,6 @@ class _PairLoop:
                     key = tuple(map(add, m1, m2))
                     out[key] = get(key, 0) + c1 * c2
 
-
-class _LinearSum:
-    """A sum of scaled series and scaled truncated products, kept as integer
-    numerators ``{monomial: int}`` over one running denominator.
-
-    ``add(c, a)`` adds ``c * a`` and ``add_product(c, a, b)`` adds
-    ``c * a * b`` straight from the operands' integer items
-    (:meth:`TruncatedSeries._int_items`), truncated pair by pair as ``*``
-    truncates; the product series is never built.  When a term's
-    denominator does not divide the running one, the numerators are
-    rescaled once to the lcm.  ``series()`` folds one ``QQ`` per nonzero
-    monomial.  As with ``+``, the result's spec is the meet of every
-    operand's spec, and terms outside it are dropped.
-    """
-
-    __slots__ = ("vars", "spec", "den", "nums", "_pairs", "_mixed")
-
-    def __init__(self, vars_: VariableSet, spec: TruncationSpec):
-        self.vars = vars_
-        self.spec = spec
-        self.den = 1
-        self.nums: dict[tuple[int, ...], int] = {}
-        self._pairs = None
-        self._mixed = False  # an operand's spec differed from the running one
-
-    def _meet(self, *operands) -> None:
-        for s in operands:
-            if s.vars != self.vars:
-                raise SeriesError(
-                    f"variable sets differ: {self.vars.names} vs {s.vars.names}"
-                )
-            if s.spec != self.spec:
-                self._mixed = True
-                spec = self.spec.meet(s.spec)
-                if spec != self.spec:
-                    self.spec = spec
-                    self._pairs = None
-
-    def _scale(self, num: int, den: int) -> int:
-        """The factor that puts ``num / den`` over the running denominator,
-        rescaling the numerators once when den does not divide it."""
-        g = gcd(num, den)
-        num, den = num // g, den // g
-        if self.den % den:
-            new = lcm(self.den, den)
-            f = new // self.den
-            if self.nums:
-                self.nums = {m: n * f for m, n in self.nums.items()}
-            self.den = new
-        return num * (self.den // den)
-
-    def pairs(self) -> _PairLoop:
-        """The pair loop over the running spec (its buckets key the right operands)."""
-        if self._pairs is None:
-            self._pairs = _PairLoop(self.vars, self.spec)
-        return self._pairs
-
-    def add(self, c, a: "TruncatedSeries") -> None:
-        self._meet(a)
-        c = QQ(c)
-        if not c or not a.coeffs:
-            return
-        da, items = a._int_items()
-        scale = self._scale(c.numerator, c.denominator * da)
-        nums = self.nums
-        get = nums.get
-        for m, _met, n in items:
-            nums[m] = get(m, 0) + scale * n
-
-    def add_pairs(self, num: int, den: int, a_items, b_buckets) -> None:
-        """Add ``num / den`` times the truncated product of integer items
-        ``a_items`` and ``b_buckets`` (from :meth:`pairs`); the left items
-        are scaled once."""
-        scale = self._scale(num, den)
-        if scale != 1:
-            a_items = [(m, met, n * scale) for m, met, n in a_items]
-        self.pairs().accumulate(self.nums, a_items, b_buckets)
-
     def add_product(self, c, a: "TruncatedSeries", b: "TruncatedSeries") -> None:
         self._meet(a, b)
         c = QQ(c)
@@ -420,9 +388,7 @@ class _LinearSum:
             a, b = b, a
         da, a_items = a._int_items()
         db, b_items = b._int_items()
-        self.add_pairs(
-            c.numerator, c.denominator * da * db, a_items, self.pairs().buckets(b_items)
-        )
+        self.add_pairs(c.numerator, c.denominator * da * db, a_items, self.buckets(b_items))
 
     def series(self) -> "TruncatedSeries":
         den, vars_, spec = self.den, self.vars, self.spec
@@ -582,7 +548,7 @@ class TruncatedSeries:
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if not isinstance(n, int) or n < 0:
-            raise SeriesError("only nonnegative integer powers; use pow_series otherwise")
+            raise SeriesError("only nonnegative integer powers")
         result = TruncatedSeries.one(self.vars, self.spec)
         base = self
         e = n
@@ -594,7 +560,7 @@ class TruncatedSeries:
                 base = base * base
         return result
 
-    # -------------------------------------------------- exp / log / pow
+    # ------------------------------------------------------- exp / log
 
     def _grades(self) -> tuple[dict[int, list], int]:
         """Homogeneous pieces under the nilpotence weight, and the top weight.
@@ -641,49 +607,62 @@ class TruncatedSeries:
         )
         return grades, _trunc_weight(spec, corner, use_z, use_h)
 
-    def exp(self) -> "TruncatedSeries":
-        """exp of a series with zero constant term, truncated, grade by grade.
+    def _exp_log(self, exp: bool) -> "TruncatedSeries":
+        """The grades of ``exp(f)`` (``exp=True``) or of ``log(1 + f)``, with
+        f the terms of ``self`` other than its constant one.
 
-        Split ``f = self`` into pieces ``f_k`` homogeneous of nilpotence
-        weight k >= 1 (see :meth:`_grades`).  The pieces of ``g = exp(f)``
-        follow from ``g_0 = 1`` and ``n g_n = sum_{k=1..n} k f_k g_{n-k}``,
-        the weight-n part of ``D g = (D f) g`` for the derivation D that
-        multiplies a weight-n monomial by n (Brent & Kung 1978; Knuth,
-        TAOCP vol. 2, 4.7).  Grades are disjoint, so each finished g_n goes
-        straight into the output.  Terminates because every monomial has
-        positive weight and weights above the spec's top cannot occur.
+        Split f into pieces ``f_k`` homogeneous of nilpotence weight k >= 1
+        (see :meth:`_grades`), and let D multiply a weight-n monomial by n.
+        ``g = exp(f)`` is the solution of ``D g = (D f) g`` with ``g_0 = 1``
+        (Brent & Kung 1978; Knuth, TAOCP vol. 2, 4.7).  With ``w_k = k f_k``
+        and ``S_n = sum_{k=1..n-1} w_k g_{n-k}``, its weight-n part reads
+        ``n g_n = w_n + S_n``: exp solves it for g_n from f, and log (g =
+        ``1 + f`` given) for ``w_n = n g_n - S_n``.  The given side's grade n
+        enters as ``n f_n`` or ``n g_n``, the same items, and the output
+        grade is the solved side over n.  Grades are disjoint, so each
+        finished grade goes straight into the output.  Every monomial has
+        positive weight and weights above the spec's top cannot occur; and
+        once the last kmax grades of the solved side are empty (kmax the
+        top weight of f), every later grade multiplies only empty grades.
 
-        Each ``k f_k`` holds integer numerators over the denominator D_f of
-        f, and each ``g_n`` over its own D_n.  Grade n sums its products
-        in one :class:`_LinearSum`, over ``den = D_f * lcm(D_{n-k})``;
-        g_n is then ``sum / (n den)``.
+        Grade n sums its products in one :class:`_LinearSum`, w_k as the left
+        items and g_{n-k} bucketed as the right operand, each an integer
+        numerator over its own denominator (f's lcm for the given side,
+        reduced by a gcd for the solved side).
         """
-        if self.constant_term() != 0:
-            raise SeriesError("exp requires zero constant term")
-        grades, top = self._grades()
-        d_f = self._int_items()[0]
         vars_, spec = self.vars, self.spec
-        pairs = _PairLoop(vars_, spec)
         origin = (0,) * vars_.nvars
-        out = {origin: QQ(1)}
-        weighted = sorted(
-            (k, [(m, met, k * c) for m, met, c in items] if k > 1 else items)
-            for k, items in grades.items()
-        )
-        g_buckets = {0: (1, pairs.buckets([(origin, _metric(vars_, origin), 1)]))}
-        kmax = weighted[-1][0] if weighted else 0
+        f = self
+        if origin in self.coeffs:
+            f = TruncatedSeries(
+                vars_, spec, {m: c for m, c in self.coeffs.items() if m != origin}, _trusted=True
+            )
+        grades, top = f._grades()
+        d_f = f._int_items()[0]
+        buckets = _LinearSum(vars_, spec).buckets  # every grade sums under this spec
+        w: dict[int, tuple[int, list]] = {}  # n -> (den, numerators of w_n)
+        g: dict[int, tuple[int, list]] = {}  # n -> (den, buckets of g_n)
+        if exp:
+            for k, items in grades.items():
+                w[k] = (d_f, [(m, met, k * c) for m, met, c in items])
+        else:
+            for k, items in grades.items():
+                g[k] = (d_f, buckets(items))
+        sign = 1 if exp else -1
+        kmax = max(grades, default=0)
+        out = {origin: QQ(1)} if exp else {}
         empty_run = 0
         for n in range(1, top + 1):
             grade = _LinearSum(vars_, spec)
-            for k, kf in weighted:
-                if k > n:
-                    break
-                if n - k in g_buckets:
-                    d_g, gb = g_buckets[n - k]
-                    grade.add_pairs(1, d_g, kf, gb)
-            acc = grade.nums
-            den = grade.den * d_f * n
-            piece = [(m, _metric(vars_, m), c) for m, c in acc.items() if c]
+            for k in range(1, n):
+                if k in w and n - k in g:
+                    d_w, w_k = w[k]
+                    d_g, g_nk = g[n - k]
+                    grade.add_pairs(sign, d_w * d_g, w_k, g_nk)
+            if n in grades:
+                grade.add_items(n, d_f, grades[n])
+            den = grade.den
+            piece = [(m, _metric(vars_, m), c) for m, c in grade.nums.items() if c]
             if not piece:
                 empty_run += 1
                 if empty_run >= kmax:
@@ -691,74 +670,31 @@ class TruncatedSeries:
                 continue
             empty_run = 0
             for m, _met, c in piece:
-                out[m] = QQ(c, den)
-            d_n, piece = _reduced(den, piece)
-            g_buckets[n] = (d_n, pairs.buckets(piece))
+                out[m] = QQ(c, den * n)
+            d_n = den * n if exp else den  # of g_n, or of w_n
+            r = gcd(d_n, *(c for _m, _met, c in piece))
+            if r > 1:
+                d_n //= r
+                piece = [(m, met, c // r) for m, met, c in piece]
+            if exp:
+                g[n] = (d_n, buckets(piece))
+            else:
+                w[n] = (d_n, piece)
         return TruncatedSeries(vars_, spec, out, _trusted=True)
+
+    def exp(self) -> "TruncatedSeries":
+        """exp of a series with zero constant term, truncated, grade by grade
+        (:meth:`_exp_log`)."""
+        if self.constant_term() != 0:
+            raise SeriesError("exp requires zero constant term")
+        return self._exp_log(True)
 
     def log(self) -> "TruncatedSeries":
-        """log of a series with constant term exactly 1, truncated, grade by grade.
-
-        With ``h = self - 1`` split into pieces ``h_k`` of nilpotence weight
-        k >= 1, the pieces of ``f = log(self)`` follow from
-        ``n f_n = n h_n - sum_{k=1..n-1} k f_k h_{n-k}``, the weight-n part
-        of ``(1 + h) D f = D h`` (see :meth:`exp` for D).  Once the
-        operand's grades are used up and the last kmax grades of f are
-        empty, every later grade is empty too.
-
-        The pieces h_k hold integer numerators over the denominator D_h of
-        h, and each ``n f_n`` over its own D_n.  Grade n sums its products
-        in one :class:`_LinearSum`, over ``den = D_h * lcm(D_{n-k})``;
-        ``n f_n`` is then an integer over den.
-        """
+        """log of a series with constant term exactly 1, truncated, grade by
+        grade (:meth:`_exp_log`)."""
         if self.constant_term() != 1:
             raise SeriesError("log requires constant term 1")
-        vars_, spec = self.vars, self.spec
-        origin = (0,) * vars_.nvars
-        h = TruncatedSeries(
-            vars_, spec, {m: c for m, c in self.coeffs.items() if m != origin}, _trusted=True
-        )
-        grades, top = h._grades()
-        d_h = h._int_items()[0]
-        pairs = _PairLoop(vars_, spec)
-        h_buckets = sorted((k, pairs.buckets(items)) for k, items in grades.items())
-        kmax = h_buckets[-1][0] if h_buckets else 0
-        out: dict[tuple[int, ...], object] = {}
-        weighted: dict[int, tuple[int, list]] = {}  # n -> terms of n f_n
-        empty_run = 0
-        for n in range(1, top + 1):
-            grade = _LinearSum(vars_, spec)
-            for k, hb in h_buckets:
-                if k >= n:
-                    break
-                if n - k in weighted:
-                    d_w, kf = weighted[n - k]
-                    grade.add_pairs(1, d_w, kf, hb)
-            den, acc = grade.den, grade.nums
-            piece = []
-            for m, met, c in grades.get(n, ()):
-                c = n * den * c - acc.pop(m, 0)
-                if c:
-                    piece.append((m, met, c))
-            piece.extend((m, _metric(vars_, m), -a) for m, a in acc.items() if a)
-            if not piece:
-                empty_run += 1
-                if empty_run >= kmax and n >= kmax:
-                    break
-                continue
-            empty_run = 0
-            den *= d_h
-            out_den = den * n
-            for m, _met, c in piece:
-                out[m] = QQ(c, out_den)
-            weighted[n] = _reduced(den, piece)
-        return TruncatedSeries(vars_, spec, out, _trusted=True)
-
-    def pow_series(self, exponent: "TruncatedSeries") -> "TruncatedSeries":
-        """self**exponent = exp(exponent * log(self)); self must have constant term 1."""
-        if self.constant_term() != 1:
-            raise SeriesError("pow_series requires base constant term 1")
-        return (exponent * self.log()).exp()
+        return self._exp_log(False)
 
     def inverse(self) -> "TruncatedSeries":
         """1/self for constant term 1 (geometric series in 1 - self)."""

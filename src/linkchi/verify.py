@@ -14,7 +14,10 @@ Route ledger: the code paths each cross-route check compares.
   - "direct vs plethystic": ``f_homotopy_direct`` (the double sum, built
     from ``log`` and ``inverse`` with no ``exp``) against
     ``plethystic_log(f_homology)``.  ``f_homology`` ends in
-    ``TruncatedSeries.exp``, and ``plethystic_log`` takes ``log``.
+    ``TruncatedSeries.exp``, and ``plethystic_log`` takes ``log``.  Both
+    run one graded recurrence (``TruncatedSeries._exp_log``), so this
+    pins the double sum against the plethystic transforms, not the
+    recurrence, which a fault would reach on both sides.
   - "plethystic exp back to F^H": ``plethystic_exp(f_homotopy_direct)``
     against ``f_homology``.  Both sides end in ``TruncatedSeries.exp``, so
     this comparison alone cannot catch a fault inside ``exp``.
@@ -69,12 +72,14 @@ the cyclic-Lie test and the brute-force dihedral ``induced_cycle_index``
 degree tests in ``tests/test_genfun.py`` and the dimension EGA checks in
 ``cycle-index``, until graph-homology ranks give it a second route.
 
-``exp`` is still pinned by routes that do not share it: the property
-tests comparing it with the repeated-product reference
-(``tests/naive_series.py``); "direct vs plethystic", whose direct side
-uses ``log`` only; and the ``gamma`` and ``homology-specializations``
-closed forms, which compare ``exp``-built series with products of
-``inverse``.
+``exp`` and ``log`` share one recurrence, ``TruncatedSeries._exp_log``,
+so no check that runs it on both sides can pin it.  Routes that run it on
+one side only do: the ``gamma`` and ``homology-specializations`` closed
+forms, which compare ``exp``-built series with products of ``inverse``
+(the geometric series, not the recurrence); ``tables`` and ``oracle``,
+which pin ``log`` through the double sum against the published grids and
+the graph enumeration; and the property tests comparing ``exp`` and
+``log`` with the repeated-product references (``tests/naive_series.py``).
 """
 
 from __future__ import annotations

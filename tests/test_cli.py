@@ -132,6 +132,15 @@ def test_supercharacter_negative_genus_rejected(capsys, weight):
     assert "--genus must be >= 0" in err
 
 
+def test_supercharacter_negative_weight_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["supercharacter", "--twist", "plain", "--weight", "-3"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "--weight: must be >= 0, got -3" in err
+
+
 def test_supercharacter_feynman_flag(capsys):
     code, plain, _ = run_cli(
         ["supercharacter", "--twist", "plain", "--weight", "4", "--genus", "2"],
@@ -167,6 +176,20 @@ def test_oracle_format_is_json_only(capsys, tmp_path):
             cli.main(argv + ["--format", fmt])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--budget-t", "--budget-hairs"])
+def test_oracle_negative_budget_rejected_at_parse_time(capsys, monkeypatch, flag):
+    def never(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(cli, "enumerate_classes", never)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--m", "1,1", "--d", "5", "--s", "2,0", "--t", "2", flag, "-1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert f"{flag}: must be >= 0, got -1" in err
 
 
 def test_verify_format_is_text_only(capsys):

@@ -121,22 +121,30 @@ def test_log_of_product_of_inverses():
     assert (geo * (one() - s({"u": 1}))).log().is_zero()
 
 
-def test_pow_series():
-    spec3 = TruncationSpec(u_max=3, x_total_max=5)
-    base = TruncatedSeries.one(XU, spec3) - TruncatedSeries.term(XU, spec3, {"u": 1})
-    assert base.pow_series(TruncatedSeries.zero(XU, spec3)) == TruncatedSeries.one(
-        XU, spec3
-    )
-    inv2 = base.pow_series(TruncatedSeries.constant(XU, spec3, -2))
-    assert [inv2.coefficient({"u": t}) for t in range(4)] == [1, 2, 3, 4]
-    # (1-u)^x = 1 - x u + x(x-1) u^2/2 + ...   (expand exp(x log(1-u)) by hand)
-    spec2 = TruncationSpec(u_max=2, x_total_max=5)
-    base2 = TruncatedSeries.one(XU, spec2) - TruncatedSeries.term(XU, spec2, {"u": 1})
-    powx = base2.pow_series(TruncatedSeries.term(XU, spec2, {"x1": 1}))
-    assert powx.coefficient({}) == 1
-    assert powx.coefficient({"x1": 1, "u": 1}) == -1
-    assert powx.coefficient({"x1": 2, "u": 2}) == QQ(1, 2)
-    assert powx.coefficient({"x1": 1, "u": 2}) == QQ(-1, 2)
+GAPPED = [({"x1": 1, "u": 2}, QQ(1, 2)), ({"u": 5}, 3)]
+
+
+@pytest.mark.parametrize(
+    "spec, terms",
+    [
+        (TruncationSpec(u_max=11), GAPPED),
+        (TruncationSpec(u_max=11, x_total_max=11), GAPPED),
+        (TruncationSpec(u_max=11), GAPPED[1:]),
+    ],
+    ids=["u-graded", "u-and-x-graded", "one-grade"],
+)
+def test_exp_log_with_gaps_between_grades(spec, terms):
+    # weights 2 and 5 (3 and 5 when x is bounded, 5 alone for one grade):
+    # most grades of the operand are empty, and with one grade the first
+    # kmax - 1 grades of the result are empty too
+    f = TruncatedSeries.zero(XU, spec)
+    for exponents, coeff in terms:
+        f = f + s(exponents, coeff, spec=spec)
+    assert f.exp() == naive_exp(f)
+    assert (one(spec=spec) + f).log() == naive_log(one(spec=spec) + f)
+    assert f.exp().log() == f
+    # (3 u^5)^2 / 2!, by hand
+    assert f.exp().coefficient({"u": 10}) == QQ(9, 2)
 
 
 def test_substitute_monomials():
