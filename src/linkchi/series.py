@@ -28,16 +28,20 @@ be lost this way (``cycleindex.mod_envelope_supercharacter_direct`` states
 its argument).  A change of grading (:meth:`TruncatedSeries.regrade`)
 raises instead of dropping a term below a lower bound.
 
-Coefficients are stored as ``QQ``, but products, ``exp``, ``log`` and
-linear sums run on integer numerators.  Each operand is scaled once by the
-lcm of its denominators, cached per series.  A :class:`_LinearSum` adds
-scaled series and scaled products over one running denominator, its pair
-loop multiplying and adding plain ``int``, and rebuilds one
-``QQ(numerator, denominator)`` per output monomial, once, when the sum is
-read back: per product in ``*``, per grade in ``exp`` and ``log``, per sum
-in ``inverse``, ``substitute`` and the sums of :mod:`linkchi.special`.
-Only ``numerator`` and ``denominator`` of a ``QQ`` are read, so this holds
-for ``Fraction`` and for gmpy2's ``mpq`` alike.
+Products, ``exp``, ``log`` and linear sums run on integer numerators, and
+their results keep that form: one denominator, the lcm of the
+coefficients' denominators, and one ``int`` numerator per monomial
+(:meth:`TruncatedSeries._int_items`).  A :class:`_LinearSum` adds scaled
+series and scaled products over one running denominator, its pair loop
+multiplying and adding plain ``int``: per product in ``*``, per grade in
+``exp`` and ``log``, per sum in ``inverse``, ``substitute`` and the sums
+of :mod:`linkchi.special`.  The next operation reads the integer form
+straight back, so a chain of operations builds no ``QQ``; ``coeffs`` folds
+one ``QQ(numerator, denominator)`` per monomial the first time it is read,
+and a series built from coefficients computes its integer form once, on
+first use as an operand.  Only ``numerator`` and ``denominator`` of a
+``QQ`` are read, so this holds for ``Fraction`` and for gmpy2's ``mpq``
+alike.
 
 Series are immutable after construction; all operations are pure.
 """
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from typing import Mapping
 
@@ -80,7 +85,7 @@ class VariableSet:
     has_hbar: bool = False
     pcount: int = 0
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         out = [f"x{i + 1}" for i in range(self.hodge_count)]
         if self.has_u:
@@ -92,7 +97,7 @@ class VariableSet:
         out.extend(f"p{l + 1}" for l in range(self.pcount))
         return tuple(out)
 
-    @property
+    @cached_property
     def nvars(self) -> int:
         return (
             self.hodge_count
@@ -133,6 +138,19 @@ class VariableSet:
 
     def p_start(self) -> int:
         return self.nvars - self.pcount
+
+    @cached_property
+    def metric(self):
+        """``mono -> (x_total, u, z, hbar, p_weight)`` for this layout, with
+        0 for a missing direction; compiled once per variable set, so a
+        caller fetches it once and applies it to every monomial."""
+        r = i = self.hodge_count
+        parts = ["+".join(f"m[{k}]" for k in range(r)) or "0"]
+        for present in (self.has_u, self.has_z, self.has_hbar):
+            parts.append(f"m[{i}]" if present else "0")
+            i += present
+        parts.append("+".join(f"{l + 1}*m[{i + l}]" for l in range(self.pcount)) or "0")
+        return eval(f"lambda m: ({', '.join(parts)})")
 
 
 @dataclass(frozen=True)
@@ -191,23 +209,6 @@ class TruncationSpec:
         )
 
 
-def _metric(vars_: VariableSet, mono: tuple[int, ...]):
-    """(x_total, u, z, hbar, p_weight) of a monomial; missing -> 0."""
-    r = vars_.hodge_count
-    xtot = sum(mono[:r]) if r else 0
-    i = r
-    u = mono[i] if vars_.has_u else 0
-    i += int(vars_.has_u)
-    zz = mono[i] if vars_.has_z else 0
-    i += int(vars_.has_z)
-    hb = mono[i] if vars_.has_hbar else 0
-    i += int(vars_.has_hbar)
-    pw = 0
-    for l in range(vars_.pcount):
-        pw += (l + 1) * mono[i + l]
-    return xtot, u, zz, hb, pw
-
-
 def _outside(spec: TruncationSpec, metric) -> int:
     """0 inside the spec, 1 past an upper bound (ordinary truncation), -1
     below a lower bound (u_min, the low end of a z/hbar window) only."""
@@ -263,9 +264,13 @@ class _LinearSum:
     the dominant bounded direction (u, or p-weight when u is absent) and
     each bucket is sorted by x-total, so pairs outside the spec are mostly
     never visited.  When a term's denominator does not divide the running
-    one, the numerators are rescaled once to the lcm.  ``series()`` folds
-    one ``QQ`` per nonzero monomial.  As with ``+``, the result's spec is
-    the meet of every operand's spec, and terms outside it are dropped.
+    one, the numerators are rescaled once to the lcm.  A coefficient ``c``
+    is read as ``c.numerator`` over ``c.denominator``, so it may be an
+    ``int`` or a ``QQ``.  ``series()`` hands the nonzero numerators and the
+    running denominator to the result as its integer form
+    (:meth:`TruncatedSeries._from_ints`); no ``QQ`` is built.  As with
+    ``+``, the result's spec is the meet of every operand's spec, and terms
+    outside it are dropped.
     """
 
     __slots__ = ("vars", "spec", "den", "nums", "_mixed")
@@ -279,11 +284,11 @@ class _LinearSum:
 
     def _meet(self, *operands) -> None:
         for s in operands:
-            if s.vars != self.vars:
+            if s.vars is not self.vars and s.vars != self.vars:
                 raise SeriesError(
                     f"variable sets differ: {self.vars.names} vs {s.vars.names}"
                 )
-            if s.spec != self.spec:
+            if s.spec is not self.spec and s.spec != self.spec:
                 self._mixed = True
                 self.spec = self.spec.meet(s.spec)
 
@@ -328,11 +333,11 @@ class _LinearSum:
 
     def add(self, c, a: "TruncatedSeries") -> None:
         self._meet(a)
-        c = QQ(c)
-        if not c or not a.coeffs:
+        if not c:
             return
         da, items = a._int_items()
-        self.add_items(c.numerator, c.denominator * da, items)
+        if items:
+            self.add_items(c.numerator, c.denominator * da, items)
 
     def add_pairs(self, num: int, den: int, a_items, b_buckets) -> None:
         """Add ``num / den`` times every in-spec product of a term of
@@ -381,27 +386,36 @@ class _LinearSum:
 
     def add_product(self, c, a: "TruncatedSeries", b: "TruncatedSeries") -> None:
         self._meet(a, b)
-        c = QQ(c)
-        if not c or not a.coeffs or not b.coeffs:
+        if not c:
             return
-        if len(a.coeffs) > len(b.coeffs):
-            a, b = b, a
         da, a_items = a._int_items()
         db, b_items = b._int_items()
+        if not a_items or not b_items:
+            return
+        if len(a_items) > len(b_items):
+            a_items, b_items = b_items, a_items
         self.add_pairs(c.numerator, c.denominator * da * db, a_items, self.buckets(b_items))
 
     def series(self) -> "TruncatedSeries":
-        den, vars_, spec = self.den, self.vars, self.spec
-        out = {m: QQ(n, den) for m, n in self.nums.items() if n}
+        vars_, spec = self.vars, self.spec
+        metric = vars_.metric
+        items = [(m, metric(m), n) for m, n in self.nums.items() if n]
         if self._mixed:
-            out = {m: c for m, c in out.items() if not _outside(spec, _metric(vars_, m))}
-        return TruncatedSeries(vars_, spec, out, _trusted=True)
+            items = [item for item in items if not _outside(spec, item[1])]
+        return TruncatedSeries._from_ints(vars_, spec, self.den, items)
 
 
 class TruncatedSeries:
-    """Sparse map monomial -> coefficient, with no stored zeros."""
+    """Sparse map monomial -> coefficient, with no stored zeros.
 
-    __slots__ = ("vars", "spec", "coeffs", "_int_cache")
+    A series holds its terms in one or both of two forms: ``coeffs``, a dict
+    of ``QQ``, and the integer form of :meth:`_int_items`.  A series built
+    from coefficients starts with ``coeffs``; one built by ``*``, ``exp``,
+    ``log`` or a :class:`_LinearSum` starts with the integer form only, and
+    folds ``coeffs`` from it the first time they are read.
+    """
+
+    __slots__ = ("vars", "spec", "_coeffs", "_ints")
 
     def __init__(
         self,
@@ -413,11 +427,11 @@ class TruncatedSeries:
     ):
         self.vars = vars_
         self.spec = spec
-        self._int_cache = None
+        self._ints = None
         if coeffs is None:
-            self.coeffs = {}
+            self._coeffs = {}
         elif _trusted:
-            self.coeffs = dict(coeffs)
+            self._coeffs = dict(coeffs)
         else:
             clean = {}
             for mono, c in coeffs.items():
@@ -425,12 +439,43 @@ class TruncatedSeries:
                     raise SeriesError(
                         f"monomial {mono} has wrong arity for {vars_.names}"
                     )
-                if _outside(spec, _metric(vars_, mono)):
+                if _outside(spec, vars_.metric(mono)):
                     continue
                 q = QQ(c)
                 if q != 0:
                     clean[tuple(mono)] = q
-            self.coeffs = clean
+            self._coeffs = clean
+
+    @classmethod
+    def _from_ints(
+        cls, vars_: VariableSet, spec: TruncationSpec, den: int, items: list
+    ) -> "TruncatedSeries":
+        """The series with the terms ``n / den * monomial`` of ``items``
+        ``[(monomial, metric, n)]``, every n nonzero and every monomial in
+        the spec.  The integer form is reduced by ``gcd(den, *numerators)``,
+        which makes den the lcm of the coefficients' denominators, and is
+        kept as the series' :meth:`_int_items`; ``coeffs`` waits until read.
+        """
+        if den > 1:
+            r = gcd(den, *[n for _m, _met, n in items])
+            if r > 1:
+                den //= r
+                items = [(m, met, n // r) for m, met, n in items]
+        series = cls.__new__(cls)
+        series.vars = vars_
+        series.spec = spec
+        series._coeffs = None
+        series._ints = (den, items)
+        return series
+
+    @property
+    def coeffs(self) -> dict:
+        """``{monomial: QQ}``, folded from the integer form on first read."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            den, items = self._ints
+            coeffs = self._coeffs = {m: QQ(n, den) for m, _met, n in items}
+        return coeffs
 
     # ---------------------------------------------------------------- base
 
@@ -460,10 +505,19 @@ class TruncatedSeries:
         return cls(vars_, spec, {tuple(mono): coeff})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        if self._coeffs is None:
+            return not self._ints[1]
+        return not self._coeffs
 
     def constant_term(self):
-        return self.coeffs.get((0,) * self.vars.nvars, QQ(0))
+        origin = (0,) * self.vars.nvars
+        if self._coeffs is None:
+            den, items = self._ints
+            for m, _met, n in items:
+                if m == origin:
+                    return QQ(n, den)
+            return QQ(0)
+        return self._coeffs.get(origin, QQ(0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -497,7 +551,7 @@ class TruncatedSeries:
                     out[mono] = acc
         if spec != self.spec or spec != other.spec:
             vars_ = self.vars
-            out = {m: c for m, c in out.items() if not _outside(spec, _metric(vars_, m))}
+            out = {m: c for m, c in out.items() if not _outside(spec, vars_.metric(m))}
         return TruncatedSeries(self.vars, spec, out, _trusted=True)
 
     def __neg__(self) -> "TruncatedSeries":
@@ -524,22 +578,22 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def _int_items(self) -> tuple[int, list]:
-        """``(D, [(monomial, metric, D * coefficient)])`` with D the lcm of
-        the denominators, so that every numerator is an ``int``; cached per
-        series."""
-        cached = self._int_cache
-        if cached is None:
-            vars_ = self.vars
+        """The integer form ``(D, [(monomial, metric, D * coefficient)])``,
+        with D the lcm of the denominators so that every numerator is an
+        ``int``.  A series built by an operation starts with it; one built
+        from coefficients computes it on first use, and keeps it."""
+        ints = self._ints
+        if ints is None:
+            metric = self.vars.metric
             den = 1
-            for c in self.coeffs.values():
+            for c in self._coeffs.values():
                 if den % c.denominator:
                     den = lcm(den, c.denominator)
-            cached = den, [
-                (m, _metric(vars_, m), c.numerator * (den // c.denominator))
-                for m, c in self.coeffs.items()
+            ints = self._ints = den, [
+                (m, metric(m), c.numerator * (den // c.denominator))
+                for m, c in self._coeffs.items()
             ]
-            self._int_cache = cached
-        return cached
+        return ints
 
     def _mul_series(self, other: "TruncatedSeries") -> "TruncatedSeries":
         acc = _LinearSum(self.vars, self.spec)
@@ -628,15 +682,18 @@ class TruncatedSeries:
         Grade n sums its products in one :class:`_LinearSum`, w_k as the left
         items and g_{n-k} bucketed as the right operand, each an integer
         numerator over its own denominator (f's lcm for the given side,
-        reduced by a gcd for the solved side).
+        reduced by a gcd for the solved side).  Output grade n is the solved
+        side's numerators over ``den * n``, den the grade sum's denominator;
+        the result takes the lcm of these and keeps the integer form.
         """
         vars_, spec = self.vars, self.spec
+        metric = vars_.metric
         origin = (0,) * vars_.nvars
         f = self
-        if origin in self.coeffs:
-            f = TruncatedSeries(
-                vars_, spec, {m: c for m, c in self.coeffs.items() if m != origin}, _trusted=True
-            )
+        d_self, terms = self._int_items()
+        rest = [term for term in terms if term[0] != origin]
+        if len(rest) < len(terms):
+            f = TruncatedSeries._from_ints(vars_, spec, d_self, rest)
         grades, top = f._grades()
         d_f = f._int_items()[0]
         buckets = _LinearSum(vars_, spec).buckets  # every grade sums under this spec
@@ -650,7 +707,7 @@ class TruncatedSeries:
                 g[k] = (d_f, buckets(items))
         sign = 1 if exp else -1
         kmax = max(grades, default=0)
-        out = {origin: QQ(1)} if exp else {}
+        out = [(1, [(origin, metric(origin), 1)])] if exp else []  # (den, grade)
         empty_run = 0
         for n in range(1, top + 1):
             grade = _LinearSum(vars_, spec)
@@ -662,15 +719,13 @@ class TruncatedSeries:
             if n in grades:
                 grade.add_items(n, d_f, grades[n])
             den = grade.den
-            piece = [(m, _metric(vars_, m), c) for m, c in grade.nums.items() if c]
+            piece = [(m, metric(m), c) for m, c in grade.nums.items() if c]
             if not piece:
                 empty_run += 1
                 if empty_run >= kmax:
                     break  # every later grade multiplies only empty grades
                 continue
             empty_run = 0
-            for m, _met, c in piece:
-                out[m] = QQ(c, den * n)
             d_n = den * n if exp else den  # of g_n, or of w_n
             r = gcd(d_n, *(c for _m, _met, c in piece))
             if r > 1:
@@ -678,9 +733,13 @@ class TruncatedSeries:
                 piece = [(m, met, c // r) for m, met, c in piece]
             if exp:
                 g[n] = (d_n, buckets(piece))
+                out.append((d_n, piece))
             else:
                 w[n] = (d_n, piece)
-        return TruncatedSeries(vars_, spec, out, _trusted=True)
+                out.append((d_n * n, piece))
+        den = lcm(*(d for d, _piece in out))
+        items = [(m, met, c * (den // d)) for d, piece in out for m, met, c in piece]
+        return TruncatedSeries._from_ints(vars_, spec, den, items)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term, truncated, grade by grade
@@ -790,7 +849,7 @@ class TruncatedSeries:
         for name, e in exponents.items():
             mono[self.vars.index(name)] = e
         mono = tuple(mono)
-        if _outside(self.spec, _metric(self.vars, mono)):
+        if _outside(self.spec, self.vars.metric(mono)):
             raise OutOfBoundsError(
                 f"monomial {dict(exponents)} lies outside the truncation spec {self.spec}"
             )
@@ -812,13 +871,11 @@ class TruncatedSeries:
         return {mono[i] for mono in self.coeffs}
 
     def truncate(self, spec: TruncationSpec) -> "TruncatedSeries":
-        """Re-truncate to a (smaller) spec."""
+        """Re-truncate to a (smaller) spec, in the integer form."""
         spec = self.spec.meet(spec)
-        vars_ = self.vars
-        out = {
-            m: c for m, c in self.coeffs.items() if not _outside(spec, _metric(vars_, m))
-        }
-        return TruncatedSeries(vars_, spec, out, _trusted=True)
+        den, items = self._int_items()
+        kept = [item for item in items if not _outside(spec, item[1])]
+        return TruncatedSeries._from_ints(self.vars, spec, den, kept)
 
     def regrade(self, vars_: VariableSet, spec: TruncationSpec, fn) -> "TruncatedSeries":
         """Map every monomial to another grading: ``fn(mono) -> (mono', sign)``.
@@ -833,7 +890,7 @@ class TruncatedSeries:
         out: dict[tuple[int, ...], object] = {}
         for mono, c in self.coeffs.items():
             m2, sign = fn(mono)
-            side = _outside(spec, _metric(vars_, m2))
+            side = _outside(spec, vars_.metric(m2))
             if side > 0:
                 continue
             if side < 0:
@@ -902,7 +959,7 @@ def _has_positive_bounded_order(series: TruncatedSeries) -> bool:
     if series.is_zero():
         return True
     for mono in series.coeffs:
-        xtot, u, _z, hb, pw = _metric(vars_, mono)
+        xtot, u, _z, hb, pw = vars_.metric(mono)
         ok = False
         if spec.u_max is not None and u >= 1:
             ok = True
@@ -925,6 +982,6 @@ def _invert_term(series: TruncatedSeries) -> TruncatedSeries:
         )
     (mono, c), = series.coeffs.items()
     inv = tuple(-e for e in mono)
-    if _outside(series.spec, _metric(series.vars, inv)):
+    if _outside(series.spec, series.vars.metric(inv)):
         raise OutOfBoundsError(f"inverse monomial {inv} falls outside the spec")
     return TruncatedSeries(series.vars, series.spec, {inv: QQ(1) / QQ(c)}, _trusted=True)

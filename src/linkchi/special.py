@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 from .rationals import QQ, binomial, bernoulli, divisors, mobius
-from .series import SeriesError, TruncatedSeries, _LinearSum, _metric, _trunc_weight
+from .series import SeriesError, TruncatedSeries, _LinearSum, _trunc_weight
 
 __all__ = [
     "UniPolynomial",
@@ -299,7 +299,7 @@ def plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
         c = series.coeffs[mono]
         if c.denominator != 1:
             raise SeriesError(f"plethystic_exp requires integer coefficients, got {c}")
-        if _trunc_weight(spec, _metric(vars_, mono)) < 1:
+        if _trunc_weight(spec, vars_.metric(mono)) < 1:
             raise SeriesError(f"monomial {mono} cannot be plethystically exponentiated")
     arg = _LinearSum(vars_, spec)
     for l in range(1, _plethystic_bound(spec) + 1):

@@ -12,7 +12,8 @@ the textbook forms they replaced, kept here as test oracles only:
 * plethystic_exp as the product of one geometric power ``(1 - m)^(-chi)``
   per monomial ``m``;
 * a linear sum of scaled series and scaled products as one ``scaled`` and
-  one ``+`` per term.
+  one ``+`` per term;
+* a substitution as one product of repeated factors per monomial.
 """
 
 from __future__ import annotations
@@ -42,6 +43,23 @@ def naive_linear_sum(vars_, spec, terms) -> TruncatedSeries:
     for c, *operands in terms:
         term = operands[0] if len(operands) == 1 else naive_mul(*operands)
         out = out + term.scaled(c)
+    return out
+
+
+def naive_substitute(series: TruncatedSeries, assignments) -> TruncatedSeries:
+    """Sum of ``c * prod_v assignments[v]^e_v`` over the terms of ``series``,
+    each power a repeated ``naive_mul``; a variable not replaced keeps its
+    exponent under the same name.  Nonnegative exponents only."""
+    first = next(iter(assignments.values()))
+    vars_, spec = first.vars, first.spec
+    out = TruncatedSeries.zero(vars_, spec)
+    for mono, c in series.coeffs.items():
+        kept = {n: e for n, e in zip(series.vars.names, mono) if n not in assignments}
+        term = TruncatedSeries.term(vars_, spec, kept, c)
+        for name, e in zip(series.vars.names, mono):
+            for _ in range(e if name in assignments else 0):
+                term = naive_mul(term, assignments[name])
+        out = out + term
     return out
 
 

@@ -1,9 +1,11 @@
 """Byte-for-byte CLI outputs, recorded before the double-sum engine merge
 (table, supercharacter, homology), before orderly generation in the
 graph oracle (oracle), before the fraction-free series kernel (the t=30
-tables) and before the fraction-free linear sums (the t=24 tables), and
+tables) and before the fraction-free linear sums (the t=24 tables),
 library series recorded before the z-graded genus-0/1 series
-became regradings of their Euler forms (series-*).
+became regradings of their Euler forms (series-*), and the default
+``verify`` report recorded before series results were kept as integer
+numerators until read (verify-default.txt).
 
 Each CLI case runs ``linkchi`` in-process with ``--output`` and compares
 the written bytes with ``tests/golden/<name>``; each series case compares
@@ -22,6 +24,7 @@ import pytest
 from linkchi import cli
 from linkchi.cycleindex import z_hedgehog_homology, z_tree_homology
 from linkchi.genfun import LinkConfig, f_homotopy_graded, genus0_dims, genus1_dims
+from linkchi.rationals import QQ
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -124,9 +127,17 @@ def test_golden_series(name):
     assert _series_text(SERIES_CASES[name]()) == (GOLDEN / name).read_bytes()
 
 
+def test_golden_verify_report(tmp_path):
+    # the first line names the rational backend, fractions where it was recorded
+    want = (GOLDEN / "verify-default.txt").read_bytes()
+    want = want.replace(b"backend: fractions\n", f"backend: {QQ.__module__}\n".encode(), 1)
+    assert _render(["verify"], tmp_path / "verify.txt") == want
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         _render(argv, GOLDEN / name)
     for name, build in SERIES_CASES.items():
         (GOLDEN / name).write_bytes(_series_text(build()))
+    _render(["verify"], GOLDEN / "verify-default.txt")

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,9 +14,10 @@ from linkchi.series import (
     TruncationSpec,
     VariableSet,
     _LinearSum,
+    _outside,
 )
 
-from naive_series import naive_exp, naive_linear_sum, naive_log, naive_mul
+from naive_series import naive_exp, naive_linear_sum, naive_log, naive_mul, naive_substitute
 
 XU = VariableSet(hodge_count=2, has_u=True)
 SPEC = TruncationSpec(u_max=6, x_total_max=7)
@@ -553,3 +557,120 @@ def test_linear_sum_rescales_to_the_lcm():
     assert total == naive_linear_sum(XU, SPEC, terms)
     assert total.coefficient({"u": 1}) == QQ(1, 2) + QQ(7 * 5, (10**9 + 7) * 11)
     assert_canonical(total)
+
+
+# ------------------------- results kept as integer numerators until read
+
+
+def assert_lazy_matches(result, reference):
+    """``result`` has not folded its coefficients, and neither its constant
+    term nor its zero test folds them; both agree with the eagerly built
+    ``reference``, as do ``==``, ``hash`` and the coefficients once read,
+    every one a reduced, nonzero ``QQ``."""
+    assert result._coeffs is None
+    assert result.constant_term() == reference.constant_term()
+    assert result.is_zero() == reference.is_zero()
+    assert result._coeffs is None
+    assert result == reference
+    assert hash(result) == hash(reference)
+    for mono, c in result.coeffs.items():
+        assert isinstance(c, QQ) and c != 0, (mono, c)
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1, (mono, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_pair())
+def test_lazy_mul(case):
+    _name, a, b = case
+    assert_lazy_matches(a * b, naive_mul(a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_operand(0, mixed_rationals))
+def test_lazy_exp(case):
+    _name, a = case
+    assert_lazy_matches(a.exp(), naive_exp(a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_operand(1, mixed_rationals))
+def test_lazy_log(case):
+    _name, a = case
+    assert_lazy_matches(a.log(), naive_log(a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_operand(1, mixed_rationals))
+def test_lazy_inverse(case):
+    # 1/a = exp(-log a) in the truncated ring
+    _name, a = case
+    assert_lazy_matches(a.inverse(), naive_exp(-naive_log(a)))
+
+
+def test_lazy_substitute():
+    f = (
+        s({"x1": 2, "u": 1}, QQ(5, 3))
+        + s({"x2": 1}, QQ(-2, 9))
+        + s({"x1": 1, "u": 2}, 4)
+        + one()
+    )
+    repls = {"x1": s({"x1": 1}) + s({"u": 1}, QQ(1, 3)), "u": s({"u": 1}) + s({"u": 2}, QQ(5, 7))}
+    assert_lazy_matches(f.substitute(repls), naive_substitute(f, repls))
+    # a replacement sent through the integer form (a product) is read back exactly
+    repls["x1"] = repls["x1"] * repls["u"]
+    assert_lazy_matches(f.substitute(repls), naive_substitute(f, repls))
+
+
+@settings(max_examples=40, deadline=None)
+@given(linear_terms())
+def test_lazy_linear_sum_cancels_to_zero(case):
+    name, vars_, spec, terms = case
+    back = [(-c, *operands[::-1]) for c, *operands in terms]
+    total = linear_sum(vars_, spec, terms + back)
+    assert_lazy_matches(total, naive_linear_sum(vars_, spec, terms + back))
+    assert total.is_zero() and total._int_items() == (1, []), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_terms())
+def test_lazy_linear_sum_mixed_specs(case):
+    name, vars_, spec, terms = case
+    total = linear_sum(vars_, spec, terms)
+    assert_lazy_matches(total, naive_linear_sum(vars_, spec, terms))
+    assert not any(_outside(total.spec, met) for _m, met, _n in total._int_items()[1]), name
+
+
+def test_lazy_linear_sum_drops_out_of_spec_monomials():
+    wide = TruncationSpec(u_max=8, x_total_max=7)
+    a = TruncatedSeries(XU, wide, {(0, 0, 7): QQ(1, 3), (0, 0, 5): 2, (1, 0, 8): 1})
+    b = TruncatedSeries(XU, wide, {(0, 0, 1): QQ(1, 5)})
+    acc = _LinearSum(XU, SPEC)
+    acc.add(QQ(1, 2), a)
+    acc.add_product(3, a, b)
+    total = acc.series()
+    # u^7, u^8 and x1 u^8 lie past SPEC's u_max = 6; u^5 and u^6 stay
+    assert [m for m, _met, _n in total._int_items()[1]] == [(0, 0, 5), (0, 0, 6)]
+    assert total.spec == SPEC
+    assert total.coeffs == {(0, 0, 5): 1, (0, 0, 6): QQ(6, 5)}
+
+
+@pytest.mark.skipif(QQ is not Fraction, reason="counts Fraction constructions")
+def test_mul_builds_no_qq_until_read(monkeypatch):
+    a = s({"x1": 1}, QQ(1, 3)) + s({"u": 1}, QQ(2, 7)) + one()
+    b = s({"x2": 1, "u": 1}, QQ(5, 11)) + s({"u": 2}, QQ(-1, 2)) + one()
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    product = a * b * a
+    assert not product.is_zero()
+    assert built == []
+    coeffs = product.coeffs  # one QQ per monomial, folded once
+    assert len(built) == len(coeffs)
+    assert product.coeffs is coeffs and len(built) == len(coeffs)
+    monkeypatch.undo()
+    assert product == naive_mul(naive_mul(a, b), a)
