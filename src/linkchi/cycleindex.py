@@ -154,7 +154,6 @@ def _specialization_targets(z: TruncatedSeries, cfg: LinkConfig, mode: str):
         u_max=z.spec.u_max if carries_u else None,
         x_total_max=weight_max,
         z_window=z_window,
-        u_min=z.spec.u_min if carries_u else 0,
     )
     return vars_, spec
 

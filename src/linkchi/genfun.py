@@ -129,9 +129,9 @@ class LinkConfig:
         return VariableSet(hodge_count=self.r, has_u=True)
 
 
-def _xu_spec(t_max: int, x_total_max: int | None, u_min: int = 0) -> TruncationSpec:
+def _xu_spec(t_max: int, x_total_max: int | None) -> TruncationSpec:
     s = (t_max + 1) if x_total_max is None else x_total_max
-    return TruncationSpec(u_max=t_max, x_total_max=s, u_min=u_min)
+    return TruncationSpec(u_max=t_max, x_total_max=s)
 
 
 def color_power_sum(
@@ -252,7 +252,6 @@ def f_homotopy_via_pleth(
 def f_homotopy_graded(
     cfg: LinkConfig,
     t_max: int,
-    genus_max: int | None = None,
     f_pi: TruncatedSeries | None = None,
 ) -> TruncatedSeries:
     """hbar-graded refinement: hbar * F^pi(x_i/hbar, u hbar), re-expanded.
@@ -260,17 +259,16 @@ def f_homotopy_graded(
     Each monomial x^s u^t acquires hbar^(t - |s| + 1), its genus.  A
     negative genus would mean F^pi carries a monomial with |s| > t + 1 —
     an internal inconsistency, so it raises :class:`SeriesError` (it lies
-    below the hbar window) rather than being truncated away.
+    below the hbar window) rather than being truncated away.  The hbar
+    window is (0, t_max).
     """
-    if genus_max is None:
-        genus_max = t_max
     if f_pi is None:
         f_pi = f_homotopy_direct(cfg, t_max)
     vars_ = VariableSet(hodge_count=cfg.r, has_u=True, has_hbar=True)
     spec = TruncationSpec(
         u_max=f_pi.spec.u_max,
         x_total_max=f_pi.spec.x_total_max,
-        hbar_window=(0, genus_max),
+        hbar_window=(0, t_max),
     )
     r = cfg.r
     return f_pi.regrade(vars_, spec, lambda m: (m + (m[r] - sum(m[:r]) + 1,), 1))
@@ -304,19 +302,22 @@ def genus0_closed(
 
     ``-A_1 + (A_1 - (-1)^d / u) * sum_l mu(l)/l log(1 - (-1)^d u^l A_l)``
     with ``A_l = sum_i (-1)^(m_i) x_i^l``.  The 1/u prefactor must cancel
-    against the u-order->=1 logarithm; a surviving u^(-1) term is a hard
-    error.  Computed with a one-step u-Laurent window, one extra u-order
-    of the bracket (the 1/u shift consumes it), then re-truncated.
+    against the u-order->=1 logarithm.  Computed as
+    ``(u A_1 - (-1)^d) * sum`` one u-order further, then lowered by one
+    u-order with :meth:`~linkchi.series.TruncatedSeries.regrade`; a term
+    that would land on u^(-1) lies below the spec and raises
+    :class:`SeriesError`.
     """
     vars_ = cfg.xu_vars()
-    wspec = _xu_spec(t_max + 1, x_total_max, u_min=-1)
+    wspec = _xu_spec(t_max + 1, x_total_max)
     bracket = _mu_log_sum(cfg, vars_, wspec, t_max + 1, mobius)
+    u = TruncatedSeries.term(vars_, wspec, {"u": 1})
     a1 = color_power_sum(cfg, vars_, wspec, 1, "euler")
-    u_inv = TruncatedSeries.term(vars_, wspec, {"u": -1}, cfg.sd)
-    result = -a1 + (a1 - u_inv) * bracket
-    if not result.grade_extract("u", -1).is_zero():
-        raise SeriesError("genus-0 closed form left a u^(-1) term")
-    return result.truncate(_xu_spec(t_max, x_total_max))
+    shifted = (u * a1 - TruncatedSeries.constant(vars_, wspec, cfg.sd)) * bracket
+    spec = _xu_spec(t_max, x_total_max)
+    r = cfg.r
+    lowered = shifted.regrade(vars_, spec, lambda m: (m[:r] + (m[r] - 1,), 1))
+    return lowered - color_power_sum(cfg, vars_, spec, 1, "euler")
 
 
 def genus1_closed(

@@ -1,23 +1,18 @@
 """Exact rational arithmetic and elementary number-theoretic functions.
 
-Every coefficient in this package lives in Q.  ``QQ`` is gmpy2's ``mpq``
-when available (much faster), otherwise the stdlib ``Fraction``; both are
-arbitrary precision, keep gcd(num, den) = 1 and den >= 1 automatically,
-and interoperate with plain ``int``.
+Every coefficient in this package lives in Q.  ``QQ`` is the stdlib
+``fractions.Fraction``: arbitrary precision, gcd(num, den) = 1 and
+den >= 1 kept automatically, and interoperable with plain ``int``.
 
-Caches below are plain dicts filled idempotently, which is safe for
-concurrent readers and concurrent first fills under CPython.
+The number-theoretic functions below memoize with ``functools.lru_cache``
+bounded by ``CACHE_SIZE``, which is safe under threads.
 """
 
 from __future__ import annotations
 
-import threading
+from fractions import Fraction as QQ
+from functools import lru_cache
 from math import comb, isqrt
-
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as QQ
 
 __all__ = [
     "QQ",
@@ -30,9 +25,13 @@ __all__ = [
     "binomial",
 ]
 
+# maxsize of every memo in the package; the keys are integers up to about
+# twice the truncation order, so no run in reach fills one
+CACHE_SIZE = 1024
 
-def as_qq(value) -> "QQ":
-    """Coerce an int, Fraction, mpq or 'a/b' string to QQ."""
+
+def as_qq(value) -> QQ:
+    """Coerce an int, Fraction or 'a/b' string to QQ."""
     if isinstance(value, str):
         if "/" in value:
             num, den = value.split("/")
@@ -49,97 +48,67 @@ def qq_str(value) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-_divisor_cache: dict[int, tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def divisors(n: int) -> tuple[int, ...]:
     """Sorted positive divisors of n >= 1."""
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")
-    cached = _divisor_cache.get(n)
-    if cached is not None:
-        return cached
     small, large = [], []
     for a in range(1, isqrt(n) + 1):
         if n % a == 0:
             small.append(a)
             if a != n // a:
                 large.append(n // a)
-    out = tuple(small + large[::-1])
-    _divisor_cache[n] = out
-    return out
+    return tuple(small + large[::-1])
 
 
-_mobius_cache: dict[int, int] = {1: 1}
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def mobius(n: int) -> int:
     """Moebius mu(n): 0 if n has a squared prime factor, else (-1)^(#primes)."""
     if n < 1:
         raise ValueError(f"mobius requires n >= 1, got {n}")
-    cached = _mobius_cache.get(n)
-    if cached is not None:
-        return cached
     m, factors = n, 0
     p = 2
-    result = None
     while p * p <= m:
         if m % p == 0:
             m //= p
             if m % p == 0:
-                result = 0
-                break
+                return 0
             factors += 1
         else:
             p += 1 if p == 2 else 2
-    if result is None:
-        if m > 1:
-            factors += 1
-        result = -1 if factors % 2 else 1
-    _mobius_cache[n] = result
-    return result
+    if m > 1:
+        factors += 1
+    return -1 if factors % 2 else 1
 
 
-_totient_cache: dict[int, int] = {1: 1}
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def totient(n: int) -> int:
     """Euler phi(n) = sum over divisors a of n of mu(a) * n / a."""
     if n < 1:
         raise ValueError(f"totient requires n >= 1, got {n}")
-    cached = _totient_cache.get(n)
-    if cached is not None:
-        return cached
-    result = sum(mobius(a) * (n // a) for a in divisors(n))
-    _totient_cache[n] = result
-    return result
+    return sum(mobius(a) * (n // a) for a in divisors(n))
 
 
-_bernoulli_cache: list = [QQ(1)]
-_bernoulli_lock = threading.Lock()
-
-
-def bernoulli(p: int) -> "QQ":
+@lru_cache(maxsize=CACHE_SIZE)
+def bernoulli(p: int) -> QQ:
     """Bernoulli number B_p with sum_{p>=0} B_p x^p / p! = x / (e^x - 1).
 
     This convention gives B_1 = -1/2 (the other common one uses +1/2);
     the power-sum polynomials in :mod:`linkchi.special` carry explicit
     (-1)^p factors that presuppose it.  Computed by the recurrence
-    sum_{i=0}^{p} C(p+1, i) B_i = 0 for p >= 1, memoized.
+    sum_{i=0}^{p} C(p+1, i) B_i = 0 for p >= 1.  The terms are read in
+    increasing i, so each B_i finds B_0..B_{i-1} cached and the recursion
+    is never deeper than two calls.
     """
     if p < 0:
         raise ValueError(f"bernoulli requires p >= 0, got {p}")
-    cache = _bernoulli_cache
-    if len(cache) <= p:
-        # the growable list needs ordered appends, unlike the dict caches
-        with _bernoulli_lock:
-            while len(cache) <= p:
-                m = len(cache)
-                acc = QQ(0)
-                for i in range(m):
-                    acc += comb(m + 1, i) * cache[i]
-                cache.append(-acc / (m + 1))
-    return cache[p]
+    if p == 0:
+        return QQ(1)
+    acc = QQ(0)
+    for i in range(p):
+        acc += comb(p + 1, i) * bernoulli(i)
+    return -acc / (p + 1)
 
 
 def binomial(n: int, k: int) -> int:

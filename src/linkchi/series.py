@@ -4,9 +4,8 @@ A series lives over a fixed :class:`VariableSet`: Hodge variables
 ``x1..xr`` (one per link component), the complexity variable ``u``, the
 homological-degree variable ``z``, the genus variable ``hbar``, and
 power-sum variables ``p1..pL``.  Exponents of ``z`` and ``hbar`` may be
-negative (Laurent windows); all other exponents are nonnegative, except
-that ``u`` may be given a one-step negative window for intermediate
-bookkeeping.
+negative (Laurent windows); all other exponents, ``u`` included, are
+nonnegative.
 
 Truncation is an explicit contract (:class:`TruncationSpec`): monomials
 inside the bounds are exact, monomials outside are *undefined* — asking
@@ -39,9 +38,7 @@ of :mod:`linkchi.special`.  The next operation reads the integer form
 straight back, so a chain of operations builds no ``QQ``; ``coeffs`` folds
 one ``QQ(numerator, denominator)`` per monomial the first time it is read,
 and a series built from coefficients computes its integer form once, on
-first use as an operand.  Only ``numerator`` and ``denominator`` of a
-``QQ`` are read, so this holds for ``Fraction`` and for gmpy2's ``mpq``
-alike.
+first use as an operand.
 
 Series are immutable after construction; all operations are pure.
 """
@@ -157,8 +154,8 @@ class VariableSet:
 class TruncationSpec:
     """Bounds defining which monomials a series stores exactly.
 
-    ``u_max``     highest u-exponent kept (T); ``u_min`` is 0 except for
-                  short-lived Laurent bookkeeping steps.
+    ``u_max``     highest u-exponent kept (T); u is never Laurent, so a
+                  bounded u has the lower bound 0.
     ``x_total_max`` cap S on the *total* x-degree (default T+1 at
                   construction sites: genus >= 0 forces |s| <= t + 1).
     ``z_window``/``hbar_window``  inclusive (lo, hi) exponent windows.
@@ -170,7 +167,6 @@ class TruncationSpec:
     z_window: tuple[int, int] | None = _NO_BOUND
     hbar_window: tuple[int, int] | None = _NO_BOUND
     p_weight_max: int | None = _NO_BOUND
-    u_min: int = 0
 
     def __post_init__(self):
         if self.u_max is not None and self.u_max < 0:
@@ -179,8 +175,6 @@ class TruncationSpec:
             raise SeriesError("x_total_max must be >= 0")
         if self.p_weight_max is not None and self.p_weight_max < 0:
             raise SeriesError("p_weight_max must be >= 0")
-        if self.u_min > 0:
-            raise SeriesError("u_min must be <= 0")
 
     def meet(self, other: "TruncationSpec") -> "TruncationSpec":
         """Componentwise shrink: the largest spec both operands can honor."""
@@ -205,13 +199,13 @@ class TruncationSpec:
             z_window=wmeet(self.z_window, other.z_window),
             hbar_window=wmeet(self.hbar_window, other.hbar_window),
             p_weight_max=bmin(self.p_weight_max, other.p_weight_max),
-            u_min=max(self.u_min, other.u_min),
         )
 
 
 def _outside(spec: TruncationSpec, metric) -> int:
     """0 inside the spec, 1 past an upper bound (ordinary truncation), -1
-    below a lower bound (u_min, the low end of a z/hbar window) only."""
+    below a lower bound only: u < 0 when u is bounded (u is never
+    Laurent), or below the low end of a z/hbar window."""
     xtot, u, zz, hb, pw = metric
     if (
         (spec.u_max is not None and u > spec.u_max)
@@ -222,7 +216,7 @@ def _outside(spec: TruncationSpec, metric) -> int:
     ):
         return 1
     if (
-        (spec.u_max is not None and u < spec.u_min)
+        (spec.u_max is not None and u < 0)
         or (spec.z_window is not None and zz < spec.z_window[0])
         or (spec.hbar_window is not None and hb < spec.hbar_window[0])
     ):
@@ -349,7 +343,7 @@ class _LinearSum:
             a_items = [(m, met, n * scale) for m, met, n in a_items]
         spec = self.spec
         use_u, use_w = self._keys()
-        u_max, u_min = spec.u_max, spec.u_min
+        u_max = spec.u_max
         s_cap = spec.x_total_max
         zw, hw, w_cap = spec.z_window, spec.hbar_window, spec.p_weight_max
         add = operator.add
@@ -358,16 +352,14 @@ class _LinearSum:
         for m1, met1, c1 in a_items:
             xt1, u1, z1, h1, pw1 = met1
             if use_u:
-                lo, hi = u_min - u1, u_max - u1
+                hi = u_max - u1
             elif use_w:
-                lo, hi = None, w_cap - pw1
+                hi = w_cap - pw1
             else:
-                lo, hi = None, None
+                hi = None
             for kv, bucket in b_buckets:
                 if hi is not None and kv > hi:
                     break
-                if lo is not None and kv < lo:
-                    continue
                 for m2, met2, c2 in bucket:
                     if s_cap is not None and xt1 + met2[0] > s_cap:
                         break  # bucket sorted by x-total
@@ -631,8 +623,6 @@ class TruncatedSeries:
         """
         spec, vars_ = self.spec, self.vars
         _den, items = self._int_items()
-        if spec.u_max is not None and any(met[1] < 0 for _m, met, _c in items):
-            raise SeriesError("exp/log need nonnegative u-exponents")
         use_z = (
             vars_.has_z
             and spec.z_window is not None

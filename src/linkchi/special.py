@@ -15,7 +15,9 @@
 
 from __future__ import annotations
 
-from .rationals import QQ, binomial, bernoulli, divisors, mobius
+from functools import lru_cache
+
+from .rationals import CACHE_SIZE, QQ, bernoulli, binomial, divisors, mobius
 from .series import SeriesError, TruncatedSeries, _LinearSum, _trunc_weight
 
 __all__ = [
@@ -78,43 +80,33 @@ class UniPolynomial:
         return f"UniPolynomial({list(self.coeffs)})"
 
 
-_e_cache: dict[int, UniPolynomial] = {}
-_f_cache: dict[int, UniPolynomial] = {}
-_s_cache: dict[int, UniPolynomial] = {}
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def e_poly(l: int) -> UniPolynomial:
     """E_l(x) = (1/l) sum_{p | l} mu(p) x^(l/p)."""
     if l < 1:
         raise ValueError(f"e_poly requires l >= 1, got {l}")
-    got = _e_cache.get(l)
-    if got is None:
-        cs = [QQ(0)] * (l + 1)
-        for p in divisors(l):
-            mp = mobius(p)
-            if mp:
-                cs[l // p] += QQ(mp, l)
-        got = UniPolynomial(cs)
-        _e_cache[l] = got
-    return got
+    cs = [QQ(0)] * (l + 1)
+    for p in divisors(l):
+        mp = mobius(p)
+        if mp:
+            cs[l // p] += QQ(mp, l)
+    return UniPolynomial(cs)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def f_poly(l: int) -> UniPolynomial:
     """F_l(u) = l u^l E_l(1/u) = sum_{t | l} mu(t) u^(l - l/t)."""
     if l < 1:
         raise ValueError(f"f_poly requires l >= 1, got {l}")
-    got = _f_cache.get(l)
-    if got is None:
-        cs = [QQ(0)] * l
-        for t in divisors(l):
-            mt = mobius(t)
-            if mt:
-                cs[l - l // t] += mt
-        got = UniPolynomial(cs)
-        _f_cache[l] = got
-    return got
+    cs = [QQ(0)] * l
+    for t in divisors(l):
+        mt = mobius(t)
+        if mt:
+            cs[l - l // t] += mt
+    return UniPolynomial(cs)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def s_poly(j: int) -> UniPolynomial:
     """S_j(x) = (1/(j+1)) sum_{p=0}^{j} (-1)^p C(j+1, p) B_p x^(j+1-p).
 
@@ -122,16 +114,12 @@ def s_poly(j: int) -> UniPolynomial:
     """
     if j < 1:
         raise ValueError(f"s_poly requires j >= 1, got {j}")
-    got = _s_cache.get(j)
-    if got is None:
-        cs = [QQ(0)] * (j + 2)
-        for p in range(j + 1):
-            bp = bernoulli(p)
-            if bp != 0:
-                cs[j + 1 - p] += QQ((-1) ** p * binomial(j + 1, p), j + 1) * bp
-        got = UniPolynomial(cs)
-        _s_cache[j] = got
-    return got
+    cs = [QQ(0)] * (j + 2)
+    for p in range(j + 1):
+        bp = bernoulli(p)
+        if bp != 0:
+            cs[j + 1 - p] += QQ((-1) ** p * binomial(j + 1, p), j + 1) * bp
+    return UniPolynomial(cs)
 
 
 def _f_series(vars_, spec, var: str, l: int, k: int) -> TruncatedSeries:
@@ -254,12 +242,12 @@ def _plethystic_bound(spec) -> int:
     return max(bounds)
 
 
-def plethystic_log(series: TruncatedSeries, lmax: int | None = None) -> TruncatedSeries:
+def plethystic_log(series: TruncatedSeries) -> TruncatedSeries:
     """sum_l mu(l)/l * log(series with x_i <- x_i^l, u <- u^l).
 
     Extracts the exponents chi from a product of the form
     prod (1 - x^s u^t)^(-chi); inverse of :func:`plethystic_exp`.  The
-    default bound on l is :func:`_plethystic_bound`: ``log`` accepts only
+    bound on l is :func:`_plethystic_bound`: ``log`` accepts only
     series whose non-constant monomials have positive degree in a bounded
     direction, so every l above it contributes log(1) = 0.
     """
@@ -268,10 +256,8 @@ def plethystic_log(series: TruncatedSeries, lmax: int | None = None) -> Truncate
     vars_, spec = series.vars, series.spec
     if vars_.has_z or vars_.has_hbar or vars_.pcount:
         raise SeriesError("plethystic_log is defined on x/u series only")
-    if lmax is None:
-        lmax = _plethystic_bound(spec)
     out = _LinearSum(vars_, spec)
-    for l in range(1, lmax + 1):
+    for l in range(1, _plethystic_bound(spec) + 1):
         ml = mobius(l)
         if ml == 0:
             continue

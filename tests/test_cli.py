@@ -254,6 +254,26 @@ def test_verify_fault_injection(capsys, monkeypatch):
     assert "f-poly" in out
 
 
+def test_verify_pins_every_power_sum_polynomial_the_double_sum_uses(capsys, monkeypatch):
+    # the double sum reaches S_j for j <= t (23 by default): a wrong S_20 must fail
+    import linkchi.verify as verify_mod
+    from linkchi.special import UniPolynomial
+
+    real = verify_mod.s_poly
+
+    def wrong_s20(j):
+        poly = real(j)
+        if j == 20:
+            return UniPolynomial([c + 1 if k == 1 else c for k, c in enumerate(poly.coeffs)])
+        return poly
+
+    monkeypatch.setattr(verify_mod, "s_poly", wrong_s20)
+    code = cli.main(["verify", "--only", "special-polynomials"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert "s-poly: S_20(1) is not the power sum" in out
+
+
 def test_verify_check_that_raises_is_a_failure(capsys, monkeypatch):
     # a fault that makes a check raise is a verification failure (exit 1)
     import linkchi.verify as verify_mod

@@ -16,7 +16,7 @@ from linkchi.genfun import (
 )
 from linkchi.rationals import QQ
 from linkchi.reference_tables import TABLES
-from linkchi.series import TruncatedSeries, TruncationSpec, VariableSet
+from linkchi.series import SeriesError, TruncatedSeries, TruncationSpec, VariableSet
 from linkchi.special import plethystic_exp
 
 ODD2 = LinkConfig.create((1, 1), 3)
@@ -157,6 +157,21 @@ def test_genus0_closed_values():
     assert g0.coefficient({"x1": 2, "u": 1}) == 1
     assert g0.coefficient({"x1": 8, "x2": 6, "u": 13}) == 19
     assert g0.coefficient({"x1": 1, "u": 1}) == 0
+
+
+def test_genus0_closed_raises_on_a_surviving_inverse_u(monkeypatch):
+    # a constant in the log bracket leaves -(-1)^d/u uncancelled: an error, not a drop
+    import linkchi.genfun as genfun
+
+    real = genfun._mu_log_sum
+
+    def with_constant(cfg, vars_, spec, t_max, weight):
+        out = real(cfg, vars_, spec, t_max, weight)
+        return out + TruncatedSeries.one(vars_, spec)
+
+    monkeypatch.setattr(genfun, "_mu_log_sum", with_constant)
+    with pytest.raises(SeriesError):
+        genus0_closed(ODD2, 4)
 
 
 def test_genus1_closed_values():

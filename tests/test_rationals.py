@@ -84,10 +84,9 @@ def test_caches_fill_correctly_under_threads():
 
     import linkchi.rationals as rat
 
-    # reset the growable cache, then race several fillers
-    rat._bernoulli_cache[:] = [QQ(1)]
-    rat._mobius_cache.clear()
-    rat._mobius_cache[1] = 1
+    # empty the caches, then race several fillers
+    for fn in (rat.divisors, rat.mobius, rat.totient, rat.bernoulli):
+        fn.cache_clear()
     errors = []
 
     def worker():
@@ -107,4 +106,37 @@ def test_caches_fill_correctly_under_threads():
     for t in threads:
         t.join()
     assert not errors
-    assert len(rat._bernoulli_cache) == 41
+    assert rat.bernoulli.cache_info().currsize == 41
+
+
+def test_every_cache_is_bounded():
+    import importlib
+    import pkgutil
+
+    import linkchi
+    from linkchi.rationals import CACHE_SIZE
+
+    bounded = set()
+    for info in pkgutil.iter_modules(linkchi.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        mod = importlib.import_module(f"linkchi.{info.name}")
+        owners = [mod] + [v for v in vars(mod).values() if isinstance(v, type)]
+        for owner in owners:
+            for name, value in vars(owner).items():
+                if hasattr(value, "cache_parameters"):
+                    maxsize = value.cache_parameters()["maxsize"]
+                    assert maxsize is not None, f"{mod.__name__}.{name} has no maxsize"
+                    bounded.add(name)
+        for name, value in vars(mod).items():
+            if name.startswith("_") and name.endswith("_cache"):
+                assert (mod.__name__, name) == ("linkchi.graphs", "_oracle_cache"), (
+                    f"{mod.__name__}.{name}: hand-written memo table"
+                )
+                assert isinstance(value, dict)
+    memos = {"divisors", "mobius", "totient", "bernoulli", "e_poly", "f_poly", "s_poly"}
+    assert memos <= bounded
+    for name in memos:
+        mod = "special" if name.endswith("_poly") else "rationals"
+        fn = getattr(importlib.import_module(f"linkchi.{mod}"), name)
+        assert fn.cache_parameters()["maxsize"] == CACHE_SIZE
