@@ -111,8 +111,6 @@ def cmd_homology(args) -> int:
 
 def cmd_table(args) -> int:
     cfg = _config_from_args(args)
-    if args.genus < 0:
-        raise SystemExit2("--genus must be >= 0")
     table = euler_table(cfg, args.genus, args.t_max)
     if args.format == "json":
         text = json.dumps(table.to_json_obj(), indent=2) + "\n"
@@ -208,9 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated source dimensions, integers or odd/even")
         p.add_argument("--d", type=_parse_d, required=True,
                        help="ambient dimension, integer or odd/even")
-        p.add_argument("--t-max", type=int, default=t_default, help="complexity truncation order")
+        p.add_argument("--t-max", type=_int_at_least(0), default=t_default,
+                       help="complexity truncation order (>= 0)")
         if need_genus:
-            p.add_argument("--genus", type=int, required=True, help="genus of the grid")
+            p.add_argument("--genus", type=_int_at_least(0), required=True,
+                           help="genus of the grid (>= 0)")
 
     def add_output(p, formats=("text", "csv", "json")):
         p.add_argument("--format", choices=formats, default=formats[0])
@@ -218,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="dump the homology generating function F^H")
     add_config(p)
-    p.add_argument("--x-max", type=int, default=None,
-                   help="total x-degree cap (default 2*t_max, the full support)")
+    p.add_argument("--x-max", type=_int_at_least(0), default=None,
+                   help="total x-degree cap (>= 0; default 2*t_max, the full support)")
     add_output(p)
     p.set_defaults(fn=cmd_homology)
 
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force hairy graph class listing")
     add_config(p)
     p.add_argument("--s", required=True, help="comma-separated hair counts per color")
-    p.add_argument("--t", type=int, required=True, help="complexity")
+    p.add_argument("--t", type=_int_at_least(0), required=True, help="complexity (>= 0)")
     p.add_argument("--budget-t", type=_int_at_least(0), default=5)
     p.add_argument("--budget-hairs", type=_int_at_least(0), default=6)
     add_output(p, formats=("json",))

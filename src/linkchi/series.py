@@ -5,7 +5,8 @@ A series lives over a fixed :class:`VariableSet`: Hodge variables
 homological-degree variable ``z``, the genus variable ``hbar``, and
 power-sum variables ``p1..pL``.  Exponents of ``z`` and ``hbar`` may be
 negative (Laurent windows); all other exponents, ``u`` included, are
-nonnegative.
+nonnegative, and a monomial with a negative one raises :class:`SeriesError`
+wherever it is handed to a series.
 
 Truncation is an explicit contract (:class:`TruncationSpec`): monomials
 inside the bounds are exact, monomials outside are *undefined* — asking
@@ -28,30 +29,57 @@ its argument).  A change of grading (:meth:`TruncatedSeries.regrade`)
 raises instead of dropping a term below a lower bound.
 
 Products, ``exp``, ``log`` and linear sums run on integer numerators, and
-their results keep that form: one denominator, the lcm of the
-coefficients' denominators, and one ``int`` numerator per monomial
-(:meth:`TruncatedSeries._int_items`).  A :class:`_LinearSum` adds scaled
-series and scaled products over one running denominator, its pair loop
-multiplying and adding plain ``int``: per product in ``*``, per grade in
-``exp`` and ``log``, per sum in ``inverse``, ``substitute`` and the sums
-of :mod:`linkchi.special`.  The next operation reads the integer form
-straight back, so a chain of operations builds no ``QQ``; ``coeffs`` folds
-one ``QQ(numerator, denominator)`` per monomial the first time it is read,
-and a series built from coefficients computes its integer form once, on
-first use as an operand.
+their results keep that form (:meth:`TruncatedSeries._int_items`): one
+denominator, the lcm of the coefficients' denominators, and a dict from
+packed monomial keys to ``int`` numerators.  A :class:`_LinearSum` adds
+scaled series and scaled products over one running denominator, its pair
+loop adding keys and multiplying numerators as plain ``int``: per product
+in ``*``, per grade in ``exp`` and ``log``, per sum in ``inverse``,
+``substitute`` and the sums of :mod:`linkchi.special`.  The next operation
+reads the integer form straight back, so a chain of operations builds no
+``QQ`` and no tuple; ``coeffs`` unpacks the keys and folds one
+``QQ(numerator, denominator)`` per monomial the first time it is read, and
+a series built from coefficients computes its integer form once, on first
+use as an operand.
+
+Packed keys (Monagan & Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors", CASC 2007).  A monomial's key is one
+``int`` of ``_FIELD_BITS``-bit fields, from the low end: one per ``x_i``,
+``u``, one per ``p_l``, then the derived x-total and p-weight (present
+when the set has x or p variables), then ``z`` and ``hbar``.  A field holds
+its exponent, plus the bias ``2^(F-2)`` (F the field width) for z and
+hbar; the key of the monomial with all exponents 0 is ``BIAS``, the sum of
+the biases, and the key of a product is ``k1 + k2 - BIAS``.  Every stored
+exponent, x-total and p-weight lies below ``2^(F-3)`` in absolute value
+(the overflow rule: a monomial that does not fit raises
+:class:`SeriesError`, whatever the spec, and never wraps), so a field of a
+product lies in ``[0, 2^(F-1))`` and its top bit, the guard bit, is clear.
+
+Bound test.  For a spec, each field has bounds ``[lo, hi]``: the spec's,
+those it implies (an x_i is at most the x-total bound, a p_l at most the
+p-weight bound over l), or the storage limit where the spec sets none.
+``ADD`` holds ``2^(F-1) - 1 - hi`` per field (biased), ``SUB`` holds
+``lo`` (biased) and ``GUARD`` every guard bit.  A product key lies in the
+spec iff ``((key + ADD) | (key - SUB)) & GUARD == 0``: a field past ``hi``
+sets its guard bit in ``key + ADD``, which never carries; a field below
+``lo`` wraps in ``key - SUB`` and sets its guard bit there (a borrow it
+passes upward can only add guard bits above a field that already failed).
+A pair whose key fails the test only in a field bounded by the storage
+limit overflows and raises.  The Laurent fields sit at the top, so no
+borrow reaches the x-total field, whose guard bit alone ends a bucket
+sorted by x-total.
 
 Series are immutable after construction; all operations are pure.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Mapping
 
-from .rationals import QQ, qq_str
+from .rationals import CACHE_SIZE, QQ, qq_str
 
 __all__ = [
     "VariableSet",
@@ -62,6 +90,12 @@ __all__ = [
 ]
 
 _NO_BOUND = None
+
+_FIELD_BITS = 24
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_EXP_LIMIT = 1 << (_FIELD_BITS - 3)  # |exponent|, x-total and p-weight stay below
+_GUARD = 1 << (_FIELD_BITS - 1)
+_LAURENT_BIAS = 2 * _EXP_LIMIT
 
 
 class SeriesError(ValueError):
@@ -137,17 +171,151 @@ class VariableSet:
         return self.nvars - self.pcount
 
     @cached_property
-    def metric(self):
-        """``mono -> (x_total, u, z, hbar, p_weight)`` for this layout, with
-        0 for a missing direction; compiled once per variable set, so a
-        caller fetches it once and applies it to every monomial."""
-        r = i = self.hodge_count
-        parts = ["+".join(f"m[{k}]" for k in range(r)) or "0"]
-        for present in (self.has_u, self.has_z, self.has_hbar):
-            parts.append(f"m[{i}]" if present else "0")
-            i += present
-        parts.append("+".join(f"{l + 1}*m[{i + l}]" for l in range(self.pcount)) or "0")
-        return eval(f"lambda m: ({', '.join(parts)})")
+    def layout(self) -> "_Layout":
+        """The packed-key layout of this variable set, built on first use."""
+        return _Layout(self)
+
+
+class _Layout:
+    """Packed monomial keys for one :class:`VariableSet` (module docstring).
+
+    ``pack``, ``unpack``, ``fits`` (the monomial has the set's arity and
+    obeys the sign and overflow rules) and ``metric`` (a key's
+    ``(x_total, u, z, hbar, p_weight)``, 0 for a missing direction) are
+    compiled once per layout; ``pack`` trusts its argument, so a monomial
+    from outside goes through ``fits`` first.  ``bias`` is the key of the
+    monomial 1.
+    """
+
+    def __init__(self, vars_: VariableSet):
+        r, pc = vars_.hodge_count, vars_.pcount
+        i_u = r
+        i_z = i_u + vars_.has_u
+        i_h = i_z + vars_.has_z
+        i_p = i_h + vars_.has_hbar
+        # (kind, exponent expression, position in the monomial or None,
+        # l of p_l), low field first
+        fields = [("x", f"m[{i}]", i, 0) for i in range(r)]
+        if vars_.has_u:
+            fields.append(("u", f"m[{i_u}]", i_u, 0))
+        fields += [("p", f"m[{i_p + l}]", i_p + l, l + 1) for l in range(pc)]
+        if r:
+            fields.append(("xt", "+".join(f"m[{i}]" for i in range(r)), None, 0))
+        if pc:
+            fields.append(("pw", "+".join(f"{l + 1}*m[{i_p + l}]" for l in range(pc)), None, 0))
+        if vars_.has_z:
+            fields.append(("z", f"m[{i_z}]", i_z, 0))
+        if vars_.has_hbar:
+            fields.append(("hbar", f"m[{i_h}]", i_h, 0))
+        self.names = vars_.names
+        self.fields = [(kind, f * _FIELD_BITS, l) for f, (kind, _e, _i, l) in enumerate(fields)]
+        self.shift = {kind: s for kind, s, _l in self.fields}
+        self.u_shift = self.shift.get("u")
+        self.xt_shift = self.shift.get("xt")
+        self.pw_shift = self.shift.get("pw")
+        self.bias = 0
+        lim = _EXP_LIMIT
+        packed, checks = [], [f"len(m) == {vars_.nvars}"]
+        by_pos, by_kind = {}, {}  # decoding expressions of a key k
+        for f, (kind, expr, pos, _l) in enumerate(fields):
+            s = f * _FIELD_BITS
+            packed.append(f"(({expr}) << {s})")
+            decoded = f"((k >> {s}) & {_FIELD_MASK})"
+            if kind in ("z", "hbar"):
+                self.bias += _LAURENT_BIAS << s
+                decoded = f"({decoded} - {_LAURENT_BIAS})"
+                checks.append(f"{-lim} <= {expr} < {lim}")
+            else:
+                checks.append(f"{expr} < {lim}" if pos is None else f"{expr} >= 0")
+            by_pos[pos] = by_kind[kind] = decoded
+        # an x_i or p_l is bounded by its total; u is bounded by itself
+        if vars_.has_u:
+            checks.append(f"m[{i_u}] < {lim}")
+        self.pack = eval(f"lambda m: {' + '.join(packed) or '0'} + {self.bias}")
+        unpacked = "".join(by_pos[i] + ", " for i in range(vars_.nvars))
+        self.unpack = eval(f"lambda k: ({unpacked})")
+        self.fits = eval(f"lambda m: {' and '.join(checks)}")
+        met = [by_kind.get(kind, "0") for kind in ("xt", "u", "z", "hbar", "pw")]
+        self.metric = eval(f"lambda k: ({', '.join(met)})")
+
+    def key(self, mono) -> int:
+        """The packed key of a monomial from outside, checked by ``fits``."""
+        if not self.fits(mono):
+            self.reject(mono)
+        return self.pack(mono)
+
+    def reject(self, mono) -> None:
+        """Raise :class:`SeriesError` for a monomial ``fits`` refuses."""
+        names = self.names
+        if len(mono) != len(names):
+            raise SeriesError(f"monomial {mono} has wrong arity for {names}")
+        for name, e in zip(names, mono):
+            if e < 0 and name not in ("z", "hbar"):
+                raise SeriesError(
+                    f"monomial {mono} has {name}^{e}: only z and hbar may go below 0"
+                )
+        raise SeriesError(
+            f"monomial {mono} does not fit a packed key: every exponent, the "
+            f"x-total and the p-weight must lie below {_EXP_LIMIT} in absolute value"
+        )
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _masks(layout: _Layout, spec: "TruncationSpec", l: int = 1) -> tuple[int, ...]:
+    """``(ADD, SUB, GUARD, OVER, XGUARD)`` of the bound test (module
+    docstring) for keys of ``layout`` under ``spec``.
+
+    With ``l > 1`` the bounds are those of the spec divided by l: a stored
+    key passes iff the monomial with every exponent times l lies in the
+    spec and fits.  ``OVER`` holds the guard bits of the fields whose bound
+    is the storage limit, where failing means overflow, not truncation;
+    ``XGUARD`` the x-total guard bit when the spec bounds the x-total.
+    A z/hbar window on a direction the layout lacks holds every key or,
+    when it excludes 0, none: then the masks fail every key.
+    """
+    for kind, window in (("z", spec.z_window), ("hbar", spec.hbar_window)):
+        if window is not None and kind not in layout.shift and not window[0] <= 0 <= window[1]:
+            return 0, 1, -1, 0, 0  # key | (key - 1) is nonzero for every key >= 0
+    s_cap, w_cap = spec.x_total_max, spec.p_weight_max
+    add = sub = guard = over = xguard = 0
+    for kind, shift, p_l in layout.fields:
+        lo = 0
+        if kind in ("x", "xt"):
+            hi = s_cap
+        elif kind == "u":
+            hi = spec.u_max
+        elif kind == "p":
+            hi = None if w_cap is None else w_cap // p_l
+        elif kind == "pw":
+            hi = w_cap
+        else:
+            window = spec.z_window if kind == "z" else spec.hbar_window
+            lo, hi = window if window is not None else (None, None)
+        laurent = kind in ("z", "hbar")
+        st_lo = -(_EXP_LIMIT // l) if laurent else 0
+        st_hi = (_EXP_LIMIT - 1) // l
+        bit = _GUARD << shift
+        if hi is None or hi // l > st_hi:
+            hi, over = st_hi, over | bit
+        else:
+            hi = max(hi // l, st_lo - 1)
+        if lo is None or -(-lo // l) < st_lo:
+            lo, over = st_lo, over | bit
+        else:
+            lo = min(-(-lo // l), st_hi + 1)
+        bias = _LAURENT_BIAS if laurent else 0
+        add |= (_GUARD - 1 - (hi + bias)) << shift
+        sub |= (lo + bias) << shift
+        guard |= bit
+        if kind == "xt" and not over & bit:
+            xguard = bit
+    return add, sub, guard, over, xguard
+
+
+def _passes(masks, key: int) -> bool:
+    """The bound test for one key (module docstring)."""
+    add, sub, guard = masks[:3]
+    return not ((key + add) | (key - sub)) & guard
 
 
 @dataclass(frozen=True)
@@ -204,8 +372,8 @@ class TruncationSpec:
 
 def _outside(spec: TruncationSpec, metric) -> int:
     """0 inside the spec, 1 past an upper bound (ordinary truncation), -1
-    below a lower bound only: u < 0 when u is bounded (u is never
-    Laurent), or below the low end of a z/hbar window."""
+    below the low end of a z/hbar window only (the other directions are
+    never negative)."""
     xtot, u, zz, hb, pw = metric
     if (
         (spec.u_max is not None and u > spec.u_max)
@@ -215,13 +383,18 @@ def _outside(spec: TruncationSpec, metric) -> int:
         or (spec.p_weight_max is not None and pw > spec.p_weight_max)
     ):
         return 1
-    if (
-        (spec.u_max is not None and u < 0)
-        or (spec.z_window is not None and zz < spec.z_window[0])
-        or (spec.hbar_window is not None and hb < spec.hbar_window[0])
+    if (spec.z_window is not None and zz < spec.z_window[0]) or (
+        spec.hbar_window is not None and hb < spec.hbar_window[0]
     ):
         return -1
     return 0
+
+
+def _below_error(vars_: VariableSet, spec: TruncationSpec, target, source) -> SeriesError:
+    """The error for a regraded monomial below a lower bound of ``spec``
+    and past no upper bound."""
+    names = dict(zip(vars_.names, target))
+    return SeriesError(f"monomial {names} (from {source}) lies below the lower bounds of {spec}")
 
 
 def _trunc_weight(spec: TruncationSpec, metric, use_z=False, use_h=False) -> int:
@@ -246,23 +419,57 @@ def _trunc_weight(spec: TruncationSpec, metric, use_z=False, use_h=False) -> int
     return w
 
 
+def _bucket_field(vars_: VariableSet, spec: TruncationSpec) -> tuple[int | None, int]:
+    """(shift of the bucket field, its bound): u when bounded, else the
+    p-weight when bounded, else no field (one bucket)."""
+    layout = vars_.layout
+    if layout.u_shift is not None and spec.u_max is not None:
+        return layout.u_shift, spec.u_max
+    if layout.pw_shift is not None and spec.p_weight_max is not None:
+        return layout.pw_shift, spec.p_weight_max
+    return None, 0
+
+
+def _bucketed(layout: _Layout, shift: int | None, items) -> list:
+    """``[(bucket key, [(key, numerator)] sorted by x-total)]`` in
+    increasing bucket-key order, the bucket key being the field at
+    ``shift`` (0 for every item when ``shift`` is None)."""
+    mask = _FIELD_MASK
+    if shift is None:
+        buckets = {0: list(items)}
+    else:
+        buckets = {}
+        for item in items:
+            buckets.setdefault((item[0] >> shift) & mask, []).append(item)
+    xs = layout.xt_shift
+    if xs is not None:
+        for lst in buckets.values():
+            lst.sort(key=lambda it: (it[0] >> xs) & mask)
+    return sorted(buckets.items())
+
+
 class _LinearSum:
     """A sum of scaled series and scaled truncated products, kept as integer
-    numerators ``{monomial: int}`` over one running denominator.
+    numerators ``{packed key: int}`` over one running denominator.
 
     ``add(c, a)`` adds ``c * a`` and ``add_product(c, a, b)`` adds
-    ``c * a * b`` straight from the operands' integer items
-    ``[(monomial, metric, numerator)]`` (:meth:`TruncatedSeries._int_items`),
-    truncated pair by pair as ``*`` truncates; the product series is never
-    built.  The right operand of a product is bucketed (:meth:`buckets`) by
-    the dominant bounded direction (u, or p-weight when u is absent) and
-    each bucket is sorted by x-total, so pairs outside the spec are mostly
-    never visited.  When a term's denominator does not divide the running
-    one, the numerators are rescaled once to the lcm.  A coefficient ``c``
-    is read as ``c.numerator`` over ``c.denominator``, so it may be an
-    ``int`` or a ``QQ``.  ``series()`` hands the nonzero numerators and the
-    running denominator to the result as its integer form
-    (:meth:`TruncatedSeries._from_ints`); no ``QQ`` is built.  As with
+    ``c * a * b`` straight from the operands' integer forms
+    (:meth:`TruncatedSeries._int_items`), truncated pair by pair as ``*``
+    truncates; the product series is never built.  A pair's key is
+    ``k1 + k2 - BIAS`` and its bound test is one guard-bit test,
+    ``((key + ADD) | (key - SUB)) & GUARD == 0`` (module docstring); a
+    pair that fails only on the storage limit of an unbounded direction
+    raises :class:`SeriesError` instead of wrapping.  The right operand of
+    a product is bucketed (:func:`_bucketed`, cached per series) by the
+    dominant bounded direction (u, or p-weight when u is absent) and each
+    bucket is sorted by x-total, so the loop leaves the buckets past the
+    left key's room in that direction unvisited and ends a bucket at the
+    first pair past the x-total bound.  When a term's denominator does not
+    divide the running one, the numerators are rescaled once to the lcm.
+    A coefficient ``c`` is read as ``c.numerator`` over ``c.denominator``,
+    so it may be an ``int`` or a ``QQ``.  ``series()`` hands the nonzero
+    numerators and the running denominator to the result as its integer
+    form (:meth:`TruncatedSeries._from_ints`); no ``QQ`` is built.  As with
     ``+``, the result's spec is the meet of every operand's spec, and terms
     outside it are dropped.
     """
@@ -273,7 +480,7 @@ class _LinearSum:
         self.vars = vars_
         self.spec = spec
         self.den = 1
-        self.nums: dict[tuple[int, ...], int] = {}
+        self.nums: dict[int, int] = {}
         self._mixed = False  # an operand's spec differed from the running one
 
     def _meet(self, *operands) -> None:
@@ -299,31 +506,13 @@ class _LinearSum:
             self.den = new
         return num * (self.den // den)
 
-    def _keys(self) -> tuple[bool, bool]:
-        """Whether buckets are keyed by u, else by p-weight (else one bucket)."""
-        vars_, spec = self.vars, self.spec
-        use_u = vars_.has_u and spec.u_max is not None
-        return use_u, not use_u and spec.p_weight_max is not None and vars_.pcount > 0
-
-    def buckets(self, items) -> list:
-        """[(bucket key, items sorted by x-total)] in increasing key order."""
-        use_u, use_w = self._keys()
-        buckets: dict[int, list] = {}
-        for item in items:
-            met = item[1]
-            kv = met[1] if use_u else (met[4] if use_w else 0)
-            buckets.setdefault(kv, []).append(item)
-        for lst in buckets.values():
-            lst.sort(key=lambda it: it[1][0])
-        return sorted(buckets.items())
-
     def add_items(self, num: int, den: int, items) -> None:
-        """Add ``num / den`` times the integer items."""
+        """Add ``num / den`` times the integer items ``[(key, numerator)]``."""
         scale = self._scale(num, den)
         nums = self.nums
         get = nums.get
-        for m, _met, n in items:
-            nums[m] = get(m, 0) + scale * n
+        for k, n in items:
+            nums[k] = get(k, 0) + scale * n
 
     def add(self, c, a: "TruncatedSeries") -> None:
         self._meet(a)
@@ -331,50 +520,50 @@ class _LinearSum:
             return
         da, items = a._int_items()
         if items:
-            self.add_items(c.numerator, c.denominator * da, items)
+            self.add_items(c.numerator, c.denominator * da, items.items())
 
     def add_pairs(self, num: int, den: int, a_items, b_buckets) -> None:
         """Add ``num / den`` times every in-spec product of a term of
-        ``a_items`` and a term of ``b_buckets`` (from :meth:`buckets`); the
-        left items are scaled once.  Sums may cancel to 0, and ``series()``
-        skips zero numerators."""
+        ``a_items`` and a term of ``b_buckets`` (from :func:`_bucketed`
+        with this sum's :func:`_bucket_field`).  Sums may cancel to 0, and
+        ``series()`` skips zero numerators."""
         scale = self._scale(num, den)
-        if scale != 1:
-            a_items = [(m, met, n * scale) for m, met, n in a_items]
-        spec = self.spec
-        use_u, use_w = self._keys()
-        u_max = spec.u_max
-        s_cap = spec.x_total_max
-        zw, hw, w_cap = spec.z_window, spec.hbar_window, spec.p_weight_max
-        add = operator.add
+        vars_ = self.vars
+        layout = vars_.layout
+        add, sub, guard, over, xguard = _masks(layout, self.spec)
+        shift, cap = _bucket_field(vars_, self.spec)
+        bias = layout.bias
+        mask = _FIELD_MASK
         out = self.nums
         get = out.get
-        for m1, met1, c1 in a_items:
-            xt1, u1, z1, h1, pw1 = met1
-            if use_u:
-                hi = u_max - u1
-            elif use_w:
-                hi = w_cap - pw1
-            else:
-                hi = None
+        hi = 0
+        for k1, c1 in a_items:
+            if shift is not None:
+                hi = cap - ((k1 >> shift) & mask)
+            k1 -= bias
+            ka = k1 + add
+            ks = k1 - sub
+            c1 *= scale
             for kv, bucket in b_buckets:
-                if hi is not None and kv > hi:
+                if kv > hi:
                     break
-                for m2, met2, c2 in bucket:
-                    if s_cap is not None and xt1 + met2[0] > s_cap:
-                        break  # bucket sorted by x-total
-                    if w_cap is not None and pw1 + met2[4] > w_cap:
+                for k2, c2 in bucket:
+                    t = (ka + k2) | (ks + k2)
+                    if t & guard:
+                        if t & xguard:
+                            break  # bucket sorted by x-total
+                        if t & over:
+                            self._check_fit(k1 + k2)
                         continue
-                    if zw is not None:
-                        zz = z1 + met2[2]
-                        if zz < zw[0] or zz > zw[1]:
-                            continue
-                    if hw is not None:
-                        hb = h1 + met2[3]
-                        if hb < hw[0] or hb > hw[1]:
-                            continue
-                    key = tuple(map(add, m1, m2))
+                    key = k1 + k2
                     out[key] = get(key, 0) + c1 * c2
+
+    def _check_fit(self, key: int) -> None:
+        """Raise for a product key in the spec that does not fit a key; a
+        key past a bound of the spec is only dropped."""
+        layout = self.vars.layout
+        if not _outside(self.spec, layout.metric(key)):
+            layout.reject(layout.unpack(key))
 
     def add_product(self, c, a: "TruncatedSeries", b: "TruncatedSeries") -> None:
         self._meet(a, b)
@@ -385,15 +574,16 @@ class _LinearSum:
         if not a_items or not b_items:
             return
         if len(a_items) > len(b_items):
-            a_items, b_items = b_items, a_items
-        self.add_pairs(c.numerator, c.denominator * da * db, a_items, self.buckets(b_items))
+            a_items, b = b_items, a
+        buckets = b._buckets(_bucket_field(self.vars, self.spec)[0])
+        self.add_pairs(c.numerator, c.denominator * da * db, a_items.items(), buckets)
 
     def series(self) -> "TruncatedSeries":
         vars_, spec = self.vars, self.spec
-        metric = vars_.metric
-        items = [(m, metric(m), n) for m, n in self.nums.items() if n]
+        items = {k: n for k, n in self.nums.items() if n}
         if self._mixed:
-            items = [item for item in items if not _outside(spec, item[1])]
+            masks = _masks(vars_.layout, spec)
+            items = {k: n for k, n in items.items() if _passes(masks, k)}
         return TruncatedSeries._from_ints(vars_, spec, self.den, items)
 
 
@@ -401,13 +591,14 @@ class TruncatedSeries:
     """Sparse map monomial -> coefficient, with no stored zeros.
 
     A series holds its terms in one or both of two forms: ``coeffs``, a dict
-    of ``QQ``, and the integer form of :meth:`_int_items`.  A series built
-    from coefficients starts with ``coeffs``; one built by ``*``, ``exp``,
-    ``log`` or a :class:`_LinearSum` starts with the integer form only, and
-    folds ``coeffs`` from it the first time they are read.
+    of ``QQ`` keyed by exponent tuples, and the integer form of
+    :meth:`_int_items`, keyed by packed keys.  A series built from
+    coefficients starts with ``coeffs``; one built by ``*``, ``exp``,
+    ``log``, ``regrade`` or a :class:`_LinearSum` starts with the integer
+    form only, and folds ``coeffs`` from it the first time they are read.
     """
 
-    __slots__ = ("vars", "spec", "_coeffs", "_ints")
+    __slots__ = ("vars", "spec", "_coeffs", "_ints", "_bkts")
 
     def __init__(
         self,
@@ -420,44 +611,48 @@ class TruncatedSeries:
         self.vars = vars_
         self.spec = spec
         self._ints = None
+        self._bkts = None
         if coeffs is None:
             self._coeffs = {}
         elif _trusted:
             self._coeffs = dict(coeffs)
         else:
+            layout = vars_.layout
+            fits, pack = layout.fits, layout.pack
+            masks = _masks(layout, spec)
             clean = {}
             for mono, c in coeffs.items():
-                if len(mono) != vars_.nvars:
-                    raise SeriesError(
-                        f"monomial {mono} has wrong arity for {vars_.names}"
-                    )
-                if _outside(spec, vars_.metric(mono)):
+                mono = tuple(mono)
+                if not fits(mono):
+                    layout.reject(mono)
+                if not _passes(masks, pack(mono)):
                     continue
                 q = QQ(c)
                 if q != 0:
-                    clean[tuple(mono)] = q
+                    clean[mono] = q
             self._coeffs = clean
 
     @classmethod
     def _from_ints(
-        cls, vars_: VariableSet, spec: TruncationSpec, den: int, items: list
+        cls, vars_: VariableSet, spec: TruncationSpec, den: int, items: dict
     ) -> "TruncatedSeries":
         """The series with the terms ``n / den * monomial`` of ``items``
-        ``[(monomial, metric, n)]``, every n nonzero and every monomial in
-        the spec.  The integer form is reduced by ``gcd(den, *numerators)``,
-        which makes den the lcm of the coefficients' denominators, and is
-        kept as the series' :meth:`_int_items`; ``coeffs`` waits until read.
+        ``{key: n}``, every n nonzero and every key in the spec.  The
+        integer form is reduced by ``gcd(den, *numerators)``, which makes
+        den the lcm of the coefficients' denominators, and is kept as the
+        series' :meth:`_int_items`; ``coeffs`` waits until read.
         """
         if den > 1:
-            r = gcd(den, *[n for _m, _met, n in items])
+            r = gcd(den, *items.values())
             if r > 1:
                 den //= r
-                items = [(m, met, n // r) for m, met, n in items]
+                items = {k: n // r for k, n in items.items()}
         series = cls.__new__(cls)
         series.vars = vars_
         series.spec = spec
         series._coeffs = None
         series._ints = (den, items)
+        series._bkts = None
         return series
 
     @property
@@ -466,7 +661,8 @@ class TruncatedSeries:
         coeffs = self._coeffs
         if coeffs is None:
             den, items = self._ints
-            coeffs = self._coeffs = {m: QQ(n, den) for m, _met, n in items}
+            unpack = self.vars.layout.unpack
+            coeffs = self._coeffs = {unpack(k): QQ(n, den) for k, n in items.items()}
         return coeffs
 
     # ---------------------------------------------------------------- base
@@ -502,22 +698,20 @@ class TruncatedSeries:
         return not self._coeffs
 
     def constant_term(self):
-        origin = (0,) * self.vars.nvars
         if self._coeffs is None:
             den, items = self._ints
-            for m, _met, n in items:
-                if m == origin:
-                    return QQ(n, den)
-            return QQ(0)
-        return self._coeffs.get(origin, QQ(0))
+            n = items.get(self.vars.layout.bias)
+            return QQ(0) if n is None else QQ(n, den)
+        return self._coeffs.get((0,) * self.vars.nvars, QQ(0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.vars == other.vars and self.coeffs == other.coeffs
+        return self.vars == other.vars and self._int_items() == other._int_items()
 
     def __hash__(self):  # pragma: no cover - series used as values, not keys
-        return hash((self.vars, frozenset(self.coeffs.items())))
+        den, items = self._int_items()
+        return hash((self.vars, den, frozenset(items.items())))
 
     def _require_same_vars(self, other: "TruncatedSeries"):
         if self.vars != other.vars:
@@ -542,8 +736,9 @@ class TruncatedSeries:
                 else:
                     out[mono] = acc
         if spec != self.spec or spec != other.spec:
-            vars_ = self.vars
-            out = {m: c for m, c in out.items() if not _outside(spec, vars_.metric(m))}
+            layout = self.vars.layout
+            masks = _masks(layout, spec)
+            out = {m: c for m, c in out.items() if _passes(masks, layout.pack(m))}
         return TruncatedSeries(self.vars, spec, out, _trusted=True)
 
     def __neg__(self) -> "TruncatedSeries":
@@ -569,23 +764,33 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def _int_items(self) -> tuple[int, list]:
-        """The integer form ``(D, [(monomial, metric, D * coefficient)])``,
-        with D the lcm of the denominators so that every numerator is an
-        ``int``.  A series built by an operation starts with it; one built
-        from coefficients computes it on first use, and keeps it."""
+    def _int_items(self) -> tuple[int, dict]:
+        """The integer form ``(D, {packed key: D * coefficient})``, with D
+        the lcm of the denominators so that every numerator is an ``int``.
+        A series built by an operation starts with it; one built from
+        coefficients computes it on first use, and keeps it."""
         ints = self._ints
         if ints is None:
-            metric = self.vars.metric
+            pack = self.vars.layout.pack
             den = 1
             for c in self._coeffs.values():
                 if den % c.denominator:
                     den = lcm(den, c.denominator)
-            ints = self._ints = den, [
-                (m, metric(m), c.numerator * (den // c.denominator))
+            ints = self._ints = den, {
+                pack(m): c.numerator * (den // c.denominator)
                 for m, c in self._coeffs.items()
-            ]
+            }
         return ints
+
+    def _buckets(self, shift: int | None) -> list:
+        """The integer items bucketed on the field at ``shift``
+        (:func:`_bucketed`), kept beside the integer form for the next
+        product with this series on the right."""
+        got = self._bkts
+        if got is None or got[0] != shift:
+            items = self._int_items()[1].items()
+            got = self._bkts = (shift, _bucketed(self.vars.layout, shift, items))
+        return got[1]
 
     def _mul_series(self, other: "TruncatedSeries") -> "TruncatedSeries":
         acc = _LinearSum(self.vars, self.spec)
@@ -611,34 +816,37 @@ class TruncatedSeries:
     def _grades(self) -> tuple[dict[int, list], int]:
         """Homogeneous pieces under the nilpotence weight, and the top weight.
 
-        Returns ``({k: [(monomial, metric, numerator)]}, top)``: the terms
-        of weight k >= 1 as integer numerators over the series' common
-        denominator (:meth:`_int_items`), and the largest weight an in-spec
-        monomial can have.  A direction counts toward the weight when the spec
-        bounds it above and no monomial of the series has a negative
-        exponent there (so powers of the series can only climb and
-        eventually leave the spec).  u, total x and p-weight are
-        structurally nonnegative; the z/hbar windows qualify per series.
-        A monomial of weight 0 is never nilpotent and raises.
+        Returns ``({k: [(key, numerator)]}, top)``: the terms of weight
+        k >= 1 as integer numerators over the series' common denominator
+        (:meth:`_int_items`), and the largest weight an in-spec monomial can
+        have.  A direction counts toward the weight when the spec bounds it
+        above and no monomial of the series has a negative exponent there
+        (so powers of the series can only climb and eventually leave the
+        spec).  u, total x and p-weight are structurally nonnegative; the
+        z/hbar windows qualify per series.  A monomial of weight 0 is never
+        nilpotent and raises.
         """
         spec, vars_ = self.spec, self.vars
-        _den, items = self._int_items()
+        layout = vars_.layout
+        metric = layout.metric
+        terms = [(item, metric(item[0])) for item in self._int_items()[1].items()]
         use_z = (
             vars_.has_z
             and spec.z_window is not None
-            and all(met[2] >= 0 for _m, met, _c in items)
+            and all(met[2] >= 0 for _item, met in terms)
         )
         use_h = (
             vars_.has_hbar
             and spec.hbar_window is not None
-            and all(met[3] >= 0 for _m, met, _c in items)
+            and all(met[3] >= 0 for _item, met in terms)
         )
         grades: dict[int, list] = {}
-        for item in items:
-            w = _trunc_weight(spec, item[1], use_z, use_h)
+        for item, met in terms:
+            w = _trunc_weight(spec, met, use_z, use_h)
             if w == 0:
                 raise SeriesError(
-                    f"monomial {item[0]} is not nilpotent under the truncation spec"
+                    f"monomial {layout.unpack(item[0])} is not nilpotent under "
+                    "the truncation spec"
                 )
             grades.setdefault(w, []).append(item)
         # the heaviest in-spec monomial sits at every upper bound at once
@@ -677,27 +885,27 @@ class TruncatedSeries:
         the result takes the lcm of these and keeps the integer form.
         """
         vars_, spec = self.vars, self.spec
-        metric = vars_.metric
-        origin = (0,) * vars_.nvars
+        layout = vars_.layout
+        origin = layout.bias
         f = self
         d_self, terms = self._int_items()
-        rest = [term for term in terms if term[0] != origin]
-        if len(rest) < len(terms):
+        if origin in terms:
+            rest = {k: n for k, n in terms.items() if k != origin}
             f = TruncatedSeries._from_ints(vars_, spec, d_self, rest)
         grades, top = f._grades()
         d_f = f._int_items()[0]
-        buckets = _LinearSum(vars_, spec).buckets  # every grade sums under this spec
+        shift = _bucket_field(vars_, spec)[0]  # every grade sums under this spec
         w: dict[int, tuple[int, list]] = {}  # n -> (den, numerators of w_n)
         g: dict[int, tuple[int, list]] = {}  # n -> (den, buckets of g_n)
         if exp:
             for k, items in grades.items():
-                w[k] = (d_f, [(m, met, k * c) for m, met, c in items])
+                w[k] = (d_f, [(key, k * c) for key, c in items])
         else:
             for k, items in grades.items():
-                g[k] = (d_f, buckets(items))
+                g[k] = (d_f, _bucketed(layout, shift, items))
         sign = 1 if exp else -1
         kmax = max(grades, default=0)
-        out = [(1, [(origin, metric(origin), 1)])] if exp else []  # (den, grade)
+        out = [(1, [(origin, 1)])] if exp else []  # (den, grade)
         empty_run = 0
         for n in range(1, top + 1):
             grade = _LinearSum(vars_, spec)
@@ -709,7 +917,7 @@ class TruncatedSeries:
             if n in grades:
                 grade.add_items(n, d_f, grades[n])
             den = grade.den
-            piece = [(m, metric(m), c) for m, c in grade.nums.items() if c]
+            piece = [(key, c) for key, c in grade.nums.items() if c]
             if not piece:
                 empty_run += 1
                 if empty_run >= kmax:
@@ -717,18 +925,18 @@ class TruncatedSeries:
                 continue
             empty_run = 0
             d_n = den * n if exp else den  # of g_n, or of w_n
-            r = gcd(d_n, *(c for _m, _met, c in piece))
+            r = gcd(d_n, *(c for _key, c in piece))
             if r > 1:
                 d_n //= r
-                piece = [(m, met, c // r) for m, met, c in piece]
+                piece = [(key, c // r) for key, c in piece]
             if exp:
-                g[n] = (d_n, buckets(piece))
+                g[n] = (d_n, _bucketed(layout, shift, piece))
                 out.append((d_n, piece))
             else:
                 w[n] = (d_n, piece)
                 out.append((d_n * n, piece))
         den = lcm(*(d for d, _piece in out))
-        items = [(m, met, c * (den // d)) for d, piece in out for m, met, c in piece]
+        items = {key: c * (den // d) for d, piece in out for key, c in piece}
         return TruncatedSeries._from_ints(vars_, spec, den, items)
 
     def exp(self) -> "TruncatedSeries":
@@ -835,15 +1043,21 @@ class TruncatedSeries:
 
     def coefficient(self, exponents: Mapping[str, int]):
         """Coefficient of the given monomial; out-of-bounds is an error, never 0."""
-        mono = [0] * self.vars.nvars
+        vars_ = self.vars
+        mono = [0] * vars_.nvars
         for name, e in exponents.items():
-            mono[self.vars.index(name)] = e
+            mono[vars_.index(name)] = e
         mono = tuple(mono)
-        if _outside(self.spec, self.vars.metric(mono)):
+        layout = vars_.layout
+        if not layout.fits(mono) or not _passes(_masks(layout, self.spec), layout.pack(mono)):
             raise OutOfBoundsError(
                 f"monomial {dict(exponents)} lies outside the truncation spec {self.spec}"
             )
-        return self.coeffs.get(mono, QQ(0))
+        if self._ints is None:
+            return self._coeffs.get(mono, QQ(0))
+        den, items = self._ints
+        n = items.get(layout.pack(mono))
+        return QQ(0) if n is None else QQ(n, den)
 
     def grade_extract(self, name: str, degree: int) -> "TruncatedSeries":
         """Sub-series with the exact exponent ``degree`` in ``name``, factor removed."""
@@ -864,34 +1078,44 @@ class TruncatedSeries:
         """Re-truncate to a (smaller) spec, in the integer form."""
         spec = self.spec.meet(spec)
         den, items = self._int_items()
-        kept = [item for item in items if not _outside(spec, item[1])]
+        masks = _masks(self.vars.layout, spec)
+        kept = {k: n for k, n in items.items() if _passes(masks, k)}
         return TruncatedSeries._from_ints(self.vars, spec, den, kept)
 
     def regrade(self, vars_: VariableSet, spec: TruncationSpec, fn) -> "TruncatedSeries":
         """Map every monomial to another grading: ``fn(mono) -> (mono', sign)``.
 
         The result lives over ``(vars_, spec)`` and holds ``sign * c`` at
-        ``mono'`` for each term ``c * mono``.  A monomial past an upper
-        bound of ``spec`` is dropped (ordinary truncation); one below a
-        lower bound raises :class:`SeriesError`, because the spec promised
-        to keep it.  ``fn`` must be injective (two monomials sent to one
-        raise) and may raise itself for a monomial it has no image for.
+        ``mono'`` for each term ``c * mono``, ``sign`` being 1 or -1.  A
+        monomial past an upper bound of ``spec`` is dropped (ordinary
+        truncation); one below a lower bound raises :class:`SeriesError`,
+        because the spec promised to keep it, and so does one with a
+        negative exponent outside z and hbar, or one that does not fit a
+        key.  ``fn`` must be injective (two monomials sent to one raise)
+        and may raise itself for a monomial it has no image for.  The map
+        runs on the integer form: the denominator is kept and each
+        numerator is multiplied by the sign, so no ``QQ`` is built.
         """
-        out: dict[tuple[int, ...], object] = {}
-        for mono, c in self.coeffs.items():
+        den, items = self._int_items()
+        unpack = self.vars.layout.unpack
+        layout = vars_.layout
+        fits, pack = layout.fits, layout.pack
+        add, sub, guard = _masks(layout, spec)[:3]
+        out: dict[int, int] = {}
+        for key, n in items.items():
+            mono = unpack(key)
             m2, sign = fn(mono)
-            side = _outside(spec, vars_.metric(m2))
-            if side > 0:
-                continue
-            if side < 0:
-                names = dict(zip(vars_.names, m2))
-                raise SeriesError(
-                    f"monomial {names} (from {mono}) lies below the lower bounds of {spec}"
-                )
-            if m2 in out:
+            if not fits(m2):
+                layout.reject(m2)
+            k2 = pack(m2)
+            if ((k2 + add) | (k2 - sub)) & guard:
+                if (k2 + add) & guard:
+                    continue  # past an upper bound
+                raise _below_error(vars_, spec, m2, mono)
+            if k2 in out:
                 raise SeriesError(f"regrading sends two monomials to {m2}")
-            out[m2] = c if sign == 1 else sign * c
-        return TruncatedSeries(vars_, spec, out, _trusted=True)
+            out[k2] = n if sign == 1 else sign * n
+        return TruncatedSeries._from_ints(vars_, spec, den, out)
 
     # ------------------------------------------------------ presentation
 
@@ -945,11 +1169,9 @@ class TruncatedSeries:
 
 def _has_positive_bounded_order(series: TruncatedSeries) -> bool:
     """True if every monomial has positive degree in a direction bounded above."""
-    spec, vars_ = series.spec, series.vars
-    if series.is_zero():
-        return True
-    for mono in series.coeffs:
-        xtot, u, _z, hb, pw = vars_.metric(mono)
+    spec, metric = series.spec, series.vars.layout.metric
+    for key in series._int_items()[1]:
+        xtot, u, _z, hb, pw = metric(key)
         ok = False
         if spec.u_max is not None and u >= 1:
             ok = True
@@ -964,6 +1186,36 @@ def _has_positive_bounded_order(series: TruncatedSeries) -> bool:
     return True
 
 
+def _raise_exponents(series: TruncatedSeries, l: int) -> TruncatedSeries:
+    """x_i <- x_i^l, u <- u^l (all variables raised), for the plethystic
+    transforms of :mod:`linkchi.special`; past an upper bound a monomial
+    drops, below a z/hbar window (or past the storage limit of a field) it
+    raises :class:`SeriesError`, as :meth:`TruncatedSeries.regrade` does.
+
+    Runs on the integer form: raising multiplies every field of a packed
+    key by l, so the key of the raised monomial is ``key * l`` less the
+    Laurent bias ``l - 1`` times, and the bound test with the spec's
+    bounds divided by l (:func:`_masks`) decides on the source key, before
+    any field can overflow.  The denominator is kept.
+    """
+    vars_, spec = series.vars, series.spec
+    layout = vars_.layout
+    add, sub, guard, over, _xguard = _masks(layout, spec, l)
+    shift = layout.bias * (l - 1)
+    den, items = series._int_items()
+    out = {}
+    for key, n in items.items():
+        if ((key + add) | (key - sub)) & guard:
+            if (key + add) & (guard ^ over):
+                continue  # past an upper bound of the spec
+            mono = layout.unpack(key)
+            raised = tuple(e * l for e in mono)
+            layout.key(raised)  # raises when a field overflows
+            raise _below_error(vars_, spec, raised, mono)
+        out[key * l - shift] = n
+    return TruncatedSeries._from_ints(vars_, spec, den, out)
+
+
 def _invert_term(series: TruncatedSeries) -> TruncatedSeries:
     """Inverse of a single-term series (negate exponents, invert coefficient)."""
     if len(series.coeffs) != 1:
@@ -972,6 +1224,7 @@ def _invert_term(series: TruncatedSeries) -> TruncatedSeries:
         )
     (mono, c), = series.coeffs.items()
     inv = tuple(-e for e in mono)
-    if _outside(series.spec, series.vars.metric(inv)):
+    layout = series.vars.layout
+    if not layout.fits(inv) or not _passes(_masks(layout, series.spec), layout.pack(inv)):
         raise OutOfBoundsError(f"inverse monomial {inv} falls outside the spec")
     return TruncatedSeries(series.vars, series.spec, {inv: QQ(1) / QQ(c)}, _trusted=True)

@@ -18,7 +18,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .rationals import CACHE_SIZE, QQ, bernoulli, binomial, divisors, mobius
-from .series import SeriesError, TruncatedSeries, _LinearSum, _trunc_weight
+from .series import (
+    SeriesError,
+    TruncatedSeries,
+    _LinearSum,
+    _raise_exponents,
+    _trunc_weight,
+)
 
 __all__ = [
     "UniPolynomial",
@@ -222,12 +228,6 @@ def gamma_series(x_arg: TruncatedSeries, u_arg: TruncatedSeries) -> TruncatedSer
     return log_gamma_series(x_arg, u_arg).exp()
 
 
-def _raise_exponents(series: TruncatedSeries, l: int) -> TruncatedSeries:
-    """x_i <- x_i^l, u <- u^l (all variables raised); past an upper bound
-    a monomial drops, below a z/hbar window it raises :class:`SeriesError`."""
-    return series.regrade(series.vars, series.spec, lambda m: (tuple(e * l for e in m), 1))
-
-
 def _plethystic_bound(spec) -> int:
     """Largest l a plethystic sum over x_i <- x_i^l, u <- u^l needs.
 
@@ -281,11 +281,12 @@ def plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
         raise SeriesError("plethystic_exp requires zero constant term")
     if series.is_zero():
         return TruncatedSeries.one(vars_, spec)
+    layout = vars_.layout
     for mono in series.sorted_monomials():
         c = series.coeffs[mono]
         if c.denominator != 1:
             raise SeriesError(f"plethystic_exp requires integer coefficients, got {c}")
-        if _trunc_weight(spec, vars_.metric(mono)) < 1:
+        if _trunc_weight(spec, layout.metric(layout.pack(mono))) < 1:
             raise SeriesError(f"monomial {mono} cannot be plethystically exponentiated")
     arg = _LinearSum(vars_, spec)
     for l in range(1, _plethystic_bound(spec) + 1):

@@ -192,6 +192,29 @@ def test_oracle_negative_budget_rejected_at_parse_time(capsys, monkeypatch, flag
     assert f"{flag}: must be >= 0, got -1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["homology", "--t-max", "-1"], "--t-max"),
+        (["homology", "--x-max", "-1"], "--x-max"),
+        (["table", "--genus", "1", "--t-max", "-1"], "--t-max"),
+        (["table", "--genus", "-1"], "--genus"),
+        (["oracle", "--s", "2,0", "--t", "2", "--t-max", "-1"], "--t-max"),
+        (["oracle", "--s", "2,0", "--t", "-1"], "--t"),
+    ],
+)
+def test_negative_bounds_rejected_at_parse_time(capsys, argv, flag):
+    # d = 3 <= 2 max(m) + 1 warns that the output is formal; a bad bound
+    # must exit 2 before that warning, not fail inside the run after it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--m", "1,1", "--d", "3"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert f"{flag}: must be >= 0, got -1" in err
+    assert "warning" not in err
+
+
 def test_verify_format_is_text_only(capsys):
     argv = ["verify", "--only", "gamma", "--t-max", "4"]
     _, default, _ = run_cli(argv, capsys)

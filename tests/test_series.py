@@ -14,7 +14,9 @@ from linkchi.series import (
     TruncationSpec,
     VariableSet,
     _LinearSum,
+    _masks,
     _outside,
+    _passes,
 )
 
 from naive_series import naive_exp, naive_linear_sum, naive_log, naive_mul, naive_substitute
@@ -628,7 +630,7 @@ def test_lazy_linear_sum_cancels_to_zero(case):
     back = [(-c, *operands[::-1]) for c, *operands in terms]
     total = linear_sum(vars_, spec, terms + back)
     assert_lazy_matches(total, naive_linear_sum(vars_, spec, terms + back))
-    assert total.is_zero() and total._int_items() == (1, []), name
+    assert total.is_zero() and total._int_items() == (1, {}), name
 
 
 @settings(max_examples=60, deadline=None)
@@ -637,7 +639,8 @@ def test_lazy_linear_sum_mixed_specs(case):
     name, vars_, spec, terms = case
     total = linear_sum(vars_, spec, terms)
     assert_lazy_matches(total, naive_linear_sum(vars_, spec, terms))
-    assert not any(_outside(total.spec, met) for _m, met, _n in total._int_items()[1]), name
+    metric = total.vars.layout.metric
+    assert not any(_outside(total.spec, metric(k)) for k in total._int_items()[1]), name
 
 
 def test_lazy_linear_sum_drops_out_of_spec_monomials():
@@ -649,7 +652,7 @@ def test_lazy_linear_sum_drops_out_of_spec_monomials():
     acc.add_product(3, a, b)
     total = acc.series()
     # u^7, u^8 and x1 u^8 lie past SPEC's u_max = 6; u^5 and u^6 stay
-    assert [m for m, _met, _n in total._int_items()[1]] == [(0, 0, 5), (0, 0, 6)]
+    assert [XU.layout.unpack(k) for k in total._int_items()[1]] == [(0, 0, 5), (0, 0, 6)]
     assert total.spec == SPEC
     assert total.coeffs == {(0, 0, 5): 1, (0, 0, 6): QQ(6, 5)}
 
@@ -673,3 +676,189 @@ def test_mul_builds_no_qq_until_read(monkeypatch):
     assert product.coeffs is coeffs and len(built) == len(coeffs)
     monkeypatch.undo()
     assert product == naive_mul(naive_mul(a, b), a)
+
+
+def test_regrade_builds_no_qq(monkeypatch):
+    a = s({"x1": 1}, QQ(1, 3)) + s({"u": 1}, QQ(2, 7)) + one()
+    product = a * a
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    swapped = product.regrade(XU, SPEC, lambda m: ((m[1], m[0], m[2]), -1))
+    assert not swapped.is_zero()
+    assert built == []
+    monkeypatch.undo()
+    assert swapped == TruncatedSeries(
+        XU, SPEC, {(m[1], m[0], m[2]): -c for m, c in naive_mul(a, a).coeffs.items()}
+    )
+
+
+def test_buckets_built_once_per_right_operand(monkeypatch):
+    from linkchi import series as series_mod
+
+    calls = []
+    real = series_mod._bucketed
+
+    def counting(layout, shift, items):
+        calls.append(shift)
+        return real(layout, shift, items)
+
+    monkeypatch.setattr(series_mod, "_bucketed", counting)
+    a = s({"x1": 1}, QQ(1, 3)) + one()
+    b = s({"x2": 1, "u": 1}, QQ(5, 11)) + s({"u": 2}, QQ(-1, 2)) + s({"x1": 2}) + one()
+    acc = _LinearSum(XU, SPEC)
+    for c in (1, QQ(2, 3), -5):
+        acc.add_product(c, a, b)
+    acc.add_product(1, b, a)  # the larger operand is bucketed, either side
+    assert a * b == naive_mul(a, b)
+    assert len(calls) == 1
+    # a product that buckets on another field builds them anew
+    calls.clear()
+    pw_only = TruncationSpec(p_weight_max=4)
+    wide = TruncatedSeries(
+        PV, pw_only, {(k, p, q, 0): k + 1 for k in range(3) for p in range(3) for q in range(2)}
+    )
+    for left_spec in (pw_only, TruncationSpec(u_max=2, p_weight_max=4)):
+        left = TruncatedSeries(PV, left_spec, {(1, 1, 0, 0): 1})
+        assert left * wide == naive_mul(left, wide)
+    assert calls == [PV.layout.pw_shift, PV.layout.u_shift]
+    monkeypatch.undo()
+    assert acc.series() == naive_mul(a, b).scaled(QQ(-7, 3))
+
+
+# ------------------------------- negative exponents and the packed key
+
+
+def test_negative_exponent_outside_z_and_hbar_raises():
+    spec = TruncationSpec(u_max=3, x_total_max=3)
+    with pytest.raises(SeriesError, match="only z and hbar"):
+        TruncatedSeries.term(XU, spec, {"u": -1}, 5)  # was the zero series
+    with pytest.raises(SeriesError, match="only z and hbar"):
+        TruncatedSeries.term(XU, TruncationSpec(x_total_max=3), {"u": -1})  # was kept
+    with pytest.raises(SeriesError, match="only z and hbar"):
+        TruncatedSeries(XU, spec, {(2, -1, 1): 1})
+    with pytest.raises(SeriesError, match="only z and hbar"):
+        TruncatedSeries.term(PV, TruncationSpec(u_max=3), {"p2": -1})
+    with pytest.raises(SeriesError, match="only z and hbar"):
+        s({"x1": 1}).regrade(XU, SPEC, lambda m: ((m[0] - 2, m[1], m[2]), 1))
+    with pytest.raises(OutOfBoundsError):
+        one().coefficient({"u": -1})
+    # z and hbar stay Laurent
+    assert TruncatedSeries.term(HB, TruncationSpec(u_max=3, hbar_window=(-2, 2)), {"hbar": -2})
+
+
+def test_exponent_past_the_field_raises():
+    limit = 1 << 21
+    free = TruncationSpec()
+    for vars_, name, e in [
+        (XU, "u", limit),
+        (XU, "x1", limit),
+        (XZ, "z", limit),
+        (XZ, "z", -limit - 1),
+        (HB, "hbar", -limit - 1),
+        (PV, "p3", limit),
+    ]:
+        with pytest.raises(SeriesError, match="does not fit"):
+            TruncatedSeries.term(vars_, free, {name: e})
+        TruncatedSeries.term(vars_, free, {name: (limit - 1) // 3 if e > 0 else -limit})
+    # x-total and p-weight are fields too
+    with pytest.raises(SeriesError, match="does not fit"):
+        TruncatedSeries.term(XU, free, {"x1": limit // 2, "x2": limit // 2})
+    with pytest.raises(SeriesError, match="does not fit"):
+        TruncatedSeries.term(PV, free, {"p2": limit // 2})
+    # a product past the field in an unbounded direction raises, never wraps
+    big = TruncatedSeries.term(XU, free, {"u": limit - 1})
+    with pytest.raises(SeriesError, match="does not fit"):
+        big * TruncatedSeries.term(XU, free, {"u": 1})
+    with pytest.raises(SeriesError, match="does not fit"):
+        big.regrade(XU, free, lambda m: ((m[0], m[1], m[2] + 1), 1))
+    # past a bound of the spec, the same product is only truncated
+    bounded = TruncationSpec(u_max=limit - 1)
+    assert (big * TruncatedSeries.term(XU, bounded, {"u": 1})).is_zero()
+
+
+LAYOUT_VARS = st.builds(
+    VariableSet,
+    hodge_count=st.integers(0, 3),
+    has_u=st.booleans(),
+    has_z=st.booleans(),
+    has_hbar=st.booleans(),
+    pcount=st.integers(0, 3),
+)
+
+
+def monomial(vars_, low=0, high=6, lo_laurent=-6):
+    return st.tuples(
+        *(
+            st.integers(lo_laurent, high) if name in ("z", "hbar") else st.integers(low, high)
+            for name in vars_.names
+        )
+    )
+
+
+def random_spec():
+    bound = st.none() | st.integers(0, 12)
+    window = st.none() | st.tuples(st.integers(-9, 4), st.integers(-4, 12))
+    return st.builds(
+        TruncationSpec,
+        u_max=bound,
+        x_total_max=bound,
+        z_window=window,
+        hbar_window=window,
+        p_weight_max=bound,
+    )
+
+
+def tuple_metric(vars_, mono):
+    """(x_total, u, z, hbar, p_weight) of an exponent tuple, 0 where missing."""
+    e = dict(zip(vars_.names, mono))
+    x_total = sum(e[f"x{i + 1}"] for i in range(vars_.hodge_count))
+    p_weight = sum((l + 1) * e[f"p{l + 1}"] for l in range(vars_.pcount))
+    return x_total, e.get("u", 0), e.get("z", 0), e.get("hbar", 0), p_weight
+
+
+@st.composite
+def packed_case(draw):
+    vars_ = draw(LAYOUT_VARS)
+    a, b = draw(monomial(vars_)), draw(monomial(vars_))
+    spec = draw(random_spec())
+    if draw(st.booleans()):  # a mixed-spec meet
+        spec = spec.meet(draw(random_spec()))
+    return vars_, a, b, spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_case())
+def test_packed_key_round_trip_and_products(case):
+    vars_, a, b, _spec = case
+    layout = vars_.layout
+    ka, kb = layout.key(a), layout.key(b)
+    assert layout.unpack(ka) == a
+    total = tuple(x + y for x, y in zip(a, b))
+    assert layout.unpack(ka + kb - layout.bias) == total
+    assert ka + kb - layout.bias == layout.key(total)
+    assert layout.metric(ka) == tuple_metric(vars_, a)
+    assert layout.key((0,) * vars_.nvars) == layout.bias
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_case(), st.integers(1, 4))
+def test_guard_test_matches_outside(case, l):
+    vars_, a, b, spec = case
+    layout = vars_.layout
+    key = layout.key(a) + layout.key(b) - layout.bias
+    total = tuple(x + y for x, y in zip(a, b))
+    # a product key passes the one guard-bit test exactly when its monomial
+    # lies inside the spec
+    assert _passes(_masks(layout, spec), key) == (_outside(spec, tuple_metric(vars_, total)) == 0)
+    # and a stored key passes the test with the bounds divided by l exactly
+    # when raising its monomial to the l-th power stays inside the spec
+    raised = tuple(l * e for e in a)
+    assert _passes(_masks(layout, spec, l), layout.key(a)) == (
+        _outside(spec, tuple_metric(vars_, raised)) == 0
+    )

@@ -237,3 +237,16 @@ def test_plethystic_exp_matches_product_of_geometric_powers(d):
 def test_plethystic_exp_matches_product_with_p_weight(d):
     g = TruncatedSeries(PV, PSPEC, d)
     assert plethystic_exp(g) == naive_plethystic_exp(g)
+
+
+LV = VariableSet(hodge_count=1, has_u=True, has_z=True, has_hbar=True)
+LSPEC = TruncationSpec(u_max=4, x_total_max=4, z_window=(-3, 6), hbar_window=(-2, 5))
+l_monos = st.tuples(st.integers(0, 2), st.integers(1, 2), st.integers(0, 2), st.integers(0, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.dictionaries(l_monos, chi_values, max_size=4))
+def test_plethystic_exp_matches_product_with_laurent_windows(d):
+    # raising runs on packed keys, whose z and hbar fields carry a bias
+    g = TruncatedSeries(LV, LSPEC, d)
+    assert plethystic_exp(g) == naive_plethystic_exp(g)
