@@ -56,6 +56,16 @@ def _int_at_least(low: int):
     return parse
 
 
+def _int_list_at_least(low: int):
+    item = _int_at_least(low)
+
+    def parse(text: str) -> tuple[int, ...]:
+        return tuple(item(v) for v in text.split(","))
+
+    parse.__name__ = "int list"
+    return parse
+
+
 def _emit(text: str, output: str | None):
     if output:
         try:
@@ -139,7 +149,7 @@ def cmd_supercharacter(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _config_from_args(args)
-    s_vec = tuple(int(v) for v in args.s.split(","))
+    s_vec = args.s
     budget = EnumerationBudget(t_max=args.budget_t, hairs_max=args.budget_hairs)
     classes = enumerate_classes(cfg, s_vec, args.t, budget)
     chi = sum(c.contribution for c in classes)
@@ -240,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force hairy graph class listing")
     add_config(p)
-    p.add_argument("--s", required=True, help="comma-separated hair counts per color")
+    p.add_argument("--s", type=_int_list_at_least(0), required=True,
+                   help="comma-separated hair counts per color (each >= 0)")
     p.add_argument("--t", type=_int_at_least(0), required=True, help="complexity (>= 0)")
     p.add_argument("--budget-t", type=_int_at_least(0), default=5)
     p.add_argument("--budget-hairs", type=_int_at_least(0), default=6)

@@ -213,7 +213,7 @@ def f_homology(
             x_arg = _mobius_x(vars_, spec, l, 1, power_sum)
             if x_arg.is_zero():
                 continue
-        fl = _f_series(vars_, spec, "u", l, 1)
+        fl = _f_series(vars_, spec, "u", l)
         u_arg = (u ** l).scaled(cfg.sigma_d * l) * fl.inverse()
         log_total.add(1, log_gamma_series(x_arg, u_arg))
         if l > 1:  # F_1 = 1 contributes nothing

@@ -1188,9 +1188,11 @@ def _has_positive_bounded_order(series: TruncatedSeries) -> bool:
 
 def _raise_exponents(series: TruncatedSeries, l: int) -> TruncatedSeries:
     """x_i <- x_i^l, u <- u^l (all variables raised), for the plethystic
-    transforms of :mod:`linkchi.special`; past an upper bound a monomial
-    drops, below a z/hbar window (or past the storage limit of a field) it
-    raises :class:`SeriesError`, as :meth:`TruncatedSeries.regrade` does.
+    transforms of :mod:`linkchi.special` and for the Moebius double sum,
+    which raises its factors in u (or hbar) alone from v to v^k.  Past an
+    upper bound a monomial drops; below a z/hbar window (or past the
+    storage limit of a field) it raises :class:`SeriesError`, as
+    :meth:`TruncatedSeries.regrade` does.
 
     Runs on the integer form: raising multiplies every field of a packed
     key by l, so the key of the raised monomial is ``key * l`` less the

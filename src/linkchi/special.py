@@ -72,9 +72,8 @@ class UniPolynomial:
         ``powers`` may carry a growable cache ``[1, x, x^2, ...]`` shared
         between evaluations at the same argument.
         """
-        one = TruncatedSeries.one(x.vars, x.spec)
         if powers is None:
-            powers = [one]
+            powers = [TruncatedSeries.one(x.vars, x.spec)]
         while len(powers) <= self.degree:
             powers.append(powers[-1] * x)
         out = _LinearSum(x.vars, x.spec)
@@ -128,14 +127,14 @@ def s_poly(j: int) -> UniPolynomial:
     return UniPolynomial(cs)
 
 
-def _f_series(vars_, spec, var: str, l: int, k: int) -> TruncatedSeries:
-    """F_l(v^k) as a series in the variable ``var``."""
+def _f_series(vars_, spec, var: str, l: int) -> TruncatedSeries:
+    """F_l(v) as a series in the variable ``var``."""
     iv = vars_.index(var)
     coeffs = {}
     for power, c in enumerate(f_poly(l).coeffs):
         if c != 0:
             mono = [0] * vars_.nvars
-            mono[iv] = power * k
+            mono[iv] = power
             coeffs[tuple(mono)] = c
     return TruncatedSeries(vars_, spec, coeffs)
 
@@ -145,49 +144,78 @@ def _mobius_x(vars_, spec, l: int, k: int, power_sum) -> TruncatedSeries:
 
     For P_n = sum_i eps_i x_i^n this is sum_i eps_i E_l(x_i^k).
     """
-    coeffs: dict = {}
+    out = _LinearSum(vars_, spec)
     for a in divisors(l):
         m = mobius(l // a)
         if m:
-            for mono, c in power_sum(a * k).coeffs.items():
-                coeffs[mono] = coeffs.get(mono, 0) + QQ(m, l) * c
-    return TruncatedSeries(vars_, spec, coeffs)
+            out.add(QQ(m, l), power_sum(a * k))
+    return out.series()
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _column_polys(j_max: int) -> tuple[UniPolynomial, ...]:
+    """``(Q_1, ..., Q_{j_max+1})`` with ``Q_n(y) = sum_{j=1..j_max}
+    [x^n]S_j(x) y^j / j``, so that ``sum_{j<=j_max} S_j(X) y^j / j =
+    sum_n X^n Q_n(y)`` (S_j has degree j + 1 and no constant term)."""
+    cols = [[QQ(0)] * (j_max + 1) for _ in range(j_max + 1)]
+    for j in range(1, j_max + 1):
+        for n, c in enumerate(s_poly(j).coeffs[1:]):
+            cols[n][j] = c / j
+    return tuple(UniPolynomial(c) for c in cols)
 
 
 def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_sum):
     """The double sum behind F^pi and the graph supercharacters.
 
-    ``sum_{k,l,j} mu(k)/(k j) S_j(X_{l,k}) (sigma_d l v^{kl} / F_l(v^k))^j
-    - sum_{k,l} mu(k)/k X_{l,k} log F_l(v^k)`` with v = ``var`` and
-    X_{l,k} from :func:`_mobius_x`.  The first sum needs klj <= t_max
-    (v-order of the j-th power) and the second kl <= 2 t_max
-    (log F_l(v^k) has v-order k(l - l/p1) >= kl/2).  Both sums go into one
-    :class:`~linkchi.series._LinearSum`: each term's product is added
-    straight from its factors' integer numerators, never built as a series.
+    ``sum_{k,l,j} mu(k)/(k j) S_j(X_{l,k}) V_{kl}^j
+    - sum_{k,l} mu(k)/k X_{l,k} log F_l(v^k)``, with v = ``var``,
+    ``V_{kl} = sigma_d l v^{kl} / F_l(v^k)`` and X_{l,k} from
+    :func:`_mobius_x` over the power sums P_n = ``power_sum(n)``, each
+    built once.  The first sum needs klj <= t_max (v-order of V_{kl}^j)
+    and the second kl <= 2 t_max (log F_l(v^k) has v-order
+    k(l - l/p1) >= kl/2).
+
+    Two identities cut the work.  The factors in v depend on l and k
+    alone, and ``V_{kl}(v) = V_l(v^k)``, ``log F_l(v^k) = (log F_l)(v^k)``:
+    ``V_l`` and ``log F_l`` are built once per l, and their images for
+    each k are raised by :func:`~linkchi.series._raise_exponents`.  The
+    j-sum goes by columns, ``sum_j S_j(X) V^j / j = sum_n X^n Q_n(V)``,
+    with the Q_n of :func:`_column_polys` evaluated once per l at V_l
+    and raised to ``Q_n(V_{kl})``.  Raising is exact: these are series in
+    v alone with nonnegative exponents, raising keeps a term iff its
+    v-exponent times k lies in the spec (the spec's bounds divided by k
+    are tested on the source key), and for k > 1 the terms it drops,
+    among them every ``V_l^j`` with j > t_max/(kl), lie past the spec's
+    bound on v.  Every term goes into one
+    :class:`~linkchi.series._LinearSum`: each product is added straight
+    from its factors' integer numerators, never built as a series.
     """
+    sums = {n: power_sum(n) for n in range(1, 2 * t_max + 1)}
     out = _LinearSum(vars_, spec)
-    v = TruncatedSeries.term(vars_, spec, {var: 1})
-    for k in range(1, 2 * t_max + 1):
-        mk = mobius(k)
-        if mk == 0:
-            continue
-        for l in range(1, 2 * t_max // k + 1):
-            x = _mobius_x(vars_, spec, l, k, power_sum)
+    for l in range(1, 2 * t_max + 1):
+        fl = _f_series(vars_, spec, var, l)
+        log_fl = cols = None  # built on first use
+        for k in range(1, 2 * t_max // l + 1):
+            mk = mobius(k)
+            if mk == 0:
+                continue
+            x = _mobius_x(vars_, spec, l, k, sums.__getitem__)
             if x.is_zero():
                 continue
-            fl = _f_series(vars_, spec, var, l, k)
             if k * l <= t_max:
-                v_arg = (v ** (k * l)).scaled(sigma_d * l) * fl.inverse()
-                v_pow = TruncatedSeries.one(vars_, spec)
-                x_pows: list = [v_pow]
-                for j in range(1, t_max // (k * l) + 1):
-                    v_pow = v_pow * v_arg
-                    if v_pow.is_zero():
-                        break
-                    sj = s_poly(j).at_series(x, x_pows)
-                    out.add_product(QQ(mk, k * j), sj, v_pow)
+                if cols is None:
+                    v_l = TruncatedSeries.term(vars_, spec, {var: l}, sigma_d * l) * fl.inverse()
+                    powers = [TruncatedSeries.one(vars_, spec)]
+                    cols = [q.at_series(v_l, powers) for q in _column_polys(t_max // l)]
+                x_pow = x
+                for n, q in enumerate(cols[: t_max // (k * l) + 1]):
+                    if n:
+                        x_pow = x_pow * x
+                    out.add_product(QQ(mk, k), x_pow, _raise_exponents(q, k))
             if l > 1:  # F_1 = 1 contributes nothing
-                out.add_product(QQ(-mk, k), x, fl.log())
+                if log_fl is None:
+                    log_fl = fl.log()
+                out.add_product(QQ(-mk, k), x, _raise_exponents(log_fl, k))
     return out.series()
 
 

@@ -58,9 +58,26 @@ Route ledger: the code paths each cross-route check compares.
 
 The double sum itself is pinned against routes that do not run it: the
 plethystic route in "direct vs plethystic" (``route-equivalence``) and
-in ``tables-second-route``, which shares with it only the builders of
-X_{l,1} and F_l(u); the published grids in ``tables``; and the graph
-enumeration in ``oracle``.
+in ``tables-second-route``; the published grids in ``tables``; and the
+graph enumeration in ``oracle``.  Besides the series kernel (``*``,
+``inverse``, ``log``, ``_LinearSum``) and :mod:`linkchi.rationals`, the
+plethystic route shares with the double sum these functions, which a
+fault would reach on both of its sides:
+
+- the builders of X_{l,1} and F_l(u): ``_mobius_x`` (over
+  ``color_power_sum`` and ``_eps_power_sum``) and ``_f_series`` (over
+  ``f_poly``), pinned by ``special-polynomials`` (E_l and F_l) and by
+  ``tables`` and ``oracle``, which run no plethystic transform;
+- the Faulhaber polynomials ``s_poly`` with ``UniPolynomial.at_series``:
+  S_j(X_l) in ``log_gamma_series``, and the double sum's column
+  polynomials Q_n (``special._column_polys``, built from the S_j).  They
+  are pinned by ``special-polynomials`` (S_j against brute-force power
+  sums for every j <= t_max) and by ``tables`` and ``oracle``;
+- ``series._raise_exponents``: x_i^l, u^l in ``plethystic_log`` and
+  ``plethystic_exp``, v^k in the double sum.  It is pinned by the
+  ``_raise_exponents`` property tests in ``tests/test_series.py``, by
+  ``tables`` and ``oracle``, and in the hbar window by "modular envelope
+  two routes" (``cycle-index``), whose regraded side raises only u.
 
 Two routes that share no formula pin each genus-0/1 quantity:
 ``genus0_closed`` by hbar^0 of the double sum and by the tree

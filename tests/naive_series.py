@@ -13,15 +13,20 @@ the textbook forms they replaced, kept here as test oracles only:
   per monomial ``m``;
 * a linear sum of scaled series and scaled products as one ``scaled`` and
   one ``+`` per term;
-* a substitution as one product of repeated factors per monomial.
+* a substitution as one product of repeated factors per monomial;
+* the Moebius double sum of ``special._mobius_double_sum`` as its
+  (k, l, j) loop, with V_{kl} and log F_l(v^k) built afresh for every
+  pair (k, l), S_j(X_{l,k}) evaluated row by row, and X_{l,k} folded
+  from ``QQ`` coefficients.
 """
 
 from __future__ import annotations
 
 import operator
 
-from linkchi.rationals import QQ, binomial
-from linkchi.series import SeriesError, TruncatedSeries
+from linkchi.rationals import QQ, binomial, divisors, mobius
+from linkchi.series import SeriesError, TruncatedSeries, _LinearSum
+from linkchi.special import f_poly, s_poly
 
 
 def naive_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -139,3 +144,46 @@ def _positive_trunc_weight(vars_, spec, mono) -> bool:
         base = vars_.p_start()
         w += sum((l + 1) * mono[base + l] for l in range(vars_.pcount))
     return w >= 1
+
+
+def naive_mobius_double_sum(vars_, spec, var, sigma_d, t_max, power_sum):
+    """``sum_{k,l,j} mu(k)/(k j) S_j(X_{l,k}) (sigma_d l v^{kl} / F_l(v^k))^j
+    - sum_{k,l} mu(k)/k X_{l,k} log F_l(v^k)``, term by term, with the
+    arguments of ``special._mobius_double_sum``."""
+    iv = vars_.index(var)
+    out = _LinearSum(vars_, spec)
+    v = TruncatedSeries.term(vars_, spec, {var: 1})
+    for k in range(1, 2 * t_max + 1):
+        mk = mobius(k)
+        if mk == 0:
+            continue
+        for l in range(1, 2 * t_max // k + 1):
+            coeffs: dict = {}
+            for a in divisors(l):
+                m = mobius(l // a)
+                if m:
+                    for mono, c in power_sum(a * k).coeffs.items():
+                        coeffs[mono] = coeffs.get(mono, 0) + QQ(m, l) * c
+            x = TruncatedSeries(vars_, spec, coeffs)
+            if x.is_zero():
+                continue
+            f_coeffs = {}
+            for power, c in enumerate(f_poly(l).coeffs):
+                if c != 0:
+                    mono = [0] * vars_.nvars
+                    mono[iv] = power * k
+                    f_coeffs[tuple(mono)] = c
+            fl = TruncatedSeries(vars_, spec, f_coeffs)
+            if k * l <= t_max:
+                v_arg = (v ** (k * l)).scaled(sigma_d * l) * fl.inverse()
+                v_pow = TruncatedSeries.one(vars_, spec)
+                x_pows: list = [v_pow]
+                for j in range(1, t_max // (k * l) + 1):
+                    v_pow = v_pow * v_arg
+                    if v_pow.is_zero():
+                        break
+                    sj = s_poly(j).at_series(x, x_pows)
+                    out.add_product(QQ(mk, k * j), sj, v_pow)
+            if l > 1:
+                out.add_product(QQ(-mk, k), x, fl.log())
+    return out.series()

@@ -215,6 +215,22 @@ def test_negative_bounds_rejected_at_parse_time(capsys, argv, flag):
     assert "warning" not in err
 
 
+@pytest.mark.parametrize("value, message", [("a,1", "invalid int list value"), ("-1,1", "must be >= 0")])
+def test_oracle_bad_hair_counts_rejected_at_parse_time(capsys, monkeypatch, value, message):
+    def never(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(cli, "enumerate_classes", never)
+    # d = 3 warns that the output is formal, but only after parsing succeeds
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--m", "1,1", "--d", "3", f"--s={value}", "--t", "2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert f"--s: {message}" in err
+    assert "warning" not in err
+
+
 def test_verify_format_is_text_only(capsys):
     argv = ["verify", "--only", "gamma", "--t-max", "4"]
     _, default, _ = run_cli(argv, capsys)

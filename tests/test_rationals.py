@@ -134,9 +134,12 @@ def test_every_cache_is_bounded():
                     f"{mod.__name__}.{name}: hand-written memo table"
                 )
                 assert isinstance(value, dict)
-    memos = {"divisors", "mobius", "totient", "bernoulli", "e_poly", "f_poly", "s_poly"}
+    memos = {
+        "divisors", "mobius", "totient", "bernoulli", "e_poly", "f_poly", "s_poly",
+        "_column_polys",
+    }
     assert memos <= bounded
     for name in memos:
-        mod = "special" if name.endswith("_poly") else "rationals"
+        mod = "special" if name.endswith(("_poly", "_polys")) else "rationals"
         fn = getattr(importlib.import_module(f"linkchi.{mod}"), name)
         assert fn.cache_parameters()["maxsize"] == CACHE_SIZE

@@ -17,6 +17,7 @@ from linkchi.series import (
     _masks,
     _outside,
     _passes,
+    _raise_exponents,
 )
 
 from naive_series import naive_exp, naive_linear_sum, naive_log, naive_mul, naive_substitute
@@ -862,3 +863,32 @@ def test_guard_test_matches_outside(case, l):
     assert _passes(_masks(layout, spec, l), layout.key(a)) == (
         _outside(spec, tuple_metric(vars_, raised)) == 0
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    LAYOUT_VARS.flatmap(
+        lambda v: st.tuples(
+            st.just(v), st.dictionaries(monomial(v), st.integers(-3, 3), max_size=4)
+        )
+    ),
+    random_spec(),
+    st.integers(1, 4),
+)
+def test_raise_exponents_matches_raising_each_monomial(case, spec, l):
+    # the plethystic transforms raise whole series, and the double sum
+    # raises its u-only (or hbar-only) factors from v to v^k
+    vars_, coeffs = case
+    series = TruncatedSeries(vars_, spec, coeffs)
+    kept, below = {}, False
+    for mono, c in series.coeffs.items():
+        raised = tuple(l * e for e in mono)
+        where = _outside(spec, tuple_metric(vars_, raised))
+        if where == 0:
+            kept[raised] = c
+        below = below or where == -1
+    if below:
+        with pytest.raises(SeriesError, match="below"):
+            _raise_exponents(series, l)
+    else:
+        assert _raise_exponents(series, l) == TruncatedSeries(vars_, spec, kept)

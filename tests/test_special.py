@@ -3,19 +3,25 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linkchi.cycleindex as cycleindex
+import linkchi.genfun as genfun
+import linkchi.special as special
+from linkchi.genfun import LinkConfig
 from linkchi.rationals import QQ
 from linkchi.series import SeriesError, TruncatedSeries, TruncationSpec, VariableSet
 from linkchi.special import (
     UniPolynomial,
+    _column_polys,
     e_poly,
     f_poly,
     gamma_series,
+    log_gamma_series,
     plethystic_exp,
     plethystic_log,
     s_poly,
 )
 
-from naive_series import naive_plethystic_exp
+from naive_series import naive_mobius_double_sum, naive_plethystic_exp
 
 UV = VariableSet(has_u=True)
 
@@ -250,3 +256,109 @@ def test_plethystic_exp_matches_product_with_laurent_windows(d):
     # raising runs on packed keys, whose z and hbar fields carry a bias
     g = TruncatedSeries(LV, LSPEC, d)
     assert plethystic_exp(g) == naive_plethystic_exp(g)
+
+
+# ------------------------------------------- the Moebius double sum
+
+
+def assert_sums_match_naive(monkeypatch, module, call):
+    """Run ``call`` with ``module._mobius_double_sum`` recording its
+    arguments, and check every result against the (k, l, j) loop of
+    ``naive_mobius_double_sum`` on the same arguments: equal spec and
+    equal integer form."""
+    seen = []
+    real = special._mobius_double_sum
+
+    def record(*args):
+        out = real(*args)
+        seen.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, "_mobius_double_sum", record)
+    call()
+    assert seen
+    for args, got in seen:
+        want = naive_mobius_double_sum(*args)
+        assert got.spec == want.spec
+        assert got._int_items() == want._int_items()
+
+
+PARITY_CONFIGS = {"odd-odd": (1, 3), "odd-even": (1, 4), "even-odd": (2, 5), "even-even": (2, 4)}
+
+
+@pytest.mark.parametrize("parity", sorted(PARITY_CONFIGS))
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_double_sum_matches_naive_for_f_homotopy(monkeypatch, parity, r):
+    m, d = PARITY_CONFIGS[parity]
+    cfg = LinkConfig.create((m,) * r, d)
+    for t in range(1, 9):
+        assert_sums_match_naive(monkeypatch, genfun, lambda: genfun.f_homotopy_direct(cfg, t))
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_double_sum_matches_naive_for_graph_supercharacter(monkeypatch, parity):
+    assert_sums_match_naive(
+        monkeypatch, cycleindex, lambda: cycleindex.z_graph_supercharacter(parity, 6, 6)
+    )
+
+
+@pytest.mark.parametrize("twist", ["plain", "det"])
+def test_double_sum_matches_naive_in_the_hbar_laurent_window(monkeypatch, twist):
+    # the body before the final regrade: p_n / hbar^n arguments, var = hbar
+    assert_sums_match_naive(
+        monkeypatch,
+        cycleindex,
+        lambda: cycleindex.mod_envelope_supercharacter_direct(twist, 5, 3),
+    )
+
+
+def test_double_sum_builds_u_factors_once_per_l(monkeypatch):
+    t = 16
+    calls = {"inverse": 0, "log": 0}
+    for name in calls:
+        real = getattr(TruncatedSeries, name)
+
+        def counted(self, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self)
+
+        monkeypatch.setattr(TruncatedSeries, name, counted)
+    sums: dict = {}
+    real_sum = genfun.color_power_sum
+
+    def counted_sum(cfg, vars_, spec, n, mode):
+        sums[n] = sums.get(n, 0) + 1
+        return real_sum(cfg, vars_, spec, n, mode)
+
+    monkeypatch.setattr(genfun, "color_power_sum", counted_sum)
+    genfun.f_homotopy_direct(LinkConfig.create((1, 1), 3), t)
+    # V_l for l <= t, log F_l for 2 <= l <= 2t, one power sum P_n per n
+    assert calls["inverse"] <= t
+    assert calls["log"] <= 2 * t - 1
+    assert sums and set(sums.values()) == {1}
+
+
+XV = VariableSet(hodge_count=2, has_u=True)
+x_monos = st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0))
+v_monos = st.tuples(st.just(0), st.just(0), st.integers(1, 5))
+small_rationals = st.builds(QQ, st.integers(-4, 4), st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(x_monos, small_rationals, max_size=4),
+    st.dictionaries(v_monos, small_rationals, min_size=1, max_size=3),
+    st.integers(1, 6),
+)
+def test_column_sum_is_log_gamma(x_coeffs, v_coeffs, t):
+    # sum_n X^n Q_n(V) = sum_j S_j(X) V^j / j for x-only X and u-only V of
+    # positive u-order
+    spec = TruncationSpec(u_max=t, x_total_max=t + 1)
+    x = TruncatedSeries(XV, spec, x_coeffs)
+    v = TruncatedSeries(XV, spec, v_coeffs)
+    total = TruncatedSeries.zero(XV, spec)
+    x_pow = TruncatedSeries.one(XV, spec)
+    for q in _column_polys(t):
+        x_pow = x_pow * x
+        total = total + x_pow * q.at_series(v)
+    assert total == log_gamma_series(x, v)
