@@ -16,7 +16,7 @@ import sys
 
 from .cycleindex import feynman_regrade, mod_envelope_supercharacter
 from .genfun import LinkConfig, euler_table, f_homology
-from .graphs import EnumerationBudget, enumerate_classes
+from .graphs import EnumerationBudget, check_cell, enumerate_classes
 from .rationals import QQ, qq_str
 from .series import TruncatedSeries, TruncationSpec, VariableSet
 from .verify import CHECK_NAMES, run_checks
@@ -148,9 +148,10 @@ def cmd_supercharacter(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = _config_from_args(args)
-    s_vec = args.s
     budget = EnumerationBudget(t_max=args.budget_t, hairs_max=args.budget_hairs)
+    # a cell the enumeration cannot take exits 2 before any warning
+    s_vec = check_cell(len(args.m), args.s, args.t, budget)
+    cfg = _config_from_args(args)
     classes = enumerate_classes(cfg, s_vec, args.t, budget)
     chi = sum(c.contribution for c in classes)
     payload = {

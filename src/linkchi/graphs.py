@@ -37,15 +37,27 @@ multigraph on it.  The canonical key stays the only merge of the copies
 that survive, so the classes, their keys and their order are those of
 the unfiltered enumeration; only the labelling stored as a class's
 ``adjacency`` and ``hair_counts`` may be a different one.
+
+Only two things depend on (m, d): a class's degree and whether it is
+killed (the orientation character).  Everything else is parity-free: the
+labelled multigraphs, the connectivity and orderly filters, the canonical
+keys and the automorphism groups.  These are read from the ordered hair
+counts ``s_vec`` and from t alone, so ``_class_shapes`` caches them by
+``(s_vec, t)`` exactly, and all four parity classes share one
+enumeration per cell.  ``enumerate_classes`` checks the cell and the
+budget before the lookup, then computes degree, killed status and
+automorphism count for its (m, d).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, prod
 
 from .genfun import LinkConfig
+from .rationals import CACHE_SIZE
 
 __all__ = [
     "EnumerationBudget",
@@ -54,6 +66,7 @@ __all__ = [
     "euler_char_oracle",
     "canonical_form",
     "BudgetExceeded",
+    "check_cell",
 ]
 
 
@@ -436,18 +449,17 @@ def _class_killed(adj, hairs, autos, m, d) -> bool:
     return False
 
 
-def enumerate_classes(
-    cfg: LinkConfig,
-    s_vec,
-    t: int,
-    budget: EnumerationBudget | None = None,
-) -> list[HairyGraphClass]:
-    """All isomorphism classes of hairy graphs with hair counts ``s_vec``
-    and complexity ``t``, each labeled with degree and killed status."""
+def check_cell(
+    r: int, s_vec, t: int, budget: EnumerationBudget | None = None
+) -> tuple[int, ...]:
+    """The hair counts ``s_vec`` as a tuple, once the (s, t) cell is one
+    the enumeration can take: ``r`` nonnegative counts, at least one hair,
+    genus t - |s| + 1 >= 0, and within ``budget``.  Depends on no parity,
+    so a caller can check a cell before it builds a ``LinkConfig``."""
     budget = budget or EnumerationBudget()
     s_vec = tuple(s_vec)
-    if len(s_vec) != cfg.r or any(s < 0 for s in s_vec):
-        raise ValueError(f"need {cfg.r} nonnegative hair counts, got {s_vec}")
+    if len(s_vec) != r or any(s < 0 for s in s_vec):
+        raise ValueError(f"need {r} nonnegative hair counts, got {s_vec}")
     s_total = sum(s_vec)
     if s_total < 1:
         raise ValueError("at least one hair is required")
@@ -458,33 +470,20 @@ def enumerate_classes(
             f"(|s|={s_total}, t={t}) exceeds budget "
             f"(t_max={budget.t_max}, hairs_max={budget.hairs_max})"
         )
-    m, d = _rep_dimensions(cfg)
-    out: list[HairyGraphClass] = []
+    return s_vec
 
-    # no internal vertices: a single edge joining two hairs
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _class_shapes(s_vec: tuple[int, ...], t: int):
+    """The parity-free part of ``enumerate_classes`` for a cell that
+    ``check_cell`` accepts: the bare edge's two hair colours (None unless
+    |s| = 2 and t = 1), and (n_internal, adjacency, hair_counts, key,
+    automorphisms) of every other class, in (n_internal, key) order."""
+    s_total = sum(s_vec)
+    bare = None
     if s_total == 2 and t == 1:
-        colors = tuple(sorted(c for c, s in enumerate(s_vec) for _ in range(s)))
-        degree = (d - 1) - m[colors[0]] - m[colors[1]]
-        killed = False
-        n_autos = 1
-        if colors[0] == colors[1]:
-            # swapping the hairs reverses the edge
-            swap_parity = (m[colors[0]] + d) % 2
-            killed = bool(swap_parity)
-            n_autos = 2
-        out.append(
-            HairyGraphClass(
-                n_internal=0,
-                adjacency=(),
-                hair_counts=(),
-                bare_hair_colors=(colors[0], colors[1]),
-                key=f"(bare, colors={colors})",
-                degree=degree,
-                killed=killed,
-                automorphism_count=n_autos,
-            )
-        )
-
+        bare = tuple(sorted(c for c, s in enumerate(s_vec) for _ in range(s)))
+    shapes = []
     seen: set[str] = set()
     for n_int in range(1, 2 * t - s_total + 1):
         m_int = n_int + t - s_total
@@ -511,32 +510,58 @@ def enumerate_classes(
                     if key in seen:
                         continue
                     seen.add(key)
-                    edges = m_int + s_total
-                    degree = (
-                        (d - 1) * edges
-                        - d * n_int
-                        - sum(mc * sc for mc, sc in zip(m, s_vec))
-                    )
-                    killed = _class_killed(adj, hair_mat, autos, m, d)
-                    # graph automorphisms: vertex maps times the free
-                    # permutations of same-color hairs at each vertex
-                    n_autos = len(autos) * prod(
-                        factorial(h) for row in hair_mat for h in row
-                    )
-                    out.append(
-                        HairyGraphClass(
-                            n_internal=n_int,
-                            adjacency=adj,
-                            hair_counts=hair_mat,
-                            bare_hair_colors=None,
-                            key=key,
-                            degree=degree,
-                            killed=killed,
-                            automorphism_count=n_autos,
-                        )
-                    )
-    _check_odd_signs(cfg, out, s_total)
-    return sorted(out, key=lambda c: (c.n_internal, c.key))
+                    shapes.append((n_int, adj, hair_mat, key, tuple(autos)))
+    shapes.sort(key=lambda shape: (shape[0], shape[3]))
+    return bare, tuple(shapes)
+
+
+def enumerate_classes(
+    cfg: LinkConfig,
+    s_vec,
+    t: int,
+    budget: EnumerationBudget | None = None,
+) -> list[HairyGraphClass]:
+    """All isomorphism classes of hairy graphs with hair counts ``s_vec``
+    and complexity ``t``, each labeled with degree and killed status."""
+    s_vec = check_cell(cfg.r, s_vec, t, budget)
+    bare, shapes = _class_shapes(s_vec, t)
+    m, d = _rep_dimensions(cfg)
+    hair_degree = sum(mc * sc for mc, sc in zip(m, s_vec))
+    out: list[HairyGraphClass] = []
+    if bare is not None:  # no internal vertices: a single edge joining two hairs
+        a, b = bare
+        out.append(
+            HairyGraphClass(
+                n_internal=0,
+                adjacency=(),
+                hair_counts=(),
+                bare_hair_colors=bare,
+                key=f"(bare, colors={bare})",
+                degree=(d - 1) - hair_degree,
+                # swapping two hairs of one colour reverses the edge
+                killed=a == b and bool((m[a] + d) % 2),
+                automorphism_count=2 if a == b else 1,
+            )
+        )
+    for n_int, adj, hair_mat, key, autos in shapes:
+        out.append(
+            HairyGraphClass(
+                n_internal=n_int,
+                adjacency=adj,
+                hair_counts=hair_mat,
+                bare_hair_colors=None,
+                key=key,
+                degree=(d - 1) * (n_int + t) - d * n_int - hair_degree,  # |E| = |I| + t
+                killed=_class_killed(adj, hair_mat, autos, m, d),
+                # graph automorphisms: vertex maps times the free
+                # permutations of same-color hairs at each vertex
+                automorphism_count=len(autos) * prod(
+                    factorial(h) for row in hair_mat for h in row
+                ),
+            )
+        )
+    _check_odd_signs(cfg, out, sum(s_vec))
+    return out
 
 
 def _check_odd_signs(cfg: LinkConfig, classes, s_total: int) -> None:
@@ -550,33 +575,14 @@ def _check_odd_signs(cfg: LinkConfig, classes, s_total: int) -> None:
                 )
 
 
-# Euler characteristics by cell, oldest dropped first past the limit.
-_ORACLE_CACHE_MAX = 4096
-_oracle_cache: dict = {}
-
-
 def euler_char_oracle(
     cfg: LinkConfig, s_vec, t: int, budget: EnumerationBudget | None = None
 ) -> int:
     """Euler characteristic of the (s, t) summand: the signed count
     sum of (-1)^degree over non-killed isomorphism classes."""
     s_vec = tuple(s_vec)
-    active_budget = budget or EnumerationBudget()
-    if t > active_budget.t_max or sum(s_vec) > active_budget.hairs_max:
-        raise BudgetExceeded(
-            f"(|s|={sum(s_vec)}, t={t}) exceeds budget "
-            f"(t_max={active_budget.t_max}, hairs_max={active_budget.hairs_max})"
-        )
-    key = (cfg.m_parities, cfg.d_parity, tuple(sorted(s_vec, reverse=True)), t)
-    symmetric = len(set(cfg.m_parities)) == 1
-    cache_key = key if symmetric else (cfg.m_parities, cfg.d_parity, s_vec, t)
-    got = _oracle_cache.get(cache_key)
-    if got is None:
-        use_vec = key[2] if symmetric else s_vec
-        got = sum(
-            cls.contribution for cls in enumerate_classes(cfg, use_vec, t, budget)
-        )
-        if len(_oracle_cache) >= _ORACLE_CACHE_MAX:
-            del _oracle_cache[next(iter(_oracle_cache))]
-        _oracle_cache[cache_key] = got
-    return got
+    if len(set(cfg.m_parities)) == 1:
+        # colours of one parity are interchangeable: a cell and its mirror
+        # have one answer, and share one shape enumeration
+        s_vec = tuple(sorted(s_vec, reverse=True))
+    return sum(cls.contribution for cls in enumerate_classes(cfg, s_vec, t, budget))

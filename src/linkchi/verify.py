@@ -54,7 +54,11 @@ Route ledger: the code paths each cross-route check compares.
 
 * ``oracle`` (four parities, r = 2; genus 0-3 at t <= 4, genus 0-2 at
   t = 5): ``euler_char_oracle``, a signed count of hairy-graph classes
-  that runs no series code, against ``f_homotopy_direct``.
+  that runs no series code, against ``f_homotopy_direct``.  The parities
+  share one graph enumeration per (s, t) (``graphs._class_shapes``) and
+  differ only in degrees and orientation signs.  The four parity classes
+  were never four independent routes: they always shared the
+  enumeration code.
 
 The double sum itself is pinned against routes that do not run it: the
 plethystic route in "direct vs plethystic" (``route-equivalence``) and

@@ -215,19 +215,35 @@ def test_negative_bounds_rejected_at_parse_time(capsys, argv, flag):
     assert "warning" not in err
 
 
-@pytest.mark.parametrize("value, message", [("a,1", "invalid int list value"), ("-1,1", "must be >= 0")])
-def test_oracle_bad_hair_counts_rejected_at_parse_time(capsys, monkeypatch, value, message):
+@pytest.mark.parametrize(
+    "value, t, message",
+    [
+        ("a,1", "2", "--s: invalid int list value"),
+        ("-1,1", "2", "--s: must be >= 0"),
+        ("1", "2", "need 2 nonnegative hair counts, got (1,)"),
+        ("0,0", "2", "at least one hair is required"),
+        ("3,1", "2", "t=2 < |s|-1=3 would mean negative genus"),
+        ("2,1", "6", "(|s|=3, t=6) exceeds budget (t_max=5, hairs_max=6)"),
+    ],
+    ids=[
+        "a,1-invalid int list value", "-1,1-must be >= 0", "count", "no-hairs",
+        "negative-genus", "over-budget",
+    ],
+)
+def test_oracle_bad_hair_counts_rejected_at_parse_time(capsys, monkeypatch, value, t, message):
     def never(*args, **kwargs):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(cli, "enumerate_classes", never)
-    # d = 3 warns that the output is formal, but only after parsing succeeds
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["oracle", "--m", "1,1", "--d", "3", f"--s={value}", "--t", "2"])
+    # d = 3 warns that the output is formal, but only once the cell is valid
+    try:
+        code = cli.main(["oracle", "--m", "1,1", "--d", "3", f"--s={value}", "--t", t])
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
-    assert exc.value.code == 2
+    assert code == 2
     assert out == ""
-    assert f"--s: {message}" in err
+    assert message in err
     assert "warning" not in err
 
 

@@ -16,7 +16,7 @@ from linkchi.graphs import (
     euler_char_oracle,
 )
 from linkchi.reference_tables import TABLES
-from linkchi.verify import _cfg
+from linkchi.verify import _PARITY_CONFIGS, _cfg
 
 ODD2 = LinkConfig.create((1, 1), 3)
 
@@ -223,14 +223,57 @@ def test_canonical_form_is_invariant_under_relabelling(graph):
         )
 
 
-def test_oracle_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(graphs, "_ORACLE_CACHE_MAX", 3)
-    monkeypatch.setattr(graphs, "_oracle_cache", {})
-    cells = [((1, 1), 1), ((1, 0), 1), ((2, 0), 1), ((1, 0), 2), ((2, 1), 2)]
-    first = [euler_char_oracle(ODD2, s, t) for s, t in cells]
-    assert len(graphs._oracle_cache) == 3
-    assert [euler_char_oracle(ODD2, s, t) for s, t in cells] == first
-    assert len(graphs._oracle_cache) == 3
+# Every (s1, s2) with t <= 3, in both orders.
+_SMALL_CELLS = [
+    ((s_total - s2, s2), t)
+    for t in range(1, 4)
+    for s_total in range(1, t + 2)
+    for s2 in range(s_total + 1)
+]
+
+
+@pytest.mark.parametrize("parity", sorted(_PARITY_CONFIGS))
+def test_shape_cache_does_not_change_classes(parity):
+    cfg = _cfg(parity, 2)
+    graphs._class_shapes.cache_clear()
+    cold = [enumerate_classes(cfg, s, t) for s, t in _SMALL_CELLS]
+    graphs._class_shapes.cache_clear()
+    for other in _PARITY_CONFIGS:
+        if other != parity:
+            for s, t in _SMALL_CELLS:
+                enumerate_classes(_cfg(other, 2), s, t)
+    misses = graphs._class_shapes.cache_info().misses
+    warm = [enumerate_classes(cfg, s, t) for s, t in _SMALL_CELLS]
+    assert graphs._class_shapes.cache_info().misses == misses  # all served warm
+    assert warm == cold
+
+
+def test_cached_cell_still_checks_the_budget():
+    loose = EnumerationBudget(t_max=5, hairs_max=6)
+    tight = EnumerationBudget(t_max=2, hairs_max=3)
+    assert euler_char_oracle(ODD2, (2, 1), 3, loose) == euler_char_oracle(ODD2, (2, 1), 3)
+    with pytest.raises(BudgetExceeded):
+        enumerate_classes(ODD2, (2, 1), 3, tight)
+    with pytest.raises(BudgetExceeded):
+        euler_char_oracle(ODD2, (2, 1), 3, tight)
+
+
+def test_parity_classes_share_one_shape_enumeration(monkeypatch):
+    calls = []
+    real = graphs._multigraphs_with_degrees
+
+    def counted(degrees):
+        calls.append(degrees)
+        return real(degrees)
+
+    monkeypatch.setattr(graphs, "_multigraphs_with_degrees", counted)
+    graphs._class_shapes.cache_clear()
+    enumerate_classes(_cfg("odd-odd", 2), (2, 1), 3)
+    once = len(calls)
+    for parity in _PARITY_CONFIGS:
+        enumerate_classes(_cfg(parity, 2), (2, 1), 3)
+    assert once > 0 and len(calls) == once
+    assert graphs._class_shapes.cache_info().misses == 1
 
 
 # Class, killed and Euler-characteristic counts per cell, recorded from the

@@ -128,18 +128,16 @@ def test_every_cache_is_bounded():
                     maxsize = value.cache_parameters()["maxsize"]
                     assert maxsize is not None, f"{mod.__name__}.{name} has no maxsize"
                     bounded.add(name)
-        for name, value in vars(mod).items():
-            if name.startswith("_") and name.endswith("_cache"):
-                assert (mod.__name__, name) == ("linkchi.graphs", "_oracle_cache"), (
-                    f"{mod.__name__}.{name}: hand-written memo table"
-                )
-                assert isinstance(value, dict)
+        for name in vars(mod):
+            assert not (name.startswith("_") and name.endswith("_cache")), (
+                f"{mod.__name__}.{name}: hand-written memo table"
+            )
     memos = {
-        "divisors", "mobius", "totient", "bernoulli", "e_poly", "f_poly", "s_poly",
-        "_column_polys",
+        "divisors": "rationals", "mobius": "rationals", "totient": "rationals",
+        "bernoulli": "rationals", "e_poly": "special", "f_poly": "special",
+        "s_poly": "special", "_column_polys": "special", "_class_shapes": "graphs",
     }
-    assert memos <= bounded
-    for name in memos:
-        mod = "special" if name.endswith(("_poly", "_polys")) else "rationals"
+    assert set(memos) <= bounded
+    for name, mod in memos.items():
         fn = getattr(importlib.import_module(f"linkchi.{mod}"), name)
         assert fn.cache_parameters()["maxsize"] == CACHE_SIZE
