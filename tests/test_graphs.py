@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -256,6 +257,19 @@ def test_cached_cell_still_checks_the_budget():
         enumerate_classes(ODD2, (2, 1), 3, tight)
     with pytest.raises(BudgetExceeded):
         euler_char_oracle(ODD2, (2, 1), 3, tight)
+
+
+def test_oracle_cache_is_bounded(monkeypatch):
+    # The oracle's only cache is the shape cache: at most maxsize cells are
+    # held, and an evicted cell enumerates again to the same value.
+    shapes = functools.lru_cache(maxsize=3)(graphs._class_shapes.__wrapped__)
+    monkeypatch.setattr(graphs, "_class_shapes", shapes)
+    cells = [((1, 1), 1), ((1, 0), 1), ((2, 0), 1), ((1, 0), 2), ((2, 1), 2)]
+    first = [euler_char_oracle(ODD2, s, t) for s, t in cells]
+    assert shapes.cache_info().currsize == 3
+    assert shapes.cache_info().misses == len(cells)
+    assert [euler_char_oracle(ODD2, s, t) for s, t in cells] == first
+    assert shapes.cache_info().currsize == 3
 
 
 def test_parity_classes_share_one_shape_enumeration(monkeypatch):
