@@ -15,6 +15,9 @@ alternating sum over homological degree, i.e. the z = -1 specialization.
 
 from __future__ import annotations
 
+from itertools import count
+from operator import mul
+
 from .genfun import LinkConfig, _homological_degree, _z_span, color_power_sum
 from .graphs import _cycles, _perm_parity
 from .rationals import QQ, mobius, totient
@@ -182,8 +185,9 @@ def specialize_colors(
 
 
 def _p_weight(p_part) -> int:
-    """Arity weight sum_l l * j_l of the p-exponents (j_1, j_2, ...)."""
-    return sum((l + 1) * e for l, e in enumerate(p_part))
+    """Arity weight sum_l l * j_l of the p-exponents (j_1, j_2, ...), summed
+    in C: it runs once per monomial of every regrade by arity."""
+    return sum(map(mul, count(1), p_part))
 
 
 def _graded_p_spec(d: int, weight_max: int):

@@ -31,16 +31,20 @@ raises instead of dropping a term below a lower bound.
 Products, ``exp``, ``log`` and linear sums run on integer numerators, and
 their results keep that form (:meth:`TruncatedSeries._int_items`): one
 denominator, the lcm of the coefficients' denominators, and a dict from
-packed monomial keys to ``int`` numerators.  A :class:`_LinearSum` adds
-scaled series and scaled products over one running denominator, its pair
-loop adding keys and multiplying numerators as plain ``int``: per product
-in ``*``, per grade in ``exp`` and ``log``, per sum in ``inverse``,
-``substitute`` and the sums of :mod:`linkchi.special`.  The next operation
-reads the integer form straight back, so a chain of operations builds no
-``QQ`` and no tuple; ``coeffs`` unpacks the keys and folds one
-``QQ(numerator, denominator)`` per monomial the first time it is read, and
-a series built from coefficients computes its integer form once, on first
-use as an operand.
+packed monomial keys to ``int`` numerators.  A :class:`_LinearSum`
+records scaled series and scaled products, then settles them once over the
+lcm of their denominators, its pair loop adding keys and multiplying
+numerators as plain ``int``: per product in ``*``, per grade in ``exp``
+and ``log``, per sum in ``inverse``, ``substitute`` and the sums of
+:mod:`linkchi.special`.  The next operation reads the integer form straight
+back, so a chain of operations builds no ``QQ`` and no tuple; ``coeffs``
+unpacks the keys and folds one ``QQ(numerator, denominator)`` per monomial
+the first time it is read, and ``to_text`` renders from the keys without
+it.  The constants, single terms and the power sums of
+:mod:`linkchi.genfun` and :mod:`linkchi.special` are built straight into
+the integer form (:meth:`TruncatedSeries._from_terms`); another series
+built from coefficients computes its integer form once, on first use as an
+operand.
 
 Packed keys (Monagan & Pearce, "Polynomial division using dynamic arrays,
 heaps, and packed exponent vectors", CASC 2007).  A monomial's key is one
@@ -76,10 +80,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import count
 from math import gcd, lcm
+from operator import mul
 from typing import Mapping
 
-from .rationals import CACHE_SIZE, QQ, qq_str
+from .rationals import CACHE_SIZE, QQ
 
 __all__ = [
     "VariableSet",
@@ -449,38 +455,43 @@ def _bucketed(layout: _Layout, shift: int | None, items) -> list:
 
 
 class _LinearSum:
-    """A sum of scaled series and scaled truncated products, kept as integer
-    numerators ``{packed key: int}`` over one running denominator.
+    """A sum of scaled series and scaled truncated products, settled once
+    into integer numerators ``{packed key: int}`` over one denominator.
 
-    ``add(c, a)`` adds ``c * a`` and ``add_product(c, a, b)`` adds
-    ``c * a * b`` straight from the operands' integer forms
-    (:meth:`TruncatedSeries._int_items`), truncated pair by pair as ``*``
-    truncates; the product series is never built.  A pair's key is
-    ``k1 + k2 - BIAS`` and its bound test is one guard-bit test,
-    ``((key + ADD) | (key - SUB)) & GUARD == 0`` (module docstring); a
-    pair that fails only on the storage limit of an unbounded direction
-    raises :class:`SeriesError` instead of wrapping.  The right operand of
-    a product is bucketed (:func:`_bucketed`, cached per series) by the
-    dominant bounded direction (u, or p-weight when u is absent) and each
-    bucket is sorted by x-total, so the loop leaves the buckets past the
-    left key's room in that direction unvisited and ends a bucket at the
-    first pair past the x-total bound.  When a term's denominator does not
-    divide the running one, the numerators are rescaled once to the lcm.
-    A coefficient ``c`` is read as ``c.numerator`` over ``c.denominator``,
-    so it may be an ``int`` or a ``QQ``.  ``series()`` hands the nonzero
-    numerators and the running denominator to the result as its integer
-    form (:meth:`TruncatedSeries._from_ints`); no ``QQ`` is built.  As with
-    ``+``, the result's spec is the meet of every operand's spec, and terms
-    outside it are dropped.
+    ``add(c, a)`` records ``c * a`` and ``add_product(c, a, b)`` records
+    ``c * a * b``; nothing is summed until :meth:`settle`.  Each term is
+    kept as its coefficient reduced to ``num / den`` and the operands'
+    integer forms (:meth:`TruncatedSeries._int_items`): the items of a
+    scaled series, or for a product the left items, the right operand's
+    buckets and the spec in force at that call, whose masks and bucket
+    field the pair loop uses.  ``settle()`` takes the lcm D of the
+    recorded denominators once and runs every term, in the order added,
+    into one dict at the fixed integer scale ``num * (D // den)``, so no
+    numerator is ever rescaled.  The operands stay alive until then.
+
+    A product is never built as a series: a pair's key is ``k1 + k2 -
+    BIAS`` and its bound test is one guard-bit test, ``((key + ADD) | (key
+    - SUB)) & GUARD == 0`` (module docstring); a pair that fails only on
+    the storage limit of an unbounded direction raises
+    :class:`SeriesError` instead of wrapping, when the sum is settled.  The
+    right operand of a product is bucketed (:func:`_bucketed`, cached per
+    series) by the dominant bounded direction (u, or p-weight when u is
+    absent) and each bucket is sorted by x-total, so the loop leaves the
+    buckets past the left key's room in that direction unvisited and ends a
+    bucket at the first pair past the x-total bound.  A coefficient ``c``
+    is read as ``c.numerator`` over ``c.denominator``, so it may be an
+    ``int`` or a ``QQ``.  ``series()`` hands the nonzero numerators and D
+    to the result as its integer form (:meth:`TruncatedSeries._from_ints`);
+    no ``QQ`` is built.  As with ``+``, the result's spec is the meet of
+    every operand's spec, and terms outside it are dropped.
     """
 
-    __slots__ = ("vars", "spec", "den", "nums", "_mixed")
+    __slots__ = ("vars", "spec", "_terms", "_mixed")
 
     def __init__(self, vars_: VariableSet, spec: TruncationSpec):
         self.vars = vars_
         self.spec = spec
-        self.den = 1
-        self.nums: dict[int, int] = {}
+        self._terms: list = []  # (num, den, items, buckets or None, spec)
         self._mixed = False  # an operand's spec differed from the running one
 
     def _meet(self, *operands) -> None:
@@ -493,26 +504,10 @@ class _LinearSum:
                 self._mixed = True
                 self.spec = self.spec.meet(s.spec)
 
-    def _scale(self, num: int, den: int) -> int:
-        """The factor that puts ``num / den`` over the running denominator,
-        rescaling the numerators once when den does not divide it."""
-        g = gcd(num, den)
-        num, den = num // g, den // g
-        if self.den % den:
-            new = lcm(self.den, den)
-            f = new // self.den
-            if self.nums:
-                self.nums = {m: n * f for m, n in self.nums.items()}
-            self.den = new
-        return num * (self.den // den)
-
     def add_items(self, num: int, den: int, items) -> None:
         """Add ``num / den`` times the integer items ``[(key, numerator)]``."""
-        scale = self._scale(num, den)
-        nums = self.nums
-        get = nums.get
-        for k, n in items:
-            nums[k] = get(k, 0) + scale * n
+        g = gcd(num, den)
+        self._terms.append((num // g, den // g, items, None, None))
 
     def add(self, c, a: "TruncatedSeries") -> None:
         self._meet(a)
@@ -525,16 +520,50 @@ class _LinearSum:
     def add_pairs(self, num: int, den: int, a_items, b_buckets) -> None:
         """Add ``num / den`` times every in-spec product of a term of
         ``a_items`` and a term of ``b_buckets`` (from :func:`_bucketed`
-        with this sum's :func:`_bucket_field`).  Sums may cancel to 0, and
-        ``series()`` skips zero numerators."""
-        scale = self._scale(num, den)
+        with this sum's :func:`_bucket_field`), under the spec in force
+        now.  Sums may cancel to 0, and ``series()`` skips zero
+        numerators."""
+        g = gcd(num, den)
+        self._terms.append((num // g, den // g, a_items, b_buckets, self.spec))
+
+    def add_product(self, c, a: "TruncatedSeries", b: "TruncatedSeries") -> None:
+        self._meet(a, b)
+        if not c:
+            return
+        da, a_items = a._int_items()
+        db, b_items = b._int_items()
+        if not a_items or not b_items:
+            return
+        if len(a_items) > len(b_items):
+            a_items, b = b_items, a
+        buckets = b._buckets(_bucket_field(self.vars, self.spec)[0])
+        self.add_pairs(c.numerator, c.denominator * da * db, a_items.items(), buckets)
+
+    def settle(self) -> tuple[int, dict]:
+        """``(D, {key: numerator})``: every term over the lcm D of their
+        denominators, summed in the order added.  Zero numerators stay."""
+        terms = self._terms
+        den = lcm(*(t[1] for t in terms))
+        out: dict[int, int] = {}
+        get = out.get
+        for num, d, items, buckets, spec in terms:
+            scale = num * (den // d)
+            if buckets is None:
+                for k, n in items:
+                    out[k] = get(k, 0) + scale * n
+            else:
+                self._pairs(out, scale, items, buckets, spec)
+        return den, out
+
+    def _pairs(self, out: dict, scale: int, a_items, b_buckets, spec) -> None:
+        """Add ``scale`` times the in-spec pair products (:meth:`add_pairs`)
+        into ``out``."""
         vars_ = self.vars
         layout = vars_.layout
-        add, sub, guard, over, xguard = _masks(layout, self.spec)
-        shift, cap = _bucket_field(vars_, self.spec)
+        add, sub, guard, over, xguard = _masks(layout, spec)
+        shift, cap = _bucket_field(vars_, spec)
         bias = layout.bias
         mask = _FIELD_MASK
-        out = self.nums
         get = out.get
         hi = 0
         for k1, c1 in a_items:
@@ -553,38 +582,26 @@ class _LinearSum:
                         if t & xguard:
                             break  # bucket sorted by x-total
                         if t & over:
-                            self._check_fit(k1 + k2)
+                            self._check_fit(spec, k1 + k2)
                         continue
                     key = k1 + k2
                     out[key] = get(key, 0) + c1 * c2
 
-    def _check_fit(self, key: int) -> None:
-        """Raise for a product key in the spec that does not fit a key; a
+    def _check_fit(self, spec: TruncationSpec, key: int) -> None:
+        """Raise for a product key in ``spec`` that does not fit a key; a
         key past a bound of the spec is only dropped."""
         layout = self.vars.layout
-        if not _outside(self.spec, layout.metric(key)):
+        if not _outside(spec, layout.metric(key)):
             layout.reject(layout.unpack(key))
-
-    def add_product(self, c, a: "TruncatedSeries", b: "TruncatedSeries") -> None:
-        self._meet(a, b)
-        if not c:
-            return
-        da, a_items = a._int_items()
-        db, b_items = b._int_items()
-        if not a_items or not b_items:
-            return
-        if len(a_items) > len(b_items):
-            a_items, b = b_items, a
-        buckets = b._buckets(_bucket_field(self.vars, self.spec)[0])
-        self.add_pairs(c.numerator, c.denominator * da * db, a_items.items(), buckets)
 
     def series(self) -> "TruncatedSeries":
         vars_, spec = self.vars, self.spec
-        items = {k: n for k, n in self.nums.items() if n}
+        den, nums = self.settle()
+        items = {k: n for k, n in nums.items() if n}
         if self._mixed:
             masks = _masks(vars_.layout, spec)
             items = {k: n for k, n in items.items() if _passes(masks, k)}
-        return TruncatedSeries._from_ints(vars_, spec, self.den, items)
+        return TruncatedSeries._from_ints(vars_, spec, den, items)
 
 
 class TruncatedSeries:
@@ -655,6 +672,34 @@ class TruncatedSeries:
         series._bkts = None
         return series
 
+    @classmethod
+    def _from_terms(
+        cls, vars_: VariableSet, spec: TruncationSpec, terms
+    ) -> "TruncatedSeries":
+        """The series of ``terms`` ``[(monomial, coefficient)]``, monomials
+        distinct, built straight into the integer form.  A coefficient
+        that is not an ``int`` or a ``QQ`` is read as ``QQ(c)``; no other
+        ``QQ`` is built.  As in the constructor, a monomial that ``fits``
+        refuses raises :class:`SeriesError`, and one outside the spec or
+        with coefficient 0 is dropped."""
+        layout = vars_.layout
+        fits, pack = layout.fits, layout.pack
+        add, sub, guard = _masks(layout, spec)[:3]
+        kept = []
+        den = 1
+        for mono, c in terms:
+            if not isinstance(c, (int, QQ)):
+                c = QQ(c)
+            if not fits(mono):
+                layout.reject(mono)
+            key = pack(mono)
+            if c and not ((key + add) | (key - sub)) & guard:
+                kept.append((key, c))
+                if den % c.denominator:
+                    den = lcm(den, c.denominator)
+        items = {key: c.numerator * (den // c.denominator) for key, c in kept}
+        return cls._from_ints(vars_, spec, den, items)
+
     @property
     def coeffs(self) -> dict:
         """``{monomial: QQ}``, folded from the integer form on first read."""
@@ -673,7 +718,7 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, vars_: VariableSet, spec: TruncationSpec, c) -> "TruncatedSeries":
-        return cls(vars_, spec, {(0,) * vars_.nvars: c})
+        return cls._from_terms(vars_, spec, [((0,) * vars_.nvars, c)])
 
     @classmethod
     def one(cls, vars_: VariableSet, spec: TruncationSpec) -> "TruncatedSeries":
@@ -690,7 +735,7 @@ class TruncatedSeries:
         mono = [0] * vars_.nvars
         for name, e in exponents.items():
             mono[vars_.index(name)] = e
-        return cls(vars_, spec, {tuple(mono): coeff})
+        return cls._from_terms(vars_, spec, [(tuple(mono), coeff)])
 
     def is_zero(self) -> bool:
         if self._coeffs is None:
@@ -800,16 +845,16 @@ class TruncatedSeries:
     def __pow__(self, n: int) -> "TruncatedSeries":
         if not isinstance(n, int) or n < 0:
             raise SeriesError("only nonnegative integer powers")
-        result = TruncatedSeries.one(self.vars, self.spec)
+        result = None  # 1, until the first factor
         base = self
         e = n
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return TruncatedSeries.one(self.vars, self.spec) if result is None else result
 
     # ------------------------------------------------------- exp / log
 
@@ -916,8 +961,8 @@ class TruncatedSeries:
                     grade.add_pairs(sign, d_w * d_g, w_k, g_nk)
             if n in grades:
                 grade.add_items(n, d_f, grades[n])
-            den = grade.den
-            piece = [(key, c) for key, c in grade.nums.items() if c]
+            den, nums = grade.settle()
+            piece = [(key, c) for key, c in nums.items() if c]
             if not piece:
                 empty_run += 1
                 if empty_run >= kmax:
@@ -971,16 +1016,37 @@ class TruncatedSeries:
     def substitute(
         self, assignments: Mapping[str, "TruncatedSeries"]
     ) -> "TruncatedSeries":
-        """Simultaneous substitution, evaluated monomial by monomial.
+        """Simultaneous substitution, one product per exponent pattern.
 
         All replacement series must share one (VariableSet, spec) — that
         pair defines the result.  Variables of ``self`` not being
-        substituted must exist under the same name in the result set.
-        Substituting ``u`` requires the replacement to have positive
+        substituted (carried) must exist under the same name in the result
+        set.  Substituting ``u`` requires the replacement to have positive
         order in some direction the result spec bounds above, so that the
         source truncation at u^T stays sound.  A variable occurring with
         negative exponents can only be replaced by an invertible term
         (single monomial with nonzero coefficient).
+
+        The source monomials are grouped by their pattern: the exponents of
+        the carried z and hbar, then those at the substituted positions.
+        A pattern's product is its carried Laurent factor (1 when there is
+        none) times the replacement powers in position order, each product
+        truncated to the result spec.  The patterns are walked in
+        lexicographic order, keeping only the stack of products along the
+        current prefix, so each distinct prefix is multiplied out once.
+        The rest X of each carried monomial multiplies last, in one
+        :class:`_LinearSum` pair loop per pattern.
+
+        Multiplying X last is exact.  X has exponents only in x, u and p,
+        which are nonnegative and bounded only above, and the replacements'
+        exponents there are nonnegative too.  Take a chain of truncated
+        products t_1, t_2, ... of one term each.  X*t_i lies in the z and
+        hbar windows iff t_i does, and under the upper bounds only if t_i
+        does; once X*t_i is past an upper bound, so is X*t_j for every later
+        j.  So the chains that end inside the spec are the same whether X
+        multiplies first, truncating every step, or last, and so are the
+        terms they give.  A carried z or hbar has no such argument, since a
+        window may hold negative exponents: it starts the chain.
         """
         if not assignments:
             return self
@@ -1000,43 +1066,72 @@ class TruncatedSeries:
                     "in a truncated direction (u <- constant is unsound)"
                 )
 
-        src_names = self.vars.names
-        carried: list[tuple[int, int]] = []  # (source position, target position)
-        subst_pos: dict[int, TruncatedSeries] = {}
-        for i, name in enumerate(src_names):
+        substituted: list[tuple[int, TruncatedSeries]] = []  # (source position, replacement)
+        laurent: list[tuple[int, int]] = []  # carried z, hbar: (source, target position)
+        plain: list[tuple[int, int]] = []  # carried x, u, p
+        for i, name in enumerate(self.vars.names):
             if name in repls:
-                subst_pos[i] = repls[name]
+                substituted.append((i, repls[name]))
             else:
-                carried.append((i, tvars.index(name)))
-
+                (laurent if name in ("z", "hbar") else plain).append((i, tvars.index(name)))
         power_cache: dict[tuple[int, int], TruncatedSeries] = {}
 
-        def repl_power(i: int, e: int) -> TruncatedSeries:
-            key = (i, e)
-            got = power_cache.get(key)
+        def repl_power(j: int, e: int) -> TruncatedSeries:
+            """The j-th substituted replacement to the power e."""
+            got = power_cache.get((j, e))
             if got is None:
-                series = subst_pos[i]
-                if e >= 0:
-                    got = series ** e
-                else:
-                    got = _invert_term(series) ** (-e)
-                power_cache[key] = got
+                series = substituted[j][1]
+                got = power_cache[j, e] = series ** e if e > 0 else _invert_term(series) ** -e
             return got
 
+        layout = tvars.layout
+        pack = layout.pack
         nt = tvars.nvars
+
+        def carried_key(positions, exponents) -> int:
+            mono = [0] * nt
+            for (_i, i_tgt), e in zip(positions, exponents):
+                mono[i_tgt] = e
+            return pack(mono)
+
+        den, items = self._int_items()
+        unpack = self.vars.layout.unpack
+        groups: dict[tuple[int, ...], list] = {}  # pattern -> [(key of X, numerator)]
+        for key, n in items.items():
+            mono = unpack(key)
+            pattern = tuple(mono[i] for i, _t in laurent) + tuple(mono[i] for i, _s in substituted)
+            x_key = carried_key(plain, [mono[i] for i, _t in plain])
+            groups.setdefault(pattern, []).append((x_key, n))
+
+        nl = len(laurent)
+        masks = _masks(layout, tspec)
+        shift = _bucket_field(tvars, tspec)[0]
         out = _LinearSum(tvars, tspec)
-        for mono, c in self.coeffs.items():
-            base = [0] * nt
-            for i_src, i_tgt in carried:
-                base[i_tgt] = mono[i_src]
-            term = TruncatedSeries(tvars, tspec, {tuple(base): 1})
-            for i in subst_pos:
-                e = mono[i]
-                if e:
-                    term = term * repl_power(i, e)
-                if term.is_zero():
-                    break
-            out.add(c, term)
+        stack: list[TruncatedSeries] = []  # the root, then one product per position
+        prev = None
+        for pattern in sorted(groups):
+            keep = 0  # positions whose products the previous pattern left on the stack
+            if prev is None or pattern[:nl] != prev[:nl]:
+                root = carried_key(laurent, pattern)
+                kept = _passes(masks, root)
+                stack = [TruncatedSeries._from_ints(tvars, tspec, 1, {root: 1} if kept else {})]
+                unit = stack[0] if kept and root == layout.bias else None
+            else:
+                while pattern[nl + keep] == prev[nl + keep]:
+                    keep += 1
+                del stack[keep + 1 :]
+            for j in range(keep, len(substituted)):
+                e = pattern[nl + j]
+                top = stack[-1]
+                if e and not top.is_zero():
+                    power = repl_power(j, e)
+                    top = power if top is unit else top * power  # 1 * power is power
+                stack.append(top)
+            prev = pattern
+            prod = stack[-1]
+            if not prod.is_zero():
+                d_prod = prod._int_items()[0]
+                out.add_pairs(1, den * d_prod, groups[pattern], prod._buckets(shift))
         return out.series()
 
     # ------------------------------------------------------- extraction
@@ -1121,16 +1216,8 @@ class TruncatedSeries:
 
     def sorted_monomials(self) -> list[tuple[int, ...]]:
         """Graded-lex order: weighted total degree first (weight(p_l) = l), then lex."""
-        vars_ = self.vars
-        p_start = vars_.p_start()
-
-        def grade(mono):
-            g = sum(abs(e) for e in mono[:p_start])
-            for l in range(vars_.pcount):
-                g += (l + 1) * mono[p_start + l]
-            return g
-
-        return sorted(self.coeffs, key=lambda m: (grade(m), m))
+        p_start = self.vars.p_start()
+        return sorted(self.coeffs, key=lambda m: _graded_lex(m, p_start))
 
     def monomial_str(self, mono: tuple[int, ...]) -> str:
         parts = []
@@ -1142,14 +1229,24 @@ class TruncatedSeries:
         return "*".join(parts) if parts else "1"
 
     def to_text(self) -> str:
-        """Canonical text form: graded-lex monomials, rational coefficients."""
-        if not self.coeffs:
+        """Canonical text form: graded-lex monomials, rational coefficients.
+
+        Rendered from the integer form: each key is unpacked, sorted as
+        :meth:`sorted_monomials` sorts, and its numerator put over the
+        denominator with one ``gcd``; no ``QQ`` is built."""
+        den, items = self._int_items()
+        if not items:
             return "0"
+        vars_ = self.vars
+        unpack = vars_.layout.unpack
+        p_start = vars_.p_start()
+        rows = [(_graded_lex(unpack(key), p_start), n) for key, n in items.items()]
+        rows.sort(key=lambda row: row[0])
         terms = []
-        for mono in self.sorted_monomials():
-            c = self.coeffs[mono]
+        for (_grade, mono), n in rows:
+            r = gcd(n, den)
+            cs = str(n // r) if r == den else f"{n // r}/{den // r}"
             ms = self.monomial_str(mono)
-            cs = qq_str(c)
             if ms == "1":
                 terms.append(cs)
             elif cs == "1":
@@ -1165,6 +1262,12 @@ class TruncatedSeries:
         if len(text) > 120:
             text = text[:117] + "..."
         return f"<TruncatedSeries {text}>"
+
+
+def _graded_lex(mono: tuple[int, ...], p_start: int) -> tuple:
+    """Sort key of the text forms: the weighted total degree (|e| for x, u,
+    z and hbar, l * e for p_l), then the exponents in lex order."""
+    return sum(map(abs, mono[:p_start])) + sum(map(mul, count(1), mono[p_start:])), mono
 
 
 def _has_positive_bounded_order(series: TruncatedSeries) -> bool:

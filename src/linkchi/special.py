@@ -130,13 +130,12 @@ def s_poly(j: int) -> UniPolynomial:
 def _f_series(vars_, spec, var: str, l: int) -> TruncatedSeries:
     """F_l(v) as a series in the variable ``var``."""
     iv = vars_.index(var)
-    coeffs = {}
+    terms = []
     for power, c in enumerate(f_poly(l).coeffs):
-        if c != 0:
-            mono = [0] * vars_.nvars
-            mono[iv] = power
-            coeffs[tuple(mono)] = c
-    return TruncatedSeries(vars_, spec, coeffs)
+        mono = [0] * vars_.nvars
+        mono[iv] = power
+        terms.append((mono, c))
+    return TruncatedSeries._from_terms(vars_, spec, terms)
 
 
 def _mobius_x(vars_, spec, l: int, k: int, power_sum) -> TruncatedSeries:

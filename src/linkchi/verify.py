@@ -58,7 +58,10 @@ Route ledger: the code paths each cross-route check compares.
   share one graph enumeration per (s, t) (``graphs._class_shapes``) and
   differ only in degrees and orientation signs.  The four parity classes
   were never four independent routes: they always shared the
-  enumeration code.
+  enumeration code.  Both colours of each class have one parity, so a
+  mirror cell (s2, s1) reads back the count of (s1, s2), which
+  ``euler_char_oracle`` would compute again from the same sorted cell,
+  and is still compared with its own coefficient of F^pi.
 
 The double sum itself is pinned against routes that do not run it: the
 plethystic route in "direct vs plethystic" (``route-equivalence``) and
@@ -446,6 +449,11 @@ def check_oracle(res: CheckResult, t_max: int = 4, t_top: int = 5) -> None:
     budget = EnumerationBudget(t_max=top, hairs_max=top + 1)
     for parity_key in _PARITY_CONFIGS:
         cfg = _cfg(parity_key, 2)
+        # colours of one parity are interchangeable: a cell and its mirror
+        # have one count, so the mirror reads it back instead of rebuilding
+        # every class
+        mirrored = len(set(cfg.m_parities)) == 1
+        counts: dict[tuple[int, int, int], int] = {}
         f_pi = f_homotopy_direct(cfg, top)
         for t, g in cells:
             s_total = t + 1 - g
@@ -453,7 +461,9 @@ def check_oracle(res: CheckResult, t_max: int = 4, t_top: int = 5) -> None:
                 continue
             for s2 in range(s_total + 1):
                 s1 = s_total - s2
-                got = euler_char_oracle(cfg, (s1, s2), t, budget)
+                got = counts.get((s2, s1, t)) if mirrored else None
+                if got is None:
+                    got = counts[s1, s2, t] = euler_char_oracle(cfg, (s1, s2), t, budget)
                 want = int(f_pi.coefficient({"x1": s1, "x2": s2, "u": t}))
                 if got != want:
                     res.fail(

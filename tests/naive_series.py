@@ -14,6 +14,8 @@ the textbook forms they replaced, kept here as test oracles only:
 * a linear sum of scaled series and scaled products as one ``scaled`` and
   one ``+`` per term;
 * a substitution as one product of repeated factors per monomial;
+* the text form rendered from ``QQ`` coefficients, where ``to_text``
+  reads the integer form;
 * the Moebius double sum of ``special._mobius_double_sum`` as its
   (k, l, j) loop, with V_{kl} and log F_l(v^k) built afresh for every
   pair (k, l), S_j(X_{l,k}) evaluated row by row, and X_{l,k} folded
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import operator
 
-from linkchi.rationals import QQ, binomial, divisors, mobius
+from linkchi.rationals import QQ, binomial, divisors, mobius, qq_str
 from linkchi.series import SeriesError, TruncatedSeries, _LinearSum
 from linkchi.special import f_poly, s_poly
 
@@ -53,8 +55,10 @@ def naive_linear_sum(vars_, spec, terms) -> TruncatedSeries:
 
 def naive_substitute(series: TruncatedSeries, assignments) -> TruncatedSeries:
     """Sum of ``c * prod_v assignments[v]^e_v`` over the terms of ``series``,
-    each power a repeated ``naive_mul``; a variable not replaced keeps its
-    exponent under the same name.  Nonnegative exponents only."""
+    each power a repeated ``naive_mul`` in variable order, starting from the
+    carried monomial: a variable not replaced keeps its exponent under the
+    same name.  A negative exponent multiplies by the inverse of a
+    single-term replacement."""
     first = next(iter(assignments.values()))
     vars_, spec = first.vars, first.spec
     out = TruncatedSeries.zero(vars_, spec)
@@ -62,10 +66,35 @@ def naive_substitute(series: TruncatedSeries, assignments) -> TruncatedSeries:
         kept = {n: e for n, e in zip(series.vars.names, mono) if n not in assignments}
         term = TruncatedSeries.term(vars_, spec, kept, c)
         for name, e in zip(series.vars.names, mono):
-            for _ in range(e if name in assignments else 0):
-                term = naive_mul(term, assignments[name])
+            if name not in assignments:
+                continue
+            factor = assignments[name]
+            if e < 0:
+                (m, a), = factor.coeffs.items()
+                factor = TruncatedSeries(vars_, spec, {tuple(-x for x in m): 1 / a})
+            for _ in range(abs(e)):
+                term = naive_mul(term, factor)
         out = out + term
     return out
+
+
+def naive_to_text(series: TruncatedSeries) -> str:
+    """The text form rendered from the ``QQ`` coefficients."""
+    if not series.coeffs:
+        return "0"
+    terms = []
+    for mono in series.sorted_monomials():
+        ms = series.monomial_str(mono)
+        cs = qq_str(series.coeffs[mono])
+        if ms == "1":
+            terms.append(cs)
+        elif cs == "1":
+            terms.append(ms)
+        elif cs == "-1":
+            terms.append(f"-{ms}")
+        else:
+            terms.append(f"{cs}*{ms}")
+    return " + ".join(terms)
 
 
 def naive_exp(series: TruncatedSeries) -> TruncatedSeries:

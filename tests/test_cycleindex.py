@@ -19,6 +19,7 @@ from linkchi.cycleindex import (
 )
 from linkchi.genfun import (
     LinkConfig,
+    color_power_sum,
     f_homotopy_direct,
     genus0_closed,
     genus0_dims,
@@ -26,6 +27,8 @@ from linkchi.genfun import (
 )
 from linkchi.rationals import QQ
 from linkchi.series import TruncatedSeries
+
+from naive_series import naive_substitute
 
 
 def test_z_com_small_weights():
@@ -130,6 +133,21 @@ def test_hedgehog_dims_specialization(m, d):
     right = genus1_dims(cfg, 5, x_total_max=6)
     spec = left.spec.meet(right.spec)
     assert left.truncate(spec) == right.truncate(spec)
+
+
+@pytest.mark.parametrize("m_values", [(1, 1), (2, 1), (1, 2, 3)])
+def test_dims_specialization_with_negative_z_matches_naive(m_values):
+    # the hedgehog cycle index at d = 1 sits at z^(-n): every source z
+    # exponent is negative, so z <- z goes through the inverse term
+    zh = z_hedgehog_homology(1, 6)
+    assert max(zh.exponents_of("z")) < 0
+    cfg = LinkConfig.create(m_values, 4)
+    got = specialize_colors(zh, cfg, "dims")
+    vars_, spec = got.vars, got.spec
+    repls = {f"p{l}": color_power_sum(cfg, vars_, spec, l, "dims") for l in range(1, 7)}
+    repls["z"] = TruncatedSeries.term(vars_, spec, {"z": 1})
+    assert got == naive_substitute(zh, repls)
+    assert not got.is_zero()
 
 
 def test_hedgehog_dimensions():

@@ -290,6 +290,29 @@ def test_parity_classes_share_one_shape_enumeration(monkeypatch):
     assert graphs._class_shapes.cache_info().misses == 1
 
 
+def test_check_oracle_counts_each_mirror_pair_once(monkeypatch):
+    # both colours of every verify parity class share a parity, so (s2, s1)
+    # reads back the count of (s1, s2), and both still meet F^pi
+    from linkchi import verify
+
+    calls = []
+    real = verify.euler_char_oracle
+
+    def counted(cfg, s_vec, t, budget=None):
+        calls.append((cfg.m_parities, cfg.d_parity, tuple(sorted(s_vec)), t))
+        return real(cfg, s_vec, t, budget)
+
+    monkeypatch.setattr(verify, "euler_char_oracle", counted)
+    res = verify.CheckResult("oracle")
+    verify.check_oracle(res, t_max=2, t_top=3)
+    assert res.ok
+    assert calls and len(calls) == len(set(calls))
+    # cells (s1, s2) with s1 >= s2, four parities: t=1 has s in {(2,0),(1,1),
+    # (1,0)}, t=2 {(3,0),(2,1),(2,0),(1,1),(1,0)}, t=3 {(4,0),(3,1),(2,2),
+    # (3,0),(2,1),(2,0),(1,1)}
+    assert len(calls) == 4 * (3 + 5 + 7)
+
+
 # Class, killed and Euler-characteristic counts per cell, recorded from the
 # enumeration before it was restricted to vertex-ordered labellings.
 _FROZEN = json.loads((Path(__file__).parent / "golden" / "oracle-cells.json").read_text())

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +20,14 @@ from linkchi.series import (
     _raise_exponents,
 )
 
-from naive_series import naive_exp, naive_linear_sum, naive_log, naive_mul, naive_substitute
+from naive_series import (
+    naive_exp,
+    naive_linear_sum,
+    naive_log,
+    naive_mul,
+    naive_substitute,
+    naive_to_text,
+)
 
 XU = VariableSet(hodge_count=2, has_u=True)
 SPEC = TruncationSpec(u_max=6, x_total_max=7)
@@ -198,6 +205,65 @@ def test_substitute_geometric_weight_bound():
 def test_substitute_u_by_constant_rejected():
     with pytest.raises(SeriesError):
         s({"u": 1}).substitute({"u": one()})
+
+
+def test_substitute_multiplies_each_pattern_once(monkeypatch):
+    # x1^a x2^b u^k for (a, b) in {(1, 1), (1, 2), (2, 1)} and k < n: three
+    # patterns, whatever n.  Walked in lex order with a stack of prefix
+    # products, they cost A*B, A*B^2 and A^2*B (A alone is taken as it is)
+    # and the squarings A^2 and B^2: five products, none per carried u^k.
+    muls = []
+    real = TruncatedSeries._mul_series
+
+    def counted(self, other):
+        muls.append((self, other))
+        return real(self, other)
+
+    a = s({"x1": 1}) + s({"u": 1}, QQ(1, 3))
+    b = s({"x2": 1}, QQ(2, 5)) + s({"x1": 1, "u": 1})
+    repls = {"x1": a, "x2": b}
+    for n in (2, 5):
+        f = TruncatedSeries(
+            XU,
+            SPEC,
+            {(e1, e2, k): QQ(k + 1, 7) for e1, e2 in ((1, 1), (1, 2), (2, 1)) for k in range(n)},
+        )
+        monkeypatch.setattr(TruncatedSeries, "_mul_series", counted)
+        out = f.substitute(repls)
+        monkeypatch.undo()
+        assert len(muls) == 5, n
+        muls.clear()
+        assert out == naive_substitute(f, repls)
+
+
+def test_substitute_carried_laurent_factor_starts_the_chain():
+    # z is carried and the replacements carry z^-1 in a narrow window, where
+    # truncation depends on the order of the factors: the carried z^e comes
+    # first, as in the one-product-per-monomial reference (every substituted
+    # exponent is 0 or 1, so no power is taken); u is carried too
+    src_vars = VariableSet(has_u=True, has_z=True, pcount=2)
+    src_spec = TruncationSpec(u_max=4, z_window=(-3, 3), p_weight_max=4)
+    f = TruncatedSeries(
+        src_vars,
+        src_spec,
+        {
+            (0, 2, 1, 1): 1,
+            (1, -1, 1, 0): 3,
+            (0, 1, 0, 1): QQ(1, 2),
+            (2, 0, 1, 1): QQ(-5, 3),
+            (0, -1, 0, 1): 2,
+            (1, 2, 1, 0): 7,
+        },
+    )
+    spec = TruncationSpec(u_max=4, x_total_max=4, z_window=(-1, 2))
+    repls = {
+        "p1": TruncatedSeries(XZ, spec, {(1, 0, -1): 1, (1, 1, 0): QQ(1, 3)}),
+        "p2": TruncatedSeries(XZ, spec, {(2, 0, -1): -1, (0, 1, 1): 2}),
+    }
+    out = f.substitute(repls)
+    assert out == naive_substitute(f, repls)
+    # z^2 * x1/z * (-x1^2/z): p1 * p2 alone would drop its x1^3 z^-2 term
+    assert out.coefficient({"x1": 3}) == -1
 
 
 def test_coefficient_out_of_bounds_is_error():
@@ -524,8 +590,8 @@ def test_linear_sum_matches_scaled_and_add(case):
 @settings(max_examples=60, deadline=None)
 @given(linear_terms(), st.randoms(use_true_random=False))
 def test_linear_sum_any_term_order(case, rng):
-    # a later term over a denominator that does not divide the running one
-    # rescales every numerator already summed
+    # the terms settle over the lcm of their denominators, whatever their
+    # order
     name, vars_, spec, terms = case
     shuffled = list(terms)
     rng.shuffle(shuffled)
@@ -560,6 +626,85 @@ def test_linear_sum_rescales_to_the_lcm():
     assert total == naive_linear_sum(XU, SPEC, terms)
     assert total.coefficient({"u": 1}) == QQ(1, 2) + QQ(7 * 5, (10**9 + 7) * 11)
     assert_canonical(total)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    linear_terms(),
+    st.integers(0, 5),
+    st.none() | st.integers(0, 2),
+    st.booleans(),
+)
+def test_deferred_linear_sum_matches_naive(case, cancelled, overflow_at, free_start):
+    # each term's denominator gains a prime no earlier term has, so the
+    # common denominator grows at every term, up to the last; the first
+    # ``cancelled`` terms are taken back, operands swapped; a product past
+    # the storage limit in u goes in at ``overflow_at``
+    name, vars_, spec, terms = case
+    primes = (5, 13, 17, 19, 23)
+    terms = [(c / p, *operands) for (c, *operands), p in zip(terms, primes)]
+    all_cancelled = cancelled >= len(terms)
+    terms += [(-c, *operands[::-1]) for c, *operands in terms[:cancelled]]
+    start = TruncationSpec() if free_start else spec
+    expected = naive_linear_sum(vars_, start, terms)
+    if overflow_at is None:
+        total = linear_sum(vars_, start, terms)
+        assert total == expected, name
+        assert total.spec == meet_of(start, terms), name
+        assert_canonical(total)
+        if all_cancelled:
+            assert total.is_zero(), name
+        return
+    limit = 1 << 21
+    free = TruncationSpec()
+    big = TruncatedSeries.term(vars_, free, {"u": limit - 1}, QQ(1, 29))
+    step = TruncatedSeries.term(vars_, free, {"u": 1})
+    at = min(overflow_at, len(terms))
+    with_overflow = terms[:at] + [(QQ(3, 31), big, step)] + terms[at:]
+    # the pair is tested against the spec in force when it was added: it
+    # raises where u is still unbounded there, and drops past a u bound
+    if meet_of(start, terms[:at]).u_max is None:
+        with pytest.raises(SeriesError, match="does not fit"):
+            linear_sum(vars_, start, with_overflow)
+    else:
+        assert linear_sum(vars_, start, with_overflow) == expected, name
+
+
+def test_linear_sum_overflow_raises_under_the_spec_of_its_call():
+    # settled after a later term has bounded u, a product past the storage
+    # limit still raises: u was unbounded when it was added
+    limit = 1 << 21
+    free = TruncationSpec()
+    big = TruncatedSeries.term(XU, free, {"u": limit - 1})
+    step = TruncatedSeries.term(XU, free, {"u": 1})
+    acc = _LinearSum(XU, free)
+    acc.add_product(QQ(3, 31), big, step)
+    acc.add(1, s({"u": 1}))
+    assert acc.spec == SPEC
+    with pytest.raises(SeriesError, match="does not fit"):
+        acc.series()
+    # added after the bound, it is only truncated
+    acc = _LinearSum(XU, free)
+    acc.add(1, s({"u": 1}))
+    acc.add_product(QQ(3, 31), big, step)
+    assert acc.series() == s({"u": 1})
+
+
+def test_linear_sum_settles_one_denominator():
+    # the numerators summed so far are never rescaled: settle() puts every
+    # term over the lcm of the recorded denominators at once
+    a = s({"u": 1}, QQ(1, 4)) + s({"x1": 1, "u": 1}, QQ(2, 9))
+    b = s({"u": 1}, QQ(5, 11)) + s({"u": 2})
+    acc = _LinearSum(XU, SPEC)
+    acc.add(QQ(1, 2), a)
+    acc.add_product(QQ(-4, 3), a, b)
+    acc.add(QQ(7, 13), b)
+    den, nums = acc.settle()
+    # 1/2 over a's 36, -4/3 over 36 * 11 (reduced to 1/297), 7/13 over b's 11
+    assert den == lcm(72, 297, 143) == 30888
+    want = naive_linear_sum(XU, SPEC, [(QQ(1, 2), a), (QQ(-4, 3), a, b), (QQ(7, 13), b)])
+    assert {XU.layout.unpack(k): QQ(n, den) for k, n in nums.items() if n} == want.coeffs
+    assert acc.series() == want
 
 
 # ------------------------- results kept as integer numerators until read
@@ -677,6 +822,46 @@ def test_mul_builds_no_qq_until_read(monkeypatch):
     assert product.coeffs is coeffs and len(built) == len(coeffs)
     monkeypatch.undo()
     assert product == naive_mul(naive_mul(a, b), a)
+
+
+def test_series_from_terms_build_no_qq(monkeypatch):
+    from linkchi.genfun import LinkConfig, color_power_sum
+    from linkchi.special import _f_series, f_poly
+
+    f_poly(6)  # its QQ coefficients are built once, and cached
+    spec4 = TruncationSpec(u_max=4, x_total_max=7)
+    cfg = LinkConfig.create((1, 2), 4)
+    dims_vars = VariableSet(hodge_count=2, has_u=True, has_z=True)
+    dims_spec = TruncationSpec(u_max=4, x_total_max=5, z_window=(-9, 9))
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    made = [
+        one(),
+        TruncatedSeries.constant(XU, SPEC, -3),
+        s({"x1": 2, "u": 1}, 5),
+        color_power_sum(cfg, XU, SPEC, 3, "euler"),
+        color_power_sum(cfg, dims_vars, dims_spec, 2, "dims"),
+        _f_series(XU, spec4, "u", 6),
+    ]
+    assert built == [] and all(m._coeffs is None for m in made)
+    monkeypatch.undo()
+    assert made[0] == TruncatedSeries(XU, SPEC, {(0, 0, 0): 1})
+    assert made[1] == TruncatedSeries(XU, SPEC, {(0, 0, 0): -3})
+    assert made[2] == TruncatedSeries(XU, SPEC, {(2, 0, 1): 5})
+    # sum_i (-1)^(m_i) x_i^3, and sum_i (-1)^(m_i) x_i^2 z^(-2 m_i)
+    assert made[3] == TruncatedSeries(XU, SPEC, {(3, 0, 0): -1, (0, 3, 0): 1})
+    assert made[4] == TruncatedSeries(dims_vars, dims_spec, {(2, 0, 0, -2): -1, (0, 2, 0, -4): 1})
+    # F_6(u) = 1 - u^3 - u^4 + u^5, cut at u^4
+    assert made[5] == TruncatedSeries(XU, spec4, {(0, 0, 0): 1, (0, 0, 3): -1, (0, 0, 4): -1})
+    # the constructor's checks hold: a negative x exponent raises
+    with pytest.raises(SeriesError, match="only z and hbar"):
+        color_power_sum(cfg, dims_vars, dims_spec, -1, "euler")
 
 
 def test_regrade_builds_no_qq(monkeypatch):
@@ -892,3 +1077,46 @@ def test_raise_exponents_matches_raising_each_monomial(case, spec, l):
             _raise_exponents(series, l)
     else:
         assert _raise_exponents(series, l) == TruncatedSeries(vars_, spec, kept)
+
+
+# ------------------------------------ text form from the integer form
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    LAYOUT_VARS.flatmap(
+        lambda v: st.tuples(
+            st.just(v),
+            st.dictionaries(monomial(v, high=3, lo_laurent=-3), st.integers(-40, 40), max_size=6),
+        )
+    ),
+    st.sampled_from([1, 2, 6, 9, 35]),
+)
+def test_to_text_matches_qq_renderer(case, den):
+    # numerators over a common denominator, many not reduced against it:
+    # den > 1, negative numerators, +-1 coefficients, the constant term,
+    # p-variables and Laurent exponents
+    vars_, numerators = case
+    spec = TruncationSpec()
+    layout = vars_.layout
+    items = {layout.key(m): n for m, n in numerators.items() if n}
+    series = TruncatedSeries._from_ints(vars_, spec, den, items)
+    assert series.to_text() == naive_to_text(series)
+    # a series built from coefficients renders the same
+    assert TruncatedSeries(vars_, spec, series.coeffs).to_text() == naive_to_text(series)
+
+
+def test_to_text_reduces_each_coefficient():
+    pv = VariableSet(hodge_count=1, has_u=True, pcount=2)
+    layout = pv.layout
+    items = {
+        layout.key((0, 0, 0, 0)): 6,  # the constant 1
+        layout.key((1, 0, 0, 0)): -6,  # -x1
+        layout.key((0, 1, 0, 0)): 3,  # 1/2
+        layout.key((0, 0, 0, 1)): -4,  # -2/3, p2 at grade 2
+        layout.key((0, 0, 2, 0)): 1,  # 1/6
+        layout.key((1, 1, 0, 0)): 12,  # 2
+    }
+    series = TruncatedSeries._from_ints(pv, TruncationSpec(), 6, items)
+    text = "1 + 1/2*u + -x1 + -2/3*p2 + 1/6*p1^2 + 2*x1*u"
+    assert series.to_text() == naive_to_text(series) == text
