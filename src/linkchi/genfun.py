@@ -148,14 +148,14 @@ def color_power_sum(
         m_values, _ = cfg.require_values()
         iz = vars_.index("z")
         signs = [-1 if (m * (l - 1)) % 2 else 1 for m in m_values]
-    terms = []
+    terms = {}
     for i, sign in enumerate(signs):  # strand i owns the monomial x_i^l
         mono = [0] * vars_.nvars
         mono[i] = l
         if iz is not None:
             mono[iz] = -m_values[i] * l
-        terms.append((mono, sign))
-    return TruncatedSeries._from_terms(vars_, spec, terms)
+        terms[tuple(mono)] = sign
+    return TruncatedSeries(vars_, spec, terms)
 
 
 def _eps_power_sum(cfg: LinkConfig, vars_: VariableSet, spec: TruncationSpec):

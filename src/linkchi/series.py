@@ -28,23 +28,21 @@ be lost this way (``cycleindex.mod_envelope_supercharacter_direct`` states
 its argument).  A change of grading (:meth:`TruncatedSeries.regrade`)
 raises instead of dropping a term below a lower bound.
 
-Products, ``exp``, ``log`` and linear sums run on integer numerators, and
-their results keep that form (:meth:`TruncatedSeries._int_items`): one
-denominator, the lcm of the coefficients' denominators, and a dict from
-packed monomial keys to ``int`` numerators.  A :class:`_LinearSum`
+Every series stores its terms in one form, the integer form of
+:meth:`TruncatedSeries._int_items`: one denominator, the lcm of the
+coefficients' denominators, and a dict from packed monomial keys to nonzero
+``int`` numerators.  The constructor packs the monomials it is given and
+puts their coefficients over that denominator once.  A :class:`_LinearSum`
 records scaled series and scaled products, then settles them once over the
 lcm of their denominators, its pair loop adding keys and multiplying
 numerators as plain ``int``: per product in ``*``, per grade in ``exp``
-and ``log``, per sum in ``inverse``, ``substitute`` and the sums of
-:mod:`linkchi.special`.  The next operation reads the integer form straight
-back, so a chain of operations builds no ``QQ`` and no tuple; ``coeffs``
-unpacks the keys and folds one ``QQ(numerator, denominator)`` per monomial
-the first time it is read, and ``to_text`` renders from the keys without
-it.  The constants, single terms and the power sums of
-:mod:`linkchi.genfun` and :mod:`linkchi.special` are built straight into
-the integer form (:meth:`TruncatedSeries._from_terms`); another series
-built from coefficients computes its integer form once, on first use as an
-operand.
+and ``log``, per sum in ``+``, ``-``, ``inverse``, ``substitute`` and the
+sums of :mod:`linkchi.special`.  Negation and ``scaled`` multiply the
+numerators, and ``regrade``, ``truncate`` and ``grade_extract`` move or
+filter keys, so a chain of operations builds no ``QQ`` and no tuple.
+``coeffs`` is a read-only ``{monomial: QQ}`` view for printing and tests,
+folded from the integer form the first time it is read; ``to_text``
+renders from the keys without it.
 
 Packed keys (Monagan & Pearce, "Polynomial division using dynamic arrays,
 heaps, and packed exponent vectors", CASC 2007).  A monomial's key is one
@@ -83,6 +81,7 @@ from functools import cached_property, lru_cache
 from itertools import count
 from math import gcd, lcm
 from operator import mul
+from types import MappingProxyType
 from typing import Mapping
 
 from .rationals import CACHE_SIZE, QQ
@@ -318,6 +317,12 @@ def _masks(layout: _Layout, spec: "TruncationSpec", l: int = 1) -> tuple[int, ..
     return add, sub, guard, over, xguard
 
 
+def _rational(c):
+    """``c`` as an ``int`` or a ``QQ``, both read as ``c.numerator`` over
+    ``c.denominator``."""
+    return c if isinstance(c, (int, QQ)) else QQ(c)
+
+
 def _passes(masks, key: int) -> bool:
     """The bound test for one key (module docstring)."""
     add, sub, guard = masks[:3]
@@ -482,8 +487,9 @@ class _LinearSum:
     is read as ``c.numerator`` over ``c.denominator``, so it may be an
     ``int`` or a ``QQ``.  ``series()`` hands the nonzero numerators and D
     to the result as its integer form (:meth:`TruncatedSeries._from_ints`);
-    no ``QQ`` is built.  As with ``+``, the result's spec is the meet of
-    every operand's spec, and terms outside it are dropped.
+    no ``QQ`` is built.  The result's spec is the meet of every operand's
+    spec, and terms outside it are dropped; ``+`` and ``-`` are such sums
+    of two series.
     """
 
     __slots__ = ("vars", "spec", "_terms", "_mixed")
@@ -607,12 +613,11 @@ class _LinearSum:
 class TruncatedSeries:
     """Sparse map monomial -> coefficient, with no stored zeros.
 
-    A series holds its terms in one or both of two forms: ``coeffs``, a dict
-    of ``QQ`` keyed by exponent tuples, and the integer form of
-    :meth:`_int_items`, keyed by packed keys.  A series built from
-    coefficients starts with ``coeffs``; one built by ``*``, ``exp``,
-    ``log``, ``regrade`` or a :class:`_LinearSum` starts with the integer
-    form only, and folds ``coeffs`` from it the first time they are read.
+    A series stores one form, the integer form of :meth:`_int_items`: a
+    denominator D and ``{packed key: numerator}``, reduced so that D is the
+    lcm of the coefficients' denominators.  ``coeffs`` is a read-only
+    ``{monomial: QQ}`` view of it, folded the first time it is read and
+    kept in ``_coeffs``.
     """
 
     __slots__ = ("vars", "spec", "_coeffs", "_ints", "_bkts")
@@ -625,71 +630,19 @@ class TruncatedSeries:
         *,
         _trusted: bool = False,
     ):
-        self.vars = vars_
-        self.spec = spec
-        self._ints = None
-        self._bkts = None
-        if coeffs is None:
-            self._coeffs = {}
-        elif _trusted:
-            self._coeffs = dict(coeffs)
-        else:
-            layout = vars_.layout
-            fits, pack = layout.fits, layout.pack
-            masks = _masks(layout, spec)
-            clean = {}
-            for mono, c in coeffs.items():
-                mono = tuple(mono)
-                if not fits(mono):
-                    layout.reject(mono)
-                if not _passes(masks, pack(mono)):
-                    continue
-                q = QQ(c)
-                if q != 0:
-                    clean[mono] = q
-            self._coeffs = clean
-
-    @classmethod
-    def _from_ints(
-        cls, vars_: VariableSet, spec: TruncationSpec, den: int, items: dict
-    ) -> "TruncatedSeries":
-        """The series with the terms ``n / den * monomial`` of ``items``
-        ``{key: n}``, every n nonzero and every key in the spec.  The
-        integer form is reduced by ``gcd(den, *numerators)``, which makes
-        den the lcm of the coefficients' denominators, and is kept as the
-        series' :meth:`_int_items`; ``coeffs`` waits until read.
-        """
-        if den > 1:
-            r = gcd(den, *items.values())
-            if r > 1:
-                den //= r
-                items = {k: n // r for k, n in items.items()}
-        series = cls.__new__(cls)
-        series.vars = vars_
-        series.spec = spec
-        series._coeffs = None
-        series._ints = (den, items)
-        series._bkts = None
-        return series
-
-    @classmethod
-    def _from_terms(
-        cls, vars_: VariableSet, spec: TruncationSpec, terms
-    ) -> "TruncatedSeries":
-        """The series of ``terms`` ``[(monomial, coefficient)]``, monomials
-        distinct, built straight into the integer form.  A coefficient
-        that is not an ``int`` or a ``QQ`` is read as ``QQ(c)``; no other
-        ``QQ`` is built.  As in the constructor, a monomial that ``fits``
-        refuses raises :class:`SeriesError`, and one outside the spec or
-        with coefficient 0 is dropped."""
+        """The series of ``coeffs`` ``{monomial: coefficient}``.  A
+        coefficient that is not an ``int`` or a ``QQ`` is read as
+        ``QQ(c)``; no other ``QQ`` is built.  A monomial that the layout's
+        ``fits`` refuses raises :class:`SeriesError`; one outside the spec
+        or with coefficient 0 is dropped.  ``_trusted`` is accepted and
+        ignored: every monomial is checked."""
         layout = vars_.layout
         fits, pack = layout.fits, layout.pack
         add, sub, guard = _masks(layout, spec)[:3]
         kept = []
         den = 1
-        for mono, c in terms:
-            if not isinstance(c, (int, QQ)):
-                c = QQ(c)
+        for mono, c in (coeffs or {}).items():
+            c = _rational(c)
             if not fits(mono):
                 layout.reject(mono)
             key = pack(mono)
@@ -698,27 +651,55 @@ class TruncatedSeries:
                 if den % c.denominator:
                     den = lcm(den, c.denominator)
         items = {key: c.numerator * (den // c.denominator) for key, c in kept}
-        return cls._from_ints(vars_, spec, den, items)
+        self._store(vars_, spec, den, items)
+
+    def _store(self, vars_: VariableSet, spec: TruncationSpec, den: int, items: dict) -> None:
+        """Keep ``items`` ``{key: n}`` over ``den`` as the integer form,
+        reduced by ``gcd(den, *numerators)``, which makes den the lcm of
+        the coefficients' denominators."""
+        if den > 1:
+            r = gcd(den, *items.values())
+            if r > 1:
+                den //= r
+                items = {k: n // r for k, n in items.items()}
+        self.vars = vars_
+        self.spec = spec
+        self._coeffs = None
+        self._ints = (den, items)
+        self._bkts = None
+
+    @classmethod
+    def _from_ints(
+        cls, vars_: VariableSet, spec: TruncationSpec, den: int, items: dict
+    ) -> "TruncatedSeries":
+        """The series with the terms ``n / den * monomial`` of ``items``
+        ``{key: n}``, every n nonzero and every key in the spec, kept as
+        its integer form (:meth:`_store`)."""
+        series = cls.__new__(cls)
+        series._store(vars_, spec, den, items)
+        return series
 
     @property
-    def coeffs(self) -> dict:
-        """``{monomial: QQ}``, folded from the integer form on first read."""
+    def coeffs(self) -> Mapping:
+        """``{monomial: QQ}``, a read-only view folded from the integer form
+        on first read."""
         coeffs = self._coeffs
         if coeffs is None:
             den, items = self._ints
             unpack = self.vars.layout.unpack
-            coeffs = self._coeffs = {unpack(k): QQ(n, den) for k, n in items.items()}
+            coeffs = {unpack(k): QQ(n, den) for k, n in items.items()}
+            coeffs = self._coeffs = MappingProxyType(coeffs)
         return coeffs
 
     # ---------------------------------------------------------------- base
 
     @classmethod
     def zero(cls, vars_: VariableSet, spec: TruncationSpec) -> "TruncatedSeries":
-        return cls(vars_, spec, {}, _trusted=True)
+        return cls._from_ints(vars_, spec, 1, {})
 
     @classmethod
     def constant(cls, vars_: VariableSet, spec: TruncationSpec, c) -> "TruncatedSeries":
-        return cls._from_terms(vars_, spec, [((0,) * vars_.nvars, c)])
+        return cls(vars_, spec, {(0,) * vars_.nvars: c})
 
     @classmethod
     def one(cls, vars_: VariableSet, spec: TruncationSpec) -> "TruncatedSeries":
@@ -735,72 +716,45 @@ class TruncatedSeries:
         mono = [0] * vars_.nvars
         for name, e in exponents.items():
             mono[vars_.index(name)] = e
-        return cls._from_terms(vars_, spec, [(tuple(mono), coeff)])
+        return cls(vars_, spec, {tuple(mono): coeff})
 
     def is_zero(self) -> bool:
-        if self._coeffs is None:
-            return not self._ints[1]
-        return not self._coeffs
+        return not self._ints[1]
 
     def constant_term(self):
-        if self._coeffs is None:
-            den, items = self._ints
-            n = items.get(self.vars.layout.bias)
-            return QQ(0) if n is None else QQ(n, den)
-        return self._coeffs.get((0,) * self.vars.nvars, QQ(0))
+        den, items = self._ints
+        n = items.get(self.vars.layout.bias)
+        return QQ(0) if n is None else QQ(n, den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.vars == other.vars and self._int_items() == other._int_items()
+        return self.vars == other.vars and self._ints == other._ints
 
     def __hash__(self):  # pragma: no cover - series used as values, not keys
-        den, items = self._int_items()
+        den, items = self._ints
         return hash((self.vars, den, frozenset(items.items())))
-
-    def _require_same_vars(self, other: "TruncatedSeries"):
-        if self.vars != other.vars:
-            raise SeriesError(
-                f"variable sets differ: {self.vars.names} vs {other.vars.names}"
-            )
 
     # ---------------------------------------------------------- ring ops
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_same_vars(other)
-        spec = self.spec.meet(other.spec)
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            acc = out.get(mono)
-            if acc is None:
-                out[mono] = c
-            else:
-                acc = acc + c
-                if acc == 0:
-                    del out[mono]
-                else:
-                    out[mono] = acc
-        if spec != self.spec or spec != other.spec:
-            layout = self.vars.layout
-            masks = _masks(layout, spec)
-            out = {m: c for m, c in out.items() if _passes(masks, layout.pack(m))}
-        return TruncatedSeries(self.vars, spec, out, _trusted=True)
+        acc = _LinearSum(self.vars, self.spec)
+        acc.add(1, self)
+        acc.add(1, other)
+        return acc.series()
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.vars, self.spec, {m: -c for m, c in self.coeffs.items()}, _trusted=True
-        )
+        return self.scaled(-1)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def scaled(self, c) -> "TruncatedSeries":
-        q = QQ(c)
-        if q == 0:
-            return TruncatedSeries.zero(self.vars, self.spec)
-        return TruncatedSeries(
-            self.vars, self.spec, {m: q * v for m, v in self.coeffs.items()}, _trusted=True
-        )
+        c = _rational(c)
+        den, items = self._ints
+        num = c.numerator
+        scaled = {k: n * num for k, n in items.items()} if num else {}
+        return TruncatedSeries._from_ints(self.vars, self.spec, den * c.denominator, scaled)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -811,21 +765,8 @@ class TruncatedSeries:
 
     def _int_items(self) -> tuple[int, dict]:
         """The integer form ``(D, {packed key: D * coefficient})``, with D
-        the lcm of the denominators so that every numerator is an ``int``.
-        A series built by an operation starts with it; one built from
-        coefficients computes it on first use, and keeps it."""
-        ints = self._ints
-        if ints is None:
-            pack = self.vars.layout.pack
-            den = 1
-            for c in self._coeffs.values():
-                if den % c.denominator:
-                    den = lcm(den, c.denominator)
-            ints = self._ints = den, {
-                pack(m): c.numerator * (den // c.denominator)
-                for m, c in self._coeffs.items()
-            }
-        return ints
+        the lcm of the denominators so that every numerator is an ``int``."""
+        return self._ints
 
     def _buckets(self, shift: int | None) -> list:
         """The integer items bucketed on the field at ``shift``
@@ -1148,26 +1089,28 @@ class TruncatedSeries:
             raise OutOfBoundsError(
                 f"monomial {dict(exponents)} lies outside the truncation spec {self.spec}"
             )
-        if self._ints is None:
-            return self._coeffs.get(mono, QQ(0))
         den, items = self._ints
         n = items.get(layout.pack(mono))
         return QQ(0) if n is None else QQ(n, den)
 
     def grade_extract(self, name: str, degree: int) -> "TruncatedSeries":
         """Sub-series with the exact exponent ``degree`` in ``name``, factor removed."""
-        i = self.vars.index(name)
-        out = {}
-        for mono, c in self.coeffs.items():
-            if mono[i] == degree:
-                m = list(mono)
-                m[i] = 0
-                out[tuple(m)] = c
-        return TruncatedSeries(self.vars, self.spec, out, _trusted=True)
+        vars_ = self.vars
+        i = vars_.index(name)
+        layout = vars_.layout
+        factor = [0] * vars_.nvars
+        factor[i] = degree
+        # keys are linear in the exponents: removing the factor subtracts its key
+        shift = layout.pack(factor) - layout.bias
+        unpack = layout.unpack
+        den, items = self._ints
+        out = {k - shift: n for k, n in items.items() if unpack(k)[i] == degree}
+        return TruncatedSeries._from_ints(vars_, self.spec, den, out)
 
     def exponents_of(self, name: str) -> set[int]:
         i = self.vars.index(name)
-        return {mono[i] for mono in self.coeffs}
+        unpack = self.vars.layout.unpack
+        return {unpack(k)[i] for k in self._ints[1]}
 
     def truncate(self, spec: TruncationSpec) -> "TruncatedSeries":
         """Re-truncate to a (smaller) spec, in the integer form."""
@@ -1323,13 +1266,15 @@ def _raise_exponents(series: TruncatedSeries, l: int) -> TruncatedSeries:
 
 def _invert_term(series: TruncatedSeries) -> TruncatedSeries:
     """Inverse of a single-term series (negate exponents, invert coefficient)."""
-    if len(series.coeffs) != 1:
+    den, items = series._int_items()
+    if len(items) != 1:
         raise SeriesError(
             "negative exponents only substitutable by a single invertible term"
         )
-    (mono, c), = series.coeffs.items()
-    inv = tuple(-e for e in mono)
+    (key, n), = items.items()
     layout = series.vars.layout
+    inv = tuple(-e for e in layout.unpack(key))
     if not layout.fits(inv) or not _passes(_masks(layout, series.spec), layout.pack(inv)):
         raise OutOfBoundsError(f"inverse monomial {inv} falls outside the spec")
-    return TruncatedSeries(series.vars, series.spec, {inv: QQ(1) / QQ(c)}, _trusted=True)
+    sign = -1 if n < 0 else 1
+    return TruncatedSeries._from_ints(series.vars, series.spec, sign * n, {layout.pack(inv): sign * den})

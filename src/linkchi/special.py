@@ -22,6 +22,7 @@ from .series import (
     SeriesError,
     TruncatedSeries,
     _LinearSum,
+    _graded_lex,
     _raise_exponents,
     _trunc_weight,
 )
@@ -130,12 +131,12 @@ def s_poly(j: int) -> UniPolynomial:
 def _f_series(vars_, spec, var: str, l: int) -> TruncatedSeries:
     """F_l(v) as a series in the variable ``var``."""
     iv = vars_.index(var)
-    terms = []
+    terms = {}
     for power, c in enumerate(f_poly(l).coeffs):
         mono = [0] * vars_.nvars
         mono[iv] = power
-        terms.append((mono, c))
-    return TruncatedSeries._from_terms(vars_, spec, terms)
+        terms[tuple(mono)] = c
+    return TruncatedSeries(vars_, spec, terms)
 
 
 def _mobius_x(vars_, spec, l: int, k: int, power_sum) -> TruncatedSeries:
@@ -309,12 +310,17 @@ def plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
     if series.is_zero():
         return TruncatedSeries.one(vars_, spec)
     layout = vars_.layout
-    for mono in series.sorted_monomials():
-        c = series.coeffs[mono]
-        if c.denominator != 1:
+    den, items = series._int_items()
+    # n / den is an integer iff den divides n
+    bad = [k for k, n in items.items() if n % den or _trunc_weight(spec, layout.metric(k)) < 1]
+    if bad:  # name the first offending monomial in graded-lex order
+        p_start = vars_.p_start()
+        key = min(bad, key=lambda k: _graded_lex(layout.unpack(k), p_start))
+        if items[key] % den:
+            c = QQ(items[key], den)
             raise SeriesError(f"plethystic_exp requires integer coefficients, got {c}")
-        if _trunc_weight(spec, layout.metric(layout.pack(mono))) < 1:
-            raise SeriesError(f"monomial {mono} cannot be plethystically exponentiated")
+        mono = layout.unpack(key)
+        raise SeriesError(f"monomial {mono} cannot be plethystically exponentiated")
     arg = _LinearSum(vars_, spec)
     for l in range(1, _plethystic_bound(spec) + 1):
         arg.add(QQ(1, l), _raise_exponents(series, l))

@@ -67,9 +67,10 @@ The double sum itself is pinned against routes that do not run it: the
 plethystic route in "direct vs plethystic" (``route-equivalence``) and
 in ``tables-second-route``; the published grids in ``tables``; and the
 graph enumeration in ``oracle``.  Besides the series kernel (``*``,
-``inverse``, ``log``, ``_LinearSum``) and :mod:`linkchi.rationals`, the
-plethystic route shares with the double sum these functions, which a
-fault would reach on both of its sides:
+``+``, ``-``, ``scaled``, ``inverse``, ``log``, and the
+``_LinearSum`` that ``*``, ``+`` and ``-`` settle in) and
+:mod:`linkchi.rationals`, the plethystic route shares with the double
+sum these functions, which a fault would reach on both of its sides:
 
 - the builders of X_{l,1} and F_l(u): ``_mobius_x`` (over
   ``color_power_sum`` and ``_eps_power_sum``) and ``_f_series`` (over
@@ -104,6 +105,10 @@ forms, which compare ``exp``-built series with products of ``inverse``
 which pin ``log`` through the double sum against the published grids and
 the graph enumeration; and the property tests comparing ``exp`` and
 ``log`` with the repeated-product references (``tests/naive_series.py``).
+Those references, and the ones for ``*``, ``substitute`` and the linear
+sums (``+``, ``-``, ``scaled``, ``_LinearSum``), sum coefficient by
+coefficient in ``QQ`` and build each result through the constructor, so
+they run none of the arithmetic they check.
 """
 
 from __future__ import annotations

@@ -11,8 +11,10 @@ the textbook forms they replaced, kept here as test oracles only:
 * log as the truncated sum of ``(-1)^(p+1) h^p / p`` with ``h = f - 1``;
 * plethystic_exp as the product of one geometric power ``(1 - m)^(-chi)``
   per monomial ``m``;
-* a linear sum of scaled series and scaled products as one ``scaled`` and
-  one ``+`` per term;
+* every sum, in a linear sum, ``exp``, ``log`` and a substitution, added
+  coefficient by coefficient in ``QQ`` and built through the constructor
+  (``naive_sum``), never through ``+``, ``-``, ``scaled`` or a
+  ``_LinearSum``, which these references check;
 * a substitution as one product of repeated factors per monomial;
 * the text form rendered from ``QQ`` coefficients, where ``to_text``
   reads the integer form;
@@ -43,14 +45,28 @@ def naive_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.vars, a.spec.meet(b.spec), out)
 
 
+def naive_sum(vars_, spec, terms) -> TruncatedSeries:
+    """Sum of ``c * a`` over the terms ``(c, a)``, added in ``QQ`` over the
+    meet of ``spec`` and every operand's spec."""
+    out: dict[tuple[int, ...], QQ] = {}
+    for c, a in terms:
+        if a.vars != vars_:
+            raise SeriesError("variable sets differ")
+        spec = spec.meet(a.spec)
+        for mono, v in a.coeffs.items():
+            out[mono] = out.get(mono, QQ(0)) + QQ(c) * v
+    # the constructor drops the monomials outside the spec and the zeros
+    return TruncatedSeries(vars_, spec, out)
+
+
 def naive_linear_sum(vars_, spec, terms) -> TruncatedSeries:
     """Sum of ``c * a`` or ``c * naive_mul(a, b)`` over the terms ``(c, a)``
-    and ``(c, a, b)``, starting from zero over ``(vars_, spec)``."""
-    out = TruncatedSeries.zero(vars_, spec)
-    for c, *operands in terms:
-        term = operands[0] if len(operands) == 1 else naive_mul(*operands)
-        out = out + term.scaled(c)
-    return out
+    and ``(c, a, b)``, over the meet of ``spec`` and the operands' specs."""
+    return naive_sum(
+        vars_,
+        spec,
+        [(c, operands[0] if len(operands) == 1 else naive_mul(*operands)) for c, *operands in terms],
+    )
 
 
 def naive_substitute(series: TruncatedSeries, assignments) -> TruncatedSeries:
@@ -61,7 +77,7 @@ def naive_substitute(series: TruncatedSeries, assignments) -> TruncatedSeries:
     single-term replacement."""
     first = next(iter(assignments.values()))
     vars_, spec = first.vars, first.spec
-    out = TruncatedSeries.zero(vars_, spec)
+    terms = []
     for mono, c in series.coeffs.items():
         kept = {n: e for n, e in zip(series.vars.names, mono) if n not in assignments}
         term = TruncatedSeries.term(vars_, spec, kept, c)
@@ -74,8 +90,8 @@ def naive_substitute(series: TruncatedSeries, assignments) -> TruncatedSeries:
                 factor = TruncatedSeries(vars_, spec, {tuple(-x for x in m): 1 / a})
             for _ in range(abs(e)):
                 term = naive_mul(term, factor)
-        out = out + term
-    return out
+        terms.append((1, term))
+    return naive_sum(vars_, spec, terms)
 
 
 def naive_to_text(series: TruncatedSeries) -> str:
@@ -101,31 +117,33 @@ def naive_exp(series: TruncatedSeries) -> TruncatedSeries:
     if series.constant_term() != 0:
         raise SeriesError("exp requires zero constant term")
     series._grades()  # nilpotence guard: the loop below must terminate
-    result = TruncatedSeries.one(series.vars, series.spec)
-    term = result
+    vars_, spec = series.vars, series.spec
+    term = TruncatedSeries.one(vars_, spec)
+    terms = [(1, term)]
     k = 0
     while True:
         k += 1
-        term = naive_mul(term, series).scaled(QQ(1, k))
+        term = naive_sum(vars_, spec, [(QQ(1, k), naive_mul(term, series))])
         if term.is_zero():
-            return result
-        result = result + term
+            return naive_sum(vars_, spec, terms)
+        terms.append((1, term))
 
 
 def naive_log(series: TruncatedSeries) -> TruncatedSeries:
     if series.constant_term() != 1:
         raise SeriesError("log requires constant term 1")
-    y = series - TruncatedSeries.one(series.vars, series.spec)
+    vars_, spec = series.vars, series.spec
+    power = TruncatedSeries.one(vars_, spec)
+    y = naive_sum(vars_, spec, [(1, series), (-1, power)])
     y._grades()
-    result = TruncatedSeries.zero(series.vars, series.spec)
-    power = TruncatedSeries.one(series.vars, series.spec)
+    terms = []
     p = 0
     while True:
         p += 1
         power = naive_mul(power, y)
         if power.is_zero():
-            return result
-        result = result + power.scaled(QQ((-1) ** (p + 1), p))
+            return naive_sum(vars_, spec, terms)
+        terms.append((QQ((-1) ** (p + 1), p), power))
 
 
 def naive_plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:

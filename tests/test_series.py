@@ -26,6 +26,7 @@ from naive_series import (
     naive_log,
     naive_mul,
     naive_substitute,
+    naive_sum,
     naive_to_text,
 )
 
@@ -707,6 +708,91 @@ def test_linear_sum_settles_one_denominator():
     assert acc.series() == want
 
 
+# ----------------------------- +, -, negation and scaled vs sums in QQ
+
+scalars = st.sampled_from([0, 1, -1]) | st.integers(-50, 50) | mixed_rationals.filter(
+    lambda q: q.denominator > 1
+)
+
+
+@st.composite
+def spec_pair(draw):
+    """(case name, a, b): two series of one case with mixed-denominator
+    coefficients, each over a narrower, equal or wider spec than the case's."""
+    name = draw(st.sampled_from(sorted(GRADED_CASES)))
+    vars_, spec, monos = GRADED_CASES[name]
+    specs = [respec(spec, delta) for delta in (-1, 0, 1)]
+    a, b = (
+        TruncatedSeries(
+            vars_,
+            draw(st.sampled_from(specs)),
+            draw(st.dictionaries(monos, mixed_rationals, max_size=5)),
+        )
+        for _ in range(2)
+    )
+    return name, a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec_pair(), scalars)
+def test_linear_ops_match_qq_sums(case, c):
+    name, a, b = case
+    d = a._int_items()[0]
+    cases = [
+        (a + b, [(1, a), (1, b)]),
+        (a - b, [(1, a), (-1, b)]),
+        (-a, [(-1, a)]),
+        (a.scaled(c), [(c, a)]),
+        (a.scaled(d), [(d, a)]),  # every denominator cancels
+        (a - a, []),
+        (a + (-a), []),
+        (a.scaled(0), []),
+    ]
+    for got, terms in cases:
+        want = naive_sum(a.vars, a.spec, terms)  # over the meet of the operands' specs
+        assert got == want and got.spec == want.spec, name
+        # the integer form is reduced: D is the lcm of the denominators
+        den, items = got._int_items()
+        assert den == lcm(1, *(q.denominator for q in want.coeffs.values())), name
+        assert all(items.values()), name
+        if not terms:
+            assert (den, items) == (1, {}), name
+
+
+def test_coeffs_is_read_only():
+    a = s({"u": 1}, QQ(1, 3))
+    with pytest.raises(TypeError):
+        a.coeffs[(0, 0, 1)] = 5
+    with pytest.raises(TypeError):
+        del a.coeffs[(0, 0, 1)]
+    assert a.coeffs == {(0, 0, 1): QQ(1, 3)}
+
+
+def test_naive_references_run_no_linear_sum(monkeypatch):
+    # the references check +, -, scaled and _LinearSum, so they sum in QQ
+    # and never settle a linear sum
+    narrow = respec(SPEC, -1)
+    a = TruncatedSeries(XU, SPEC, {(1, 0, 1): QQ(1, 3), (0, 0, 2): -2, (0, 0, 6): 4})
+    b = TruncatedSeries(XU, narrow, {(0, 0, 2): 2, (0, 1, 0): QQ(5, 7)})
+    terms = [(QQ(1, 2), a), (3, b), (-1, a)]
+    g = TruncatedSeries(XU, narrow, {(0, 0, 0): 1, (0, 0, 2): 2, (0, 1, 0): QQ(5, 7)})
+
+    def refuse(self):
+        raise AssertionError("a reference settled a _LinearSum")
+
+    monkeypatch.setattr(_LinearSum, "settle", refuse)
+    total = naive_linear_sum(XU, SPEC, terms)
+    e = naive_exp(a)
+    lg = naive_log(g)
+    monkeypatch.undo()
+    # -a/2 + 3b over the meet, where u^6 lies past u_max = 5
+    assert total == TruncatedSeries(
+        XU, narrow, {(1, 0, 1): QQ(-1, 6), (0, 0, 2): 7, (0, 1, 0): QQ(15, 7)}
+    )
+    assert total == linear_sum(XU, SPEC, terms)
+    assert e == a.exp() and lg == g.log()
+
+
 # ------------------------- results kept as integer numerators until read
 
 
@@ -833,6 +919,10 @@ def test_series_from_terms_build_no_qq(monkeypatch):
     cfg = LinkConfig.create((1, 2), 4)
     dims_vars = VariableSet(hodge_count=2, has_u=True, has_z=True)
     dims_spec = TruncationSpec(u_max=4, x_total_max=5, z_window=(-9, 9))
+    hv = VariableSet(has_u=True, has_hbar=True)
+    hv_spec = TruncationSpec(u_max=4, hbar_window=(-1, 3))
+    a = TruncatedSeries(hv, hv_spec, {(1, 0): QQ(1, 3), (2, 1): 5, (0, -1): QQ(-2, 7)})
+    b = TruncatedSeries(hv, TruncationSpec(u_max=3), {(1, 0): QQ(2, 3), (3, 1): 1})
     built = []
     new = Fraction.__new__
 
@@ -849,8 +939,26 @@ def test_series_from_terms_build_no_qq(monkeypatch):
         color_power_sum(cfg, dims_vars, dims_spec, 2, "dims"),
         _f_series(XU, spec4, "u", 6),
     ]
-    assert built == [] and all(m._coeffs is None for m in made)
+    linear = [
+        a + b,
+        a - b,
+        -a,
+        a.scaled(3),
+        TruncatedSeries.zero(hv, hv_spec),
+        a.grade_extract("hbar", 1),
+    ]
+    hbars = a.exponents_of("hbar")
+    assert built == [] and all(m._coeffs is None for m in made + linear + [a, b])
     monkeypatch.undo()
+    assert hbars == {-1, 0, 1}
+    assert linear == [
+        naive_sum(hv, hv_spec, [(1, a), (1, b)]),
+        naive_sum(hv, hv_spec, [(1, a), (-1, b)]),
+        naive_sum(hv, hv_spec, [(-1, a)]),
+        naive_sum(hv, hv_spec, [(3, a)]),
+        TruncatedSeries(hv, hv_spec),
+        TruncatedSeries(hv, hv_spec, {(2, 0): 5}),
+    ]
     assert made[0] == TruncatedSeries(XU, SPEC, {(0, 0, 0): 1})
     assert made[1] == TruncatedSeries(XU, SPEC, {(0, 0, 0): -3})
     assert made[2] == TruncatedSeries(XU, SPEC, {(2, 0, 1): 5})
