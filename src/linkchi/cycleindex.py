@@ -15,6 +15,7 @@ alternating sum over homological degree, i.e. the z = -1 specialization.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import count
 from operator import mul
 
@@ -47,23 +48,11 @@ __all__ = [
 ]
 
 
-def _p_vars(weight_max: int, *, has_u=False, has_z=False, has_hbar=False, hodge=0):
-    return VariableSet(
-        hodge_count=hodge,
-        has_u=has_u,
-        has_z=has_z,
-        has_hbar=has_hbar,
-        pcount=weight_max,
-    )
-
-
 def _p_term(vars_, spec, l: int, coeff=1, **extra) -> TruncatedSeries:
     """coeff * p_l * extra; 0 past the weight bound, where p_l is absent."""
     if l > vars_.pcount:
         return TruncatedSeries.zero(vars_, spec)
-    expo = {f"p{l}": 1}
-    expo.update(extra)
-    return TruncatedSeries.term(vars_, spec, expo, coeff)
+    return TruncatedSeries.term(vars_, spec, {f"p{l}": 1, **extra}, coeff)
 
 
 def z_com(weight_max: int) -> TruncatedSeries:
@@ -71,24 +60,18 @@ def z_com(weight_max: int) -> TruncatedSeries:
     exp(sum_l p_l / l), truncated at weight W."""
     if weight_max < 0:
         raise ValueError("weight_max must be >= 0")
-    vars_ = _p_vars(weight_max)
+    vars_ = VariableSet(pcount=weight_max)
     spec = TruncationSpec(p_weight_max=weight_max)
-    arg = TruncatedSeries.zero(vars_, spec)
-    for l in range(1, weight_max + 1):
-        arg = arg + _p_term(vars_, spec, l, QQ(1, l))
-    return arg.exp()
+    terms = {vars_.monomial({f"p{l}": 1}): QQ(1, l) for l in range(1, weight_max + 1)}
+    return TruncatedSeries(vars_, spec, terms).exp()
 
 
 def _log_one_minus_p(vars_, spec, l: int, weight_max: int, sign: int = 1):
     """log(1 - sign * p_l) expanded to the weight bound."""
-    out = {}
-    nv = vars_.nvars
-    idx = vars_.index(f"p{l}")
-    for k in range(1, weight_max // l + 1):
-        mono = [0] * nv
-        mono[idx] = k
-        out[tuple(mono)] = QQ(-(sign ** k), k)
-    return TruncatedSeries(vars_, spec, out)
+    terms = {
+        vars_.monomial({f"p{l}": k}): QQ(-(sign ** k), k) for k in range(1, weight_max // l + 1)
+    }
+    return TruncatedSeries(vars_, spec, terms)
 
 
 def z_lie_cyclic(weight_max: int) -> TruncatedSeries:
@@ -100,7 +83,7 @@ def z_lie_cyclic(weight_max: int) -> TruncatedSeries:
     """
     if weight_max < 1:
         raise ValueError("weight_max must be >= 1")
-    vars_ = _p_vars(weight_max)
+    vars_ = VariableSet(pcount=weight_max)
     spec = TruncationSpec(p_weight_max=weight_max)
     logs = _LinearSum(vars_, spec)
     for l in range(1, weight_max + 1):
@@ -124,20 +107,18 @@ def z_colors(cfg: LinkConfig, weight_max: int) -> TruncatedSeries:
     m_values, _ = cfg.require_values()
     if weight_max < 0:
         raise ValueError("weight_max must be >= 0")
-    vars_ = _p_vars(weight_max, has_z=True, hodge=cfg.r)
+    vars_ = VariableSet(hodge_count=cfg.r, has_z=True, pcount=weight_max)
     spec = TruncationSpec(
         p_weight_max=weight_max,
         x_total_max=weight_max,
         z_window=(0, max(m_values) * weight_max),
     )
-    arg = TruncatedSeries.zero(vars_, spec)
+    terms = {}
     for l in range(1, weight_max + 1):
         for i, m in enumerate(m_values):
             sign = -1 if (m * (l - 1)) % 2 else 1
-            arg = arg + TruncatedSeries.term(
-                vars_, spec, {f"p{l}": 1, f"x{i + 1}": l, "z": m * l}, QQ(sign, l)
-            )
-    return arg.exp()
+            terms[vars_.monomial({f"p{l}": 1, f"x{i + 1}": l, "z": m * l})] = QQ(sign, l)
+    return TruncatedSeries(vars_, spec, terms).exp()
 
 
 def _specialization_targets(z: TruncatedSeries, cfg: LinkConfig, mode: str):
@@ -196,7 +177,7 @@ def _graded_p_spec(d: int, weight_max: int):
     spec = TruncationSpec(
         p_weight_max=weight_max, u_max=weight_max, z_window=(-span, span)
     )
-    return _p_vars(weight_max, has_u=True, has_z=True), spec
+    return VariableSet(has_u=True, has_z=True, pcount=weight_max), spec
 
 
 def z_tree_homology(d: int, weight_max: int) -> TruncatedSeries:
@@ -226,7 +207,7 @@ def _z_dihedral_induced(weight_max: int, d_parity: int) -> TruncatedSeries:
     ``-1/2 sum_l phi(l)/l log(1 - (-1)^(d(l-1)) p_l)
     + (-1)^(d+1) (p_1^2 + (-1)^d p_2 - 2 p_1) / (4 (1 - (-1)^d p_2))``.
     """
-    vars_ = _p_vars(weight_max)
+    vars_ = VariableSet(pcount=weight_max)
     spec = TruncationSpec(p_weight_max=weight_max)
     out = _LinearSum(vars_, spec)
     for l in range(1, weight_max + 1):
@@ -278,7 +259,7 @@ def z_graph_supercharacter(d_parity, weight_max: int, t_max: int) -> TruncatedSe
     if weight_max < 1 or t_max < 1:
         raise ValueError("weight_max and t_max must be >= 1")
     sigma_d = 1 if d_parity else -1
-    vars_ = _p_vars(weight_max, has_u=True)
+    vars_ = VariableSet(has_u=True, pcount=weight_max)
     spec = TruncationSpec(p_weight_max=weight_max, u_max=t_max)
     return _mobius_double_sum(
         vars_, spec, "u", sigma_d, t_max, lambda n: _p_term(vars_, spec, n, -1)
@@ -313,7 +294,7 @@ def mod_envelope_supercharacter(
     sign = _twist_sign(twist, weight_max, genus_max)
     t_max = max(genus_max + weight_max - 1, 1)
     z = z_graph_supercharacter("odd" if sign > 0 else "even", weight_max, t_max)
-    vars_ = _p_vars(weight_max, has_hbar=True)
+    vars_ = VariableSet(has_hbar=True, pcount=weight_max)
     spec = TruncationSpec(p_weight_max=weight_max, hbar_window=(0, genus_max))
 
     def place(mono):  # z has variables u, p1..pW
@@ -331,7 +312,7 @@ def mod_envelope_supercharacter_direct(
     multiply by hbar at the end.  Used as a cross-check oracle."""
     sign = _twist_sign(twist, weight_max, genus_max)
     t_max = max(genus_max + weight_max - 1, 1)
-    vars_ = _p_vars(weight_max, has_hbar=True)
+    vars_ = VariableSet(has_hbar=True, pcount=weight_max)
     # Every monomial here satisfies hbar-exp >= -(p-weight) >= -W, and a
     # monomial with hbar-exp e and p-weight w can still reach final genus
     # <= G as long as e - (W - w) <= G - 1, so (-W, G + W - 1) loses nothing.
@@ -399,15 +380,13 @@ def induced_cycle_index(pairs, weight_max: int) -> TruncatedSeries:
     elements with equal images must each appear (the homomorphism need
     not be injective, e.g. dihedral groups at n <= 2).
     """
-    vars_ = _p_vars(weight_max)
+    vars_ = VariableSet(pcount=weight_max)
     spec = TruncationSpec(p_weight_max=weight_max)
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one (permutation, trace) pair")
-    total = TruncatedSeries.zero(vars_, spec)
+    traces: dict[tuple[int, ...], QQ] = {}
     for perm, trace in pairs:
-        expo: dict[str, int] = {}
-        for _start, l in _cycles(perm):
-            expo[f"p{l}"] = expo.get(f"p{l}", 0) + 1
-        total = total + TruncatedSeries.term(vars_, spec, expo, trace)
-    return total.scaled(QQ(1, len(pairs)))
+        mono = vars_.monomial(Counter(f"p{l}" for _start, l in _cycles(perm)))
+        traces[mono] = traces.get(mono, 0) + QQ(trace)
+    return TruncatedSeries(vars_, spec, {m: t / len(pairs) for m, t in traces.items()})

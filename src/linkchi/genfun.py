@@ -27,7 +27,6 @@ from .special import (
     _f_series,
     _mobius_double_sum,
     _mobius_x,
-    e_poly,
     log_gamma_series,
     plethystic_log,
 )
@@ -141,20 +140,14 @@ def color_power_sum(
     sum_i (-1)^(m_i) x_i^l in ``"euler"`` mode, alpha_l(1/z) =
     sum_i (-1)^(m_i (l-1)) x_i^l z^(-m_i l) in ``"dims"`` mode (integer
     m_i needed)."""
-    iz = None
     if mode == "euler":
-        signs = [-cfg.eps(i) for i in range(cfg.r)]
+        terms = {vars_.monomial({f"x{i + 1}": l}): -cfg.eps(i) for i in range(cfg.r)}
     else:
         m_values, _ = cfg.require_values()
-        iz = vars_.index("z")
-        signs = [-1 if (m * (l - 1)) % 2 else 1 for m in m_values]
-    terms = {}
-    for i, sign in enumerate(signs):  # strand i owns the monomial x_i^l
-        mono = [0] * vars_.nvars
-        mono[i] = l
-        if iz is not None:
-            mono[iz] = -m_values[i] * l
-        terms[tuple(mono)] = sign
+        terms = {
+            vars_.monomial({f"x{i + 1}": l, "z": -m * l}): -1 if (m * (l - 1)) % 2 else 1
+            for i, m in enumerate(m_values)
+        }
     return TruncatedSeries(vars_, spec, terms)
 
 
@@ -179,7 +172,8 @@ def f_homology(
     the F_l power at order l - l/p1 >= l/2.
 
     With ``x_values`` the Hodge variables are specialized *inside* the
-    product (each X_l becomes a rational constant) and the result is a
+    product: X_l is built by the same ``_mobius_x`` over the constant
+    power sums ``P_n = sum_i (-1)^(m_i-1) v_i^n``, and the result is a
     series in u alone.  This is required, not merely faster, whenever
     the full x-support matters: F^H carries monomials of x-degree up to
     2t, so specializing a series truncated at x-degree S loses terms.
@@ -193,6 +187,10 @@ def f_homology(
             raise ValueError(f"need {cfg.r} x-values")
         vars_ = VariableSet(has_u=True)
         spec = TruncationSpec(u_max=t_max)
+
+        def power_sum(n):  # the constant P_n = sum_i eps_i v_i^n
+            p_n = sum((cfg.eps(i) * QQ(v) ** n for i, v in enumerate(x_values)), QQ(0))
+            return TruncatedSeries.constant(vars_, spec, p_n)
     else:
         vars_ = cfg.xu_vars()
         spec = _xu_spec(t_max, x_total_max)
@@ -201,18 +199,9 @@ def f_homology(
     log_total = _LinearSum(vars_, spec)
     u = TruncatedSeries.term(vars_, spec, {"u": 1})
     for l in range(1, max(l_max, 1) + 1):
-        if x_values is not None:
-            xl_const = sum(
-                (cfg.eps(i) * e_poly(l)(QQ(v)) for i, v in enumerate(x_values)),
-                QQ(0),
-            )
-            if xl_const == 0:
-                continue
-            x_arg = TruncatedSeries.constant(vars_, spec, xl_const)
-        else:
-            x_arg = _mobius_x(vars_, spec, l, 1, power_sum)
-            if x_arg.is_zero():
-                continue
+        x_arg = _mobius_x(vars_, spec, l, 1, power_sum)
+        if x_arg.is_zero():
+            continue
         fl = _f_series(vars_, spec, "u", l)
         u_arg = (u ** l).scaled(cfg.sigma_d * l) * fl.inverse()
         log_total.add(1, log_gamma_series(x_arg, u_arg))
@@ -463,7 +452,6 @@ def euler_table(
     genus: int,
     t_max: int,
     f_pi: TruncatedSeries | None = None,
-    s2_max: int | None = None,
 ) -> EulerTable:
     """Extract the genus-g grid of chi values from F^pi.
 
@@ -479,8 +467,7 @@ def euler_table(
         f_pi = f_homotopy_direct(cfg, t_max)
     if f_pi.spec.u_max is not None and t_max > f_pi.spec.u_max:
         raise ValueError("t_max exceeds the truncation of the supplied series")
-    if s2_max is None:
-        s2_max = t_max if cfg.r == 2 else 0
+    s2_max = t_max if cfg.r == 2 else 0
     table = EulerTable(genus=genus, t_max=t_max, r=cfg.r, s2_max=s2_max)
     for t in range(1, t_max + 1):
         row = []

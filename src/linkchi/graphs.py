@@ -368,60 +368,31 @@ def _vertex_automorphism_sign_parity(adj, hairs, sigma, m, d) -> int:
     endpoints' order.  Parallel copies map in a fixed per-pair order;
     other pairings differ by parallel swaps, which are separate
     generators.
+
+    A cycle of L blocks of k items each permutes its items with parity
+    (L - 1) k: edge instances move in slot blocks, k = adj[i][j], and the
+    hairs of colour c in vertex blocks, k = hairs[v][c], kept by sigma.
     """
     n = len(adj)
-    parity = (_perm_parity(sigma) * d) % 2
-
-    # internal edge instances, tracked as slots (i, j) with multiplicity
-    slots = [
-        (i, j)
-        for i in range(n)
-        for j in range(i, n)
-        if adj[i][j] > 0
-    ]
+    slots = [(i, j) for i in range(n) for j in range(i, n) if adj[i][j] > 0]
     slot_index = {s: k for k, s in enumerate(slots)}
     slot_perm = []
     flips = 0
-    for (i, j) in slots:
+    for i, j in slots:
         a, b = sigma[i], sigma[j]
         if i != j and a > b:
             flips += adj[i][j]
             a, b = b, a
         slot_perm.append(slot_index[(a, b)])
-    # parity of the instance permutation: slots move as blocks of equal
-    # multiplicity; a block of size mult contributes mult * (slot cycle sign)
-    edge_parity = 0
-    for k, length in _cycles(slot_perm):
-        mult = adj[slots[k][0]][slots[k][1]]
-        edge_parity ^= ((length - 1) * mult) % 2
-
-    # hair blocks: per color, vertex blocks of size hairs[v][c] move intact
-    r = len(m)
-    hair_parities = []
-    for c in range(r):
-        sizes = [hairs[v][c] for v in range(n)]
-        offsets = [0]
-        for v in range(n):
-            offsets.append(offsets[-1] + sizes[v])
-        item_perm = [0] * offsets[-1]
-        for v in range(n):
-            tv = sigma[v]
-            # block v (size sizes[v]) lands at block tv; sizes match
-            src = offsets[v]
-            dst = offsets[tv]
-            for k in range(sizes[v]):
-                item_perm[src + k] = dst + k
-        hair_parities.append(_perm_parity(item_perm))
-
-    total_edge_parity = edge_parity
-    for hp in hair_parities:
-        total_edge_parity ^= hp  # hair edges permute with the hairs
-
-    parity ^= (total_edge_parity * (d - 1)) % 2
-    for c in range(r):
-        parity ^= (hair_parities[c] * m[c]) % 2
-    parity ^= (d * flips) % 2
-    return parity
+    edge_parity = sum((length - 1) * adj[slots[k][0]][slots[k][1]]
+                      for k, length in _cycles(slot_perm))
+    vertex_cycles = list(_cycles(sigma))
+    hair_parities = [
+        sum((length - 1) * hairs[v][c] for v, length in vertex_cycles) for c in range(len(m))
+    ]
+    edge_parity += sum(hair_parities)  # hair edges permute with the hairs
+    hair_sign = sum(hp * mc for hp, mc in zip(hair_parities, m))
+    return (_perm_parity(sigma) * d + edge_parity * (d - 1) + hair_sign + flips * d) % 2
 
 
 def _class_killed(adj, hairs, autos, m, d) -> bool:

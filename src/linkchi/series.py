@@ -28,8 +28,8 @@ be lost this way (``cycleindex.mod_envelope_supercharacter_direct`` states
 its argument).  A change of grading (:meth:`TruncatedSeries.regrade`)
 raises instead of dropping a term below a lower bound.
 
-Every series stores its terms in one form, the integer form of
-:meth:`TruncatedSeries._int_items`: one denominator, the lcm of the
+Every series stores its terms in one form, the integer form
+:attr:`TruncatedSeries._ints`: one denominator, the lcm of the
 coefficients' denominators, and a dict from packed monomial keys to nonzero
 ``int`` numerators.  The constructor packs the monomials it is given and
 puts their coefficients over that denominator once.  A :class:`_LinearSum`
@@ -113,7 +113,8 @@ class OutOfBoundsError(SeriesError):
 
 @dataclass(frozen=True)
 class VariableSet:
-    """Ordered family of variables: x1..xr, u, z, hbar, p1..pL."""
+    """Ordered family of variables: x1..xr, u, z, hbar, p1..pL.  ``index``,
+    ``monomial`` and the packed-key layout all read ``positions``."""
 
     hodge_count: int = 0
     has_u: bool = False
@@ -134,43 +135,27 @@ class VariableSet:
         return tuple(out)
 
     @cached_property
+    def positions(self) -> Mapping[str, int]:
+        """Read-only ``{name: position in a monomial tuple}``, the one
+        table of where each variable sits."""
+        return MappingProxyType({name: i for i, name in enumerate(self.names)})
+
+    @property
     def nvars(self) -> int:
-        return (
-            self.hodge_count
-            + int(self.has_u)
-            + int(self.has_z)
-            + int(self.has_hbar)
-            + self.pcount
-        )
+        return len(self.names)
 
     def index(self, name: str) -> int:
-        base = self.hodge_count
-        if name.startswith("x") and name[1:].isdigit():
-            i = int(name[1:]) - 1
-            if 0 <= i < self.hodge_count:
-                return i
-            raise KeyError(name)
-        if name == "u":
-            if not self.has_u:
-                raise KeyError(name)
-            return base
-        base += int(self.has_u)
-        if name == "z":
-            if not self.has_z:
-                raise KeyError(name)
-            return base
-        base += int(self.has_z)
-        if name == "hbar":
-            if not self.has_hbar:
-                raise KeyError(name)
-            return base
-        base += int(self.has_hbar)
-        if name.startswith("p") and name[1:].isdigit():
-            l = int(name[1:]) - 1
-            if 0 <= l < self.pcount:
-                return base + l
-            raise KeyError(name)
-        raise KeyError(name)
+        """The position of ``name``; ``KeyError(name)`` when the set lacks it."""
+        return self.positions[name]
+
+    def monomial(self, exponents: Mapping[str, int]) -> tuple[int, ...]:
+        """The monomial ``{name: e}``, every other exponent 0; a name the
+        set lacks raises ``KeyError``."""
+        mono = [0] * len(self.names)
+        positions = self.positions
+        for name, e in exponents.items():
+            mono[positions[name]] = e
+        return tuple(mono)
 
     def p_start(self) -> int:
         return self.nvars - self.pcount
@@ -193,25 +178,20 @@ class _Layout:
     """
 
     def __init__(self, vars_: VariableSet):
-        r, pc = vars_.hodge_count, vars_.pcount
-        i_u = r
-        i_z = i_u + vars_.has_u
-        i_h = i_z + vars_.has_z
-        i_p = i_h + vars_.has_hbar
+        at = vars_.positions
+        xs = [at[f"x{i + 1}"] for i in range(vars_.hodge_count)]
+        ps = [at[f"p{l + 1}"] for l in range(vars_.pcount)]
         # (kind, exponent expression, position in the monomial or None,
         # l of p_l), low field first
-        fields = [("x", f"m[{i}]", i, 0) for i in range(r)]
-        if vars_.has_u:
-            fields.append(("u", f"m[{i_u}]", i_u, 0))
-        fields += [("p", f"m[{i_p + l}]", i_p + l, l + 1) for l in range(pc)]
-        if r:
-            fields.append(("xt", "+".join(f"m[{i}]" for i in range(r)), None, 0))
-        if pc:
-            fields.append(("pw", "+".join(f"{l + 1}*m[{i_p + l}]" for l in range(pc)), None, 0))
-        if vars_.has_z:
-            fields.append(("z", f"m[{i_z}]", i_z, 0))
-        if vars_.has_hbar:
-            fields.append(("hbar", f"m[{i_h}]", i_h, 0))
+        fields = [("x", f"m[{i}]", i, 0) for i in xs]
+        if "u" in at:
+            fields.append(("u", f"m[{at['u']}]", at["u"], 0))
+        fields += [("p", f"m[{i}]", i, l + 1) for l, i in enumerate(ps)]
+        if xs:
+            fields.append(("xt", "+".join(f"m[{i}]" for i in xs), None, 0))
+        if ps:
+            fields.append(("pw", "+".join(f"{l + 1}*m[{i}]" for l, i in enumerate(ps)), None, 0))
+        fields += [(kind, f"m[{at[kind]}]", at[kind], 0) for kind in ("z", "hbar") if kind in at]
         self.names = vars_.names
         self.fields = [(kind, f * _FIELD_BITS, l) for f, (kind, _e, _i, l) in enumerate(fields)]
         self.shift = {kind: s for kind, s, _l in self.fields}
@@ -230,12 +210,11 @@ class _Layout:
                 self.bias += _LAURENT_BIAS << s
                 decoded = f"({decoded} - {_LAURENT_BIAS})"
                 checks.append(f"{-lim} <= {expr} < {lim}")
+            elif kind == "u":  # an x_i or p_l is bounded by its total, u by itself
+                checks.append(f"0 <= {expr} < {lim}")
             else:
                 checks.append(f"{expr} < {lim}" if pos is None else f"{expr} >= 0")
             by_pos[pos] = by_kind[kind] = decoded
-        # an x_i or p_l is bounded by its total; u is bounded by itself
-        if vars_.has_u:
-            checks.append(f"m[{i_u}] < {lim}")
         self.pack = eval(f"lambda m: {' + '.join(packed) or '0'} + {self.bias}")
         unpacked = "".join(by_pos[i] + ", " for i in range(vars_.nvars))
         self.unpack = eval(f"lambda k: ({unpacked})")
@@ -466,7 +445,7 @@ class _LinearSum:
     ``add(c, a)`` records ``c * a`` and ``add_product(c, a, b)`` records
     ``c * a * b``; nothing is summed until :meth:`settle`.  Each term is
     kept as its coefficient reduced to ``num / den`` and the operands'
-    integer forms (:meth:`TruncatedSeries._int_items`): the items of a
+    integer forms (:attr:`TruncatedSeries._ints`): the items of a
     scaled series, or for a product the left items, the right operand's
     buckets and the spec in force at that call, whose masks and bucket
     field the pair loop uses.  ``settle()`` takes the lcm D of the
@@ -519,7 +498,7 @@ class _LinearSum:
         self._meet(a)
         if not c:
             return
-        da, items = a._int_items()
+        da, items = a._ints
         if items:
             self.add_items(c.numerator, c.denominator * da, items.items())
 
@@ -536,8 +515,8 @@ class _LinearSum:
         self._meet(a, b)
         if not c:
             return
-        da, a_items = a._int_items()
-        db, b_items = b._int_items()
+        da, a_items = a._ints
+        db, b_items = b._ints
         if not a_items or not b_items:
             return
         if len(a_items) > len(b_items):
@@ -613,7 +592,7 @@ class _LinearSum:
 class TruncatedSeries:
     """Sparse map monomial -> coefficient, with no stored zeros.
 
-    A series stores one form, the integer form of :meth:`_int_items`: a
+    A series stores one form, the integer form ``_ints``: a pair of a
     denominator D and ``{packed key: numerator}``, reduced so that D is the
     lcm of the coefficients' denominators.  ``coeffs`` is a read-only
     ``{monomial: QQ}`` view of it, folded the first time it is read and
@@ -699,7 +678,7 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, vars_: VariableSet, spec: TruncationSpec, c) -> "TruncatedSeries":
-        return cls(vars_, spec, {(0,) * vars_.nvars: c})
+        return cls(vars_, spec, {vars_.monomial({}): c})
 
     @classmethod
     def one(cls, vars_: VariableSet, spec: TruncationSpec) -> "TruncatedSeries":
@@ -713,10 +692,7 @@ class TruncatedSeries:
         exponents: Mapping[str, int],
         coeff=1,
     ) -> "TruncatedSeries":
-        mono = [0] * vars_.nvars
-        for name, e in exponents.items():
-            mono[vars_.index(name)] = e
-        return cls(vars_, spec, {tuple(mono): coeff})
+        return cls(vars_, spec, {vars_.monomial(exponents): coeff})
 
     def is_zero(self) -> bool:
         return not self._ints[1]
@@ -763,18 +739,13 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def _int_items(self) -> tuple[int, dict]:
-        """The integer form ``(D, {packed key: D * coefficient})``, with D
-        the lcm of the denominators so that every numerator is an ``int``."""
-        return self._ints
-
     def _buckets(self, shift: int | None) -> list:
         """The integer items bucketed on the field at ``shift``
         (:func:`_bucketed`), kept beside the integer form for the next
         product with this series on the right."""
         got = self._bkts
         if got is None or got[0] != shift:
-            items = self._int_items()[1].items()
+            items = self._ints[1].items()
             got = self._bkts = (shift, _bucketed(self.vars.layout, shift, items))
         return got[1]
 
@@ -804,7 +775,7 @@ class TruncatedSeries:
 
         Returns ``({k: [(key, numerator)]}, top)``: the terms of weight
         k >= 1 as integer numerators over the series' common denominator
-        (:meth:`_int_items`), and the largest weight an in-spec monomial can
+        (:attr:`_ints`), and the largest weight an in-spec monomial can
         have.  A direction counts toward the weight when the spec bounds it
         above and no monomial of the series has a negative exponent there
         (so powers of the series can only climb and eventually leave the
@@ -815,7 +786,7 @@ class TruncatedSeries:
         spec, vars_ = self.spec, self.vars
         layout = vars_.layout
         metric = layout.metric
-        terms = [(item, metric(item[0])) for item in self._int_items()[1].items()]
+        terms = [(item, metric(item[0])) for item in self._ints[1].items()]
         use_z = (
             vars_.has_z
             and spec.z_window is not None
@@ -874,12 +845,12 @@ class TruncatedSeries:
         layout = vars_.layout
         origin = layout.bias
         f = self
-        d_self, terms = self._int_items()
+        d_self, terms = self._ints
         if origin in terms:
             rest = {k: n for k, n in terms.items() if k != origin}
             f = TruncatedSeries._from_ints(vars_, spec, d_self, rest)
         grades, top = f._grades()
-        d_f = f._int_items()[0]
+        d_f = f._ints[0]
         shift = _bucket_field(vars_, spec)[0]  # every grade sums under this spec
         w: dict[int, tuple[int, list]] = {}  # n -> (den, numerators of w_n)
         g: dict[int, tuple[int, list]] = {}  # n -> (den, buckets of g_n)
@@ -1035,7 +1006,7 @@ class TruncatedSeries:
                 mono[i_tgt] = e
             return pack(mono)
 
-        den, items = self._int_items()
+        den, items = self._ints
         unpack = self.vars.layout.unpack
         groups: dict[tuple[int, ...], list] = {}  # pattern -> [(key of X, numerator)]
         for key, n in items.items():
@@ -1071,7 +1042,7 @@ class TruncatedSeries:
             prev = pattern
             prod = stack[-1]
             if not prod.is_zero():
-                d_prod = prod._int_items()[0]
+                d_prod = prod._ints[0]
                 out.add_pairs(1, den * d_prod, groups[pattern], prod._buckets(shift))
         return out.series()
 
@@ -1080,10 +1051,7 @@ class TruncatedSeries:
     def coefficient(self, exponents: Mapping[str, int]):
         """Coefficient of the given monomial; out-of-bounds is an error, never 0."""
         vars_ = self.vars
-        mono = [0] * vars_.nvars
-        for name, e in exponents.items():
-            mono[vars_.index(name)] = e
-        mono = tuple(mono)
+        mono = vars_.monomial(exponents)
         layout = vars_.layout
         if not layout.fits(mono) or not _passes(_masks(layout, self.spec), layout.pack(mono)):
             raise OutOfBoundsError(
@@ -1098,10 +1066,8 @@ class TruncatedSeries:
         vars_ = self.vars
         i = vars_.index(name)
         layout = vars_.layout
-        factor = [0] * vars_.nvars
-        factor[i] = degree
         # keys are linear in the exponents: removing the factor subtracts its key
-        shift = layout.pack(factor) - layout.bias
+        shift = layout.pack(vars_.monomial({name: degree})) - layout.bias
         unpack = layout.unpack
         den, items = self._ints
         out = {k - shift: n for k, n in items.items() if unpack(k)[i] == degree}
@@ -1115,7 +1081,7 @@ class TruncatedSeries:
     def truncate(self, spec: TruncationSpec) -> "TruncatedSeries":
         """Re-truncate to a (smaller) spec, in the integer form."""
         spec = self.spec.meet(spec)
-        den, items = self._int_items()
+        den, items = self._ints
         masks = _masks(self.vars.layout, spec)
         kept = {k: n for k, n in items.items() if _passes(masks, k)}
         return TruncatedSeries._from_ints(self.vars, spec, den, kept)
@@ -1134,7 +1100,7 @@ class TruncatedSeries:
         runs on the integer form: the denominator is kept and each
         numerator is multiplied by the sign, so no ``QQ`` is built.
         """
-        den, items = self._int_items()
+        den, items = self._ints
         unpack = self.vars.layout.unpack
         layout = vars_.layout
         fits, pack = layout.fits, layout.pack
@@ -1177,7 +1143,7 @@ class TruncatedSeries:
         Rendered from the integer form: each key is unpacked, sorted as
         :meth:`sorted_monomials` sorts, and its numerator put over the
         denominator with one ``gcd``; no ``QQ`` is built."""
-        den, items = self._int_items()
+        den, items = self._ints
         if not items:
             return "0"
         vars_ = self.vars
@@ -1216,7 +1182,7 @@ def _graded_lex(mono: tuple[int, ...], p_start: int) -> tuple:
 def _has_positive_bounded_order(series: TruncatedSeries) -> bool:
     """True if every monomial has positive degree in a direction bounded above."""
     spec, metric = series.spec, series.vars.layout.metric
-    for key in series._int_items()[1]:
+    for key in series._ints[1]:
         xtot, u, _z, hb, pw = metric(key)
         ok = False
         if spec.u_max is not None and u >= 1:
@@ -1250,7 +1216,7 @@ def _raise_exponents(series: TruncatedSeries, l: int) -> TruncatedSeries:
     layout = vars_.layout
     add, sub, guard, over, _xguard = _masks(layout, spec, l)
     shift = layout.bias * (l - 1)
-    den, items = series._int_items()
+    den, items = series._ints
     out = {}
     for key, n in items.items():
         if ((key + add) | (key - sub)) & guard:
@@ -1266,7 +1232,7 @@ def _raise_exponents(series: TruncatedSeries, l: int) -> TruncatedSeries:
 
 def _invert_term(series: TruncatedSeries) -> TruncatedSeries:
     """Inverse of a single-term series (negate exponents, invert coefficient)."""
-    den, items = series._int_items()
+    den, items = series._ints
     if len(items) != 1:
         raise SeriesError(
             "negative exponents only substitutable by a single invertible term"

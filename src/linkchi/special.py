@@ -130,12 +130,7 @@ def s_poly(j: int) -> UniPolynomial:
 
 def _f_series(vars_, spec, var: str, l: int) -> TruncatedSeries:
     """F_l(v) as a series in the variable ``var``."""
-    iv = vars_.index(var)
-    terms = {}
-    for power, c in enumerate(f_poly(l).coeffs):
-        mono = [0] * vars_.nvars
-        mono[iv] = power
-        terms[tuple(mono)] = c
+    terms = {vars_.monomial({var: power}): c for power, c in enumerate(f_poly(l).coeffs) if c}
     return TruncatedSeries(vars_, spec, terms)
 
 
@@ -228,10 +223,9 @@ def log_gamma_series(x_arg: TruncatedSeries, u_arg: TruncatedSeries) -> Truncate
     if x_arg.vars != u_arg.vars or x_arg.spec != u_arg.spec:
         raise SeriesError("x_arg and u_arg must share one variable set and spec")
     if u_arg.vars.has_u:
-        iu = u_arg.vars.index("u")
-        if any(m[iu] == 0 for m in u_arg.coeffs):
+        if 0 in u_arg.exponents_of("u"):
             raise SeriesError("u-argument must have u-order >= 1")
-        if any(m[iu] != 0 for m in x_arg.coeffs):
+        if x_arg.exponents_of("u") - {0}:
             raise SeriesError("x-argument must not depend on u")
     out = _LinearSum(x_arg.vars, x_arg.spec)
     x_pows: list = [TruncatedSeries.one(x_arg.vars, x_arg.spec)]
@@ -310,7 +304,7 @@ def plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
     if series.is_zero():
         return TruncatedSeries.one(vars_, spec)
     layout = vars_.layout
-    den, items = series._int_items()
+    den, items = series._ints
     # n / den is an integer iff den divides n
     bad = [k for k, n in items.items() if n % den or _trunc_weight(spec, layout.metric(k)) < 1]
     if bad:  # name the first offending monomial in graded-lex order

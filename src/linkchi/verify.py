@@ -74,8 +74,11 @@ sum these functions, which a fault would reach on both of its sides:
 
 - the builders of X_{l,1} and F_l(u): ``_mobius_x`` (over
   ``color_power_sum`` and ``_eps_power_sum``) and ``_f_series`` (over
-  ``f_poly``), pinned by ``special-polynomials`` (E_l and F_l) and by
-  ``tables`` and ``oracle``, which run no plethystic transform;
+  ``f_poly``), pinned by ``special-polynomials`` (E_l and F_l), by
+  ``tables`` and ``oracle``, which run no plethystic transform, and by
+  ``homology-specializations``, whose ``f_homology(x_values=...)`` runs
+  ``_mobius_x`` over constant power sums against closed forms built from
+  ``inverse``;
 - the Faulhaber polynomials ``s_poly`` with ``UniPolynomial.at_series``:
   S_j(X_l) in ``log_gamma_series``, and the double sum's column
   polynomials Q_n (``special._column_polys``, built from the S_j).  They

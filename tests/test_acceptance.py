@@ -56,7 +56,7 @@ def test_criterion_1_published_tables():
     candidate_lines = []
     tables = {}
     for g in range(4):
-        tables[g] = euler_table(ODD2, g, 23, f_pi=f_pi, s2_max=23)
+        tables[g] = euler_table(ODD2, g, 23, f_pi=f_pi)
         for t in range(1, 24):
             for s2 in range(24):
                 got = tables[g].rows[t][s2]

@@ -216,6 +216,13 @@ def test_hedgehog_cycle_index_brute_force():
             assert got == want, (d, n)
 
 
+def test_induced_cycle_index_drops_cancelled_traces():
+    # two 3-cycles with opposite traces cancel; the identity keeps p1^3 / 3
+    pairs = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), -1)]
+    z = induced_cycle_index(pairs, 3)
+    assert dict(z.coeffs) == {z.vars.monomial({"p1": 3}): QQ(1, 3)}
+
+
 def test_induced_dihedral_dimension():
     # dim of the induced character is the dihedral index n!/(2n) for n >= 3
     z = z_hedgehog_homology(3, 7)

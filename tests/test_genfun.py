@@ -87,6 +87,18 @@ def test_f_homology_at_ones_even():
     assert fh == closed
 
 
+@pytest.mark.parametrize("m, d", [((1, 1), 3), ((1, 2), 4), ((2, 2), 5)])
+def test_f_homology_at_rational_x_matches_substitution(m, d):
+    # x_values go through _mobius_x over constant power sums; the full F^H,
+    # exact to x-degree 2t, with the constants substituted must agree
+    cfg, t, x = LinkConfig.create(m, d), 6, (QQ(2), QQ(-1, 3))
+    got = f_homology(cfg, t, x_values=x)
+    full = f_homology(cfg, t, x_total_max=2 * t)
+    spec = TruncationSpec(u_max=t)
+    consts = {f"x{i + 1}": TruncatedSeries.constant(UV, spec, v) for i, v in enumerate(x)}
+    assert got == full.substitute(consts)
+
+
 def test_f_homology_stable_under_more_factors():
     assert f_homology(ODD2, 8) == f_homology(ODD2, 8, l_max=20)
 

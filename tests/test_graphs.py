@@ -313,6 +313,60 @@ def test_check_oracle_counts_each_mirror_pair_once(monkeypatch):
     assert len(calls) == 4 * (3 + 5 + 7)
 
 
+def _explicit_sign_parity(adj, hairs, sigma, m, d) -> int:
+    """Reference for ``graphs._vertex_automorphism_sign_parity``: the hair
+    parity of each colour from the explicit permutation of its hair items,
+    each vertex's block of hairs[v][c] items landing on sigma(v)'s block."""
+    n = len(adj)
+    parity = (graphs._perm_parity(sigma) * d) % 2
+    slots = [(i, j) for i in range(n) for j in range(i, n) if adj[i][j] > 0]
+    slot_index = {s: k for k, s in enumerate(slots)}
+    slot_perm, flips = [], 0
+    for i, j in slots:
+        a, b = sigma[i], sigma[j]
+        if i != j and a > b:
+            flips += adj[i][j]
+            a, b = b, a
+        slot_perm.append(slot_index[(a, b)])
+    edge_parity = 0
+    for k, length in graphs._cycles(slot_perm):
+        edge_parity ^= ((length - 1) * adj[slots[k][0]][slots[k][1]]) % 2
+    hair_parities = []
+    for c in range(len(m)):
+        offsets = [0]
+        for v in range(n):
+            offsets.append(offsets[-1] + hairs[v][c])
+        item_perm = [0] * offsets[-1]
+        for v in range(n):
+            for k in range(hairs[v][c]):
+                item_perm[offsets[v] + k] = offsets[sigma[v]] + k
+        hair_parities.append(graphs._perm_parity(item_perm))
+    total_edge_parity = edge_parity
+    for hp in hair_parities:
+        total_edge_parity ^= hp
+    parity ^= (total_edge_parity * (d - 1)) % 2
+    for c in range(len(m)):
+        parity ^= (hair_parities[c] * m[c]) % 2
+    return parity ^ (d * flips) % 2
+
+
+def test_block_parity_rule_matches_explicit_hair_permutation():
+    # every automorphism of every class of several frozen cells, in the four
+    # parity classes and with mixed colour parities, so that a hair term
+    # read from the wrong colour shows
+    moved = 0
+    for s_vec, t in (((1, 1), 4), ((2, 0), 4), ((2, 1), 4), ((3, 0), 4), ((2, 2), 4), ((4, 0), 4)):
+        for _n, adj, hairs, _key, autos in graphs._class_shapes(s_vec, t)[1]:
+            moved += sum(sigma != tuple(range(len(adj))) for sigma in autos)
+            for m in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                for d in (3, 4):
+                    for sigma in autos:
+                        want = _explicit_sign_parity(adj, hairs, sigma, m, d)
+                        got = graphs._vertex_automorphism_sign_parity(adj, hairs, sigma, m, d)
+                        assert got == want, (adj, hairs, sigma, m, d)
+    assert moved == 133 + 187 + 35 + 37 + 12 + 13
+
+
 # Class, killed and Euler-characteristic counts per cell, recorded from the
 # enumeration before it was restricted to vertex-ordered labellings.
 _FROZEN = json.loads((Path(__file__).parent / "golden" / "oracle-cells.json").read_text())

@@ -59,6 +59,47 @@ def test_add_rejects_mismatched_vars():
         one() + TruncatedSeries.one(other, SPEC)
 
 
+FULL = VariableSet(hodge_count=2, has_u=True, has_z=True, has_hbar=True, pcount=3)
+
+
+def test_variable_set_positions_index_names_and_monomial_agree():
+    names = ("x1", "x2", "u", "z", "hbar", "p1", "p2", "p3")
+    assert FULL.names == names and FULL.nvars == len(names)
+    assert dict(FULL.positions) == {name: i for i, name in enumerate(names)}
+    for i, name in enumerate(names):
+        assert FULL.index(name) == i
+        assert FULL.monomial({name: 7}) == tuple(7 if j == i else 0 for j in range(len(names)))
+    assert FULL.monomial({}) == (0,) * len(names)
+    assert FULL.monomial({"p3": 1, "x1": 2, "hbar": -1}) == (2, 0, 0, 0, -1, 0, 0, 1)
+    with pytest.raises(TypeError):
+        FULL.positions["y"] = 8  # read-only
+
+
+@pytest.mark.parametrize(
+    "vars_, name",
+    [(FULL, name) for name in ("x0", "x3", "p0", "y")]
+    + [(VariableSet(hodge_count=2, pcount=3), "u")],
+)
+def test_variable_set_rejects_missing_names(vars_, name):
+    with pytest.raises(KeyError) as err:
+        vars_.index(name)
+    assert err.value.args == (name,)
+    with pytest.raises(KeyError):
+        vars_.monomial({name: 1})
+    with pytest.raises(KeyError):
+        TruncatedSeries.term(vars_, TruncationSpec(), {name: 1})
+
+
+def test_packed_key_layout_is_pinned():
+    # fields of 24 bits from the low end: x1, x2, u, p1, p2, p3, x-total,
+    # p-weight, then z and hbar biased by 2^22
+    mono = FULL.monomial({"x1": 1, "x2": 2, "u": 3, "z": -1, "hbar": 2, "p2": 1})
+    key = 0x400002_3FFFFF_000002_000003_000000_000001_000000_000003_000002_000001
+    assert FULL.layout.pack(mono) == key
+    assert FULL.layout.unpack(key) == mono
+    assert FULL.layout.bias == 0x400000_400000 << 192
+
+
 def test_mul_geometric_inverse():
     geo = TruncatedSeries(XU, SPEC, {(0, 0, t): 1 for t in range(7)})
     assert (one() - s({"u": 1})) * geo == one()
@@ -737,7 +778,7 @@ def spec_pair(draw):
 @given(spec_pair(), scalars)
 def test_linear_ops_match_qq_sums(case, c):
     name, a, b = case
-    d = a._int_items()[0]
+    d = a._ints[0]
     cases = [
         (a + b, [(1, a), (1, b)]),
         (a - b, [(1, a), (-1, b)]),
@@ -752,7 +793,7 @@ def test_linear_ops_match_qq_sums(case, c):
         want = naive_sum(a.vars, a.spec, terms)  # over the meet of the operands' specs
         assert got == want and got.spec == want.spec, name
         # the integer form is reduced: D is the lcm of the denominators
-        den, items = got._int_items()
+        den, items = got._ints
         assert den == lcm(1, *(q.denominator for q in want.coeffs.values())), name
         assert all(items.values()), name
         if not terms:
@@ -862,7 +903,7 @@ def test_lazy_linear_sum_cancels_to_zero(case):
     back = [(-c, *operands[::-1]) for c, *operands in terms]
     total = linear_sum(vars_, spec, terms + back)
     assert_lazy_matches(total, naive_linear_sum(vars_, spec, terms + back))
-    assert total.is_zero() and total._int_items() == (1, {}), name
+    assert total.is_zero() and total._ints == (1, {}), name
 
 
 @settings(max_examples=60, deadline=None)
@@ -872,7 +913,7 @@ def test_lazy_linear_sum_mixed_specs(case):
     total = linear_sum(vars_, spec, terms)
     assert_lazy_matches(total, naive_linear_sum(vars_, spec, terms))
     metric = total.vars.layout.metric
-    assert not any(_outside(total.spec, metric(k)) for k in total._int_items()[1]), name
+    assert not any(_outside(total.spec, metric(k)) for k in total._ints[1]), name
 
 
 def test_lazy_linear_sum_drops_out_of_spec_monomials():
@@ -884,7 +925,7 @@ def test_lazy_linear_sum_drops_out_of_spec_monomials():
     acc.add_product(3, a, b)
     total = acc.series()
     # u^7, u^8 and x1 u^8 lie past SPEC's u_max = 6; u^5 and u^6 stay
-    assert [XU.layout.unpack(k) for k in total._int_items()[1]] == [(0, 0, 5), (0, 0, 6)]
+    assert [XU.layout.unpack(k) for k in total._ints[1]] == [(0, 0, 5), (0, 0, 6)]
     assert total.spec == SPEC
     assert total.coeffs == {(0, 0, 5): 1, (0, 0, 6): QQ(6, 5)}
 
