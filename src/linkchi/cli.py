@@ -17,7 +17,7 @@ import sys
 from .cycleindex import feynman_regrade, mod_envelope_supercharacter
 from .genfun import LinkConfig, euler_table, f_homology
 from .graphs import EnumerationBudget, check_cell, enumerate_classes
-from .rationals import QQ, qq_str
+from .rationals import QQ
 from .series import TruncatedSeries, TruncationSpec, VariableSet
 from .verify import CHECK_NAMES, run_checks
 
@@ -100,10 +100,7 @@ def _series_output(series, fmt: str) -> str:
     """A series as text (canonical form), csv or json, one row per term."""
     if fmt == "text":
         return series.to_text() + "\n"
-    rows = [
-        (series.monomial_str(m), qq_str(series.coeffs[m]))
-        for m in series.sorted_monomials()
-    ]
+    rows = series.rows()
     if fmt == "json":
         terms = [{"monomial": m, "coefficient": c} for m, c in rows]
         return json.dumps({"terms": terms}, indent=2) + "\n"
@@ -133,8 +130,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_supercharacter(args) -> int:
-    if args.genus < 0:
-        raise SystemExit2("--genus must be >= 0")
     if args.weight < 1:  # no positive arity: the empty series
         series = TruncatedSeries.zero(
             VariableSet(has_hbar=True), TruncationSpec(hbar_window=(0, args.genus))
@@ -243,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--twist", choices=("plain", "det"), required=True)
     p.add_argument("--weight", type=_int_at_least(0), required=True,
                    help="arity weight bound (>= 0; 0 gives the empty series)")
-    p.add_argument("--genus", type=int, default=4, help="genus bound")
+    p.add_argument("--genus", type=_int_at_least(0), default=4, help="genus bound (>= 0)")
     p.add_argument("--feynman-regrade", action="store_true",
                    help="emit the Feynman-transform regrading (-Z with p -> -p)")
     add_output(p)

@@ -19,7 +19,7 @@ from collections import Counter
 from itertools import count
 from operator import mul
 
-from .genfun import LinkConfig, _homological_degree, _z_span, color_power_sum
+from .genfun import LinkConfig, _homological_degree, _parity_of, _z_span, color_power_sum
 from .graphs import _cycles, _perm_parity
 from .rationals import QQ, mobius, totient
 from .series import (
@@ -255,7 +255,7 @@ def z_graph_supercharacter(d_parity, weight_max: int, t_max: int) -> TruncatedSe
     Substituting the Euler power sums recovers the homotopy generating
     function F^pi.
     """
-    d_parity = 1 if str(d_parity) in ("1", "odd") else 0
+    d_parity = _parity_of(d_parity)
     if weight_max < 1 or t_max < 1:
         raise ValueError("weight_max and t_max must be >= 1")
     sigma_d = 1 if d_parity else -1
@@ -387,6 +387,8 @@ def induced_cycle_index(pairs, weight_max: int) -> TruncatedSeries:
         raise ValueError("need at least one (permutation, trace) pair")
     traces: dict[tuple[int, ...], QQ] = {}
     for perm, trace in pairs:
+        if len(perm) > weight_max:
+            continue  # every term of a permutation of n points has weight n
         mono = vars_.monomial(Counter(f"p{l}" for _start, l in _cycles(perm)))
         traces[mono] = traces.get(mono, 0) + QQ(trace)
     return TruncatedSeries(vars_, spec, {m: t / len(pairs) for m, t in traces.items()})

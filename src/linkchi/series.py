@@ -28,6 +28,16 @@ be lost this way (``cycleindex.mod_envelope_supercharacter_direct`` states
 its argument).  A change of grading (:meth:`TruncatedSeries.regrade`)
 raises instead of dropping a term below a lower bound.
 
+Climbing directions.  :attr:`TruncationSpec.windows` gives one window
+per direction of ``_Layout.metric`` (x-total, u, z, hbar, p-weight).  A
+series climbs in each direction that its spec bounds above and where
+none of its monomials is negative: there the powers of the series only
+rise, until they pass the bound.  A monomial's weight is its exponent sum
+over those directions; it grades ``exp``, ``log`` and ``inverse`` (a
+monomial of weight 0 is not nilpotent and raises), bounds the plethystic
+sums of :mod:`linkchi.special`, and a replacement for ``u`` in
+:meth:`TruncatedSeries.substitute` must have positive weight everywhere.
+
 Every series stores its terms in one form, the integer form
 :attr:`TruncatedSeries._ints`: one denominator, the lcm of the
 coefficients' denominators, and a dict from packed monomial keys to nonzero
@@ -41,8 +51,8 @@ sums of :mod:`linkchi.special`.  Negation and ``scaled`` multiply the
 numerators, and ``regrade``, ``truncate`` and ``grade_extract`` move or
 filter keys, so a chain of operations builds no ``QQ`` and no tuple.
 ``coeffs`` is a read-only ``{monomial: QQ}`` view for printing and tests,
-folded from the integer form the first time it is read; ``to_text``
-renders from the keys without it.
+folded from the integer form the first time it is read; ``rows`` and
+``to_text`` render from the keys without it.
 
 Packed keys (Monagan & Pearce, "Polynomial division using dynamic arrays,
 heaps, and packed exponent vectors", CASC 2007).  A monomial's key is one
@@ -255,7 +265,9 @@ def _masks(layout: _Layout, spec: "TruncationSpec", l: int = 1) -> tuple[int, ..
     is the storage limit, where failing means overflow, not truncation;
     ``XGUARD`` the x-total guard bit when the spec bounds the x-total.
     A z/hbar window on a direction the layout lacks holds every key or,
-    when it excludes 0, none: then the masks fail every key.
+    when it excludes 0, none: then the masks fail every key.  The bounds
+    are read field by field, not from :attr:`TruncationSpec.windows`, so
+    that the tests' reference, :func:`_outside`, shares no code with them.
     """
     for kind, window in (("z", spec.z_window), ("hbar", spec.hbar_window)):
         if window is not None and kind not in layout.shift and not window[0] <= 0 <= window[1]:
@@ -327,57 +339,37 @@ class TruncationSpec:
     p_weight_max: int | None = _NO_BOUND
 
     def __post_init__(self):
-        if self.u_max is not None and self.u_max < 0:
-            raise SeriesError("u_max must be >= 0")
-        if self.x_total_max is not None and self.x_total_max < 0:
-            raise SeriesError("x_total_max must be >= 0")
-        if self.p_weight_max is not None and self.p_weight_max < 0:
-            raise SeriesError("p_weight_max must be >= 0")
+        for name in ("u_max", "x_total_max", "p_weight_max"):
+            bound = getattr(self, name)
+            if bound is not None and bound < 0:
+                raise SeriesError(f"{name} must be >= 0")
+
+    @cached_property
+    def windows(self) -> tuple:
+        """One inclusive ``(lo, hi)`` per direction, in the order of
+        ``_Layout.metric`` (x-total, u, z, hbar, p-weight), or None where
+        the spec sets no bound; x-total, u and p-weight have ``lo = 0``."""
+        caps = (self.x_total_max, self.u_max, self.p_weight_max)
+        xt, u, pw = (None if cap is None else (0, cap) for cap in caps)
+        return xt, u, self.z_window, self.hbar_window, pw
 
     def meet(self, other: "TruncationSpec") -> "TruncationSpec":
         """Componentwise shrink: the largest spec both operands can honor."""
-
-        def bmin(a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return min(a, b)
-
-        def wmeet(a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return (max(a[0], b[0]), min(a[1], b[1]))
-
-        return TruncationSpec(
-            u_max=bmin(self.u_max, other.u_max),
-            x_total_max=bmin(self.x_total_max, other.x_total_max),
-            z_window=wmeet(self.z_window, other.z_window),
-            hbar_window=wmeet(self.hbar_window, other.hbar_window),
-            p_weight_max=bmin(self.p_weight_max, other.p_weight_max),
+        xt, u, z, hb, pw = (
+            a if b is None else b if a is None else (max(a[0], b[0]), min(a[1], b[1]))
+            for a, b in zip(self.windows, other.windows)
         )
+        return TruncationSpec(u and u[1], xt and xt[1], z, hb, pw and pw[1])
 
 
 def _outside(spec: TruncationSpec, metric) -> int:
     """0 inside the spec, 1 past an upper bound (ordinary truncation), -1
     below the low end of a z/hbar window only (the other directions are
     never negative)."""
-    xtot, u, zz, hb, pw = metric
-    if (
-        (spec.u_max is not None and u > spec.u_max)
-        or (spec.x_total_max is not None and xtot > spec.x_total_max)
-        or (spec.z_window is not None and zz > spec.z_window[1])
-        or (spec.hbar_window is not None and hb > spec.hbar_window[1])
-        or (spec.p_weight_max is not None and pw > spec.p_weight_max)
-    ):
+    bounded = [(w, e) for w, e in zip(spec.windows, metric) if w is not None]
+    if any(e > w[1] for w, e in bounded):
         return 1
-    if (spec.z_window is not None and zz < spec.z_window[0]) or (
-        spec.hbar_window is not None and hb < spec.hbar_window[0]
-    ):
-        return -1
-    return 0
+    return -1 if any(e < w[0] for w, e in bounded) else 0
 
 
 def _below_error(vars_: VariableSet, spec: TruncationSpec, target, source) -> SeriesError:
@@ -387,26 +379,19 @@ def _below_error(vars_: VariableSet, spec: TruncationSpec, target, source) -> Se
     return SeriesError(f"monomial {names} (from {source}) lies below the lower bounds of {spec}")
 
 
-def _trunc_weight(spec: TruncationSpec, metric, use_z=False, use_h=False) -> int:
-    """Degree of a monomial summed over the directions the spec bounds above.
+def _climbing(spec: TruncationSpec, metrics) -> tuple[int, ...]:
+    """The directions the powers of a series climb in (module docstring),
+    as positions in a ``_Layout.metric`` tuple: those the spec bounds above
+    where no metric in ``metrics`` (one per monomial in the spec) is
+    negative.  Where the window's low end is >= 0, none can be."""
+    bounded = [(d, w[0]) for d, w in enumerate(spec.windows) if w is not None]
+    return tuple(d for d, lo in bounded if lo >= 0 or all(m[d] >= 0 for m in metrics))
 
-    u, total x and p-weight count whenever bounded; z and hbar only when
-    the caller flags them (their windows may hold negative exponents).
-    The weight is additive under products, which makes it a grading.
-    """
-    xtot, u, zz, hb, pw = metric
-    w = 0
-    if spec.u_max is not None:
-        w += u
-    if spec.x_total_max is not None:
-        w += xtot
-    if spec.p_weight_max is not None:
-        w += pw
-    if use_z:
-        w += zz
-    if use_h:
-        w += hb
-    return w
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _weight(climbing: tuple[int, ...]):
+    """The weight ``metric -> sum(metric[d] for d in climbing)``, compiled."""
+    return eval(f"lambda m: {' + '.join(f'm[{d}]' for d in climbing) or '0'}")
 
 
 def _bucket_field(vars_: VariableSet, spec: TruncationSpec) -> tuple[int | None, int]:
@@ -776,45 +761,27 @@ class TruncatedSeries:
         Returns ``({k: [(key, numerator)]}, top)``: the terms of weight
         k >= 1 as integer numerators over the series' common denominator
         (:attr:`_ints`), and the largest weight an in-spec monomial can
-        have.  A direction counts toward the weight when the spec bounds it
-        above and no monomial of the series has a negative exponent there
-        (so powers of the series can only climb and eventually leave the
-        spec).  u, total x and p-weight are structurally nonnegative; the
-        z/hbar windows qualify per series.  A monomial of weight 0 is never
-        nilpotent and raises.
+        have.  The weight of a monomial is its exponent sum over the
+        directions the series climbs in (:func:`_climbing`, the rule of the
+        module docstring), and the top weight is the sum of their upper
+        bounds.  A monomial of weight 0 is never nilpotent and raises.
         """
-        spec, vars_ = self.spec, self.vars
-        layout = vars_.layout
-        metric = layout.metric
-        terms = [(item, metric(item[0])) for item in self._ints[1].items()]
-        use_z = (
-            vars_.has_z
-            and spec.z_window is not None
-            and all(met[2] >= 0 for _item, met in terms)
-        )
-        use_h = (
-            vars_.has_hbar
-            and spec.hbar_window is not None
-            and all(met[3] >= 0 for _item, met in terms)
-        )
+        spec, layout = self.spec, self.vars.layout
+        items = list(self._ints[1].items())
+        metrics = [layout.metric(key) for key, _n in items]
+        climbing = _climbing(spec, metrics)
+        weight = _weight(climbing)
         grades: dict[int, list] = {}
-        for item, met in terms:
-            w = _trunc_weight(spec, met, use_z, use_h)
+        for item, met in zip(items, metrics):
+            w = weight(met)
             if w == 0:
                 raise SeriesError(
                     f"monomial {layout.unpack(item[0])} is not nilpotent under "
                     "the truncation spec"
                 )
             grades.setdefault(w, []).append(item)
-        # the heaviest in-spec monomial sits at every upper bound at once
-        corner = (
-            spec.x_total_max or 0,
-            spec.u_max or 0,
-            spec.z_window[1] if use_z else 0,
-            spec.hbar_window[1] if use_h else 0,
-            spec.p_weight_max or 0,
-        )
-        return grades, _trunc_weight(spec, corner, use_z, use_h)
+        # the heaviest in-spec monomial sits at every climbing upper bound
+        return grades, sum(spec.windows[d][1] for d in climbing)
 
     def _exp_log(self, exp: bool) -> "TruncatedSeries":
         """The grades of ``exp(f)`` (``exp=True``) or of ``log(1 + f)``, with
@@ -933,11 +900,11 @@ class TruncatedSeries:
         All replacement series must share one (VariableSet, spec) — that
         pair defines the result.  Variables of ``self`` not being
         substituted (carried) must exist under the same name in the result
-        set.  Substituting ``u`` requires the replacement to have positive
-        order in some direction the result spec bounds above, so that the
-        source truncation at u^T stays sound.  A variable occurring with
-        negative exponents can only be replaced by an invertible term
-        (single monomial with nonzero coefficient).
+        set.  Substituting ``u`` requires every monomial of the replacement
+        to have positive weight in the directions it climbs in (module
+        docstring), so that the source truncation at u^T stays sound.  A
+        variable occurring with negative exponents can only be replaced by
+        an invertible term (single monomial with nonzero coefficient).
 
         The source monomials are grouped by their pattern: the exponents of
         the carried z and hbar, then those at the substituted positions.
@@ -971,11 +938,11 @@ class TruncatedSeries:
                 raise SeriesError("replacement series must share one variable set and spec")
 
         if "u" in repls:
-            u_repl = repls["u"]
-            if not _has_positive_bounded_order(u_repl):
+            metrics = [tvars.layout.metric(key) for key in repls["u"]._ints[1]]
+            if not all(map(_weight(_climbing(tspec, metrics)), metrics)):
                 raise SeriesError(
                     "substituting u requires a replacement of positive order "
-                    "in a truncated direction (u <- constant is unsound)"
+                    "in a climbing direction (u <- constant is unsound)"
                 )
 
         substituted: list[tuple[int, TruncatedSeries]] = []  # (source position, replacement)
@@ -1123,11 +1090,6 @@ class TruncatedSeries:
 
     # ------------------------------------------------------ presentation
 
-    def sorted_monomials(self) -> list[tuple[int, ...]]:
-        """Graded-lex order: weighted total degree first (weight(p_l) = l), then lex."""
-        p_start = self.vars.p_start()
-        return sorted(self.coeffs, key=lambda m: _graded_lex(m, p_start))
-
     def monomial_str(self, mono: tuple[int, ...]) -> str:
         parts = []
         for name, e in zip(self.vars.names, mono):
@@ -1137,25 +1099,28 @@ class TruncatedSeries:
                 parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
 
-    def to_text(self) -> str:
-        """Canonical text form: graded-lex monomials, rational coefficients.
-
-        Rendered from the integer form: each key is unpacked, sorted as
-        :meth:`sorted_monomials` sorts, and its numerator put over the
-        denominator with one ``gcd``; no ``QQ`` is built."""
+    def rows(self) -> list[tuple[str, str]]:
+        """The terms as ``(monomial, coefficient)`` text in graded-lex
+        order (:func:`_graded_lex`), for :meth:`to_text` and the CLI's csv
+        and json.  Rendered from the integer form: each numerator goes over
+        the denominator with one ``gcd``, and no ``QQ`` is built."""
         den, items = self._ints
-        if not items:
-            return "0"
-        vars_ = self.vars
-        unpack = vars_.layout.unpack
-        p_start = vars_.p_start()
-        rows = [(_graded_lex(unpack(key), p_start), n) for key, n in items.items()]
-        rows.sort(key=lambda row: row[0])
-        terms = []
-        for (_grade, mono), n in rows:
+        unpack = self.vars.layout.unpack
+        p_start = self.vars.p_start()
+        keyed = [(_graded_lex(unpack(key), p_start), n) for key, n in items.items()]
+        keyed.sort(key=lambda row: row[0])
+        rows = []
+        for (_grade, mono), n in keyed:
             r = gcd(n, den)
-            cs = str(n // r) if r == den else f"{n // r}/{den // r}"
-            ms = self.monomial_str(mono)
+            coeff = str(n // r) if r == den else f"{n // r}/{den // r}"
+            rows.append((self.monomial_str(mono), coeff))
+        return rows
+
+    def to_text(self) -> str:
+        """Canonical text form: the :meth:`rows` joined by `` + ``, a
+        coefficient 1 or -1 written as the sign of the monomial."""
+        terms = []
+        for ms, cs in self.rows():
             if ms == "1":
                 terms.append(cs)
             elif cs == "1":
@@ -1164,7 +1129,7 @@ class TruncatedSeries:
                 terms.append(f"-{ms}")
             else:
                 terms.append(f"{cs}*{ms}")
-        return " + ".join(terms)
+        return " + ".join(terms) or "0"
 
     def __repr__(self):
         text = self.to_text()
@@ -1177,25 +1142,6 @@ def _graded_lex(mono: tuple[int, ...], p_start: int) -> tuple:
     """Sort key of the text forms: the weighted total degree (|e| for x, u,
     z and hbar, l * e for p_l), then the exponents in lex order."""
     return sum(map(abs, mono[:p_start])) + sum(map(mul, count(1), mono[p_start:])), mono
-
-
-def _has_positive_bounded_order(series: TruncatedSeries) -> bool:
-    """True if every monomial has positive degree in a direction bounded above."""
-    spec, metric = series.spec, series.vars.layout.metric
-    for key in series._ints[1]:
-        xtot, u, _z, hb, pw = metric(key)
-        ok = False
-        if spec.u_max is not None and u >= 1:
-            ok = True
-        if spec.x_total_max is not None and xtot >= 1:
-            ok = True
-        if spec.p_weight_max is not None and pw >= 1:
-            ok = True
-        if spec.hbar_window is not None and hb >= 1:
-            ok = True
-        if not ok:
-            return False
-    return True
 
 
 def _raise_exponents(series: TruncatedSeries, l: int) -> TruncatedSeries:

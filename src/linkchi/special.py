@@ -22,9 +22,10 @@ from .series import (
     SeriesError,
     TruncatedSeries,
     _LinearSum,
+    _climbing,
     _graded_lex,
     _raise_exponents,
-    _trunc_weight,
+    _weight,
 )
 
 __all__ = [
@@ -250,18 +251,20 @@ def gamma_series(x_arg: TruncatedSeries, u_arg: TruncatedSeries) -> TruncatedSer
     return log_gamma_series(x_arg, u_arg).exp()
 
 
-def _plethystic_bound(spec) -> int:
+def _plethystic_bound(series: TruncatedSeries) -> int:
     """Largest l a plethystic sum over x_i <- x_i^l, u <- u^l needs.
 
-    The maximum of the u, x-total and p-weight bounds.  It is exact, not
-    heuristic: a monomial of positive degree in a bounded direction has
-    degree >= l there after raising, so for l above every bound each such
-    monomial leaves the spec.
+    The largest upper bound among the directions the series climbs in
+    (:func:`~linkchi.series._climbing`).  It is exact, not heuristic: a
+    monomial of positive weight has degree >= 1 in a climbing direction,
+    so degree >= l there after raising, and for l above every bound each
+    such monomial leaves the spec.
     """
-    bounds = [b for b in (spec.u_max, spec.x_total_max, spec.p_weight_max) if b is not None]
-    if not bounds:
+    spec, metric = series.spec, series.vars.layout.metric
+    climbing = _climbing(spec, [metric(key) for key in series._ints[1]])
+    if not climbing:
         raise SeriesError("plethystic transforms need a truncated direction")
-    return max(bounds)
+    return max(spec.windows[d][1] for d in climbing)
 
 
 def plethystic_log(series: TruncatedSeries) -> TruncatedSeries:
@@ -270,8 +273,9 @@ def plethystic_log(series: TruncatedSeries) -> TruncatedSeries:
     Extracts the exponents chi from a product of the form
     prod (1 - x^s u^t)^(-chi); inverse of :func:`plethystic_exp`.  The
     bound on l is :func:`_plethystic_bound`: ``log`` accepts only
-    series whose non-constant monomials have positive degree in a bounded
-    direction, so every l above it contributes log(1) = 0.
+    series whose non-constant monomials have positive weight in the
+    directions the series climbs in, so every l above it contributes
+    log(1) = 0.
     """
     if series.constant_term() != 1:
         raise SeriesError("plethystic_log requires constant term 1")
@@ -279,7 +283,7 @@ def plethystic_log(series: TruncatedSeries) -> TruncatedSeries:
     if vars_.has_z or vars_.has_hbar or vars_.pcount:
         raise SeriesError("plethystic_log is defined on x/u series only")
     out = _LinearSum(vars_, spec)
-    for l in range(1, _plethystic_bound(spec) + 1):
+    for l in range(1, _plethystic_bound(series) + 1):
         ml = mobius(l)
         if ml == 0:
             continue
@@ -294,9 +298,9 @@ def plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
     factor is ``exp(-chi_m log(1 - m)) = exp(chi_m sum_l m^l / l)``, and
     summing over m puts the l-th power of every monomial into
     ``series(x^l, u^l)``.  ``L`` is :func:`_plethystic_bound`, exact
-    because every monomial must have positive degree in a bounded u,
-    x-total or p-weight direction.  Requires integer coefficients and
-    zero constant term.
+    because every monomial must have positive weight in the directions
+    the series climbs in (:mod:`linkchi.series`).  Requires integer
+    coefficients and zero constant term.
     """
     vars_, spec = series.vars, series.spec
     if series.constant_term() != 0:
@@ -305,8 +309,10 @@ def plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
         return TruncatedSeries.one(vars_, spec)
     layout = vars_.layout
     den, items = series._ints
+    metrics = {k: layout.metric(k) for k in items}
+    weight = _weight(_climbing(spec, metrics.values()))
     # n / den is an integer iff den divides n
-    bad = [k for k, n in items.items() if n % den or _trunc_weight(spec, layout.metric(k)) < 1]
+    bad = [k for k, n in items.items() if n % den or not weight(metrics[k])]
     if bad:  # name the first offending monomial in graded-lex order
         p_start = vars_.p_start()
         key = min(bad, key=lambda k: _graded_lex(layout.unpack(k), p_start))
@@ -316,6 +322,6 @@ def plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
         mono = layout.unpack(key)
         raise SeriesError(f"monomial {mono} cannot be plethystically exponentiated")
     arg = _LinearSum(vars_, spec)
-    for l in range(1, _plethystic_bound(spec) + 1):
+    for l in range(1, _plethystic_bound(series) + 1):
         arg.add(QQ(1, l), _raise_exponents(series, l))
     return arg.series().exp()

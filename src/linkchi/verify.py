@@ -77,8 +77,8 @@ sum these functions, which a fault would reach on both of its sides:
   ``f_poly``), pinned by ``special-polynomials`` (E_l and F_l), by
   ``tables`` and ``oracle``, which run no plethystic transform, and by
   ``homology-specializations``, whose ``f_homology(x_values=...)`` runs
-  ``_mobius_x`` over constant power sums against closed forms built from
-  ``inverse``;
+  ``_mobius_x`` over constant power sums, at odd m (eps_i = 1) and even m
+  (eps_i = -1), against closed forms built from ``inverse`` and products;
 - the Faulhaber polynomials ``s_poly`` with ``UniPolynomial.at_series``:
   S_j(X_l) in ``log_gamma_series``, and the double sum's column
   polynomials Q_n (``special._column_polys``, built from the S_j).  They
@@ -267,6 +267,14 @@ def check_homology_specializations(res: CheckResult, t_max: int = 12) -> None:
             if got != closed:
                 res.fail(f"x=1 r={r} d={'odd' if sgn>0 else 'even'}: "
                          f"{_first_difference(got, closed)}")
+        # all x = 1, all m = 2 (eps = -1): prod_{k<r}(1 + ku) odd d, (1 - ku) even
+        for d, sgn in ((5, 1), (4, -1)):
+            got = f_homology(LinkConfig.create((2,) * r, d), t_max, x_values=[1] * r)
+            closed = one
+            for k in range(1, r):
+                closed = closed * (one + u.scaled(sgn * k))
+            if got != closed:
+                res.fail(f"x=1 m=2 r={r} d={d}: {_first_difference(got, closed)}")
     for r in (2,):
         # all x = -1: rational closed forms with denominators 1 - u -+ 2ku^2
         cfg_odd = LinkConfig.create((1,) * r, 3)

@@ -94,12 +94,23 @@ def naive_substitute(series: TruncatedSeries, assignments) -> TruncatedSeries:
     return naive_sum(vars_, spec, terms)
 
 
+def graded_lex(series: TruncatedSeries) -> list:
+    """The monomials of ``series`` in the order of the text form: weighted
+    total degree (|e| for x, u, z and hbar, l * e for p_l), then lex."""
+    weights = [int(name[1:]) if name.startswith("p") else None for name in series.vars.names]
+
+    def key(mono):
+        return sum(abs(e) if w is None else w * e for w, e in zip(weights, mono)), mono
+
+    return sorted(series.coeffs, key=key)
+
+
 def naive_to_text(series: TruncatedSeries) -> str:
     """The text form rendered from the ``QQ`` coefficients."""
     if not series.coeffs:
         return "0"
     terms = []
-    for mono in series.sorted_monomials():
+    for mono in graded_lex(series):
         ms = series.monomial_str(mono)
         cs = qq_str(series.coeffs[mono])
         if ms == "1":
@@ -151,7 +162,7 @@ def naive_plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
     if series.constant_term() != 0:
         raise SeriesError("plethystic_exp requires zero constant term")
     out = TruncatedSeries.one(vars_, spec)
-    for mono in series.sorted_monomials():
+    for mono in graded_lex(series):
         c = series.coeffs[mono]
         if c.denominator != 1:
             raise SeriesError(f"plethystic_exp requires integer coefficients, got {c}")

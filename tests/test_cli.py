@@ -129,7 +129,7 @@ def test_supercharacter_negative_genus_rejected(capsys, weight):
     out, err = capsys.readouterr()
     assert exc.value.code == 2
     assert out == ""
-    assert "--genus must be >= 0" in err
+    assert "--genus: must be >= 0, got -1" in err
 
 
 def test_supercharacter_negative_weight_rejected(capsys):
@@ -327,6 +327,17 @@ def test_verify_pins_every_power_sum_polynomial_the_double_sum_uses(capsys, monk
     out, _ = capsys.readouterr()
     assert code == 1
     assert "s-poly: S_20(1) is not the power sum" in out
+
+
+def test_verify_homology_specializations_pins_the_sign_at_even_m(capsys, monkeypatch):
+    # eps_i = (-1)^(m_i - 1) is -1 only at even m_i: dropping it must fail
+    from linkchi.genfun import LinkConfig
+
+    monkeypatch.setattr(LinkConfig, "eps", lambda self, i: 1)
+    code = cli.main(["verify", "--only", "homology-specializations", "--t-max", "6"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] homology-specializations" in out and "x=1 m=2 r=2 d=5" in out
 
 
 def test_verify_check_that_raises_is_a_failure(capsys, monkeypatch):

@@ -107,6 +107,15 @@ def test_supercharacter_weight_bound_matches_genus():
         assert w <= mono[iu] + 1
 
 
+def test_supercharacter_parses_parity_as_link_config_does():
+    odd, even = z_graph_supercharacter("odd", 4, 4), z_graph_supercharacter("even", 4, 4)
+    assert odd != even
+    assert z_graph_supercharacter(3, 4, 4) == z_graph_supercharacter("ODD", 4, 4) == odd
+    assert z_graph_supercharacter(4, 4, 4) == even
+    with pytest.raises(ValueError, match="banana"):
+        z_graph_supercharacter("banana", 4, 4)
+
+
 def test_tree_homology_euler_specialization():
     cfg = LinkConfig.create((1, 1), 3)
     zt = z_tree_homology(3, 7)
@@ -221,6 +230,14 @@ def test_induced_cycle_index_drops_cancelled_traces():
     pairs = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), -1)]
     z = induced_cycle_index(pairs, 3)
     assert dict(z.coeffs) == {z.vars.monomial({"p1": 3}): QQ(1, 3)}
+
+
+def test_induced_cycle_index_drops_permutations_past_the_weight_bound():
+    # a 3-cycle on 3 points, and short cycles on 3 points: weight 3 > 2
+    cyclic = [((1, 2, 0), 1), ((0, 1, 2), 1), ((2, 0, 1), 1)]
+    swaps = [((1, 0, 2), 1), ((0, 1, 2), 1)]
+    for pairs in (cyclic, swaps):
+        assert induced_cycle_index(pairs, 2).is_zero()
 
 
 def test_induced_dihedral_dimension():

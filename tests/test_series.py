@@ -1228,6 +1228,59 @@ def test_raise_exponents_matches_raising_each_monomial(case, spec, l):
         assert _raise_exponents(series, l) == TruncatedSeries(vars_, spec, kept)
 
 
+# -------------------------- one reading of the spec: windows and climbing
+
+
+def field_meet(a, b):
+    """The meet of two specs, written field by field."""
+
+    def cap(x, y):
+        return y if x is None else x if y is None else min(x, y)
+
+    def window(x, y):
+        return y if x is None else x if y is None else (max(x[0], y[0]), min(x[1], y[1]))
+
+    return TruncationSpec(
+        u_max=cap(a.u_max, b.u_max),
+        x_total_max=cap(a.x_total_max, b.x_total_max),
+        z_window=window(a.z_window, b.z_window),
+        hbar_window=window(a.hbar_window, b.hbar_window),
+        p_weight_max=cap(a.p_weight_max, b.p_weight_max),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_spec(), random_spec())
+def test_meet_matches_field_by_field(a, b):
+    assert a.meet(b) == field_meet(a, b)
+    assert a.meet(TruncationSpec()) == TruncationSpec().meet(a) == a
+
+
+def test_windows_follow_the_metric_order():
+    vars_ = VariableSet(hodge_count=1, has_u=True, has_z=True, has_hbar=True, pcount=1)
+    layout = vars_.layout
+    for field, name in [
+        ("x_total_max", "x1"),
+        ("u_max", "u"),
+        ("z_window", "z"),
+        ("hbar_window", "hbar"),
+        ("p_weight_max", "p1"),
+    ]:
+        windows = TruncationSpec(**{field: (-1, 5) if "window" in field else 5}).windows
+        metric = layout.metric(layout.key(vars_.monomial({name: 1})))
+        assert [w is not None for w in windows] == [e == 1 for e in metric], field
+        assert windows[metric.index(1)][1] == 5, field
+
+
+def test_window_on_a_missing_direction_changes_no_exp_or_log():
+    # XU has no z or hbar: a window there bounds nothing the series climbs in
+    f = s({"u": 1}) + s({"x1": 1, "u": 1}, 3) + s({"x2": 2}, QQ(1, 2))
+    wide = f.truncate(TruncationSpec(z_window=(0, 3), hbar_window=(-2, 9)))
+    assert wide.spec != f.spec and wide == f
+    assert wide.exp() == f.exp()
+    assert (wide + one()).log() == (f + one()).log()
+
+
 # ------------------------------------ text form from the integer form
 
 

@@ -190,11 +190,18 @@ def test_plethystic_exp_rejects_monomial_without_truncated_weight():
     spec = TruncationSpec(u_max=4)
     with pytest.raises(SeriesError, match="plethystically"):
         plethystic_exp(TruncatedSeries.term(XUV, spec, {"x1": 1}))
-    # z-degree alone does not count either, even with every z-exponent >= 0
+
+
+def test_plethystic_exp_counts_a_window_no_monomial_is_negative_in():
+    # the series climbs in z, so 1/(1 - z) is sum_k z^k up to the window
     zv = VariableSet(has_u=True, has_z=True)
     zspec = TruncationSpec(u_max=4, z_window=(0, 4))
+    got = plethystic_exp(TruncatedSeries.term(zv, zspec, {"z": 1}))
+    assert got == TruncatedSeries(zv, zspec, {(0, k): 1 for k in range(5)})
+    # with a negative z-exponent anywhere, z no longer counts
+    mixed = TruncatedSeries(zv, TruncationSpec(u_max=4, z_window=(-1, 4)), {(0, 1): 1, (1, -1): 1})
     with pytest.raises(SeriesError, match="plethystically"):
-        plethystic_exp(TruncatedSeries.term(zv, zspec, {"z": 1}))
+        plethystic_exp(mixed)
 
 
 def test_plethystic_exp_raises_on_exponents_raised_below_the_window():
