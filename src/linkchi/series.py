@@ -111,6 +111,8 @@ _FIELD_MASK = (1 << _FIELD_BITS) - 1
 _EXP_LIMIT = 1 << (_FIELD_BITS - 3)  # |exponent|, x-total and p-weight stay below
 _GUARD = 1 << (_FIELD_BITS - 1)
 _LAURENT_BIAS = 2 * _EXP_LIMIT
+# the directions of ``_Layout.metric`` and ``TruncationSpec.windows``, in order
+_DIRECTIONS = ("xt", "u", "z", "hbar", "pw")
 
 
 class SeriesError(ValueError):
@@ -229,7 +231,7 @@ class _Layout:
         unpacked = "".join(by_pos[i] + ", " for i in range(vars_.nvars))
         self.unpack = eval(f"lambda k: ({unpacked})")
         self.fits = eval(f"lambda m: {' and '.join(checks)}")
-        met = [by_kind.get(kind, "0") for kind in ("xt", "u", "z", "hbar", "pw")]
+        met = [by_kind.get(kind, "0") for kind in _DIRECTIONS]
         self.metric = eval(f"lambda k: ({', '.join(met)})")
 
     def key(self, mono) -> int:
@@ -347,8 +349,9 @@ class TruncationSpec:
     @cached_property
     def windows(self) -> tuple:
         """One inclusive ``(lo, hi)`` per direction, in the order of
-        ``_Layout.metric`` (x-total, u, z, hbar, p-weight), or None where
-        the spec sets no bound; x-total, u and p-weight have ``lo = 0``."""
+        ``_Layout.metric`` (x-total, u, z, hbar, p-weight; named in
+        ``_DIRECTIONS``), or None where the spec sets no bound; x-total, u
+        and p-weight have ``lo = 0``."""
         caps = (self.x_total_max, self.u_max, self.p_weight_max)
         xt, u, pw = (None if cap is None else (0, cap) for cap in caps)
         return xt, u, self.z_window, self.hbar_window, pw
@@ -806,7 +809,10 @@ class TruncatedSeries:
         numerator over its own denominator (f's lcm for the given side,
         reduced by a gcd for the solved side).  Output grade n is the solved
         side's numerators over ``den * n``, den the grade sum's denominator;
-        the result takes the lcm of these and keeps the integer form.
+        the result takes the lcm of these and keeps the integer form.  The
+        recurrence reads ``g_0 = 1`` only through the given grades ``n f_n``,
+        so exp's output holds the monomial 1 only where the spec does (a z
+        or hbar window may exclude the exponent 0).
         """
         vars_, spec = self.vars, self.spec
         layout = vars_.layout
@@ -829,7 +835,9 @@ class TruncatedSeries:
                 g[k] = (d_f, _bucketed(layout, shift, items))
         sign = 1 if exp else -1
         kmax = max(grades, default=0)
-        out = [(1, [(origin, 1)])] if exp else []  # (den, grade)
+        # (den, grade); exp's grade 0 is the monomial 1, where the spec holds it
+        seed = exp and _passes(_masks(layout, spec), origin)
+        out = [(1, [(origin, 1)])] if seed else []
         empty_run = 0
         for n in range(1, top + 1):
             grade = _LinearSum(vars_, spec)
@@ -1146,11 +1154,9 @@ def _graded_lex(mono: tuple[int, ...], p_start: int) -> tuple:
 
 def _raise_exponents(series: TruncatedSeries, l: int) -> TruncatedSeries:
     """x_i <- x_i^l, u <- u^l (all variables raised), for the plethystic
-    transforms of :mod:`linkchi.special` and for the Moebius double sum,
-    which raises its factors in u (or hbar) alone from v to v^k.  Past an
-    upper bound a monomial drops; below a z/hbar window (or past the
-    storage limit of a field) it raises :class:`SeriesError`, as
-    :meth:`TruncatedSeries.regrade` does.
+    transforms of :mod:`linkchi.special`.  Past an upper bound a monomial
+    drops; below a z/hbar window (or past the storage limit of a field) it
+    raises :class:`SeriesError`, as :meth:`TruncatedSeries.regrade` does.
 
     Runs on the integer form: raising multiplies every field of a packed
     key by l, so the key of the raised monomial is ``key * l`` less the

@@ -19,11 +19,16 @@ from functools import lru_cache
 
 from .rationals import CACHE_SIZE, QQ, bernoulli, binomial, divisors, mobius
 from .series import (
+    _DIRECTIONS,
     SeriesError,
     TruncatedSeries,
+    TruncationSpec,
+    VariableSet,
     _LinearSum,
     _climbing,
     _graded_lex,
+    _masks,
+    _passes,
     _raise_exponents,
     _weight,
 )
@@ -160,6 +165,46 @@ def _column_polys(j_max: int) -> tuple[UniPolynomial, ...]:
     return tuple(UniPolynomial(c) for c in cols)
 
 
+_V = VariableSet(has_u=True)  # the one-variable layout of :func:`_v_factors`
+
+
+def _frozen(series: TruncatedSeries) -> tuple:
+    """The integer form of a series of ``_V`` as ``(den, ((e, n), ...))``,
+    the terms ``n / den * v^e`` by rising e."""
+    den, items = series._ints
+    unpack = _V.layout.unpack
+    return den, tuple(sorted((unpack(key)[0], n) for key, n in items.items()))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _v_factors(l: int, sigma_d: int, top: int, j_max: int) -> tuple:
+    """The double sum's factors in its variable v alone, for one l:
+    ``(cols, log_fl)``.  ``cols`` holds Q_1(V_l), ..., Q_{j_max+1}(V_l)
+    (:func:`_column_polys`) with ``V_l = sigma_d l v^l / F_l(v)``, and is
+    empty when j_max < 1; ``log_fl`` is log F_l, None for l = 1 (F_1 = 1).
+    Each is built in the one-variable layout ``_V`` under ``u_max = top``
+    and returned frozen (:func:`_frozen`), so no caller can change a cached
+    value."""
+    spec = TruncationSpec(u_max=top)
+    fl = _f_series(_V, spec, "u", l)
+    cols = ()
+    if j_max >= 1:
+        v_l = TruncatedSeries.term(_V, spec, {"u": l}, sigma_d * l) * fl.inverse()
+        powers = [TruncatedSeries.one(_V, spec)]
+        cols = tuple(_frozen(q.at_series(v_l, powers)) for q in _column_polys(j_max))
+    return cols, (_frozen(fl.log()) if l > 1 else None)
+
+
+def _placed(vars_, spec, factor: tuple, k: int, top: int, step: int) -> TruncatedSeries:
+    """A frozen factor f of :func:`_v_factors` as the series f(v^k) of
+    ``(vars_, spec)``: v^e goes to the key ``bias + k e step``, ``step``
+    being the key of v less the bias, for every e with k e <= top."""
+    den, items = factor
+    bias = vars_.layout.bias
+    terms = {bias + k * e * step: n for e, n in items if k * e <= top}
+    return TruncatedSeries._from_ints(vars_, spec, den, terms)
+
+
 def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_sum):
     """The double sum behind F^pi and the graph supercharacters.
 
@@ -171,26 +216,33 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
     and the second kl <= 2 t_max (log F_l(v^k) has v-order
     k(l - l/p1) >= kl/2).
 
-    Two identities cut the work.  The factors in v depend on l and k
-    alone, and ``V_{kl}(v) = V_l(v^k)``, ``log F_l(v^k) = (log F_l)(v^k)``:
-    ``V_l`` and ``log F_l`` are built once per l, and their images for
-    each k are raised by :func:`~linkchi.series._raise_exponents`.  The
-    j-sum goes by columns, ``sum_j S_j(X) V^j / j = sum_n X^n Q_n(V)``,
-    with the Q_n of :func:`_column_polys` evaluated once per l at V_l
-    and raised to ``Q_n(V_{kl})``.  Raising is exact: these are series in
-    v alone with nonnegative exponents, raising keeps a term iff its
-    v-exponent times k lies in the spec (the spec's bounds divided by k
-    are tested on the source key), and for k > 1 the terms it drops,
-    among them every ``V_l^j`` with j > t_max/(kl), lie past the spec's
-    bound on v.  Every term goes into one
-    :class:`~linkchi.series._LinearSum`: each product is added straight
-    from its factors' integer numerators, never built as a series.
+    Two identities cut the work.  ``V_{kl}(v) = V_l(v^k)`` and ``log
+    F_l(v^k) = (log F_l)(v^k)``, and the j-sum goes by columns, ``sum_j
+    S_j(X) V^j / j = sum_n X^n Q_n(V)`` with the Q_n of
+    :func:`_column_polys`.  So the factors in v, Q_n(V_l) and log F_l,
+    depend on (l, sigma_d, top) alone, top the upper bound of the spec's
+    ``var`` window: :func:`_v_factors` builds them once per process, and
+    each call places them at v^k (:func:`_placed`) in its own layout.
+    Placing is exact: these are series in v alone with exponents in [0,
+    top], a placed term lies in the spec iff its v-exponent does, since
+    the monomial 1 does (checked here), and for k > 1 the terms it drops,
+    among them every ``V_l^j`` with j > t_max/(kl), lie past top.  Every
+    term goes into one :class:`~linkchi.series._LinearSum`: each product
+    is added straight from its factors' integer numerators, never built
+    as a series.
     """
+    layout = vars_.layout
+    window = spec.windows[_DIRECTIONS.index(var)]
+    if window is None or not _passes(_masks(layout, spec), layout.bias):
+        raise SeriesError(
+            f"the double sum needs an upper bound on {var} and the monomial 1 in {spec}"
+        )
+    top = window[1]
+    step = layout.pack(vars_.monomial({var: 1})) - layout.bias
     sums = {n: power_sum(n) for n in range(1, 2 * t_max + 1)}
     out = _LinearSum(vars_, spec)
     for l in range(1, 2 * t_max + 1):
-        fl = _f_series(vars_, spec, var, l)
-        log_fl = cols = None  # built on first use
+        factors = None  # read on first use
         for k in range(1, 2 * t_max // l + 1):
             mk = mobius(k)
             if mk == 0:
@@ -198,20 +250,16 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
             x = _mobius_x(vars_, spec, l, k, sums.__getitem__)
             if x.is_zero():
                 continue
+            if factors is None:
+                cols, log_fl = factors = _v_factors(l, sigma_d, top, t_max // l)
             if k * l <= t_max:
-                if cols is None:
-                    v_l = TruncatedSeries.term(vars_, spec, {var: l}, sigma_d * l) * fl.inverse()
-                    powers = [TruncatedSeries.one(vars_, spec)]
-                    cols = [q.at_series(v_l, powers) for q in _column_polys(t_max // l)]
                 x_pow = x
                 for n, q in enumerate(cols[: t_max // (k * l) + 1]):
                     if n:
                         x_pow = x_pow * x
-                    out.add_product(QQ(mk, k), x_pow, _raise_exponents(q, k))
-            if l > 1:  # F_1 = 1 contributes nothing
-                if log_fl is None:
-                    log_fl = fl.log()
-                out.add_product(QQ(-mk, k), x, _raise_exponents(log_fl, k))
+                    out.add_product(QQ(mk, k), x_pow, _placed(vars_, spec, q, k, top, step))
+            if log_fl is not None:  # F_1 = 1 contributes nothing
+                out.add_product(QQ(-mk, k), x, _placed(vars_, spec, log_fl, k, top, step))
     return out.series()
 
 

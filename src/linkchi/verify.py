@@ -83,12 +83,21 @@ sum these functions, which a fault would reach on both of its sides:
   S_j(X_l) in ``log_gamma_series``, and the double sum's column
   polynomials Q_n (``special._column_polys``, built from the S_j).  They
   are pinned by ``special-polynomials`` (S_j against brute-force power
-  sums for every j <= t_max) and by ``tables`` and ``oracle``;
-- ``series._raise_exponents``: x_i^l, u^l in ``plethystic_log`` and
-  ``plethystic_exp``, v^k in the double sum.  It is pinned by the
-  ``_raise_exponents`` property tests in ``tests/test_series.py``, by
-  ``tables`` and ``oracle``, and in the hbar window by "modular envelope
-  two routes" (``cycle-index``), whose regraded side raises only u.
+  sums for every j <= t_max) and by ``tables`` and ``oracle``.
+
+``series._raise_exponents`` is no longer shared: it raises x_i^l, u^l in
+``plethystic_log`` and ``plethystic_exp`` only, and the double sum places
+its factors at v^k by key arithmetic of its own (``special._placed``).
+The double sum's factors in v alone, Q_n(V_l) and log F_l, come from one
+cache, ``special._v_factors``, built once per (l, sigma_d, top) in a
+one-variable layout.  It is shared by F^pi direct, ``z_graph_supercharacter``
+and both modular-envelope routes, which already shared the double sum.
+``f_homology`` builds V_l and log F_l itself and deliberately does not
+read it, nor do the plethystic transforms, so a fault in the cache reaches
+one side of "direct vs plethystic" and ``tables-second-route`` only; a
+test (``tests/test_special.py``) breaks the cache and sees those routes
+still run, then corrupts one coefficient and sees ``route-equivalence``
+and ``tables`` fail.
 
 Two routes that share no formula pin each genus-0/1 quantity:
 ``genus0_closed`` by hbar^0 of the double sum and by the tree

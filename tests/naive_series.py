@@ -161,19 +161,20 @@ def naive_plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
     vars_, spec = series.vars, series.spec
     if series.constant_term() != 0:
         raise SeriesError("plethystic_exp requires zero constant term")
+    weight = _climbing_weight(series)
     out = TruncatedSeries.one(vars_, spec)
     for mono in graded_lex(series):
         c = series.coeffs[mono]
         if c.denominator != 1:
             raise SeriesError(f"plethystic_exp requires integer coefficients, got {c}")
+        if weight(mono) < 1:
+            raise SeriesError(f"monomial {mono} cannot be plethystically exponentiated")
         out = naive_mul(out, _geometric_power(vars_, spec, mono, int(c)))
     return out
 
 
 def _geometric_power(vars_, spec, mono, chi: int) -> TruncatedSeries:
     """(1 - m)^(-chi) for a single monomial m, truncated."""
-    if not _positive_trunc_weight(vars_, spec, mono):
-        raise SeriesError(f"monomial {mono} cannot be plethystically exponentiated")
     coeffs = {(0,) * vars_.nvars: QQ(1)}
     k = 0
     while True:
@@ -191,17 +192,26 @@ def _geometric_power(vars_, spec, mono, chi: int) -> TruncatedSeries:
     return TruncatedSeries(vars_, spec, coeffs)
 
 
-def _positive_trunc_weight(vars_, spec, mono) -> bool:
-    r = vars_.hodge_count
-    w = 0
+def _climbing_weight(series: TruncatedSeries):
+    """The weight ``mono -> int`` of the monomials of ``series``: the
+    exponent sum over every direction the spec bounds above and where no
+    monomial of the whole series is negative, read field by field: the
+    x-total, u, z, hbar, and the p-weight (p_l counted l times)."""
+    vars_, spec = series.vars, series.spec
+    names = vars_.names
+    monos = list(series.coeffs)
+    parts = []  # one exponent sum ``mono -> int`` per direction counted
     if spec.x_total_max is not None:
-        w += sum(mono[:r])
-    if spec.u_max is not None and vars_.has_u:
-        w += mono[vars_.index("u")]
+        parts.append(lambda m: sum(m[: vars_.hodge_count]))
+    for name, bound in (("u", spec.u_max), ("z", spec.z_window), ("hbar", spec.hbar_window)):
+        if bound is not None and name in names:
+            i = vars_.index(name)
+            if all(m[i] >= 0 for m in monos):
+                parts.append(lambda m, i=i: m[i])
     if spec.p_weight_max is not None:
         base = vars_.p_start()
-        w += sum((l + 1) * mono[base + l] for l in range(vars_.pcount))
-    return w >= 1
+        parts.append(lambda m: sum((l + 1) * m[base + l] for l in range(vars_.pcount)))
+    return lambda mono: sum(part(mono) for part in parts)
 
 
 def naive_mobius_double_sum(vars_, spec, var, sigma_d, t_max, power_sum):

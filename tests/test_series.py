@@ -127,6 +127,21 @@ def test_exp_of_zero_is_one():
     assert TruncatedSeries.zero(XU, SPEC).exp() == one()
 
 
+def test_exp_stores_no_monomial_one_outside_the_spec():
+    # a z window without the exponent 0 excludes the monomial 1: there exp(0)
+    # and one() are both the zero series, and reading their constant raises
+    zv = VariableSet(has_u=True, has_z=True)
+    spec = TruncationSpec(u_max=3, z_window=(1, 3))
+    got, want = TruncatedSeries.zero(zv, spec).exp(), TruncatedSeries.one(zv, spec)
+    assert got == want and got.is_zero()
+    for series in (got, want):
+        with pytest.raises(OutOfBoundsError):
+            series.coefficient({})
+    # the terms that do lie in the window are unchanged: exp(z) = z + z^2/2 + z^3/6
+    z = TruncatedSeries.term(zv, spec, {"z": 1})
+    assert z.exp() == TruncatedSeries(zv, spec, {(0, 1): 1, (0, 2): QQ(1, 2), (0, 3): QQ(1, 6)})
+
+
 def test_exp_of_u():
     spec3 = TruncationSpec(u_max=3, x_total_max=4)
     e = TruncatedSeries.term(XU, spec3, {"u": 1}).exp()
@@ -1210,8 +1225,7 @@ def test_guard_test_matches_outside(case, l):
     st.integers(1, 4),
 )
 def test_raise_exponents_matches_raising_each_monomial(case, spec, l):
-    # the plethystic transforms raise whole series, and the double sum
-    # raises its u-only (or hbar-only) factors from v to v^k
+    # the plethystic transforms raise whole series
     vars_, coeffs = case
     series = TruncatedSeries(vars_, spec, coeffs)
     kept, below = {}, False

@@ -8,7 +8,13 @@ import linkchi.genfun as genfun
 import linkchi.special as special
 from linkchi.genfun import LinkConfig
 from linkchi.rationals import QQ
-from linkchi.series import SeriesError, TruncatedSeries, TruncationSpec, VariableSet
+from linkchi.series import (
+    SeriesError,
+    TruncatedSeries,
+    TruncationSpec,
+    VariableSet,
+    _raise_exponents,
+)
 from linkchi.special import (
     UniPolynomial,
     _column_polys,
@@ -265,6 +271,22 @@ def test_plethystic_exp_matches_product_with_laurent_windows(d):
     assert plethystic_exp(g) == naive_plethystic_exp(g)
 
 
+ZV = VariableSet(has_u=True, has_z=True)
+HV = VariableSet(hodge_count=1, has_hbar=True)
+# u (x) unbounded, so each series climbs in z (hbar) alone; the hbar
+# window reaches below 0, where no monomial of these series goes
+ONE_CLIMBING = [(ZV, TruncationSpec(z_window=(0, 5))), (HV, TruncationSpec(hbar_window=(-2, 5)))]
+climbing_monos = st.tuples(st.integers(0, 2), st.integers(1, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ONE_CLIMBING), st.dictionaries(climbing_monos, chi_values, max_size=4))
+def test_plethystic_exp_matches_product_climbing_in_z_or_hbar_alone(layout, d):
+    vars_, spec = layout
+    g = TruncatedSeries(vars_, spec, d)
+    assert plethystic_exp(g) == naive_plethystic_exp(g)
+
+
 # ------------------------------------------- the Moebius double sum
 
 
@@ -272,7 +294,9 @@ def assert_sums_match_naive(monkeypatch, module, call):
     """Run ``call`` with ``module._mobius_double_sum`` recording its
     arguments, and check every result against the (k, l, j) loop of
     ``naive_mobius_double_sum`` on the same arguments: equal spec and
-    equal integer form."""
+    equal integer form.  ``call`` runs twice, first with the cache of
+    ``special._v_factors`` cleared (cold), then again (warm), which must
+    read every factor from the cache and give the same results."""
     seen = []
     real = special._mobius_double_sum
 
@@ -282,9 +306,16 @@ def assert_sums_match_naive(monkeypatch, module, call):
         return out
 
     monkeypatch.setattr(module, "_mobius_double_sum", record)
+    special._v_factors.cache_clear()
     call()
-    assert seen
-    for args, got in seen:
+    cold = list(seen)
+    assert cold
+    misses = special._v_factors.cache_info().misses
+    seen.clear()
+    call()
+    assert special._v_factors.cache_info().misses == misses
+    assert [out._ints for _args, out in seen] == [out._ints for _args, out in cold]
+    for args, got in cold:
         want = naive_mobius_double_sum(*args)
         assert got.spec == want.spec
         assert got._ints == want._ints
@@ -338,11 +369,121 @@ def test_double_sum_builds_u_factors_once_per_l(monkeypatch):
         return real_sum(cfg, vars_, spec, n, mode)
 
     monkeypatch.setattr(genfun, "color_power_sum", counted_sum)
+    special._v_factors.cache_clear()
     genfun.f_homotopy_direct(LinkConfig.create((1, 1), 3), t)
     # V_l for l <= t, log F_l for 2 <= l <= 2t, one power sum P_n per n
     assert calls["inverse"] <= t
     assert calls["log"] <= 2 * t - 1
     assert sums and set(sums.values()) == {1}
+    # the factors in u depend on (l, sigma_d, t) alone: another link with
+    # the same sigma_d (d odd) at the same t builds none of them again
+    calls.update(inverse=0, log=0)
+    genfun.f_homotopy_direct(LinkConfig.create((1, 1, 1), 5), t)
+    assert calls == {"inverse": 0, "log": 0}
+
+
+PLACEMENT_LAYOUTS = {
+    "xu": (VariableSet(hodge_count=2, has_u=True), TruncationSpec(u_max=8, x_total_max=9), "u"),
+    "p": (VariableSet(has_u=True, pcount=4), TruncationSpec(u_max=8, p_weight_max=4), "u"),
+    # the hbar Laurent window of mod_envelope_supercharacter_direct at W=4, G=5
+    "hbar": (
+        VariableSet(has_hbar=True, pcount=4),
+        TruncationSpec(p_weight_max=4, hbar_window=(-4, 8)),
+        "hbar",
+    ),
+}
+
+
+@pytest.mark.parametrize("sigma_d", [1, -1])
+@pytest.mark.parametrize("layout", sorted(PLACEMENT_LAYOUTS))
+def test_placed_factors_match_raising_in_the_callers_layout(layout, sigma_d):
+    # each cached factor placed at v^k equals the factor built in the
+    # caller's layout and raised there, for every k the double sum reaches
+    vars_, spec, var = PLACEMENT_LAYOUTS[layout]
+    top = 8
+    step = vars_.layout.pack(vars_.monomial({var: 1})) - vars_.layout.bias
+    for l in range(1, 2 * top + 1):
+        cols, log_fl = special._v_factors(l, sigma_d, top, top // l)
+        fl = special._f_series(vars_, spec, var, l)
+        want_cols = []
+        if l <= top:
+            v_l = TruncatedSeries.term(vars_, spec, {var: l}, sigma_d * l) * fl.inverse()
+            want_cols = [q.at_series(v_l) for q in _column_polys(top // l)]
+        pairs = list(zip(cols, want_cols))
+        assert len(pairs) == len(cols) == len(want_cols)
+        if l > 1:
+            pairs.append((log_fl, fl.log()))
+        else:
+            assert log_fl is None
+        for k in range(1, 2 * top // l + 1):
+            for got, want in pairs:
+                placed = special._placed(vars_, spec, got, k, top, step)
+                assert placed._ints == _raise_exponents(want, k)._ints, (l, k)
+
+
+def test_v_factors_are_immutable():
+    cols, log_fl = special._v_factors(3, 1, 6, 2)
+    assert isinstance(cols, tuple) and all(isinstance(c, tuple) for c in cols)
+    for den, items in cols + (log_fl,):
+        assert isinstance(den, int) and isinstance(items, tuple)
+        assert all(isinstance(item, tuple) for item in items)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        TruncationSpec(p_weight_max=2, hbar_window=(1, 5)),  # no hbar^0
+        TruncationSpec(p_weight_max=2, hbar_window=(-5, -1)),
+        TruncationSpec(p_weight_max=2),  # hbar unbounded
+    ],
+)
+def test_double_sum_needs_a_bounded_window_holding_zero(spec):
+    # a placed v^0 term would be stored outside the spec
+    vars_ = VariableSet(has_hbar=True, pcount=2)
+
+    def power_sum(n):
+        return TruncatedSeries.term(vars_, spec, {"p1": 1}) if n == 1 else TruncatedSeries.zero(vars_, spec)
+
+    with pytest.raises(SeriesError):
+        special._mobius_double_sum(vars_, spec, "hbar", 1, 2, power_sum)
+
+
+def test_second_routes_never_read_the_factor_cache(monkeypatch):
+    # f_homology and the plethystic transforms build V_l and log F_l on
+    # their own: with the cache broken they still run
+    def broken(*args):
+        raise AssertionError("the factor cache was read")
+
+    cfg = LinkConfig.create((1, 1), 3)
+    monkeypatch.setattr(special, "_v_factors", broken)
+    with pytest.raises(AssertionError, match="factor cache"):
+        genfun.f_homotopy_direct(cfg, 4)
+    fh = genfun.f_homology(cfg, 6)
+    assert plethystic_exp(plethystic_log(fh)) == fh
+
+
+def test_a_fault_in_the_factor_cache_fails_the_route_checks(monkeypatch):
+    # the top coefficient of Q_5(V_1) off by 1: its numerator bumped by den,
+    # at a v-exponent e with 2e > top, so that only k = 1 places it and F^pi
+    # keeps integer coefficients.  Times X^5, it lands at x-degree 5 and
+    # u^6, genus 2 of the grids.  The checks against the second route and
+    # against the published grids both report a mismatch
+    from linkchi import verify
+
+    real = special._v_factors
+
+    def bumped(l, sigma_d, top, j_max):
+        cols, log_fl = real(l, sigma_d, top, j_max)
+        if l == 1:
+            den, (*rest, (e, n)) = cols[4]
+            assert 2 * e > top
+            cols = cols[:4] + ((den, (*rest, (e, n + den))),) + cols[5:]
+        return cols, log_fl
+
+    monkeypatch.setattr(special, "_v_factors", bumped)
+    route, tables = verify.run_checks(only=["route-equivalence", "tables"], t_max=6)
+    assert not route.ok and route.details[0].startswith("direct vs plethystic")
+    assert not tables.ok and tables.details[0].startswith("table genus")
 
 
 XV = VariableSet(hodge_count=2, has_u=True)
