@@ -4,14 +4,13 @@ Subcommands: ``homology`` (dump F^H), ``table`` (genus-graded grids of
 Euler characteristics), ``supercharacter`` (modular envelope cycle index
 sums), ``oracle`` (brute-force class listings), ``verify`` (the full
 cross-check suite).  Exit codes: 0 success, 1 verification failure,
-2 usage error.  ``LINKCHI_T_MAX`` sets the default truncation order.
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .cycleindex import feynman_regrade, mod_envelope_supercharacter
@@ -30,19 +29,6 @@ def _parse_m(text: str):
 
 def _parse_d(text: str):
     return int(text) if text.strip().lstrip("-").isdigit() else text.strip()
-
-
-def _default_t_max() -> int:
-    env = os.environ.get("LINKCHI_T_MAX")
-    if env is not None:
-        try:
-            value = int(env)
-            if value >= 0:
-                return value
-        except ValueError:
-            pass
-        print(f"warning: ignoring invalid LINKCHI_T_MAX={env!r}", file=sys.stderr)
-    return 10
 
 
 def _int_at_least(low: int):
@@ -204,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         "string-link spaces and hairy graph complexes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    t_default = _default_t_max()
 
     def add_config(p, need_genus=False):
         p.add_argument("--r", type=int, default=None, help="number of strands (optional consistency check)")
@@ -212,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated source dimensions, integers or odd/even")
         p.add_argument("--d", type=_parse_d, required=True,
                        help="ambient dimension, integer or odd/even")
-        p.add_argument("--t-max", type=_int_at_least(0), default=t_default,
+        p.add_argument("--t-max", type=_int_at_least(0), default=10,
                        help="complexity truncation order (>= 0)")
         if need_genus:
             p.add_argument("--genus", type=_int_at_least(0), required=True,

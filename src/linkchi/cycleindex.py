@@ -16,8 +16,6 @@ alternating sum over homological degree, i.e. the z = -1 specialization.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import count
-from operator import mul
 
 from .genfun import LinkConfig, _homological_degree, _parity_of, _z_span, color_power_sum
 from .graphs import _cycles, _perm_parity
@@ -165,12 +163,6 @@ def specialize_colors(
     return z.substitute(assignments)
 
 
-def _p_weight(p_part) -> int:
-    """Arity weight sum_l l * j_l of the p-exponents (j_1, j_2, ...), summed
-    in C: it runs once per monomial of every regrade by arity."""
-    return sum(map(mul, count(1), p_part))
-
-
 def _graded_p_spec(d: int, weight_max: int):
     """Variables p, u, z and the spec of the tree and hedgehog cycle indices."""
     span = _z_span(d, 0, weight_max)
@@ -192,13 +184,10 @@ def z_tree_homology(d: int, weight_max: int) -> TruncatedSeries:
     if weight_max < 1:
         raise ValueError("weight_max must be >= 1")
     vars_, spec = _graded_p_spec(d, weight_max)
-
-    def place(mono):
-        w = _p_weight(mono)
-        sign = -1 if (d * (w - sum(mono))) % 2 else 1
-        return (w - 1, _homological_degree(d, w - 1, 0)) + mono, sign
-
-    return z_lie_cyclic(weight_max).regrade(vars_, spec, place)
+    t = {"pw": 1, 1: -1}
+    parity = {"pw": d, **{f"p{l}": -d for l in range(1, weight_max + 1)}}
+    images = {"u": t, "z": _homological_degree(d, t, 0)}
+    return z_lie_cyclic(weight_max).regrade(vars_, spec, images, parity)
 
 
 def _z_dihedral_induced(weight_max: int, d_parity: int) -> TruncatedSeries:
@@ -236,12 +225,9 @@ def z_hedgehog_homology(d: int, weight_max: int) -> TruncatedSeries:
     if weight_max < 1:
         raise ValueError("weight_max must be >= 1")
     vars_, spec = _graded_p_spec(d, weight_max)
-
-    def place(mono):
-        w = _p_weight(mono)
-        return (w, _homological_degree(d, w, 1)) + mono, 1
-
-    return _z_dihedral_induced(weight_max, d % 2).regrade(vars_, spec, place)
+    t = {"pw": 1}
+    images = {"u": t, "z": _homological_degree(d, t, 1)}
+    return _z_dihedral_induced(weight_max, d % 2).regrade(vars_, spec, images)
 
 
 def z_graph_supercharacter(d_parity, weight_max: int, t_max: int) -> TruncatedSeries:
@@ -296,12 +282,9 @@ def mod_envelope_supercharacter(
     z = z_graph_supercharacter("odd" if sign > 0 else "even", weight_max, t_max)
     vars_ = VariableSet(has_hbar=True, pcount=weight_max)
     spec = TruncationSpec(p_weight_max=weight_max, hbar_window=(0, genus_max))
-
-    def place(mono):  # z has variables u, p1..pW
-        p_part = mono[1:]
-        return (mono[0] - _p_weight(p_part) + 1,) + p_part, sign * (-sign) ** sum(p_part)
-
-    return z.regrade(vars_, spec, place)
+    # hbar^(t - w + 1), and the sign sign * (-sign)^(number of p-factors)
+    parity = {f"p{l}": 1 for l in range(1, weight_max + 1)} if sign > 0 else {}
+    return z.regrade(vars_, spec, {"hbar": {"u": 1, "pw": -1, 1: 1}}, parity, sign)
 
 
 def mod_envelope_supercharacter_direct(
@@ -327,20 +310,16 @@ def mod_envelope_supercharacter_direct(
         vars_, spec, "hbar", sign, t_max,
         lambda n: _p_term(vars_, spec, n, sign, hbar=-n),
     )
-    ih = vars_.index("hbar")
-    return body.regrade(
-        vars_,
-        TruncationSpec(p_weight_max=weight_max, hbar_window=(0, genus_max)),
-        lambda m: (m[:ih] + (m[ih] + 1,) + m[ih + 1 :], sign),
-    )
+    out_spec = TruncationSpec(p_weight_max=weight_max, hbar_window=(0, genus_max))
+    return body.regrade(vars_, out_spec, {"hbar": {"hbar": 1, 1: 1}}, sign=sign)
 
 
 def feynman_regrade(z: TruncatedSeries) -> TruncatedSeries:
     """-Z with every p_l <- -p_l: passes between the modular envelope
     supercharacters and those of the Feynman transforms of the
     commutative modular operad.  An involution."""
-    p_start = z.vars.p_start()
-    return z.regrade(z.vars, z.spec, lambda m: (m, 1 if sum(m[p_start:]) % 2 else -1))
+    parity = {f"p{l + 1}": 1 for l in range(z.vars.pcount)}
+    return z.regrade(z.vars, z.spec, parity=parity, sign=-1)
 
 
 # ------------------------------------------------------------------ dihedral

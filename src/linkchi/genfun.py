@@ -259,8 +259,7 @@ def f_homotopy_graded(
         x_total_max=f_pi.spec.x_total_max,
         hbar_window=(0, t_max),
     )
-    r = cfg.r
-    return f_pi.regrade(vars_, spec, lambda m: (m + (m[r] - sum(m[:r]) + 1,), 1))
+    return f_pi.regrade(vars_, spec, images={"hbar": {"u": 1, "xt": -1, 1: 1}})
 
 
 def _mu_log_sum(
@@ -304,8 +303,7 @@ def genus0_closed(
     a1 = color_power_sum(cfg, vars_, wspec, 1, "euler")
     shifted = (u * a1 - TruncatedSeries.constant(vars_, wspec, cfg.sd)) * bracket
     spec = _xu_spec(t_max, x_total_max)
-    r = cfg.r
-    lowered = shifted.regrade(vars_, spec, lambda m: (m[:r] + (m[r] - 1,), 1))
+    lowered = shifted.regrade(vars_, spec, images={"u": {"u": 1, 1: -1}})
     return lowered - color_power_sum(cfg, vars_, spec, 1, "euler")
 
 
@@ -337,8 +335,10 @@ def _z_span(d: int, m_max: int, weight: int) -> int:
     return (abs(d) + 2 + m_max) * (weight + 3)
 
 
-def _homological_degree(d: int, t: int, genus: int, m_dot_s: int = 0) -> int:
-    """Homological degree (z exponent) of a trivalent hairy graph.
+def _homological_degree(d: int, t: dict, genus: int, m_values=()) -> dict:
+    """Homological degree (z exponent) of a trivalent hairy graph, as an
+    affine form of :meth:`~linkchi.series.TruncatedSeries.regrade` in the
+    complexity's form ``t`` and the hair counts x_i of colours ``m_values``.
 
     Edges (hairs included) have degree d - 1, internal vertices -d and
     hairs of colour i -m_i.  Complexity t = E - V and genus g = t - |s| + 1
@@ -346,7 +346,9 @@ def _homological_degree(d: int, t: int, genus: int, m_dot_s: int = 0) -> int:
     ``(d - 2) t + 1 - g - sum_i m_i s_i``.  Genus-0/1 homology lives on
     trivalent graphs (trees, hedgehogs): one degree per Hodge summand.
     """
-    return (d - 2) * t + 1 - genus - m_dot_s
+    form = {name: (d - 2) * c for name, c in t.items()}
+    form[1] = form.get(1, 0) + 1 - genus
+    return form | {f"x{i}": -m for i, m in enumerate(m_values, 1)}
 
 
 def _dims_from_euler(cfg: LinkConfig, closed: TruncatedSeries, genus: int) -> TruncatedSeries:
@@ -357,21 +359,15 @@ def _dims_from_euler(cfg: LinkConfig, closed: TruncatedSeries, genus: int) -> Tr
     characteristic, placed at z^e.
     """
     m_values, d = cfg.require_values()
-    r = cfg.r
-    vars_ = VariableSet(hodge_count=r, has_u=True, has_z=True)
+    vars_ = VariableSet(hodge_count=cfg.r, has_u=True, has_z=True)
     span = _z_span(d, max(m_values), closed.spec.u_max)
     spec = TruncationSpec(
         u_max=closed.spec.u_max,
         x_total_max=closed.spec.x_total_max,
         z_window=(-span, span),
     )
-
-    def place(mono):
-        m_dot_s = sum(m * s for m, s in zip(m_values, mono[:r]))
-        e = _homological_degree(d, mono[r], genus, m_dot_s)
-        return mono + (e,), -1 if e % 2 else 1
-
-    return closed.regrade(vars_, spec, place)
+    degree = _homological_degree(d, {"u": 1}, genus, m_values)
+    return closed.regrade(vars_, spec, images={"z": degree}, parity=degree)
 
 
 def genus0_dims(

@@ -25,8 +25,8 @@ hbar window (-1, 1), ``(u/hbar * u/hbar) * u*hbar`` is 0 while
 ``u/hbar * (u/hbar * u*hbar)`` is ``u^3/hbar``.  Callers with negative
 Laurent exponents must pick windows from which no term they read back can
 be lost this way (``cycleindex.mod_envelope_supercharacter_direct`` states
-its argument).  A change of grading (:meth:`TruncatedSeries.regrade`)
-raises instead of dropping a term below a lower bound.
+its argument).  A change of grading (:meth:`TruncatedSeries.regrade`, an
+affine map by name) raises instead of dropping a term below a lower bound.
 
 Climbing directions.  :attr:`TruncationSpec.windows` gives one window
 per direction of ``_Layout.metric`` (x-total, u, z, hbar, p-weight).  A
@@ -88,9 +88,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import count
 from math import gcd, lcm
-from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -169,9 +167,6 @@ class VariableSet:
             mono[positions[name]] = e
         return tuple(mono)
 
-    def p_start(self) -> int:
-        return self.nvars - self.pcount
-
     @cached_property
     def layout(self) -> "_Layout":
         """The packed-key layout of this variable set, built on first use."""
@@ -181,40 +176,38 @@ class VariableSet:
 class _Layout:
     """Packed monomial keys for one :class:`VariableSet` (module docstring).
 
-    ``pack``, ``unpack``, ``fits`` (the monomial has the set's arity and
-    obeys the sign and overflow rules) and ``metric`` (a key's
-    ``(x_total, u, z, hbar, p_weight)``, 0 for a missing direction) are
-    compiled once per layout; ``pack`` trusts its argument, so a monomial
-    from outside goes through ``fits`` first.  ``bias`` is the key of the
-    monomial 1.
+    ``decoded`` maps each variable and direction name (``"xt"``, ``"u"``,
+    ``"z"``, ``"hbar"``, ``"pw"``; ``"0"`` for a missing one) to the
+    expression that reads it from a key ``k``; ``unpack``, ``metric`` (a
+    key's ``(x_total, u, z, hbar, p_weight)``) and :func:`_regrader` are
+    compiled from it, and ``pack`` and ``fits`` (the monomial has the set's
+    arity and obeys the sign and overflow rules) once per layout.  ``pack``
+    trusts its argument, so a monomial from outside goes through ``fits``
+    first.  ``bias`` is the key of the monomial 1.
     """
 
     def __init__(self, vars_: VariableSet):
         at = vars_.positions
-        xs = [at[f"x{i + 1}"] for i in range(vars_.hodge_count)]
-        ps = [at[f"p{l + 1}"] for l in range(vars_.pcount)]
-        # (kind, exponent expression, position in the monomial or None,
-        # l of p_l), low field first
-        fields = [("x", f"m[{i}]", i, 0) for i in xs]
+        xs = [f"x{i + 1}" for i in range(vars_.hodge_count)]
+        ps = [f"p{l + 1}" for l in range(vars_.pcount)]
+        # (name, kind, exponent expression in a monomial m, l of p_l), low field first
+        fields = [(x, "x", f"m[{at[x]}]", 0) for x in xs]
         if "u" in at:
-            fields.append(("u", f"m[{at['u']}]", at["u"], 0))
-        fields += [("p", f"m[{i}]", i, l + 1) for l, i in enumerate(ps)]
+            fields.append(("u", "u", f"m[{at['u']}]", 0))
+        fields += [(p, "p", f"m[{at[p]}]", l + 1) for l, p in enumerate(ps)]
         if xs:
-            fields.append(("xt", "+".join(f"m[{i}]" for i in xs), None, 0))
+            fields.append(("xt", "xt", "+".join(f"m[{at[x]}]" for x in xs), 0))
         if ps:
-            fields.append(("pw", "+".join(f"{l + 1}*m[{i}]" for l, i in enumerate(ps)), None, 0))
-        fields += [(kind, f"m[{at[kind]}]", at[kind], 0) for kind in ("z", "hbar") if kind in at]
+            fields.append(("pw", "pw", "+".join(f"{l}*m[{at[p]}]" for l, p in enumerate(ps, 1)), 0))
+        fields += [(kind, kind, f"m[{at[kind]}]", 0) for kind in ("z", "hbar") if kind in at]
         self.names = vars_.names
-        self.fields = [(kind, f * _FIELD_BITS, l) for f, (kind, _e, _i, l) in enumerate(fields)]
-        self.shift = {kind: s for kind, s, _l in self.fields}
-        self.u_shift = self.shift.get("u")
-        self.xt_shift = self.shift.get("xt")
-        self.pw_shift = self.shift.get("pw")
+        self.fields = [(kind, f * _FIELD_BITS, l) for f, (_n, kind, _e, l) in enumerate(fields)]
+        self.shift = {name: f * _FIELD_BITS for f, (name, *_rest) in enumerate(fields)}
         self.bias = 0
         lim = _EXP_LIMIT
         packed, checks = [], [f"len(m) == {vars_.nvars}"]
-        by_pos, by_kind = {}, {}  # decoding expressions of a key k
-        for f, (kind, expr, pos, _l) in enumerate(fields):
+        self.decoded = dict.fromkeys(_DIRECTIONS, "0")
+        for f, (name, kind, expr, _l) in enumerate(fields):
             s = f * _FIELD_BITS
             packed.append(f"(({expr}) << {s})")
             decoded = f"((k >> {s}) & {_FIELD_MASK})"
@@ -225,14 +218,11 @@ class _Layout:
             elif kind == "u":  # an x_i or p_l is bounded by its total, u by itself
                 checks.append(f"0 <= {expr} < {lim}")
             else:
-                checks.append(f"{expr} < {lim}" if pos is None else f"{expr} >= 0")
-            by_pos[pos] = by_kind[kind] = decoded
+                checks.append(f"{expr} < {lim}" if kind in ("xt", "pw") else f"{expr} >= 0")
+            self.decoded[name] = decoded
         self.pack = eval(f"lambda m: {' + '.join(packed) or '0'} + {self.bias}")
-        unpacked = "".join(by_pos[i] + ", " for i in range(vars_.nvars))
-        self.unpack = eval(f"lambda k: ({unpacked})")
+        self.unpack, self.metric = _reader(self, vars_.names), _reader(self, _DIRECTIONS)
         self.fits = eval(f"lambda m: {' and '.join(checks)}")
-        met = [by_kind.get(kind, "0") for kind in _DIRECTIONS]
-        self.metric = eval(f"lambda k: ({', '.join(met)})")
 
     def key(self, mono) -> int:
         """The packed key of a monomial from outside, checked by ``fits``."""
@@ -397,14 +387,70 @@ def _weight(climbing: tuple[int, ...]):
     return eval(f"lambda m: {' + '.join(f'm[{d}]' for d in climbing) or '0'}")
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _reader(layout: _Layout, names: tuple[str, ...]):
+    """``key -> (exponent of each name)``, a name being a variable or one of
+    ``_DIRECTIONS``, compiled from ``layout.decoded``; others raise KeyError."""
+    return eval(f"lambda k: ({''.join(layout.decoded[n] + ', ' for n in names)})")
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _regrader(source: VariableSet, target: VariableSet, images: tuple, parity: tuple, sign: int):
+    """``(image, shape, dropped)`` of :meth:`TruncatedSeries.regrade`, the
+    forms as tuples of items.  ``image(key)`` is ``(fits, target key, 1 if
+    the sign is -1 else 0)``, compiled from the source's ``decoded`` table:
+    a target field that holds a source field in every monomial (a carried
+    variable, or an x-total or p-weight of x or p all carried from the same
+    ones) moves by one shift and mask per run of neighbours, and ``fits``
+    checks each other field's storage range (the sign and overflow rules)
+    and that the ``dropped`` names (the target lacks them and no form reads
+    them) are 0.  ``shape(key)`` is the target monomial."""
+    if sign not in (1, -1):
+        raise SeriesError(f"regrade sign must be 1 or -1, got {sign}")
+    src, tgt, forms = source.layout, target.layout, dict(images)
+    table = {n: src.decoded[n] for n in (*source.names, "xt", "pw")} | {1: "1"}  # 1: constant
+    read = {n for form in (*forms.values(), parity) for n, c in form if c}
+
+    def affine(form) -> str:
+        return " + ".join(table[n] if c == 1 else f"{c}*{table[n]}" for n, c in form if c) or "0"
+
+    for name in forms:
+        target.index(name)  # KeyError for a target variable the set lacks
+    moved = {n for n in target.names if n in src.shift and n not in forms}
+    values = {n: affine(forms.get(n, ((n, 1),) if n in moved else ())) for n in target.names}
+    for total, count_ in (("xt", source.hodge_count), ("pw", source.pcount)):
+        parts = [n for n in target.names if n[0] == total[0] and values[n] != "0"]
+        terms = (f"{n[1:] if total == 'pw' else 1}*({values[n]})" for n in parts)
+        values[total] = " + ".join(terms) or "0"
+        if total in src.shift and len(parts) == count_ and moved.issuperset(parts):
+            moved.add(total)
+    odd = f"({affine(parity)} + {int(sign < 0)}) & 1"
+    dropped = tuple(n for n in source.names if n not in target.positions and n not in read)
+    drop = sum(_FIELD_MASK << src.shift[n] for n in dropped)
+    fits, key, runs = [f"k & {drop} == {src.bias & drop}"], [], []  # a run: [from, to, width]
+    for n, t in tgt.shift.items():
+        lo, bias = (-_EXP_LIMIT, _LAURENT_BIAS) if n in ("z", "hbar") else (0, 0)
+        if n not in moved:
+            fits.append(f"{lo} <= {values[n]} < {_EXP_LIMIT}")
+            key.append(f"(({values[n]} + {bias}) << {t})")
+        elif runs and runs[-1][0] + runs[-1][2] == src.shift[n] and runs[-1][1] + runs[-1][2] == t:
+            runs[-1][2] += _FIELD_BITS
+        else:
+            runs.append([src.shift[n], t, _FIELD_BITS])
+    key += [f"(((k >> {s}) & {(1 << w) - 1}) << {t})" for s, t, w in runs]
+    image = eval(f"lambda k: ({' and '.join(fits)}, {' + '.join(key) or 0}, {odd})")
+    shape = eval(f"lambda k: ({''.join(values[n] + ', ' for n in target.names)})")
+    return image, shape, dropped
+
+
 def _bucket_field(vars_: VariableSet, spec: TruncationSpec) -> tuple[int | None, int]:
     """(shift of the bucket field, its bound): u when bounded, else the
     p-weight when bounded, else no field (one bucket)."""
-    layout = vars_.layout
-    if layout.u_shift is not None and spec.u_max is not None:
-        return layout.u_shift, spec.u_max
-    if layout.pw_shift is not None and spec.p_weight_max is not None:
-        return layout.pw_shift, spec.p_weight_max
+    shift = vars_.layout.shift
+    if "u" in shift and spec.u_max is not None:
+        return shift["u"], spec.u_max
+    if "pw" in shift and spec.p_weight_max is not None:
+        return shift["pw"], spec.p_weight_max
     return None, 0
 
 
@@ -419,7 +465,7 @@ def _bucketed(layout: _Layout, shift: int | None, items) -> list:
         buckets = {}
         for item in items:
             buckets.setdefault((item[0] >> shift) & mask, []).append(item)
-    xs = layout.xt_shift
+    xs = layout.shift.get("xt")
     if xs is not None:
         for lst in buckets.values():
             lst.sort(key=lambda it: (it[0] >> xs) & mask)
@@ -953,42 +999,31 @@ class TruncatedSeries:
                     "in a climbing direction (u <- constant is unsound)"
                 )
 
-        substituted: list[tuple[int, TruncatedSeries]] = []  # (source position, replacement)
-        laurent: list[tuple[int, int]] = []  # carried z, hbar: (source, target position)
-        plain: list[tuple[int, int]] = []  # carried x, u, p
-        for i, name in enumerate(self.vars.names):
-            if name in repls:
-                substituted.append((i, repls[name]))
-            else:
-                (laurent if name in ("z", "hbar") else plain).append((i, tvars.index(name)))
+        names = self.vars.names
+        for name in set(names) - repls.keys() - tvars.positions.keys():
+            raise KeyError(name)  # a carried variable must exist in the result set
+        substituted = [n for n in names if n in repls]  # in position order
+        laurent = [n for n in names if n in ("z", "hbar") and n not in repls]  # carried
         power_cache: dict[tuple[int, int], TruncatedSeries] = {}
 
         def repl_power(j: int, e: int) -> TruncatedSeries:
             """The j-th substituted replacement to the power e."""
             got = power_cache.get((j, e))
             if got is None:
-                series = substituted[j][1]
+                series = repls[substituted[j]]
                 got = power_cache[j, e] = series ** e if e > 0 else _invert_term(series) ** -e
             return got
 
         layout = tvars.layout
         pack = layout.pack
-        nt = tvars.nvars
-
-        def carried_key(positions, exponents) -> int:
-            mono = [0] * nt
-            for (_i, i_tgt), e in zip(positions, exponents):
-                mono[i_tgt] = e
-            return pack(mono)
-
+        # X: the regrade (:func:`_regrader`) that carries x, u and p and zeroes the rest
+        zeroed = tuple((n, ()) for n in tvars.names if n in repls or n in ("z", "hbar"))
+        carried = _regrader(self.vars, tvars, zeroed, (), 1)[0]  # X's key is its second value
+        pattern_of = _reader(self.vars.layout, (*laurent, *substituted))
         den, items = self._ints
-        unpack = self.vars.layout.unpack
         groups: dict[tuple[int, ...], list] = {}  # pattern -> [(key of X, numerator)]
         for key, n in items.items():
-            mono = unpack(key)
-            pattern = tuple(mono[i] for i, _t in laurent) + tuple(mono[i] for i, _s in substituted)
-            x_key = carried_key(plain, [mono[i] for i, _t in plain])
-            groups.setdefault(pattern, []).append((x_key, n))
+            groups.setdefault(pattern_of(key), []).append((carried(key)[1], n))
 
         nl = len(laurent)
         masks = _masks(layout, tspec)
@@ -999,7 +1034,7 @@ class TruncatedSeries:
         for pattern in sorted(groups):
             keep = 0  # positions whose products the previous pattern left on the stack
             if prev is None or pattern[:nl] != prev[:nl]:
-                root = carried_key(laurent, pattern)
+                root = pack(tvars.monomial(dict(zip(laurent, pattern))))
                 kept = _passes(masks, root)
                 stack = [TruncatedSeries._from_ints(tvars, tspec, 1, {root: 1} if kept else {})]
                 unit = stack[0] if kept and root == layout.bias else None
@@ -1037,21 +1072,23 @@ class TruncatedSeries:
         return QQ(0) if n is None else QQ(n, den)
 
     def grade_extract(self, name: str, degree: int) -> "TruncatedSeries":
-        """Sub-series with the exact exponent ``degree`` in ``name``, factor removed."""
+        """Sub-series with the exact exponent ``degree`` in ``name``, factor removed,
+        under the same spec: a window on ``name`` that excludes 0 raises."""
         vars_ = self.vars
-        i = vars_.index(name)
         layout = vars_.layout
         # keys are linear in the exponents: removing the factor subtracts its key
         shift = layout.pack(vars_.monomial({name: degree})) - layout.bias
-        unpack = layout.unpack
+        window = dict(zip(_DIRECTIONS, self.spec.windows)).get(name)
+        if window is not None and not window[0] <= 0 <= window[1]:
+            raise SeriesError(f"grade_extract puts terms at {name}^0, outside the window {window}")
+        read, grade = _reader(layout, (name,)), (degree,)
         den, items = self._ints
-        out = {k - shift: n for k, n in items.items() if unpack(k)[i] == degree}
+        out = {k - shift: n for k, n in items.items() if read(k) == grade}
         return TruncatedSeries._from_ints(vars_, self.spec, den, out)
 
     def exponents_of(self, name: str) -> set[int]:
-        i = self.vars.index(name)
-        unpack = self.vars.layout.unpack
-        return {unpack(k)[i] for k in self._ints[1]}
+        """The exponents of ``name`` (a variable or one of ``_DIRECTIONS``) in the terms."""
+        return {e for e, in map(_reader(self.vars.layout, (name,)), self._ints[1])}
 
     def truncate(self, spec: TruncationSpec) -> "TruncatedSeries":
         """Re-truncate to a (smaller) spec, in the integer form."""
@@ -1061,39 +1098,43 @@ class TruncatedSeries:
         kept = {k: n for k, n in items.items() if _passes(masks, k)}
         return TruncatedSeries._from_ints(self.vars, spec, den, kept)
 
-    def regrade(self, vars_: VariableSet, spec: TruncationSpec, fn) -> "TruncatedSeries":
-        """Map every monomial to another grading: ``fn(mono) -> (mono', sign)``.
-
-        The result lives over ``(vars_, spec)`` and holds ``sign * c`` at
-        ``mono'`` for each term ``c * mono``, ``sign`` being 1 or -1.  A
-        monomial past an upper bound of ``spec`` is dropped (ordinary
-        truncation); one below a lower bound raises :class:`SeriesError`,
-        because the spec promised to keep it, and so does one with a
-        negative exponent outside z and hbar, or one that does not fit a
-        key.  ``fn`` must be injective (two monomials sent to one raise)
-        and may raise itself for a monomial it has no image for.  The map
-        runs on the integer form: the denominator is kept and each
-        numerator is multiplied by the sign, so no ``QQ`` is built.
+    def regrade(self, vars_: VariableSet, spec: TruncationSpec, images=None, parity=None, sign=1):
+        """Map every monomial into ``(vars_, spec)`` by an affine map of its
+        exponents, given by name.  A form ``{source or 1: int}`` sums each
+        coefficient times its source's exponent (1 for the constant); the
+        sources are the variables of ``self.vars``, ``"xt"`` and ``"pw"``.
+        A target variable takes its form in ``images``, else carries the
+        source variable of its name (0 if none); a source variable that
+        ``vars_`` lacks and no form reads must be 0.  ``c * mono`` goes to
+        ``sign * (-1)^parity(mono) * c`` at the image, ``sign`` 1 or -1.
+        An image past an upper bound of ``spec`` is dropped; one below a
+        lower bound (which the spec promised to keep), one that breaks the
+        sign or overflow rule, two monomials on one image and a nonzero
+        dropped variable raise :class:`SeriesError`.  The map is compiled
+        once (:func:`_regrader`) and runs on the integer form: no ``QQ``.
         """
+        forms = tuple((name, tuple(form.items())) for name, form in (images or {}).items())
+        parity = tuple((parity or {}).items())
+        image, shape, dropped = _regrader(self.vars, vars_, forms, parity, sign)
         den, items = self._ints
-        unpack = self.vars.layout.unpack
-        layout = vars_.layout
-        fits, pack = layout.fits, layout.pack
+        layout, unpack = vars_.layout, self.vars.layout.unpack
         add, sub, guard = _masks(layout, spec)[:3]
         out: dict[int, int] = {}
         for key, n in items.items():
-            mono = unpack(key)
-            m2, sign = fn(mono)
-            if not fits(m2):
-                layout.reject(m2)
-            k2 = pack(m2)
+            fits, k2, odd = image(key)
+            if not fits:
+                mono = dict(zip(self.vars.names, unpack(key)))
+                name = next((v for v in dropped if mono[v]), None)
+                if name is not None:
+                    raise SeriesError(f"regrading drops {name}, which monomial {mono} holds")
+                layout.reject(shape(key))
             if ((k2 + add) | (k2 - sub)) & guard:
                 if (k2 + add) & guard:
                     continue  # past an upper bound
-                raise _below_error(vars_, spec, m2, mono)
+                raise _below_error(vars_, spec, layout.unpack(k2), unpack(key))
             if k2 in out:
-                raise SeriesError(f"regrading sends two monomials to {m2}")
-            out[k2] = n if sign == 1 else sign * n
+                raise SeriesError(f"regrading sends two monomials to {layout.unpack(k2)}")
+            out[k2] = -n if odd else n
         return TruncatedSeries._from_ints(vars_, spec, den, out)
 
     # ------------------------------------------------------ presentation
@@ -1113,9 +1154,8 @@ class TruncatedSeries:
         and json.  Rendered from the integer form: each numerator goes over
         the denominator with one ``gcd``, and no ``QQ`` is built."""
         den, items = self._ints
-        unpack = self.vars.layout.unpack
-        p_start = self.vars.p_start()
-        keyed = [(_graded_lex(unpack(key), p_start), n) for key, n in items.items()]
+        layout = self.vars.layout
+        keyed = [(_graded_lex(layout, key), n) for key, n in items.items()]
         keyed.sort(key=lambda row: row[0])
         rows = []
         for (_grade, mono), n in keyed:
@@ -1146,10 +1186,10 @@ class TruncatedSeries:
         return f"<TruncatedSeries {text}>"
 
 
-def _graded_lex(mono: tuple[int, ...], p_start: int) -> tuple:
-    """Sort key of the text forms: the weighted total degree (|e| for x, u,
-    z and hbar, l * e for p_l), then the exponents in lex order."""
-    return sum(map(abs, mono[:p_start])) + sum(map(mul, count(1), mono[p_start:])), mono
+def _graded_lex(layout: _Layout, key: int) -> tuple:
+    """Sort key of the text forms: the weighted total degree (|e| for x, u, z
+    and hbar, l * e for p_l: the sum of ``|metric|``), then lex order."""
+    return sum(map(abs, layout.metric(key))), layout.unpack(key)
 
 
 def _raise_exponents(series: TruncatedSeries, l: int) -> TruncatedSeries:

@@ -362,8 +362,7 @@ def plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
     # n / den is an integer iff den divides n
     bad = [k for k, n in items.items() if n % den or not weight(metrics[k])]
     if bad:  # name the first offending monomial in graded-lex order
-        p_start = vars_.p_start()
-        key = min(bad, key=lambda k: _graded_lex(layout.unpack(k), p_start))
+        key = min(bad, key=lambda k: _graded_lex(layout, k))
         if items[key] % den:
             c = QQ(items[key], den)
             raise SeriesError(f"plethystic_exp requires integer coefficients, got {c}")

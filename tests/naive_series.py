@@ -16,6 +16,8 @@ the textbook forms they replaced, kept here as test oracles only:
   (``naive_sum``), never through ``+``, ``-``, ``scaled`` or a
   ``_LinearSum``, which these references check;
 * a substitution as one product of repeated factors per monomial;
+* a regrade as its affine forms evaluated on each monomial's exponents
+  by name, where ``regrade`` runs a map compiled on packed keys;
 * the text form rendered from ``QQ`` coefficients, where ``to_text``
   reads the integer form;
 * the Moebius double sum of ``special._mobius_double_sum`` as its
@@ -92,6 +94,50 @@ def naive_substitute(series: TruncatedSeries, assignments) -> TruncatedSeries:
                 term = naive_mul(term, factor)
         terms.append((1, term))
     return naive_sum(vars_, spec, terms)
+
+
+def naive_regrade(series: TruncatedSeries, vars_, spec, images=None, parity=None, sign=1):
+    """``series.regrade(vars_, spec, images, parity, sign)``, monomial by
+    monomial: the forms evaluated on a dict of the exponents, the x-total
+    and the p-weight summed name by name, the bounds read from the spec's
+    fields, and the result built through the constructor.  Each monomial
+    is checked in the order ``regrade`` checks it (a dropped nonzero
+    variable, a negative exponent outside z and hbar, below a lower bound
+    and past no upper one, then a second monomial on the same image), and
+    the error names its case."""
+    images, parity = images or {}, parity or {}
+    read = {name for form in (*images.values(), parity) for name, c in form.items() if c}
+    upper = {"xt": spec.x_total_max, "u": spec.u_max, "pw": spec.p_weight_max}
+    windows = {"z": spec.z_window, "hbar": spec.hbar_window}
+    out = {}
+    for mono, c in series.coeffs.items():
+        e = dict(zip(series.vars.names, mono))
+        for name, ex in e.items():
+            if name not in vars_.names and name not in read and ex:
+                raise SeriesError(f"regrading drops {name}, but {mono} has it")
+        e["xt"] = sum(v for name, v in e.items() if name[0] == "x")
+        e["pw"] = sum(int(name[1:]) * v for name, v in e.items() if name[0] == "p")
+        e[1] = 1
+
+        def value(form):
+            return sum(k * e[name] for name, k in form.items())
+
+        image = {n: value(images[n]) if n in images else e.get(n, 0) for n in vars_.names}
+        if any(v < 0 for n, v in image.items() if n not in ("z", "hbar")):
+            raise SeriesError(f"image {image} of {mono}: only z and hbar may go below 0")
+        image["xt"] = sum(v for n, v in image.items() if n[0] == "x")
+        image["pw"] = sum(int(n[1:]) * v for n, v in image.items() if n[0] == "p")
+        past = [n for n, cap in upper.items() if cap is not None and image.get(n, 0) > cap]
+        past += [n for n, w in windows.items() if w is not None and image.get(n, 0) > w[1]]
+        if past:
+            continue
+        if any(w is not None and image.get(n, 0) < w[0] for n, w in windows.items()):
+            raise SeriesError(f"image {image} of {mono} lies below the lower bounds of {spec}")
+        target = tuple(image[n] for n in vars_.names)
+        if target in out:
+            raise SeriesError(f"regrading sends two monomials to {target}")
+        out[target] = c * sign * (-1) ** (value(parity) % 2)
+    return TruncatedSeries(vars_, spec, out)
 
 
 def graded_lex(series: TruncatedSeries) -> list:
@@ -209,7 +255,7 @@ def _climbing_weight(series: TruncatedSeries):
             if all(m[i] >= 0 for m in monos):
                 parts.append(lambda m, i=i: m[i])
     if spec.p_weight_max is not None:
-        base = vars_.p_start()
+        base = vars_.nvars - vars_.pcount
         parts.append(lambda m: sum((l + 1) * m[base + l] for l in range(vars_.pcount)))
     return lambda mono: sum(part(mono) for part in parts)
 

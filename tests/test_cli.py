@@ -517,13 +517,6 @@ def test_determinism_across_processes():
     assert first.stdout == second.stdout
 
 
-def test_env_var_default_truncation(capsys, monkeypatch):
-    monkeypatch.setenv("LINKCHI_T_MAX", "3")
-    parser = cli.build_parser()
-    args = parser.parse_args(["table", "--genus", "0", "--m", "odd,odd", "--d", "odd"])
-    assert args.t_max == 3
-
-
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "grid.csv"
     code, out, _ = run_cli(

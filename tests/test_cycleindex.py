@@ -91,7 +91,7 @@ def test_euler_specialization_matches_homotopy():
 
 def test_supercharacter_has_no_arity_zero_and_no_u0():
     z = z_graph_supercharacter("odd", 6, 5)
-    p_start = z.vars.p_start()
+    p_start = z.vars.index("p1")
     for mono in z.coeffs:
         assert sum(mono[p_start:]) >= 1
         assert mono[z.vars.index("u")] >= 1
@@ -101,7 +101,7 @@ def test_supercharacter_weight_bound_matches_genus():
     # p-weight never exceeds u-degree + 1 (the genus bound in disguise)
     z = z_graph_supercharacter("odd", 8, 6)
     iu = z.vars.index("u")
-    p_start = z.vars.p_start()
+    p_start = z.vars.index("p1")
     for mono in z.coeffs:
         w = sum((l + 1) * e for l, e in enumerate(mono[p_start:]))
         assert w <= mono[iu] + 1
@@ -206,8 +206,8 @@ def test_hedgehog_cycle_index_brute_force():
                     )
             brute = induced_cycle_index(pairs, 6)
             # compare the weight-n p-parts (strip the z, u the closed form carries)
-            p_start_b = brute.vars.p_start()
-            p_start_z = z.vars.p_start()
+            p_start_b = brute.vars.index("p1")
+            p_start_z = z.vars.index("p1")
 
             def weight(p_part):
                 return sum((l + 1) * e for l, e in enumerate(p_part))
@@ -267,7 +267,7 @@ def test_mod_envelope_nonnegative_genus():
 
 def test_mod_envelope_no_arity_zero():
     z = mod_envelope_supercharacter("plain", 5, 3)
-    p_start = z.vars.p_start()
+    p_start = z.vars.index("p1")
     assert all(sum(m[p_start:]) >= 1 for m in z.coeffs)
 
 
@@ -276,7 +276,7 @@ def test_mod_envelope_genus_zero_part_is_cyclic_lie():
     # sequence itself: all suspension and sign twists cancel there
     z = mod_envelope_supercharacter("plain", 6, 0)
     lie = z_lie_cyclic(6)
-    p_start = z.vars.p_start()
+    p_start = z.vars.index("p1")
     got = {m[p_start:]: c for m, c in z.grade_extract("hbar", 0).coeffs.items()}
     assert got == dict(lie.coeffs)
 
@@ -288,7 +288,7 @@ def test_feynman_regrade_involution_and_signs():
     zero = TruncatedSeries.zero(z.vars, z.spec)
     assert feynman_regrade(zero).is_zero()
     # single generator check: -Z(-p): a p1^2 monomial keeps sign, p1 flips
-    p_start = z.vars.p_start()
+    p_start = z.vars.index("p1")
     for mono, c in z.coeffs.items():
         n_p = sum(mono[p_start:])
         assert f.coeffs[mono] == (c if n_p % 2 else -c)

@@ -25,6 +25,7 @@ from naive_series import (
     naive_linear_sum,
     naive_log,
     naive_mul,
+    naive_regrade,
     naive_substitute,
     naive_sum,
     naive_to_text,
@@ -348,6 +349,18 @@ def test_grade_extract():
     assert geo.grade_extract("u", 3) == TruncatedSeries.one(hv, spec)
 
 
+def test_grade_extract_raises_where_the_window_excludes_zero():
+    hv = VariableSet(has_u=True, has_hbar=True)
+    spec = TruncationSpec(u_max=3, hbar_window=(1, 3))
+    a = TruncatedSeries.term(hv, spec, {"u": 1, "hbar": 2}, 5)
+    # the extracted 5*u would sit at hbar^0, outside the window it keeps
+    with pytest.raises(SeriesError, match=r"hbar\^0, outside the window"):
+        a.grade_extract("hbar", 2)
+    with pytest.raises(SeriesError, match=r"hbar\^0, outside the window"):
+        a.grade_extract("hbar", 1)
+    assert a.grade_extract("u", 1) == TruncatedSeries.term(hv, spec, {"hbar": 2}, 5)
+
+
 def test_to_text_graded_lex():
     a = s({"u": 2}, QQ(-1, 2)) + s({"x1": 1}) + one().scaled(3)
     assert a.to_text() == "3 + x1 + -1/2*u^2"
@@ -368,27 +381,125 @@ def test_regrade_drops_above_and_raises_below():
     a = TruncatedSeries(hv, spec, {(1, 0): 2, (2, 1): QQ(1, 3), (3, 2): -1})
 
     def shift(k):
-        return lambda m: ((m[0], m[1] + k), -1)
+        return {"hbar": {"hbar": 1, 1: k}}
 
     # hbar -> hbar + 1: u^3 hbar^3 is past the window's top and drops
-    assert a.regrade(hv, spec, shift(1)) == TruncatedSeries(
+    assert a.regrade(hv, spec, shift(1), sign=-1) == TruncatedSeries(
         hv, spec, {(1, 1): -2, (2, 2): QQ(-1, 3)}
     )
     # hbar -> hbar - 1: u hbar^(-1) is below the window's bottom and raises
     with pytest.raises(SeriesError, match="below"):
-        a.regrade(hv, spec, shift(-1))
+        a.regrade(hv, spec, shift(-1), sign=-1)
     # past an upper bound wins over below a lower bound: plain truncation
     high = TruncatedSeries.term(hv, spec, {"u": 3})
-    assert high.regrade(hv, spec, lambda m: ((m[0] + 1, -1), 1)).is_zero()
+    assert high.regrade(hv, spec, {"u": {"u": 1, 1: 1}, "hbar": {1: -1}}).is_zero()
     # below u^0 raises too
     with pytest.raises(SeriesError, match="below"):
-        high.regrade(hv, spec, lambda m: ((m[0] - 4, 0), 1))
+        high.regrade(hv, spec, {"u": {"u": 1, 1: -4}, "hbar": {}})
 
 
 def test_regrade_rejects_two_monomials_on_one():
     a = s({"x1": 1}) + s({"x2": 1})
     with pytest.raises(SeriesError, match="two monomials"):
-        a.regrade(XU, SPEC, lambda m: ((m[0] + m[1], 0, m[2]), 1))
+        a.regrade(XU, SPEC, {"x1": {"xt": 1}, "x2": {}})
+
+
+REGRADE_VARS = st.builds(
+    VariableSet,
+    hodge_count=st.integers(0, 2),
+    has_u=st.booleans(),
+    has_z=st.booleans(),
+    has_hbar=st.booleans(),
+    pcount=st.integers(0, 2),
+)
+
+
+def affine_form(sources):
+    return st.dictionaries(st.sampled_from([1, *sources]), st.integers(-2, 2), max_size=3)
+
+
+@st.composite
+def regrade_case(draw):
+    """A series, a target set and spec, and a map between them, drawn so
+    that carried, dropped, read and constant names all occur."""
+    source = draw(REGRADE_VARS)
+    target = draw(st.just(source) | REGRADE_VARS)
+    laurent = st.integers(-2, 2)
+    monos = st.tuples(
+        *(laurent if n in ("z", "hbar") else st.integers(0, 2) for n in source.names)
+    )
+    terms = draw(st.dictionaries(monos, st.integers(-3, 3), min_size=1, max_size=4))
+    series = TruncatedSeries(source, TruncationSpec(), terms)
+    sources = [*source.names, "xt", "pw"]
+    names = st.sampled_from(target.names) if target.names else st.nothing()
+    images = draw(st.dictionaries(names, affine_form(sources)))
+    parity = draw(affine_form(sources))
+    cap = st.none() | st.integers(1, 8)
+    window = st.none() | st.tuples(st.integers(-3, 2), st.integers(0, 5))
+    # windows only on directions the target has: a window excluding 0 on a
+    # missing direction holds no monomial at all
+    spec = TruncationSpec(
+        u_max=draw(cap),
+        x_total_max=draw(cap),
+        z_window=draw(window) if target.has_z else None,
+        hbar_window=draw(window) if target.has_hbar else None,
+        p_weight_max=draw(cap),
+    )
+    return series, target, spec, images, parity, draw(st.sampled_from([1, -1]))
+
+
+def _regrade_outcome(fn, *args, **kwargs):
+    """The result, or the case of the SeriesError raised."""
+    try:
+        return fn(*args, **kwargs)
+    except SeriesError as err:
+        cases = ("drops", "only z and hbar", "lies below", "two monomials")
+        return next(case for case in cases if case in str(err))
+
+
+@settings(max_examples=400, deadline=None)
+@given(regrade_case())
+def test_regrade_matches_naive(case):
+    series, target, spec, images, parity, sign = case
+    got = _regrade_outcome(series.regrade, target, spec, images, parity, sign)
+    want = _regrade_outcome(naive_regrade, series, target, spec, images, parity, sign)
+    assert got == want
+
+
+def test_exponents_of_reads_x_total_and_p_weight():
+    terms = {(1, 1, 0, 0, -1, 2, 0, 0): 1, (0, 0, 2, 1, 0, 0, 0, 1): 2}
+    a = TruncatedSeries(FULL, TruncationSpec(), terms)
+    assert a.exponents_of("xt") == {2, 0} and a.exponents_of("pw") == {2, 3}
+    assert a.exponents_of("hbar") == {-1, 0} and a.exponents_of("u") == {0, 2}
+    with pytest.raises(KeyError):
+        a.exponents_of("p4")
+
+
+def test_regrade_by_name_covers_each_case():
+    src = VariableSet(hodge_count=2, has_u=True, has_hbar=True, pcount=2)
+    tgt = VariableSet(hodge_count=2, has_u=True, has_z=True, pcount=2)
+    spec = TruncationSpec(u_max=4, z_window=(-3, 6))
+    terms = {(1, 0, 1, 0, 1, 0): 3, (0, 2, 2, 0, 0, 1): QQ(1, 2)}
+    a = TruncatedSeries(src, TruncationSpec(), terms)
+    # z = 2u - pw + 1 (read), x carried, hbar dropped (0), sign (-1)^(xt) * -1
+    got = a.regrade(tgt, spec, {"z": {"u": 2, "pw": -1, 1: 1}}, {"xt": 1}, -1)
+    assert got == TruncatedSeries(tgt, spec, {(1, 0, 1, 2, 1, 0): 3, (0, 2, 2, 3, 0, 1): QQ(-1, 2)})
+    assert got == naive_regrade(a, tgt, spec, {"z": {"u": 2, "pw": -1, 1: 1}}, {"xt": 1}, -1)
+    with pytest.raises(SeriesError, match="drops hbar"):
+        (a + TruncatedSeries.term(src, TruncationSpec(), {"hbar": 1})).regrade(tgt, spec)
+    # a variable that only the parity reads is not dropped: (-1)^hbar
+    b = a + TruncatedSeries.term(src, TruncationSpec(), {"hbar": 1, "u": 3}, 5)
+    flat = VariableSet(hodge_count=2, has_u=True, pcount=2)
+    got = b.regrade(flat, TruncationSpec(), parity={"hbar": 1})
+    want = {(1, 0, 1, 1, 0): 3, (0, 2, 2, 0, 1): QQ(1, 2), (0, 0, 3, 0, 0): -5}
+    assert got == TruncatedSeries(flat, TruncationSpec(), want)
+    assert b.regrade(src, TruncationSpec()) == b  # the identity
+    with pytest.raises(KeyError):
+        a.regrade(tgt, spec, {"y": {"u": 1}})
+    with pytest.raises(KeyError):
+        a.regrade(tgt, spec, {"z": {"y": 1}})
+    with pytest.raises(SeriesError, match="sign"):
+        a.regrade(tgt, spec, sign=2)
 
 
 # ---------------------------------------------------------------- properties
@@ -1039,7 +1150,7 @@ def test_regrade_builds_no_qq(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    swapped = product.regrade(XU, SPEC, lambda m: ((m[1], m[0], m[2]), -1))
+    swapped = product.regrade(XU, SPEC, {"x1": {"x2": 1}, "x2": {"x1": 1}}, sign=-1)
     assert not swapped.is_zero()
     assert built == []
     monkeypatch.undo()
@@ -1076,7 +1187,7 @@ def test_buckets_built_once_per_right_operand(monkeypatch):
     for left_spec in (pw_only, TruncationSpec(u_max=2, p_weight_max=4)):
         left = TruncatedSeries(PV, left_spec, {(1, 1, 0, 0): 1})
         assert left * wide == naive_mul(left, wide)
-    assert calls == [PV.layout.pw_shift, PV.layout.u_shift]
+    assert calls == [PV.layout.shift["pw"], PV.layout.shift["u"]]
     monkeypatch.undo()
     assert acc.series() == naive_mul(a, b).scaled(QQ(-7, 3))
 
@@ -1095,7 +1206,7 @@ def test_negative_exponent_outside_z_and_hbar_raises():
     with pytest.raises(SeriesError, match="only z and hbar"):
         TruncatedSeries.term(PV, TruncationSpec(u_max=3), {"p2": -1})
     with pytest.raises(SeriesError, match="only z and hbar"):
-        s({"x1": 1}).regrade(XU, SPEC, lambda m: ((m[0] - 2, m[1], m[2]), 1))
+        s({"x1": 1}).regrade(XU, SPEC, {"x1": {"x1": 1, 1: -2}})
     with pytest.raises(OutOfBoundsError):
         one().coefficient({"u": -1})
     # z and hbar stay Laurent
@@ -1126,7 +1237,7 @@ def test_exponent_past_the_field_raises():
     with pytest.raises(SeriesError, match="does not fit"):
         big * TruncatedSeries.term(XU, free, {"u": 1})
     with pytest.raises(SeriesError, match="does not fit"):
-        big.regrade(XU, free, lambda m: ((m[0], m[1], m[2] + 1), 1))
+        big.regrade(XU, free, {"u": {"u": 1, 1: 1}})
     # past a bound of the spec, the same product is only truncated
     bounded = TruncationSpec(u_max=limit - 1)
     assert (big * TruncatedSeries.term(XU, bounded, {"u": 1})).is_zero()
