@@ -211,7 +211,7 @@ def f_homology(
 
 
 def f_homotopy_direct(
-    cfg: LinkConfig, t_max: int, x_total_max: int | None = None
+    cfg: LinkConfig, t_max: int, x_total_max: int | None = None, genus: int | None = None
 ) -> TruncatedSeries:
     """The homotopy generating function F^pi(x_1..x_r, u), truncated.
 
@@ -221,14 +221,30 @@ def f_homotopy_direct(
     where ``X_{l,k} = sum_i (-1)^(m_i-1) E_l(x_i^k)``: the Moebius double
     sum of :mod:`linkchi.special` at the power sums
     ``P_n = sum_i (-1)^(m_i-1) x_i^n``.
+
+    With ``genus`` g, only the genus-g layer, the terms x^s u^t with
+    t - |s| + 1 = g, computed alone by the double sum and laid out as
+    :func:`f_homotopy_graded` under ``hbar_window = (g, g)``,
+    ``u_max = t_max`` and ``x_total_max = max(t_max + 1 - g, 0)``: a
+    coefficient of another genus raises ``OutOfBoundsError``.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     vars_ = cfg.xu_vars()
-    spec = _xu_spec(t_max, x_total_max)
-    return _mobius_double_sum(
-        vars_, spec, "u", cfg.sigma_d, t_max, _eps_power_sum(cfg, vars_, spec)
+    if genus is None:
+        spec = _xu_spec(t_max, x_total_max)
+        return _mobius_double_sum(
+            vars_, spec, "u", cfg.sigma_d, t_max, _eps_power_sum(cfg, vars_, spec)
+        )
+    if genus < 0:
+        raise ValueError("genus must be >= 0")
+    if x_total_max is not None:
+        raise ValueError("a genus layer sets its own x-total bound")
+    spec = _xu_spec(t_max, max(t_max + 1 - genus, 0))
+    layer = _mobius_double_sum(
+        vars_, spec, "u", cfg.sigma_d, t_max, _eps_power_sum(cfg, vars_, spec), genus=genus
     )
+    return _by_genus(layer, (genus, genus))
 
 
 def f_homotopy_via_pleth(
@@ -253,11 +269,17 @@ def f_homotopy_graded(
     """
     if f_pi is None:
         f_pi = f_homotopy_direct(cfg, t_max)
-    vars_ = VariableSet(hodge_count=cfg.r, has_u=True, has_hbar=True)
+    return _by_genus(f_pi, (0, t_max))
+
+
+def _by_genus(f_pi: TruncatedSeries, window: tuple[int, int]) -> TruncatedSeries:
+    """``f_pi`` with each x^s u^t times hbar^(t - |s| + 1), its genus, under
+    ``hbar_window = window``: past the window a term drops, below it raises."""
+    vars_ = VariableSet(hodge_count=f_pi.vars.hodge_count, has_u=True, has_hbar=True)
     spec = TruncationSpec(
         u_max=f_pi.spec.u_max,
         x_total_max=f_pi.spec.x_total_max,
-        hbar_window=(0, t_max),
+        hbar_window=window,
     )
     return f_pi.regrade(vars_, spec, images={"hbar": {"u": 1, "xt": -1, 1: 1}})
 
@@ -453,14 +475,16 @@ def euler_table(
 
     The coefficient of x^s u^t contributes to genus g = t - |s| + 1, so
     row t of the genus-g table reads off |s| = t + 1 - g; entries whose
-    required s1 would be negative are 0.
+    required s1 would be negative are 0.  Without ``f_pi`` only the
+    genus-g layer is computed (``f_homotopy_direct(..., genus=g)``); an
+    ``f_pi`` with hbar is read at hbar^g.
     """
     if genus < 0:
         raise ValueError("genus must be >= 0")
     if cfg.r > 2:
         raise ValueError("the published grid layout is defined for r <= 2")
     if f_pi is None:
-        f_pi = f_homotopy_direct(cfg, t_max)
+        f_pi = f_homotopy_direct(cfg, t_max, genus=genus)
     if f_pi.spec.u_max is not None and t_max > f_pi.spec.u_max:
         raise ValueError("t_max exceeds the truncation of the supplied series")
     s2_max = t_max if cfg.r == 2 else 0
@@ -476,6 +500,8 @@ def euler_table(
             expo = {"x1": s1, "u": t}
             if cfg.r == 2:
                 expo["x2"] = s2
+            if f_pi.vars.has_hbar:
+                expo["hbar"] = genus
             c = f_pi.coefficient(expo)
             if c.denominator != 1:
                 raise SeriesError(f"non-integer Euler characteristic at {expo}: {c}")

@@ -257,7 +257,8 @@ def _masks(layout: _Layout, spec: "TruncationSpec", l: int = 1) -> tuple[int, ..
     is the storage limit, where failing means overflow, not truncation;
     ``XGUARD`` the x-total guard bit when the spec bounds the x-total.
     A z/hbar window on a direction the layout lacks holds every key or,
-    when it excludes 0, none: then the masks fail every key.  The bounds
+    when it excludes 0, none: then the masks fail every key (and the
+    constructor and ``regrade`` raise, :func:`_check_windows`).  The bounds
     are read field by field, not from :attr:`TruncationSpec.windows`, so
     that the tests' reference, :func:`_outside`, shares no code with them.
     """
@@ -363,6 +364,18 @@ def _outside(spec: TruncationSpec, metric) -> int:
     if any(e > w[1] for w, e in bounded):
         return 1
     return -1 if any(e < w[0] for w, e in bounded) else 0
+
+
+def _check_windows(vars_: VariableSet, spec: TruncationSpec) -> None:
+    """Raise :class:`SeriesError` when ``spec`` sets a z or hbar window
+    without 0 on a direction ``vars_`` lacks: every monomial of ``vars_``
+    has exponent 0 there, so the spec holds none of them."""
+    for name, window in (("z", spec.z_window), ("hbar", spec.hbar_window)):
+        if window is not None and not window[0] <= 0 <= window[1] and name not in vars_.positions:
+            raise SeriesError(
+                f"{spec} sets the {name} window {window}, which excludes {name}^0, "
+                f"on {vars_.names}, which has no {name}: it holds no monomial"
+            )
 
 
 def _below_error(vars_: VariableSet, spec: TruncationSpec, target, source) -> SeriesError:
@@ -647,8 +660,10 @@ class TruncatedSeries:
         coefficient that is not an ``int`` or a ``QQ`` is read as
         ``QQ(c)``; no other ``QQ`` is built.  A monomial that the layout's
         ``fits`` refuses raises :class:`SeriesError`; one outside the spec
-        or with coefficient 0 is dropped.  ``_trusted`` is accepted and
-        ignored: every monomial is checked."""
+        or with coefficient 0 is dropped.  A spec that holds no monomial of
+        ``vars_`` (:func:`_check_windows`) raises.  ``_trusted`` is accepted
+        and ignored: every monomial is checked."""
+        _check_windows(vars_, spec)
         layout = vars_.layout
         fits, pack = layout.fits, layout.pack
         add, sub, guard = _masks(layout, spec)[:3]
@@ -1073,7 +1088,9 @@ class TruncatedSeries:
 
     def grade_extract(self, name: str, degree: int) -> "TruncatedSeries":
         """Sub-series with the exact exponent ``degree`` in ``name``, factor removed,
-        under the same spec: a window on ``name`` that excludes 0 raises."""
+        under the same spec: a window on ``name`` that excludes 0 raises
+        :class:`SeriesError`, and a ``degree`` outside that window, where the
+        coefficients are undefined, raises :class:`OutOfBoundsError`."""
         vars_ = self.vars
         layout = vars_.layout
         # keys are linear in the exponents: removing the factor subtracts its key
@@ -1081,6 +1098,8 @@ class TruncatedSeries:
         window = dict(zip(_DIRECTIONS, self.spec.windows)).get(name)
         if window is not None and not window[0] <= 0 <= window[1]:
             raise SeriesError(f"grade_extract puts terms at {name}^0, outside the window {window}")
+        if window is not None and not window[0] <= degree <= window[1]:
+            raise OutOfBoundsError(f"{name}^{degree} lies outside the window {window} of {self.spec}")
         read, grade = _reader(layout, (name,)), (degree,)
         den, items = self._ints
         out = {k - shift: n for k, n in items.items() if read(k) == grade}
@@ -1110,9 +1129,12 @@ class TruncatedSeries:
         An image past an upper bound of ``spec`` is dropped; one below a
         lower bound (which the spec promised to keep), one that breaks the
         sign or overflow rule, two monomials on one image and a nonzero
-        dropped variable raise :class:`SeriesError`.  The map is compiled
-        once (:func:`_regrader`) and runs on the integer form: no ``QQ``.
+        dropped variable raise :class:`SeriesError`, and so does a spec
+        that holds no monomial of ``vars_`` (:func:`_check_windows`).  The
+        map is compiled once (:func:`_regrader`) and runs on the integer
+        form: no ``QQ``.
         """
+        _check_windows(vars_, spec)
         forms = tuple((name, tuple(form.items())) for name, form in (images or {}).items())
         parity = tuple((parity or {}).items())
         image, shape, dropped = _regrader(self.vars, vars_, forms, parity, sign)

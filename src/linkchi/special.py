@@ -20,6 +20,7 @@ from functools import lru_cache
 from .rationals import CACHE_SIZE, QQ, bernoulli, binomial, divisors, mobius
 from .series import (
     _DIRECTIONS,
+    _FIELD_MASK,
     SeriesError,
     TruncatedSeries,
     TruncationSpec,
@@ -205,7 +206,26 @@ def _placed(vars_, spec, factor: tuple, k: int, top: int, step: int) -> Truncate
     return TruncatedSeries._from_ints(vars_, spec, den, terms)
 
 
-def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_sum):
+def _diagonal(x: TruncatedSeries, factor: tuple, k: int, genus: int, top: int, step: int):
+    """The genus-``genus`` terms of ``x * f(v^k)``, f a frozen factor of
+    :func:`_v_factors` and x a series in the x_i alone, as ``(den,
+    [(key, numerator)])``: a term of x of x-total s meets the one term v^e
+    of f with k e = s + genus - 1 <= top, at the key of :func:`_placed`'s
+    product."""
+    den, items = factor
+    f = dict(items)
+    dx, x_items = x._ints
+    xs = x.vars.layout.shift["xt"]
+    pairs = []
+    for key, n in x_items.items():
+        ke = ((key >> xs) & _FIELD_MASK) + genus - 1
+        e, rest = divmod(ke, k)
+        if not rest and ke <= top and e in f:
+            pairs.append((key + ke * step, n * f[e]))
+    return dx * den, pairs
+
+
+def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_sum, genus=None):
     """The double sum behind F^pi and the graph supercharacters.
 
     ``sum_{k,l,j} mu(k)/(k j) S_j(X_{l,k}) V_{kl}^j
@@ -230,6 +250,15 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
     term goes into one :class:`~linkchi.series._LinearSum`: each product
     is added straight from its factors' integer numerators, never built
     as a series.
+
+    With ``genus`` g (x/u layouts only) the sum keeps only its terms of
+    genus e - s + 1 = g, e the v-exponent and s the x-total: each final
+    product pairs its terms by :func:`_diagonal` instead of the pair loop.
+    That is exact, since every final product is of a series in the x_i
+    alone and one in v alone, and its terms enter the sum without being
+    multiplied again.  Only the k dividing g - 1 are visited: with P_n of
+    x-total n, as F^pi's are, every x-total in X_{l,k} and its powers is a
+    multiple of k, and a term of v^(k e) has genus k e - s + 1.
     """
     layout = vars_.layout
     window = spec.windows[_DIRECTIONS.index(var)]
@@ -237,15 +266,25 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
         raise SeriesError(
             f"the double sum needs an upper bound on {var} and the monomial 1 in {spec}"
         )
+    if genus is not None and (var, vars_.nvars) != ("u", vars_.hodge_count + 1):
+        raise SeriesError(f"a genus layer of the double sum needs an x/u layout, not {vars_.names}")
     top = window[1]
     step = layout.pack(vars_.monomial({var: 1})) - layout.bias
     sums = {n: power_sum(n) for n in range(1, 2 * t_max + 1)}
     out = _LinearSum(vars_, spec)
+
+    def add(c, x, factor, k):
+        if genus is None:
+            out.add_product(c, x, _placed(vars_, spec, factor, k, top, step))
+        else:
+            den, pairs = _diagonal(x, factor, k, genus, top, step)
+            out.add_items(c.numerator, c.denominator * den, pairs)
+
     for l in range(1, 2 * t_max + 1):
         factors = None  # read on first use
         for k in range(1, 2 * t_max // l + 1):
             mk = mobius(k)
-            if mk == 0:
+            if mk == 0 or (genus is not None and (genus - 1) % k):
                 continue
             x = _mobius_x(vars_, spec, l, k, sums.__getitem__)
             if x.is_zero():
@@ -257,9 +296,9 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
                 for n, q in enumerate(cols[: t_max // (k * l) + 1]):
                     if n:
                         x_pow = x_pow * x
-                    out.add_product(QQ(mk, k), x_pow, _placed(vars_, spec, q, k, top, step))
+                    add(QQ(mk, k), x_pow, q, k)
             if log_fl is not None:  # F_1 = 1 contributes nothing
-                out.add_product(QQ(-mk, k), x, _placed(vars_, spec, log_fl, k, top, step))
+                add(QQ(-mk, k), x, log_fl, k)
     return out.series()
 
 

@@ -28,6 +28,15 @@ Route ledger: the code paths each cross-route check compares.
   With ``--t-max 30`` both run past the published rows, where ``tables``
   checks palindromy alone.
 
+* ``tables`` (odd/odd, r = 2, t = 23): besides the published grids,
+  "genus-g layer alone vs full F^pi" for g = 0..3, the layer that
+  ``linkchi table --genus g`` computes alone
+  (``f_homotopy_direct(..., genus=g)``, whose final products pair terms by
+  ``special._diagonal``) against that layer of the full double sum
+  (``special._placed`` and the pair loop) regraded by genus.  Both run the
+  rest of the double sum, so this pins the diagonal placement, and the
+  k the genus path skips, only.
+
 * ``genus-split`` (four parities, r = 2, t = 12): "hbar^0/hbar^1 vs
   genus-0/1 closed form", the genus layers of the double sum against
   ``genus0_closed`` and ``genus1_closed`` (direct log sums); "genus-0/1
@@ -421,7 +430,10 @@ def check_cycle_index(res: CheckResult, t_max: int = 8) -> None:
 
 def check_tables(res: CheckResult, t_max: int = TABLE_T_MAX) -> None:
     """The direct route against the published grids (rows t <= 23), and
-    palindromy of every computed row, past the published ones too."""
+    palindromy of every computed row, past the published ones too; then
+    each genus layer as ``linkchi table`` computes it, alone
+    (``f_homotopy_direct(..., genus=g)``), against that layer of the full
+    series."""
     cfg = LinkConfig.create((1, 1), 3)
     f_pi = f_homotopy_direct(cfg, t_max)
     recon = set(RECONCILIATION_CELLS)
@@ -460,6 +472,11 @@ def check_tables(res: CheckResult, t_max: int = TABLE_T_MAX) -> None:
                 if 0 <= mirror <= t_max and s2 <= t_max:
                     if table.rows[t][s2] != table.rows[t][mirror]:
                         res.fail(f"genus {g} t={t}: row not palindromic at s2={s2}")
+    graded = f_homotopy_graded(cfg, t_max, f_pi=f_pi)
+    for g in range(4):
+        layer = graded.truncate(TruncationSpec(hbar_window=(g, g)))
+        alone = f_homotopy_direct(cfg, t_max, genus=g)
+        _series_equal(res, f"genus-{g} layer alone vs full F^pi (t={t_max})", alone, layer)
 
 
 def check_oracle(res: CheckResult, t_max: int = 4, t_top: int = 5) -> None:

@@ -89,6 +89,22 @@ def test_table_t0_empty(capsys):
     assert out.strip() == "t,0"
 
 
+def test_table_past_every_genus_prints_zero_rows(capsys):
+    # genus 20 at t <= 5 needs |s| = t - 19 < 0: the layer computed alone
+    # is empty, and every row reads 0 as it does from the full series
+    from linkchi.genfun import LinkConfig, euler_table, f_homotopy_direct
+
+    code, out, _ = run_cli(
+        ["table", "--genus", "20", "--m", "odd,odd", "--d", "odd", "--t-max", "5", "--format", "csv"],
+        capsys,
+    )
+    assert code == 0
+    cfg = LinkConfig.create((1, 1), 3)
+    full = euler_table(cfg, 20, 5, f_pi=f_homotopy_direct(cfg, 5))
+    assert out == full.to_csv()
+    assert out.strip().split("\n")[1:] == [f"{t},0,0,0,0,0,0" for t in range(1, 6)]
+
+
 def test_table_negative_genus_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "--genus", "-1", "--m", "odd,odd", "--d", "odd"])
@@ -450,6 +466,25 @@ def test_verify_tables_checks_palindromy_past_the_published_rows(capsys, monkeyp
     code, out, _ = run_cli(["verify", "--only", "tables", "--t-max", "25"], capsys)
     assert code == 1
     assert "genus 0 t=25: row not palindromic at s2=1" in out
+
+
+def test_verify_tables_fails_when_the_genus_layer_is_shifted(capsys, monkeypatch):
+    # the layer computed alone pairs each x-term with the factor term one
+    # genus too high: the published grids still pass (they read the full
+    # series), the comparison of the layers does not
+    import linkchi.special as special_mod
+
+    real = special_mod._diagonal
+
+    def shifted(x, factor, k, genus, top, step):
+        return real(x, factor, k, genus + 1, top, step)
+
+    monkeypatch.setattr(special_mod, "_diagonal", shifted)
+    code = cli.main(["verify", "--only", "tables", "--t-max", "6"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] tables" in out
+    assert "genus-0 layer alone vs full F^pi (t=6): at" in out
 
 
 def test_verify_genus_split_fails_on_a_negative_genus(capsys, monkeypatch):

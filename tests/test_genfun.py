@@ -16,7 +16,13 @@ from linkchi.genfun import (
 )
 from linkchi.rationals import QQ
 from linkchi.reference_tables import TABLES
-from linkchi.series import SeriesError, TruncatedSeries, TruncationSpec, VariableSet
+from linkchi.series import (
+    OutOfBoundsError,
+    SeriesError,
+    TruncatedSeries,
+    TruncationSpec,
+    VariableSet,
+)
 from linkchi.special import plethystic_exp
 
 ODD2 = LinkConfig.create((1, 1), 3)
@@ -284,6 +290,41 @@ def test_euler_table_r1():
     # single strand, genus one: one column with s1 = t
     assert tab.convention == "s1 = t"
     assert all(len(row) == 1 for row in tab.rows.values())
+
+
+PARITY_CONFIGS = {"odd-odd": (1, 3), "odd-even": (1, 4), "even-odd": (2, 5), "even-even": (2, 4)}
+
+
+@pytest.mark.parametrize("parity", sorted(PARITY_CONFIGS))
+@pytest.mark.parametrize("r", [1, 2])
+def test_genus_layer_alone_matches_the_full_layer(parity, r):
+    m, d = PARITY_CONFIGS[parity]
+    cfg = LinkConfig.create((m,) * r, d)
+    for t in (0, 1, 2, 5, 12):
+        graded = f_homotopy_graded(cfg, t)
+        for g in range(t + 3):
+            alone = f_homotopy_direct(cfg, t, genus=g)
+            assert alone.spec == TruncationSpec(
+                u_max=t, x_total_max=max(t + 1 - g, 0), hbar_window=(g, g)
+            )
+            full = graded.truncate(TruncationSpec(hbar_window=(g, g)))
+            assert alone == full, (t, g)
+
+
+def test_genus_layer_alone_is_undefined_off_its_genus():
+    layer = f_homotopy_direct(ODD2, 6, genus=1)
+    assert layer.coefficient({"x1": 3, "x2": 3, "u": 6, "hbar": 1}) == 3
+    for genus in (0, 2):
+        with pytest.raises(OutOfBoundsError):
+            layer.coefficient({"x1": 3, "x2": 3, "u": 6, "hbar": genus})
+    genus0 = f_homotopy_direct(ODD2, 6, genus=0)
+    assert genus0.grade_extract("hbar", 0).coefficient({"x1": 1, "x2": 1, "u": 1}) == 1
+    with pytest.raises(OutOfBoundsError):
+        genus0.grade_extract("hbar", 1)
+    with pytest.raises(ValueError):
+        f_homotopy_direct(ODD2, 6, genus=-1)
+    with pytest.raises(ValueError):
+        f_homotopy_direct(ODD2, 6, x_total_max=7, genus=1)
 
 
 def test_euler_table_rejects_r3():

@@ -361,6 +361,36 @@ def test_grade_extract_raises_where_the_window_excludes_zero():
     assert a.grade_extract("u", 1) == TruncatedSeries.term(hv, spec, {"hbar": 2}, 5)
 
 
+def test_grade_extract_outside_the_window_raises():
+    hv = VariableSet(has_u=True, has_hbar=True)
+    spec = TruncationSpec(u_max=3, hbar_window=(0, 2))
+    a = TruncatedSeries.term(hv, spec, {"u": 1, "hbar": 2}, 5)
+    # undefined, as the coefficients there are: never the zero series
+    for name, degree in (("hbar", 3), ("hbar", -1), ("u", 4)):
+        with pytest.raises(OutOfBoundsError, match=rf"{name}\^{degree} lies outside"):
+            a.grade_extract(name, degree)
+    assert a.grade_extract("hbar", 1).is_zero()
+    assert a.grade_extract("u", 3).is_zero()
+
+
+@pytest.mark.parametrize("window", ["z_window", "hbar_window"])
+def test_a_window_without_zero_on_a_missing_direction_raises(window):
+    # every monomial of the set sits at exponent 0 there, below or past the window
+    u_only = VariableSet(has_u=True)
+    spec = TruncationSpec(u_max=3, **{window: (1, 3)})
+    name = window.split("_")[0]
+    source = TruncatedSeries.term(u_only, TruncationSpec(u_max=3), {"u": 1}, 5)
+    with pytest.raises(SeriesError, match=f"which has no {name}"):
+        source.regrade(u_only, spec)
+    with pytest.raises(SeriesError, match=f"which has no {name}"):
+        TruncatedSeries.term(u_only, spec, {"u": 1}, 5)
+    with pytest.raises(SeriesError, match=f"which has no {name}"):
+        TruncatedSeries(u_only, TruncationSpec(**{window: (-3, -1)}))
+    # a window holding 0 on the missing direction keeps every monomial
+    wide = TruncationSpec(u_max=3, **{window: (-1, 3)})
+    assert source.regrade(u_only, wide)._ints == source._ints
+
+
 def test_to_text_graded_lex():
     a = s({"u": 2}, QQ(-1, 2)) + s({"x1": 1}) + one().scaled(3)
     assert a.to_text() == "3 + x1 + -1/2*u^2"
@@ -1338,6 +1368,15 @@ def test_guard_test_matches_outside(case, l):
 def test_raise_exponents_matches_raising_each_monomial(case, spec, l):
     # the plethystic transforms raise whole series
     vars_, coeffs = case
+    missing = [
+        name
+        for name, w in (("z", spec.z_window), ("hbar", spec.hbar_window))
+        if w is not None and not w[0] <= 0 <= w[1] and name not in vars_.names
+    ]
+    if missing:  # the spec holds no monomial of vars_
+        with pytest.raises(SeriesError, match=f"which has no {missing[0]}"):
+            TruncatedSeries(vars_, spec, coeffs)
+        return
     series = TruncatedSeries(vars_, spec, coeffs)
     kept, below = {}, False
     for mono, c in series.coeffs.items():
