@@ -128,7 +128,7 @@ class LinkConfig:
         return VariableSet(hodge_count=self.r, has_u=True)
 
 
-def _xu_spec(t_max: int, x_total_max: int | None) -> TruncationSpec:
+def _xu_spec(t_max: int, x_total_max: int | None = None) -> TruncationSpec:
     s = (t_max + 1) if x_total_max is None else x_total_max
     return TruncationSpec(u_max=t_max, x_total_max=s)
 
@@ -247,11 +247,9 @@ def f_homotopy_direct(
     return _by_genus(layer, (genus, genus))
 
 
-def f_homotopy_via_pleth(
-    cfg: LinkConfig, t_max: int, x_total_max: int | None = None
-) -> TruncatedSeries:
+def f_homotopy_via_pleth(cfg: LinkConfig, t_max: int) -> TruncatedSeries:
     """F^pi computed as the plethystic logarithm of F^H (the second route)."""
-    return plethystic_log(f_homology(cfg, t_max, x_total_max))
+    return plethystic_log(f_homology(cfg, t_max))
 
 
 def f_homotopy_graded(
@@ -305,9 +303,7 @@ def _mu_log_sum(
     return out.series()
 
 
-def genus0_closed(
-    cfg: LinkConfig, t_max: int, x_total_max: int | None = None
-) -> TruncatedSeries:
+def genus0_closed(cfg: LinkConfig, t_max: int) -> TruncatedSeries:
     """Closed form for the genus-zero part of F^pi.
 
     ``-A_1 + (A_1 - (-1)^d / u) * sum_l mu(l)/l log(1 - (-1)^d u^l A_l)``
@@ -319,19 +315,17 @@ def genus0_closed(
     :class:`SeriesError`.
     """
     vars_ = cfg.xu_vars()
-    wspec = _xu_spec(t_max + 1, x_total_max)
+    wspec = _xu_spec(t_max + 1)
     bracket = _mu_log_sum(cfg, vars_, wspec, t_max + 1, mobius)
     u = TruncatedSeries.term(vars_, wspec, {"u": 1})
     a1 = color_power_sum(cfg, vars_, wspec, 1, "euler")
     shifted = (u * a1 - TruncatedSeries.constant(vars_, wspec, cfg.sd)) * bracket
-    spec = _xu_spec(t_max, x_total_max)
+    spec = _xu_spec(t_max)
     lowered = shifted.regrade(vars_, spec, images={"u": {"u": 1, 1: -1}})
     return lowered - color_power_sum(cfg, vars_, spec, 1, "euler")
 
 
-def genus1_closed(
-    cfg: LinkConfig, t_max: int, x_total_max: int | None = None
-) -> TruncatedSeries:
+def genus1_closed(cfg: LinkConfig, t_max: int) -> TruncatedSeries:
     """Closed form for the genus-one part of F^pi.
 
     A totient-weighted logarithm plus the rational hedgehog correction
@@ -339,7 +333,7 @@ def genus1_closed(
     / (4 (1 - (-1)^d u^2 A_2))``.
     """
     vars_ = cfg.xu_vars()
-    spec = _xu_spec(t_max, x_total_max)
+    spec = _xu_spec(t_max)
     out = _mu_log_sum(cfg, vars_, spec, t_max, totient).scaled(QQ(-1, 2))
     one = TruncatedSeries.one(vars_, spec)
     u = TruncatedSeries.term(vars_, spec, {"u": 1})
@@ -392,20 +386,16 @@ def _dims_from_euler(cfg: LinkConfig, closed: TruncatedSeries, genus: int) -> Tr
     return closed.regrade(vars_, spec, images={"z": degree}, parity=degree)
 
 
-def genus0_dims(
-    cfg: LinkConfig, t_max: int, x_total_max: int | None = None
-) -> TruncatedSeries:
+def genus0_dims(cfg: LinkConfig, t_max: int) -> TruncatedSeries:
     """z-graded dimension series of the genus-zero Hodge summands:
     :func:`genus0_closed` regraded by :func:`_dims_from_euler`."""
-    return _dims_from_euler(cfg, genus0_closed(cfg, t_max, x_total_max), 0)
+    return _dims_from_euler(cfg, genus0_closed(cfg, t_max), 0)
 
 
-def genus1_dims(
-    cfg: LinkConfig, t_max: int, x_total_max: int | None = None
-) -> TruncatedSeries:
+def genus1_dims(cfg: LinkConfig, t_max: int) -> TruncatedSeries:
     """z-graded dimension series of the genus-one Hodge summands:
     :func:`genus1_closed` regraded by :func:`_dims_from_euler`."""
-    return _dims_from_euler(cfg, genus1_closed(cfg, t_max, x_total_max), 1)
+    return _dims_from_euler(cfg, genus1_closed(cfg, t_max), 1)
 
 
 @dataclass

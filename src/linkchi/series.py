@@ -169,8 +169,9 @@ class VariableSet:
 
     @cached_property
     def layout(self) -> "_Layout":
-        """The packed-key layout of this variable set, built on first use."""
-        return _Layout(self)
+        """The packed-key layout of this variable set, shared by every
+        equal set (:func:`_layout`)."""
+        return _layout(self)
 
 
 class _Layout:
@@ -247,6 +248,13 @@ class _Layout:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def _layout(vars_: VariableSet) -> _Layout:
+    """The one layout of each variable-set value, so that equal sets built
+    apart compile it once and share the caches keyed by layout."""
+    return _Layout(vars_)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _masks(layout: _Layout, spec: "TruncationSpec", l: int = 1) -> tuple[int, ...]:
     """``(ADD, SUB, GUARD, OVER, XGUARD)`` of the bound test (module
     docstring) for keys of ``layout`` under ``spec``.
@@ -258,9 +266,10 @@ def _masks(layout: _Layout, spec: "TruncationSpec", l: int = 1) -> tuple[int, ..
     ``XGUARD`` the x-total guard bit when the spec bounds the x-total.
     A z/hbar window on a direction the layout lacks holds every key or,
     when it excludes 0, none: then the masks fail every key (and the
-    constructor and ``regrade`` raise, :func:`_check_windows`).  The bounds
-    are read field by field, not from :attr:`TruncationSpec.windows`, so
-    that the tests' reference, :func:`_outside`, shares no code with them.
+    constructor, ``zero``, ``truncate`` and ``regrade`` raise,
+    :func:`_check_windows`).  The bounds are read field by field, not from
+    :attr:`TruncationSpec.windows`, so that the tests' reference,
+    :func:`_outside`, shares no code with them.
     """
     for kind, window in (("z", spec.z_window), ("hbar", spec.hbar_window)):
         if window is not None and kind not in layout.shift and not window[0] <= 0 <= window[1]:
@@ -723,6 +732,7 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, vars_: VariableSet, spec: TruncationSpec) -> "TruncatedSeries":
+        _check_windows(vars_, spec)
         return cls._from_ints(vars_, spec, 1, {})
 
     @classmethod
@@ -1110,8 +1120,10 @@ class TruncatedSeries:
         return {e for e, in map(_reader(self.vars.layout, (name,)), self._ints[1])}
 
     def truncate(self, spec: TruncationSpec) -> "TruncatedSeries":
-        """Re-truncate to a (smaller) spec, in the integer form."""
+        """Re-truncate to a (smaller) spec, in the integer form; a spec
+        that holds no monomial of the set (:func:`_check_windows`) raises."""
         spec = self.spec.meet(spec)
+        _check_windows(self.vars, spec)
         den, items = self._ints
         masks = _masks(self.vars.layout, spec)
         kept = {k: n for k, n in items.items() if _passes(masks, k)}

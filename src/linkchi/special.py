@@ -196,33 +196,27 @@ def _v_factors(l: int, sigma_d: int, top: int, j_max: int) -> tuple:
     return cols, (_frozen(fl.log()) if l > 1 else None)
 
 
-def _placed(vars_, spec, factor: tuple, k: int, top: int, step: int) -> TruncatedSeries:
-    """A frozen factor f of :func:`_v_factors` as the series f(v^k) of
-    ``(vars_, spec)``: v^e goes to the key ``bias + k e step``, ``step``
-    being the key of v less the bias, for every e with k e <= top."""
+def _final_terms(x: TruncatedSeries, factor: tuple, k: int, top: int, step: int, genus=None):
+    """The terms of ``x * f(v^k)``, f a frozen factor of :func:`_v_factors`
+    and x a series with no positive exponent in v, as ``(den, lazy (key,
+    numerator) pairs)``: v^e meets each term of x at the key offset ``k e
+    step``, ``step`` being the key of v less the bias, for every e with k e
+    <= top.  With ``genus`` g (x/u layouts only) a term of x of x-total s
+    meets only the one v^e with k e = s + g - 1."""
     den, items = factor
-    bias = vars_.layout.bias
-    terms = {bias + k * e * step: n for e, n in items if k * e <= top}
-    return TruncatedSeries._from_ints(vars_, spec, den, terms)
-
-
-def _diagonal(x: TruncatedSeries, factor: tuple, k: int, genus: int, top: int, step: int):
-    """The genus-``genus`` terms of ``x * f(v^k)``, f a frozen factor of
-    :func:`_v_factors` and x a series in the x_i alone, as ``(den,
-    [(key, numerator)])``: a term of x of x-total s meets the one term v^e
-    of f with k e = s + genus - 1 <= top, at the key of :func:`_placed`'s
-    product."""
-    den, items = factor
-    f = dict(items)
+    placed = {k * e: m for e, m in items if k * e <= top}
     dx, x_items = x._ints
-    xs = x.vars.layout.shift["xt"]
-    pairs = []
-    for key, n in x_items.items():
-        ke = ((key >> xs) & _FIELD_MASK) + genus - 1
-        e, rest = divmod(ke, k)
-        if not rest and ke <= top and e in f:
-            pairs.append((key + ke * step, n * f[e]))
-    return dx * den, pairs
+    if genus is None:
+        return dx * den, (
+            (key + ke * step, n * m) for key, n in x_items.items() for ke, m in placed.items()
+        )
+    xs, g1 = x.vars.layout.shift["xt"], genus - 1
+    return dx * den, (
+        (key + ke * step, n * placed[ke])
+        for key, n in x_items.items()
+        for ke in (((key >> xs) & _FIELD_MASK) + g1,)
+        if ke in placed
+    )
 
 
 def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_sum, genus=None):
@@ -241,24 +235,28 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
     S_j(X) V^j / j = sum_n X^n Q_n(V)`` with the Q_n of
     :func:`_column_polys`.  So the factors in v, Q_n(V_l) and log F_l,
     depend on (l, sigma_d, top) alone, top the upper bound of the spec's
-    ``var`` window: :func:`_v_factors` builds them once per process, and
-    each call places them at v^k (:func:`_placed`) in its own layout.
-    Placing is exact: these are series in v alone with exponents in [0,
-    top], a placed term lies in the spec iff its v-exponent does, since
-    the monomial 1 does (checked here), and for k > 1 the terms it drops,
-    among them every ``V_l^j`` with j > t_max/(kl), lie past top.  Every
-    term goes into one :class:`~linkchi.series._LinearSum`: each product
-    is added straight from its factors' integer numerators, never built
-    as a series.
+    ``var`` window: :func:`_v_factors` builds them once per process.
+
+    Every final product is ``X_{l,k}^n f(v^k)``, f such a factor, and its
+    terms go into one :class:`~linkchi.series._LinearSum` straight from
+    the integer numerators (:func:`_final_terms`): no product is built as
+    a series or run through the pair loop.  The pairing keeps exactly the
+    terms of the truncated product of X^n and f(v^k), with no bound test,
+    because no P_n, and so no term of X^n, has a positive exponent in v
+    (checked here; true of the x/u layout of F^pi, the p layout of the
+    graph supercharacters and the hbar-Laurent layout of the envelope).
+    A term of X^n lies in the spec with v-exponent a <= 0, and v^(k e)
+    adds k e >= 0 to it: the pair lies in the spec when k e <= top, and
+    the pairs with k e > top, among them every ``V_l^j`` with j >
+    t_max/(kl), are those that truncating f(v^k) to the spec drops.  The
+    monomial 1 must lie in the spec (checked here).
 
     With ``genus`` g (x/u layouts only) the sum keeps only its terms of
-    genus e - s + 1 = g, e the v-exponent and s the x-total: each final
-    product pairs its terms by :func:`_diagonal` instead of the pair loop.
-    That is exact, since every final product is of a series in the x_i
-    alone and one in v alone, and its terms enter the sum without being
-    multiplied again.  Only the k dividing g - 1 are visited: with P_n of
-    x-total n, as F^pi's are, every x-total in X_{l,k} and its powers is a
-    multiple of k, and a term of v^(k e) has genus k e - s + 1.
+    genus e - s + 1 = g, e the v-exponent and s the x-total, by the same
+    pairing: each final pair enters the sum without being multiplied
+    again.  Only the k dividing g - 1 are visited: with P_n of x-total n,
+    as F^pi's are, every x-total in X_{l,k} and its powers is a multiple
+    of k, and a term of v^(k e) has genus k e - s + 1.
     """
     layout = vars_.layout
     window = spec.windows[_DIRECTIONS.index(var)]
@@ -271,15 +269,10 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
     top = window[1]
     step = layout.pack(vars_.monomial({var: 1})) - layout.bias
     sums = {n: power_sum(n) for n in range(1, 2 * t_max + 1)}
+    for n, p_n in sums.items():
+        if max(p_n.exponents_of(var), default=0) > 0:
+            raise SeriesError(f"the power sum P_{n} = {p_n} has a positive exponent in {var}")
     out = _LinearSum(vars_, spec)
-
-    def add(c, x, factor, k):
-        if genus is None:
-            out.add_product(c, x, _placed(vars_, spec, factor, k, top, step))
-        else:
-            den, pairs = _diagonal(x, factor, k, genus, top, step)
-            out.add_items(c.numerator, c.denominator * den, pairs)
-
     for l in range(1, 2 * t_max + 1):
         factors = None  # read on first use
         for k in range(1, 2 * t_max // l + 1):
@@ -296,9 +289,11 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
                 for n, q in enumerate(cols[: t_max // (k * l) + 1]):
                     if n:
                         x_pow = x_pow * x
-                    add(QQ(mk, k), x_pow, q, k)
+                    den, pairs = _final_terms(x_pow, q, k, top, step, genus)
+                    out.add_items(mk, k * den, pairs)
             if log_fl is not None:  # F_1 = 1 contributes nothing
-                add(QQ(-mk, k), x, log_fl, k)
+                den, pairs = _final_terms(x, log_fl, k, top, step, genus)
+                out.add_items(-mk, k * den, pairs)
     return out.series()
 
 

@@ -31,11 +31,11 @@ Route ledger: the code paths each cross-route check compares.
 * ``tables`` (odd/odd, r = 2, t = 23): besides the published grids,
   "genus-g layer alone vs full F^pi" for g = 0..3, the layer that
   ``linkchi table --genus g`` computes alone
-  (``f_homotopy_direct(..., genus=g)``, whose final products pair terms by
-  ``special._diagonal``) against that layer of the full double sum
-  (``special._placed`` and the pair loop) regraded by genus.  Both run the
-  rest of the double sum, so this pins the diagonal placement, and the
-  k the genus path skips, only.
+  (``f_homotopy_direct(..., genus=g)``) against that layer of the full
+  double sum regraded by genus.  Both take their final products by one
+  pairing, ``special._final_terms``, so this pins only the genus filter
+  in it and the k the genus path skips; the shared pairing is pinned by
+  the published grids, ``oracle`` and the plethystic route.
 
 * ``genus-split`` (four parities, r = 2, t = 12): "hbar^0/hbar^1 vs
   genus-0/1 closed form", the genus layers of the double sum against
@@ -95,8 +95,9 @@ sum these functions, which a fault would reach on both of its sides:
   sums for every j <= t_max) and by ``tables`` and ``oracle``.
 
 ``series._raise_exponents`` is no longer shared: it raises x_i^l, u^l in
-``plethystic_log`` and ``plethystic_exp`` only, and the double sum places
-its factors at v^k by key arithmetic of its own (``special._placed``).
+``plethystic_log`` and ``plethystic_exp`` only, and the double sum pairs
+its factors at v^k with X_{l,k}^n by key arithmetic of its own
+(``special._final_terms``).
 The double sum's factors in v alone, Q_n(V_l) and log F_l, come from one
 cache, ``special._v_factors``, built once per (l, sigma_d, top) in a
 one-variable layout.  It is shared by F^pi direct, ``z_graph_supercharacter``
@@ -414,17 +415,17 @@ def check_cycle_index(res: CheckResult, t_max: int = 8) -> None:
     cfg = LinkConfig.create((1, 1), 3)
     zt = z_tree_homology(3, t_max)
     sp = specialize_colors(zt, cfg, "euler")
-    g0 = genus0_closed(cfg, t_max - 1, x_total_max=t_max)
+    g0 = genus0_closed(cfg, t_max - 1)
     _series_equal(res, "tree-level Euler specialization vs genus-0 closed form", sp, g0)
     # dimension-mode specializations against the direct z-graded series
     for m, d in ((1, 5), (2, 6)):
         cfg = LinkConfig.create((m, m), d)
         w = min(t_max, 6)
         left0 = specialize_colors(z_tree_homology(d, w), cfg, "dims")
-        right0 = genus0_dims(cfg, w - 1, x_total_max=w)
+        right0 = genus0_dims(cfg, w - 1)
         _series_equal(res, f"tree dims vs genus-0 dims (m={m}, d={d})", left0, right0)
         left1 = specialize_colors(z_hedgehog_homology(d, w), cfg, "dims")
-        right1 = genus1_dims(cfg, w - 1, x_total_max=w)
+        right1 = genus1_dims(cfg, w - 1)
         _series_equal(res, f"hedgehog dims vs genus-1 dims (m={m}, d={d})", left1, right1)
 
 

@@ -120,7 +120,7 @@ def test_tree_homology_euler_specialization():
     cfg = LinkConfig.create((1, 1), 3)
     zt = z_tree_homology(3, 7)
     left = specialize_colors(zt, cfg, "euler")
-    right = genus0_closed(cfg, 6, x_total_max=7)
+    right = genus0_closed(cfg, 6)
     spec = left.spec.meet(right.spec)
     assert left.truncate(spec) == right.truncate(spec)
 
@@ -129,7 +129,7 @@ def test_tree_homology_dims_specialization():
     cfg = LinkConfig.create((1, 1), 5)
     zt = z_tree_homology(5, 6)
     left = specialize_colors(zt, cfg, "dims")
-    right = genus0_dims(cfg, 5, x_total_max=6)
+    right = genus0_dims(cfg, 5)
     spec = left.spec.meet(right.spec)
     assert left.truncate(spec) == right.truncate(spec)
 
@@ -139,7 +139,7 @@ def test_hedgehog_dims_specialization(m, d):
     cfg = LinkConfig.create((m, m), d)
     zh = z_hedgehog_homology(d, 6)
     left = specialize_colors(zh, cfg, "dims")
-    right = genus1_dims(cfg, 5, x_total_max=6)
+    right = genus1_dims(cfg, 5)
     spec = left.spec.meet(right.spec)
     assert left.truncate(spec) == right.truncate(spec)
 

@@ -170,7 +170,7 @@ def test_graded_parts_match_closed_forms():
 
 
 def test_genus0_closed_values():
-    g0 = genus0_closed(ODD2, 13, x_total_max=14)
+    g0 = genus0_closed(ODD2, 13)
     assert g0.grade_extract("u", 0).is_zero()
     assert g0.coefficient({"x1": 2, "u": 1}) == 1
     assert g0.coefficient({"x1": 8, "x2": 6, "u": 13}) == 19
@@ -193,7 +193,7 @@ def test_genus0_closed_raises_on_a_surviving_inverse_u(monkeypatch):
 
 
 def test_genus1_closed_values():
-    g1 = genus1_closed(ODD2, 12, x_total_max=13)
+    g1 = genus1_closed(ODD2, 12)
     assert g1.coefficient({"x1": 2, "u": 2}) == 1
     assert g1.coefficient({"x1": 6, "x2": 6, "u": 12}) == 50
 
@@ -219,12 +219,12 @@ def test_genus0_dims_degree_bookkeeping():
     # single odd strand: a Moebius collapse leaves only the two-hair tree,
     # one generator in homological degree (d-1) - 2m at complexity 1
     cfg = LinkConfig.create((1,), 5)
-    dims = genus0_dims(cfg, 4, x_total_max=5)
+    dims = genus0_dims(cfg, 4)
     assert dims.coeffs == {(2, 1, (5 - 1) - 2): QQ(1)}
 
     # two odd strands: at t=1 each two-hair tree survives with dimension 1
     cfg2 = LinkConfig.create((1, 1), 5)
-    dims2 = genus0_dims(cfg2, 3, x_total_max=4)
+    dims2 = genus0_dims(cfg2, 3)
     deg = (5 - 1) - 1 - 1
     assert dims2.coefficient({"x1": 1, "x2": 1, "u": 1, "z": deg}) == 1
     assert dims2.coefficient({"x1": 2, "u": 1, "z": deg}) == 1
@@ -233,7 +233,7 @@ def test_genus0_dims_degree_bookkeeping():
     # k - 2 vertices (degree -d each) and 2k - 3 edges (d - 1 each), so
     # degree (d - 2) k - d + 3 - sum m_i s_i at complexity k - 1
     mixed = LinkConfig.create((1, 2), 6)
-    dims3 = genus0_dims(mixed, 2, x_total_max=3)
+    dims3 = genus0_dims(mixed, 2)
     assert dims3.coeffs == {
         (1, 1, 1, 4 * 2 - 3 - 3): QQ(1),
         (0, 2, 1, 4 * 2 - 3 - 4): QQ(1),

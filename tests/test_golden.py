@@ -3,7 +3,9 @@
 graph oracle (oracle), before the fraction-free series kernel (the t=30
 tables) and before the fraction-free linear sums (the t=24 tables),
 library series recorded before the z-graded genus-0/1 series
-became regradings of their Euler forms (series-*), and the default
+became regradings of their Euler forms (series-*), the graph and
+envelope supercharacters recorded before the double sum paired its
+final products directly (series-zgraph-*, series-envelope-*), and the default
 ``verify`` report recorded before series results were kept as integer
 numerators until read (verify-default.txt).
 
@@ -22,7 +24,12 @@ from pathlib import Path
 import pytest
 
 from linkchi import cli
-from linkchi.cycleindex import z_hedgehog_homology, z_tree_homology
+from linkchi.cycleindex import (
+    mod_envelope_supercharacter_direct,
+    z_graph_supercharacter,
+    z_hedgehog_homology,
+    z_tree_homology,
+)
 from linkchi.genfun import LinkConfig, f_homotopy_graded, genus0_dims, genus1_dims
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -99,6 +106,14 @@ SERIES_CASES.update({
         f_homotopy_graded, LinkConfig.create((int(m[0]),) * 2, int(d)), 8
     )
     for parity, (m, d) in _PARITIES.items()
+})
+SERIES_CASES.update({
+    f"series-zgraph-{parity}-w8-t8.txt": partial(z_graph_supercharacter, parity, 8, 8)
+    for parity in ("odd", "even")
+})
+SERIES_CASES.update({
+    f"series-envelope-{twist}-w8-g6.txt": partial(mod_envelope_supercharacter_direct, twist, 8, 6)
+    for twist in ("plain", "det")
 })
 
 

@@ -386,9 +386,35 @@ def test_a_window_without_zero_on_a_missing_direction_raises(window):
         TruncatedSeries.term(u_only, spec, {"u": 1}, 5)
     with pytest.raises(SeriesError, match=f"which has no {name}"):
         TruncatedSeries(u_only, TruncationSpec(**{window: (-3, -1)}))
+    with pytest.raises(SeriesError, match=f"which has no {name}"):
+        source.truncate(TruncationSpec(**{window: (1, 3)}))
+    with pytest.raises(SeriesError, match=f"which has no {name}"):
+        TruncatedSeries.zero(u_only, spec)
     # a window holding 0 on the missing direction keeps every monomial
     wide = TruncationSpec(u_max=3, **{window: (-1, 3)})
     assert source.regrade(u_only, wide)._ints == source._ints
+    assert source.truncate(wide)._ints == source._ints
+
+
+def test_equal_variable_sets_share_one_layout(monkeypatch):
+    import linkchi.series as series_mod
+    from linkchi.genfun import LinkConfig, f_homotopy_direct
+
+    assert VariableSet(hodge_count=2, has_u=True).layout is VariableSet(hodge_count=2, has_u=True).layout
+    assert VariableSet(hodge_count=2, has_u=True).layout is not VariableSet(hodge_count=2).layout
+    cfg = LinkConfig.create((1, 1), 3)
+    first = f_homotopy_direct(cfg, 5, genus=1)
+    built = []
+
+    class Counted(series_mod._Layout):
+        def __init__(self, vars_):
+            built.append(vars_.names)
+            super().__init__(vars_)
+
+    # every set the second call builds is equal to one the first call built
+    monkeypatch.setattr(series_mod, "_Layout", Counted)
+    assert f_homotopy_direct(cfg, 5, genus=1) == first
+    assert built == []
 
 
 def test_to_text_graded_lex():

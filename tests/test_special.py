@@ -13,6 +13,7 @@ from linkchi.series import (
     TruncatedSeries,
     TruncationSpec,
     VariableSet,
+    _LinearSum,
     _raise_exponents,
 )
 from linkchi.special import (
@@ -393,13 +394,28 @@ PLACEMENT_LAYOUTS = {
     ),
 }
 
+# a nonconstant X with no positive exponent in v, as the callers' X_{l,k}^n
+PLACEMENT_X = {
+    "xu": {(0, 0, 0): 1, (1, 0, 0): 2, (0, 2, 0): QQ(-1, 3), (3, 4, 0): 5},
+    "p": {(0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): -1, (0, 0, 1, 0, 0): QQ(1, 2), (0, 2, 1, 0, 0): 7},
+    "hbar": {(0, 0, 0, 0, 0): 3, (-1, 1, 0, 0, 0): 1, (-2, 0, 1, 0, 0): QQ(-1, 2), (-4, 0, 0, 0, 1): 2},
+}
+
+
+def _summed(vars_, spec, den, pairs):
+    out = _LinearSum(vars_, spec)
+    out.add_items(1, den, pairs)
+    return out.series()
+
 
 @pytest.mark.parametrize("sigma_d", [1, -1])
 @pytest.mark.parametrize("layout", sorted(PLACEMENT_LAYOUTS))
 def test_placed_factors_match_raising_in_the_callers_layout(layout, sigma_d):
-    # each cached factor placed at v^k equals the factor built in the
-    # caller's layout and raised there, for every k the double sum reaches
+    # X times each cached factor paired at v^k equals X times the factor
+    # built in the caller's layout and raised there, for every k the double
+    # sum reaches; a genus layer is that product's terms of one genus
     vars_, spec, var = PLACEMENT_LAYOUTS[layout]
+    x = TruncatedSeries(vars_, spec, PLACEMENT_X[layout])
     top = 8
     step = vars_.layout.pack(vars_.monomial({var: 1})) - vars_.layout.bias
     for l in range(1, 2 * top + 1):
@@ -417,8 +433,15 @@ def test_placed_factors_match_raising_in_the_callers_layout(layout, sigma_d):
             assert log_fl is None
         for k in range(1, 2 * top // l + 1):
             for got, want in pairs:
-                placed = special._placed(vars_, spec, got, k, top, step)
-                assert placed._ints == _raise_exponents(want, k)._ints, (l, k)
+                product = x * _raise_exponents(want, k)
+                full = _summed(vars_, spec, *special._final_terms(x, got, k, top, step))
+                assert full._ints == product._ints, (l, k)
+                for g in range(4) if layout == "xu" else ():
+                    layer = special._final_terms(x, got, k, top, step, genus=g)
+                    terms = {
+                        m: c for m, c in product.coeffs.items() if m[2] - m[0] - m[1] + 1 == g
+                    }
+                    assert _summed(vars_, spec, *layer) == TruncatedSeries(vars_, spec, terms)
 
 
 def test_v_factors_are_immutable():
@@ -446,6 +469,19 @@ def test_double_sum_needs_a_bounded_window_holding_zero(spec):
 
     with pytest.raises(SeriesError):
         special._mobius_double_sum(vars_, spec, "hbar", 1, 2, power_sum)
+
+
+@pytest.mark.parametrize("layout", sorted(PLACEMENT_LAYOUTS))
+def test_double_sum_rejects_a_power_sum_with_a_positive_v_exponent(layout):
+    # its pairs could then leave the spec past the bound on v
+    vars_, spec, var = PLACEMENT_LAYOUTS[layout]
+    climbing = TruncatedSeries.term(vars_, spec, {var: 1})
+
+    def power_sum(n):
+        return climbing if n == 3 else TruncatedSeries.zero(vars_, spec)
+
+    with pytest.raises(SeriesError, match=f"P_3 = .* has a positive exponent in {var}"):
+        special._mobius_double_sum(vars_, spec, var, 1, 2, power_sum)
 
 
 def test_second_routes_never_read_the_factor_cache(monkeypatch):
