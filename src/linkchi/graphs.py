@@ -32,11 +32,37 @@ no class.  Refinement labels are isomorphism-invariant ranks whose order
 refines the order of (hair row, internal degree), so listing any
 representative's vertices by ascending label gives a labelling that
 passes all three tests; the hair and degree generators yield every
-labelling with that shape, and ``_multigraphs_with_degrees`` every
-multigraph on it.  The canonical key stays the only merge of the copies
-that survive, so the classes, their keys and their order are those of
-the unfiltered enumeration; only the labelling stored as a class's
-``adjacency`` and ``hair_counts`` may be a different one.
+labelling with that shape, and ``_orderly_multigraphs`` every connected
+multigraph on it that the refinement test can accept.  The canonical key
+stays the only merge of the copies that survive, so the classes, their
+keys and their order are those of the unfiltered enumeration; only the
+labelling stored as a class's ``adjacency`` and ``hair_counts`` may be a
+different one.
+
+``_orderly_multigraphs`` backtracks over the upper-triangular
+multiplicity matrix and yields each leaf as it is completed: it places
+every vertex's tadpoles first, then fills the rows off the diagonal in
+vertex order.  It cuts a subtree on four tests, each sound because every
+leaf below it is disconnected or has refinement labels that do not
+ascend, so the connectivity test or ``_refine_partition(...,
+ascending_only=True)`` would reject it:
+
+(a) with n >= 2, a vertex whose tadpoles use up its degree has no edge;
+(b) a vertex's initial invariant (hair row, degree, tadpoles) sorts below
+    the previous vertex's, so the initial labels, its ranks, descend;
+(c) once row v is complete, later rows add edges only between vertices
+    above v that still have degree left; so if v's component (a bitmask)
+    is not every vertex and none of its vertices has degree left, it is a
+    component of every leaf below;
+(d) once row v is complete, every neighbour of v - 1 and of v is placed;
+    if the two share an initial label and v - 1's sorted (label,
+    multiplicity) neighbour list is greater than v's, their round-one
+    labels descend.
+
+Every component closes at its highest vertex's row, so (c) leaves only
+connected leaves.  Each leaf still passes through ``_refine_partition``
+with ``ascending_only``, which tests the later rounds, and
+``canonical_form``.
 
 Only two things depend on (m, d): a class's degree and whether it is
 killed (the orientation character).  Everything else is parity-free: the
@@ -277,67 +303,83 @@ def _degree_sequences(n, total, minima, tied):
     yield from rec(0, total, 0)
 
 
-def _multigraphs_with_degrees(degrees):
-    """All multigraphs (with tadpoles) realizing the labelled degree sequence.
+@lru_cache(maxsize=CACHE_SIZE)
+def _row_fillings(total, caps):
+    """Tuples of ``len(caps)`` multiplicities k_i <= caps[i] with the given
+    total, in descending lexicographic order."""
+    if not caps:
+        return ((),) if total == 0 else ()
+    return tuple(
+        (k,) + rest
+        for k in range(min(total, caps[0]), -1, -1)
+        for rest in _row_fillings(total - k, caps[1:])
+    )
 
-    Backtracks over the upper-triangular multiplicity matrix; tadpoles
-    consume two degree units.  Every multigraph on these labelled degrees
-    is yielded, which the soundness of the orderly filters rests on;
-    labelled duplicates are later collapsed by canonical keys.
+
+def _orderly_multigraphs(hair_rows, degrees):
+    """Connected multigraphs (with tadpoles) realizing the labelled degree
+    sequence, yielded one at a time as upper-triangular matrices.
+
+    Assigns every tadpole first, then the rows off the diagonal in order;
+    tadpoles consume two degree units.  A subtree is cut as soon as every
+    leaf in it is disconnected or fails the orderly test (cuts (a)-(d) of
+    the module docstring); every other leaf is yielded.
     """
     n = len(degrees)
-    adj = [[0] * n for _ in range(n)]
-    remaining = list(degrees)
-    out = []
+    shape = list(zip(hair_rows, degrees))
+    if shape != sorted(shape):
+        return  # (b) whatever the tadpoles
+    if n == 1:
+        if degrees[0] % 2 == 0:
+            yield ((degrees[0] // 2,),)
+        return
+    ties = [v for v in range(1, n) if shape[v] == shape[v - 1]]
+    mat = [[0] * n for _ in range(n)]  # symmetric while the rows are filled
+    left = [0] * n
+    labels = [0] * n  # initial refinement labels
+    full = (1 << n) - 1
 
-    def fill_vertex(v):
-        if v == n:
-            out.append(tuple(tuple(row) for row in adj))
-            return
-        rv = remaining[v]
-        if rv == 0:
-            fill_vertex(v + 1)
-            return
-        # distribute rv over tadpoles at v and edges to w > v
-        def assign(w, left):
-            if left == 0:
-                fill_vertex(v + 1)
-                return
-            if w == n:
-                return
-            if w == v:
-                for k in range(left // 2, -1, -1):
-                    adj[v][v] += k
-                    remaining[v] -= 2 * k
-                    assign(v + 1, left - 2 * k)
-                    adj[v][v] -= k
-                    remaining[v] += 2 * k
-                return
-            cap = min(left, remaining[w])
-            for k in range(cap, -1, -1):
-                adj[v][w] += k
-                remaining[v] -= k
-                remaining[w] -= k
-                assign(w + 1, left - k)
-                adj[v][w] -= k
-                remaining[v] += k
-                remaining[w] += k
+    def neighbour_labels(u):
+        return sorted([(labels[w], k) for w, k in enumerate(mat[u]) if k and w != u])
 
-        assign(v, rv)
+    def descends(v):  # (d) for the complete rows v - 1 and v
+        return labels[v - 1] == labels[v] and neighbour_labels(v - 1) > neighbour_labels(v)
 
-    fill_vertex(0)
-    return out
+    def rows(v, comp):
+        """Fill row v off the diagonal, then rows v + 1, ..., n - 2;
+        ``comp[u]`` is the bitmask of u's component so far."""
+        tail = range(v + 1, n)
+        row = mat[v]
+        for filling in _row_fillings(left[v], tuple(left[v + 1:])):
+            joined, live = comp[v], 0  # v's component; vertices with degree left
+            for w, k in zip(tail, filling):
+                row[w] = mat[w][v] = k
+                left[w] -= k
+                if k:
+                    joined |= comp[w]
+                if left[w]:
+                    live |= 1 << w
+            # (c): v's component is every vertex, or one of them has degree left
+            if (joined == full or joined & live) and not (v and descends(v)):
+                if v < n - 2:
+                    yield from rows(v + 1, tuple([joined if m & joined else m for m in comp]))
+                elif not live and not descends(v + 1):  # row n - 1 is empty
+                    yield tuple((0,) * u + tuple(r[u:]) for u, r in enumerate(mat))
+            for w, k in zip(tail, filling):
+                left[w] += k
+        for w in tail:
+            row[w] = mat[w][v] = 0
 
-
-def _is_connected(nbrs):
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w, _k in nbrs[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(nbrs)
+    # (a): a vertex keeps a degree unit for an edge, 2 k < degree
+    for loops in product(*(range((d + 1) // 2) for d in degrees)):
+        if any(loops[v - 1] > loops[v] for v in ties):
+            continue  # (b)
+        for v, k in enumerate(loops):
+            mat[v][v] = k
+            left[v] = degrees[v] - 2 * k
+            # ranks of the invariants, which ascend
+            labels[v] = v and labels[v - 1] + ((shape[v], k) != (shape[v - 1], loops[v - 1]))
+        yield from rows(0, tuple(1 << u for u in range(n)))
 
 
 def _cycles(perm):
@@ -470,10 +512,8 @@ def _class_shapes(s_vec: tuple[int, ...], t: int):
                 continue
             tied = [v > 0 and hair_mat[v] == hair_mat[v - 1] for v in range(n_int)]
             for degs in _degree_sequences(n_int, 2 * m_int, minima, tied):
-                for adj in _multigraphs_with_degrees(degs):
+                for adj in _orderly_multigraphs(hair_mat, degs):
                     mat, nbrs = _neighbour_lists(adj)
-                    if not _is_connected(nbrs):
-                        continue
                     labels = _refine_partition(mat, nbrs, hair_mat, ascending_only=True)
                     if labels is None:
                         continue  # a label-ordered copy of it is generated too

@@ -416,6 +416,57 @@ def test_verify_oracle_covers_every_parity(capsys, monkeypatch):
     assert "(odd-odd)" not in out
 
 
+def test_verify_oracle_covers_mixed_colour_parities(capsys, monkeypatch):
+    # with m = (1, 2) a cell and its mirror are different counts: (1, 2) is
+    # computed after (2, 1), so a read-back would hide the fault
+    import linkchi.verify as verify_mod
+
+    real = verify_mod.euler_char_oracle
+
+    def off_for_one_mixed_cell(cfg, s_vec, t, budget=None):
+        bump = cfg.m_parities == (1, 0) and cfg.d_parity == 0 and tuple(s_vec) == (1, 2)
+        return real(cfg, s_vec, t, budget) + bump
+
+    monkeypatch.setattr(verify_mod, "euler_char_oracle", off_for_one_mixed_cell)
+    code = cli.main(["verify", "--only", "oracle", "--t-max", "2"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert "oracle (mixed-even) genus 0 t=2 s=(1,2): enumeration" in out
+    assert "s=(2,1)" not in out
+    assert "(mixed-odd)" not in out and "(odd-even)" not in out
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # a component looks closed although a vertex of it has degree left
+        ("live |= 1 << w", "live |= 0"),
+        # tied vertices must carry non-increasing tadpole counts
+        ("loops[v - 1] > loops[v]", "loops[v - 1] < loops[v]"),
+    ],
+    ids=["degree-left-ignored", "tadpole-order-flipped"],
+)
+def test_verify_oracle_fails_on_an_unsound_cut(capsys, monkeypatch, old, new):
+    # the generator with one cut made unsound, in a shape cache of its own
+    import functools
+    import inspect
+    import textwrap
+
+    from linkchi import graphs
+
+    source = textwrap.dedent(inspect.getsource(graphs._orderly_multigraphs))
+    assert source.count(old) == 1
+    namespace = dict(vars(graphs))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(graphs, "_orderly_multigraphs", namespace["_orderly_multigraphs"])
+    shapes = functools.lru_cache(maxsize=None)(graphs._class_shapes.__wrapped__)
+    monkeypatch.setattr(graphs, "_class_shapes", shapes)
+    code = cli.main(["verify", "--only", "oracle", "--t-max", "3"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] oracle" in out
+
+
 def test_verify_tables_second_route(capsys):
     code, out, _ = run_cli(["verify", "--only", "tables-second-route", "--t-max", "5"], capsys)
     assert code == 0

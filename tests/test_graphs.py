@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,67 @@ def test_canonical_form_is_invariant_under_relabelling(graph):
         )
 
 
+@st.composite
+def _labelled_degrees(draw):
+    n = draw(st.integers(1, 4))
+    # few distinct hair rows, so that vertices often tie
+    rows = draw(st.lists(st.sampled_from([(0, 0), (0, 1), (1, 0)]), min_size=n, max_size=n))
+    degrees = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return tuple(sorted(rows)), tuple(degrees)
+
+
+def _connected(adj):
+    n = len(adj)
+    seen, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for w in range(n):
+            if w not in seen and adj[min(v, w)][max(v, w)]:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
+def _orderly(adj, hair_rows):
+    mat, nbrs = graphs._neighbour_lists(adj)
+    return graphs._refine_partition(mat, nbrs, hair_rows, ascending_only=True) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_labelled_degrees())
+def test_orderly_multigraphs_cut_only_rejected_leaves(shape):
+    # reference: every upper-triangular matrix on these labelled degrees
+    # (each tadpole count is what the edges leave, halved), kept when
+    # connected and accepted by the orderly test
+    hair_rows, degrees = shape
+    n = len(degrees)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    reference = set()
+    for mults in product(*(range(min(degrees[i], degrees[j]) + 1) for i, j in pairs)):
+        spare = list(degrees)
+        for (i, j), k in zip(pairs, mults):
+            spare[i] -= k
+            spare[j] -= k
+        if any(d < 0 or d % 2 for d in spare):
+            continue
+        adj = [[0] * n for _ in range(n)]
+        for v in range(n):
+            adj[v][v] = spare[v] // 2
+        for (i, j), k in zip(pairs, mults):
+            adj[i][j] = k
+        adj = tuple(map(tuple, adj))
+        if _connected(adj) and _orderly(adj, hair_rows):
+            reference.add(adj)
+    leaves = list(graphs._orderly_multigraphs(hair_rows, degrees))
+    assert len(set(leaves)) == len(leaves)
+    for adj in leaves:
+        assert all(adj[j][i] == 0 for i, j in pairs)  # upper-triangular
+        valence = [sum(adj[min(v, w)][max(v, w)] for w in range(n)) + adj[v][v] for v in range(n)]
+        assert valence == list(degrees)
+        assert _connected(adj)
+    assert {adj for adj in leaves if _orderly(adj, hair_rows)} == reference
+
+
 # Every (s1, s2) with t <= 3, in both orders.
 _SMALL_CELLS = [
     ((s_total - s2, s2), t)
@@ -274,13 +336,13 @@ def test_oracle_cache_is_bounded(monkeypatch):
 
 def test_parity_classes_share_one_shape_enumeration(monkeypatch):
     calls = []
-    real = graphs._multigraphs_with_degrees
+    real = graphs._orderly_multigraphs
 
-    def counted(degrees):
+    def counted(hair_rows, degrees):
         calls.append(degrees)
-        return real(degrees)
+        return real(hair_rows, degrees)
 
-    monkeypatch.setattr(graphs, "_multigraphs_with_degrees", counted)
+    monkeypatch.setattr(graphs, "_orderly_multigraphs", counted)
     graphs._class_shapes.cache_clear()
     enumerate_classes(_cfg("odd-odd", 2), (2, 1), 3)
     once = len(calls)
@@ -291,26 +353,31 @@ def test_parity_classes_share_one_shape_enumeration(monkeypatch):
 
 
 def test_check_oracle_counts_each_mirror_pair_once(monkeypatch):
-    # both colours of every verify parity class share a parity, so (s2, s1)
-    # reads back the count of (s1, s2), and both still meet F^pi
+    # both colours of every parity class share a parity, so (s2, s1) reads
+    # back the count of (s1, s2), and both still meet F^pi; the mixed
+    # configurations m = (1, 2) count both orders
     from linkchi import verify
 
     calls = []
     real = verify.euler_char_oracle
 
     def counted(cfg, s_vec, t, budget=None):
-        calls.append((cfg.m_parities, cfg.d_parity, tuple(sorted(s_vec)), t))
+        calls.append((cfg.m_parities, cfg.d_parity, tuple(s_vec), t))
         return real(cfg, s_vec, t, budget)
 
     monkeypatch.setattr(verify, "euler_char_oracle", counted)
     res = verify.CheckResult("oracle")
-    verify.check_oracle(res, t_max=2, t_top=3)
+    verify.check_oracle(res, t_max=3)
     assert res.ok
     assert calls and len(calls) == len(set(calls))
+    same = [c for c in calls if len(set(c[0])) == 1]
+    assert all(s1 >= s2 for _m, _d, (s1, s2), _t in same)
     # cells (s1, s2) with s1 >= s2, four parities: t=1 has s in {(2,0),(1,1),
     # (1,0)}, t=2 {(3,0),(2,1),(2,0),(1,1),(1,0)}, t=3 {(4,0),(3,1),(2,2),
-    # (3,0),(2,1),(2,0),(1,1)}
-    assert len(calls) == 4 * (3 + 5 + 7)
+    # (3,0),(2,1),(2,0),(1,1),(1,0)}
+    assert len(same) == 4 * (3 + 5 + 8)
+    # mixed, d = 3 and 4: every (s1, s2) with |s| = t + 1 - g >= 1, g <= 3
+    assert len(calls) - len(same) == 2 * (5 + 9 + 14)
 
 
 def _explicit_sign_parity(adj, hairs, sigma, m, d) -> int:
