@@ -5,6 +5,10 @@ Euler characteristics), ``supercharacter`` (modular envelope cycle index
 sums), ``oracle`` (brute-force class listings), ``verify`` (the full
 cross-check suite).  Exit codes: 0 success, 1 verification failure,
 2 usage error.
+
+Only what ``homology`` and ``table`` run is imported here; the other
+subcommands import their modules (cycleindex, graphs, verify) in their
+own bodies, so a run loads only what it uses.
 """
 
 from __future__ import annotations
@@ -13,12 +17,9 @@ import argparse
 import json
 import sys
 
-from .cycleindex import feynman_regrade, mod_envelope_supercharacter
 from .genfun import LinkConfig, euler_table, f_homology
-from .graphs import EnumerationBudget, check_cell, enumerate_classes
 from .rationals import QQ
 from .series import TruncatedSeries, TruncationSpec, VariableSet
-from .verify import CHECK_NAMES, run_checks
 
 __all__ = ["main", "build_parser"]
 
@@ -103,6 +104,9 @@ def cmd_homology(args) -> int:
 
 
 def cmd_table(args) -> int:
+    # the layout check of euler_table, made before any warning is printed
+    if len(args.m) > 2:
+        raise SystemExit2("the published grid layout is defined for r <= 2")
     cfg = _config_from_args(args)
     table = euler_table(cfg, args.genus, args.t_max)
     if args.format == "json":
@@ -116,6 +120,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_supercharacter(args) -> int:
+    from .cycleindex import feynman_regrade, mod_envelope_supercharacter
+
     if args.weight < 1:  # no positive arity: the empty series
         series = TruncatedSeries.zero(
             VariableSet(has_hbar=True), TruncationSpec(hbar_window=(0, args.genus))
@@ -129,6 +135,8 @@ def cmd_supercharacter(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .graphs import EnumerationBudget, check_cell, enumerate_classes
+
     budget = EnumerationBudget(t_max=args.budget_t, hairs_max=args.budget_hairs)
     # a cell the enumeration cannot take exits 2 before any warning
     s_vec = check_cell(len(args.m), args.s, args.t, budget)
@@ -158,6 +166,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_checks
+
     only = args.only.split(",") if args.only else None
     try:
         results = run_checks(only=only, t_max=args.t_max)
@@ -181,6 +191,22 @@ def cmd_verify(args) -> int:
         ]
         print(json.dumps(diff), file=sys.stderr)
     return 1 if failed else 0
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Fills ``{checks}`` in a help string with the verify check names.
+
+    :mod:`linkchi.verify` loads every route; it is imported here only when
+    help is printed, not on every run.
+    """
+
+    def _get_help_string(self, action):
+        text = super()._get_help_string(action)
+        if "{checks}" in text:
+            from .verify import CHECK_NAMES
+
+            text = text.replace("{checks}", ", ".join(CHECK_NAMES))
+        return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p, formats=("json",))
     p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("verify", help="run the cross-verification suite")
-    p.add_argument("--only", default=None,
-                   help=f"comma-separated subset of checks ({', '.join(CHECK_NAMES)})")
+    p = sub.add_parser("verify", help="run the cross-verification suite",
+                       formatter_class=_HelpFormatter)
+    p.add_argument("--only", default=None, help="comma-separated subset of checks ({checks})")
     p.add_argument("--t-max", type=_int_at_least(1), default=None,
                    help="scale the checks down to this truncation order (>= 1)")
     add_output(p, formats=("text",))

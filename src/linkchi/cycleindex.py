@@ -18,8 +18,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .genfun import LinkConfig, _homological_degree, _parity_of, _z_span, color_power_sum
-from .graphs import _cycles, _perm_parity
-from .rationals import QQ, mobius, totient
+from .rationals import QQ, _cycles, _perm_parity, mobius, totient
 from .series import (
     SeriesError,
     TruncatedSeries,

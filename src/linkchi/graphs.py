@@ -83,7 +83,7 @@ from itertools import permutations, product
 from math import factorial, prod
 
 from .genfun import LinkConfig
-from .rationals import CACHE_SIZE
+from .rationals import CACHE_SIZE, _cycles, _perm_parity
 
 __all__ = [
     "EnumerationBudget",
@@ -380,24 +380,6 @@ def _orderly_multigraphs(hair_rows, degrees):
             # ranks of the invariants, which ascend
             labels[v] = v and labels[v - 1] + ((shape[v], k) != (shape[v - 1], loops[v - 1]))
         yield from rows(0, tuple(1 << u for u in range(n)))
-
-
-def _cycles(perm):
-    """(first point, length) of each cycle of the image tuple ``perm``."""
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        yield i, length
-
-
-def _perm_parity(perm) -> int:
-    return sum(length - 1 for _start, length in _cycles(perm)) % 2
 
 
 def _vertex_automorphism_sign_parity(adj, hairs, sigma, m, d) -> int:

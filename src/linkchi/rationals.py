@@ -1,4 +1,6 @@
-"""Exact rational arithmetic and elementary number-theoretic functions.
+"""Exact rational arithmetic, elementary number-theoretic functions, and
+the permutation cycle helpers that the cycle index sums and the graph
+oracle share.
 
 Every coefficient in this package lives in Q.  ``QQ`` is the stdlib
 ``fractions.Fraction``: arbitrary precision, gcd(num, den) = 1 and
@@ -88,6 +90,25 @@ def totient(n: int) -> int:
     if n < 1:
         raise ValueError(f"totient requires n >= 1, got {n}")
     return sum(mobius(a) * (n // a) for a in divisors(n))
+
+
+def _cycles(perm):
+    """(first point, length) of each cycle of the image tuple ``perm``."""
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        yield i, length
+
+
+def _perm_parity(perm) -> int:
+    """0 for an even permutation ``perm`` (an image tuple), 1 for an odd one."""
+    return sum(length - 1 for _start, length in _cycles(perm)) % 2
 
 
 @lru_cache(maxsize=CACHE_SIZE)

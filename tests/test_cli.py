@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from linkchi import cli
+from linkchi import cli, graphs
 from linkchi.reference_tables import TABLES
 from linkchi.verify import CHECK_NAMES
 
@@ -111,6 +111,18 @@ def test_table_negative_genus_rejected(capsys):
     assert exc.value.code == 2
 
 
+def test_table_more_than_two_strands_rejected_before_the_warning(capsys):
+    # d = 3 <= 2 max(m) + 1 would warn that the output is formal; the grid
+    # layout is checked first
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--genus", "0", "--m", "1,1,1", "--d", "3", "--t-max", "3"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "error: the published grid layout is defined for r <= 2" in err
+    assert "warning:" not in err
+
+
 def test_supercharacter_no_negative_hbar(capsys):
     code, out, _ = run_cli(
         ["supercharacter", "--twist", "plain", "--weight", "6", "--genus", "4"],
@@ -199,7 +211,7 @@ def test_oracle_negative_budget_rejected_at_parse_time(capsys, monkeypatch, flag
     def never(*args, **kwargs):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(cli, "enumerate_classes", never)
+    monkeypatch.setattr(graphs, "enumerate_classes", never)
     with pytest.raises(SystemExit) as exc:
         cli.main(["oracle", "--m", "1,1", "--d", "5", "--s", "2,0", "--t", "2", flag, "-1"])
     out, err = capsys.readouterr()
@@ -250,7 +262,7 @@ def test_oracle_bad_hair_counts_rejected_at_parse_time(capsys, monkeypatch, valu
     def never(*args, **kwargs):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(cli, "enumerate_classes", never)
+    monkeypatch.setattr(graphs, "enumerate_classes", never)
     # d = 3 warns that the output is formal, but only once the cell is valid
     try:
         code = cli.main(["oracle", "--m", "1,1", "--d", "3", f"--s={value}", "--t", t])
@@ -283,6 +295,14 @@ def test_verify_subset(capsys):
     assert "[PASS] special-polynomials" in out
     assert "[PASS] gamma" in out
     assert out.strip().endswith("verification passed")
+
+
+def test_verify_help_lists_every_check(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert f"comma-separated subset of checks ({', '.join(CHECK_NAMES)})\n" in capsys.readouterr().out
 
 
 def test_verify_unknown_check(capsys):
