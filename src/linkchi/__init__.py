@@ -32,7 +32,6 @@ _EXPORTS = {
     "f_homology": "genfun",
     "f_homotopy_direct": "genfun",
     "f_homotopy_graded": "genfun",
-    "f_homotopy_via_pleth": "genfun",
     "f_poly": "special",
     "feynman_regrade": "cycleindex",
     "gamma_series": "special",
@@ -48,7 +47,6 @@ _EXPORTS = {
     "specialize_colors": "cycleindex",
     "totient": "rationals",
     "z_colors": "cycleindex",
-    "z_com": "cycleindex",
     "z_graph_supercharacter": "cycleindex",
     "z_hedgehog_homology": "cycleindex",
     "z_lie_cyclic": "cycleindex",

@@ -24,8 +24,16 @@ from .series import TruncatedSeries, TruncationSpec, VariableSet
 __all__ = ["main", "build_parser"]
 
 
+def _entries(text: str) -> list[str]:
+    """The comma-separated entries of ``text``; an empty one is a usage error."""
+    entries = text.split(",")
+    if not all(v.strip() for v in entries):
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+    return entries
+
+
 def _parse_m(text: str):
-    return tuple(int(v) if v.strip().lstrip("-").isdigit() else v.strip() for v in text.split(","))
+    return tuple(int(v) if v.strip().lstrip("-").isdigit() else v.strip() for v in _entries(text))
 
 
 def _parse_d(text: str):
@@ -168,9 +176,8 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_checks
 
-    only = args.only.split(",") if args.only else None
     try:
-        results = run_checks(only=only, t_max=args.t_max)
+        results = run_checks(only=args.only, t_max=args.t_max)
     except ValueError as exc:
         raise SystemExit2(str(exc))
     failed = False
@@ -267,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-verification suite",
                        formatter_class=_HelpFormatter)
-    p.add_argument("--only", default=None, help="comma-separated subset of checks ({checks})")
+    p.add_argument("--only", type=_entries, default=None,
+                   help="comma-separated subset of checks ({checks})")
     p.add_argument("--t-max", type=_int_at_least(1), default=None,
                    help="scale the checks down to this truncation order (>= 1)")
     add_output(p, formats=("text",))

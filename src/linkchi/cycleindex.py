@@ -15,10 +15,8 @@ alternating sum over homological degree, i.e. the z = -1 specialization.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .genfun import LinkConfig, _homological_degree, _parity_of, _z_span, color_power_sum
-from .rationals import QQ, _cycles, _perm_parity, mobius, totient
+from .rationals import QQ, mobius, totient
 from .series import (
     SeriesError,
     TruncatedSeries,
@@ -29,7 +27,6 @@ from .series import (
 from .special import _mobius_double_sum
 
 __all__ = [
-    "z_com",
     "z_lie_cyclic",
     "z_colors",
     "specialize_colors",
@@ -39,9 +36,6 @@ __all__ = [
     "mod_envelope_supercharacter",
     "mod_envelope_supercharacter_direct",
     "feynman_regrade",
-    "dihedral_permutation",
-    "hedgehog_symmetry_sign",
-    "induced_cycle_index",
 ]
 
 
@@ -50,17 +44,6 @@ def _p_term(vars_, spec, l: int, coeff=1, **extra) -> TruncatedSeries:
     if l > vars_.pcount:
         return TruncatedSeries.zero(vars_, spec)
     return TruncatedSeries.term(vars_, spec, {f"p{l}": 1, **extra}, coeff)
-
-
-def z_com(weight_max: int) -> TruncatedSeries:
-    """Cycle index sum of the one-dimensional trivial representations:
-    exp(sum_l p_l / l), truncated at weight W."""
-    if weight_max < 0:
-        raise ValueError("weight_max must be >= 0")
-    vars_ = VariableSet(pcount=weight_max)
-    spec = TruncationSpec(p_weight_max=weight_max)
-    terms = {vars_.monomial({f"p{l}": 1}): QQ(1, l) for l in range(1, weight_max + 1)}
-    return TruncatedSeries(vars_, spec, terms).exp()
 
 
 def _log_one_minus_p(vars_, spec, l: int, weight_max: int, sign: int = 1):
@@ -319,54 +302,3 @@ def feynman_regrade(z: TruncatedSeries) -> TruncatedSeries:
     commutative modular operad.  An involution."""
     parity = {f"p{l + 1}": 1 for l in range(z.vars.pcount)}
     return z.regrade(z.vars, z.spec, parity=parity, sign=-1)
-
-
-# ------------------------------------------------------------------ dihedral
-
-
-def dihedral_permutation(n: int, element: tuple[str, int]) -> tuple[int, ...]:
-    """Permutation of n cyclically arranged points under a dihedral element.
-
-    ``('r', k)`` rotates by 2 pi k / n (i -> i + k); ``('s', j)`` reflects
-    about the axis through the point j/2 (i -> j - i).  Returned as the
-    image tuple of 0..n-1.
-    """
-    kind, k = element
-    if kind == "r":
-        return tuple((i + k) % n for i in range(n))
-    if kind == "s":
-        return tuple((k - i) % n for i in range(n))
-    raise ValueError(f"unknown dihedral element {element!r}")
-
-
-def hedgehog_symmetry_sign(n: int, d: int, element: tuple[str, int]) -> int:
-    """Sign by which a dihedral symmetry acts on the standard n-hedgehog
-    orientation: sign(perm)^d * or(element)^(n + d + 1), where 'or' is -1
-    exactly on reflections."""
-    perm = dihedral_permutation(n, element)
-    sign = -1 if (_perm_parity(perm) * d) % 2 else 1
-    if element[0] == "s" and (n + d + 1) % 2:
-        sign = -sign
-    return sign
-
-
-def induced_cycle_index(pairs, weight_max: int) -> TruncatedSeries:
-    """Cycle index of a representation induced along a homomorphism
-    H -> Sigma_n: (1/|H|) sum_h chi(h) prod_l p_l^(j_l(image of h)).
-
-    ``pairs`` lists (image permutation, trace) for *every* element of H;
-    elements with equal images must each appear (the homomorphism need
-    not be injective, e.g. dihedral groups at n <= 2).
-    """
-    vars_ = VariableSet(pcount=weight_max)
-    spec = TruncationSpec(p_weight_max=weight_max)
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one (permutation, trace) pair")
-    traces: dict[tuple[int, ...], QQ] = {}
-    for perm, trace in pairs:
-        if len(perm) > weight_max:
-            continue  # every term of a permutation of n points has weight n
-        mono = vars_.monomial(Counter(f"p{l}" for _start, l in _cycles(perm)))
-        traces[mono] = traces.get(mono, 0) + QQ(trace)
-    return TruncatedSeries(vars_, spec, {m: t / len(pairs) for m, t in traces.items()})

@@ -28,7 +28,6 @@ from .special import (
     _mobius_double_sum,
     _mobius_x,
     log_gamma_series,
-    plethystic_log,
 )
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "EulerTable",
     "f_homology",
     "f_homotopy_direct",
-    "f_homotopy_via_pleth",
     "f_homotopy_graded",
     "genus0_closed",
     "genus1_closed",
@@ -247,27 +245,18 @@ def f_homotopy_direct(
     return _by_genus(layer, (genus, genus))
 
 
-def f_homotopy_via_pleth(cfg: LinkConfig, t_max: int) -> TruncatedSeries:
-    """F^pi computed as the plethystic logarithm of F^H (the second route)."""
-    return plethystic_log(f_homology(cfg, t_max))
-
-
-def f_homotopy_graded(
-    cfg: LinkConfig,
-    t_max: int,
-    f_pi: TruncatedSeries | None = None,
-) -> TruncatedSeries:
-    """hbar-graded refinement: hbar * F^pi(x_i/hbar, u hbar), re-expanded.
+def f_homotopy_graded(f_pi: TruncatedSeries) -> TruncatedSeries:
+    """hbar-graded refinement of ``f_pi``: hbar * F^pi(x_i/hbar, u hbar),
+    re-expanded.
 
     Each monomial x^s u^t acquires hbar^(t - |s| + 1), its genus.  A
     negative genus would mean F^pi carries a monomial with |s| > t + 1 —
     an internal inconsistency, so it raises :class:`SeriesError` (it lies
-    below the hbar window) rather than being truncated away.  The hbar
-    window is (0, t_max).
+    below the hbar window) rather than being truncated away.  The window
+    is read from ``f_pi``: hbar runs over (0, u_max), and the u and x-total
+    bounds are those of ``f_pi``.
     """
-    if f_pi is None:
-        f_pi = f_homotopy_direct(cfg, t_max)
-    return _by_genus(f_pi, (0, t_max))
+    return _by_genus(f_pi, (0, f_pi.spec.u_max))
 
 
 def _by_genus(f_pi: TruncatedSeries, window: tuple[int, int]) -> TruncatedSeries:

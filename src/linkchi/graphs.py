@@ -83,7 +83,7 @@ from itertools import permutations, product
 from math import factorial, prod
 
 from .genfun import LinkConfig
-from .rationals import CACHE_SIZE, _cycles, _perm_parity
+from .rationals import CACHE_SIZE
 
 __all__ = [
     "EnumerationBudget",
@@ -220,8 +220,6 @@ def canonical_form(adjacency, hair_counts, refined=None):
     which labelling of a class it is given.
     """
     n = len(adjacency)
-    if n == 0:
-        return "()", [()]
     if refined is None:
         mat, nbrs = _neighbour_lists(adjacency)
         refined = mat, _refine_partition(mat, nbrs, hair_counts)
@@ -382,6 +380,25 @@ def _orderly_multigraphs(hair_rows, degrees):
         yield from rows(0, tuple(1 << u for u in range(n)))
 
 
+def _cycles(perm):
+    """(first point, length) of each cycle of the image tuple ``perm``."""
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        yield i, length
+
+
+def _perm_parity(perm) -> int:
+    """0 for an even permutation ``perm`` (an image tuple), 1 for an odd one."""
+    return sum(length - 1 for _start, length in _cycles(perm)) % 2
+
+
 def _vertex_automorphism_sign_parity(adj, hairs, sigma, m, d) -> int:
     """Parity bit of the orientation sign of a vertex automorphism.
 
@@ -481,9 +498,7 @@ def _class_shapes(s_vec: tuple[int, ...], t: int):
     shapes = []
     seen: set[str] = set()
     for n_int in range(1, 2 * t - s_total + 1):
-        m_int = n_int + t - s_total
-        if m_int < max(n_int - 1, 0):
-            continue
+        m_int = n_int + t - s_total  # >= n_int - 1, as check_cell has t >= |s| - 1
         min_internal_degree = 1 if n_int >= 2 else 0
         for hair_mat in _hair_distributions(n_int, s_vec):
             hair_tot = [sum(hair_mat[v]) for v in range(n_int)]

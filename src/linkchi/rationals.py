@@ -1,6 +1,4 @@
-"""Exact rational arithmetic, elementary number-theoretic functions, and
-the permutation cycle helpers that the cycle index sums and the graph
-oracle share.
+"""Exact rational arithmetic and elementary number-theoretic functions.
 
 Every coefficient in this package lives in Q.  ``QQ`` is the stdlib
 ``fractions.Fraction``: arbitrary precision, gcd(num, den) = 1 and
@@ -18,7 +16,6 @@ from math import comb, isqrt
 
 __all__ = [
     "QQ",
-    "as_qq",
     "qq_str",
     "divisors",
     "mobius",
@@ -30,16 +27,6 @@ __all__ = [
 # maxsize of every memo in the package; the keys are integers up to about
 # twice the truncation order, so no run in reach fills one
 CACHE_SIZE = 1024
-
-
-def as_qq(value) -> QQ:
-    """Coerce an int, Fraction or 'a/b' string to QQ."""
-    if isinstance(value, str):
-        if "/" in value:
-            num, den = value.split("/")
-            return QQ(int(num), int(den))
-        return QQ(int(value))
-    return QQ(value)
 
 
 def qq_str(value) -> str:
@@ -90,25 +77,6 @@ def totient(n: int) -> int:
     if n < 1:
         raise ValueError(f"totient requires n >= 1, got {n}")
     return sum(mobius(a) * (n // a) for a in divisors(n))
-
-
-def _cycles(perm):
-    """(first point, length) of each cycle of the image tuple ``perm``."""
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        yield i, length
-
-
-def _perm_parity(perm) -> int:
-    """0 for an even permutation ``perm`` (an image tuple), 1 for an odd one."""
-    return sum(length - 1 for _start, length in _cycles(perm)) % 2
 
 
 @lru_cache(maxsize=CACHE_SIZE)

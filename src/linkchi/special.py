@@ -64,9 +64,6 @@ class UniPolynomial:
     def __eq__(self, other):
         return isinstance(other, UniPolynomial) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __call__(self, x):
         """Evaluate at a rational (Horner)."""
         acc = QQ(0)

@@ -123,8 +123,9 @@ Two routes that share no formula pin each genus-0/1 quantity:
 ``genus0_closed`` by hbar^0 of the double sum and by the tree
 specialization; ``genus1_closed`` by hbar^1 and by "hedgehog dims vs
 genus-1 dims"; the p-content of the tree and hedgehog cycle indices by
-the cyclic-Lie test and the brute-force dihedral ``induced_cycle_index``
-(``tests/test_cycleindex.py``).  The degree map
+the cyclic-Lie test and the brute-force dihedral sum
+``induced_cycle_index``, a reference that lives in
+``tests/test_cycleindex.py`` and not in the package.  The degree map
 (``genfun._homological_degree``) is pinned only by the hand-derived
 degree tests in ``tests/test_genfun.py`` and the dimension EGA checks in
 ``cycle-index``, until graph-homology ranks give it a second route.
@@ -351,7 +352,7 @@ def check_genus_split(res: CheckResult, t_max: int = 12) -> None:
         cfg = _cfg(parity_key, 2)
         f_pi = f_homotopy_direct(cfg, t_max)
         # a negative genus (|s| > t + 1) raises SeriesError inside the regrade
-        graded = f_homotopy_graded(cfg, t_max, f_pi=f_pi)
+        graded = f_homotopy_graded(f_pi)
         h0 = _drop_hbar(graded.grade_extract("hbar", 0), cfg)
         h1 = _drop_hbar(graded.grade_extract("hbar", 1), cfg)
         g0 = genus0_closed(cfg, t_max)
@@ -476,7 +477,7 @@ def check_tables(res: CheckResult, t_max: int = TABLE_T_MAX) -> None:
                 if 0 <= mirror <= t_max and s2 <= t_max:
                     if table.rows[t][s2] != table.rows[t][mirror]:
                         res.fail(f"genus {g} t={t}: row not palindromic at s2={s2}")
-    graded = f_homotopy_graded(cfg, t_max, f_pi=f_pi)
+    graded = f_homotopy_graded(f_pi)
     for g in range(4):
         layer = graded.truncate(TruncationSpec(hbar_window=(g, g)))
         alone = f_homotopy_direct(cfg, t_max, genus=g)

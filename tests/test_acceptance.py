@@ -163,7 +163,7 @@ def test_criterion_5_genus_coherence():
     for m, d in ((1, 3), (1, 4), (2, 5), (2, 4)):
         cfg = LinkConfig.create((m, m), d)
         f_pi = f_homotopy_direct(cfg, t_max)
-        graded = f_homotopy_graded(cfg, t_max, f_pi=f_pi)  # raises on hbar < 0
+        graded = f_homotopy_graded(f_pi)  # raises on hbar < 0
         assert all(e >= 0 for e in graded.exponents_of("hbar"))
 
         def strip(g):

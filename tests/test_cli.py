@@ -25,9 +25,9 @@ def test_homology_specialization_example(capsys):
     )
     assert code == 0
     # specializing x1 = x2 = 1 must reproduce 1/((1-u)(1-2u)) to u^6
-    from linkchi.rationals import as_qq
+    from linkchi.rationals import QQ
 
-    totals = [as_qq(0)] * 7
+    totals = [QQ(0)] * 7
     for term in json.loads(out)["terms"]:
         u_pow = 0
         for factor in term["monomial"].split("*"):
@@ -35,7 +35,7 @@ def test_homology_specialization_example(capsys):
                 u_pow = 1
             elif factor.startswith("u^"):
                 u_pow = int(factor[2:])
-        totals[u_pow] += as_qq(term["coefficient"])
+        totals[u_pow] += QQ(term["coefficient"])
     assert [int(v) for v in totals] == [2 ** (t + 1) - 1 for t in range(7)]
 
 
@@ -120,6 +120,17 @@ def test_table_more_than_two_strands_rejected_before_the_warning(capsys):
     assert exc.value.code == 2
     assert out == ""
     assert "error: the published grid layout is defined for r <= 2" in err
+    assert "warning:" not in err
+
+
+def test_table_empty_m_entry_rejected_at_parse_time(capsys):
+    # the empty entry is named, not mistaken for a third strand
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--genus", "0", "--m", "1,,1", "--d", "3"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "argument --m: empty entry in '1,,1'" in err
     assert "warning:" not in err
 
 
@@ -309,6 +320,16 @@ def test_verify_unknown_check(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--only", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_verify_empty_only_entry_rejected_at_parse_time(capsys):
+    for only in ("", "gamma,", ",gamma"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--only", only, "--t-max", "2"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2, only
+        assert out == "" and "argument --only: empty entry" in err, only
+        assert "warning:" not in err
 
 
 def test_verify_t_max_below_one_is_usage_error(capsys):

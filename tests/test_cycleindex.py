@@ -1,17 +1,15 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from linkchi.cycleindex import (
-    dihedral_permutation,
     feynman_regrade,
-    hedgehog_symmetry_sign,
-    induced_cycle_index,
     mod_envelope_supercharacter,
     mod_envelope_supercharacter_direct,
     specialize_colors,
     z_colors,
-    z_com,
     z_graph_supercharacter,
     z_hedgehog_homology,
     z_lie_cyclic,
@@ -25,14 +23,69 @@ from linkchi.genfun import (
     genus0_dims,
     genus1_dims,
 )
+from linkchi.graphs import _cycles, _perm_parity
 from linkchi.rationals import QQ
-from linkchi.series import OutOfBoundsError, TruncatedSeries
+from linkchi.series import OutOfBoundsError, TruncatedSeries, TruncationSpec, VariableSet
 
 from naive_series import naive_substitute
 
+# The brute-force dihedral reference for the hedgehog cycle index: the
+# induced character summed element by element over the dihedral group,
+# with no closed form.  Only the tests below use it.
+
+
+def dihedral_permutation(n: int, element: tuple[str, int]) -> tuple[int, ...]:
+    """Permutation of n cyclically arranged points under a dihedral element.
+
+    ``('r', k)`` rotates by 2 pi k / n (i -> i + k); ``('s', j)`` reflects
+    about the axis through the point j/2 (i -> j - i).  Returned as the
+    image tuple of 0..n-1.
+    """
+    kind, k = element
+    if kind == "r":
+        return tuple((i + k) % n for i in range(n))
+    if kind == "s":
+        return tuple((k - i) % n for i in range(n))
+    raise ValueError(f"unknown dihedral element {element!r}")
+
+
+def hedgehog_symmetry_sign(n: int, d: int, element: tuple[str, int]) -> int:
+    """Sign by which a dihedral symmetry acts on the standard n-hedgehog
+    orientation: sign(perm)^d * or(element)^(n + d + 1), where 'or' is -1
+    exactly on reflections."""
+    perm = dihedral_permutation(n, element)
+    sign = -1 if (_perm_parity(perm) * d) % 2 else 1
+    if element[0] == "s" and (n + d + 1) % 2:
+        sign = -sign
+    return sign
+
+
+def induced_cycle_index(pairs, weight_max: int) -> TruncatedSeries:
+    """Cycle index of a representation induced along a homomorphism
+    H -> Sigma_n: (1/|H|) sum_h chi(h) prod_l p_l^(j_l(image of h)).
+
+    ``pairs`` lists (image permutation, trace) for *every* element of H;
+    elements with equal images must each appear (the homomorphism need
+    not be injective, e.g. dihedral groups at n <= 2).
+    """
+    vars_ = VariableSet(pcount=weight_max)
+    spec = TruncationSpec(p_weight_max=weight_max)
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("need at least one (permutation, trace) pair")
+    traces: dict[tuple[int, ...], QQ] = {}
+    for perm, trace in pairs:
+        if len(perm) > weight_max:
+            continue  # every term of a permutation of n points has weight n
+        mono = vars_.monomial(Counter(f"p{l}" for _start, l in _cycles(perm)))
+        traces[mono] = traces.get(mono, 0) + QQ(trace)
+    return TruncatedSeries(vars_, spec, {m: t / len(pairs) for m, t in traces.items()})
+
 
 def test_z_com_small_weights():
-    z = z_com(3)
+    vars_ = VariableSet(pcount=3)  # Com: exp(sum_l p_l / l)
+    terms = {vars_.monomial({f"p{l}": 1}): QQ(1, l) for l in range(1, 4)}
+    z = TruncatedSeries(vars_, TruncationSpec(p_weight_max=3), terms).exp()
     assert z.coefficient({"p1": 1}) == 1
     assert z.coefficient({"p1": 2}) == QQ(1, 2)
     assert z.coefficient({"p2": 1}) == QQ(1, 2)
@@ -42,7 +95,9 @@ def test_z_com_small_weights():
 
 def test_z_com_dimensions_all_one():
     # p1 <- x EGF of Com: sum x^k / k!
-    z = z_com(6)
+    vars_ = VariableSet(pcount=6)  # Com: exp(sum_l p_l / l)
+    terms = {vars_.monomial({f"p{l}": 1}): QQ(1, l) for l in range(1, 7)}
+    z = TruncatedSeries(vars_, TruncationSpec(p_weight_max=6), terms).exp()
     fact = 1
     for k in range(1, 7):
         fact *= k
@@ -74,7 +129,9 @@ def test_specialize_z_com_all_ones():
     # one even strand at z = 1 is plain Com: the Euler specialization at
     # even m gives sum_k x^k with sign (+1)^k
     cfg = LinkConfig.create((2,), 4)
-    z = z_com(5)
+    vars_ = VariableSet(pcount=5)  # Com: exp(sum_l p_l / l)
+    terms = {vars_.monomial({f"p{l}": 1}): QQ(1, l) for l in range(1, 6)}
+    z = TruncatedSeries(vars_, TruncationSpec(p_weight_max=5), terms).exp()
     out = specialize_colors(z, cfg, "euler")
     for k in range(1, 6):
         assert out.coefficient({"x1": k}) == 1, k

@@ -30,7 +30,13 @@ from linkchi.cycleindex import (
     z_hedgehog_homology,
     z_tree_homology,
 )
-from linkchi.genfun import LinkConfig, f_homotopy_graded, genus0_dims, genus1_dims
+from linkchi.genfun import (
+    LinkConfig,
+    f_homotopy_direct,
+    f_homotopy_graded,
+    genus0_dims,
+    genus1_dims,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -103,7 +109,8 @@ SERIES_CASES.update({
 })
 SERIES_CASES.update({
     f"series-graded-{parity}-t8.txt": partial(
-        f_homotopy_graded, LinkConfig.create((int(m[0]),) * 2, int(d)), 8
+        lambda cfg: f_homotopy_graded(f_homotopy_direct(cfg, 8)),
+        LinkConfig.create((int(m[0]),) * 2, int(d)),
     )
     for parity, (m, d) in _PARITIES.items()
 })
