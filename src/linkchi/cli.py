@@ -224,14 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p, need_genus=False):
+    def add_config(p, need_genus=False, truncated=True):
         p.add_argument("--r", type=int, default=None, help="number of strands (optional consistency check)")
         p.add_argument("--m", type=_parse_m, required=True,
                        help="comma-separated source dimensions, integers or odd/even")
         p.add_argument("--d", type=_parse_d, required=True,
                        help="ambient dimension, integer or odd/even")
-        p.add_argument("--t-max", type=_int_at_least(0), default=10,
-                       help="complexity truncation order (>= 0)")
+        if truncated:
+            p.add_argument("--t-max", type=_int_at_least(0), default=10,
+                           help="complexity truncation order (>= 0)")
         if need_genus:
             p.add_argument("--genus", type=_int_at_least(0), required=True,
                            help="genus of the grid (>= 0)")
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_supercharacter)
 
     p = sub.add_parser("oracle", help="brute-force hairy graph class listing")
-    add_config(p)
+    add_config(p, truncated=False)  # one cell, at --t
     p.add_argument("--s", type=_int_list_at_least(0), required=True,
                    help="comma-separated hair counts per color (each >= 0)")
     p.add_argument("--t", type=_int_at_least(0), required=True, help="complexity (>= 0)")

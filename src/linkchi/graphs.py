@@ -64,15 +64,32 @@ connected leaves.  Each leaf still passes through ``_refine_partition``
 with ``ascending_only``, which tests the later rounds, and
 ``canonical_form``.
 
+A leaf comes with a copy of the backtrack's symmetric matrix (tadpoles
+on the diagonal), so its neighbour lists are read from that matrix and
+not rebuilt from the upper triangle.  Its initial labels are still the
+ranks of its own invariants, computed again from the matrix rather than
+taken from the backtrack's running labels: that ranking is what rejects
+a leaf that an unsound cut let through.  Two steps then end early, and
+both are exact.  ``_refine_partition`` returns a discrete ranking at
+once, since a partition of singletons cannot split and the next round,
+which ranks by the label first, would return the same labels.  And
+``canonical_form`` on a discrete partition takes the one order it
+allows, vertices by ascending label, with the identity as the only
+automorphism: what the search over the orders within each cell returns
+when every cell is a singleton.
+
 Only two things depend on (m, d): a class's degree and whether it is
 killed (the orientation character).  Everything else is parity-free: the
 labelled multigraphs, the connectivity and orderly filters, the canonical
 keys and the automorphism groups.  These are read from the ordered hair
 counts ``s_vec`` and from t alone, so ``_class_shapes`` caches them by
 ``(s_vec, t)`` exactly, and all four parity classes share one
-enumeration per cell.  ``enumerate_classes`` checks the cell and the
-budget before the lookup, then computes degree, killed status and
-automorphism count for its (m, d).
+enumeration per cell.  A cell whose counts do not descend, such as the
+mirror (s2, s1) of (s1, s2), is not enumerated: its classes are the
+descending cell's with the hair columns permuted back, keyed again by
+``canonical_form`` and sorted again.  ``enumerate_classes`` checks the
+cell and the budget before the lookup, then computes degree, killed
+status and automorphism count for its (m, d).
 """
 
 from __future__ import annotations
@@ -158,13 +175,18 @@ def _rep_dimensions(cfg: LinkConfig) -> tuple[tuple[int, ...], int]:
 # ------------------------------------------------------------ canonical form
 
 
+def _neighbours(mat):
+    """Per vertex, its (neighbour, multiplicity) list without tadpoles,
+    from a symmetric multiplicity matrix."""
+    return [[(w, k) for w, k in enumerate(row) if k and w != v] for v, row in enumerate(mat)]
+
+
 def _neighbour_lists(adjacency):
-    """Symmetric multiplicity matrix and, per vertex, its (neighbour,
-    multiplicity) list without tadpoles, from an upper-triangular one."""
+    """Symmetric multiplicity matrix and its ``_neighbours``, from an
+    upper-triangular one."""
     cols = list(zip(*adjacency))
     mat = [cols[v][:v] + tuple(row[v:]) for v, row in enumerate(adjacency)]
-    nbrs = [[(w, k) for w, k in enumerate(row) if k and w != v] for v, row in enumerate(mat)]
-    return mat, nbrs
+    return mat, _neighbours(mat)
 
 
 def _refine_partition(mat, nbrs, hair_counts, ascending_only=False):
@@ -176,7 +198,9 @@ def _refine_partition(mat, nbrs, hair_counts, ascending_only=False):
     the previous one in the same order, and relabelling the vertices
     permutes the labels with them.  With ``ascending_only``, return None
     as soon as the labels do not ascend with the vertex numbers: no later
-    round can sort them again.
+    round can sort them again.  A discrete ranking is returned at once:
+    the next round ranks by the label first, so it would return it
+    unchanged.
     """
     invariants = [
         (hair_counts[v], sum(k for _w, k in nv) + 2 * mat[v][v], mat[v][v])
@@ -187,6 +211,8 @@ def _refine_partition(mat, nbrs, hair_counts, ascending_only=False):
     while True:
         if ascending_only and any(a > b for a, b in zip(labels, labels[1:])):
             return None
+        if len(rank) == len(labels):
+            return labels
         sigs = [
             (labels[v], tuple(sorted((labels[w], k) for w, k in nv)))
             for v, nv in enumerate(nbrs)
@@ -213,22 +239,30 @@ def canonical_form(adjacency, hair_counts, refined=None):
     that respect the refined cells, followed by the hair rows in that
     order.  Hair counts are part of the refinement invariant, so every
     candidate order has the same hair rows and only matrices are compared.
-    ``refined`` is ``(mat, labels)`` from ``_neighbour_lists`` and
-    ``_refine_partition`` when the caller has them already; the
+    ``refined`` is ``(mat, labels)``, the symmetric matrix and
+    ``_refine_partition``'s labels, when the caller has them already; the
     enumeration computes them first to drop labellings whose labels do
     not ascend (see the module docstring), and the key does not depend on
-    which labelling of a class it is given.
+    which labelling of a class it is given.  When the labels are discrete,
+    the vertices by ascending label are the one candidate order and the
+    identity the one automorphism, so no search runs.
     """
     n = len(adjacency)
     if refined is None:
         mat, nbrs = _neighbour_lists(adjacency)
         refined = mat, _refine_partition(mat, nbrs, hair_counts)
     mat, labels = refined
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    if max(labels) == n - 1:  # labels are ranks 0, 1, ...: n distinct is discrete
+        order = [0] * n
+        for v, label in enumerate(labels):
+            order[label] = v
+        best = tuple(mat[order[i]][order[j]] for i, j in upper)
+        return repr((best, tuple(hair_counts[v] for v in order))), [tuple(range(n))]
     cells: dict[int, list[int]] = {}
     for v in range(n):
         cells.setdefault(labels[v], []).append(v)
     cell_list = [cells[k] for k in sorted(cells)]
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
 
     best = None
     best_orders = []  # order[pos] = vertex placed at pos
@@ -316,7 +350,8 @@ def _row_fillings(total, caps):
 
 def _orderly_multigraphs(hair_rows, degrees):
     """Connected multigraphs (with tadpoles) realizing the labelled degree
-    sequence, yielded one at a time as upper-triangular matrices.
+    sequence, yielded one at a time as an upper-triangular matrix with a
+    copy of the symmetric one (tadpoles on the diagonal).
 
     Assigns every tadpole first, then the rows off the diagonal in order;
     tadpoles consume two degree units.  A subtree is cut as soon as every
@@ -329,7 +364,7 @@ def _orderly_multigraphs(hair_rows, degrees):
         return  # (b) whatever the tadpoles
     if n == 1:
         if degrees[0] % 2 == 0:
-            yield ((degrees[0] // 2,),)
+            yield ((degrees[0] // 2,),), [[degrees[0] // 2]]
         return
     ties = [v for v in range(1, n) if shape[v] == shape[v - 1]]
     mat = [[0] * n for _ in range(n)]  # symmetric while the rows are filled
@@ -362,7 +397,8 @@ def _orderly_multigraphs(hair_rows, degrees):
                 if v < n - 2:
                     yield from rows(v + 1, tuple([joined if m & joined else m for m in comp]))
                 elif not live and not descends(v + 1):  # row n - 1 is empty
-                    yield tuple((0,) * u + tuple(r[u:]) for u, r in enumerate(mat))
+                    leaf = [r[:] for r in mat]
+                    yield tuple((0,) * u + tuple(r[u:]) for u, r in enumerate(leaf)), leaf
             for w, k in zip(tail, filling):
                 left[w] += k
         for w in tail:
@@ -490,7 +526,27 @@ def _class_shapes(s_vec: tuple[int, ...], t: int):
     """The parity-free part of ``enumerate_classes`` for a cell that
     ``check_cell`` accepts: the bare edge's two hair colours (None unless
     |s| = 2 and t = 1), and (n_internal, adjacency, hair_counts, key,
-    automorphisms) of every other class, in (n_internal, key) order."""
+    automorphisms) of every other class, in (n_internal, key) order.
+    Only a cell whose counts descend is enumerated; any other is read
+    from it (see the module docstring)."""
+    order = sorted(range(len(s_vec)), key=lambda c: -s_vec[c])  # stable
+    if order == list(range(len(s_vec))):
+        return _enumerated_shapes(s_vec, t)
+    bare, shapes = _class_shapes(tuple(s_vec[c] for c in order), t)
+    back = [order.index(c) for c in range(len(s_vec))]  # column of colour c
+    renamed = []
+    for n_int, adj, hair_mat, _key, _autos in shapes:
+        hair_mat = tuple(tuple(row[i] for i in back) for row in hair_mat)
+        key, autos = canonical_form(adj, hair_mat)
+        renamed.append((n_int, adj, hair_mat, key, tuple(autos)))
+    renamed.sort(key=lambda shape: (shape[0], shape[3]))
+    if bare is not None:
+        bare = tuple(sorted(order[c] for c in bare))
+    return bare, tuple(renamed)
+
+
+def _enumerated_shapes(s_vec, t):
+    """``_class_shapes`` of a cell by enumerating its classes."""
     s_total = sum(s_vec)
     bare = None
     if s_total == 2 and t == 1:
@@ -509,9 +565,8 @@ def _class_shapes(s_vec: tuple[int, ...], t: int):
                 continue
             tied = [v > 0 and hair_mat[v] == hair_mat[v - 1] for v in range(n_int)]
             for degs in _degree_sequences(n_int, 2 * m_int, minima, tied):
-                for adj in _orderly_multigraphs(hair_mat, degs):
-                    mat, nbrs = _neighbour_lists(adj)
-                    labels = _refine_partition(mat, nbrs, hair_mat, ascending_only=True)
+                for adj, mat in _orderly_multigraphs(hair_mat, degs):
+                    labels = _refine_partition(mat, _neighbours(mat), hair_mat, ascending_only=True)
                     if labels is None:
                         continue  # a label-ordered copy of it is generated too
                     key, autos = canonical_form(adj, hair_mat, (mat, labels))

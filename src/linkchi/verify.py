@@ -496,11 +496,11 @@ def check_oracle(res: CheckResult, t_max: int = 5) -> None:
     t <= t_max in all four parity classes, and at every t <= min(t_max, 4)
     with mixed colour parities, m = (1, 2) at d = 3 and d = 4.
 
-    At t_max = 5 it took 1.45-1.64 s from a cold process on a 2-vCPU
-    Xeon (Python 3.11, imports excluded): about 0.5 s for genus 0-3 at
-    t <= 4 and genus 0-2 at t = 5 (0.8 s before the enumeration cut its
-    subtrees), 0.15 s for the mixed parities, and the rest for genus 3
-    at t = 5."""
+    At t_max = 5 it takes 0.99-1.14 s from a cold process on a 2-vCPU
+    Xeon (Python 3.11, imports excluded, five runs), against 1.18-1.26 s
+    in alternating runs before each leaf was labelled from the
+    backtrack's own matrix and each mixed-parity mirror cell was read
+    from its descending cell (see ``linkchi.graphs``)."""
     runs = [(key, _cfg(key, 2), t_max) for key in _PARITY_CONFIGS]
     runs += [
         (key, LinkConfig.create(m, d), min(t_max, 4))

@@ -238,7 +238,6 @@ def test_oracle_negative_budget_rejected_at_parse_time(capsys, monkeypatch, flag
         (["homology", "--x-max", "-1"], "--x-max"),
         (["table", "--genus", "1", "--t-max", "-1"], "--t-max"),
         (["table", "--genus", "-1"], "--genus"),
-        (["oracle", "--s", "2,0", "--t", "2", "--t-max", "-1"], "--t-max"),
         (["oracle", "--s", "2,0", "--t", "-1"], "--t"),
     ],
 )
@@ -252,6 +251,17 @@ def test_negative_bounds_rejected_at_parse_time(capsys, argv, flag):
     assert out == ""
     assert f"{flag}: must be >= 0, got -1" in err
     assert "warning" not in err
+
+
+def test_oracle_has_no_t_max(capsys):
+    # oracle enumerates one cell at --t; a truncation order would change nothing
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--m", "1,1", "--d", "3", "--s", "2,0", "--t", "2", "--t-max", "0"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "unrecognized arguments: --t-max 0" in err
+    assert "warning:" not in err
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import functools
 import json
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linkchi import graphs
 from linkchi.genfun import LinkConfig
@@ -276,7 +276,7 @@ def test_orderly_multigraphs_cut_only_rejected_leaves(shape):
         adj = tuple(map(tuple, adj))
         if _connected(adj) and _orderly(adj, hair_rows):
             reference.add(adj)
-    leaves = list(graphs._orderly_multigraphs(hair_rows, degrees))
+    leaves = [adj for adj, _mat in graphs._orderly_multigraphs(hair_rows, degrees)]
     assert len(set(leaves)) == len(leaves)
     for adj in leaves:
         assert all(adj[j][i] == 0 for i, j in pairs)  # upper-triangular
@@ -284,6 +284,139 @@ def test_orderly_multigraphs_cut_only_rejected_leaves(shape):
         assert valence == list(degrees)
         assert _connected(adj)
     assert {adj for adj in leaves if _orderly(adj, hair_rows)} == reference
+
+
+def _refined_to_the_end(mat, nbrs, hair_counts, ascending_only=False):
+    """Reference for ``graphs._refine_partition``: every round runs until
+    the labels are stable, discrete or not."""
+    invariants = [
+        (hair_counts[v], sum(k for _w, k in nv) + 2 * mat[v][v], mat[v][v])
+        for v, nv in enumerate(nbrs)
+    ]
+    rank = {inv: i for i, inv in enumerate(sorted(set(invariants)))}
+    labels = [rank[inv] for inv in invariants]
+    while True:
+        if ascending_only and any(a > b for a, b in zip(labels, labels[1:])):
+            return None
+        sigs = [
+            (labels[v], tuple(sorted((labels[w], k) for w, k in nv)))
+            for v, nv in enumerate(nbrs)
+        ]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new_labels = [rank[sig] for sig in sigs]
+        if new_labels == labels:
+            return labels
+        labels = new_labels
+
+
+def _searched_form(adjacency, hair_counts):
+    """Reference for ``graphs.canonical_form``: the least matrix over every
+    vertex order that respects the refined cells, singletons or not, and
+    every order that reaches it as an automorphism."""
+    n = len(adjacency)
+    mat, nbrs = graphs._neighbour_lists(adjacency)
+    labels = _refined_to_the_end(mat, nbrs, hair_counts)
+    cells: dict[int, list[int]] = {}
+    for v in range(n):
+        cells.setdefault(labels[v], []).append(v)
+    cell_list = [cells[k] for k in sorted(cells)]
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    best = None
+    best_orders = []
+    for arrangement in product(*(permutations(cell) for cell in cell_list)):
+        order = [v for part in arrangement for v in part]
+        enc = tuple(mat[order[i]][order[j]] for i, j in upper)
+        if best is None or enc < best:
+            best = enc
+            best_orders = [order]
+        elif enc == best:
+            best_orders.append(order)
+    first = best_orders[0]
+    autos = []
+    for order in best_orders:
+        q = [0] * n
+        for pos, v in enumerate(order):
+            q[v] = pos
+        autos.append(tuple(first[q[v]] for v in range(n)))
+    hairs = tuple(hair_counts[v] for v in first)
+    return repr((best, hairs)), autos
+
+
+@settings(max_examples=150, deadline=None)
+@given(_labelled_degrees())
+@example((((0, 0), (0, 1), (1, 0)), (1, 2, 1)))  # a path of three hair rows: discrete
+@example((((0, 0),) * 4, (3, 3, 3, 3)))  # K4 among others: one cell of four
+def test_leaf_fast_paths_match_their_references(shape):
+    # each leaf carries the matrix _neighbour_lists would build, refinement
+    # that stops at a discrete ranking returns what every round returns,
+    # and a discrete partition is keyed as the permutation search keys it
+    hair_rows, degrees = shape
+    for adj, mat in graphs._orderly_multigraphs(hair_rows, degrees):
+        full, nbrs = graphs._neighbour_lists(adj)
+        assert mat == [list(row) for row in full]
+        assert graphs._neighbours(mat) == nbrs
+        for ascending_only in (False, True):
+            assert graphs._refine_partition(
+                mat, nbrs, hair_rows, ascending_only
+            ) == _refined_to_the_end(mat, nbrs, hair_rows, ascending_only)
+        key, autos = canonical_form(adj, hair_rows)
+        assert (key, autos) == _searched_form(adj, hair_rows)
+        labels = graphs._refine_partition(mat, nbrs, hair_rows)
+        assert canonical_form(adj, hair_rows, (mat, labels)) == (key, autos)
+
+
+# Every mirror cell (s1 < s2) that check_cell accepts at t <= 4.
+_MIRROR_CELLS = [
+    ((s_total - s2, s2), t)
+    for t in range(1, 5)
+    for s_total in range(1, t + 2)
+    for s2 in range(s_total // 2 + 1, s_total + 1)
+]
+
+
+@pytest.mark.parametrize("cell", _MIRROR_CELLS, ids=[f"s{s[0]},{s[1]}-t{t}" for s, t in _MIRROR_CELLS])
+def test_mirror_cell_matches_a_fresh_enumeration(cell):
+    # a mirror cell is the descending cell with its hair columns swapped
+    # and keyed again; enumerating it gives the same classes in the same
+    # order, with the same automorphism counts
+    s_vec, t = cell
+    bare, shapes = graphs._class_shapes(s_vec, t)
+    fresh_bare, fresh = graphs._enumerated_shapes(s_vec, t)
+    assert bare == fresh_bare
+    assert [(n, key, len(autos)) for n, _adj, _hairs, key, autos in shapes] == [
+        (n, key, len(autos)) for n, _adj, _hairs, key, autos in fresh
+    ]
+    for _n, adj, hairs, key, autos in shapes:
+        assert tuple(map(sum, zip(*hairs))) == s_vec
+        assert canonical_form(adj, hairs) == (key, list(autos))
+
+
+def test_mixed_oracle_cells_enumerate_only_descending_cells(monkeypatch):
+    # verify's mixed configurations ask for both (s1, s2) and (s2, s1); only
+    # the descending one is generated, and its mirror is read from it
+    from linkchi import verify
+
+    generated = set()
+    real = graphs._orderly_multigraphs
+
+    def counted(hair_rows, degrees):
+        generated.add(tuple(map(sum, zip(*hair_rows))))
+        return real(hair_rows, degrees)
+
+    monkeypatch.setattr(graphs, "_orderly_multigraphs", counted)
+    asked = set()
+    cached = functools.lru_cache(maxsize=None)(graphs._class_shapes.__wrapped__)
+
+    def shapes(s_vec, t):
+        asked.add(s_vec)
+        return cached(s_vec, t)
+
+    monkeypatch.setattr(graphs, "_class_shapes", shapes)
+    res = verify.CheckResult("oracle")
+    verify.check_oracle(res, t_max=3)
+    assert res.ok
+    assert any(s1 < s2 for s1, s2 in asked)
+    assert generated == {tuple(sorted(s, reverse=True)) for s in asked}
 
 
 # Every (s1, s2) with t <= 3, in both orders.
