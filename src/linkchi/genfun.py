@@ -470,10 +470,10 @@ def euler_table(
     table = EulerTable(genus=genus, t_max=t_max, r=cfg.r, s2_max=s2_max)
     for t in range(1, t_max + 1):
         row = []
+        s_total = t + 1 - genus
         for s2 in range(s2_max + 1):
-            s_total = t + 1 - genus
-            s1 = s_total - s2 if cfg.r == 2 else s_total
-            if s1 < 0 or (cfg.r == 1 and s2 > 0):
+            s1 = s_total - s2
+            if s1 < 0:
                 row.append(0)
                 continue
             expo = {"x1": s1, "u": t}

@@ -39,12 +39,17 @@ keys and their order are those of the unfiltered enumeration; only the
 labelling stored as a class's ``adjacency`` and ``hair_counts`` may be a
 different one.
 
-``_orderly_multigraphs`` backtracks over the upper-triangular
-multiplicity matrix and yields each leaf as it is completed: it places
-every vertex's tadpoles first, then fills the rows off the diagonal in
-vertex order.  It cuts a subtree on four tests, each sound because every
-leaf below it is disconnected or has refinement labels that do not
-ascend, so the connectivity test or ``_refine_partition(...,
+A multigraph has one form throughout: its symmetric multiplicity
+matrix, a tuple of rows with tadpoles on the diagonal.  Only the
+entries with i <= j are independent; the key and the orientation sign
+read just those.
+
+``_orderly_multigraphs`` backtracks over that matrix and yields each
+leaf as it is completed: it places every vertex's tadpoles first, then
+fills the rows off the diagonal in vertex order, each entry together
+with its mirror.  It cuts a subtree on four tests, each sound because
+every leaf below it is disconnected or has refinement labels that do
+not ascend, so the connectivity test or ``_refine_partition(...,
 ascending_only=True)`` would reject it:
 
 (a) with n >= 2, a vertex whose tadpoles use up its degree has no edge;
@@ -64,12 +69,11 @@ connected leaves.  Each leaf still passes through ``_refine_partition``
 with ``ascending_only``, which tests the later rounds, and
 ``canonical_form``.
 
-A leaf comes with a copy of the backtrack's symmetric matrix (tadpoles
-on the diagonal), so its neighbour lists are read from that matrix and
-not rebuilt from the upper triangle.  Its initial labels are still the
-ranks of its own invariants, computed again from the matrix rather than
-taken from the backtrack's running labels: that ranking is what rejects
-a leaf that an unsound cut let through.  Two steps then end early, and
+A leaf is a copy of the backtrack's matrix, and refinement reads its
+neighbour lists from it.  Its initial labels are still the ranks of its
+own invariants, computed again from the matrix rather than taken from
+the backtrack's running labels: that ranking is what rejects a leaf
+that an unsound cut let through.  Two steps then end early, and
 both are exact.  ``_refine_partition`` returns a discrete ranking at
 once, since a partition of singletons cannot split and the next round,
 which ranks by the label first, would return the same labels.  And
@@ -130,12 +134,13 @@ class EnumerationBudget:
 class HairyGraphClass:
     """Isomorphism class of a hairy graph.
 
-    ``adjacency[i][j]`` (i <= j) is the edge multiplicity between
-    internal vertices i and j, the diagonal counting tadpoles (one
-    tadpole adds two to the valence).  ``hair_counts[i][c]`` is the
-    number of color-c hairs at internal vertex i.  The degenerate
-    zero-internal-vertex class (a single edge joining two hairs) uses
-    empty adjacency and stores its hair colors in ``bare_hair_colors``.
+    ``adjacency`` is the symmetric multiplicity matrix: ``adjacency[i][j]``
+    is the number of edges between internal vertices i and j, the
+    diagonal counting tadpoles (one tadpole adds two to the valence).
+    ``hair_counts[i][c]`` is the number of color-c hairs at internal
+    vertex i.  The degenerate zero-internal-vertex class (a single edge
+    joining two hairs) uses empty adjacency and stores its hair colors
+    in ``bare_hair_colors``.
     """
 
     n_internal: int
@@ -175,22 +180,9 @@ def _rep_dimensions(cfg: LinkConfig) -> tuple[tuple[int, ...], int]:
 # ------------------------------------------------------------ canonical form
 
 
-def _neighbours(mat):
-    """Per vertex, its (neighbour, multiplicity) list without tadpoles,
-    from a symmetric multiplicity matrix."""
-    return [[(w, k) for w, k in enumerate(row) if k and w != v] for v, row in enumerate(mat)]
-
-
-def _neighbour_lists(adjacency):
-    """Symmetric multiplicity matrix and its ``_neighbours``, from an
-    upper-triangular one."""
-    cols = list(zip(*adjacency))
-    mat = [cols[v][:v] + tuple(row[v:]) for v, row in enumerate(adjacency)]
-    return mat, _neighbours(mat)
-
-
-def _refine_partition(mat, nbrs, hair_counts, ascending_only=False):
-    """Iterated neighbour refinement of the vertex partition.
+def _refine_partition(mat, hair_counts, ascending_only=False):
+    """Iterated neighbour refinement of the vertex partition of the
+    symmetric multiplicity matrix ``mat``.
 
     Labels are ranks in ascending order: first of the invariant (hair
     row, internal degree, tadpoles), then of (own label, sorted neighbour
@@ -202,12 +194,11 @@ def _refine_partition(mat, nbrs, hair_counts, ascending_only=False):
     the next round ranks by the label first, so it would return it
     unchanged.
     """
-    invariants = [
-        (hair_counts[v], sum(k for _w, k in nv) + 2 * mat[v][v], mat[v][v])
-        for v, nv in enumerate(nbrs)
-    ]
+    # a row's sum counts each tadpole once, and a tadpole adds two to the degree
+    invariants = [(hair_counts[v], sum(row) + row[v], row[v]) for v, row in enumerate(mat)]
     rank = {inv: i for i, inv in enumerate(sorted(set(invariants)))}
     labels = [rank[inv] for inv in invariants]
+    nbrs = [[(w, k) for w, k in enumerate(row) if k and w != v] for v, row in enumerate(mat)]
     while True:
         if ascending_only and any(a > b for a, b in zip(labels, labels[1:])):
             return None
@@ -224,9 +215,10 @@ def _refine_partition(mat, nbrs, hair_counts, ascending_only=False):
         labels = new_labels
 
 
-def canonical_form(adjacency, hair_counts, refined=None):
-    """Canonical key and full automorphism list of an internal multigraph
-    with per-vertex hair-count colors.
+def canonical_form(mat, hair_counts, labels=None):
+    """Canonical key and full automorphism list of an internal multigraph,
+    given as its symmetric multiplicity matrix ``mat`` (tadpoles on the
+    diagonal), with per-vertex hair-count colors.
 
     Isomorphisms permute internal vertices arbitrarily but must preserve
     adjacency multiplicities and the per-color hair counts at each
@@ -235,23 +227,24 @@ def canonical_form(adjacency, hair_counts, refined=None):
     tuples); for the graph sizes the oracle handles, refinement keeps
     the candidate set tiny.
 
-    The key is the least upper-triangular matrix over the vertex orders
-    that respect the refined cells, followed by the hair rows in that
-    order.  Hair counts are part of the refinement invariant, so every
-    candidate order has the same hair rows and only matrices are compared.
-    ``refined`` is ``(mat, labels)``, the symmetric matrix and
-    ``_refine_partition``'s labels, when the caller has them already; the
-    enumeration computes them first to drop labellings whose labels do
-    not ascend (see the module docstring), and the key does not depend on
-    which labelling of a class it is given.  When the labels are discrete,
-    the vertices by ascending label are the one candidate order and the
-    identity the one automorphism, so no search runs.
+    The key is the least upper triangle of the matrix over the vertex
+    orders that respect the refined cells, followed by the hair rows in
+    that order.  Hair counts are part of the refinement invariant, so
+    every candidate order has the same hair rows and only matrices are
+    compared.  ``labels`` are ``_refine_partition``'s labels, when the
+    caller has them already; the enumeration computes them first to drop
+    labellings whose labels do not ascend (see the module docstring), and
+    the key does not depend on which labelling of a class it is given.
+    Without them, a matrix that is not symmetric raises ``ValueError``.
+    When the labels are discrete, the vertices by ascending label are the
+    one candidate order and the identity the one automorphism, so no
+    search runs.
     """
-    n = len(adjacency)
-    if refined is None:
-        mat, nbrs = _neighbour_lists(adjacency)
-        refined = mat, _refine_partition(mat, nbrs, hair_counts)
-    mat, labels = refined
+    n = len(mat)
+    if labels is None:
+        if list(zip(*mat)) != list(map(tuple, mat)):
+            raise ValueError(f"not a symmetric multiplicity matrix: {mat}")
+        labels = _refine_partition(mat, hair_counts)
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     if max(labels) == n - 1:  # labels are ranks 0, 1, ...: n distinct is discrete
         order = [0] * n
@@ -350,8 +343,8 @@ def _row_fillings(total, caps):
 
 def _orderly_multigraphs(hair_rows, degrees):
     """Connected multigraphs (with tadpoles) realizing the labelled degree
-    sequence, yielded one at a time as an upper-triangular matrix with a
-    copy of the symmetric one (tadpoles on the diagonal).
+    sequence, yielded one at a time as a symmetric multiplicity matrix
+    (a tuple of rows, tadpoles on the diagonal).
 
     Assigns every tadpole first, then the rows off the diagonal in order;
     tadpoles consume two degree units.  A subtree is cut as soon as every
@@ -364,7 +357,7 @@ def _orderly_multigraphs(hair_rows, degrees):
         return  # (b) whatever the tadpoles
     if n == 1:
         if degrees[0] % 2 == 0:
-            yield ((degrees[0] // 2,),), [[degrees[0] // 2]]
+            yield ((degrees[0] // 2,),)
         return
     ties = [v for v in range(1, n) if shape[v] == shape[v - 1]]
     mat = [[0] * n for _ in range(n)]  # symmetric while the rows are filled
@@ -397,8 +390,7 @@ def _orderly_multigraphs(hair_rows, degrees):
                 if v < n - 2:
                     yield from rows(v + 1, tuple([joined if m & joined else m for m in comp]))
                 elif not live and not descends(v + 1):  # row n - 1 is empty
-                    leaf = [r[:] for r in mat]
-                    yield tuple((0,) * u + tuple(r[u:]) for u, r in enumerate(leaf)), leaf
+                    yield tuple(map(tuple, mat))
             for w, k in zip(tail, filling):
                 left[w] += k
         for w in tail:
@@ -565,11 +557,11 @@ def _enumerated_shapes(s_vec, t):
                 continue
             tied = [v > 0 and hair_mat[v] == hair_mat[v - 1] for v in range(n_int)]
             for degs in _degree_sequences(n_int, 2 * m_int, minima, tied):
-                for adj, mat in _orderly_multigraphs(hair_mat, degs):
-                    labels = _refine_partition(mat, _neighbours(mat), hair_mat, ascending_only=True)
+                for adj in _orderly_multigraphs(hair_mat, degs):
+                    labels = _refine_partition(adj, hair_mat, ascending_only=True)
                     if labels is None:
                         continue  # a label-ordered copy of it is generated too
-                    key, autos = canonical_form(adj, hair_mat, (mat, labels))
+                    key, autos = canonical_form(adj, hair_mat, labels)
                     if key in seen:
                         continue
                     seen.add(key)
@@ -643,7 +635,7 @@ def euler_char_oracle(
 ) -> int:
     """Euler characteristic of the (s, t) summand: the signed count
     sum of (-1)^degree over non-killed isomorphism classes."""
-    s_vec = tuple(s_vec)
+    s_vec = check_cell(cfg.r, s_vec, t, budget)
     if len(set(cfg.m_parities)) == 1:
         # colours of one parity are interchangeable: a cell and its mirror
         # have one answer, and share one shape enumeration

@@ -305,26 +305,26 @@ def check_homology_specializations(res: CheckResult, t_max: int = 12) -> None:
                 closed = closed * (one + u.scaled(sgn * k))
             if got != closed:
                 res.fail(f"x=1 m=2 r={r} d={d}: {_first_difference(got, closed)}")
-    for r in (2,):
-        # all x = -1: rational closed forms with denominators 1 - u -+ 2ku^2
-        cfg_odd = LinkConfig.create((1,) * r, 3)
-        got = f_homology(cfg_odd, t_max, x_values=[-1] * r)
-        closed = one
-        for k in range(1, r):
-            closed = closed * (one + u.scaled(k))
-        for k in range(1, r + 1):
-            closed = closed * (one - u - (u * u).scaled(2 * k)).inverse()
-        if got != closed:
-            res.fail(f"x=-1 r={r} d=odd: {_first_difference(got, closed)}")
-        cfg_even = LinkConfig.create((1,) * r, 4)
-        got = f_homology(cfg_even, t_max, x_values=[-1] * r)
-        closed = one
-        for k in range(1, r):
-            closed = closed * (one - u.scaled(k))
-        for k in range(1, r + 1):
-            closed = closed * (one - u + (u * u).scaled(2 * k)).inverse()
-        if got != closed:
-            res.fail(f"x=-1 r={r} d=even: {_first_difference(got, closed)}")
+    r = 2
+    # all x = -1: rational closed forms with denominators 1 - u -+ 2ku^2
+    cfg_odd = LinkConfig.create((1,) * r, 3)
+    got = f_homology(cfg_odd, t_max, x_values=[-1] * r)
+    closed = one
+    for k in range(1, r):
+        closed = closed * (one + u.scaled(k))
+    for k in range(1, r + 1):
+        closed = closed * (one - u - (u * u).scaled(2 * k)).inverse()
+    if got != closed:
+        res.fail(f"x=-1 r={r} d=odd: {_first_difference(got, closed)}")
+    cfg_even = LinkConfig.create((1,) * r, 4)
+    got = f_homology(cfg_even, t_max, x_values=[-1] * r)
+    closed = one
+    for k in range(1, r):
+        closed = closed * (one - u.scaled(k))
+    for k in range(1, r + 1):
+        closed = closed * (one - u + (u * u).scaled(2 * k)).inverse()
+    if got != closed:
+        res.fail(f"x=-1 r={r} d=even: {_first_difference(got, closed)}")
 
 
 def check_route_equivalence(res: CheckResult, t_max: int = 10) -> None:
@@ -384,7 +384,7 @@ def _z_to_minus_one(series: TruncatedSeries, cfg: LinkConfig) -> TruncatedSeries
 
 
 def check_cycle_index(res: CheckResult, t_max: int = 8) -> None:
-    for parity_key in ("odd-odd", "odd-even", "even-odd", "even-even"):
+    for parity_key in _PARITY_CONFIGS:
         for r in range(1, 4):
             cfg = _cfg(parity_key, r)
             z = z_graph_supercharacter("odd" if cfg.d_parity else "even", t_max + 1, t_max)
@@ -496,11 +496,11 @@ def check_oracle(res: CheckResult, t_max: int = 5) -> None:
     t <= t_max in all four parity classes, and at every t <= min(t_max, 4)
     with mixed colour parities, m = (1, 2) at d = 3 and d = 4.
 
-    At t_max = 5 it takes 0.99-1.14 s from a cold process on a 2-vCPU
-    Xeon (Python 3.11, imports excluded, five runs), against 1.18-1.26 s
-    in alternating runs before each leaf was labelled from the
-    backtrack's own matrix and each mixed-parity mirror cell was read
-    from its descending cell (see ``linkchi.graphs``)."""
+    At t_max = 5 it takes 1.11-1.40 s (median 1.15 s) from a cold process
+    on a shared 2-vCPU Xeon (Python 3.11, imports excluded, seven runs),
+    against 1.18-1.44 s (median 1.35 s) in alternating runs of the code
+    before each multigraph was kept as its symmetric matrix alone (see
+    ``linkchi.graphs``)."""
     runs = [(key, _cfg(key, 2), t_max) for key in _PARITY_CONFIGS]
     runs += [
         (key, LinkConfig.create(m, d), min(t_max, 4))

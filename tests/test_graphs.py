@@ -84,8 +84,8 @@ def test_killed_consistency_same_color_doubling():
 
 
 def test_canonical_form_tripod_relabelings():
-    adj1 = ((0, 1, 1), (0, 0, 1), (0, 0, 0))
-    adj2 = ((0, 1, 1), (0, 0, 1), (0, 0, 0))
+    adj1 = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+    adj2 = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
     hairs = ((1, 0), (1, 0), (1, 0))
     k1, _ = canonical_form(adj1, hairs)
     k2, _ = canonical_form(adj2, hairs)
@@ -93,8 +93,8 @@ def test_canonical_form_tripod_relabelings():
 
 
 def test_canonical_form_distinguishes_path_and_triangle():
-    path = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
-    tri = ((0, 1, 1), (0, 0, 1), (0, 0, 0))
+    path = ((0, 1, 0), (1, 0, 1), (0, 1, 0))
+    tri = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
     hairs = ((1,), (1,), (1,))
     assert canonical_form(path, hairs)[0] != canonical_form(tri, hairs)[0]
 
@@ -104,17 +104,34 @@ def test_canonical_form_automorphism_count():
     # three others: the three leaves permute freely
     adj = (
         (0, 1, 1, 1),
-        (0, 0, 0, 0),
-        (0, 0, 0, 0),
-        (0, 0, 0, 0),
+        (1, 0, 0, 0),
+        (1, 0, 0, 0),
+        (1, 0, 0, 0),
     )
     hairs = ((0,), (2,), (2,), (2,))
     _, autos = canonical_form(adj, hairs)
     assert len(autos) == 6
 
 
+def test_canonical_form_rejects_an_asymmetric_matrix():
+    # the star above as its upper triangle alone: its rows miss the edges
+    # below the diagonal, so refinement would read wrong degrees from them
+    upper = ((0, 1, 1, 1), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="symmetric"):
+        canonical_form(upper, ((0,), (2,), (2,), (2,)))
+    with pytest.raises(ValueError, match="symmetric"):
+        canonical_form(((0, 1), (1,)), ((1,), (1,)))  # ragged
+
+
 def test_hair_permutation_symmetry_of_oracle():
     assert euler_char_oracle(ODD2, (3, 1), 3) == euler_char_oracle(ODD2, (1, 3), 3)
+
+
+def test_oracle_names_the_cell_it_was_given():
+    # a one-parity cell is sorted only after it is checked, so the error
+    # quotes the counts the caller passed, not their reordering
+    with pytest.raises(ValueError, match=r"got \(-1, 2\)"):
+        euler_char_oracle(ODD2, (-1, 2), 3)
 
 
 def test_oracle_matches_reference_small():
@@ -183,9 +200,9 @@ def test_odd_sign_invariant_raises():
 @st.composite
 def _hairy_graphs(draw):
     n = draw(st.integers(1, 5))
+    upper = {(i, j): draw(st.integers(0, 2)) for i in range(n) for j in range(i, n)}
     adjacency = tuple(
-        tuple(draw(st.integers(0, 2)) if j >= i else 0 for j in range(n))
-        for i in range(n)
+        tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n)
     )
     hairs = tuple(
         (draw(st.integers(0, 2)), draw(st.integers(0, 1))) for _ in range(n)
@@ -198,15 +215,8 @@ def _hairy_graphs(draw):
 def test_canonical_form_is_invariant_under_relabelling(graph):
     adjacency, hairs, perm = graph  # vertex v becomes perm[v]
     n = len(adjacency)
-
-    def mult(adj, i, j):
-        return adj[min(i, j)][max(i, j)]
-
     moved = tuple(
-        tuple(
-            mult(adjacency, perm.index(i), perm.index(j)) if j >= i else 0
-            for j in range(n)
-        )
+        tuple(adjacency[perm.index(i)][perm.index(j)] for j in range(n))
         for i in range(n)
     )
     moved_hairs = tuple(hairs[perm.index(i)] for i in range(n))
@@ -219,9 +229,9 @@ def test_canonical_form_is_invariant_under_relabelling(graph):
         assert sorted(sigma) == list(range(n))
         assert all(hairs[sigma[v]] == hairs[v] for v in range(n))
         assert all(
-            mult(adjacency, sigma[i], sigma[j]) == mult(adjacency, i, j)
+            adjacency[sigma[i]][sigma[j]] == adjacency[i][j]
             for i in range(n)
-            for j in range(i, n)
+            for j in range(n)
         )
 
 
@@ -240,23 +250,22 @@ def _connected(adj):
     while stack:
         v = stack.pop()
         for w in range(n):
-            if w not in seen and adj[min(v, w)][max(v, w)]:
+            if w not in seen and adj[v][w]:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == n
 
 
 def _orderly(adj, hair_rows):
-    mat, nbrs = graphs._neighbour_lists(adj)
-    return graphs._refine_partition(mat, nbrs, hair_rows, ascending_only=True) is not None
+    return graphs._refine_partition(adj, hair_rows, ascending_only=True) is not None
 
 
 @settings(max_examples=150, deadline=None)
 @given(_labelled_degrees())
 def test_orderly_multigraphs_cut_only_rejected_leaves(shape):
-    # reference: every upper-triangular matrix on these labelled degrees
-    # (each tadpole count is what the edges leave, halved), kept when
-    # connected and accepted by the orderly test
+    # reference: every symmetric matrix on these labelled degrees (each
+    # tadpole count is what the edges leave, halved), kept when connected
+    # and accepted by the orderly test
     hair_rows, degrees = shape
     n = len(degrees)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -272,23 +281,24 @@ def test_orderly_multigraphs_cut_only_rejected_leaves(shape):
         for v in range(n):
             adj[v][v] = spare[v] // 2
         for (i, j), k in zip(pairs, mults):
-            adj[i][j] = k
+            adj[i][j] = adj[j][i] = k
         adj = tuple(map(tuple, adj))
         if _connected(adj) and _orderly(adj, hair_rows):
             reference.add(adj)
-    leaves = [adj for adj, _mat in graphs._orderly_multigraphs(hair_rows, degrees)]
+    leaves = list(graphs._orderly_multigraphs(hair_rows, degrees))
     assert len(set(leaves)) == len(leaves)
     for adj in leaves:
-        assert all(adj[j][i] == 0 for i, j in pairs)  # upper-triangular
-        valence = [sum(adj[min(v, w)][max(v, w)] for w in range(n)) + adj[v][v] for v in range(n)]
+        assert adj == tuple(zip(*adj))  # symmetric, a tuple of tuples
+        valence = [sum(adj[v]) + adj[v][v] for v in range(n)]
         assert valence == list(degrees)
         assert _connected(adj)
     assert {adj for adj in leaves if _orderly(adj, hair_rows)} == reference
 
 
-def _refined_to_the_end(mat, nbrs, hair_counts, ascending_only=False):
+def _refined_to_the_end(mat, hair_counts, ascending_only=False):
     """Reference for ``graphs._refine_partition``: every round runs until
     the labels are stable, discrete or not."""
+    nbrs = [[(w, k) for w, k in enumerate(row) if k and w != v] for v, row in enumerate(mat)]
     invariants = [
         (hair_counts[v], sum(k for _w, k in nv) + 2 * mat[v][v], mat[v][v])
         for v, nv in enumerate(nbrs)
@@ -309,13 +319,12 @@ def _refined_to_the_end(mat, nbrs, hair_counts, ascending_only=False):
         labels = new_labels
 
 
-def _searched_form(adjacency, hair_counts):
+def _searched_form(mat, hair_counts):
     """Reference for ``graphs.canonical_form``: the least matrix over every
     vertex order that respects the refined cells, singletons or not, and
     every order that reaches it as an automorphism."""
-    n = len(adjacency)
-    mat, nbrs = graphs._neighbour_lists(adjacency)
-    labels = _refined_to_the_end(mat, nbrs, hair_counts)
+    n = len(mat)
+    labels = _refined_to_the_end(mat, hair_counts)
     cells: dict[int, list[int]] = {}
     for v in range(n):
         cells.setdefault(labels[v], []).append(v)
@@ -347,22 +356,20 @@ def _searched_form(adjacency, hair_counts):
 @example((((0, 0), (0, 1), (1, 0)), (1, 2, 1)))  # a path of three hair rows: discrete
 @example((((0, 0),) * 4, (3, 3, 3, 3)))  # K4 among others: one cell of four
 def test_leaf_fast_paths_match_their_references(shape):
-    # each leaf carries the matrix _neighbour_lists would build, refinement
-    # that stops at a discrete ranking returns what every round returns,
-    # and a discrete partition is keyed as the permutation search keys it
+    # each leaf is a symmetric matrix, refinement that stops at a discrete
+    # ranking returns what every round returns, and a discrete partition is
+    # keyed as the permutation search keys it
     hair_rows, degrees = shape
-    for adj, mat in graphs._orderly_multigraphs(hair_rows, degrees):
-        full, nbrs = graphs._neighbour_lists(adj)
-        assert mat == [list(row) for row in full]
-        assert graphs._neighbours(mat) == nbrs
+    for mat in graphs._orderly_multigraphs(hair_rows, degrees):
+        assert mat == tuple(zip(*mat))
         for ascending_only in (False, True):
             assert graphs._refine_partition(
-                mat, nbrs, hair_rows, ascending_only
-            ) == _refined_to_the_end(mat, nbrs, hair_rows, ascending_only)
-        key, autos = canonical_form(adj, hair_rows)
-        assert (key, autos) == _searched_form(adj, hair_rows)
-        labels = graphs._refine_partition(mat, nbrs, hair_rows)
-        assert canonical_form(adj, hair_rows, (mat, labels)) == (key, autos)
+                mat, hair_rows, ascending_only
+            ) == _refined_to_the_end(mat, hair_rows, ascending_only)
+        key, autos = canonical_form(mat, hair_rows)
+        assert (key, autos) == _searched_form(mat, hair_rows)
+        labels = graphs._refine_partition(mat, hair_rows)
+        assert canonical_form(mat, hair_rows, labels) == (key, autos)
 
 
 # Every mirror cell (s1 < s2) that check_cell accepts at t <= 4.
@@ -387,6 +394,7 @@ def test_mirror_cell_matches_a_fresh_enumeration(cell):
         (n, key, len(autos)) for n, _adj, _hairs, key, autos in fresh
     ]
     for _n, adj, hairs, key, autos in shapes:
+        assert adj == tuple(zip(*adj))  # stored symmetric
         assert tuple(map(sum, zip(*hairs))) == s_vec
         assert canonical_form(adj, hairs) == (key, list(autos))
 
