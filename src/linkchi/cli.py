@@ -8,7 +8,10 @@ cross-check suite).  Exit codes: 0 success, 1 verification failure,
 
 Only what ``homology`` and ``table`` run is imported here; the other
 subcommands import their modules (cycleindex, graphs, verify) in their
-own bodies, so a run loads only what it uses.
+own bodies, so a run loads only what it uses.  In the same way a run that
+names its subcommand builds only that subcommand's options
+(:func:`build_parser`); the others are registered by name and help alone,
+which is all the top-level help and usage print.
 """
 
 from __future__ import annotations
@@ -216,78 +219,112 @@ class _HelpFormatter(argparse.HelpFormatter):
         return text
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="linkchi",
-        description="Exact Euler-characteristic generating functions for "
-        "string-link spaces and hairy graph complexes",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_config(p, need_genus=False, truncated=True):
+    p.add_argument("--r", type=int, default=None, help="number of strands (optional consistency check)")
+    p.add_argument("--m", type=_parse_m, required=True,
+                   help="comma-separated source dimensions, integers or odd/even")
+    p.add_argument("--d", type=_parse_d, required=True,
+                   help="ambient dimension, integer or odd/even")
+    if truncated:
+        p.add_argument("--t-max", type=_int_at_least(0), default=10,
+                       help="complexity truncation order (>= 0)")
+    if need_genus:
+        p.add_argument("--genus", type=_int_at_least(0), required=True,
+                       help="genus of the grid (>= 0)")
 
-    def add_config(p, need_genus=False, truncated=True):
-        p.add_argument("--r", type=int, default=None, help="number of strands (optional consistency check)")
-        p.add_argument("--m", type=_parse_m, required=True,
-                       help="comma-separated source dimensions, integers or odd/even")
-        p.add_argument("--d", type=_parse_d, required=True,
-                       help="ambient dimension, integer or odd/even")
-        if truncated:
-            p.add_argument("--t-max", type=_int_at_least(0), default=10,
-                           help="complexity truncation order (>= 0)")
-        if need_genus:
-            p.add_argument("--genus", type=_int_at_least(0), required=True,
-                           help="genus of the grid (>= 0)")
 
-    def add_output(p, formats=("text", "csv", "json")):
-        p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--output", default=None, help="write to file instead of stdout")
+def _add_output(p, formats=("text", "csv", "json")):
+    p.add_argument("--format", choices=formats, default=formats[0])
+    p.add_argument("--output", default=None, help="write to file instead of stdout")
 
-    p = sub.add_parser("homology", help="dump the homology generating function F^H")
-    add_config(p)
+
+def _homology_options(p):
+    _add_config(p)
     p.add_argument("--x-max", type=_int_at_least(0), default=None,
                    help="total x-degree cap (>= 0; default 2*t_max, the full support)")
-    add_output(p)
-    p.set_defaults(fn=cmd_homology)
+    _add_output(p)
 
-    p = sub.add_parser("table", help="genus-graded grid of Euler characteristics")
-    add_config(p, need_genus=True)
-    add_output(p)
-    p.set_defaults(fn=cmd_table)
 
-    p = sub.add_parser("supercharacter", help="modular envelope supercharacter Z^{>0}")
+def _table_options(p):
+    _add_config(p, need_genus=True)
+    _add_output(p)
+
+
+def _supercharacter_options(p):
     p.add_argument("--twist", choices=("plain", "det"), required=True)
     p.add_argument("--weight", type=_int_at_least(0), required=True,
                    help="arity weight bound (>= 0; 0 gives the empty series)")
     p.add_argument("--genus", type=_int_at_least(0), default=4, help="genus bound (>= 0)")
     p.add_argument("--feynman-regrade", action="store_true",
                    help="emit the Feynman-transform regrading (-Z with p -> -p)")
-    add_output(p)
-    p.set_defaults(fn=cmd_supercharacter)
+    _add_output(p)
 
-    p = sub.add_parser("oracle", help="brute-force hairy graph class listing")
-    add_config(p, truncated=False)  # one cell, at --t
+
+def _oracle_options(p):
+    _add_config(p, truncated=False)  # one cell, at --t
     p.add_argument("--s", type=_int_list_at_least(0), required=True,
                    help="comma-separated hair counts per color (each >= 0)")
     p.add_argument("--t", type=_int_at_least(0), required=True, help="complexity (>= 0)")
     p.add_argument("--budget-t", type=_int_at_least(0), default=5)
     p.add_argument("--budget-hairs", type=_int_at_least(0), default=6)
-    add_output(p, formats=("json",))
-    p.set_defaults(fn=cmd_oracle)
+    _add_output(p, formats=("json",))
 
-    p = sub.add_parser("verify", help="run the cross-verification suite",
-                       formatter_class=_HelpFormatter)
+
+def _verify_options(p):
     p.add_argument("--only", type=_entries, default=None,
                    help="comma-separated subset of checks ({checks})")
     p.add_argument("--t-max", type=_int_at_least(1), default=None,
                    help="scale the checks down to this truncation order (>= 1)")
-    add_output(p, formats=("text",))
-    p.set_defaults(fn=cmd_verify)
+    _add_output(p, formats=("text",))
 
+
+# name: (help, command, options, subparser keywords), in the order of --help
+_SUBCOMMANDS = {
+    "homology": ("dump the homology generating function F^H", cmd_homology, _homology_options, {}),
+    "table": ("genus-graded grid of Euler characteristics", cmd_table, _table_options, {}),
+    "supercharacter": (
+        "modular envelope supercharacter Z^{>0}", cmd_supercharacter, _supercharacter_options, {}
+    ),
+    "oracle": ("brute-force hairy graph class listing", cmd_oracle, _oracle_options, {}),
+    "verify": (
+        "run the cross-verification suite", cmd_verify, _verify_options,
+        {"formatter_class": _HelpFormatter},
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand's options; with ``command``, the
+    options of that subcommand alone, every other one registered by its
+    name and help only.
+
+    :func:`main` parses a run that names its subcommand with the second.
+    The top-level help and usage errors print only the names and helps, and
+    a subcommand's help and usage errors only its own options, so the two
+    parsers print the same bytes for such a run.
+    """
+    parser = argparse.ArgumentParser(
+        prog="linkchi",
+        description="Exact Euler-characteristic generating functions for "
+        "string-link spaces and hairy graph complexes",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, fn, add_options, keywords) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text, **keywords)
+        if command is None or command == name:
+            add_options(p)
+            p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a first argument that names a subcommand is that subcommand; any other
+    # run (top-level help, an option or an unknown name first) gets the full
+    # parser, and its text stays what it always was
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except SystemExit:

@@ -22,6 +22,8 @@ from .series import (
     TruncationSpec,
     VariableSet,
     _LinearSum,
+    _masks,
+    _passes,
 )
 from .special import (
     _f_series,
@@ -457,6 +459,13 @@ def euler_table(
     required s1 would be negative are 0.  Without ``f_pi`` only the
     genus-g layer is computed (``f_homotopy_direct(..., genus=g)``); an
     ``f_pi`` with hbar is read at hbar^g.
+
+    Each cell is read from the integer form of ``f_pi`` with one packed
+    key, one bound test, one dict lookup and an integrality test, and no
+    ``QQ`` is built: a cell outside the spec of ``f_pi`` raises
+    ``OutOfBoundsError``, as ``coefficient`` does, and a non-integer cell
+    raises ``SeriesError`` naming it.  A cell's exponents are at most
+    t_max + 1, so its key needs no storage-limit test.
     """
     if genus < 0:
         raise ValueError("genus must be >= 0")
@@ -464,26 +473,43 @@ def euler_table(
         raise ValueError("the published grid layout is defined for r <= 2")
     if f_pi is None:
         f_pi = f_homotopy_direct(cfg, t_max, genus=genus)
-    if f_pi.spec.u_max is not None and t_max > f_pi.spec.u_max:
+    spec = f_pi.spec
+    if spec.u_max is not None and t_max > spec.u_max:
         raise ValueError("t_max exceeds the truncation of the supplied series")
     s2_max = t_max if cfg.r == 2 else 0
     table = EulerTable(genus=genus, t_max=t_max, r=cfg.r, s2_max=s2_max)
+    vars_ = f_pi.vars
+    layout = vars_.layout
+    masks = _masks(layout, spec)
+    den, items = f_pi._ints
+    at = vars_.positions
+    x1, u = at["x1"], at["u"]
+    x2 = at["x2"] if cfg.r == 2 else None
+    mono = [0] * vars_.nvars
+    if vars_.has_hbar:
+        mono[at["hbar"]] = genus
     for t in range(1, t_max + 1):
         row = []
         s_total = t + 1 - genus
+        mono[u] = t
         for s2 in range(s2_max + 1):
             s1 = s_total - s2
             if s1 < 0:
                 row.append(0)
                 continue
-            expo = {"x1": s1, "u": t}
-            if cfg.r == 2:
-                expo["x2"] = s2
-            if f_pi.vars.has_hbar:
-                expo["hbar"] = genus
-            c = f_pi.coefficient(expo)
-            if c.denominator != 1:
+            mono[x1] = s1
+            if x2 is not None:
+                mono[x2] = s2
+            key = layout.pack(mono)
+            n = items.get(key, 0)
+            if n % den or not _passes(masks, key):
+                expo = {"x1": s1, "u": t}
+                if cfg.r == 2:
+                    expo["x2"] = s2
+                if vars_.has_hbar:
+                    expo["hbar"] = genus
+                c = f_pi.coefficient(expo)  # raises OutOfBoundsError outside the spec
                 raise SeriesError(f"non-integer Euler characteristic at {expo}: {c}")
-            row.append(int(c))
+            row.append(n // den)
         table.rows[t] = row
     return table

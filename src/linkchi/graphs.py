@@ -198,12 +198,14 @@ def _refine_partition(mat, hair_counts, ascending_only=False):
     invariants = [(hair_counts[v], sum(row) + row[v], row[v]) for v, row in enumerate(mat)]
     rank = {inv: i for i, inv in enumerate(sorted(set(invariants)))}
     labels = [rank[inv] for inv in invariants]
-    nbrs = [[(w, k) for w, k in enumerate(row) if k and w != v] for v, row in enumerate(mat)]
+    nbrs = None  # built for the first neighbour round, which many calls never reach
     while True:
         if ascending_only and any(a > b for a, b in zip(labels, labels[1:])):
             return None
         if len(rank) == len(labels):
             return labels
+        if nbrs is None:
+            nbrs = [[(w, k) for w, k in enumerate(row) if k and w != v] for v, row in enumerate(mat)]
         sigs = [
             (labels[v], tuple(sorted((labels[w], k) for w, k in nv)))
             for v, nv in enumerate(nbrs)

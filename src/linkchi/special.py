@@ -167,30 +167,58 @@ _V = VariableSet(has_u=True)  # the one-variable layout of :func:`_v_factors`
 
 
 def _frozen(series: TruncatedSeries) -> tuple:
-    """The integer form of a series of ``_V`` as ``(den, ((e, n), ...))``,
-    the terms ``n / den * v^e`` by rising e."""
+    """The integer form of a series of ``_V`` as ``(den, (e, ...), (n, ...))``,
+    the terms ``n / den * v^e`` by rising e: two flat tuples, which hold a
+    cached factor in less memory than a tuple of pairs."""
     den, items = series._ints
     unpack = _V.layout.unpack
-    return den, tuple(sorted((unpack(key)[0], n) for key, n in items.items()))
+    terms = sorted((unpack(key)[0], n) for key, n in items.items())
+    return den, tuple(e for e, _n in terms), tuple(n for _e, n in terms)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _v_factors(l: int, sigma_d: int, top: int, j_max: int) -> tuple:
-    """The double sum's factors in its variable v alone, for one l:
-    ``(cols, log_fl)``.  ``cols`` holds Q_1(V_l), ..., Q_{j_max+1}(V_l)
-    (:func:`_column_polys`) with ``V_l = sigma_d l v^l / F_l(v)``, and is
-    empty when j_max < 1; ``log_fl`` is log F_l, None for l = 1 (F_1 = 1).
-    Each is built in the one-variable layout ``_V`` under ``u_max = top``
-    and returned frozen (:func:`_frozen`), so no caller can change a cached
-    value."""
+def _w_factors(l: int, top: int) -> tuple:
+    """The sign-free half of :func:`_v_factors`, keyed by (l, top):
+    ``(w_pows, log_fl)``.  ``w_pows`` holds W_l^0, ..., W_l^(top // l)
+    with ``W_l = l v^l / F_l(v)``, and is empty when top < l; ``log_fl``
+    is log F_l, None for l = 1 (F_1 = 1).  Built in ``_V`` under ``u_max
+    = top`` (one ``inverse`` and one ``log`` per key) and frozen."""
     spec = TruncationSpec(u_max=top)
     fl = _f_series(_V, spec, "u", l)
-    cols = ()
-    if j_max >= 1:
-        v_l = TruncatedSeries.term(_V, spec, {"u": l}, sigma_d * l) * fl.inverse()
+    w_pows = ()
+    if top >= l:
+        w_l = TruncatedSeries.term(_V, spec, {"u": l}, l) * fl.inverse()
         powers = [TruncatedSeries.one(_V, spec)]
-        cols = tuple(_frozen(q.at_series(v_l, powers)) for q in _column_polys(j_max))
-    return cols, (_frozen(fl.log()) if l > 1 else None)
+        for _ in range(top // l):
+            powers.append(powers[-1] * w_l)
+        w_pows = tuple(_frozen(p) for p in powers)
+    return w_pows, (_frozen(fl.log()) if l > 1 else None)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _v_factors(l: int, sigma_d: int, top: int) -> tuple:
+    """The double sum's factors in its variable v alone, for one l,
+    keyed by (l, sigma_d, top): ``(cols, log_fl)``.  ``cols`` holds
+    Q_1(V_l), ..., Q_{top//l+1}(V_l) (:func:`_column_polys`) with ``V_l =
+    sigma_d W_l``, and is empty when top < l; ``log_fl`` is log F_l, None
+    for l = 1.  Only ``cols`` depends on sigma_d, and only through the
+    sign sigma_d^j of V_l^j = sigma_d^j W_l^j: the powers of V_l are
+    those of :func:`_w_factors` with their numerators times sigma_d^j,
+    and ``log_fl`` is read from it, so the two signs share every inverse,
+    log and power.  Each factor is in ``_V`` under ``u_max = top`` and
+    frozen (:func:`_frozen`), so no caller can change a cached value."""
+    w_pows, log_fl = _w_factors(l, top)
+    cols = ()
+    if w_pows:
+        spec, pack = TruncationSpec(u_max=top), _V.layout.pack
+        powers = [
+            TruncatedSeries._from_ints(
+                _V, spec, den, {pack((e,)): sigma_d**j * n for e, n in zip(exps, nums)}
+            )
+            for j, (den, exps, nums) in enumerate(w_pows)
+        ]
+        cols = tuple(_frozen(q.at_series(powers[1], powers)) for q in _column_polys(top // l))
+    return cols, log_fl
 
 
 def _final_terms(x: TruncatedSeries, factor: tuple, k: int, top: int, step: int, genus=None):
@@ -200,8 +228,8 @@ def _final_terms(x: TruncatedSeries, factor: tuple, k: int, top: int, step: int,
     step``, ``step`` being the key of v less the bias, for every e with k e
     <= top.  With ``genus`` g (x/u layouts only) a term of x of x-total s
     meets only the one v^e with k e = s + g - 1."""
-    den, items = factor
-    placed = {k * e: m for e, m in items if k * e <= top}
+    den, exps, nums = factor
+    placed = {k * e: m for e, m in zip(exps, nums) if k * e <= top}
     dx, x_items = x._ints
     if genus is None:
         return dx * den, (
@@ -232,7 +260,13 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
     S_j(X) V^j / j = sum_n X^n Q_n(V)`` with the Q_n of
     :func:`_column_polys`.  So the factors in v, Q_n(V_l) and log F_l,
     depend on (l, sigma_d, top) alone, top the upper bound of the spec's
-    ``var`` window: :func:`_v_factors` builds them once per process.
+    ``var`` window: :func:`_v_factors` builds them once per process, keyed
+    by (l, sigma_d, top).  Only Q_n(V_l) depends on sigma_d, as the sign
+    sigma_d^j on W_l^j, ``V_l = sigma_d W_l``: F_l^-1, log F_l and the
+    powers of W_l are sigma-free, built once per (l, top) by
+    :func:`_w_factors` and shared by both signs.  An X_{l,k} with kl >
+    t_max meets no column, only log F_l: its power sums are paired with
+    log F_l(v^k) one by one, ``mu(l/a)/l P_{ak}``, and X is not built.
 
     Every final product is ``X_{l,k}^n f(v^k)``, f such a factor, and its
     terms go into one :class:`~linkchi.series._LinearSum` straight from
@@ -276,18 +310,31 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
             mk = mobius(k)
             if mk == 0 or (genus is not None and (genus - 1) % k):
                 continue
+            if k * l > t_max:  # X_{l,k} meets log F_l alone: pair its power sums
+                if l == 1:  # F_1 = 1 contributes nothing
+                    continue
+                parts = [
+                    (m, p)
+                    for a in divisors(l)
+                    if (m := mobius(l // a)) and not (p := sums[a * k]).is_zero()
+                ]
+                if parts and factors is None:
+                    cols, log_fl = factors = _v_factors(l, sigma_d, top)
+                for m, p in parts:
+                    den, pairs = _final_terms(p, log_fl, k, top, step, genus)
+                    out.add_items(-mk * m, k * l * den, pairs)
+                continue
             x = _mobius_x(vars_, spec, l, k, sums.__getitem__)
             if x.is_zero():
                 continue
             if factors is None:
-                cols, log_fl = factors = _v_factors(l, sigma_d, top, t_max // l)
-            if k * l <= t_max:
-                x_pow = x
-                for n, q in enumerate(cols[: t_max // (k * l) + 1]):
-                    if n:
-                        x_pow = x_pow * x
-                    den, pairs = _final_terms(x_pow, q, k, top, step, genus)
-                    out.add_items(mk, k * den, pairs)
+                cols, log_fl = factors = _v_factors(l, sigma_d, top)
+            x_pow = x
+            for n, q in enumerate(cols[: t_max // (k * l) + 1]):
+                if n:
+                    x_pow = x_pow * x
+                den, pairs = _final_terms(x_pow, q, k, top, step, genus)
+                out.add_items(mk, k * den, pairs)
             if log_fl is not None:  # F_1 = 1 contributes nothing
                 den, pairs = _final_terms(x, log_fl, k, top, step, genus)
                 out.add_items(-mk, k * den, pairs)

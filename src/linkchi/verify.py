@@ -103,12 +103,14 @@ its factors at v^k with X_{l,k}^n by key arithmetic of its own
 (``special._final_terms``).
 The double sum's factors in v alone, Q_n(V_l) and log F_l, come from one
 cache, ``special._v_factors``, built once per (l, sigma_d, top) in a
-one-variable layout.  It is shared by F^pi direct, ``z_graph_supercharacter``
-and both modular-envelope routes, which already shared the double sum.
-``f_homology`` builds V_l and log F_l itself and deliberately does not
-read it, nor do the plethystic transforms, so a fault in the cache reaches
-one side of "direct vs plethystic" and ``tables-second-route`` only; a
-test (``tests/test_special.py``) breaks the cache and sees those routes
+one-variable layout from the sigma-free ``special._w_factors`` (F_l^-1,
+log F_l and the powers of W_l, once per (l, top)).  Both are shared by
+F^pi direct, ``z_graph_supercharacter`` and both modular-envelope routes,
+which already shared the double sum.  ``f_homology`` builds V_l and log
+F_l itself and deliberately reads neither, nor do the plethystic
+transforms, so a fault in the caches reaches one side of "direct vs
+plethystic" and ``tables-second-route`` only; a test
+(``tests/test_special.py``) breaks both caches and sees those routes
 still run, then corrupts one coefficient and sees ``route-equivalence``
 and ``tables`` fail.
 

@@ -326,6 +326,42 @@ def test_verify_help_lists_every_check(capsys, monkeypatch):
     assert f"comma-separated subset of checks ({', '.join(CHECK_NAMES)})\n" in capsys.readouterr().out
 
 
+REQUIRED = {
+    "homology": ["--m", "1,1", "--d", "3"],
+    "table": ["--m", "1,1", "--d", "3", "--genus", "1"],
+    "supercharacter": ["--twist", "plain", "--weight", "2"],
+    "oracle": ["--m", "1,1", "--d", "3", "--s", "1,1", "--t", "1"],
+    "verify": [],
+}
+HELP_CASES = [["--help"], ["-h"]] + [[name, "--help"] for name in REQUIRED]
+USAGE_ERROR_CASES = (
+    [[], ["bogus"], ["bogus", "--help"], ["--bogus", "table"]]
+    + [[name] + opts[:-1] for name, opts in REQUIRED.items() if opts]  # one required missing
+    + [[name] + opts + ["--bogus", "1"] for name, opts in REQUIRED.items()]
+    + [["table"] + REQUIRED["table"] + ["--genus", "-1"], ["oracle", "--format", "csv"]]
+)
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [(argv, 0) for argv in HELP_CASES] + [(argv, 2) for argv in USAGE_ERROR_CASES],
+    ids=lambda v: (" ".join(v) or "no-arguments") if isinstance(v, list) else str(v),
+)
+def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, columns, argv, code):
+    # main() adds only the named subcommand's options; every help text and
+    # usage error must be the full parser's, byte for byte, exit code included
+    monkeypatch.setenv("COLUMNS", columns)
+    results = []
+    for parse in (cli.main, cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        results.append((exc.value.code, capsys.readouterr()))
+    assert results[0] == results[1]
+    got_code, text = results[0]
+    assert got_code == code and (text.out if code == 0 else text.err.startswith("usage: linkchi"))
+
+
 def test_verify_unknown_check(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--only", "nonsense"])

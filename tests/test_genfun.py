@@ -283,6 +283,44 @@ def test_euler_table_matches_reference_to_t12():
             assert tab.rows[t] == TABLES[g][t][:13], (g, t)
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_euler_table_cells_are_the_coefficients(r):
+    # each cell is the coefficient of x^s u^t (times hbar^g when f_pi has
+    # hbar), read from the integer form, in every layout the table reads
+    cfg = LinkConfig.create((2,) * r, 5)
+    f_pi = f_homotopy_direct(cfg, 7)
+    for source in (f_pi, f_homotopy_graded(f_pi)):
+        for g in range(4):
+            tab = euler_table(cfg, g, 7, f_pi=source)
+            for t, row in tab.rows.items():
+                for s2, chi in enumerate(row):
+                    s1 = t + 1 - g - s2
+                    expo = {"x1": s1, "u": t} | ({"x2": s2} if r == 2 else {})
+                    want = f_pi.coefficient(expo) if s1 >= 0 else 0
+                    assert type(chi) is int and chi == want, (g, t, s2)
+
+
+def test_euler_table_cell_outside_the_supplied_spec_raises():
+    # a grid cell outside the truncation of f_pi is undefined, never 0
+    narrow = f_homotopy_direct(ODD2, 6, x_total_max=3)
+    assert euler_table(ODD2, 4, 6, f_pi=narrow) == euler_table(ODD2, 4, 6)  # |s| <= 3
+    with pytest.raises(OutOfBoundsError, match="'x1': 4, 'u': 3, 'x2': 0"):
+        euler_table(ODD2, 0, 6, f_pi=narrow)
+    layer = f_homotopy_direct(ODD2, 6, genus=1)  # hbar window (1, 1)
+    with pytest.raises(OutOfBoundsError, match="'hbar': 2"):
+        euler_table(ODD2, 2, 6, f_pi=layer)
+
+
+def test_euler_table_names_a_non_integer_cell():
+    spec = TruncationSpec(u_max=3, x_total_max=4)
+    f_pi = TruncatedSeries(ODD2.xu_vars(), spec, {(2, 0, 1): 2, (0, 1, 1): QQ(1, 2)})
+    assert euler_table(ODD2, 0, 3, f_pi=f_pi).cell(1, 0) == 2  # the genus-0 layer is integral
+    with pytest.raises(
+        SeriesError, match=r"non-integer Euler characteristic at \{'x1': 0, 'u': 1, 'x2': 1\}: 1/2"
+    ):
+        euler_table(ODD2, 1, 3, f_pi=f_pi)
+
+
 def test_euler_table_r1():
     cfg = LinkConfig.create((1,), 3)
     tab = euler_table(cfg, 1, 4)

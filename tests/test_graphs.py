@@ -84,12 +84,23 @@ def test_killed_consistency_same_color_doubling():
 
 
 def test_canonical_form_tripod_relabelings():
-    adj1 = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
-    adj2 = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
-    hairs = ((1, 0), (1, 0), (1, 0))
-    k1, _ = canonical_form(adj1, hairs)
-    k2, _ = canonical_form(adj2, hairs)
-    assert k1 == k2
+    # a triangle with one doubled edge and three distinct hair rows: every
+    # vertex is distinguishable, so each relabelling is a different pair of
+    # matrix and hair rows, and all of them key alike
+    adj = ((0, 2, 1), (2, 0, 1), (1, 1, 0))
+    hairs = ((1, 0), (0, 1), (1, 1))
+    key, autos = canonical_form(adj, hairs)
+    assert autos == [(0, 1, 2)]
+    seen = set()
+    for p in permutations(range(3)):
+        relabelled = tuple(tuple(adj[p[i]][p[j]] for j in range(3)) for i in range(3))
+        moved = tuple(hairs[p[i]] for i in range(3))
+        seen.add((relabelled, moved))
+        assert canonical_form(relabelled, moved)[0] == key, p
+    assert len(seen) == 6
+    # the same matrix with two hair rows swapped, and no relabelling, is
+    # another graph: its doubled edge joins the rows (1, 0) and (1, 1)
+    assert canonical_form(adj, (hairs[0], hairs[2], hairs[1]))[0] != key
 
 
 def test_canonical_form_distinguishes_path_and_triangle():

@@ -136,6 +136,7 @@ def test_every_cache_is_bounded():
         "divisors": "rationals", "mobius": "rationals", "totient": "rationals",
         "bernoulli": "rationals", "e_poly": "special", "f_poly": "special",
         "s_poly": "special", "_column_polys": "special", "_v_factors": "special",
+        "_w_factors": "special",
         "_class_shapes": "graphs", "_row_fillings": "graphs", "_layout": "series",
     }
     assert set(memos) <= bounded

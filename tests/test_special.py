@@ -296,8 +296,9 @@ def assert_sums_match_naive(monkeypatch, module, call):
     arguments, and check every result against the (k, l, j) loop of
     ``naive_mobius_double_sum`` on the same arguments: equal spec and
     equal integer form.  ``call`` runs twice, first with the cache of
-    ``special._v_factors`` cleared (cold), then again (warm), which must
-    read every factor from the cache and give the same results."""
+    ``special._v_factors`` and ``special._w_factors`` cleared (cold), then
+    again (warm), which must read every factor from the cache and give the
+    same results."""
     seen = []
     real = special._mobius_double_sum
 
@@ -308,6 +309,7 @@ def assert_sums_match_naive(monkeypatch, module, call):
 
     monkeypatch.setattr(module, "_mobius_double_sum", record)
     special._v_factors.cache_clear()
+    special._w_factors.cache_clear()
     call()
     cold = list(seen)
     assert cold
@@ -371,6 +373,7 @@ def test_double_sum_builds_u_factors_once_per_l(monkeypatch):
 
     monkeypatch.setattr(genfun, "color_power_sum", counted_sum)
     special._v_factors.cache_clear()
+    special._w_factors.cache_clear()
     genfun.f_homotopy_direct(LinkConfig.create((1, 1), 3), t)
     # V_l for l <= t, log F_l for 2 <= l <= 2t, one power sum P_n per n
     assert calls["inverse"] <= t
@@ -380,6 +383,10 @@ def test_double_sum_builds_u_factors_once_per_l(monkeypatch):
     # the same sigma_d (d odd) at the same t builds none of them again
     calls.update(inverse=0, log=0)
     genfun.f_homotopy_direct(LinkConfig.create((1, 1, 1), 5), t)
+    assert calls == {"inverse": 0, "log": 0}
+    # and F_l^-1, log F_l and the powers of W_l not on sigma_d at all: a
+    # link with the other sigma_d (d even) at the same t builds none again
+    genfun.f_homotopy_direct(LinkConfig.create((1, 1), 4), t)
     assert calls == {"inverse": 0, "log": 0}
 
 
@@ -419,7 +426,7 @@ def test_placed_factors_match_raising_in_the_callers_layout(layout, sigma_d):
     top = 8
     step = vars_.layout.pack(vars_.monomial({var: 1})) - vars_.layout.bias
     for l in range(1, 2 * top + 1):
-        cols, log_fl = special._v_factors(l, sigma_d, top, top // l)
+        cols, log_fl = special._v_factors(l, sigma_d, top)
         fl = special._f_series(vars_, spec, var, l)
         want_cols = []
         if l <= top:
@@ -445,11 +452,14 @@ def test_placed_factors_match_raising_in_the_callers_layout(layout, sigma_d):
 
 
 def test_v_factors_are_immutable():
-    cols, log_fl = special._v_factors(3, 1, 6, 2)
-    assert isinstance(cols, tuple) and all(isinstance(c, tuple) for c in cols)
-    for den, items in cols + (log_fl,):
-        assert isinstance(den, int) and isinstance(items, tuple)
-        assert all(isinstance(item, tuple) for item in items)
+    cols, log_fl = special._v_factors(3, 1, 6)
+    w_pows, w_log = special._w_factors(3, 6)
+    assert w_log is log_fl
+    for factors in (cols, w_pows):
+        assert isinstance(factors, tuple) and all(isinstance(c, tuple) for c in factors)
+    for den, exps, nums in cols + w_pows + (log_fl,):
+        assert isinstance(den, int) and isinstance(exps, tuple) and isinstance(nums, tuple)
+        assert len(exps) == len(nums) and list(exps) == sorted(set(exps))
 
 
 @pytest.mark.parametrize(
@@ -486,14 +496,16 @@ def test_double_sum_rejects_a_power_sum_with_a_positive_v_exponent(layout):
 
 def test_second_routes_never_read_the_factor_cache(monkeypatch):
     # f_homology and the plethystic transforms build V_l and log F_l on
-    # their own: with the cache broken they still run
+    # their own: with both caches broken they still run
     def broken(*args):
         raise AssertionError("the factor cache was read")
 
     cfg = LinkConfig.create((1, 1), 3)
-    monkeypatch.setattr(special, "_v_factors", broken)
-    with pytest.raises(AssertionError, match="factor cache"):
-        genfun.f_homotopy_direct(cfg, 4)
+    special._v_factors.cache_clear()
+    for name in ("_w_factors", "_v_factors"):  # the sign-free cache, then both
+        monkeypatch.setattr(special, name, broken)
+        with pytest.raises(AssertionError, match="factor cache"):
+            genfun.f_homotopy_direct(cfg, 4)
     fh = genfun.f_homology(cfg, 6)
     assert plethystic_exp(plethystic_log(fh)) == fh
 
@@ -508,12 +520,12 @@ def test_a_fault_in_the_factor_cache_fails_the_route_checks(monkeypatch):
 
     real = special._v_factors
 
-    def bumped(l, sigma_d, top, j_max):
-        cols, log_fl = real(l, sigma_d, top, j_max)
+    def bumped(l, sigma_d, top):
+        cols, log_fl = real(l, sigma_d, top)
         if l == 1:
-            den, (*rest, (e, n)) = cols[4]
-            assert 2 * e > top
-            cols = cols[:4] + ((den, (*rest, (e, n + den))),) + cols[5:]
+            den, exps, (*rest, n) = cols[4]
+            assert 2 * exps[-1] > top
+            cols = cols[:4] + ((den, exps, (*rest, n + den)),) + cols[5:]
         return cols, log_fl
 
     monkeypatch.setattr(special, "_v_factors", bumped)
