@@ -81,6 +81,23 @@ limit overflows and raises.  The Laurent fields sit at the top, so no
 borrow reaches the x-total field, whose guard bit alone ends a bucket
 sorted by x-total.
 
+The cut at the top field replaces that test in the pair loop where two
+fields decide it.  The top field is a key's most significant one (the
+p-weight, else the x-total, else u), so sorting keys as integers sorts
+them by it.  Take a layout without z or hbar (its bias is 0) under a spec
+that bounds every field (``OVER == 0``: an x_i through the x-total, a p_l
+through the p-weight), where each bounded direction is the bucket field
+(u, or the p-weight without u) or the top field.  Every x_i is at most the
+x-total and every p_l at most the p-weight over l, and no field of a sum
+of two stored keys carries, so a pair lies in the spec exactly when its
+bucket fits and its top field ``top(k1) + top(k2)`` is at most the top
+bound H, that is when ``k2 < (H + 1 - top(k1)) << shift`` (the fields
+of k2 below its top one read less than ``1 << shift``).  A bucket sorted by
+raw key then ends at the first k2 past that limit, and every pair before
+it is kept with no test.  Laurent windows, a direction bounded only by
+storage and a third bounded direction (x-total with p-weight) keep the
+guard test.
+
 Series are immutable after construction; all operations are pure.
 """
 
@@ -225,6 +242,33 @@ class _Layout:
         self.unpack, self.metric = _reader(self, vars_.names), _reader(self, _DIRECTIONS)
         self.fits = eval(f"lambda m: {' and '.join(checks)}")
 
+    @cached_property
+    def text_order(self):
+        """``key -> int``, the sort key of the text forms, compiled: the
+        graded degree (|e| for x, u, z and hbar, l * e for p_l: the sum of
+        ``|metric|``) above one field per variable in name order, z and
+        hbar biased, so that integers order as (degree, exponents) do."""
+        d, n = self.decoded, len(self.names)
+        degree = " + ".join(
+            f"abs({d[kind]})" if kind in ("z", "hbar") else d[kind]
+            for kind in _DIRECTIONS
+            if d[kind] != "0"
+        ) or "0"
+        fields = "".join(
+            f" | (((k >> {self.shift[name]}) & {_FIELD_MASK}) << {(n - 1 - i) * _FIELD_BITS})"
+            for i, name in enumerate(self.names)
+        )
+        return eval(f"lambda k: (({degree}) << {n * _FIELD_BITS}){fields}")
+
+    @cached_property
+    def render(self):
+        """``key -> str``, the monomial's text (``x1^2*u``, or ``1``),
+        compiled from ``decoded`` with one memo of ``name^e`` strings per
+        variable (:class:`_Powers`)."""
+        powers = {f"P{i}": _Powers(name) for i, name in enumerate(self.names)}
+        parts = " + ".join(f"P{i}[{self.decoded[n]}]" for i, n in enumerate(self.names))
+        return eval(f"lambda k: ({parts or repr('')})[:-1] or '1'", powers)
+
     def key(self, mono) -> int:
         """The packed key of a monomial from outside, checked by ``fits``."""
         if not self.fits(mono):
@@ -247,6 +291,22 @@ class _Layout:
         )
 
 
+class _Powers(dict):
+    """``{e: "name^e*"}`` for one variable (``""`` for e = 0, ``"name*"``
+    for e = 1), each string built on first use; :attr:`_Layout.render`
+    joins them and drops the last ``*``."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = "" if e == 0 else f"{self.name}*" if e == 1 else f"{self.name}^{e}*"
+        return text
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _layout(vars_: VariableSet) -> _Layout:
     """The one layout of each variable-set value, so that equal sets built
@@ -255,8 +315,8 @@ def _layout(vars_: VariableSet) -> _Layout:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _masks(layout: _Layout, spec: "TruncationSpec", l: int = 1) -> tuple[int, ...]:
-    """``(ADD, SUB, GUARD, OVER, XGUARD)`` of the bound test (module
+def _masks(layout: _Layout, spec: "TruncationSpec", l: int = 1) -> tuple:
+    """``(ADD, SUB, GUARD, OVER, XGUARD, CUT)`` of the bound test (module
     docstring) for keys of ``layout`` under ``spec``.
 
     With ``l > 1`` the bounds are those of the spec divided by l: a stored
@@ -264,8 +324,10 @@ def _masks(layout: _Layout, spec: "TruncationSpec", l: int = 1) -> tuple[int, ..
     spec and fits.  ``OVER`` holds the guard bits of the fields whose bound
     is the storage limit, where failing means overflow, not truncation;
     ``XGUARD`` the x-total guard bit when the spec bounds the x-total.
-    A z/hbar window on a direction the layout lacks holds every key or,
-    when it excludes 0, none: then the masks fail every key (and the
+    ``CUT`` is ``(shift, hi + 1)`` of the layout's top field when the cut
+    at the top field decides the bound of a pair (module docstring), else
+    None.  A z/hbar window on a direction the layout lacks holds every key
+    or, when it excludes 0, none: then the masks fail every key (and the
     constructor, ``zero``, ``truncate`` and ``regrade`` raise,
     :func:`_check_windows`).  The bounds are read field by field, not from
     :attr:`TruncationSpec.windows`, so that the tests' reference,
@@ -273,9 +335,10 @@ def _masks(layout: _Layout, spec: "TruncationSpec", l: int = 1) -> tuple[int, ..
     """
     for kind, window in (("z", spec.z_window), ("hbar", spec.hbar_window)):
         if window is not None and kind not in layout.shift and not window[0] <= 0 <= window[1]:
-            return 0, 1, -1, 0, 0  # key | (key - 1) is nonzero for every key >= 0
+            return 0, 1, -1, 0, 0, None  # key | (key - 1) is nonzero for every key >= 0
     s_cap, w_cap = spec.x_total_max, spec.p_weight_max
     add = sub = guard = over = xguard = 0
+    top = None  # (kind, shift, hi) of the last, most significant field
     for kind, shift, p_l in layout.fields:
         lo = 0
         if kind in ("x", "xt"):
@@ -307,7 +370,13 @@ def _masks(layout: _Layout, spec: "TruncationSpec", l: int = 1) -> tuple[int, ..
         guard |= bit
         if kind == "xt" and not over & bit:
             xguard = bit
-    return add, sub, guard, over, xguard
+        top = kind, shift, hi
+    cut = None
+    if top is not None and not over and layout.bias == 0:  # every field bounded, none Laurent
+        bucket = "u" if "u" in layout.shift else "pw"
+        if {kind for kind, _s, _l in layout.fields if kind in ("xt", "u", "pw")} <= {bucket, top[0]}:
+            cut = top[1], top[2] + 1
+    return add, sub, guard, over, xguard, cut
 
 
 def _rational(c):
@@ -465,10 +534,10 @@ def _regrader(source: VariableSet, target: VariableSet, images: tuple, parity: t
     return image, shape, dropped
 
 
-def _bucket_field(vars_: VariableSet, spec: TruncationSpec) -> tuple[int | None, int]:
+def _bucket_field(layout: _Layout, spec: TruncationSpec) -> tuple[int | None, int]:
     """(shift of the bucket field, its bound): u when bounded, else the
     p-weight when bounded, else no field (one bucket)."""
-    shift = vars_.layout.shift
+    shift = layout.shift
     if "u" in shift and spec.u_max is not None:
         return shift["u"], spec.u_max
     if "pw" in shift and spec.p_weight_max is not None:
@@ -477,9 +546,15 @@ def _bucket_field(vars_: VariableSet, spec: TruncationSpec) -> tuple[int | None,
 
 
 def _bucketed(layout: _Layout, shift: int | None, items) -> list:
-    """``[(bucket key, [(key, numerator)] sorted by x-total)]`` in
-    increasing bucket-key order, the bucket key being the field at
-    ``shift`` (0 for every item when ``shift`` is None)."""
+    """``[(bucket key, [(key, numerator)])]`` in increasing bucket-key
+    order, the bucket key being the field at ``shift`` (0 for every item
+    when ``shift`` is None).  A layout with an x-total below its top field
+    sorts each bucket by x-total, for the x-total break of the guard test.
+    Any other layout without z or hbar sorts it by raw key, so by its top
+    field first, for the cut at the top field (:meth:`_LinearSum._pairs`);
+    there the top field is the x-total when the layout has one, so both
+    orders serve the guard test too.  A layout with z or hbar and no
+    x-total needs no order."""
     mask = _FIELD_MASK
     if shift is None:
         buckets = {0: list(items)}
@@ -488,9 +563,12 @@ def _bucketed(layout: _Layout, shift: int | None, items) -> list:
         for item in items:
             buckets.setdefault((item[0] >> shift) & mask, []).append(item)
     xs = layout.shift.get("xt")
-    if xs is not None:
+    if xs is not None and layout.fields[-1][0] != "xt":
         for lst in buckets.values():
             lst.sort(key=lambda it: (it[0] >> xs) & mask)
+    elif layout.bias == 0:
+        for lst in buckets.values():
+            lst.sort()  # keys are distinct, so no numerator is compared
     return sorted(buckets.items())
 
 
@@ -501,30 +579,34 @@ class _LinearSum:
     ``add(c, a)`` records ``c * a`` and ``add_product(c, a, b)`` records
     ``c * a * b``; nothing is summed until :meth:`settle`.  Each term is
     kept as its coefficient reduced to ``num / den`` and the operands'
-    integer forms (:attr:`TruncatedSeries._ints`): the items of a
-    scaled series, or for a product the left items, the right operand's
-    buckets and the spec in force at that call, whose masks and bucket
-    field the pair loop uses.  ``settle()`` takes the lcm D of the
-    recorded denominators once and runs every term, in the order added,
-    into one dict at the fixed integer scale ``num * (D // den)``, so no
-    numerator is ever rescaled.  The operands stay alive until then.
+    integer forms (:attr:`TruncatedSeries._ints`): runs of items at a key
+    offset (:meth:`add_runs`; a scaled series is one run at offset 0), or
+    for a product the left items, the right operand's buckets and the spec
+    in force at that call, whose masks and bucket field the pair loop uses.
+    ``settle()`` takes the lcm D of the recorded denominators once and runs
+    every term, in the order added, into one dict at the fixed integer
+    scale ``num * (D // den)``, so no numerator is ever rescaled.  The
+    operands stay alive until then.
 
     A product is never built as a series: a pair's key is ``k1 + k2 -
-    BIAS`` and its bound test is one guard-bit test, ``((key + ADD) | (key
-    - SUB)) & GUARD == 0`` (module docstring); a pair that fails only on
-    the storage limit of an unbounded direction raises
-    :class:`SeriesError` instead of wrapping, when the sum is settled.  The
-    right operand of a product is bucketed (:func:`_bucketed`, cached per
-    series) by the dominant bounded direction (u, or p-weight when u is
-    absent) and each bucket is sorted by x-total, so the loop leaves the
-    buckets past the left key's room in that direction unvisited and ends a
-    bucket at the first pair past the x-total bound.  A coefficient ``c``
-    is read as ``c.numerator`` over ``c.denominator``, so it may be an
-    ``int`` or a ``QQ``.  ``series()`` hands the nonzero numerators and D
-    to the result as its integer form (:meth:`TruncatedSeries._from_ints`);
-    no ``QQ`` is built.  The result's spec is the meet of every operand's
-    spec, and terms outside it are dropped; ``+`` and ``-`` are such sums
-    of two series.
+    BIAS``.  The right operand of a product is bucketed (:func:`_bucketed`,
+    cached per series) by the dominant bounded direction (u, or p-weight
+    when u is absent), so the loop leaves the buckets past the left key's
+    room in that direction unvisited.  Where the bucket field and the top
+    field decide the bound (``CUT`` of :func:`_masks`), a bucket sorted by
+    raw key ends at the first key past the left key's room in the top
+    field, and every pair before it is kept untested.  Elsewhere each pair
+    takes the guard-bit test, ``((key + ADD) | (key - SUB)) & GUARD == 0``
+    (module docstring), and a bucket sorted by x-total ends at the first
+    pair past the x-total bound; a pair that fails only on the storage
+    limit of an unbounded direction raises :class:`SeriesError` instead of
+    wrapping, when the sum is settled.  A coefficient ``c`` is read as
+    ``c.numerator`` over ``c.denominator``, so it may be an ``int`` or a
+    ``QQ``.  ``series()`` hands the nonzero numerators and D to the result
+    as its integer form (:meth:`TruncatedSeries._from_ints`); no ``QQ`` is
+    built.  The result's spec is the meet of every operand's spec, and
+    terms outside it are dropped; ``+`` and ``-`` are such sums of two
+    series.
     """
 
     __slots__ = ("vars", "spec", "_terms", "_mixed")
@@ -532,7 +614,7 @@ class _LinearSum:
     def __init__(self, vars_: VariableSet, spec: TruncationSpec):
         self.vars = vars_
         self.spec = spec
-        self._terms: list = []  # (num, den, items, buckets or None, spec)
+        self._terms: list = []  # (num, den, runs or left items, buckets or None, spec)
         self._mixed = False  # an operand's spec differed from the running one
 
     def _meet(self, *operands) -> None:
@@ -547,8 +629,14 @@ class _LinearSum:
 
     def add_items(self, num: int, den: int, items) -> None:
         """Add ``num / den`` times the integer items ``[(key, numerator)]``."""
+        self.add_runs(num, den, ((0, 1, items),))
+
+    def add_runs(self, num: int, den: int, runs) -> None:
+        """Add ``num / den`` times every run ``(offset, m, items)``: ``m *
+        n`` at ``key + offset`` for each integer item ``(key, n)``.  No key
+        is tested against the spec: the caller puts none outside it."""
         g = gcd(num, den)
-        self._terms.append((num // g, den // g, items, None, None))
+        self._terms.append((num // g, den // g, runs, None, None))
 
     def add(self, c, a: "TruncatedSeries") -> None:
         self._meet(a)
@@ -577,7 +665,7 @@ class _LinearSum:
             return
         if len(a_items) > len(b_items):
             a_items, b = b_items, a
-        buckets = b._buckets(_bucket_field(self.vars, self.spec)[0])
+        buckets = b._buckets(_bucket_field(self.vars.layout, self.spec)[0])
         self.add_pairs(c.numerator, c.denominator * da * db, a_items.items(), buckets)
 
     def settle(self) -> tuple[int, dict]:
@@ -589,24 +677,46 @@ class _LinearSum:
         get = out.get
         for num, d, items, buckets, spec in terms:
             scale = num * (den // d)
-            if buckets is None:
-                for k, n in items:
-                    out[k] = get(k, 0) + scale * n
-            else:
+            if buckets is not None:
                 self._pairs(out, scale, items, buckets, spec)
+                continue
+            for off, m, run in items:
+                c = scale * m
+                if off:
+                    for k, n in run:
+                        k += off
+                        out[k] = get(k, 0) + c * n
+                else:
+                    for k, n in run:
+                        out[k] = get(k, 0) + c * n
         return den, out
 
     def _pairs(self, out: dict, scale: int, a_items, b_buckets, spec) -> None:
         """Add ``scale`` times the in-spec pair products (:meth:`add_pairs`)
         into ``out``."""
-        vars_ = self.vars
-        layout = vars_.layout
-        add, sub, guard, over, xguard = _masks(layout, spec)
-        shift, cap = _bucket_field(vars_, spec)
-        bias = layout.bias
+        layout = self.vars.layout
+        add, sub, guard, over, xguard, cut = _masks(layout, spec)
+        shift, cap = _bucket_field(layout, spec)
         mask = _FIELD_MASK
         get = out.get
         hi = 0
+        if cut is not None:  # the layout has no bias
+            ts, room = cut
+            for k1, c1 in a_items:
+                if shift is not None:
+                    hi = cap - ((k1 >> shift) & mask)
+                lim = (room - (k1 >> ts)) << ts
+                c1 *= scale
+                for kv, bucket in b_buckets:
+                    if kv > hi:
+                        break
+                    for k2, c2 in bucket:
+                        if k2 >= lim:
+                            break  # bucket sorted by raw key
+                        key = k1 + k2
+                        out[key] = get(key, 0) + c1 * c2
+            return
+        bias = layout.bias
         for k1, c1 in a_items:
             if shift is not None:
                 hi = cap - ((k1 >> shift) & mask)
@@ -895,7 +1005,7 @@ class TruncatedSeries:
             f = TruncatedSeries._from_ints(vars_, spec, d_self, rest)
         grades, top = f._grades()
         d_f = f._ints[0]
-        shift = _bucket_field(vars_, spec)[0]  # every grade sums under this spec
+        shift = _bucket_field(layout, spec)[0]  # every grade sums under this spec
         w: dict[int, tuple[int, list]] = {}  # n -> (den, numerators of w_n)
         g: dict[int, tuple[int, list]] = {}  # n -> (den, buckets of g_n)
         if exp:
@@ -1052,7 +1162,7 @@ class TruncatedSeries:
 
         nl = len(laurent)
         masks = _masks(layout, tspec)
-        shift = _bucket_field(tvars, tspec)[0]
+        shift = _bucket_field(layout, tspec)[0]
         out = _LinearSum(tvars, tspec)
         stack: list[TruncatedSeries] = []  # the root, then one product per position
         prev = None
@@ -1173,29 +1283,21 @@ class TruncatedSeries:
 
     # ------------------------------------------------------ presentation
 
-    def monomial_str(self, mono: tuple[int, ...]) -> str:
-        parts = []
-        for name, e in zip(self.vars.names, mono):
-            if e == 1:
-                parts.append(name)
-            elif e != 0:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
-
     def rows(self) -> list[tuple[str, str]]:
         """The terms as ``(monomial, coefficient)`` text in graded-lex
-        order (:func:`_graded_lex`), for :meth:`to_text` and the CLI's csv
-        and json.  Rendered from the integer form: each numerator goes over
-        the denominator with one ``gcd``, and no ``QQ`` is built."""
+        order (:attr:`_Layout.text_order`), for :meth:`to_text` and the
+        CLI's csv and json.  Rendered from the integer form
+        (:attr:`_Layout.render`): each numerator goes over the denominator
+        with one ``gcd``, and no ``QQ`` or exponent tuple is built."""
         den, items = self._ints
         layout = self.vars.layout
-        keyed = [(_graded_lex(layout, key), n) for key, n in items.items()]
-        keyed.sort(key=lambda row: row[0])
+        render = layout.render
         rows = []
-        for (_grade, mono), n in keyed:
+        for key in sorted(items, key=layout.text_order):
+            n = items[key]
             r = gcd(n, den)
             coeff = str(n // r) if r == den else f"{n // r}/{den // r}"
-            rows.append((self.monomial_str(mono), coeff))
+            rows.append((render(key), coeff))
         return rows
 
     def to_text(self) -> str:
@@ -1220,12 +1322,6 @@ class TruncatedSeries:
         return f"<TruncatedSeries {text}>"
 
 
-def _graded_lex(layout: _Layout, key: int) -> tuple:
-    """Sort key of the text forms: the weighted total degree (|e| for x, u, z
-    and hbar, l * e for p_l: the sum of ``|metric|``), then lex order."""
-    return sum(map(abs, layout.metric(key))), layout.unpack(key)
-
-
 def _raise_exponents(series: TruncatedSeries, l: int) -> TruncatedSeries:
     """x_i <- x_i^l, u <- u^l (all variables raised), for the plethystic
     transforms of :mod:`linkchi.special`.  Past an upper bound a monomial
@@ -1240,7 +1336,7 @@ def _raise_exponents(series: TruncatedSeries, l: int) -> TruncatedSeries:
     """
     vars_, spec = series.vars, series.spec
     layout = vars_.layout
-    add, sub, guard, over, _xguard = _masks(layout, spec, l)
+    add, sub, guard, over = _masks(layout, spec, l)[:4]
     shift = layout.bias * (l - 1)
     den, items = series._ints
     out = {}

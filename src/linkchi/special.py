@@ -27,7 +27,6 @@ from .series import (
     VariableSet,
     _LinearSum,
     _climbing,
-    _graded_lex,
     _masks,
     _passes,
     _raise_exponents,
@@ -223,25 +222,28 @@ def _v_factors(l: int, sigma_d: int, top: int) -> tuple:
 
 def _final_terms(x: TruncatedSeries, factor: tuple, k: int, top: int, step: int, genus=None):
     """The terms of ``x * f(v^k)``, f a frozen factor of :func:`_v_factors`
-    and x a series with no positive exponent in v, as ``(den, lazy (key,
-    numerator) pairs)``: v^e meets each term of x at the key offset ``k e
-    step``, ``step`` being the key of v less the bias, for every e with k e
-    <= top.  With ``genus`` g (x/u layouts only) a term of x of x-total s
-    meets only the one v^e with k e = s + g - 1."""
+    and x a series with no positive exponent in v, as ``(den, runs)`` for
+    :meth:`~linkchi.series._LinearSum.add_runs`: a run ``(k e step, m,
+    items)`` adds ``m n`` at ``key + k e step`` for each item ``(key, n)``,
+    the factor term ``m v^e`` met by x's terms at the key offset of
+    v^(k e), ``step`` being the key of v less the bias.  One run per factor
+    term with k e <= top, over all of x's items; with ``genus`` g (x/u
+    layouts only) x's items are grouped by x-total s once, and a factor
+    term meets only the group with k e = s + g - 1."""
     den, exps, nums = factor
-    placed = {k * e: m for e, m in zip(exps, nums) if k * e <= top}
     dx, x_items = x._ints
     if genus is None:
-        return dx * den, (
-            (key + ke * step, n * m) for key, n in x_items.items() for ke, m in placed.items()
-        )
+        items = x_items.items()
+        return dx * den, [(k * e * step, m, items) for e, m in zip(exps, nums) if k * e <= top]
     xs, g1 = x.vars.layout.shift["xt"], genus - 1
-    return dx * den, (
-        (key + ke * step, n * placed[ke])
-        for key, n in x_items.items()
-        for ke in (((key >> xs) & _FIELD_MASK) + g1,)
-        if ke in placed
-    )
+    groups: dict[int, list] = {}  # k e = s + g - 1 -> x's items of x-total s
+    for item in x_items.items():
+        groups.setdefault(((item[0] >> xs) & _FIELD_MASK) + g1, []).append(item)
+    return dx * den, [
+        (k * e * step, m, groups[k * e])
+        for e, m in zip(exps, nums)
+        if k * e <= top and k * e in groups
+    ]
 
 
 def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_sum, genus=None):
@@ -270,24 +272,28 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
 
     Every final product is ``X_{l,k}^n f(v^k)``, f such a factor, and its
     terms go into one :class:`~linkchi.series._LinearSum` straight from
-    the integer numerators (:func:`_final_terms`): no product is built as
-    a series or run through the pair loop.  The pairing keeps exactly the
-    terms of the truncated product of X^n and f(v^k), with no bound test,
-    because no P_n, and so no term of X^n, has a positive exponent in v
-    (checked here; true of the x/u layout of F^pi, the p layout of the
-    graph supercharacters and the hbar-Laurent layout of the envelope).
-    A term of X^n lies in the spec with v-exponent a <= 0, and v^(k e)
-    adds k e >= 0 to it: the pair lies in the spec when k e <= top, and
-    the pairs with k e > top, among them every ``V_l^j`` with j >
-    t_max/(kl), are those that truncating f(v^k) to the spec drops.  The
-    monomial 1 must lie in the spec (checked here).
+    the integer numerators, as runs (:func:`_final_terms`): each term m
+    v^e of f with k e <= top adds m times X^n's items at the key offset
+    of v^(k e).  No product is built as a series or run through the pair
+    loop.  The runs hold exactly the terms of the truncated product of X^n
+    and f(v^k), with no bound test, because no P_n, and so no term of X^n,
+    has a positive exponent in v (checked here; true of the x/u layout of
+    F^pi, the p layout of the graph supercharacters and the hbar-Laurent
+    layout of the envelope).  A term of X^n lies in the spec with
+    v-exponent a <= 0, and v^(k e) adds k e >= 0 to it: the pair lies in
+    the spec when k e <= top, and the pairs with k e > top, among them
+    every ``V_l^j`` with j > t_max/(kl), are those that truncating f(v^k)
+    to the spec drops.  The monomial 1 must lie in the spec (checked
+    here).
 
     With ``genus`` g (x/u layouts only) the sum keeps only its terms of
-    genus e - s + 1 = g, e the v-exponent and s the x-total, by the same
-    pairing: each final pair enters the sum without being multiplied
-    again.  Only the k dividing g - 1 are visited: with P_n of x-total n,
-    as F^pi's are, every x-total in X_{l,k} and its powers is a multiple
-    of k, and a term of v^(k e) has genus k e - s + 1.
+    genus e - s + 1 = g, e the v-exponent and s the x-total: X^n's items
+    are grouped by x-total, and the term v^(k e) of f(v^k) meets only the
+    group of x-total k e - g + 1, so each final pair enters the sum
+    without being multiplied again.  Only the k dividing g - 1 are
+    visited: with P_n of x-total n, as F^pi's are, every x-total in
+    X_{l,k} and its powers is a multiple of k, and a term of v^(k e) has
+    genus k e - s + 1.
     """
     layout = vars_.layout
     window = spec.windows[_DIRECTIONS.index(var)]
@@ -321,8 +327,8 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
                 if parts and factors is None:
                     cols, log_fl = factors = _v_factors(l, sigma_d, top)
                 for m, p in parts:
-                    den, pairs = _final_terms(p, log_fl, k, top, step, genus)
-                    out.add_items(-mk * m, k * l * den, pairs)
+                    den, runs = _final_terms(p, log_fl, k, top, step, genus)
+                    out.add_runs(-mk * m, k * l * den, runs)
                 continue
             x = _mobius_x(vars_, spec, l, k, sums.__getitem__)
             if x.is_zero():
@@ -333,11 +339,11 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
             for n, q in enumerate(cols[: t_max // (k * l) + 1]):
                 if n:
                     x_pow = x_pow * x
-                den, pairs = _final_terms(x_pow, q, k, top, step, genus)
-                out.add_items(mk, k * den, pairs)
+                den, runs = _final_terms(x_pow, q, k, top, step, genus)
+                out.add_runs(mk, k * den, runs)
             if log_fl is not None:  # F_1 = 1 contributes nothing
-                den, pairs = _final_terms(x, log_fl, k, top, step, genus)
-                out.add_items(-mk, k * den, pairs)
+                den, runs = _final_terms(x, log_fl, k, top, step, genus)
+                out.add_runs(-mk, k * den, runs)
     return out.series()
 
 
@@ -440,7 +446,7 @@ def plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
     # n / den is an integer iff den divides n
     bad = [k for k, n in items.items() if n % den or not weight(metrics[k])]
     if bad:  # name the first offending monomial in graded-lex order
-        key = min(bad, key=lambda k: _graded_lex(layout, k))
+        key = min(bad, key=layout.text_order)
         if items[key] % den:
             c = QQ(items[key], den)
             raise SeriesError(f"plethystic_exp requires integer coefficients, got {c}")

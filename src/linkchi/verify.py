@@ -32,10 +32,11 @@ Route ledger: the code paths each cross-route check compares.
   "genus-g layer alone vs full F^pi" for g = 0..3, the layer that
   ``linkchi table --genus g`` computes alone
   (``f_homotopy_direct(..., genus=g)``) against that layer of the full
-  double sum regraded by genus.  Both take their final products by one
-  pairing, ``special._final_terms``, so this pins only the genus filter
-  in it and the k the genus path skips; the shared pairing is pinned by
-  the published grids, ``oracle`` and the plethystic route.
+  double sum regraded by genus.  Both take their final products as
+  offset runs from one function, ``special._final_terms``, so this pins
+  only the genus grouping in it and the k the genus path skips; the
+  shared runs are pinned by the published grids, ``oracle`` and the
+  plethystic route.
 
 * ``genus-split`` (four parities, r = 2, t = 12): "hbar^0/hbar^1 vs
   genus-0/1 closed form", the genus layers of the double sum against
@@ -98,9 +99,9 @@ sum these functions, which a fault would reach on both of its sides:
   sums for every j <= t_max) and by ``tables`` and ``oracle``.
 
 ``series._raise_exponents`` is no longer shared: it raises x_i^l, u^l in
-``plethystic_log`` and ``plethystic_exp`` only, and the double sum pairs
-its factors at v^k with X_{l,k}^n by key arithmetic of its own
-(``special._final_terms``).
+``plethystic_log`` and ``plethystic_exp`` only, and the double sum places
+its factors at v^k against X_{l,k}^n by key offsets of its own
+(``special._final_terms``, settled by ``series._LinearSum.add_runs``).
 The double sum's factors in v alone, Q_n(V_l) and log F_l, come from one
 cache, ``special._v_factors``, built once per (l, sigma_d, top) in a
 one-variable layout from the sigma-free ``special._w_factors`` (F_l^-1,

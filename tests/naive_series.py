@@ -18,8 +18,9 @@ the textbook forms they replaced, kept here as test oracles only:
 * a substitution as one product of repeated factors per monomial;
 * a regrade as its affine forms evaluated on each monomial's exponents
   by name, where ``regrade`` runs a map compiled on packed keys;
-* the text form rendered from ``QQ`` coefficients, where ``to_text``
-  reads the integer form;
+* the text form rendered from ``QQ`` coefficients and exponent tuples,
+  where ``to_text`` reads the integer form through the layout's compiled
+  order and renderer;
 * the Moebius double sum of ``special._mobius_double_sum`` as its
   (k, l, j) loop, with V_{kl} and log F_l(v^k) built afresh for every
   pair (k, l), S_j(X_{l,k}) evaluated row by row, and X_{l,k} folded
@@ -151,13 +152,21 @@ def graded_lex(series: TruncatedSeries) -> list:
     return sorted(series.coeffs, key=key)
 
 
+def monomial_text(names, mono) -> str:
+    """``name^e`` per nonzero exponent in name order (``name`` for e = 1),
+    joined by ``*``; ``1`` for the monomial 1."""
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e]
+    return "*".join(parts) or "1"
+
+
 def naive_to_text(series: TruncatedSeries) -> str:
-    """The text form rendered from the ``QQ`` coefficients."""
+    """The text form rendered from the ``QQ`` coefficients and the
+    exponent tuples."""
     if not series.coeffs:
         return "0"
     terms = []
     for mono in graded_lex(series):
-        ms = series.monomial_str(mono)
+        ms = monomial_text(series.vars.names, mono)
         cs = qq_str(series.coeffs[mono])
         if ms == "1":
             terms.append(cs)

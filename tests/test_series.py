@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from linkchi.rationals import QQ
 from linkchi.series import (
@@ -14,6 +14,8 @@ from linkchi.series import (
     TruncationSpec,
     VariableSet,
     _LinearSum,
+    _bucket_field,
+    _bucketed,
     _masks,
     _outside,
     _passes,
@@ -1379,6 +1381,135 @@ def test_guard_test_matches_outside(case, l):
     assert _passes(_masks(layout, spec, l), layout.key(a)) == (
         _outside(spec, tuple_metric(vars_, raised)) == 0
     )
+
+
+# ------------------------------ the pair loop: cut at the top field, guard test
+
+# no z or hbar, and not both an x-total and a p-weight: the layouts where
+# the cut applies once every field is bounded (the empty one aside)
+CUT_VARS = st.builds(
+    VariableSet, hodge_count=st.integers(0, 3), has_u=st.booleans(), pcount=st.integers(0, 3)
+).filter(lambda v: not (v.hodge_count and v.pcount))
+
+
+def bounded_spec():
+    cap = st.integers(0, 12)
+    return st.builds(TruncationSpec, u_max=cap, x_total_max=cap, p_weight_max=cap)
+
+
+def holds_monomials(vars_, spec) -> bool:
+    """False when ``spec`` sets a z or hbar window without 0 on a direction
+    ``vars_`` lacks, so that the constructor refuses it."""
+    return all(
+        w is None or w[0] <= 0 <= w[1] or name in vars_.names
+        for name, w in (("z", spec.z_window), ("hbar", spec.hbar_window))
+    )
+
+
+@st.composite
+def mul_case(draw):
+    """Two series of one layout, each under its own spec, with ``LAYOUT_VARS
+    x random_spec()`` or, half the time, a layout and specs of the cut."""
+    cut = draw(st.booleans())
+    vars_ = draw(CUT_VARS if cut else LAYOUT_VARS)
+    series = []
+    for _ in range(2):
+        spec = draw(bounded_spec() if cut else random_spec())
+        assume(holds_monomials(vars_, spec))
+        terms = draw(st.dictionaries(monomial(vars_), mixed_rationals, max_size=6))
+        series.append(TruncatedSeries(vars_, spec, terms))
+    return series
+
+
+@settings(max_examples=300, deadline=None)
+@given(mul_case())
+def test_mul_matches_pairwise_on_every_layout(case):
+    # both pair-loop paths, on layouts GRADED_CASES lacks: u only, p only,
+    # x only, x with p, and the empty layout
+    a, b = case
+    product = a * b
+    assert product == naive_mul(a, b)
+    assert_canonical(product)
+
+
+@pytest.mark.parametrize(
+    "vars_, cut",
+    [
+        (VariableSet(), False),  # no field: the guard test, with GUARD 0
+        (VariableSet(has_u=True), True),
+        (VariableSet(pcount=2), True),
+        (VariableSet(hodge_count=2), True),
+        (VariableSet(hodge_count=2, has_u=True), True),
+        (VariableSet(has_u=True, pcount=2), True),
+        (VariableSet(hodge_count=2, pcount=2), False),  # x-total and p-weight
+        (VariableSet(hodge_count=2, has_u=True, pcount=2), False),
+        (VariableSet(hodge_count=2, has_u=True, has_hbar=True), False),
+        (VariableSet(has_u=True, has_z=True), False),
+    ],
+)
+def test_cut_applies_where_two_fields_decide_the_bound(vars_, cut):
+    caps = {"u_max": 5, "x_total_max": 5, "p_weight_max": 5}
+    bounded = TruncationSpec(**caps, hbar_window=(0, 5))
+    assert (_masks(vars_.layout, bounded)[-1] is not None) == cut
+    # a direction bounded only by storage keeps the guard test
+    for free, name in (("u_max", "u"), ("x_total_max", "x1"), ("p_weight_max", "p1")):
+        if name in vars_.names:
+            assert _masks(vars_.layout, TruncationSpec(**{**caps, free: None}))[-1] is None
+
+
+def pair_kept(vars_, spec, a, b) -> bool:
+    """Whether the pair loop keeps the product of the monomials a and b."""
+    layout = vars_.layout
+    acc = _LinearSum(vars_, spec)
+    right = _bucketed(layout, _bucket_field(layout, spec)[0], [(layout.key(b), 1)])
+    acc.add_pairs(1, 1, [(layout.key(a), 1)], right)
+    return bool(acc.settle()[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(CUT_VARS.flatmap(lambda v: st.tuples(st.just(v), monomial(v), monomial(v))), bounded_spec())
+def test_cut_keeps_a_pair_iff_it_lies_in_the_spec(case, spec):
+    vars_, a, b = case
+    assert _masks(vars_.layout, spec)[-1] is not None or not vars_.names
+    total = tuple(x + y for x, y in zip(a, b))
+    inside = _outside(spec, tuple_metric(vars_, total)) == 0
+    assert pair_kept(vars_, spec, a, b) == inside
+
+
+@pytest.mark.parametrize(
+    "vars_, spec, name",
+    [
+        (XU, SPEC, "x1"),  # the x-total is the top field, u the bucket
+        (VariableSet(hodge_count=2), TruncationSpec(x_total_max=7), "x2"),
+        (VariableSet(has_u=True, pcount=2), TruncationSpec(u_max=6, p_weight_max=7), "p1"),
+        (VariableSet(pcount=2), TruncationSpec(p_weight_max=7), "p1"),
+    ],
+)
+def test_cut_at_and_one_past_the_cap(vars_, spec, name):
+    # a bucket of the right operand holds terms at, below and past the top
+    # bound's room: a product exactly at the x-total or p-weight cap is
+    # kept and one past it is dropped, for an off-by-one limit fails here
+    layout = vars_.layout
+    assert _masks(layout, spec)[-1] is not None
+    cap = 7
+    a = TruncatedSeries(vars_, spec, {vars_.monomial({name: e}): e + 1 for e in range(4)})
+    b = TruncatedSeries(vars_, spec, {vars_.monomial({name: e}): 2 * e - 3 for e in range(8)})
+    product = a * b
+    assert product == naive_mul(a, b)
+    at_cap = {name: cap}
+    assert product.coefficient(at_cap) == sum((e + 1) * (2 * (cap - e) - 3) for e in range(4))
+    with pytest.raises(OutOfBoundsError):
+        product.coefficient({name: cap + 1})
+    assert pair_kept(vars_, spec, vars_.monomial({name: 3}), vars_.monomial({name: cap - 3}))
+    assert not pair_kept(vars_, spec, vars_.monomial({name: 3}), vars_.monomial({name: cap - 2}))
+    # a left key already past the cap (an operand of a wider spec) times 1
+    assert not pair_kept(vars_, spec, vars_.monomial({name: cap + 1}), vars_.monomial({}))
+    # the bucket field bounds the pair too
+    if "u" in vars_.names:
+        u_cap = spec.u_max
+        x = vars_.monomial({name: 1, "u": 2})
+        assert pair_kept(vars_, spec, x, vars_.monomial({"u": u_cap - 2}))
+        assert not pair_kept(vars_, spec, x, vars_.monomial({"u": u_cap - 1}))
 
 
 @settings(max_examples=300, deadline=None)

@@ -409,9 +409,9 @@ PLACEMENT_X = {
 }
 
 
-def _summed(vars_, spec, den, pairs):
+def _summed(vars_, spec, den, runs):
     out = _LinearSum(vars_, spec)
-    out.add_items(1, den, pairs)
+    out.add_runs(1, den, runs)
     return out.series()
 
 
