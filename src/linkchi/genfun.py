@@ -167,9 +167,13 @@ def f_homology(
 
     Product over l >= 1 of
     ``Gamma(X_l, sigma_d l u^l / F_l(u)) * F_l(u)^(-X_l)`` with
-    ``X_l = sum_i (-1)^(m_i-1) E_l(x_i)``.  Factors with l > 2 t_max are
-    1 within the spec: the Gamma part first deviates at u-order l and
-    the F_l power at order l - l/p1 >= l/2.
+    ``X_l = sum_i (-1)^(m_i-1) E_l(x_i)``.  Within the spec the Gamma
+    part is 1 for l > t_max, since ``U_l = sigma_d l u^l / F_l(u)`` has
+    u-order l, and the F_l power is 1 for l > 2 t_max, since log F_l has
+    u-order l - l/p1 >= l/2.  So ``U_l`` and ``log_gamma_series`` are
+    built for l <= t_max only, and ``X_l log F_l(u)`` for every l <=
+    ``l_max`` (2 t_max by default).  The power sums P_n are built once
+    each, for every X_l.
 
     With ``x_values`` the Hodge variables are specialized *inside* the
     product: X_l is built by the same ``_mobius_x`` over the constant
@@ -197,14 +201,16 @@ def f_homology(
         power_sum = _eps_power_sum(cfg, vars_, spec)
 
     log_total = _LinearSum(vars_, spec)
-    u = TruncatedSeries.term(vars_, spec, {"u": 1})
-    for l in range(1, max(l_max, 1) + 1):
-        x_arg = _mobius_x(vars_, spec, l, 1, power_sum)
+    l_top = max(l_max, 1)
+    sums = {n: power_sum(n) for n in range(1, l_top + 1)}
+    for l in range(1, l_top + 1):
+        x_arg = _mobius_x(vars_, spec, l, 1, sums.__getitem__)
         if x_arg.is_zero():
             continue
         fl = _f_series(vars_, spec, "u", l)
-        u_arg = (u ** l).scaled(cfg.sigma_d * l) * fl.inverse()
-        log_total.add(1, log_gamma_series(x_arg, u_arg))
+        if l <= t_max:  # past t_max, U_l leaves the spec and Gamma is 1
+            u_arg = TruncatedSeries.term(vars_, spec, {"u": l}, cfg.sigma_d * l) * fl.inverse()
+            log_total.add(1, log_gamma_series(x_arg, u_arg))
         if l > 1:  # F_1 = 1 contributes nothing
             log_total.add_product(-1, x_arg, fl.log())
     return log_total.series().exp()

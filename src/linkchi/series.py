@@ -33,10 +33,12 @@ per direction of ``_Layout.metric`` (x-total, u, z, hbar, p-weight).  A
 series climbs in each direction that its spec bounds above and where
 none of its monomials is negative: there the powers of the series only
 rise, until they pass the bound.  A monomial's weight is its exponent sum
-over those directions; it grades ``exp``, ``log`` and ``inverse`` (a
-monomial of weight 0 is not nilpotent and raises), bounds the plethystic
-sums of :mod:`linkchi.special`, and a replacement for ``u`` in
+over those directions; it bounds the plethystic sums of
+:mod:`linkchi.special`, and a replacement for ``u`` in
 :meth:`TruncatedSeries.substitute` must have positive weight everywhere.
+``exp``, ``log`` and ``inverse`` grade by one climbing direction where
+every monomial is positive there (the one with the smallest bound), else
+by that weight (a monomial of weight 0 is not nilpotent and raises).
 
 Every series stores its terms in one form, the integer form
 :attr:`TruncatedSeries._ints`: one denominator, the lcm of the
@@ -945,15 +947,25 @@ class TruncatedSeries:
         Returns ``({k: [(key, numerator)]}, top)``: the terms of weight
         k >= 1 as integer numerators over the series' common denominator
         (:attr:`_ints`), and the largest weight an in-spec monomial can
-        have.  The weight of a monomial is its exponent sum over the
-        directions the series climbs in (:func:`_climbing`, the rule of the
-        module docstring), and the top weight is the sum of their upper
-        bounds.  A monomial of weight 0 is never nilpotent and raises.
+        have.  The weight of a monomial is its exponent in one direction
+        the series climbs in (:func:`_climbing`, the rule of the module
+        docstring) where every monomial's exponent is >= 1, the one with
+        the smallest upper bound (the first in ``_DIRECTIONS`` on a tie);
+        the top weight is that bound.  Where no climbing direction has
+        that property, the weight is the exponent sum over all of them and
+        the top weight the sum of their bounds, and a monomial of weight 0
+        is never nilpotent and raises.  Either weight is positive on every
+        monomial and at most the top on every in-spec one, which is all
+        :meth:`_exp_log` needs; one direction needs fewer grades.
         """
         spec, layout = self.spec, self.vars.layout
+        windows = spec.windows
         items = list(self._ints[1].items())
         metrics = [layout.metric(key) for key, _n in items]
         climbing = _climbing(spec, metrics)
+        positive = [d for d in climbing if all(m[d] for m in metrics)]
+        if positive:  # min keeps the first of equal bounds
+            climbing = (min(positive, key=lambda d: windows[d][1]),)
         weight = _weight(climbing)
         grades: dict[int, list] = {}
         for item, met in zip(items, metrics):
@@ -965,7 +977,7 @@ class TruncatedSeries:
                 )
             grades.setdefault(w, []).append(item)
         # the heaviest in-spec monomial sits at every climbing upper bound
-        return grades, sum(spec.windows[d][1] for d in climbing)
+        return grades, sum(windows[d][1] for d in climbing)
 
     def _exp_log(self, exp: bool) -> "TruncatedSeries":
         """The grades of ``exp(f)`` (``exp=True``) or of ``log(1 + f)``, with
@@ -985,8 +997,14 @@ class TruncatedSeries:
         once the last kmax grades of the solved side are empty (kmax the
         top weight of f), every later grade multiplies only empty grades.
 
-        Grade n sums its products in one :class:`_LinearSum`, w_k as the left
-        items and g_{n-k} bucketed as the right operand, each an integer
+        The grading is the one :meth:`_grades` picks: u alone for an x/u
+        series whose every non-constant monomial has u >= 1, as ``F_l - 1``
+        and F^H - 1 have, so t grades instead of the 2t + 1 of x-total + u.
+        Grade n sums its products in one :class:`_LinearSum`, over only the
+        k < n (ascending) where both w_k and g_{n-k} are stored, and a grade
+        with no product and no given term builds and settles nothing: the
+        grades of ``psi_l(F^H)`` sit only at multiples of l.  w_k is the left
+        items and g_{n-k} bucketed the right operand, each an integer
         numerator over its own denominator (f's lcm for the given side,
         reduced by a gcd for the solved side).  Output grade n is the solved
         side's numerators over ``den * n``, den the grade sum's denominator;
@@ -1021,16 +1039,16 @@ class TruncatedSeries:
         out = [(1, [(origin, 1)])] if seed else []
         empty_run = 0
         for n in range(1, top + 1):
-            grade = _LinearSum(vars_, spec)
-            for k in range(1, n):
-                if k in w and n - k in g:
-                    d_w, w_k = w[k]
-                    d_g, g_nk = g[n - k]
+            pairs = [(w[k], g[n - k]) for k in range(1, n) if k in w and n - k in g]
+            piece = None
+            if pairs or n in grades:
+                grade = _LinearSum(vars_, spec)
+                for (d_w, w_k), (d_g, g_nk) in pairs:
                     grade.add_pairs(sign, d_w * d_g, w_k, g_nk)
-            if n in grades:
-                grade.add_items(n, d_f, grades[n])
-            den, nums = grade.settle()
-            piece = [(key, c) for key, c in nums.items() if c]
+                if n in grades:
+                    grade.add_items(n, d_f, grades[n])
+                den, nums = grade.settle()
+                piece = [(key, c) for key, c in nums.items() if c]
             if not piece:
                 empty_run += 1
                 if empty_run >= kmax:
@@ -1231,9 +1249,12 @@ class TruncatedSeries:
 
     def truncate(self, spec: TruncationSpec) -> "TruncatedSeries":
         """Re-truncate to a (smaller) spec, in the integer form; a spec
-        that holds no monomial of the set (:func:`_check_windows`) raises."""
+        that holds no monomial of the set (:func:`_check_windows`) raises.
+        A spec that does not shrink this one returns the series itself."""
         spec = self.spec.meet(spec)
         _check_windows(self.vars, spec)
+        if spec == self.spec:
+            return self  # every key already passes
         den, items = self._ints
         masks = _masks(self.vars.layout, spec)
         kept = {k: n for k, n in items.items() if _passes(masks, k)}

@@ -91,7 +91,12 @@ sum these functions, which a fault would reach on both of its sides:
   ``tables`` and ``oracle``, which run no plethystic transform, and by
   ``homology-specializations``, whose ``f_homology(x_values=...)`` runs
   ``_mobius_x`` over constant power sums, at odd m (eps_i = 1) and even m
-  (eps_i = -1), against closed forms built from ``inverse`` and products;
+  (eps_i = -1), against closed forms built from ``inverse`` and products.
+  That check sees X_l and F_l at l <= 2 only: it evaluates at x = 1 and
+  x = -1, where E_l(1) = 0 for l >= 2 and E_l(-1) = 0 for l >= 3, so
+  X_l = 0 past l = 2 and no F_l with l >= 3 enters.  Those are pinned
+  by ``special-polynomials``, ``route-equivalence``,
+  ``tables-second-route``, ``tables`` and ``oracle``;
 - the Faulhaber polynomials ``s_poly`` with ``UniPolynomial.at_series``:
   S_j(X_l) in ``log_gamma_series``, and the double sum's column
   polynomials Q_n (``special._column_polys``, built from the S_j).  They
@@ -134,13 +139,16 @@ degree tests in ``tests/test_genfun.py`` and the dimension EGA checks in
 ``cycle-index``, until graph-homology ranks give it a second route.
 
 ``exp`` and ``log`` share one recurrence, ``TruncatedSeries._exp_log``,
-so no check that runs it on both sides can pin it.  Routes that run it on
-one side only do: the ``gamma`` and ``homology-specializations`` closed
-forms, which compare ``exp``-built series with products of ``inverse``
-(the geometric series, not the recurrence); ``tables`` and ``oracle``,
-which pin ``log`` through the double sum against the published grids and
-the graph enumeration; and the property tests comparing ``exp`` and
-``log`` with the repeated-product references (``tests/naive_series.py``).
+graded as ``TruncatedSeries._grades`` picks, so no check that runs it on
+both sides can pin it.  Routes that run it on one side only do: the
+``gamma`` and ``homology-specializations`` closed forms, which compare
+``exp``-built series with products of ``inverse`` (the geometric series,
+not the recurrence), and which a grading one grade short or a fault in
+``log_gamma_series`` fails (``tests/test_special.py``); ``tables`` and
+``oracle``, which pin ``log`` through the double sum against the
+published grids and the graph enumeration; and the property tests
+comparing ``exp`` and ``log`` with the repeated-product references
+(``tests/naive_series.py``).
 Those references, and the ones for ``*``, ``substitute`` and the linear
 sums (``+``, ``-``, ``scaled``, ``_LinearSum``), sum coefficient by
 coefficient in ``QQ`` and build each result through the constructor, so

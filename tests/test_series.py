@@ -166,7 +166,8 @@ def test_exp_rejects_non_nilpotent():
     mixed = TruncatedSeries.term(zvars, spec, {"z": 1}) + TruncatedSeries.term(
         zvars, spec, {"z": -1}
     )
-    with pytest.raises(SeriesError):
+    not_nilpotent = r"^monomial \(0, 1\) is not nilpotent under the truncation spec$"
+    with pytest.raises(SeriesError, match=not_nilpotent):
         mixed.exp()
     # under a window with nonnegative exponents, powers do leave the spec
     pure_z = TruncatedSeries.term(zvars, spec, {"z": 1})
@@ -668,6 +669,81 @@ def test_graded_log_single_grade_laurent():
     g = TruncatedSeries.one(XZ, spec) - h
     assert g.log() == naive_log(g)
     assert h.exp() == naive_exp(h)
+
+
+# ------------------------- one-direction grading vs the summed references
+
+XZP = VariableSet(hodge_count=2, has_z=True, pcount=3)
+SPEC_U = TruncationSpec(u_max=5, x_total_max=6)
+SPEC_XZP = TruncationSpec(x_total_max=3, z_window=(0, 6), p_weight_max=3)
+u_positive = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 3))
+# x1..x2, z, p1..p3 with p-weight >= 1, as in the argument of z_colors
+p_positive = st.tuples(*[st.integers(0, 2)] * 3, *[st.integers(0, 1)] * 3).filter(
+    lambda m: m[3] + 2 * m[4] + 3 * m[5] >= 1
+)
+
+
+@st.composite
+def one_direction_operand(draw, constant):
+    """(kind, series with the given constant term): every other monomial
+    has u >= 1 ("u"); or some have u = 0 ("fallback"); or only multiples
+    of l, as ``_raise_exponents`` gives ("raised"); or an x/z/p series
+    whose p-weight, and sometimes x-total, is >= 1 everywhere ("xzp")."""
+    kind = draw(st.sampled_from(["u", "fallback", "raised", "xzp"]))
+    coeffs = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    vars_, spec, monos = (XZP, SPEC_XZP, p_positive) if kind == "xzp" else (XU, SPEC_U, u_positive)
+    terms = draw(st.dictionaries(monos, coeffs, min_size=1, max_size=4))
+    if kind == "fallback":
+        terms[(draw(st.integers(1, 2)), 0, 0)] = draw(coeffs)
+    f = TruncatedSeries(vars_, spec, terms)
+    if kind == "raised":
+        f = _raise_exponents(f, draw(st.integers(2, 3)))
+    return kind, f + TruncatedSeries.constant(vars_, spec, constant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_direction_operand(0))
+def test_one_direction_exp_matches_repeated_products(case):
+    kind, a = case
+    assert a.exp() == naive_exp(a), kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_direction_operand(1))
+def test_one_direction_log_and_inverse_match_repeated_products(case):
+    kind, a = case
+    assert a.log() == naive_log(a), kind
+    assert a.inverse() == naive_exp(-naive_log(a)), kind
+
+
+def test_grades_take_one_direction_where_every_monomial_is_positive():
+    u_only = TruncatedSeries(XU, SPEC_U, {(1, 0, 1): 1, (0, 0, 2): 3})
+    assert u_only._grades() == ({1: [(u_only.vars.layout.pack((1, 0, 1)), 1)],
+                                 2: [(u_only.vars.layout.pack((0, 0, 2)), 3)]}, 5)
+    # a u-free monomial: the sum x-total + u, to x_total_max + u_max
+    mixed = u_only + s({"x1": 1}, spec=SPEC_U)
+    assert mixed._grades()[1] == 6 + 5
+    # both directions positive: the smaller bound, x-total on a tie
+    for x_total_max, top in ((3, 3), (5, 5), (9, 5)):
+        spec = TruncationSpec(u_max=5, x_total_max=x_total_max)
+        both = TruncatedSeries(XU, spec, {(1, 0, 1): 1, (0, 1, 2): 1})
+        assert both._grades()[1] == top
+    # every monomial of the z_colors argument has x-total, z and p-weight >= 1
+    colors = TruncatedSeries(XZP, SPEC_XZP, {(1, 0, 1, 1, 0, 0): 1, (0, 2, 2, 0, 1, 0): 1})
+    assert colors._grades()[1] == 3
+    assert colors.exp() == naive_exp(colors)
+
+
+def test_truncate_returns_the_series_when_the_spec_does_not_shrink():
+    a = s({"x1": 2, "u": 1}, QQ(5, 3)) + s({"u": 6}) + s({"x1": 3, "x2": 4, "u": 2})
+    assert a.truncate(a.spec) is a
+    assert a.truncate(TruncationSpec(u_max=9, x_total_max=9)) is a
+    assert a.truncate(TruncationSpec()) is a
+    narrow, met = a.truncate(TruncationSpec(u_max=5)), TruncationSpec(u_max=5, x_total_max=7)
+    assert narrow is not a and narrow.spec == met
+    assert narrow == naive_sum(XU, met, [(1, a)]) and narrow.coeffs == {(2, 0, 1): QQ(5, 3), (3, 4, 2): 1}
+    with pytest.raises(SeriesError, match="which has no z"):
+        a.truncate(TruncationSpec(z_window=(1, 3)))
 
 
 # ------------------------- integer-numerator kernel vs pair-by-pair QQ

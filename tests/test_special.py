@@ -534,6 +534,57 @@ def test_a_fault_in_the_factor_cache_fails_the_route_checks(monkeypatch):
     assert not tables.ok and tables.details[0].startswith("table genus")
 
 
+def _failing(names, t_max=6):
+    from linkchi import verify
+
+    return {r.name for r in verify.run_checks(only=names, t_max=t_max) if not r.ok}
+
+
+def test_a_fault_in_log_gamma_fails_the_exp_checks(monkeypatch):
+    # x_arg * u added to log Gamma(x_arg, u_arg), in both bindings: gamma
+    # (through gamma_series) and both uses in f_homology see it
+    real = special.log_gamma_series
+
+    def shifted(x_arg, u_arg):
+        u = TruncatedSeries.term(x_arg.vars, x_arg.spec, {"u": 1})
+        return real(x_arg, u_arg) + x_arg * u
+
+    monkeypatch.setattr(special, "log_gamma_series", shifted)
+    monkeypatch.setattr(genfun, "log_gamma_series", shifted)
+    names = ["gamma", "homology-specializations", "route-equivalence"]
+    assert _failing(names) == set(names)
+
+
+def test_a_fault_in_the_grading_fails_the_exp_checks(monkeypatch):
+    # one grade short of the top: exp and log lose their last grade, which
+    # the closed forms built from inverse and products still hold
+    real = TruncatedSeries._grades
+
+    def short(self):
+        grades, top = real(self)
+        return grades, top - 1
+
+    monkeypatch.setattr(TruncatedSeries, "_grades", short)
+    names = ["gamma", "homology-specializations"]
+    assert _failing(names) == set(names)
+
+
+def test_a_fault_in_f_homologys_f3_fails_the_second_route_checks(monkeypatch):
+    # u^3 added to F_3 where f_homology builds it.  homology-specializations
+    # still passes, and must: it evaluates at x = 1 and x = -1, where E_l(1)
+    # = 0 for l >= 2 and E_l(-1) = 0 for l >= 3, so X_l = 0 past l = 2 and
+    # F_3 never enters.  F_l for l >= 3 is pinned by the second-route checks
+    real = genfun._f_series
+
+    def bumped(vars_, spec, var, l):
+        out = real(vars_, spec, var, l)
+        return out + TruncatedSeries.term(vars_, spec, {var: 3}) if l == 3 else out
+
+    monkeypatch.setattr(genfun, "_f_series", bumped)
+    names = ["homology-specializations", "route-equivalence", "tables-second-route"]
+    assert _failing(names) == {"route-equivalence", "tables-second-route"}
+
+
 XV = VariableSet(hodge_count=2, has_u=True)
 x_monos = st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0))
 v_monos = st.tuples(st.just(0), st.just(0), st.integers(1, 5))
