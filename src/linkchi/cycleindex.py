@@ -111,8 +111,7 @@ def _specialization_targets(z: TruncatedSeries, cfg: LinkConfig, mode: str):
     z_window = None
     if mode == "dims":
         m_values, d = cfg.require_values()
-        span = _z_span(d, max(m_values), weight_max)
-        z_window = (-span, span)
+        z_window = (0, _z_span(d, max(m_values), weight_max))
     vars_ = VariableSet(hodge_count=cfg.r, has_u=carries_u, has_z=mode == "dims")
     spec = TruncationSpec(
         u_max=z.spec.u_max if carries_u else None,
@@ -129,7 +128,10 @@ def specialize_colors(
 
     Euler mode computes the generating function of Euler characteristics
     of hom(V^(tensor), -) (and sends any carried z to -1); dimension
-    mode keeps the z-grading and needs integer dimensions in ``cfg``.
+    mode keeps the z-grading and needs integer dimensions in ``cfg``.  A
+    dims result stores z as :func:`linkchi.genfun.genus0_dims` does: the
+    degree without the hair terms -m_i s_i, since the colored power sums
+    of :func:`~linkchi.genfun.color_power_sum` carry no z.
     """
     vars_, spec = _specialization_targets(z, cfg, mode)
     weight_max = z.spec.p_weight_max
@@ -146,10 +148,13 @@ def specialize_colors(
 
 
 def _graded_p_spec(d: int, weight_max: int):
-    """Variables p, u, z and the spec of the tree and hedgehog cycle indices."""
-    span = _z_span(d, 0, weight_max)
+    """Variables p, u, z and the spec of the tree and hedgehog cycle
+    indices; an ambient dimension below 2, where a degree can be negative,
+    raises ``ValueError``, as :meth:`~linkchi.genfun.LinkConfig.create` does."""
+    if d < 2:
+        raise ValueError("ambient dimension must be >= 2")
     spec = TruncationSpec(
-        p_weight_max=weight_max, u_max=weight_max, z_window=(-span, span)
+        p_weight_max=weight_max, u_max=weight_max, z_window=(0, _z_span(d, 0, weight_max))
     )
     return VariableSet(has_u=True, has_z=True, pcount=weight_max), spec
 
@@ -273,27 +278,23 @@ def mod_envelope_supercharacter_direct(
     twist: str, weight_max: int, genus_max: int
 ) -> TruncatedSeries:
     """Second route to :func:`mod_envelope_supercharacter`: evaluate the
-    hbar-Laurent sums directly (S_j at p_{ak}/hbar^{ak} arguments) and
-    multiply by hbar at the end.  Used as a cross-check oracle."""
+    double sum directly at the power sums ``P_n = sign * p_n`` (S_j at
+    p_{ak} arguments) in the grade hbar + p-weight, then move each term to
+    its genus.  Used as a cross-check oracle."""
     sign = _twist_sign(twist, weight_max, genus_max)
     t_max = max(genus_max + weight_max - 1, 1)
     vars_ = VariableSet(has_hbar=True, pcount=weight_max)
-    # Every monomial here satisfies hbar-exp >= -(p-weight) >= -W, and a
-    # monomial with hbar-exp e and p-weight w can still reach final genus
-    # <= G as long as e - (W - w) <= G - 1, so (-W, G + W - 1) loses nothing.
-    spec = TruncationSpec(
-        p_weight_max=weight_max,
-        hbar_window=(-weight_max, genus_max + weight_max - 1),
-    )
-    # plain: P_n = p_n / hbar^n, sigma = +1; det: P_n = -p_n / hbar^n,
-    # sigma = -1 and the sum negated.  Times hbar, then a negative genus
-    # raises and genus above G drops.
+    # hbar here counts hbar + p-weight of ``P_n = sign * p_n / hbar^n``, so
+    # every exponent is >= 0; a monomial of p-weight w at hbar^e has genus
+    # e - w + 1 <= G only if e <= G + W - 1, so (0, G + W - 1) loses nothing.
+    spec = TruncationSpec(p_weight_max=weight_max, hbar_window=(0, genus_max + weight_max - 1))
+    # plain: sigma = +1; det: sigma = -1 and the sum negated.  Then a
+    # negative genus raises and genus above G drops.
     body = _mobius_double_sum(
-        vars_, spec, "hbar", sign, t_max,
-        lambda n: _p_term(vars_, spec, n, sign, hbar=-n),
+        vars_, spec, "hbar", sign, t_max, lambda n: _p_term(vars_, spec, n, sign)
     )
     out_spec = TruncationSpec(p_weight_max=weight_max, hbar_window=(0, genus_max))
-    return body.regrade(vars_, out_spec, {"hbar": {"hbar": 1, 1: 1}}, sign=sign)
+    return body.regrade(vars_, out_spec, {"hbar": {"hbar": 1, "pw": -1, 1: 1}}, sign=sign)
 
 
 def feynman_regrade(z: TruncatedSeries) -> TruncatedSeries:

@@ -137,17 +137,17 @@ def color_power_sum(
     cfg: LinkConfig, vars_: VariableSet, spec: TruncationSpec, l: int, mode: str
 ) -> TruncatedSeries:
     """The colored power sum substituted for p_l: A_l = alpha_l(-1) =
-    sum_i (-1)^(m_i) x_i^l in ``"euler"`` mode, alpha_l(1/z) =
-    sum_i (-1)^(m_i (l-1)) x_i^l z^(-m_i l) in ``"dims"`` mode (integer
-    m_i needed)."""
+    sum_i (-1)^(m_i) x_i^l in ``"euler"`` mode, and sum_i (-1)^(m_i (l-1))
+    x_i^l in ``"dims"`` mode (integer m_i needed).  The dims sum is
+    alpha_l(1/z) = sum_i (-1)^(m_i (l-1)) x_i^l z^(-m_i l) with z^(-m_i)
+    moved onto x_i: a dims series stores z^(e + sum_i m_i s_i), e the
+    homological degree, so that no exponent is negative (see
+    :func:`genus0_dims`)."""
     if mode == "euler":
-        terms = {vars_.monomial({f"x{i + 1}": l}): -cfg.eps(i) for i in range(cfg.r)}
+        signs = [-cfg.eps(i) for i in range(cfg.r)]
     else:
-        m_values, _ = cfg.require_values()
-        terms = {
-            vars_.monomial({f"x{i + 1}": l, "z": -m * l}): -1 if (m * (l - 1)) % 2 else 1
-            for i, m in enumerate(m_values)
-        }
+        signs = [-1 if (m * (l - 1)) % 2 else 1 for m in cfg.require_values()[0]]
+    terms = {vars_.monomial({f"x{i + 1}": l}): c for i, c in enumerate(signs)}
     return TruncatedSeries(vars_, spec, terms)
 
 
@@ -343,15 +343,17 @@ def genus1_closed(cfg: LinkConfig, t_max: int) -> TruncatedSeries:
 
 
 def _z_span(d: int, m_max: int, weight: int) -> int:
-    """Half-width of a symmetric z window holding every homological degree
-    up to complexity or arity ``weight``: ``(|d| + 2 + max m)(weight + 3)``."""
+    """Top of a z window ``(0, span)`` holding every stored degree up to
+    complexity or arity ``weight``: ``(|d| + 2 + max m)(weight + 3)``."""
     return (abs(d) + 2 + m_max) * (weight + 3)
 
 
 def _homological_degree(d: int, t: dict, genus: int, m_values=()) -> dict:
-    """Homological degree (z exponent) of a trivalent hairy graph, as an
-    affine form of :meth:`~linkchi.series.TruncatedSeries.regrade` in the
-    complexity's form ``t`` and the hair counts x_i of colours ``m_values``.
+    """Homological degree of a trivalent hairy graph, as an affine form of
+    :meth:`~linkchi.series.TruncatedSeries.regrade` in the complexity's
+    form ``t`` and the hair counts x_i of colours ``m_values``; without
+    ``m_values`` it is the stored z exponent, the degree without its hair
+    terms (:func:`genus0_dims`).
 
     Edges (hairs included) have degree d - 1, internal vertices -d and
     hairs of colour i -m_i.  Complexity t = E - V and genus g = t - |s| + 1
@@ -369,7 +371,8 @@ def _dims_from_euler(cfg: LinkConfig, closed: TruncatedSeries, genus: int) -> Tr
 
     Each summand x^s u^t sits in the single degree e of
     :func:`_homological_degree`, so its dimension is (-1)^e times its Euler
-    characteristic, placed at z^e.
+    characteristic, placed at z^(e + sum_i m_i s_i), the degree without its
+    hair terms: (d - 2) t + 1 - g >= 0 for d >= 2.
     """
     m_values, d = cfg.require_values()
     vars_ = VariableSet(hodge_count=cfg.r, has_u=True, has_z=True)
@@ -377,21 +380,28 @@ def _dims_from_euler(cfg: LinkConfig, closed: TruncatedSeries, genus: int) -> Tr
     spec = TruncationSpec(
         u_max=closed.spec.u_max,
         x_total_max=closed.spec.x_total_max,
-        z_window=(-span, span),
+        z_window=(0, span),
     )
     degree = _homological_degree(d, {"u": 1}, genus, m_values)
-    return closed.regrade(vars_, spec, images={"z": degree}, parity=degree)
+    images = {"z": _homological_degree(d, {"u": 1}, genus)}
+    return closed.regrade(vars_, spec, images=images, parity=degree)
 
 
 def genus0_dims(cfg: LinkConfig, t_max: int) -> TruncatedSeries:
     """z-graded dimension series of the genus-zero Hodge summands:
-    :func:`genus0_closed` regraded by :func:`_dims_from_euler`."""
+    :func:`genus0_closed` regraded by :func:`_dims_from_euler`.
+
+    The summand x^s u^t of homological degree e is stored at z^(e + sum_i
+    m_i s_i) with the coefficient (-1)^e times its Euler characteristic:
+    z counts the degree without the hair terms -m_i s_i, which the x_i
+    exponents give back, so that every z exponent is nonnegative."""
     return _dims_from_euler(cfg, genus0_closed(cfg, t_max), 0)
 
 
 def genus1_dims(cfg: LinkConfig, t_max: int) -> TruncatedSeries:
     """z-graded dimension series of the genus-one Hodge summands:
-    :func:`genus1_closed` regraded by :func:`_dims_from_euler`."""
+    :func:`genus1_closed` regraded by :func:`_dims_from_euler`, with z
+    stored as in :func:`genus0_dims`."""
     return _dims_from_euler(cfg, genus1_closed(cfg, t_max), 1)
 
 

@@ -3,10 +3,9 @@
 A series lives over a fixed :class:`VariableSet`: Hodge variables
 ``x1..xr`` (one per link component), the complexity variable ``u``, the
 homological-degree variable ``z``, the genus variable ``hbar``, and
-power-sum variables ``p1..pL``.  Exponents of ``z`` and ``hbar`` may be
-negative (Laurent windows); all other exponents, ``u`` included, are
-nonnegative, and a monomial with a negative one raises :class:`SeriesError`
-wherever it is handed to a series.
+power-sum variables ``p1..pL``.  Every exponent is nonnegative, and a
+monomial with a negative one raises :class:`SeriesError` wherever it is
+handed to a series.
 
 Truncation is an explicit contract (:class:`TruncationSpec`): monomials
 inside the bounds are exact, monomials outside are *undefined* — asking
@@ -15,26 +14,20 @@ because silent truncation bugs are the dominant failure mode of series
 engines.  Every operation returns a series whose spec is the meet
 (componentwise shrink) of its operands' specs.
 
-Exactness inside the bounds holds when every truncated direction only
-grows under multiplication: bounded u, x-total and p-weight, and z/hbar
-windows whose operands carry nonnegative exponents there.  A z/hbar
-window that admits negative exponents can lose terms in products, ``exp``
-and ``log``: a term that leaves the window is dropped, although a later
-factor with a negative exponent would have brought it back.  With the
-hbar window (-1, 1), ``(u/hbar * u/hbar) * u*hbar`` is 0 while
-``u/hbar * (u/hbar * u*hbar)`` is ``u^3/hbar``.  Callers with negative
-Laurent exponents must pick windows from which no term they read back can
-be lost this way (``cycleindex.mod_envelope_supercharacter_direct`` states
-its argument).  A change of grading (:meth:`TruncatedSeries.regrade`, an
-affine map by name) raises instead of dropping a term below a lower bound.
+Exactness inside the bounds holds because every truncated direction only
+grows under multiplication: no exponent is negative, so a term past an
+upper bound never multiplies back below it, and two terms at or above the
+low end of a z or hbar window (which holds no negative exponent either)
+multiply to one above it.  A change of grading
+(:meth:`TruncatedSeries.regrade`, an affine map by name) raises instead of
+dropping a term below a lower bound.
 
 Climbing directions.  :attr:`TruncationSpec.windows` gives one window
 per direction of ``_Layout.metric`` (x-total, u, z, hbar, p-weight).  A
-series climbs in each direction that its spec bounds above and where
-none of its monomials is negative: there the powers of the series only
-rise, until they pass the bound.  A monomial's weight is its exponent sum
-over those directions; it bounds the plethystic sums of
-:mod:`linkchi.special`, and a replacement for ``u`` in
+series climbs in each direction that its spec bounds above: there the
+powers of the series only rise, until they pass the bound.  A monomial's
+weight is its exponent sum over those directions; it bounds the
+plethystic sums of :mod:`linkchi.special`, and a replacement for ``u`` in
 :meth:`TruncatedSeries.substitute` must have positive weight everywhere.
 ``exp``, ``log`` and ``inverse`` grade by one climbing direction where
 every monomial is positive there (the one with the smallest bound), else
@@ -61,44 +54,46 @@ heaps, and packed exponent vectors", CASC 2007).  A monomial's key is one
 ``int`` of ``_FIELD_BITS``-bit fields, from the low end: one per ``x_i``,
 ``u``, one per ``p_l``, then the derived x-total and p-weight (present
 when the set has x or p variables), then ``z`` and ``hbar``.  A field holds
-its exponent, plus the bias ``2^(F-2)`` (F the field width) for z and
-hbar; the key of the monomial with all exponents 0 is ``BIAS``, the sum of
-the biases, and the key of a product is ``k1 + k2 - BIAS``.  Every stored
-exponent, x-total and p-weight lies below ``2^(F-3)`` in absolute value
-(the overflow rule: a monomial that does not fit raises
-:class:`SeriesError`, whatever the spec, and never wraps), so a field of a
-product lies in ``[0, 2^(F-1))`` and its top bit, the guard bit, is clear.
+its exponent, so the key of the monomial 1 is 0 and the key of a product
+is ``k1 + k2``.  Every stored exponent, x-total and p-weight lies below
+``2^(F-3)`` (F the field width; the overflow rule: a monomial that does
+not fit raises :class:`SeriesError`, whatever the spec, and never wraps),
+so a field of a product lies in ``[0, 2^(F-2))`` and its top bit, the
+guard bit, is clear.
 
 Bound test.  For a spec, each field has bounds ``[lo, hi]``: the spec's,
 those it implies (an x_i is at most the x-total bound, a p_l at most the
-p-weight bound over l), or the storage limit where the spec sets none.
-``ADD`` holds ``2^(F-1) - 1 - hi`` per field (biased), ``SUB`` holds
-``lo`` (biased) and ``GUARD`` every guard bit.  A product key lies in the
-spec iff ``((key + ADD) | (key - SUB)) & GUARD == 0``: a field past ``hi``
-sets its guard bit in ``key + ADD``, which never carries; a field below
-``lo`` wraps in ``key - SUB`` and sets its guard bit there (a borrow it
-passes upward can only add guard bits above a field that already failed).
-A pair whose key fails the test only in a field bounded by the storage
-limit overflows and raises.  The Laurent fields sit at the top, so no
-borrow reaches the x-total field, whose guard bit alone ends a bucket
-sorted by x-total.
+p-weight bound over l), or ``[0, storage limit]`` where the spec sets none.
+``ADD`` holds ``2^(F-1) - 1 - hi`` per field, ``SUB`` holds ``lo`` and
+``GUARD`` every guard bit.  A product key lies in the spec iff ``((key +
+ADD) | (key - SUB)) & GUARD == 0``: a field past ``hi`` sets its guard bit
+in ``key + ADD``, which never carries; a field below ``lo`` wraps in ``key
+- SUB`` and sets its guard bit there (a borrow it passes upward can only
+add guard bits above a field that already failed).  A pair whose key fails
+the test only in a field bounded by the storage limit overflows and
+raises.  Only a z or hbar window sets a lower bound above 0, and those
+fields sit at the top, so no borrow reaches the x-total field, whose
+guard bit alone ends a bucket sorted by x-total.
 
 The cut at the top field replaces that test in the pair loop where two
-fields decide it.  The top field is a key's most significant one (the
-p-weight, else the x-total, else u), so sorting keys as integers sorts
-them by it.  Take a layout without z or hbar (its bias is 0) under a spec
-that bounds every field (``OVER == 0``: an x_i through the x-total, a p_l
-through the p-weight), where each bounded direction is the bucket field
-(u, or the p-weight without u) or the top field.  Every x_i is at most the
-x-total and every p_l at most the p-weight over l, and no field of a sum
-of two stored keys carries, so a pair lies in the spec exactly when its
-bucket fits and its top field ``top(k1) + top(k2)`` is at most the top
-bound H, that is when ``k2 < (H + 1 - top(k1)) << shift`` (the fields
-of k2 below its top one read less than ``1 << shift``).  A bucket sorted by
-raw key then ends at the first k2 past that limit, and every pair before
-it is kept with no test.  Laurent windows, a direction bounded only by
-storage and a third bounded direction (x-total with p-weight) keep the
-guard test.
+fields decide it.  The top field is a key's most significant one (hbar,
+else z, else the p-weight, else the x-total, else u), so sorting keys as
+integers sorts them by it.  Take a spec that bounds every field (``OVER ==
+0``: an x_i through the x-total, a p_l through the p-weight), where each
+bounded direction among the five is the bucket field (u, or the p-weight
+without u) or the top field.  Every x_i is at most the x-total and every
+p_l at most the p-weight over l, and no field of a sum of two stored keys
+carries, so a pair lies under every upper bound exactly when its bucket
+fits and its top field ``top(k1) + top(k2)`` is at most the top bound H,
+that is when ``k2 < (H + 1 - top(k1)) << shift`` (the fields of k2 below
+its top one read less than ``1 << shift``).  It lies above the low end of
+a window too: two terms at or above it sum past it, and an operand under
+a wider spec, whose terms may lie below, makes the sum's spec mixed, so
+that ``series()`` drops what lies outside.  A bucket sorted by raw key
+then ends at the first k2 past that limit, and every pair before it is
+kept with no test.  A direction bounded only by storage and a third
+bounded direction (the x-total with the p-weight or a z window, say) keep
+the guard test.
 
 Series are immutable after construction; all operations are pure.
 """
@@ -125,9 +120,8 @@ _NO_BOUND = None
 
 _FIELD_BITS = 24
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
-_EXP_LIMIT = 1 << (_FIELD_BITS - 3)  # |exponent|, x-total and p-weight stay below
+_EXP_LIMIT = 1 << (_FIELD_BITS - 3)  # every exponent, x-total and p-weight stays below
 _GUARD = 1 << (_FIELD_BITS - 1)
-_LAURENT_BIAS = 2 * _EXP_LIMIT
 # the directions of ``_Layout.metric`` and ``TruncationSpec.windows``, in order
 _DIRECTIONS = ("xt", "u", "z", "hbar", "pw")
 
@@ -203,7 +197,7 @@ class _Layout:
     compiled from it, and ``pack`` and ``fits`` (the monomial has the set's
     arity and obeys the sign and overflow rules) once per layout.  ``pack``
     trusts its argument, so a monomial from outside goes through ``fits``
-    first.  ``bias`` is the key of the monomial 1.
+    first.
     """
 
     def __init__(self, vars_: VariableSet):
@@ -223,39 +217,29 @@ class _Layout:
         self.names = vars_.names
         self.fields = [(kind, f * _FIELD_BITS, l) for f, (_n, kind, _e, l) in enumerate(fields)]
         self.shift = {name: f * _FIELD_BITS for f, (name, *_rest) in enumerate(fields)}
-        self.bias = 0
         lim = _EXP_LIMIT
         packed, checks = [], [f"len(m) == {vars_.nvars}"]
         self.decoded = dict.fromkeys(_DIRECTIONS, "0")
         for f, (name, kind, expr, _l) in enumerate(fields):
             s = f * _FIELD_BITS
             packed.append(f"(({expr}) << {s})")
-            decoded = f"((k >> {s}) & {_FIELD_MASK})"
-            if kind in ("z", "hbar"):
-                self.bias += _LAURENT_BIAS << s
-                decoded = f"({decoded} - {_LAURENT_BIAS})"
-                checks.append(f"{-lim} <= {expr} < {lim}")
-            elif kind == "u":  # an x_i or p_l is bounded by its total, u by itself
-                checks.append(f"0 <= {expr} < {lim}")
+            self.decoded[name] = f"((k >> {s}) & {_FIELD_MASK})"
+            if kind in ("xt", "pw"):  # an x_i or p_l is bounded by its total
+                checks.append(f"{expr} < {lim}")
             else:
-                checks.append(f"{expr} < {lim}" if kind in ("xt", "pw") else f"{expr} >= 0")
-            self.decoded[name] = decoded
-        self.pack = eval(f"lambda m: {' + '.join(packed) or '0'} + {self.bias}")
+                checks.append(f"{expr} >= 0" if kind in ("x", "p") else f"0 <= {expr} < {lim}")
+        self.pack = eval(f"lambda m: {' + '.join(packed) or '0'}")
         self.unpack, self.metric = _reader(self, vars_.names), _reader(self, _DIRECTIONS)
         self.fits = eval(f"lambda m: {' and '.join(checks)}")
 
     @cached_property
     def text_order(self):
         """``key -> int``, the sort key of the text forms, compiled: the
-        graded degree (|e| for x, u, z and hbar, l * e for p_l: the sum of
-        ``|metric|``) above one field per variable in name order, z and
-        hbar biased, so that integers order as (degree, exponents) do."""
+        graded degree (e for x, u, z and hbar, l * e for p_l: the sum of
+        ``metric``) above one field per variable in name order, so that
+        integers order as (degree, exponents) do."""
         d, n = self.decoded, len(self.names)
-        degree = " + ".join(
-            f"abs({d[kind]})" if kind in ("z", "hbar") else d[kind]
-            for kind in _DIRECTIONS
-            if d[kind] != "0"
-        ) or "0"
+        degree = " + ".join(d[kind] for kind in _DIRECTIONS if d[kind] != "0") or "0"
         fields = "".join(
             f" | (((k >> {self.shift[name]}) & {_FIELD_MASK}) << {(n - 1 - i) * _FIELD_BITS})"
             for i, name in enumerate(self.names)
@@ -283,13 +267,11 @@ class _Layout:
         if len(mono) != len(names):
             raise SeriesError(f"monomial {mono} has wrong arity for {names}")
         for name, e in zip(names, mono):
-            if e < 0 and name not in ("z", "hbar"):
-                raise SeriesError(
-                    f"monomial {mono} has {name}^{e}: only z and hbar may go below 0"
-                )
+            if e < 0:
+                raise SeriesError(f"monomial {mono} has {name}^{e}: no exponent may go below 0")
         raise SeriesError(
             f"monomial {mono} does not fit a packed key: every exponent, the "
-            f"x-total and the p-weight must lie below {_EXP_LIMIT} in absolute value"
+            f"x-total and the p-weight must lie below {_EXP_LIMIT}"
         )
 
 
@@ -336,9 +318,10 @@ def _masks(layout: _Layout, spec: "TruncationSpec", l: int = 1) -> tuple:
     :func:`_outside`, shares no code with them.
     """
     for kind, window in (("z", spec.z_window), ("hbar", spec.hbar_window)):
-        if window is not None and kind not in layout.shift and not window[0] <= 0 <= window[1]:
+        if window is not None and kind not in layout.shift and window[0] > 0:
             return 0, 1, -1, 0, 0, None  # key | (key - 1) is nonzero for every key >= 0
     s_cap, w_cap = spec.x_total_max, spec.p_weight_max
+    st_hi = (_EXP_LIMIT - 1) // l
     add = sub = guard = over = xguard = 0
     top = None  # (kind, shift, hi) of the last, most significant field
     for kind, shift, p_l in layout.fields:
@@ -352,31 +335,22 @@ def _masks(layout: _Layout, spec: "TruncationSpec", l: int = 1) -> tuple:
         elif kind == "pw":
             hi = w_cap
         else:
-            window = spec.z_window if kind == "z" else spec.hbar_window
-            lo, hi = window if window is not None else (None, None)
-        laurent = kind in ("z", "hbar")
-        st_lo = -(_EXP_LIMIT // l) if laurent else 0
-        st_hi = (_EXP_LIMIT - 1) // l
+            lo, hi = (spec.z_window if kind == "z" else spec.hbar_window) or (0, None)
         bit = _GUARD << shift
         if hi is None or hi // l > st_hi:
             hi, over = st_hi, over | bit
         else:
-            hi = max(hi // l, st_lo - 1)
-        if lo is None or -(-lo // l) < st_lo:
-            lo, over = st_lo, over | bit
-        else:
-            lo = min(-(-lo // l), st_hi + 1)
-        bias = _LAURENT_BIAS if laurent else 0
-        add |= (_GUARD - 1 - (hi + bias)) << shift
-        sub |= (lo + bias) << shift
+            hi //= l
+        add |= (_GUARD - 1 - hi) << shift
+        sub |= min(-(-lo // l), st_hi + 1) << shift
         guard |= bit
         if kind == "xt" and not over & bit:
             xguard = bit
         top = kind, shift, hi
     cut = None
-    if top is not None and not over and layout.bias == 0:  # every field bounded, none Laurent
+    if top is not None and not over:  # every field bounded
         bucket = "u" if "u" in layout.shift else "pw"
-        if {kind for kind, _s, _l in layout.fields if kind in ("xt", "u", "pw")} <= {bucket, top[0]}:
+        if {kind for kind, _s, _l in layout.fields if kind in _DIRECTIONS} <= {bucket, top[0]}:
             cut = top[1], top[2] + 1
     return add, sub, guard, over, xguard, cut
 
@@ -397,11 +371,12 @@ def _passes(masks, key: int) -> bool:
 class TruncationSpec:
     """Bounds defining which monomials a series stores exactly.
 
-    ``u_max``     highest u-exponent kept (T); u is never Laurent, so a
-                  bounded u has the lower bound 0.
+    ``u_max``     highest u-exponent kept (T); a bounded u has the
+                  lower bound 0.
     ``x_total_max`` cap S on the *total* x-degree (default T+1 at
                   construction sites: genus >= 0 forces |s| <= t + 1).
-    ``z_window``/``hbar_window``  inclusive (lo, hi) exponent windows.
+    ``z_window``/``hbar_window``  inclusive (lo, hi) exponent windows,
+                  both ends >= 0.
     ``p_weight_max`` cap W on the weighted p-degree, weight(p_l) = l.
     """
 
@@ -416,6 +391,10 @@ class TruncationSpec:
             bound = getattr(self, name)
             if bound is not None and bound < 0:
                 raise SeriesError(f"{name} must be >= 0")
+        for name in ("z_window", "hbar_window"):
+            window = getattr(self, name)
+            if window is not None and min(window) < 0:
+                raise SeriesError(f"{name} {window} must lie in the exponents >= 0")
 
     @cached_property
     def windows(self) -> tuple:
@@ -438,8 +417,7 @@ class TruncationSpec:
 
 def _outside(spec: TruncationSpec, metric) -> int:
     """0 inside the spec, 1 past an upper bound (ordinary truncation), -1
-    below the low end of a z/hbar window only (the other directions are
-    never negative)."""
+    below a lower bound only."""
     bounded = [(w, e) for w, e in zip(spec.windows, metric) if w is not None]
     if any(e > w[1] for w, e in bounded):
         return 1
@@ -465,13 +443,10 @@ def _below_error(vars_: VariableSet, spec: TruncationSpec, target, source) -> Se
     return SeriesError(f"monomial {names} (from {source}) lies below the lower bounds of {spec}")
 
 
-def _climbing(spec: TruncationSpec, metrics) -> tuple[int, ...]:
+def _climbing(spec: TruncationSpec) -> tuple[int, ...]:
     """The directions the powers of a series climb in (module docstring),
-    as positions in a ``_Layout.metric`` tuple: those the spec bounds above
-    where no metric in ``metrics`` (one per monomial in the spec) is
-    negative.  Where the window's low end is >= 0, none can be."""
-    bounded = [(d, w[0]) for d, w in enumerate(spec.windows) if w is not None]
-    return tuple(d for d, lo in bounded if lo >= 0 or all(m[d] >= 0 for m in metrics))
+    as positions in a ``_Layout.metric`` tuple: every one the spec bounds."""
+    return tuple(d for d, w in enumerate(spec.windows) if w is not None)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -497,7 +472,8 @@ def _regrader(source: VariableSet, target: VariableSet, images: tuple, parity: t
     ones) moves by one shift and mask per run of neighbours, and ``fits``
     checks each other field's storage range (the sign and overflow rules)
     and that the ``dropped`` names (the target lacks them and no form reads
-    them) are 0.  ``shape(key)`` is the target monomial."""
+    them) are 0.  ``shape(key)`` is the target monomial and its
+    ``_Layout.metric``, read without packing it."""
     if sign not in (1, -1):
         raise SeriesError(f"regrade sign must be 1 or -1, got {sign}")
     src, tgt, forms = source.layout, target.layout, dict(images)
@@ -520,19 +496,20 @@ def _regrader(source: VariableSet, target: VariableSet, images: tuple, parity: t
     odd = f"({affine(parity)} + {int(sign < 0)}) & 1"
     dropped = tuple(n for n in source.names if n not in target.positions and n not in read)
     drop = sum(_FIELD_MASK << src.shift[n] for n in dropped)
-    fits, key, runs = [f"k & {drop} == {src.bias & drop}"], [], []  # a run: [from, to, width]
+    fits, key, runs = [f"k & {drop} == 0"], [], []  # a run: [from, to, width]
     for n, t in tgt.shift.items():
-        lo, bias = (-_EXP_LIMIT, _LAURENT_BIAS) if n in ("z", "hbar") else (0, 0)
         if n not in moved:
-            fits.append(f"{lo} <= {values[n]} < {_EXP_LIMIT}")
-            key.append(f"(({values[n]} + {bias}) << {t})")
+            fits.append(f"0 <= {values[n]} < {_EXP_LIMIT}")
+            key.append(f"(({values[n]}) << {t})")
         elif runs and runs[-1][0] + runs[-1][2] == src.shift[n] and runs[-1][1] + runs[-1][2] == t:
             runs[-1][2] += _FIELD_BITS
         else:
             runs.append([src.shift[n], t, _FIELD_BITS])
     key += [f"(((k >> {s}) & {(1 << w) - 1}) << {t})" for s, t, w in runs]
     image = eval(f"lambda k: ({' and '.join(fits)}, {' + '.join(key) or 0}, {odd})")
-    shape = eval(f"lambda k: ({''.join(values[n] + ', ' for n in target.names)})")
+    mono = "".join(values[n] + ", " for n in target.names)
+    metric = "".join(values.get(d, "0") + ", " for d in _DIRECTIONS)
+    shape = eval(f"lambda k: (({mono}), ({metric}))")
     return image, shape, dropped
 
 
@@ -552,11 +529,10 @@ def _bucketed(layout: _Layout, shift: int | None, items) -> list:
     order, the bucket key being the field at ``shift`` (0 for every item
     when ``shift`` is None).  A layout with an x-total below its top field
     sorts each bucket by x-total, for the x-total break of the guard test.
-    Any other layout without z or hbar sorts it by raw key, so by its top
-    field first, for the cut at the top field (:meth:`_LinearSum._pairs`);
-    there the top field is the x-total when the layout has one, so both
-    orders serve the guard test too.  A layout with z or hbar and no
-    x-total needs no order."""
+    Any other layout sorts it by raw key, so by its top field first, for
+    the cut at the top field (:meth:`_LinearSum._pairs`); there the top
+    field is the x-total when the layout has one, so both orders serve the
+    guard test too."""
     mask = _FIELD_MASK
     if shift is None:
         buckets = {0: list(items)}
@@ -568,7 +544,7 @@ def _bucketed(layout: _Layout, shift: int | None, items) -> list:
     if xs is not None and layout.fields[-1][0] != "xt":
         for lst in buckets.values():
             lst.sort(key=lambda it: (it[0] >> xs) & mask)
-    elif layout.bias == 0:
+    else:
         for lst in buckets.values():
             lst.sort()  # keys are distinct, so no numerator is compared
     return sorted(buckets.items())
@@ -590,8 +566,8 @@ class _LinearSum:
     scale ``num * (D // den)``, so no numerator is ever rescaled.  The
     operands stay alive until then.
 
-    A product is never built as a series: a pair's key is ``k1 + k2 -
-    BIAS``.  The right operand of a product is bucketed (:func:`_bucketed`,
+    A product is never built as a series: a pair's key is ``k1 + k2``.
+    The right operand of a product is bucketed (:func:`_bucketed`,
     cached per series) by the dominant bounded direction (u, or p-weight
     when u is absent), so the loop leaves the buckets past the left key's
     room in that direction unvisited.  Where the bucket field and the top
@@ -702,7 +678,7 @@ class _LinearSum:
         mask = _FIELD_MASK
         get = out.get
         hi = 0
-        if cut is not None:  # the layout has no bias
+        if cut is not None:
             ts, room = cut
             for k1, c1 in a_items:
                 if shift is not None:
@@ -718,11 +694,9 @@ class _LinearSum:
                         key = k1 + k2
                         out[key] = get(key, 0) + c1 * c2
             return
-        bias = layout.bias
         for k1, c1 in a_items:
             if shift is not None:
                 hi = cap - ((k1 >> shift) & mask)
-            k1 -= bias
             ka = k1 + add
             ks = k1 - sub
             c1 *= scale
@@ -870,7 +844,7 @@ class TruncatedSeries:
 
     def constant_term(self):
         den, items = self._ints
-        n = items.get(self.vars.layout.bias)
+        n = items.get(0)  # the key of the monomial 1
         return QQ(0) if n is None else QQ(n, den)
 
     def __eq__(self, other) -> bool:
@@ -962,7 +936,7 @@ class TruncatedSeries:
         windows = spec.windows
         items = list(self._ints[1].items())
         metrics = [layout.metric(key) for key, _n in items]
-        climbing = _climbing(spec, metrics)
+        climbing = _climbing(spec)
         positive = [d for d in climbing if all(m[d] for m in metrics)]
         if positive:  # min keeps the first of equal bounds
             climbing = (min(positive, key=lambda d: windows[d][1]),)
@@ -1015,11 +989,10 @@ class TruncatedSeries:
         """
         vars_, spec = self.vars, self.spec
         layout = vars_.layout
-        origin = layout.bias
         f = self
         d_self, terms = self._ints
-        if origin in terms:
-            rest = {k: n for k, n in terms.items() if k != origin}
+        if 0 in terms:  # the key of the monomial 1
+            rest = {k: n for k, n in terms.items() if k}
             f = TruncatedSeries._from_ints(vars_, spec, d_self, rest)
         grades, top = f._grades()
         d_f = f._ints[0]
@@ -1035,8 +1008,8 @@ class TruncatedSeries:
         sign = 1 if exp else -1
         kmax = max(grades, default=0)
         # (den, grade); exp's grade 0 is the monomial 1, where the spec holds it
-        seed = exp and _passes(_masks(layout, spec), origin)
-        out = [(1, [(origin, 1)])] if seed else []
+        seed = exp and _passes(_masks(layout, spec), 0)
+        out = [(1, [(0, 1)])] if seed else []
         empty_run = 0
         for n in range(1, top + 1):
             pairs = [(w[k], g[n - k]) for k in range(1, n) if k in w and n - k in g]
@@ -1109,14 +1082,12 @@ class TruncatedSeries:
         substituted (carried) must exist under the same name in the result
         set.  Substituting ``u`` requires every monomial of the replacement
         to have positive weight in the directions it climbs in (module
-        docstring), so that the source truncation at u^T stays sound.  A
-        variable occurring with negative exponents can only be replaced by
-        an invertible term (single monomial with nonzero coefficient).
+        docstring), so that the source truncation at u^T stays sound.
 
         The source monomials are grouped by their pattern: the exponents of
         the carried z and hbar, then those at the substituted positions.
-        A pattern's product is its carried Laurent factor (1 when there is
-        none) times the replacement powers in position order, each product
+        A pattern's product is its carried z and hbar factor (1 when there
+        is none) times the replacement powers in position order, each product
         truncated to the result spec.  The patterns are walked in
         lexicographic order, keeping only the stack of products along the
         current prefix, so each distinct prefix is multiplied out once.
@@ -1131,8 +1102,9 @@ class TruncatedSeries:
         does; once X*t_i is past an upper bound, so is X*t_j for every later
         j.  So the chains that end inside the spec are the same whether X
         multiplies first, truncating every step, or last, and so are the
-        terms they give.  A carried z or hbar has no such argument, since a
-        window may hold negative exponents: it starts the chain.
+        terms they give.  A carried z or hbar has no such argument, since
+        X*t_i may lie in a window whose low end t_i lies below: it starts
+        the chain.
         """
         if not assignments:
             return self
@@ -1146,7 +1118,7 @@ class TruncatedSeries:
 
         if "u" in repls:
             metrics = [tvars.layout.metric(key) for key in repls["u"]._ints[1]]
-            if not all(map(_weight(_climbing(tspec, metrics)), metrics)):
+            if not all(map(_weight(_climbing(tspec)), metrics)):
                 raise SeriesError(
                     "substituting u requires a replacement of positive order "
                     "in a climbing direction (u <- constant is unsound)"
@@ -1156,15 +1128,14 @@ class TruncatedSeries:
         for name in set(names) - repls.keys() - tvars.positions.keys():
             raise KeyError(name)  # a carried variable must exist in the result set
         substituted = [n for n in names if n in repls]  # in position order
-        laurent = [n for n in names if n in ("z", "hbar") and n not in repls]  # carried
+        rooted = [n for n in names if n in ("z", "hbar") and n not in repls]  # carried
         power_cache: dict[tuple[int, int], TruncatedSeries] = {}
 
         def repl_power(j: int, e: int) -> TruncatedSeries:
             """The j-th substituted replacement to the power e."""
             got = power_cache.get((j, e))
             if got is None:
-                series = repls[substituted[j]]
-                got = power_cache[j, e] = series ** e if e > 0 else _invert_term(series) ** -e
+                got = power_cache[j, e] = repls[substituted[j]] ** e
             return got
 
         layout = tvars.layout
@@ -1172,13 +1143,13 @@ class TruncatedSeries:
         # X: the regrade (:func:`_regrader`) that carries x, u and p and zeroes the rest
         zeroed = tuple((n, ()) for n in tvars.names if n in repls or n in ("z", "hbar"))
         carried = _regrader(self.vars, tvars, zeroed, (), 1)[0]  # X's key is its second value
-        pattern_of = _reader(self.vars.layout, (*laurent, *substituted))
+        pattern_of = _reader(self.vars.layout, (*rooted, *substituted))
         den, items = self._ints
         groups: dict[tuple[int, ...], list] = {}  # pattern -> [(key of X, numerator)]
         for key, n in items.items():
             groups.setdefault(pattern_of(key), []).append((carried(key)[1], n))
 
-        nl = len(laurent)
+        nl = len(rooted)
         masks = _masks(layout, tspec)
         shift = _bucket_field(layout, tspec)[0]
         out = _LinearSum(tvars, tspec)
@@ -1187,10 +1158,10 @@ class TruncatedSeries:
         for pattern in sorted(groups):
             keep = 0  # positions whose products the previous pattern left on the stack
             if prev is None or pattern[:nl] != prev[:nl]:
-                root = pack(tvars.monomial(dict(zip(laurent, pattern))))
+                root = pack(tvars.monomial(dict(zip(rooted, pattern))))
                 kept = _passes(masks, root)
                 stack = [TruncatedSeries._from_ints(tvars, tspec, 1, {root: 1} if kept else {})]
-                unit = stack[0] if kept and root == layout.bias else None
+                unit = stack[0] if kept and root == 0 else None
             else:
                 while pattern[nl + keep] == prev[nl + keep]:
                     keep += 1
@@ -1231,13 +1202,13 @@ class TruncatedSeries:
         coefficients are undefined, raises :class:`OutOfBoundsError`."""
         vars_ = self.vars
         layout = vars_.layout
-        # keys are linear in the exponents: removing the factor subtracts its key
-        shift = layout.pack(vars_.monomial({name: degree})) - layout.bias
         window = dict(zip(_DIRECTIONS, self.spec.windows)).get(name)
         if window is not None and not window[0] <= 0 <= window[1]:
             raise SeriesError(f"grade_extract puts terms at {name}^0, outside the window {window}")
         if window is not None and not window[0] <= degree <= window[1]:
             raise OutOfBoundsError(f"{name}^{degree} lies outside the window {window} of {self.spec}")
+        # keys are linear in the exponents: removing the factor subtracts its key
+        shift = layout.pack(vars_.monomial({name: degree}))
         read, grade = _reader(layout, (name,)), (degree,)
         den, items = self._ints
         out = {k - shift: n for k, n in items.items() if read(k) == grade}
@@ -1270,10 +1241,12 @@ class TruncatedSeries:
         ``vars_`` lacks and no form reads must be 0.  ``c * mono`` goes to
         ``sign * (-1)^parity(mono) * c`` at the image, ``sign`` 1 or -1.
         An image past an upper bound of ``spec`` is dropped; one below a
-        lower bound (which the spec promised to keep), one that breaks the
-        sign or overflow rule, two monomials on one image and a nonzero
-        dropped variable raise :class:`SeriesError`, and so does a spec
-        that holds no monomial of ``vars_`` (:func:`_check_windows`).  The
+        lower bound (which the spec promised to keep: a negative exponent
+        in a direction the spec bounds, or one below a window's low end),
+        one that breaks the sign or overflow rule elsewhere, two monomials
+        on one image and a nonzero dropped variable raise
+        :class:`SeriesError`, and so does a spec that holds no monomial of
+        ``vars_`` (:func:`_check_windows`).  The
         map is compiled once (:func:`_regrader`) and runs on the integer
         form: no ``QQ``.
         """
@@ -1292,7 +1265,13 @@ class TruncatedSeries:
                 name = next((v for v in dropped if mono[v]), None)
                 if name is not None:
                     raise SeriesError(f"regrading drops {name}, which monomial {mono} holds")
-                layout.reject(shape(key))
+                target, metric = shape(key)
+                where = _outside(spec, metric)
+                if where > 0:
+                    continue  # past an upper bound
+                if where < 0:
+                    raise _below_error(vars_, spec, target, unpack(key))
+                layout.reject(target)
             if ((k2 + add) | (k2 - sub)) & guard:
                 if (k2 + add) & guard:
                     continue  # past an upper bound
@@ -1346,44 +1325,24 @@ class TruncatedSeries:
 def _raise_exponents(series: TruncatedSeries, l: int) -> TruncatedSeries:
     """x_i <- x_i^l, u <- u^l (all variables raised), for the plethystic
     transforms of :mod:`linkchi.special`.  Past an upper bound a monomial
-    drops; below a z/hbar window (or past the storage limit of a field) it
-    raises :class:`SeriesError`, as :meth:`TruncatedSeries.regrade` does.
+    drops; past the storage limit of a field it raises :class:`SeriesError`.
+    None lands below a window: a stored exponent e >= lo has l e >= lo.
 
     Runs on the integer form: raising multiplies every field of a packed
-    key by l, so the key of the raised monomial is ``key * l`` less the
-    Laurent bias ``l - 1`` times, and the bound test with the spec's
-    bounds divided by l (:func:`_masks`) decides on the source key, before
-    any field can overflow.  The denominator is kept.
+    key by l, so the key of the raised monomial is ``key * l``, and the
+    bound test with the spec's bounds divided by l (:func:`_masks`)
+    decides on the source key, before any field can overflow.  The
+    denominator is kept.
     """
-    vars_, spec = series.vars, series.spec
-    layout = vars_.layout
-    add, sub, guard, over = _masks(layout, spec, l)[:4]
-    shift = layout.bias * (l - 1)
+    layout = series.vars.layout
+    add, _sub, guard, over = _masks(layout, series.spec, l)[:4]
     den, items = series._ints
     out = {}
     for key, n in items.items():
-        if ((key + add) | (key - sub)) & guard:
-            if (key + add) & (guard ^ over):
-                continue  # past an upper bound of the spec
-            mono = layout.unpack(key)
-            raised = tuple(e * l for e in mono)
-            layout.key(raised)  # raises when a field overflows
-            raise _below_error(vars_, spec, raised, mono)
-        out[key * l - shift] = n
-    return TruncatedSeries._from_ints(vars_, spec, den, out)
-
-
-def _invert_term(series: TruncatedSeries) -> TruncatedSeries:
-    """Inverse of a single-term series (negate exponents, invert coefficient)."""
-    den, items = series._ints
-    if len(items) != 1:
-        raise SeriesError(
-            "negative exponents only substitutable by a single invertible term"
-        )
-    (key, n), = items.items()
-    layout = series.vars.layout
-    inv = tuple(-e for e in layout.unpack(key))
-    if not layout.fits(inv) or not _passes(_masks(layout, series.spec), layout.pack(inv)):
-        raise OutOfBoundsError(f"inverse monomial {inv} falls outside the spec")
-    sign = -1 if n < 0 else 1
-    return TruncatedSeries._from_ints(series.vars, series.spec, sign * n, {layout.pack(inv): sign * den})
+        past = (key + add) & guard
+        if past & (guard ^ over):
+            continue  # past an upper bound of the spec
+        if past:
+            layout.key(tuple(e * l for e in layout.unpack(key)))  # raises: a field overflows
+        out[key * l] = n
+    return TruncatedSeries._from_ints(series.vars, series.spec, den, out)

@@ -222,11 +222,11 @@ def _v_factors(l: int, sigma_d: int, top: int) -> tuple:
 
 def _final_terms(x: TruncatedSeries, factor: tuple, k: int, top: int, step: int, genus=None):
     """The terms of ``x * f(v^k)``, f a frozen factor of :func:`_v_factors`
-    and x a series with no positive exponent in v, as ``(den, runs)`` for
+    and x a series free of v, as ``(den, runs)`` for
     :meth:`~linkchi.series._LinearSum.add_runs`: a run ``(k e step, m,
     items)`` adds ``m n`` at ``key + k e step`` for each item ``(key, n)``,
     the factor term ``m v^e`` met by x's terms at the key offset of
-    v^(k e), ``step`` being the key of v less the bias.  One run per factor
+    v^(k e), ``step`` being the key of v.  One run per factor
     term with k e <= top, over all of x's items; with ``genus`` g (x/u
     layouts only) x's items are grouped by x-total s once, and a factor
     term meets only the group with k e = s + g - 1."""
@@ -278,10 +278,10 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
     loop.  The runs hold exactly the terms of the truncated product of X^n
     and f(v^k), with no bound test, because no P_n, and so no term of X^n,
     has a positive exponent in v (checked here; true of the x/u layout of
-    F^pi, the p layout of the graph supercharacters and the hbar-Laurent
-    layout of the envelope).  A term of X^n lies in the spec with
-    v-exponent a <= 0, and v^(k e) adds k e >= 0 to it: the pair lies in
-    the spec when k e <= top, and the pairs with k e > top, among them
+    F^pi, the p layout of the graph supercharacters and the hbar +
+    p-weight grade of the envelope).  A term of X^n lies in the spec with
+    v-exponent 0, and v^(k e) puts k e there: the pair lies in the spec
+    when k e <= top, and the pairs with k e > top, among them
     every ``V_l^j`` with j > t_max/(kl), are those that truncating f(v^k)
     to the spec drops.  The monomial 1 must lie in the spec (checked
     here).
@@ -297,14 +297,14 @@ def _mobius_double_sum(vars_, spec, var: str, sigma_d: int, t_max: int, power_su
     """
     layout = vars_.layout
     window = spec.windows[_DIRECTIONS.index(var)]
-    if window is None or not _passes(_masks(layout, spec), layout.bias):
+    if window is None or not _passes(_masks(layout, spec), 0):
         raise SeriesError(
             f"the double sum needs an upper bound on {var} and the monomial 1 in {spec}"
         )
     if genus is not None and (var, vars_.nvars) != ("u", vars_.hodge_count + 1):
         raise SeriesError(f"a genus layer of the double sum needs an x/u layout, not {vars_.names}")
     top = window[1]
-    step = layout.pack(vars_.monomial({var: 1})) - layout.bias
+    step = layout.pack(vars_.monomial({var: 1}))
     sums = {n: power_sum(n) for n in range(1, 2 * t_max + 1)}
     for n, p_n in sums.items():
         if max(p_n.exponents_of(var), default=0) > 0:
@@ -392,8 +392,8 @@ def _plethystic_bound(series: TruncatedSeries) -> int:
     so degree >= l there after raising, and for l above every bound each
     such monomial leaves the spec.
     """
-    spec, metric = series.spec, series.vars.layout.metric
-    climbing = _climbing(spec, [metric(key) for key in series._ints[1]])
+    spec = series.spec
+    climbing = _climbing(spec)
     if not climbing:
         raise SeriesError("plethystic transforms need a truncated direction")
     return max(spec.windows[d][1] for d in climbing)
@@ -442,7 +442,7 @@ def plethystic_exp(series: TruncatedSeries) -> TruncatedSeries:
     layout = vars_.layout
     den, items = series._ints
     metrics = {k: layout.metric(k) for k in items}
-    weight = _weight(_climbing(spec, metrics.values()))
+    weight = _weight(_climbing(spec))
     # n / den is an integer iff den divides n
     bad = [k for k, n in items.items() if n % den or not weight(metrics[k])]
     if bad:  # name the first offending monomial in graded-lex order

@@ -42,7 +42,8 @@ Route ledger: the code paths each cross-route check compares.
   genus-0/1 closed form", the genus layers of the double sum against
   ``genus0_closed`` and ``genus1_closed`` (direct log sums); "genus-0/1
   dims at z=-1", which pins only the sign (-1)^e of ``genus{0,1}_dims``,
-  the closed forms regraded to degree e.
+  the closed forms regraded to the shifted degree e + sum_i m_i s_i: it
+  sends z to -1 and each x_i to (-1)^(m_i) x_i.
 
 * ``cycle-index``:
 
@@ -52,11 +53,13 @@ Route ledger: the code paths each cross-route check compares.
     power sums -p_n and sum_i (-1)^(m_i-1) x_i^n, so this pins only
     ``specialize_colors`` and ``substitute``, not the double sum.
   - "modular envelope two routes": ``mod_envelope_supercharacter``
-    (``z_graph_supercharacter`` regraded by genus) against
-    ``mod_envelope_supercharacter_direct`` (the double sum in hbar).  Both
-    sides run the double sum, so this pins the genus regrading and the
-    hbar windows only.  Sharing the engine with F^pi lost nothing here:
-    the two routes already shared one copy of the double sum before.
+    (``z_graph_supercharacter`` at P_n = -p_n in u, regraded by genus)
+    against ``mod_envelope_supercharacter_direct`` (the double sum at
+    P_n = sign * p_n in hbar + p-weight, regraded to genus).  The det
+    sides run the same double sum in a renamed variable, so this pins
+    only the plain twist's p-sign parity and the genus map.  Sharing the
+    engine with F^pi lost nothing here: the two routes already shared one
+    copy of the double sum before.
   - "tree-level Euler specialization vs genus-0 closed form", and "tree
     (hedgehog) dims vs genus-0 (genus-1) dims": ``z_lie_cyclic`` (the
     dihedral ``_z_dihedral_induced``) regraded and specialized, against
@@ -389,9 +392,15 @@ def _drop_hbar(series: TruncatedSeries, cfg: LinkConfig) -> TruncatedSeries:
 
 
 def _z_to_minus_one(series: TruncatedSeries, cfg: LinkConfig) -> TruncatedSeries:
+    """A dims series at z = -1: it stores z^(e + sum_i m_i s_i), so each
+    x_i goes to (-1)^(m_i) x_i as well, which leaves (-1)^e."""
     vars_ = cfg.xu_vars()
     spec = TruncationSpec(u_max=series.spec.u_max, x_total_max=series.spec.x_total_max)
-    return series.substitute({"z": TruncatedSeries.constant(vars_, spec, -1)})
+    repls = {
+        f"x{i}": TruncatedSeries.term(vars_, spec, {f"x{i}": 1}, (-1) ** m)
+        for i, m in enumerate(cfg.require_values()[0], 1)
+    }
+    return series.substitute({"z": TruncatedSeries.constant(vars_, spec, -1), **repls})
 
 
 def check_cycle_index(res: CheckResult, t_max: int = 8) -> None:

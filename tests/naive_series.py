@@ -76,8 +76,7 @@ def naive_substitute(series: TruncatedSeries, assignments) -> TruncatedSeries:
     """Sum of ``c * prod_v assignments[v]^e_v`` over the terms of ``series``,
     each power a repeated ``naive_mul`` in variable order, starting from the
     carried monomial: a variable not replaced keeps its exponent under the
-    same name.  A negative exponent multiplies by the inverse of a
-    single-term replacement."""
+    same name."""
     first = next(iter(assignments.values()))
     vars_, spec = first.vars, first.spec
     terms = []
@@ -88,10 +87,7 @@ def naive_substitute(series: TruncatedSeries, assignments) -> TruncatedSeries:
             if name not in assignments:
                 continue
             factor = assignments[name]
-            if e < 0:
-                (m, a), = factor.coeffs.items()
-                factor = TruncatedSeries(vars_, spec, {tuple(-x for x in m): 1 / a})
-            for _ in range(abs(e)):
+            for _ in range(e):
                 term = naive_mul(term, factor)
         terms.append((1, term))
     return naive_sum(vars_, spec, terms)
@@ -103,9 +99,10 @@ def naive_regrade(series: TruncatedSeries, vars_, spec, images=None, parity=None
     and the p-weight summed name by name, the bounds read from the spec's
     fields, and the result built through the constructor.  Each monomial
     is checked in the order ``regrade`` checks it (a dropped nonzero
-    variable, a negative exponent outside z and hbar, below a lower bound
-    and past no upper one, then a second monomial on the same image), and
-    the error names its case."""
+    variable; past an upper bound, where it drops; below a lower bound,
+    0 in a direction the spec bounds or a window's low end; a negative
+    exponent elsewhere; then a second monomial on the same image), and the
+    error names its case."""
     images, parity = images or {}, parity or {}
     read = {name for form in (*images.values(), parity) for name, c in form.items() if c}
     upper = {"xt": spec.x_total_max, "u": spec.u_max, "pw": spec.p_weight_max}
@@ -124,17 +121,19 @@ def naive_regrade(series: TruncatedSeries, vars_, spec, images=None, parity=None
             return sum(k * e[name] for name, k in form.items())
 
         image = {n: value(images[n]) if n in images else e.get(n, 0) for n in vars_.names}
-        if any(v < 0 for n, v in image.items() if n not in ("z", "hbar")):
-            raise SeriesError(f"image {image} of {mono}: only z and hbar may go below 0")
+        target = tuple(image[n] for n in vars_.names)
         image["xt"] = sum(v for n, v in image.items() if n[0] == "x")
         image["pw"] = sum(int(n[1:]) * v for n, v in image.items() if n[0] == "p")
         past = [n for n, cap in upper.items() if cap is not None and image.get(n, 0) > cap]
         past += [n for n, w in windows.items() if w is not None and image.get(n, 0) > w[1]]
         if past:
             continue
-        if any(w is not None and image.get(n, 0) < w[0] for n, w in windows.items()):
+        below = [n for n, cap in upper.items() if cap is not None and image.get(n, 0) < 0]
+        below += [n for n, w in windows.items() if w is not None and image.get(n, 0) < w[0]]
+        if below:
             raise SeriesError(f"image {image} of {mono} lies below the lower bounds of {spec}")
-        target = tuple(image[n] for n in vars_.names)
+        if min(target, default=0) < 0:
+            raise SeriesError(f"image {image} of {mono}: no exponent may go below 0")
         if target in out:
             raise SeriesError(f"regrading sends two monomials to {target}")
         out[target] = c * sign * (-1) ** (value(parity) % 2)
@@ -143,11 +142,11 @@ def naive_regrade(series: TruncatedSeries, vars_, spec, images=None, parity=None
 
 def graded_lex(series: TruncatedSeries) -> list:
     """The monomials of ``series`` in the order of the text form: weighted
-    total degree (|e| for x, u, z and hbar, l * e for p_l), then lex."""
-    weights = [int(name[1:]) if name.startswith("p") else None for name in series.vars.names]
+    total degree (e for x, u, z and hbar, l * e for p_l), then lex."""
+    weights = [int(name[1:]) if name.startswith("p") else 1 for name in series.vars.names]
 
     def key(mono):
-        return sum(abs(e) if w is None else w * e for w, e in zip(weights, mono)), mono
+        return sum(w * e for w, e in zip(weights, mono)), mono
 
     return sorted(series.coeffs, key=key)
 
@@ -249,20 +248,18 @@ def _geometric_power(vars_, spec, mono, chi: int) -> TruncatedSeries:
 
 def _climbing_weight(series: TruncatedSeries):
     """The weight ``mono -> int`` of the monomials of ``series``: the
-    exponent sum over every direction the spec bounds above and where no
-    monomial of the whole series is negative, read field by field: the
-    x-total, u, z, hbar, and the p-weight (p_l counted l times)."""
+    exponent sum over every direction the spec bounds above, read field by
+    field: the x-total, u, z, hbar, and the p-weight (p_l counted l
+    times)."""
     vars_, spec = series.vars, series.spec
     names = vars_.names
-    monos = list(series.coeffs)
     parts = []  # one exponent sum ``mono -> int`` per direction counted
     if spec.x_total_max is not None:
         parts.append(lambda m: sum(m[: vars_.hodge_count]))
     for name, bound in (("u", spec.u_max), ("z", spec.z_window), ("hbar", spec.hbar_window)):
         if bound is not None and name in names:
             i = vars_.index(name)
-            if all(m[i] >= 0 for m in monos):
-                parts.append(lambda m, i=i: m[i])
+            parts.append(lambda m, i=i: m[i])
     if spec.p_weight_max is not None:
         base = vars_.nvars - vars_.pcount
         parts.append(lambda m: sum((l + 1) * m[base + l] for l in range(vars_.pcount)))

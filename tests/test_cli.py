@@ -663,6 +663,86 @@ def test_verify_cycle_index_fails_on_a_negative_envelope_genus(capsys, monkeypat
     assert "raised SeriesError: monomial" in out and "lies below the lower bounds" in out
 
 
+def _bumped(series, exponents, by=1):
+    """``series`` plus ``by`` times the monomial of ``exponents``."""
+    from linkchi.series import TruncatedSeries
+
+    return series + TruncatedSeries.term(series.vars, series.spec, exponents, by)
+
+
+def _feynman_twice(z):
+    from linkchi.cycleindex import feynman_regrade
+
+    return feynman_regrade(z).scaled(2)  # -2 Z(-p): applied twice, 4 Z
+
+
+def _envelope_without_plain_parity(twist, weight_max, genus_max):
+    # undoes (-1)^(number of p-factors), the plain twist's p-sign parity
+    from linkchi.cycleindex import mod_envelope_supercharacter
+
+    out = mod_envelope_supercharacter(twist, weight_max, genus_max)
+    if twist == "plain":
+        parity = {f"p{l}": 1 for l in range(1, weight_max + 1)}
+        out = out.regrade(out.vars, out.spec, parity=parity)
+    return out
+
+
+def _real(name):
+    import linkchi.cycleindex as cycleindex_mod
+
+    return getattr(cycleindex_mod, name)
+
+
+@pytest.mark.parametrize(
+    "name, fault, failed, passed",
+    [
+        (
+            "mod_envelope_supercharacter",
+            lambda *args: _bumped(_real("mod_envelope_supercharacter")(*args), {"hbar": 1}),
+            "modular envelope (plain): arity-zero part is not empty",
+            None,
+        ),
+        (
+            "feynman_regrade",
+            _feynman_twice,
+            "feynman regrade is not an involution (plain)",
+            None,
+        ),
+        (
+            "z_lie_cyclic",
+            lambda w: _bumped(_real("z_lie_cyclic")(w), {"p1": 5}),
+            "cyclic-lie dims: p1^5 coefficient",
+            None,
+        ),
+        (
+            "z_hedgehog_homology",
+            lambda d, w: _bumped(_real("z_hedgehog_homology")(d, w), {"p1": 4, "z": 4 * (d - 2), "u": 4}),
+            "hedgehog dims (d=2): p1^4 coefficient",
+            None,
+        ),
+        (
+            "mod_envelope_supercharacter",
+            _envelope_without_plain_parity,
+            "modular envelope two routes (plain): at",
+            "modular envelope two routes (det)",
+        ),
+    ],
+    ids=["arity-zero", "feynman-involution", "cyclic-lie-dims", "hedgehog-dims", "plain-p-parity"],
+)
+def test_verify_cycle_index_fails_on_each_fault(capsys, monkeypatch, name, fault, failed, passed):
+    # one fault per comparison of the cycle-index check that no other test breaks
+    import linkchi.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, name, fault)
+    code = cli.main(["verify", "--only", "cycle-index", "--t-max", "3"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] cycle-index" in out and failed in out
+    assert "raised" not in out
+    if passed is not None:
+        assert passed not in out
+
+
 def test_drop_hbar_rejects_nonzero_genus():
     from linkchi.genfun import LinkConfig
     from linkchi.series import SeriesError, TruncatedSeries, TruncationSpec, VariableSet

@@ -17,17 +17,16 @@ from linkchi.cycleindex import (
 )
 from linkchi.genfun import (
     LinkConfig,
-    color_power_sum,
+    _homological_degree,
     f_homotopy_direct,
     genus0_closed,
     genus0_dims,
+    genus1_closed,
     genus1_dims,
 )
 from linkchi.graphs import _cycles, _perm_parity
 from linkchi.rationals import QQ
 from linkchi.series import OutOfBoundsError, TruncatedSeries, TruncationSpec, VariableSet
-
-from naive_series import naive_substitute
 
 # The brute-force dihedral reference for the hedgehog cycle index: the
 # induced character summed element by element over the dihedral group,
@@ -201,19 +200,36 @@ def test_hedgehog_dims_specialization(m, d):
     assert left.truncate(spec) == right.truncate(spec)
 
 
-@pytest.mark.parametrize("m_values", [(1, 1), (2, 1), (1, 2, 3)])
-def test_dims_specialization_with_negative_z_matches_naive(m_values):
-    # the hedgehog cycle index at d = 1 sits at z^(-n): every source z
-    # exponent is negative, so z <- z goes through the inverse term
-    zh = z_hedgehog_homology(1, 6)
-    assert max(zh.exponents_of("z")) < 0
-    cfg = LinkConfig.create(m_values, 4)
-    got = specialize_colors(zh, cfg, "dims")
-    vars_, spec = got.vars, got.spec
-    repls = {f"p{l}": color_power_sum(cfg, vars_, spec, l, "dims") for l in range(1, 7)}
-    repls["z"] = TruncatedSeries.term(vars_, spec, {"z": 1})
-    assert got == naive_substitute(zh, repls)
-    assert not got.is_zero()
+@pytest.mark.parametrize("m_values, d", [((1, 1), 5), ((1, 2), 6), ((2, 2), 4), ((2, 1, 3), 7)])
+def test_dims_store_the_degree_plus_the_hair_terms(m_values, d):
+    # every term of genus0_dims, genus1_dims and the dims specializations
+    # of the tree and hedgehog indices sits at z^(e + sum_i m_i s_i), e
+    # the homological degree, with (-1)^e times its Euler characteristic
+    cfg = LinkConfig.create(m_values, d)
+    w = 6
+    for genus, dims, closed, index in (
+        (0, genus0_dims(cfg, w - 1), genus0_closed(cfg, w), z_tree_homology(d, w)),
+        (1, genus1_dims(cfg, w - 1), genus1_closed(cfg, w), z_hedgehog_homology(d, w)),
+    ):
+        form = _homological_degree(d, {"u": 1}, genus, m_values)
+        for series in (dims, specialize_colors(index, cfg, "dims")):
+            assert not series.is_zero()
+            for mono, c in series.coeffs.items():
+                e = dict(zip(series.vars.names, mono))
+                degree = sum(k * e.get(name, 1) for name, k in form.items())  # 1: the constant
+                hairs = sum(m * e[f"x{i}"] for i, m in enumerate(m_values, 1))
+                assert e["z"] - hairs == degree >= -hairs, (genus, mono)
+                euler = closed.coefficient({n: v for n, v in e.items() if n != "z"})
+                assert c == (-1) ** degree * euler, (genus, mono)
+
+
+@pytest.mark.parametrize("build", [z_tree_homology, z_hedgehog_homology])
+def test_tree_and_hedgehog_indices_reject_an_ambient_dimension_below_2(build):
+    # at d = 1 their degrees would be negative; LinkConfig.create refuses d < 2 too
+    for d in (1, 0, -3):
+        with pytest.raises(ValueError, match="ambient dimension must be >= 2"):
+            build(d, 6)
+    assert not build(2, 6).is_zero()
 
 
 def test_hedgehog_dimensions():

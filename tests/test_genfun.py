@@ -204,7 +204,12 @@ def test_dims_specialize_to_euler_forms():
         closed = closed_fn(cfg, 5)
         target_vars = cfg.xu_vars()
         target_spec = TruncationSpec(u_max=5, x_total_max=6)
-        at = dims.substitute({"z": TruncatedSeries.constant(target_vars, target_spec, -1)})
+        # z stores e + sum_i m_i s_i, so x_i <- (-1)^(m_i) x_i leaves (-1)^e
+        at = dims.substitute({
+            "z": TruncatedSeries.constant(target_vars, target_spec, -1),
+            "x1": TruncatedSeries.term(target_vars, target_spec, {"x1": 1}, -1),
+            "x2": TruncatedSeries.term(target_vars, target_spec, {"x2": 1}, -1),
+        })
         assert at == closed.truncate(target_spec)
 
 
@@ -215,50 +220,52 @@ def test_dims_require_integer_dimensions():
 
 
 def test_genus0_dims_degree_bookkeeping():
+    # z stores the homological degree plus the hair terms sum_i m_i s_i
     # single odd strand: a Moebius collapse leaves only the two-hair tree,
     # one generator in homological degree (d-1) - 2m at complexity 1
     cfg = LinkConfig.create((1,), 5)
     dims = genus0_dims(cfg, 4)
-    assert dims.coeffs == {(2, 1, (5 - 1) - 2): QQ(1)}
+    assert dims.coeffs == {(2, 1, (5 - 1) - 2 + 2): QQ(1)}
 
     # two odd strands: at t=1 each two-hair tree survives with dimension 1
     cfg2 = LinkConfig.create((1, 1), 5)
     dims2 = genus0_dims(cfg2, 3)
     deg = (5 - 1) - 1 - 1
-    assert dims2.coefficient({"x1": 1, "x2": 1, "u": 1, "z": deg}) == 1
-    assert dims2.coefficient({"x1": 2, "u": 1, "z": deg}) == 1
+    assert dims2.coefficient({"x1": 1, "x2": 1, "u": 1, "z": deg + 2}) == 1
+    assert dims2.coefficient({"x1": 2, "u": 1, "z": deg + 2}) == 1
 
     # mixed dimensions m = (1, 2), d = 6: a trivalent tree with k hairs has
     # k - 2 vertices (degree -d each) and 2k - 3 edges (d - 1 each), so
-    # degree (d - 2) k - d + 3 - sum m_i s_i at complexity k - 1
+    # degree (d - 2) k - d + 3 - sum m_i s_i at complexity k - 1, stored
+    # at z^((d - 2) k - d + 3)
     mixed = LinkConfig.create((1, 2), 6)
     dims3 = genus0_dims(mixed, 2)
     assert dims3.coeffs == {
-        (1, 1, 1, 4 * 2 - 3 - 3): QQ(1),
-        (0, 2, 1, 4 * 2 - 3 - 4): QQ(1),
-        (3, 0, 2, 4 * 3 - 3 - 3): QQ(1),
-        (2, 1, 2, 4 * 3 - 3 - 4): QQ(1),
+        (1, 1, 1, 4 * 2 - 3 - 3 + 3): QQ(1),
+        (0, 2, 1, 4 * 2 - 3 - 4 + 4): QQ(1),
+        (3, 0, 2, 4 * 3 - 3 - 3 + 3): QQ(1),
+        (2, 1, 2, 4 * 3 - 3 - 4 + 4): QQ(1),
     }
 
 
 def test_genus1_dims_degree_bookkeeping():
     # an n-hair hedgehog has n vertices and 2n edges (n in the cycle, n
     # hairs), so degree 2n(d - 1) - n d - sum m_i s_i = n(d - 2) - sum m_i s_i
-    # at complexity n
+    # at complexity n, stored at z^(n(d - 2)) (the degree plus sum m_i s_i)
     single = genus1_dims(LinkConfig.create((2,), 5), 6)
-    assert single.coeffs == {(3, 3, 3 * 3 - 2 * 3): QQ(1)}
+    assert single.coeffs == {(3, 3, 3 * 3 - 2 * 3 + 2 * 3): QQ(1)}
 
     two = genus1_dims(LinkConfig.create((1, 1), 5), 4)
-    assert two.coefficient({"x1": 1, "x2": 1, "u": 2, "z": 2 * 3 - 2}) == 1
-    assert two.coefficient({"x1": 2, "x2": 2, "u": 4, "z": 4 * 3 - 4}) == 2
-    assert set(two.exponents_of("z")) == {2 * 3 - 2, 4 * 3 - 4}
+    assert two.coefficient({"x1": 1, "x2": 1, "u": 2, "z": 2 * 3 - 2 + 2}) == 1
+    assert two.coefficient({"x1": 2, "x2": 2, "u": 4, "z": 4 * 3 - 4 + 4}) == 2
+    assert set(two.exponents_of("z")) == {2 * 3, 4 * 3}
 
     mixed = genus1_dims(LinkConfig.create((1, 2), 6), 3)
     assert mixed.coeffs == {
-        (1, 0, 1, 4 - 1): QQ(1),
-        (0, 1, 1, 4 - 2): QQ(1),
-        (0, 3, 3, 3 * 4 - 6): QQ(1),
-        (1, 2, 3, 3 * 4 - 1 - 4): QQ(1),
+        (1, 0, 1, 4 - 1 + 1): QQ(1),
+        (0, 1, 1, 4 - 2 + 2): QQ(1),
+        (0, 3, 3, 3 * 4 - 6 + 6): QQ(1),
+        (1, 2, 3, 3 * 4 - 1 - 4 + 5): QQ(1),
     }
 
 

@@ -3,7 +3,12 @@
 graph oracle (oracle), before the fraction-free series kernel (the t=30
 tables) and before the fraction-free linear sums (the t=24 tables),
 library series recorded before the z-graded genus-0/1 series
-became regradings of their Euler forms (series-*), the graph and
+became regradings of their Euler forms (series-*; the dims, tree and
+hedgehog files were recorded again when z stopped taking negative
+exponents: each dims file differs from its previous record only by z ->
+z + sum_i m_i s_i and the spec line's z window (-span, span) -> (0,
+span), and each tree and hedgehog file only in that window, checked by
+regrading the previous code's series before recording), the graph and
 envelope supercharacters recorded before the double sum paired its
 final products directly (series-zgraph-*, series-envelope-*), and the default
 ``verify`` report recorded before series results were kept as integer

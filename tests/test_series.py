@@ -95,12 +95,12 @@ def test_variable_set_rejects_missing_names(vars_, name):
 
 def test_packed_key_layout_is_pinned():
     # fields of 24 bits from the low end: x1, x2, u, p1, p2, p3, x-total,
-    # p-weight, then z and hbar biased by 2^22
-    mono = FULL.monomial({"x1": 1, "x2": 2, "u": 3, "z": -1, "hbar": 2, "p2": 1})
-    key = 0x400002_3FFFFF_000002_000003_000000_000001_000000_000003_000002_000001
+    # p-weight, then z and hbar, each holding its exponent
+    mono = FULL.monomial({"x1": 1, "x2": 2, "u": 3, "z": 4, "hbar": 2, "p2": 1})
+    key = 0x000002_000004_000002_000003_000000_000001_000000_000003_000002_000001
     assert FULL.layout.pack(mono) == key
     assert FULL.layout.unpack(key) == mono
-    assert FULL.layout.bias == 0x400000_400000 << 192
+    assert FULL.layout.pack(FULL.monomial({})) == 0
 
 
 def test_mul_geometric_inverse():
@@ -160,17 +160,17 @@ def test_exp_rejects_constant_term():
 
 
 def test_exp_rejects_non_nilpotent():
-    # z^(-1) + z can hold the window forever: (z * z^(-1))^k never leaves
+    # z is unbounded, so the powers of z never leave the spec
     zvars = VariableSet(has_u=True, has_z=True)
-    spec = TruncationSpec(u_max=3, z_window=(-2, 2))
+    spec = TruncationSpec(u_max=3)
     mixed = TruncatedSeries.term(zvars, spec, {"z": 1}) + TruncatedSeries.term(
-        zvars, spec, {"z": -1}
+        zvars, spec, {"u": 1}
     )
     not_nilpotent = r"^monomial \(0, 1\) is not nilpotent under the truncation spec$"
     with pytest.raises(SeriesError, match=not_nilpotent):
         mixed.exp()
-    # under a window with nonnegative exponents, powers do leave the spec
-    pure_z = TruncatedSeries.term(zvars, spec, {"z": 1})
+    # under a z window, powers do leave the spec
+    pure_z = TruncatedSeries.term(zvars, TruncationSpec(u_max=3, z_window=(0, 2)), {"z": 1})
     assert pure_z.exp().coefficient({"z": 2}) == QQ(1, 2)
 
 
@@ -297,34 +297,19 @@ def test_substitute_multiplies_each_pattern_once(monkeypatch):
         assert out == naive_substitute(f, repls)
 
 
-def test_substitute_carried_laurent_factor_starts_the_chain():
-    # z is carried and the replacements carry z^-1 in a narrow window, where
-    # truncation depends on the order of the factors: the carried z^e comes
-    # first, as in the one-product-per-monomial reference (every substituted
-    # exponent is 0 or 1, so no power is taken); u is carried too
-    src_vars = VariableSet(has_u=True, has_z=True, pcount=2)
-    src_spec = TruncationSpec(u_max=4, z_window=(-3, 3), p_weight_max=4)
-    f = TruncatedSeries(
-        src_vars,
-        src_spec,
-        {
-            (0, 2, 1, 1): 1,
-            (1, -1, 1, 0): 3,
-            (0, 1, 0, 1): QQ(1, 2),
-            (2, 0, 1, 1): QQ(-5, 3),
-            (0, -1, 0, 1): 2,
-            (1, 2, 1, 0): 7,
-        },
-    )
-    spec = TruncationSpec(u_max=4, x_total_max=4, z_window=(-1, 2))
-    repls = {
-        "p1": TruncatedSeries(XZ, spec, {(1, 0, -1): 1, (1, 1, 0): QQ(1, 3)}),
-        "p2": TruncatedSeries(XZ, spec, {(2, 0, -1): -1, (0, 1, 1): 2}),
-    }
+def test_substitute_carried_z_factor_starts_the_chain():
+    # the target z window starts at 2: a carried z^e is the root of its
+    # pattern's chain, so 3 z^3, with no substituted variable, is kept,
+    # where a chain from 1 (below the window) times z^3 last would drop it
+    src_vars = VariableSet(has_u=True, has_z=True, pcount=1)
+    src_spec = TruncationSpec(u_max=4, z_window=(0, 6), p_weight_max=4)
+    f = TruncatedSeries(src_vars, src_spec, {(0, 3, 0): 3, (0, 2, 1): 1, (1, 2, 2): 2})
+    spec = TruncationSpec(u_max=4, x_total_max=4, z_window=(2, 6))
+    repls = {"p1": TruncatedSeries(XZ, spec, {(1, 0, 2): 1, (1, 1, 3): QQ(1, 3)})}
     out = f.substitute(repls)
     assert out == naive_substitute(f, repls)
-    # z^2 * x1/z * (-x1^2/z): p1 * p2 alone would drop its x1^3 z^-2 term
-    assert out.coefficient({"x1": 3}) == -1
+    assert out.coefficient({"z": 3}) == 3
+    assert out.coefficient({"x1": 1, "z": 4}) == 1
 
 
 def test_coefficient_out_of_bounds_is_error():
@@ -339,13 +324,13 @@ def test_coefficient_out_of_bounds_is_error():
 
 def test_grade_extract():
     hv = VariableSet(has_u=True, has_hbar=True)
-    spec = TruncationSpec(u_max=4, hbar_window=(-1, 3))
+    spec = TruncationSpec(u_max=4, hbar_window=(0, 3))
     a = TruncatedSeries.term(hv, spec, {"u": 1}) + TruncatedSeries.term(
         hv, spec, {"u": 2, "hbar": 1}, 5
     )
     assert a.grade_extract("hbar", 0) == TruncatedSeries.term(hv, spec, {"u": 1})
     assert a.grade_extract("hbar", 1) == TruncatedSeries.term(hv, spec, {"u": 2}, 5)
-    assert a.grade_extract("hbar", -1).is_zero()
+    assert a.grade_extract("hbar", 2).is_zero()
     geo = (
         TruncatedSeries.one(hv, spec) - TruncatedSeries.term(hv, spec, {"u": 1})
     ).inverse()
@@ -388,13 +373,13 @@ def test_a_window_without_zero_on_a_missing_direction_raises(window):
     with pytest.raises(SeriesError, match=f"which has no {name}"):
         TruncatedSeries.term(u_only, spec, {"u": 1}, 5)
     with pytest.raises(SeriesError, match=f"which has no {name}"):
-        TruncatedSeries(u_only, TruncationSpec(**{window: (-3, -1)}))
+        TruncatedSeries(u_only, TruncationSpec(**{window: (4, 6)}))
     with pytest.raises(SeriesError, match=f"which has no {name}"):
         source.truncate(TruncationSpec(**{window: (1, 3)}))
     with pytest.raises(SeriesError, match=f"which has no {name}"):
         TruncatedSeries.zero(u_only, spec)
     # a window holding 0 on the missing direction keeps every monomial
-    wide = TruncationSpec(u_max=3, **{window: (-1, 3)})
+    wide = TruncationSpec(u_max=3, **{window: (0, 3)})
     assert source.regrade(u_only, wide)._ints == source._ints
     assert source.truncate(wide)._ints == source._ints
 
@@ -424,14 +409,6 @@ def test_to_text_graded_lex():
     a = s({"u": 2}, QQ(-1, 2)) + s({"x1": 1}) + one().scaled(3)
     assert a.to_text() == "3 + x1 + -1/2*u^2"
     assert TruncatedSeries.zero(XU, SPEC).to_text() == "0"
-
-
-def test_laurent_window_storage():
-    hv = VariableSet(has_u=True, has_hbar=True)
-    spec = TruncationSpec(u_max=2, hbar_window=(-2, 2))
-    a = TruncatedSeries.term(hv, spec, {"hbar": -2, "u": 1}, QQ(1, 3))
-    assert a.coefficient({"hbar": -2, "u": 1}) == QQ(1, 3)
-    assert TruncatedSeries.term(hv, spec, {"hbar": -3}).is_zero()
 
 
 def test_regrade_drops_above_and_raises_below():
@@ -483,10 +460,7 @@ def regrade_case(draw):
     that carried, dropped, read and constant names all occur."""
     source = draw(REGRADE_VARS)
     target = draw(st.just(source) | REGRADE_VARS)
-    laurent = st.integers(-2, 2)
-    monos = st.tuples(
-        *(laurent if n in ("z", "hbar") else st.integers(0, 2) for n in source.names)
-    )
+    monos = st.tuples(*(st.integers(0, 2) for _n in source.names))
     terms = draw(st.dictionaries(monos, st.integers(-3, 3), min_size=1, max_size=4))
     series = TruncatedSeries(source, TruncationSpec(), terms)
     sources = [*source.names, "xt", "pw"]
@@ -494,7 +468,7 @@ def regrade_case(draw):
     images = draw(st.dictionaries(names, affine_form(sources)))
     parity = draw(affine_form(sources))
     cap = st.none() | st.integers(1, 8)
-    window = st.none() | st.tuples(st.integers(-3, 2), st.integers(0, 5))
+    window = st.none() | st.tuples(st.integers(0, 2), st.integers(0, 5))
     # windows only on directions the target has: a window excluding 0 on a
     # missing direction holds no monomial at all
     spec = TruncationSpec(
@@ -512,7 +486,7 @@ def _regrade_outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except SeriesError as err:
-        cases = ("drops", "only z and hbar", "lies below", "two monomials")
+        cases = ("drops", "may go below 0", "lies below", "two monomials")
         return next(case for case in cases if case in str(err))
 
 
@@ -526,10 +500,10 @@ def test_regrade_matches_naive(case):
 
 
 def test_exponents_of_reads_x_total_and_p_weight():
-    terms = {(1, 1, 0, 0, -1, 2, 0, 0): 1, (0, 0, 2, 1, 0, 0, 0, 1): 2}
+    terms = {(1, 1, 0, 0, 3, 2, 0, 0): 1, (0, 0, 2, 1, 0, 0, 0, 1): 2}
     a = TruncatedSeries(FULL, TruncationSpec(), terms)
     assert a.exponents_of("xt") == {2, 0} and a.exponents_of("pw") == {2, 3}
-    assert a.exponents_of("hbar") == {-1, 0} and a.exponents_of("u") == {0, 2}
+    assert a.exponents_of("hbar") == {3, 0} and a.exponents_of("u") == {0, 2}
     with pytest.raises(KeyError):
         a.exponents_of("p4")
 
@@ -537,7 +511,7 @@ def test_exponents_of_reads_x_total_and_p_weight():
 def test_regrade_by_name_covers_each_case():
     src = VariableSet(hodge_count=2, has_u=True, has_hbar=True, pcount=2)
     tgt = VariableSet(hodge_count=2, has_u=True, has_z=True, pcount=2)
-    spec = TruncationSpec(u_max=4, z_window=(-3, 6))
+    spec = TruncationSpec(u_max=4, z_window=(0, 6))
     terms = {(1, 0, 1, 0, 1, 0): 3, (0, 2, 2, 0, 0, 1): QQ(1, 2)}
     a = TruncatedSeries(src, TruncationSpec(), terms)
     # z = 2u - pw + 1 (read), x carried, hbar dropped (0), sign (-1)^(xt) * -1
@@ -603,8 +577,11 @@ def test_log_multiplicative(a, b):
 # ------------------------------------- graded exp/log vs repeated products
 
 XZ = VariableSet(hodge_count=1, has_u=True, has_z=True)
+UZ = VariableSet(has_u=True, has_z=True)
 HB = VariableSet(has_u=True, has_hbar=True)
+HP = VariableSet(has_hbar=True, pcount=3)
 PV = VariableSet(has_u=True, pcount=3)
+hbar_p_monos = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1))
 
 # (variables, spec, monomial strategy) per case; every strategy yields
 # monomials of positive weight, so exp and log are defined.
@@ -616,16 +593,15 @@ GRADED_CASES = {
         TruncationSpec(u_max=3, x_total_max=3, z_window=(0, 5)),
         st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
     ),
-    # negative z-exponents in a window wide enough that no product reaches
-    # its edge: z stays out of the weight and truncation stays exact
-    "wide z-window, negative exponents": (
-        XZ,
-        TruncationSpec(u_max=3, x_total_max=3, z_window=(-20, 20)),
-        st.tuples(st.integers(0, 2), st.integers(1, 2), st.integers(-2, 2)),
-    ),
-    "hbar window with negative lower bound": (
+    # the layouts below take the cut at the top field: u the bucket and z
+    # the top field, or the p-weight the bucket and hbar the top field, as
+    # in the direct route to the modular envelope
+    "u/z": (UZ, TruncationSpec(u_max=4, z_window=(0, 6)), st.tuples(st.integers(0, 2), st.integers(0, 3))),
+    "hbar+p": (HP, TruncationSpec(p_weight_max=5, hbar_window=(0, 6)), hbar_p_monos),
+    "hbar+p, hbar window (0, 0)": (HP, TruncationSpec(p_weight_max=5, hbar_window=(0, 0)), hbar_p_monos),
+    "hbar window": (
         HB,
-        TruncationSpec(u_max=4, hbar_window=(-2, 3)),
+        TruncationSpec(u_max=4, hbar_window=(0, 3)),
         st.tuples(st.integers(0, 2), st.integers(0, 2)),
     ),
     "p-weight": (
@@ -661,14 +637,38 @@ def test_graded_log_matches_repeated_products(case):
     assert a.log() == naive_log(a), name
 
 
-def test_graded_log_single_grade_laurent():
-    # the log of 1 - (one u-grade with negative z) follows the same
-    # truncated products as the naive form
-    spec = TruncationSpec(u_max=4, x_total_max=4, z_window=(-3, 3))
-    h = TruncatedSeries(XZ, spec, {(1, 1, -1): 2, (1, 1, 1): -1})
-    g = TruncatedSeries.one(XZ, spec) - h
-    assert g.log() == naive_log(g)
-    assert h.exp() == naive_exp(h)
+@pytest.mark.parametrize("name", ["u/z", "hbar+p"])
+def test_graded_cases_take_the_cut(name):
+    vars_, spec, _monos = GRADED_CASES[name]
+    assert _masks(vars_.layout, spec)[-1] is not None
+
+
+# a window (g, g) with g >= 1, which holds no monomial 1: on the cut path
+# (hbar+p) and on the guard path (x/u/z); one operand of a product lies
+# under the case's wider window, so the product takes the meet
+WINDOW_G_CASES = {
+    "hbar+p": (HP, lambda g: TruncationSpec(p_weight_max=5, hbar_window=(g, g)), hbar_p_monos),
+    "x/u/z": (
+        XZ,
+        lambda g: TruncationSpec(u_max=3, x_total_max=3, z_window=(g, g)),
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3)),
+    ),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(WINDOW_G_CASES)), st.integers(1, 2), st.data())
+def test_mul_and_exp_under_a_window_without_zero(name, g, data):
+    vars_, narrow, monos = WINDOW_G_CASES[name]
+    wide = GRADED_CASES["hbar+p" if name == "hbar+p" else "z-window"][1]
+    a, b = (
+        TruncatedSeries(vars_, spec, data.draw(st.dictionaries(monos, mixed_rationals, max_size=6)))
+        for spec in (wide, narrow(g))
+    )
+    assert a * b == naive_mul(a, b) and b * a == naive_mul(b, a), name
+    assert (a * b).spec == narrow(g)
+    # every square lies past the window, and 1 outside it: exp(b) is b
+    assert b.exp() == b, name
 
 
 # ------------------------- one-direction grading vs the summed references
@@ -823,12 +823,13 @@ def test_kernel_stores_no_cancelled_terms():
 
 
 def respec(spec, delta):
-    """``spec`` with every bound moved outward by delta (inward when negative)."""
+    """``spec`` with every bound moved outward by delta (inward when
+    negative), no window end below 0."""
     def bound(b):
         return None if b is None else b + delta
 
     def window(w):
-        return None if w is None else (w[0] - delta, w[1] + delta)
+        return None if w is None else (max(w[0] - delta, 0), max(w[1] + delta, 0))
 
     return TruncationSpec(
         u_max=bound(spec.u_max),
@@ -941,7 +942,8 @@ def test_deferred_linear_sum_matches_naive(case, cancelled, overflow_at, free_st
     # each term's denominator gains a prime no earlier term has, so the
     # common denominator grows at every term, up to the last; the first
     # ``cancelled`` terms are taken back, operands swapped; a product past
-    # the storage limit in u goes in at ``overflow_at``
+    # the storage limit in u (hbar where there is no u) goes in at
+    # ``overflow_at``
     name, vars_, spec, terms = case
     primes = (5, 13, 17, 19, 23)
     terms = [(c / p, *operands) for (c, *operands), p in zip(terms, primes)]
@@ -959,13 +961,15 @@ def test_deferred_linear_sum_matches_naive(case, cancelled, overflow_at, free_st
         return
     limit = 1 << 21
     free = TruncationSpec()
-    big = TruncatedSeries.term(vars_, free, {"u": limit - 1}, QQ(1, 29))
-    step = TruncatedSeries.term(vars_, free, {"u": 1})
+    v = "u" if vars_.has_u else "hbar"
+    big = TruncatedSeries.term(vars_, free, {v: limit - 1}, QQ(1, 29))
+    step = TruncatedSeries.term(vars_, free, {v: 1})
     at = min(overflow_at, len(terms))
     with_overflow = terms[:at] + [(QQ(3, 31), big, step)] + terms[at:]
     # the pair is tested against the spec in force when it was added: it
-    # raises where u is still unbounded there, and drops past a u bound
-    if meet_of(start, terms[:at]).u_max is None:
+    # raises where v is still unbounded there, and drops past a bound on v
+    in_force = meet_of(start, terms[:at])
+    if (in_force.u_max if v == "u" else in_force.hbar_window) is None:
         with pytest.raises(SeriesError, match="does not fit"):
             linear_sum(vars_, start, with_overflow)
     else:
@@ -1219,10 +1223,10 @@ def test_series_from_terms_build_no_qq(monkeypatch):
     spec4 = TruncationSpec(u_max=4, x_total_max=7)
     cfg = LinkConfig.create((1, 2), 4)
     dims_vars = VariableSet(hodge_count=2, has_u=True, has_z=True)
-    dims_spec = TruncationSpec(u_max=4, x_total_max=5, z_window=(-9, 9))
+    dims_spec = TruncationSpec(u_max=4, x_total_max=5, z_window=(0, 9))
     hv = VariableSet(has_u=True, has_hbar=True)
-    hv_spec = TruncationSpec(u_max=4, hbar_window=(-1, 3))
-    a = TruncatedSeries(hv, hv_spec, {(1, 0): QQ(1, 3), (2, 1): 5, (0, -1): QQ(-2, 7)})
+    hv_spec = TruncationSpec(u_max=4, hbar_window=(0, 3))
+    a = TruncatedSeries(hv, hv_spec, {(1, 0): QQ(1, 3), (2, 1): 5, (0, 2): QQ(-2, 7)})
     b = TruncatedSeries(hv, TruncationSpec(u_max=3), {(1, 0): QQ(2, 3), (3, 1): 1})
     built = []
     new = Fraction.__new__
@@ -1251,7 +1255,7 @@ def test_series_from_terms_build_no_qq(monkeypatch):
     hbars = a.exponents_of("hbar")
     assert built == [] and all(m._coeffs is None for m in made + linear + [a, b])
     monkeypatch.undo()
-    assert hbars == {-1, 0, 1}
+    assert hbars == {0, 1, 2}
     assert linear == [
         naive_sum(hv, hv_spec, [(1, a), (1, b)]),
         naive_sum(hv, hv_spec, [(1, a), (-1, b)]),
@@ -1263,13 +1267,13 @@ def test_series_from_terms_build_no_qq(monkeypatch):
     assert made[0] == TruncatedSeries(XU, SPEC, {(0, 0, 0): 1})
     assert made[1] == TruncatedSeries(XU, SPEC, {(0, 0, 0): -3})
     assert made[2] == TruncatedSeries(XU, SPEC, {(2, 0, 1): 5})
-    # sum_i (-1)^(m_i) x_i^3, and sum_i (-1)^(m_i) x_i^2 z^(-2 m_i)
+    # sum_i (-1)^(m_i) x_i^3, and sum_i (-1)^(m_i) x_i^2, z^(-2 m_i) moved onto x_i
     assert made[3] == TruncatedSeries(XU, SPEC, {(3, 0, 0): -1, (0, 3, 0): 1})
-    assert made[4] == TruncatedSeries(dims_vars, dims_spec, {(2, 0, 0, -2): -1, (0, 2, 0, -4): 1})
+    assert made[4] == TruncatedSeries(dims_vars, dims_spec, {(2, 0, 0, 0): -1, (0, 2, 0, 0): 1})
     # F_6(u) = 1 - u^3 - u^4 + u^5, cut at u^4
     assert made[5] == TruncatedSeries(XU, spec4, {(0, 0, 0): 1, (0, 0, 3): -1, (0, 0, 4): -1})
     # the constructor's checks hold: a negative x exponent raises
-    with pytest.raises(SeriesError, match="only z and hbar"):
+    with pytest.raises(SeriesError, match="no exponent may go below 0"):
         color_power_sum(cfg, dims_vars, dims_spec, -1, "euler")
 
 
@@ -1329,22 +1333,64 @@ def test_buckets_built_once_per_right_operand(monkeypatch):
 # ------------------------------- negative exponents and the packed key
 
 
-def test_negative_exponent_outside_z_and_hbar_raises():
+BELOW_0 = "no exponent may go below 0"
+
+
+def test_negative_exponent_raises():
     spec = TruncationSpec(u_max=3, x_total_max=3)
-    with pytest.raises(SeriesError, match="only z and hbar"):
+    with pytest.raises(SeriesError, match=BELOW_0):
         TruncatedSeries.term(XU, spec, {"u": -1}, 5)  # was the zero series
-    with pytest.raises(SeriesError, match="only z and hbar"):
+    with pytest.raises(SeriesError, match=BELOW_0):
         TruncatedSeries.term(XU, TruncationSpec(x_total_max=3), {"u": -1})  # was kept
-    with pytest.raises(SeriesError, match="only z and hbar"):
+    with pytest.raises(SeriesError, match=BELOW_0):
         TruncatedSeries(XU, spec, {(2, -1, 1): 1})
-    with pytest.raises(SeriesError, match="only z and hbar"):
+    with pytest.raises(SeriesError, match=BELOW_0):
         TruncatedSeries.term(PV, TruncationSpec(u_max=3), {"p2": -1})
-    with pytest.raises(SeriesError, match="only z and hbar"):
+    # z and hbar too, under a window or none
+    for vars_, spec, exponents in [
+        (HB, TruncationSpec(u_max=3, hbar_window=(0, 2)), {"u": 1, "hbar": -1}),
+        (HB, TruncationSpec(u_max=3), {"hbar": -2}),
+        (XZ, TruncationSpec(u_max=3, z_window=(0, 4)), {"x1": 1, "z": -1}),
+    ]:
+        with pytest.raises(SeriesError, match=BELOW_0):
+            TruncatedSeries.term(vars_, spec, exponents)
+    # a regraded negative exponent: below the lower bounds where the spec
+    # bounds its direction, else below 0
+    with pytest.raises(SeriesError, match=BELOW_0):
+        s({"x1": 1}).regrade(XU, TruncationSpec(u_max=6), {"x1": {"x1": 1, 1: -2}})
+    with pytest.raises(SeriesError, match="lies below the lower bounds"):
         s({"x1": 1}).regrade(XU, SPEC, {"x1": {"x1": 1, 1: -2}})
+    u_term = TruncatedSeries.term(HB, TruncationSpec(u_max=3), {"u": 1})
+    with pytest.raises(SeriesError, match=BELOW_0):
+        u_term.regrade(HB, TruncationSpec(u_max=3), {"hbar": {1: -1}})
+    with pytest.raises(SeriesError, match="lies below the lower bounds"):
+        u_term.regrade(HB, TruncationSpec(u_max=3, hbar_window=(0, 2)), {"hbar": {1: -1}})
     with pytest.raises(OutOfBoundsError):
         one().coefficient({"u": -1})
-    # z and hbar stay Laurent
-    assert TruncatedSeries.term(HB, TruncationSpec(u_max=3, hbar_window=(-2, 2)), {"hbar": -2})
+    with pytest.raises(OutOfBoundsError):
+        TruncatedSeries.term(HB, TruncationSpec(u_max=3), {"u": 1}).coefficient({"hbar": -1})
+
+
+def test_negative_windows_and_exponents_raise_where_they_are_built():
+    # a negative exponent let a truncated product depend on its grouping:
+    # each case below raises where the exponent or window is built
+    for window in ((-1, 1), (-3, -1), (0, -1)):
+        for name in ("z_window", "hbar_window"):
+            with pytest.raises(SeriesError, match="must lie in the exponents >= 0"):
+                TruncationSpec(u_max=4, **{name: window})
+    # exp(u/hbar + u^2*hbar), whose u^4/hbar coefficient hung on the grouping
+    with pytest.raises(SeriesError, match=BELOW_0):
+        TruncatedSeries(HB, TruncationSpec(u_max=4, hbar_window=(0, 1)), {(1, -1): 1, (2, 1): 1})
+    # u/hbar under hbar_window=(0, 2), below the window
+    with pytest.raises(SeriesError, match=BELOW_0):
+        TruncatedSeries.term(HB, TruncationSpec(u_max=3, hbar_window=(0, 2)), {"u": 1, "hbar": -1})
+    # p1 <- x1/z + x1*u/3, whose substitution hung on where a carried z^2 multiplied
+    with pytest.raises(SeriesError, match=BELOW_0):
+        TruncatedSeries(
+            XZ,
+            TruncationSpec(u_max=4, x_total_max=4, z_window=(0, 2)),
+            {(1, 0, -1): 1, (1, 1, 0): QQ(1, 3)},
+        )
 
 
 def test_exponent_past_the_field_raises():
@@ -1354,13 +1400,12 @@ def test_exponent_past_the_field_raises():
         (XU, "u", limit),
         (XU, "x1", limit),
         (XZ, "z", limit),
-        (XZ, "z", -limit - 1),
-        (HB, "hbar", -limit - 1),
+        (HB, "hbar", limit),
         (PV, "p3", limit),
     ]:
         with pytest.raises(SeriesError, match="does not fit"):
             TruncatedSeries.term(vars_, free, {name: e})
-        TruncatedSeries.term(vars_, free, {name: (limit - 1) // 3 if e > 0 else -limit})
+        TruncatedSeries.term(vars_, free, {name: (limit - 1) // 3})
     # x-total and p-weight are fields too
     with pytest.raises(SeriesError, match="does not fit"):
         TruncatedSeries.term(XU, free, {"x1": limit // 2, "x2": limit // 2})
@@ -1387,18 +1432,13 @@ LAYOUT_VARS = st.builds(
 )
 
 
-def monomial(vars_, low=0, high=6, lo_laurent=-6):
-    return st.tuples(
-        *(
-            st.integers(lo_laurent, high) if name in ("z", "hbar") else st.integers(low, high)
-            for name in vars_.names
-        )
-    )
+def monomial(vars_, high=6):
+    return st.tuples(*(st.integers(0, high) for _name in vars_.names))
 
 
 def random_spec():
     bound = st.none() | st.integers(0, 12)
-    window = st.none() | st.tuples(st.integers(-9, 4), st.integers(-4, 12))
+    window = st.none() | st.tuples(st.integers(0, 4), st.integers(0, 12))
     return st.builds(
         TruncationSpec,
         u_max=bound,
@@ -1435,10 +1475,10 @@ def test_packed_key_round_trip_and_products(case):
     ka, kb = layout.key(a), layout.key(b)
     assert layout.unpack(ka) == a
     total = tuple(x + y for x, y in zip(a, b))
-    assert layout.unpack(ka + kb - layout.bias) == total
-    assert ka + kb - layout.bias == layout.key(total)
+    assert layout.unpack(ka + kb) == total
+    assert ka + kb == layout.key(total)
     assert layout.metric(ka) == tuple_metric(vars_, a)
-    assert layout.key((0,) * vars_.nvars) == layout.bias
+    assert layout.key((0,) * vars_.nvars) == 0
 
 
 @settings(max_examples=400, deadline=None)
@@ -1446,7 +1486,7 @@ def test_packed_key_round_trip_and_products(case):
 def test_guard_test_matches_outside(case, l):
     vars_, a, b, spec = case
     layout = vars_.layout
-    key = layout.key(a) + layout.key(b) - layout.bias
+    key = layout.key(a) + layout.key(b)
     total = tuple(x + y for x, y in zip(a, b))
     # a product key passes the one guard-bit test exactly when its monomial
     # lies inside the spec
@@ -1461,16 +1501,39 @@ def test_guard_test_matches_outside(case, l):
 
 # ------------------------------ the pair loop: cut at the top field, guard test
 
-# no z or hbar, and not both an x-total and a p-weight: the layouts where
-# the cut applies once every field is bounded (the empty one aside)
-CUT_VARS = st.builds(
-    VariableSet, hodge_count=st.integers(0, 3), has_u=st.booleans(), pcount=st.integers(0, 3)
-).filter(lambda v: not (v.hodge_count and v.pcount))
+def takes_the_cut(vars_) -> bool:
+    """Whether every direction of ``vars_`` is the bucket field (u, or the
+    p-weight without u) or the top field (hbar, z, p-weight, x-total, u,
+    the first present): the layouts where the cut applies once every field
+    is bounded (the empty one aside)."""
+    present = [
+        d
+        for d, here in (
+            ("u", vars_.has_u),
+            ("xt", vars_.hodge_count),
+            ("pw", vars_.pcount),
+            ("z", vars_.has_z),
+            ("hbar", vars_.has_hbar),
+        )
+        if here
+    ]
+    return not present or set(present) <= {"u" if vars_.has_u else "pw", present[-1]}
+
+
+CUT_VARS = LAYOUT_VARS.filter(takes_the_cut)
 
 
 def bounded_spec():
     cap = st.integers(0, 12)
-    return st.builds(TruncationSpec, u_max=cap, x_total_max=cap, p_weight_max=cap)
+    window = st.tuples(st.just(0), cap)
+    return st.builds(
+        TruncationSpec,
+        u_max=cap,
+        x_total_max=cap,
+        z_window=window,
+        hbar_window=window,
+        p_weight_max=cap,
+    )
 
 
 def holds_monomials(vars_, spec) -> bool:
@@ -1520,15 +1583,24 @@ def test_mul_matches_pairwise_on_every_layout(case):
         (VariableSet(hodge_count=2, pcount=2), False),  # x-total and p-weight
         (VariableSet(hodge_count=2, has_u=True, pcount=2), False),
         (VariableSet(hodge_count=2, has_u=True, has_hbar=True), False),
-        (VariableSet(has_u=True, has_z=True), False),
+        (VariableSet(hodge_count=2, has_u=True, has_z=True), False),
+        (VariableSet(has_z=True, has_hbar=True), False),
+        (VariableSet(has_u=True, has_z=True), True),  # u the bucket, z the top field
+        (VariableSet(has_hbar=True, pcount=2), True),  # p-weight the bucket, hbar the top
     ],
 )
 def test_cut_applies_where_two_fields_decide_the_bound(vars_, cut):
-    caps = {"u_max": 5, "x_total_max": 5, "p_weight_max": 5}
-    bounded = TruncationSpec(**caps, hbar_window=(0, 5))
+    caps = {"u_max": 5, "x_total_max": 5, "z_window": (0, 5), "hbar_window": (0, 5), "p_weight_max": 5}
+    bounded = TruncationSpec(**caps)
     assert (_masks(vars_.layout, bounded)[-1] is not None) == cut
     # a direction bounded only by storage keeps the guard test
-    for free, name in (("u_max", "u"), ("x_total_max", "x1"), ("p_weight_max", "p1")):
+    for free, name in (
+        ("u_max", "u"),
+        ("x_total_max", "x1"),
+        ("p_weight_max", "p1"),
+        ("z_window", "z"),
+        ("hbar_window", "hbar"),
+    ):
         if name in vars_.names:
             assert _masks(vars_.layout, TruncationSpec(**{**caps, free: None}))[-1] is None
 
@@ -1559,6 +1631,8 @@ def test_cut_keeps_a_pair_iff_it_lies_in_the_spec(case, spec):
         (VariableSet(hodge_count=2), TruncationSpec(x_total_max=7), "x2"),
         (VariableSet(has_u=True, pcount=2), TruncationSpec(u_max=6, p_weight_max=7), "p1"),
         (VariableSet(pcount=2), TruncationSpec(p_weight_max=7), "p1"),
+        (VariableSet(has_u=True, has_z=True), TruncationSpec(u_max=6, z_window=(0, 7)), "z"),
+        (VariableSet(has_hbar=True, pcount=2), TruncationSpec(p_weight_max=9, hbar_window=(0, 7)), "hbar"),
     ],
 )
 def test_cut_at_and_one_past_the_cap(vars_, spec, name):
@@ -1611,18 +1685,14 @@ def test_raise_exponents_matches_raising_each_monomial(case, spec, l):
             TruncatedSeries(vars_, spec, coeffs)
         return
     series = TruncatedSeries(vars_, spec, coeffs)
-    kept, below = {}, False
+    kept = {}
     for mono, c in series.coeffs.items():
         raised = tuple(l * e for e in mono)
         where = _outside(spec, tuple_metric(vars_, raised))
+        assert where >= 0  # l e >= e, so nothing lands below a window
         if where == 0:
             kept[raised] = c
-        below = below or where == -1
-    if below:
-        with pytest.raises(SeriesError, match="below"):
-            _raise_exponents(series, l)
-    else:
-        assert _raise_exponents(series, l) == TruncatedSeries(vars_, spec, kept)
+    assert _raise_exponents(series, l) == TruncatedSeries(vars_, spec, kept)
 
 
 # -------------------------- one reading of the spec: windows and climbing
@@ -1663,7 +1733,7 @@ def test_windows_follow_the_metric_order():
         ("hbar_window", "hbar"),
         ("p_weight_max", "p1"),
     ]:
-        windows = TruncationSpec(**{field: (-1, 5) if "window" in field else 5}).windows
+        windows = TruncationSpec(**{field: (0, 5) if "window" in field else 5}).windows
         metric = layout.metric(layout.key(vars_.monomial({name: 1})))
         assert [w is not None for w in windows] == [e == 1 for e in metric], field
         assert windows[metric.index(1)][1] == 5, field
@@ -1672,7 +1742,7 @@ def test_windows_follow_the_metric_order():
 def test_window_on_a_missing_direction_changes_no_exp_or_log():
     # XU has no z or hbar: a window there bounds nothing the series climbs in
     f = s({"u": 1}) + s({"x1": 1, "u": 1}, 3) + s({"x2": 2}, QQ(1, 2))
-    wide = f.truncate(TruncationSpec(z_window=(0, 3), hbar_window=(-2, 9)))
+    wide = f.truncate(TruncationSpec(z_window=(0, 3), hbar_window=(0, 9)))
     assert wide.spec != f.spec and wide == f
     assert wide.exp() == f.exp()
     assert (wide + one()).log() == (f + one()).log()
@@ -1686,7 +1756,7 @@ def test_window_on_a_missing_direction_changes_no_exp_or_log():
     LAYOUT_VARS.flatmap(
         lambda v: st.tuples(
             st.just(v),
-            st.dictionaries(monomial(v, high=3, lo_laurent=-3), st.integers(-40, 40), max_size=6),
+            st.dictionaries(monomial(v, high=3), st.integers(-40, 40), max_size=6),
         )
     ),
     st.sampled_from([1, 2, 6, 9, 35]),
@@ -1694,7 +1764,7 @@ def test_window_on_a_missing_direction_changes_no_exp_or_log():
 def test_to_text_matches_qq_renderer(case, den):
     # numerators over a common denominator, many not reduced against it:
     # den > 1, negative numerators, +-1 coefficients, the constant term,
-    # p-variables and Laurent exponents
+    # p-variables, z and hbar
     vars_, numerators = case
     spec = TruncationSpec()
     layout = vars_.layout

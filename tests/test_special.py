@@ -199,25 +199,15 @@ def test_plethystic_exp_rejects_monomial_without_truncated_weight():
         plethystic_exp(TruncatedSeries.term(XUV, spec, {"x1": 1}))
 
 
-def test_plethystic_exp_counts_a_window_no_monomial_is_negative_in():
+def test_plethystic_exp_counts_a_bounded_z_window():
     # the series climbs in z, so 1/(1 - z) is sum_k z^k up to the window
     zv = VariableSet(has_u=True, has_z=True)
     zspec = TruncationSpec(u_max=4, z_window=(0, 4))
     got = plethystic_exp(TruncatedSeries.term(zv, zspec, {"z": 1}))
     assert got == TruncatedSeries(zv, zspec, {(0, k): 1 for k in range(5)})
-    # with a negative z-exponent anywhere, z no longer counts
-    mixed = TruncatedSeries(zv, TruncationSpec(u_max=4, z_window=(-1, 4)), {(0, 1): 1, (1, -1): 1})
+    # with z unbounded, z does not count
     with pytest.raises(SeriesError, match="plethystically"):
-        plethystic_exp(mixed)
-
-
-def test_plethystic_exp_raises_on_exponents_raised_below_the_window():
-    # u/z raised to l = 3 is u^3/z^3, below the z window; dropping it would
-    # lose the u^3/z^3 term of the product 1/(1 - u/z)
-    zv = VariableSet(has_u=True, has_z=True)
-    zspec = TruncationSpec(u_max=4, z_window=(-2, 2))
-    with pytest.raises(SeriesError, match="below"):
-        plethystic_exp(TruncatedSeries.term(zv, zspec, {"u": 1, "z": -1}))
+        plethystic_exp(TruncatedSeries.term(zv, TruncationSpec(u_max=4), {"z": 1}))
 
 
 SPEC6 = TruncationSpec(u_max=6, x_total_max=6)
@@ -260,23 +250,22 @@ def test_plethystic_exp_matches_product_with_p_weight(d):
 
 
 LV = VariableSet(hodge_count=1, has_u=True, has_z=True, has_hbar=True)
-LSPEC = TruncationSpec(u_max=4, x_total_max=4, z_window=(-3, 6), hbar_window=(-2, 5))
+LSPEC = TruncationSpec(u_max=4, x_total_max=4, z_window=(0, 6), hbar_window=(0, 5))
 l_monos = st.tuples(st.integers(0, 2), st.integers(1, 2), st.integers(0, 2), st.integers(0, 1))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.dictionaries(l_monos, chi_values, max_size=4))
-def test_plethystic_exp_matches_product_with_laurent_windows(d):
-    # raising runs on packed keys, whose z and hbar fields carry a bias
+def test_plethystic_exp_matches_product_with_z_and_hbar_windows(d):
+    # raising runs on packed keys, whose z and hbar fields sit at the top
     g = TruncatedSeries(LV, LSPEC, d)
     assert plethystic_exp(g) == naive_plethystic_exp(g)
 
 
 ZV = VariableSet(has_u=True, has_z=True)
 HV = VariableSet(hodge_count=1, has_hbar=True)
-# u (x) unbounded, so each series climbs in z (hbar) alone; the hbar
-# window reaches below 0, where no monomial of these series goes
-ONE_CLIMBING = [(ZV, TruncationSpec(z_window=(0, 5))), (HV, TruncationSpec(hbar_window=(-2, 5)))]
+# u (x) unbounded, so each series climbs in z (hbar) alone
+ONE_CLIMBING = [(ZV, TruncationSpec(z_window=(0, 5))), (HV, TruncationSpec(hbar_window=(0, 5)))]
 climbing_monos = st.tuples(st.integers(0, 2), st.integers(1, 3))
 
 
@@ -344,8 +333,9 @@ def test_double_sum_matches_naive_for_graph_supercharacter(monkeypatch, parity):
 
 
 @pytest.mark.parametrize("twist", ["plain", "det"])
-def test_double_sum_matches_naive_in_the_hbar_laurent_window(monkeypatch, twist):
-    # the body before the final regrade: p_n / hbar^n arguments, var = hbar
+def test_double_sum_matches_naive_in_the_hbar_plus_p_weight_grade(monkeypatch, twist):
+    # the body before the final regrade: P_n = +-p_n, var = hbar counting
+    # hbar + p-weight
     assert_sums_match_naive(
         monkeypatch,
         cycleindex,
@@ -393,19 +383,19 @@ def test_double_sum_builds_u_factors_once_per_l(monkeypatch):
 PLACEMENT_LAYOUTS = {
     "xu": (VariableSet(hodge_count=2, has_u=True), TruncationSpec(u_max=8, x_total_max=9), "u"),
     "p": (VariableSet(has_u=True, pcount=4), TruncationSpec(u_max=8, p_weight_max=4), "u"),
-    # the hbar Laurent window of mod_envelope_supercharacter_direct at W=4, G=5
+    # the hbar + p-weight window of mod_envelope_supercharacter_direct at W=4, G=5
     "hbar": (
         VariableSet(has_hbar=True, pcount=4),
-        TruncationSpec(p_weight_max=4, hbar_window=(-4, 8)),
+        TruncationSpec(p_weight_max=4, hbar_window=(0, 8)),
         "hbar",
     ),
 }
 
-# a nonconstant X with no positive exponent in v, as the callers' X_{l,k}^n
+# a nonconstant X free of v, as the callers' X_{l,k}^n
 PLACEMENT_X = {
     "xu": {(0, 0, 0): 1, (1, 0, 0): 2, (0, 2, 0): QQ(-1, 3), (3, 4, 0): 5},
     "p": {(0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): -1, (0, 0, 1, 0, 0): QQ(1, 2), (0, 2, 1, 0, 0): 7},
-    "hbar": {(0, 0, 0, 0, 0): 3, (-1, 1, 0, 0, 0): 1, (-2, 0, 1, 0, 0): QQ(-1, 2), (-4, 0, 0, 0, 1): 2},
+    "hbar": {(0, 0, 0, 0, 0): 3, (0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0): QQ(-1, 2), (0, 0, 0, 0, 1): 2},
 }
 
 
@@ -424,7 +414,7 @@ def test_placed_factors_match_raising_in_the_callers_layout(layout, sigma_d):
     vars_, spec, var = PLACEMENT_LAYOUTS[layout]
     x = TruncatedSeries(vars_, spec, PLACEMENT_X[layout])
     top = 8
-    step = vars_.layout.pack(vars_.monomial({var: 1})) - vars_.layout.bias
+    step = vars_.layout.pack(vars_.monomial({var: 1}))
     for l in range(1, 2 * top + 1):
         cols, log_fl = special._v_factors(l, sigma_d, top)
         fl = special._f_series(vars_, spec, var, l)
@@ -466,7 +456,6 @@ def test_v_factors_are_immutable():
     "spec",
     [
         TruncationSpec(p_weight_max=2, hbar_window=(1, 5)),  # no hbar^0
-        TruncationSpec(p_weight_max=2, hbar_window=(-5, -1)),
         TruncationSpec(p_weight_max=2),  # hbar unbounded
     ],
 )
