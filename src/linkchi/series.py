@@ -65,35 +65,33 @@ Bound test.  For a spec, each field has bounds ``[lo, hi]``: the spec's,
 those it implies (an x_i is at most the x-total bound, a p_l at most the
 p-weight bound over l), or ``[0, storage limit]`` where the spec sets none.
 ``ADD`` holds ``2^(F-1) - 1 - hi`` per field, ``SUB`` holds ``lo`` and
-``GUARD`` every guard bit.  A product key lies in the spec iff ``((key +
-ADD) | (key - SUB)) & GUARD == 0``: a field past ``hi`` sets its guard bit
-in ``key + ADD``, which never carries; a field below ``lo`` wraps in ``key
-- SUB`` and sets its guard bit there (a borrow it passes upward can only
-add guard bits above a field that already failed).  A pair whose key fails
-the test only in a field bounded by the storage limit overflows and
-raises.  Only a z or hbar window sets a lower bound above 0, and those
-fields sit at the top, so no borrow reaches the x-total field, whose
-guard bit alone ends a bucket sorted by x-total.
+``GUARD`` every guard bit.  A key lies in the spec iff ``((key + ADD) |
+(key - SUB)) & GUARD == 0``: a field past ``hi`` sets its guard bit in
+``key + ADD``, which never carries; a field below ``lo`` wraps in ``key -
+SUB`` and sets its guard bit there (a borrow it passes upward can only add
+guard bits above a field that already failed).
 
-The cut at the top field replaces that test in the pair loop where two
-fields decide it.  The top field is a key's most significant one (hbar,
-else z, else the p-weight, else the x-total, else u), so sorting keys as
-integers sorts them by it.  Take a spec that bounds every field (``OVER ==
-0``: an x_i through the x-total, a p_l through the p-weight), where each
-bounded direction among the five is the bucket field (u, or the p-weight
-without u) or the top field.  Every x_i is at most the x-total and every
-p_l at most the p-weight over l, and no field of a sum of two stored keys
-carries, so a pair lies under every upper bound exactly when its bucket
-fits and its top field ``top(k1) + top(k2)`` is at most the top bound H,
-that is when ``k2 < (H + 1 - top(k1)) << shift`` (the fields of k2 below
-its top one read less than ``1 << shift``).  It lies above the low end of
-a window too: two terms at or above it sum past it, and an operand under
-a wider spec, whose terms may lie below, makes the sum's spec mixed, so
-that ``series()`` drops what lies outside.  A bucket sorted by raw key
-then ends at the first k2 past that limit, and every pair before it is
-kept with no test.  A direction bounded only by storage and a third
-bounded direction (the x-total with the p-weight or a z window, say) keep
-the guard test.
+The pair loop takes no test: it cuts at two fields.  The top field is a
+key's most significant one (hbar, else z, else the p-weight, else the
+x-total, else u), so sorting keys as integers sorts them by it, and no
+field of a sum of two stored keys carries.  The right operand's buckets,
+by the bucket field (u, or the p-weight without u), end past the left
+key's room in that field, and a bucket sorted by raw key ends at the
+first k2 with ``top(k1) + top(k2)`` past the top bound H, that is at
+``k2 >= (H + 1 - top(k1)) << shift`` (the fields of k2 below its top one
+read less than ``1 << shift``); every pair before it is kept.  The cut is
+exact where the spec bounds every field (``OVER == 0``: an x_i through
+the x-total, a p_l through the p-weight) and each bounded direction among
+the five is the bucket field or the top field: every x_i is at most the
+x-total and every p_l at most the p-weight over l, so a pair lies under
+every upper bound exactly when its bucket fits and its top field is at
+most H.  It lies above the low end of a window too: two terms at or above
+it sum past it.  Elsewhere (the x-total with the p-weight or a z window,
+say), and where an operand under a wider spec may hold terms below a
+window, the sum drops the keys outside its spec with one bound test per
+key when it settles (:meth:`_LinearSum.settle`).  A product under a spec
+that bounds a field only by storage tests its keys at once, so that one
+in every bound of the spec but past the storage limit raises.
 
 Series are immutable after construction; all operations are pure.
 """
@@ -300,30 +298,32 @@ def _layout(vars_: VariableSet) -> _Layout:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _masks(layout: _Layout, spec: "TruncationSpec", l: int = 1) -> tuple:
-    """``(ADD, SUB, GUARD, OVER, XGUARD, CUT)`` of the bound test (module
+    """``(ADD, SUB, GUARD, OVER, CUT)`` of the bound test (module
     docstring) for keys of ``layout`` under ``spec``.
 
     With ``l > 1`` the bounds are those of the spec divided by l: a stored
     key passes iff the monomial with every exponent times l lies in the
     spec and fits.  ``OVER`` holds the guard bits of the fields whose bound
-    is the storage limit, where failing means overflow, not truncation;
-    ``XGUARD`` the x-total guard bit when the spec bounds the x-total.
-    ``CUT`` is ``(shift, hi + 1)`` of the layout's top field when the cut
-    at the top field decides the bound of a pair (module docstring), else
-    None.  A z/hbar window on a direction the layout lacks holds every key
-    or, when it excludes 0, none: then the masks fail every key (and the
-    constructor, ``zero``, ``truncate`` and ``regrade`` raise,
-    :func:`_check_windows`).  The bounds are read field by field, not from
+    is the storage limit, where failing means overflow, not truncation.
+    ``CUT`` is ``(shift, room, exact)`` of the cut at the top field (module
+    docstring): the layout's top field, its bound + 1 (past every sum of
+    two stored fields where storage alone bounds it), and whether the cut
+    and the bucket field decide the bound of every pair; the empty layout
+    has ``(0, 1, True)``.  A z/hbar window on a direction the layout lacks
+    holds every key or, when it excludes 0, none: then the masks fail every
+    key and the cut keeps no pair (and the constructor, ``zero``,
+    ``truncate`` and ``regrade`` raise, :func:`_check_windows`).  The
+    bounds are read field by field, not from
     :attr:`TruncationSpec.windows`, so that the tests' reference,
     :func:`_outside`, shares no code with them.
     """
     for kind, window in (("z", spec.z_window), ("hbar", spec.hbar_window)):
         if window is not None and kind not in layout.shift and window[0] > 0:
-            return 0, 1, -1, 0, 0, None  # key | (key - 1) is nonzero for every key >= 0
+            return 0, 1, -1, 0, (0, 0, True)  # key | (key - 1) is nonzero for every key >= 0
     s_cap, w_cap = spec.x_total_max, spec.p_weight_max
     st_hi = (_EXP_LIMIT - 1) // l
-    add = sub = guard = over = xguard = 0
-    top = None  # (kind, shift, hi) of the last, most significant field
+    add = sub = guard = over = 0
+    top = None, 0, 1  # (kind, shift, room) of the last, most significant field
     for kind, shift, p_l in layout.fields:
         lo = 0
         if kind in ("x", "xt"):
@@ -344,15 +344,11 @@ def _masks(layout: _Layout, spec: "TruncationSpec", l: int = 1) -> tuple:
         add |= (_GUARD - 1 - hi) << shift
         sub |= min(-(-lo // l), st_hi + 1) << shift
         guard |= bit
-        if kind == "xt" and not over & bit:
-            xguard = bit
-        top = kind, shift, hi
-    cut = None
-    if top is not None and not over:  # every field bounded
-        bucket = "u" if "u" in layout.shift else "pw"
-        if {kind for kind, _s, _l in layout.fields if kind in _DIRECTIONS} <= {bucket, top[0]}:
-            cut = top[1], top[2] + 1
-    return add, sub, guard, over, xguard, cut
+        top = kind, shift, _GUARD if over & bit else hi + 1  # no sum of two fields reaches _GUARD
+    bucket = "u" if "u" in layout.shift else "pw"
+    directions = {kind for kind, _s, _l in layout.fields if kind in _DIRECTIONS}
+    exact = not over and directions <= {bucket, top[0]}
+    return add, sub, guard, over, (top[1], top[2], exact)
 
 
 def _rational(c):
@@ -524,29 +520,19 @@ def _bucket_field(layout: _Layout, spec: TruncationSpec) -> tuple[int | None, in
     return None, 0
 
 
-def _bucketed(layout: _Layout, shift: int | None, items) -> list:
+def _bucketed(shift: int | None, items) -> list:
     """``[(bucket key, [(key, numerator)])]`` in increasing bucket-key
     order, the bucket key being the field at ``shift`` (0 for every item
-    when ``shift`` is None).  A layout with an x-total below its top field
-    sorts each bucket by x-total, for the x-total break of the guard test.
-    Any other layout sorts it by raw key, so by its top field first, for
-    the cut at the top field (:meth:`_LinearSum._pairs`); there the top
-    field is the x-total when the layout has one, so both orders serve the
-    guard test too."""
-    mask = _FIELD_MASK
+    when ``shift`` is None), each bucket sorted by raw key, so by its top
+    field first, for the cut at the top field (:meth:`_LinearSum._pairs`)."""
     if shift is None:
         buckets = {0: list(items)}
     else:
         buckets = {}
         for item in items:
-            buckets.setdefault((item[0] >> shift) & mask, []).append(item)
-    xs = layout.shift.get("xt")
-    if xs is not None and layout.fields[-1][0] != "xt":
-        for lst in buckets.values():
-            lst.sort(key=lambda it: (it[0] >> xs) & mask)
-    else:
-        for lst in buckets.values():
-            lst.sort()  # keys are distinct, so no numerator is compared
+            buckets.setdefault((item[0] >> shift) & _FIELD_MASK, []).append(item)
+    for lst in buckets.values():
+        lst.sort()  # keys are distinct, so no numerator is compared
     return sorted(buckets.items())
 
 
@@ -560,7 +546,7 @@ class _LinearSum:
     integer forms (:attr:`TruncatedSeries._ints`): runs of items at a key
     offset (:meth:`add_runs`; a scaled series is one run at offset 0), or
     for a product the left items, the right operand's buckets and the spec
-    in force at that call, whose masks and bucket field the pair loop uses.
+    in force at that call, whose cut and bucket field the pair loop uses.
     ``settle()`` takes the lcm D of the recorded denominators once and runs
     every term, in the order added, into one dict at the fixed integer
     scale ``num * (D // den)``, so no numerator is ever rescaled.  The
@@ -570,21 +556,22 @@ class _LinearSum:
     The right operand of a product is bucketed (:func:`_bucketed`,
     cached per series) by the dominant bounded direction (u, or p-weight
     when u is absent), so the loop leaves the buckets past the left key's
-    room in that direction unvisited.  Where the bucket field and the top
-    field decide the bound (``CUT`` of :func:`_masks`), a bucket sorted by
-    raw key ends at the first key past the left key's room in the top
-    field, and every pair before it is kept untested.  Elsewhere each pair
-    takes the guard-bit test, ``((key + ADD) | (key - SUB)) & GUARD == 0``
-    (module docstring), and a bucket sorted by x-total ends at the first
-    pair past the x-total bound; a pair that fails only on the storage
-    limit of an unbounded direction raises :class:`SeriesError` instead of
-    wrapping, when the sum is settled.  A coefficient ``c`` is read as
-    ``c.numerator`` over ``c.denominator``, so it may be an ``int`` or a
-    ``QQ``.  ``series()`` hands the nonzero numerators and D to the result
-    as its integer form (:meth:`TruncatedSeries._from_ints`); no ``QQ`` is
-    built.  The result's spec is the meet of every operand's spec, and
-    terms outside it are dropped; ``+`` and ``-`` are such sums of two
-    series.
+    room in that direction unvisited, and a bucket, sorted by raw key,
+    ends at the first key past the left key's room in the top field
+    (``CUT`` of :func:`_masks`).  Every pair before it is kept untested.
+    Where those two fields do not decide the bound, the kept pairs past
+    another bound or below a window wait for ``settle()``, which then
+    drops every key outside the sum's spec in one pass; it does the same
+    when an operand's spec was wider than the sum's.  A product under a
+    spec that leaves a field bounded only by storage is filtered by that
+    spec at once instead, and a pair that lies in it but overflows raises
+    :class:`SeriesError` instead of wrapping, when the sum is settled.  A
+    coefficient ``c`` is read as ``c.numerator`` over ``c.denominator``, so
+    it may be an ``int`` or a ``QQ``.  ``series()`` hands the nonzero
+    numerators and D to the result as its integer form
+    (:meth:`TruncatedSeries._from_ints`); no ``QQ`` is built.  The
+    result's spec is the meet of every operand's spec; ``+`` and ``-`` are
+    such sums of two series.
     """
 
     __slots__ = ("vars", "spec", "_terms", "_mixed")
@@ -648,15 +635,19 @@ class _LinearSum:
 
     def settle(self) -> tuple[int, dict]:
         """``(D, {key: numerator})``: every term over the lcm D of their
-        denominators, summed in the order added.  Zero numerators stay."""
+        denominators, summed in the order added, then the keys outside the
+        spec dropped in one pass where a product left some
+        (:meth:`_pairs`) or an operand's spec was wider.  Zero numerators
+        stay."""
         terms = self._terms
         den = lcm(*(t[1] for t in terms))
         out: dict[int, int] = {}
         get = out.get
+        exact = not self._mixed
         for num, d, items, buckets, spec in terms:
             scale = num * (den // d)
             if buckets is not None:
-                self._pairs(out, scale, items, buckets, spec)
+                exact = self._pairs(out, scale, items, buckets, spec) and exact
                 continue
             for off, m, run in items:
                 c = scale * m
@@ -667,68 +658,55 @@ class _LinearSum:
                 else:
                     for k, n in run:
                         out[k] = get(k, 0) + c * n
+        if not exact:
+            masks = _masks(self.vars.layout, self.spec)
+            out = {k: n for k, n in out.items() if _passes(masks, k)}
         return den, out
 
-    def _pairs(self, out: dict, scale: int, a_items, b_buckets, spec) -> None:
-        """Add ``scale`` times the in-spec pair products (:meth:`add_pairs`)
-        into ``out``."""
+    def _pairs(self, out: dict, scale: int, a_items, b_buckets, spec) -> bool:
+        """Add ``scale`` times the pair products (:meth:`add_pairs`) that
+        the bucket field and the cut at the top field keep into ``out``,
+        and return whether every key added lies in ``spec``.  Where a
+        field of ``spec`` is bounded only by storage, the pairs go to a
+        dict of their own first, filtered by ``spec`` once: a key there
+        that lies in ``spec`` but does not fit raises, and a key outside
+        it is dropped."""
         layout = self.vars.layout
-        add, sub, guard, over, xguard, cut = _masks(layout, spec)
+        masks = _masks(layout, spec)
+        over = masks[3]
+        ts, room, exact = masks[4]
         shift, cap = _bucket_field(layout, spec)
         mask = _FIELD_MASK
-        get = out.get
+        dest = {} if over else out
+        get = dest.get
         hi = 0
-        if cut is not None:
-            ts, room = cut
-            for k1, c1 in a_items:
-                if shift is not None:
-                    hi = cap - ((k1 >> shift) & mask)
-                lim = (room - (k1 >> ts)) << ts
-                c1 *= scale
-                for kv, bucket in b_buckets:
-                    if kv > hi:
-                        break
-                    for k2, c2 in bucket:
-                        if k2 >= lim:
-                            break  # bucket sorted by raw key
-                        key = k1 + k2
-                        out[key] = get(key, 0) + c1 * c2
-            return
         for k1, c1 in a_items:
             if shift is not None:
                 hi = cap - ((k1 >> shift) & mask)
-            ka = k1 + add
-            ks = k1 - sub
+            lim = (room - (k1 >> ts)) << ts
             c1 *= scale
             for kv, bucket in b_buckets:
                 if kv > hi:
                     break
                 for k2, c2 in bucket:
-                    t = (ka + k2) | (ks + k2)
-                    if t & guard:
-                        if t & xguard:
-                            break  # bucket sorted by x-total
-                        if t & over:
-                            self._check_fit(spec, k1 + k2)
-                        continue
+                    if k2 >= lim:
+                        break  # bucket sorted by raw key
                     key = k1 + k2
-                    out[key] = get(key, 0) + c1 * c2
-
-    def _check_fit(self, spec: TruncationSpec, key: int) -> None:
-        """Raise for a product key in ``spec`` that does not fit a key; a
-        key past a bound of the spec is only dropped."""
-        layout = self.vars.layout
-        if not _outside(spec, layout.metric(key)):
-            layout.reject(layout.unpack(key))
+                    dest[key] = get(key, 0) + c1 * c2
+        if not over:
+            return exact
+        get = out.get
+        for key, n in dest.items():
+            if _passes(masks, key):
+                out[key] = get(key, 0) + n
+            elif not _outside(spec, layout.metric(key)):
+                layout.reject(layout.unpack(key))  # in the spec, but a field overflows
+        return True
 
     def series(self) -> "TruncatedSeries":
-        vars_, spec = self.vars, self.spec
         den, nums = self.settle()
         items = {k: n for k, n in nums.items() if n}
-        if self._mixed:
-            masks = _masks(vars_.layout, spec)
-            items = {k: n for k, n in items.items() if _passes(masks, k)}
-        return TruncatedSeries._from_ints(vars_, spec, den, items)
+        return TruncatedSeries._from_ints(self.vars, self.spec, den, items)
 
 
 class TruncatedSeries:
@@ -891,7 +869,7 @@ class TruncatedSeries:
         got = self._bkts
         if got is None or got[0] != shift:
             items = self._ints[1].items()
-            got = self._bkts = (shift, _bucketed(self.vars.layout, shift, items))
+            got = self._bkts = (shift, _bucketed(shift, items))
         return got[1]
 
     def _mul_series(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -1004,7 +982,7 @@ class TruncatedSeries:
                 w[k] = (d_f, [(key, k * c) for key, c in items])
         else:
             for k, items in grades.items():
-                g[k] = (d_f, _bucketed(layout, shift, items))
+                g[k] = (d_f, _bucketed(shift, items))
         sign = 1 if exp else -1
         kmax = max(grades, default=0)
         # (den, grade); exp's grade 0 is the monomial 1, where the spec holds it
@@ -1034,7 +1012,7 @@ class TruncatedSeries:
                 d_n //= r
                 piece = [(key, c // r) for key, c in piece]
             if exp:
-                g[n] = (d_n, _bucketed(layout, shift, piece))
+                g[n] = (d_n, _bucketed(shift, piece))
                 out.append((d_n, piece))
             else:
                 w[n] = (d_n, piece)
@@ -1084,40 +1062,33 @@ class TruncatedSeries:
         to have positive weight in the directions it climbs in (module
         docstring), so that the source truncation at u^T stays sound.
 
-        The source monomials are grouped by their pattern: the exponents of
-        the carried z and hbar, then those at the substituted positions.
-        A pattern's product is its carried z and hbar factor (1 when there
-        is none) times the replacement powers in position order, each product
-        truncated to the result spec.  The patterns are walked in
+        The source monomials are grouped by their pattern, the exponents at
+        the substituted positions.  A pattern's product is the replacement
+        powers in position order.  The patterns are walked in
         lexicographic order, keeping only the stack of products along the
         current prefix, so each distinct prefix is multiplied out once.
-        The rest X of each carried monomial multiplies last, in one
-        :class:`_LinearSum` pair loop per pattern.
+        The rest X of each monomial, its carried variables, multiplies
+        last, in one :class:`_LinearSum` pair loop per pattern.
 
-        Multiplying X last is exact.  X has exponents only in x, u and p,
-        which are nonnegative and bounded only above, and the replacements'
-        exponents there are nonnegative too.  Take a chain of truncated
-        products t_1, t_2, ... of one term each.  X*t_i lies in the z and
-        hbar windows iff t_i does, and under the upper bounds only if t_i
-        does; once X*t_i is past an upper bound, so is X*t_j for every later
-        j.  So the chains that end inside the spec are the same whether X
-        multiplies first, truncating every step, or last, and so are the
-        terms they give.  A carried z or hbar has no such argument, since
-        X*t_i may lie in a window whose low end t_i lies below: it starts
-        the chain.
+        Every product runs under the result spec with the low end of each z
+        and hbar window set to 0, and the sum is then truncated to the
+        result spec.  There every bound is an upper bound on a sum of
+        nonnegative exponents, so each factor of a monomial inside the
+        bounds lies inside them too: truncating every partial product, and
+        multiplying X last, drops no term of the whole product.  The low
+        ends apply once, to the sum.
         """
         if not assignments:
             return self
-        repls = dict(assignments)
-        first = next(iter(repls.values()))
+        first = next(iter(assignments.values()))
         tvars, tspec = first.vars, first.spec
-        for name, s in repls.items():
+        for name, s in assignments.items():
             self.vars.index(name)  # must exist in source
             if s.vars != tvars or s.spec != tspec:
                 raise SeriesError("replacement series must share one variable set and spec")
 
-        if "u" in repls:
-            metrics = [tvars.layout.metric(key) for key in repls["u"]._ints[1]]
+        if "u" in assignments:
+            metrics = [tvars.layout.metric(key) for key in assignments["u"]._ints[1]]
             if not all(map(_weight(_climbing(tspec)), metrics)):
                 raise SeriesError(
                     "substituting u requires a replacement of positive order "
@@ -1125,10 +1096,14 @@ class TruncatedSeries:
                 )
 
         names = self.vars.names
-        for name in set(names) - repls.keys() - tvars.positions.keys():
+        for name in set(names) - assignments.keys() - tvars.positions.keys():
             raise KeyError(name)  # a carried variable must exist in the result set
+        z, hb = tspec.z_window, tspec.hbar_window
+        spec = TruncationSpec(
+            tspec.u_max, tspec.x_total_max, z and (0, z[1]), hb and (0, hb[1]), tspec.p_weight_max
+        )
+        repls = {n: TruncatedSeries._from_ints(tvars, spec, *s._ints) for n, s in assignments.items()}
         substituted = [n for n in names if n in repls]  # in position order
-        rooted = [n for n in names if n in ("z", "hbar") and n not in repls]  # carried
         power_cache: dict[tuple[int, int], TruncatedSeries] = {}
 
         def repl_power(j: int, e: int) -> TruncatedSeries:
@@ -1138,47 +1113,39 @@ class TruncatedSeries:
                 got = power_cache[j, e] = repls[substituted[j]] ** e
             return got
 
-        layout = tvars.layout
-        pack = layout.pack
-        # X: the regrade (:func:`_regrader`) that carries x, u and p and zeroes the rest
-        zeroed = tuple((n, ()) for n in tvars.names if n in repls or n in ("z", "hbar"))
+        # X: the regrade (:func:`_regrader`) that carries the rest and zeroes the substituted
+        zeroed = tuple((n, ()) for n in tvars.names if n in repls)
         carried = _regrader(self.vars, tvars, zeroed, (), 1)[0]  # X's key is its second value
-        pattern_of = _reader(self.vars.layout, (*rooted, *substituted))
+        pattern_of = _reader(self.vars.layout, tuple(substituted))
         den, items = self._ints
         groups: dict[tuple[int, ...], list] = {}  # pattern -> [(key of X, numerator)]
         for key, n in items.items():
             groups.setdefault(pattern_of(key), []).append((carried(key)[1], n))
 
-        nl = len(rooted)
-        masks = _masks(layout, tspec)
-        shift = _bucket_field(layout, tspec)[0]
-        out = _LinearSum(tvars, tspec)
-        stack: list[TruncatedSeries] = []  # the root, then one product per position
+        shift = _bucket_field(tvars.layout, spec)[0]
+        out = _LinearSum(tvars, spec)
+        one = TruncatedSeries.one(tvars, spec)
+        stack = [one]  # 1, then one product per position
         prev = None
         for pattern in sorted(groups):
             keep = 0  # positions whose products the previous pattern left on the stack
-            if prev is None or pattern[:nl] != prev[:nl]:
-                root = pack(tvars.monomial(dict(zip(rooted, pattern))))
-                kept = _passes(masks, root)
-                stack = [TruncatedSeries._from_ints(tvars, tspec, 1, {root: 1} if kept else {})]
-                unit = stack[0] if kept and root == 0 else None
-            else:
-                while pattern[nl + keep] == prev[nl + keep]:
+            if prev is not None:
+                while pattern[keep] == prev[keep]:
                     keep += 1
                 del stack[keep + 1 :]
             for j in range(keep, len(substituted)):
-                e = pattern[nl + j]
+                e = pattern[j]
                 top = stack[-1]
                 if e and not top.is_zero():
                     power = repl_power(j, e)
-                    top = power if top is unit else top * power  # 1 * power is power
+                    top = power if top is one else top * power  # 1 * power is power
                 stack.append(top)
             prev = pattern
             prod = stack[-1]
             if not prod.is_zero():
                 d_prod = prod._ints[0]
                 out.add_pairs(1, den * d_prod, groups[pattern], prod._buckets(shift))
-        return out.series()
+        return out.series().truncate(tspec)
 
     # ------------------------------------------------------- extraction
 

@@ -15,7 +15,9 @@ the textbook forms they replaced, kept here as test oracles only:
   coefficient by coefficient in ``QQ`` and built through the constructor
   (``naive_sum``), never through ``+``, ``-``, ``scaled`` or a
   ``_LinearSum``, which these references check;
-* a substitution as one product of repeated factors per monomial;
+* a substitution as one product of repeated factors per monomial, and
+  exp from its term 1, each built where every z and hbar window starts at
+  0 (``from_zero``) and truncated to the spec at the end;
 * a regrade as its affine forms evaluated on each monomial's exponents
   by name, where ``regrade`` runs a map compiled on packed keys;
 * the text form rendered from ``QQ`` coefficients and exponent tuples,
@@ -29,6 +31,7 @@ the textbook forms they replaced, kept here as test oracles only:
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 
 from linkchi.rationals import QQ, binomial, divisors, mobius, qq_str
@@ -72,23 +75,32 @@ def naive_linear_sum(vars_, spec, terms) -> TruncatedSeries:
     )
 
 
+def from_zero(spec):
+    """``spec`` with the low end of each z and hbar window set to 0."""
+    z, hbar = spec.z_window, spec.hbar_window
+    return dataclasses.replace(spec, z_window=z and (0, z[1]), hbar_window=hbar and (0, hbar[1]))
+
+
 def naive_substitute(series: TruncatedSeries, assignments) -> TruncatedSeries:
     """Sum of ``c * prod_v assignments[v]^e_v`` over the terms of ``series``,
     each power a repeated ``naive_mul`` in variable order, starting from the
     carried monomial: a variable not replaced keeps its exponent under the
-    same name."""
+    same name.  Every product is built under the spec with its windows
+    from 0, so a carried monomial below a window's low end is kept until
+    the sum, which the spec truncates."""
     first = next(iter(assignments.values()))
     vars_, spec = first.vars, first.spec
+    low = from_zero(spec)
+    factors = {name: TruncatedSeries(vars_, low, a.coeffs) for name, a in assignments.items()}
     terms = []
     for mono, c in series.coeffs.items():
         kept = {n: e for n, e in zip(series.vars.names, mono) if n not in assignments}
-        term = TruncatedSeries.term(vars_, spec, kept, c)
+        term = TruncatedSeries.term(vars_, low, kept, c)
         for name, e in zip(series.vars.names, mono):
             if name not in assignments:
                 continue
-            factor = assignments[name]
             for _ in range(e):
-                term = naive_mul(term, factor)
+                term = naive_mul(term, factors[name])
         terms.append((1, term))
     return naive_sum(vars_, spec, terms)
 
@@ -183,7 +195,9 @@ def naive_exp(series: TruncatedSeries) -> TruncatedSeries:
         raise SeriesError("exp requires zero constant term")
     series._grades()  # nilpotence guard: the loop below must terminate
     vars_, spec = series.vars, series.spec
-    term = TruncatedSeries.one(vars_, spec)
+    # the term 1 lies outside a window without exponent 0, but its
+    # products with the series do not; the last sum drops it there
+    term = TruncatedSeries.one(vars_, from_zero(spec))
     terms = [(1, term)]
     k = 0
     while True:

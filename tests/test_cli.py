@@ -606,6 +606,28 @@ def test_verify_tables_checks_palindromy_past_the_published_rows(capsys, monkeyp
     assert "genus 0 t=25: row not palindromic at s2=1" in out
 
 
+def test_verify_tables_fails_when_the_misprint_cell_breaks_palindromy(capsys, monkeypatch):
+    # genus 3, t=21, s2=3 differs from the printed grid and is only noted
+    # while its mirror s2=16 computes the same; one more x1^16 x2^3 u^21
+    # in the full series breaks that
+    import linkchi.verify as verify_mod
+    from linkchi.series import TruncatedSeries
+
+    real = verify_mod.f_homotopy_direct
+
+    def off_at_the_misprint(cfg, t_max, x_total_max=None, genus=None):
+        out = real(cfg, t_max, x_total_max, genus)
+        if genus is not None:
+            return out
+        return out + TruncatedSeries.term(out.vars, out.spec, {"x1": 16, "x2": 3, "u": 21})
+
+    monkeypatch.setattr(verify_mod, "f_homotopy_direct", off_at_the_misprint)
+    code, out, _ = run_cli(["verify", "--only", "tables", "--t-max", "21"], capsys)
+    assert code == 1
+    assert "genus 3 t=21: computed row breaks palindromy at s2=3" in out
+    assert "genus 3 t=21: row not palindromic at s2=3" in out
+
+
 def test_verify_tables_fails_when_the_genus_layer_is_shifted(capsys, monkeypatch):
     # the layer computed alone pairs each x-term with the factor term one
     # genus too high, the full series as before: the published grids still

@@ -312,6 +312,24 @@ def test_substitute_carried_z_factor_starts_the_chain():
     assert out.coefficient({"x1": 1, "z": 4}) == 1
 
 
+@pytest.mark.parametrize("name", ["z", "hbar"])
+def test_substitute_keeps_a_carried_factor_below_the_window(name):
+    # 2 p1 carries name^0, below the window (2, 6), and its product with
+    # x1 name^2 lies inside it; 5 name lies below the window, and
+    # name p1^3 goes to x1^3 name^7, past it
+    has = {f"has_{name}": True}
+    src = VariableSet(pcount=1, **has)
+    terms = {src.monomial({"p1": 1}): 2, src.monomial({name: 1}): 5, src.monomial({name: 1, "p1": 3}): 1}
+    f = TruncatedSeries(src, TruncationSpec(p_weight_max=4), terms)
+    target = VariableSet(hodge_count=1, **has)
+    spec = TruncationSpec(x_total_max=4, **{f"{name}_window": (2, 6)})
+    repls = {"p1": TruncatedSeries.term(target, spec, {"x1": 1, name: 2})}
+    out = f.substitute(repls)
+    assert out == TruncatedSeries.term(target, spec, {"x1": 1, name: 2}, 2)
+    assert out.spec == spec
+    assert out == naive_substitute(f, repls)
+
+
 def test_coefficient_out_of_bounds_is_error():
     a = one() + s({"u": 1}, 3)
     assert a.coefficient({"u": 1}) == 3
@@ -640,11 +658,11 @@ def test_graded_log_matches_repeated_products(case):
 @pytest.mark.parametrize("name", ["u/z", "hbar+p"])
 def test_graded_cases_take_the_cut(name):
     vars_, spec, _monos = GRADED_CASES[name]
-    assert _masks(vars_.layout, spec)[-1] is not None
+    assert _masks(vars_.layout, spec)[-1][2]
 
 
 # a window (g, g) with g >= 1, which holds no monomial 1: on the cut path
-# (hbar+p) and on the guard path (x/u/z); one operand of a product lies
+# (hbar+p) and where settle() filters (x/u/z); one operand of a product lies
 # under the case's wider window, so the product takes the meet
 WINDOW_G_CASES = {
     "hbar+p": (HP, lambda g: TruncationSpec(p_weight_max=5, hbar_window=(g, g)), hbar_p_monos),
@@ -668,7 +686,7 @@ def test_mul_and_exp_under_a_window_without_zero(name, g, data):
     assert a * b == naive_mul(a, b) and b * a == naive_mul(b, a), name
     assert (a * b).spec == narrow(g)
     # every square lies past the window, and 1 outside it: exp(b) is b
-    assert b.exp() == b, name
+    assert b.exp() == b == naive_exp(b), name
 
 
 # ------------------------- one-direction grading vs the summed references
@@ -1303,9 +1321,9 @@ def test_buckets_built_once_per_right_operand(monkeypatch):
     calls = []
     real = series_mod._bucketed
 
-    def counting(layout, shift, items):
+    def counting(shift, items):
         calls.append(shift)
-        return real(layout, shift, items)
+        return real(shift, items)
 
     monkeypatch.setattr(series_mod, "_bucketed", counting)
     a = s({"x1": 1}, QQ(1, 3)) + one()
@@ -1499,13 +1517,13 @@ def test_guard_test_matches_outside(case, l):
     )
 
 
-# ------------------------------ the pair loop: cut at the top field, guard test
+# ------------------- the pair loop: cut at the top field, filter at settle
 
 def takes_the_cut(vars_) -> bool:
     """Whether every direction of ``vars_`` is the bucket field (u, or the
     p-weight without u) or the top field (hbar, z, p-weight, x-total, u,
-    the first present): the layouts where the cut applies once every field
-    is bounded (the empty one aside)."""
+    the first present): the layouts where the cut is exact once every field
+    is bounded."""
     present = [
         d
         for d, here in (
@@ -1563,7 +1581,7 @@ def mul_case(draw):
 @settings(max_examples=300, deadline=None)
 @given(mul_case())
 def test_mul_matches_pairwise_on_every_layout(case):
-    # both pair-loop paths, on layouts GRADED_CASES lacks: u only, p only,
+    # exact and filtered products, on layouts GRADED_CASES lacks: u only, p only,
     # x only, x with p, and the empty layout
     a, b = case
     product = a * b
@@ -1574,7 +1592,7 @@ def test_mul_matches_pairwise_on_every_layout(case):
 @pytest.mark.parametrize(
     "vars_, cut",
     [
-        (VariableSet(), False),  # no field: the guard test, with GUARD 0
+        (VariableSet(), True),  # no field: the one key 0, at room 1
         (VariableSet(has_u=True), True),
         (VariableSet(pcount=2), True),
         (VariableSet(hodge_count=2), True),
@@ -1592,8 +1610,8 @@ def test_mul_matches_pairwise_on_every_layout(case):
 def test_cut_applies_where_two_fields_decide_the_bound(vars_, cut):
     caps = {"u_max": 5, "x_total_max": 5, "z_window": (0, 5), "hbar_window": (0, 5), "p_weight_max": 5}
     bounded = TruncationSpec(**caps)
-    assert (_masks(vars_.layout, bounded)[-1] is not None) == cut
-    # a direction bounded only by storage keeps the guard test
+    assert _masks(vars_.layout, bounded)[-1][2] == cut
+    # a direction bounded only by storage leaves the cut inexact
     for free, name in (
         ("u_max", "u"),
         ("x_total_max", "x1"),
@@ -1602,14 +1620,14 @@ def test_cut_applies_where_two_fields_decide_the_bound(vars_, cut):
         ("hbar_window", "hbar"),
     ):
         if name in vars_.names:
-            assert _masks(vars_.layout, TruncationSpec(**{**caps, free: None}))[-1] is None
+            assert not _masks(vars_.layout, TruncationSpec(**{**caps, free: None}))[-1][2]
 
 
 def pair_kept(vars_, spec, a, b) -> bool:
     """Whether the pair loop keeps the product of the monomials a and b."""
     layout = vars_.layout
     acc = _LinearSum(vars_, spec)
-    right = _bucketed(layout, _bucket_field(layout, spec)[0], [(layout.key(b), 1)])
+    right = _bucketed(_bucket_field(layout, spec)[0], [(layout.key(b), 1)])
     acc.add_pairs(1, 1, [(layout.key(a), 1)], right)
     return bool(acc.settle()[1])
 
@@ -1618,7 +1636,8 @@ def pair_kept(vars_, spec, a, b) -> bool:
 @given(CUT_VARS.flatmap(lambda v: st.tuples(st.just(v), monomial(v), monomial(v))), bounded_spec())
 def test_cut_keeps_a_pair_iff_it_lies_in_the_spec(case, spec):
     vars_, a, b = case
-    assert _masks(vars_.layout, spec)[-1] is not None or not vars_.names
+    # the cut alone decides: settle() filters nothing after an exact product
+    assert _masks(vars_.layout, spec)[-1][2]
     total = tuple(x + y for x, y in zip(a, b))
     inside = _outside(spec, tuple_metric(vars_, total)) == 0
     assert pair_kept(vars_, spec, a, b) == inside
@@ -1640,7 +1659,7 @@ def test_cut_at_and_one_past_the_cap(vars_, spec, name):
     # bound's room: a product exactly at the x-total or p-weight cap is
     # kept and one past it is dropped, for an off-by-one limit fails here
     layout = vars_.layout
-    assert _masks(layout, spec)[-1] is not None
+    assert _masks(layout, spec)[-1][2]
     cap = 7
     a = TruncatedSeries(vars_, spec, {vars_.monomial({name: e}): e + 1 for e in range(4)})
     b = TruncatedSeries(vars_, spec, {vars_.monomial({name: e}): 2 * e - 3 for e in range(8)})

@@ -544,6 +544,22 @@ def test_a_fault_in_log_gamma_fails_the_exp_checks(monkeypatch):
     assert _failing(names) == set(names)
 
 
+def test_a_constant_term_in_the_power_sums_fails_gamma_at_zero(monkeypatch):
+    # S_j(x) + 1 in place of S_j(x): log Gamma(0, u) becomes sum_j u^j / j,
+    # so Gamma(0, u) = 1 / (1 - u)
+    from linkchi import verify
+
+    real = special.s_poly
+
+    def shifted(j):
+        poly = real(j)
+        return special.UniPolynomial([poly.coeffs[0] + 1, *poly.coeffs[1:]])
+
+    monkeypatch.setattr(special, "s_poly", shifted)
+    (gamma,) = verify.run_checks(only=["gamma"], t_max=6)
+    assert "Gamma(0, u) != 1" in gamma.details
+
+
 def test_a_fault_in_the_grading_fails_the_exp_checks(monkeypatch):
     # one grade short of the top: exp and log lose their last grade, which
     # the closed forms built from inverse and products still hold
